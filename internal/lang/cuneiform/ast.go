@@ -38,6 +38,11 @@ type DefTask struct {
 	Body     string
 	Attrs    TaskAttrs
 	Line     int
+
+	// Set by the parser so the evaluator matches an application's arguments
+	// to Params without building lookup tables per application.
+	paramIdx map[string]int // parameter name → index in Params
+	single   []int          // indices of the non-aggregate Params
 }
 
 // DefFun defines a native function (call-by-name macro with named
@@ -82,6 +87,11 @@ type NilLit struct{}
 type Ref struct {
 	Ident string
 	Line  int
+
+	// let is the statement index of the latest let of Ident above this
+	// reference, or -1. It is only meaningful in a top-level expression;
+	// names in a function body are parameters.
+	let int
 }
 
 // Cat concatenates the values of its parts.

@@ -348,6 +348,9 @@ loop( cur: "init" );`)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if d.Pending() != pendingScan(d) {
+				t.Fatalf("Pending() = %d, %d invocations are unresolved", d.Pending(), pendingScan(d))
+			}
 			next = append(next, more...)
 		}
 		ready = next

@@ -175,3 +175,28 @@ b;`)
 		}
 	}
 }
+
+// The lexer admits any byte in a string literal, so the bytes an invocation
+// key once used as separators can arrive inside values. Applications that
+// differ only in where such a byte sits are different tasks.
+func TestSeparatorBytesInValuesDoNotMergeInvocations(t *testing.T) {
+	for name, body := range map[string]string{
+		"one element or two": "merge( parts: \"a\x02b\" );\nmerge( parts: \"a\" \"b\" );",
+		"which parameter":    "pair( a: \"p\x00b\x01q\" b: \"r\" );\npair( a: \"p\" b: \"q\x00b\x01r\" );",
+	} {
+		d := NewDriver("collide", `
+deftask merge( out : <parts> ) in bash *{ x }*
+deftask pair( out : a b ) in bash *{ x }*
+`+body)
+		ready, err := d.Parse()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ready) != 2 || ready[0].ID == ready[1].ID {
+			t.Fatalf("%s: two distinct applications issued %d task(s)", name, len(ready))
+		}
+		if strings.Join(ready[0].Inputs, "|") == strings.Join(ready[1].Inputs, "|") {
+			t.Fatalf("%s: both tasks got inputs %q", name, ready[0].Inputs)
+		}
+	}
+}

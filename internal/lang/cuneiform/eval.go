@@ -1,22 +1,23 @@
 package cuneiform
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hiway/internal/wf"
 )
 
-// maxFunDepth bounds nested function expansion within one evaluation pass,
+// maxFunDepth bounds nested function expansion within one statement,
 // catching unguarded recursion (defun f(x){ f(x: x) }) that would otherwise
 // expand forever. Guarded recursion never nests deeply: a conditional whose
 // condition waits on a task yields a hole and stops expanding.
 const maxFunDepth = 10_000
 
 // item is one element-or-hole of a value. A hole stands for the unknown
-// result of a task invocation that has not completed yet; values containing
-// holes are re-derived on the next evaluation pass.
+// result of a task invocation that has not completed yet; the statement
+// holding it is re-evaluated when that invocation resolves.
 type item struct {
 	s    string
 	hole bool
@@ -57,13 +58,29 @@ func (v value) strings() []string {
 
 // invocation is one memoized task application: a unique combination of task
 // definition and concrete argument values. It is issued as a wf.Task exactly
-// once; re-evaluation passes find it here instead of spawning a duplicate.
+// once; a statement evaluated again finds it here instead of spawning a
+// duplicate.
 type invocation struct {
-	key      string
-	task     *wf.Task
 	def      *DefTask
 	resolved bool
-	outputs  map[string][]string // output param → produced paths
+	outputs  [][]string // produced paths per output, in def.Outputs order
+	waiters  []int      // statements to re-evaluate once this resolves
+}
+
+// slot is the evaluation state of one top-level statement, at the
+// statement's index in the program (deftask and defun leave theirs empty).
+type slot struct {
+	x      Expr // the let's or target's expression
+	target bool
+	val    value
+	// final: the last evaluation met no unresolved invocation and no
+	// non-final let, so it read only immutable state; evaluating it again
+	// would return val and re-find only invocations that exist. A hole-free
+	// val alone is not enough: a function may drop an argument that still
+	// has tasks to spawn.
+	final   bool
+	queued  bool
+	readers []int // later statements that read val while it was not final
 }
 
 // Driver evaluates a Cuneiform workflow incrementally, implementing
@@ -73,16 +90,21 @@ type Driver struct {
 	name string
 	src  string
 
-	prog  *Program
 	tasks map[string]*DefTask
 	funs  map[string]*DefFun
 
 	invocations map[string]*invocation
 	byTaskID    map[int64]*invocation
-	unresolved  int // count of invocations not yet resolved (O(1) Done)
+	unresolved  int    // count of invocations not yet resolved (O(1) Done)
+	keyBuf      []byte // reused by invoke, so re-finding an invocation allocates nothing
+	lookups     int    // invocation-table lookups so far (read by the linearity test)
+
+	slots   []slot
+	queue   []int // statements to evaluate, ascending
+	cur     int   // statement under evaluation
+	waiting bool  // cur met something unresolved in this evaluation
 
 	newTasks []*wf.Task
-	targets  []value
 	funDepth int
 	parsed   bool
 }
@@ -103,14 +125,15 @@ func NewDriver(name, src string) *Driver {
 func (d *Driver) Name() string { return d.name }
 
 // Parse implements wf.Driver: it parses the source, checks definitions, and
-// runs the first evaluation pass, returning the initially ready tasks.
+// evaluates every statement once, returning the initially ready tasks.
 func (d *Driver) Parse() ([]*wf.Task, error) {
 	prog, err := Parse(d.src)
 	if err != nil {
 		return nil, err
 	}
-	d.prog = prog
-	for _, st := range prog.Stmts {
+	d.slots = make([]slot, len(prog.Stmts))
+	targets := 0
+	for i, st := range prog.Stmts {
 		switch s := st.(type) {
 		case *DefTask:
 			if _, dup := d.tasks[s.TaskName]; dup {
@@ -128,14 +151,27 @@ func (d *Driver) Parse() ([]*wf.Task, error) {
 				return nil, fmt.Errorf("cuneiform: %q defined as both task and function", s.FunName)
 			}
 			d.funs[s.FunName] = s
+		case *Let:
+			d.slots[i].x = s.X
+			d.enqueue(i)
+		case *Target:
+			d.slots[i] = slot{x: s.X, target: true}
+			d.enqueue(i)
+			targets++
 		}
 	}
 	d.parsed = true
-	return d.evaluate()
+	ready, err := d.evaluate()
+	if err == nil && targets == 0 {
+		err = fmt.Errorf("cuneiform: workflow %q has no target expression", d.name)
+	}
+	return ready, err
 }
 
 // OnTaskComplete implements wf.Driver: it resolves the invocation's output
-// futures and re-evaluates the program, returning newly discovered tasks.
+// futures and re-evaluates the statements that waited on it, returning newly
+// discovered tasks. The first result of a task stands: values derived from
+// it may already be final.
 func (d *Driver) OnTaskComplete(res *wf.TaskResult) ([]*wf.Task, error) {
 	if !d.parsed {
 		return nil, fmt.Errorf("cuneiform: OnTaskComplete before Parse")
@@ -147,87 +183,94 @@ func (d *Driver) OnTaskComplete(res *wf.TaskResult) ([]*wf.Task, error) {
 	if !res.Succeeded() {
 		return nil, fmt.Errorf("cuneiform: task %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
 	}
-	if !inv.resolved {
-		d.unresolved--
+	if inv.resolved {
+		return nil, nil
 	}
 	inv.resolved = true
-	inv.outputs = make(map[string][]string, len(inv.def.Outputs))
-	for _, o := range inv.def.Outputs {
+	d.unresolved--
+	inv.outputs = make([][]string, len(inv.def.Outputs))
+	for i, o := range inv.def.Outputs {
 		fis := res.Outputs[o.Name]
 		paths := make([]string, len(fis))
-		for i, fi := range fis {
-			paths[i] = fi.Path
+		for j, fi := range fis {
+			paths[j] = fi.Path
 		}
-		inv.outputs[o.Name] = paths
+		inv.outputs[i] = paths
 	}
+	for _, w := range inv.waiters {
+		d.enqueue(w)
+	}
+	inv.waiters = nil
 	return d.evaluate()
 }
 
 // Done implements wf.Driver: the workflow is finished when no invocation is
-// pending and every target value is concrete. The pending count is tracked
-// incrementally so this is O(targets), not O(invocations) — it runs after
-// every task completion.
-func (d *Driver) Done() bool {
-	if !d.parsed || d.unresolved > 0 {
-		return false
-	}
-	for _, t := range d.targets {
-		if !t.concrete() {
-			return false
-		}
-	}
-	return true
-}
+// pending. Every hole stands for a pending invocation and every statement
+// that waited on a resolved one has been evaluated since, so all target
+// values are concrete then.
+func (d *Driver) Done() bool { return d.parsed && d.unresolved == 0 }
 
 // Outputs implements wf.Driver: the concrete strings of all target values.
 func (d *Driver) Outputs() []string {
 	var out []string
-	for _, t := range d.targets {
-		out = append(out, t.strings()...)
+	for i := range d.slots {
+		if d.slots[i].target {
+			out = append(out, d.slots[i].val.strings()...)
+		}
 	}
 	return out
 }
 
 // Pending returns the number of unresolved invocations (for diagnostics).
-func (d *Driver) Pending() int {
-	n := 0
-	for _, inv := range d.invocations {
-		if !inv.resolved {
-			n++
-		}
-	}
-	return n
-}
+func (d *Driver) Pending() int { return d.unresolved }
 
-// evaluate runs one full evaluation pass over the program, collecting
-// freshly issued tasks.
+// evaluate evaluates the queued statements in ascending program order,
+// collecting freshly issued tasks. A statement not queued can only re-find
+// invocations that exist, so this discovers the same new tasks in the same
+// order — and draws the same wf.NextID() sequence — as evaluating the whole
+// program would. Evaluating a let queues its readers, which all come later.
 func (d *Driver) evaluate() ([]*wf.Task, error) {
 	d.newTasks = nil
-	d.targets = nil
-	d.funDepth = 0
-	env := make(map[string]value)
-	for _, st := range d.prog.Stmts {
-		switch s := st.(type) {
-		case *Let:
-			v, err := d.eval(s.X, env)
-			if err != nil {
-				return nil, err
-			}
-			env[s.Ident] = v
-		case *Target:
-			v, err := d.eval(s.X, env)
-			if err != nil {
-				return nil, err
-			}
-			d.targets = append(d.targets, v)
+	for head := 0; head < len(d.queue); head++ {
+		d.cur = d.queue[head]
+		s := &d.slots[d.cur]
+		s.queued, d.waiting = false, false
+		v, err := d.eval(s.x, nil)
+		if err != nil {
+			return nil, err
 		}
+		s.val, s.final = v, !d.waiting
+		for _, r := range s.readers {
+			d.enqueue(r)
+		}
+		s.readers = s.readers[:0]
 	}
-	if len(d.targets) == 0 {
-		return nil, fmt.Errorf("cuneiform: workflow %q has no target expression", d.name)
-	}
+	d.queue = d.queue[:0]
 	return d.newTasks, nil
 }
 
+// enqueue marks statement i for evaluation in this pass.
+func (d *Driver) enqueue(i int) {
+	s := &d.slots[i]
+	if s.queued || s.final {
+		return
+	}
+	s.queued = true
+	at, _ := slices.BinarySearch(d.queue, i)
+	d.queue = slices.Insert(d.queue, at, i)
+}
+
+// await registers the statement under evaluation on the waiters of an
+// unresolved invocation or the readers of a non-final let.
+func (d *Driver) await(list *[]int) {
+	d.waiting = true
+	if !slices.Contains(*list, d.cur) {
+		*list = append(*list, d.cur)
+	}
+}
+
+// eval evaluates x. env holds the parameters of the function whose body x
+// belongs to; it is nil at the top level, where names are earlier lets.
 func (d *Driver) eval(x Expr, env map[string]value) (value, error) {
 	switch e := x.(type) {
 	case *Str:
@@ -235,6 +278,13 @@ func (d *Driver) eval(x Expr, env map[string]value) (value, error) {
 	case *NilLit:
 		return value{}, nil
 	case *Ref:
+		if env == nil && e.let >= 0 { // top level; an undefined name fails below
+			src := &d.slots[e.let]
+			if !src.final {
+				d.await(&src.readers)
+			}
+			return src.val, nil
+		}
 		v, ok := env[e.Ident]
 		if !ok {
 			return nil, fmt.Errorf("cuneiform: %d: undefined name %q", e.Line, e.Ident)
@@ -312,44 +362,46 @@ func (d *Driver) applyFun(e *Apply, fn *DefFun, env map[string]value) (value, er
 }
 
 func (d *Driver) applyTask(e *Apply, def *DefTask, env map[string]value) (value, error) {
-	proj := e.Proj
-	if proj == "" {
-		proj = def.Outputs[0].Name
-	}
-	var projDecl *ParamDecl
+	proj := -1
 	for i := range def.Outputs {
-		if def.Outputs[i].Name == proj {
-			projDecl = &def.Outputs[i]
+		if e.Proj == "" || def.Outputs[i].Name == e.Proj {
+			proj = i
+			break
 		}
 	}
-	if projDecl == nil {
-		return nil, fmt.Errorf("cuneiform: %d: task %q has no output %q", e.Line, def.TaskName, proj)
+	if proj < 0 {
+		return nil, fmt.Errorf("cuneiform: %d: task %q has no output %q", e.Line, def.TaskName, e.Proj)
 	}
 
-	// Evaluate arguments and match them to declared parameters.
-	args := make(map[string]value, len(e.Args))
+	// Evaluate arguments and match them to declared parameters (the parser
+	// rejects an argument given twice).
+	args := make([]value, len(def.Params))
+	matched, unknown := 0, ""
 	for _, a := range e.Args {
 		v, err := d.eval(a.X, env)
 		if err != nil {
 			return nil, err
 		}
-		args[a.Param] = v
-	}
-	decl := make(map[string]ParamDecl, len(def.Params))
-	for _, pd := range def.Params {
-		decl[pd.Name] = pd
-		if _, ok := args[pd.Name]; !ok {
-			return nil, fmt.Errorf("cuneiform: %d: application of %q misses parameter %q", e.Line, def.TaskName, pd.Name)
+		if i, ok := def.paramIdx[a.Param]; ok {
+			args[i] = v
+			matched++
+		} else if unknown == "" {
+			unknown = a.Param
 		}
 	}
-	for name := range args {
-		if _, ok := decl[name]; !ok {
-			return nil, fmt.Errorf("cuneiform: %d: task %q has no parameter %q", e.Line, def.TaskName, name)
+	if matched < len(def.Params) {
+		for _, pd := range def.Params {
+			if !slices.ContainsFunc(e.Args, func(a Arg) bool { return a.Param == pd.Name }) {
+				return nil, fmt.Errorf("cuneiform: %d: application of %q misses parameter %q", e.Line, def.TaskName, pd.Name)
+			}
 		}
+	}
+	if unknown != "" {
+		return nil, fmt.Errorf("cuneiform: %d: task %q has no parameter %q", e.Line, def.TaskName, unknown)
 	}
 	// Any hole blocks enumeration of combinations.
-	for _, pd := range def.Params {
-		if !args[pd.Name].concrete() {
+	for _, v := range args {
+		if !v.concrete() {
 			return holeVal, nil
 		}
 	}
@@ -357,49 +409,35 @@ func (d *Driver) applyTask(e *Apply, def *DefTask, env map[string]value) (value,
 	// Cartesian product over non-aggregate parameters (Cuneiform's
 	// implicit map). Aggregate parameters bind their full list in every
 	// combination.
-	var single []ParamDecl
-	for _, pd := range def.Params {
-		if !pd.Aggregate {
-			single = append(single, pd)
-		}
-	}
-	counts := make([]int, len(single))
-	for i, pd := range single {
-		counts[i] = len(args[pd.Name])
-		if counts[i] == 0 {
+	for _, p := range def.single {
+		if len(args[p]) == 0 {
 			return value{}, nil // map over the empty list
 		}
 	}
-
 	var out value
-	idx := make([]int, len(single))
+	idx := make([]int, len(def.Params)) // element chosen per non-aggregate parameter
 	for {
-		binding := make(map[string][]string, len(def.Params))
-		for i, pd := range single {
-			binding[pd.Name] = []string{args[pd.Name][idx[i]].s}
-		}
-		for _, pd := range def.Params {
-			if pd.Aggregate {
-				binding[pd.Name] = args[pd.Name].strings()
-			}
-		}
-		inv := d.invoke(def, binding)
+		inv := d.invoke(def, args, idx)
 		if inv.resolved {
-			out = append(out, strVal(inv.outputs[proj]...)...)
+			for _, path := range inv.outputs[proj] {
+				out = append(out, item{s: path})
+			}
 		} else {
 			// Pending invocations yield a hole — even though the path of
 			// a non-aggregate output is known upfront, exposing it would
 			// let downstream tasks be issued before their input exists.
+			d.await(&inv.waiters)
 			out = append(out, item{hole: true})
 		}
 		// Advance the mixed-radix counter.
-		k := len(idx) - 1
+		k := len(def.single) - 1
 		for ; k >= 0; k-- {
-			idx[k]++
-			if idx[k] < counts[k] {
+			p := def.single[k]
+			idx[p]++
+			if idx[p] < len(args[p]) {
 				break
 			}
-			idx[k] = 0
+			idx[p] = 0
 		}
 		if k < 0 {
 			break
@@ -408,11 +446,26 @@ func (d *Driver) applyTask(e *Apply, def *DefTask, env map[string]value) (value,
 	return out, nil
 }
 
-// invoke returns the memoized invocation for (def, binding), creating and
-// issuing the wf.Task on first encounter.
-func (d *Driver) invoke(def *DefTask, binding map[string][]string) *invocation {
-	key := invocationKey(def.TaskName, binding)
-	if inv, ok := d.invocations[key]; ok {
+// invoke returns the memoized invocation of def on one combination of
+// concrete args, creating and issuing the wf.Task on first encounter. The key
+// is the task name and each parameter's values in declaration order, every
+// string and every aggregate list prefixed with its length: no value, however
+// chosen, makes two applications share a key.
+func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
+	key := appendStr(d.keyBuf[:0], def.TaskName)
+	for p, pd := range def.Params {
+		if !pd.Aggregate {
+			key = appendStr(key, args[p][idx[p]].s)
+			continue
+		}
+		key = binary.AppendUvarint(key, uint64(len(args[p])))
+		for _, it := range args[p] {
+			key = appendStr(key, it.s)
+		}
+	}
+	d.keyBuf = key
+	d.lookups++
+	if inv, ok := d.invocations[string(key)]; ok {
 		return inv
 	}
 	id := wf.NextID()
@@ -429,8 +482,13 @@ func (d *Driver) invoke(def *DefTask, binding map[string][]string) *invocation {
 	}
 	// Inputs: file parameters only, deduplicated in declaration order.
 	seen := map[string]bool{}
-	for _, pd := range def.Params {
-		vals := binding[pd.Name]
+	for p, pd := range def.Params {
+		var vals []string
+		if pd.Aggregate {
+			vals = args[p].strings()
+		} else {
+			vals = []string{args[p][idx[p]].s}
+		}
 		task.Env[pd.Name] = strings.Join(vals, " ")
 		if pd.Value {
 			task.Meta["value:"+pd.Name] = strings.Join(vals, " ")
@@ -459,35 +517,17 @@ func (d *Driver) invoke(def *DefTask, binding map[string][]string) *invocation {
 		task.Declared[od.Name] = []wf.FileInfo{{Path: path, SizeMB: size}}
 		task.Env[od.Name] = path
 	}
-	inv := &invocation{key: key, task: task, def: def}
-	d.invocations[key] = inv
+	inv := &invocation{def: def}
+	d.invocations[string(key)] = inv
 	d.byTaskID[id] = inv
 	d.unresolved++
 	d.newTasks = append(d.newTasks, task)
 	return inv
 }
 
-// invocationKey builds a canonical string for memoizing an application.
-func invocationKey(taskName string, binding map[string][]string) string {
-	params := make([]string, 0, len(binding))
-	for p := range binding {
-		params = append(params, p)
-	}
-	sort.Strings(params)
-	var sb strings.Builder
-	sb.WriteString(taskName)
-	for _, p := range params {
-		sb.WriteString("\x00")
-		sb.WriteString(p)
-		sb.WriteString("\x01")
-		for i, v := range binding[p] {
-			if i > 0 {
-				sb.WriteString("\x02")
-			}
-			sb.WriteString(v)
-		}
-	}
-	return sb.String()
+// appendStr appends s behind its length.
+func appendStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 func sanitize(name string) string {

@@ -60,6 +60,13 @@ var keywords = map[string]bool{
 	"if": true, "then": true, "else": true, "end": true, "nil": true,
 }
 
+// punct maps a punctuation byte to its token kind (tokEOF: not punctuation).
+var punct = [256]tokenKind{
+	'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
+	':': tokColon, ';': tokSemi, '<': tokLt, '>': tokGt,
+	'=': tokEq, '@': tokAt, '.': tokDot, '~': tokTilde,
+}
+
 type token struct {
 	kind tokenKind
 	text string
@@ -212,12 +219,7 @@ func (l *lexer) next() (token, error) {
 		return token{kind: tokNumber, text: sb.String(), line: line, col: col}, nil
 	}
 	l.advance()
-	punct := map[byte]tokenKind{
-		'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
-		':': tokColon, ';': tokSemi, '<': tokLt, '>': tokGt,
-		'=': tokEq, '@': tokAt, '.': tokDot, '~': tokTilde,
-	}
-	if k, ok := punct[c]; ok {
+	if k := punct[c]; k != tokEOF {
 		return token{kind: k, text: string(c), line: line, col: col}, nil
 	}
 	return token{}, fmt.Errorf("cuneiform: %d:%d: unexpected character %q", line, col, c)

@@ -9,6 +9,7 @@ import (
 type parser struct {
 	toks []token
 	pos  int
+	lets map[string]int // binding name → index of its latest let statement so far
 }
 
 // Parse parses a complete workflow source text.
@@ -17,12 +18,17 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: toks, lets: map[string]int{}}
 	prog := &Program{}
 	for !p.at(tokEOF) {
 		st, err := p.stmt()
 		if err != nil {
 			return nil, err
+		}
+		// Registered after its own expression is parsed, so `let x = x "a";`
+		// reads the previous x.
+		if l, ok := st.(*Let); ok {
+			p.lets[l.Ident] = len(prog.Stmts)
 		}
 		prog.Stmts = append(prog.Stmts, st)
 	}
@@ -227,6 +233,13 @@ func (p *parser) deftask() (Stmt, error) {
 		return nil, err
 	}
 	dt.Body = body.text
+	dt.paramIdx = make(map[string]int, len(dt.Params))
+	for i, d := range dt.Params {
+		dt.paramIdx[d.Name] = i
+		if !d.Aggregate {
+			dt.single = append(dt.single, i)
+		}
+	}
 	return dt, nil
 }
 
@@ -343,7 +356,11 @@ func (p *parser) atom() (Expr, error) {
 	case p.at(tokIdent) && !keywords[p.cur().text]:
 		id := p.advance()
 		if !p.at(tokLParen) {
-			return &Ref{Ident: id.text, Line: id.line}, nil
+			let, ok := p.lets[id.text]
+			if !ok {
+				let = -1
+			}
+			return &Ref{Ident: id.text, Line: id.line, let: let}, nil
 		}
 		p.advance() // '('
 		ap := &Apply{Callee: id.text, Line: id.line}
