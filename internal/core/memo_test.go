@@ -54,10 +54,11 @@ func TestMemoWarmTableSplicesWholeWorkflow(t *testing.T) {
 		t.Fatal("spliced final output not materialized in HDFS")
 	}
 	// Every hit is attributed to the cold run in provenance.
-	hits, err := provenance.MemoHits(envB.Prov.Store(), "run-b")
+	ix, err := provenance.IndexStore(envB.Prov.Store())
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits := ix.MemoHits("run-b")
 	if len(hits) != 6 {
 		t.Fatalf("memo-hit events: %d", len(hits))
 	}

@@ -9,9 +9,10 @@ import (
 // This file extends the query layer with the three questions the tiered
 // provenance store is asked by operators: how a file came to be (lineage),
 // how two runs of the same pipeline differ (cross-run diff), and which
-// earlier run paid for a memoized completion (memo-hit attribution). All
-// queries run over any Store; a small parsed query language (ParseQuery)
-// lets `hiway prov -query` and the service's GET /v1/provenance share one
+// earlier run paid for a memoized completion (memo-hit attribution).
+// Lineage and memo-hits are answered by an Index (index.go), diff by a scan
+// of the two runs' events; a small parsed query language (ParseQuery) lets
+// `hiway prov -query` and the service's GET /v1/provenance share one
 // grammar.
 
 // QueryOp discriminates parsed provenance queries.
@@ -91,34 +92,43 @@ func (q Query) String() string {
 }
 
 // RunQuery executes a parsed query against a store and renders the result
-// as text — the shared backend of `hiway prov -query` and GET
-// /v1/provenance.
+// as text — the backend of `hiway prov -query`. It reads the store's events
+// once: diff scans them, the other queries fold them into an Index and ask
+// it, exactly as the server asks its long-lived one.
 func RunQuery(store Store, q Query) (string, error) {
-	switch q.Op {
-	case OpLineage:
-		n, err := Lineage(store, q.Path)
+	if q.Op == OpDiff {
+		evs, err := readEvents(store)
 		if err != nil {
 			return "", err
 		}
-		return RenderLineage(n), nil
-	case OpDiff:
-		d, err := DiffRuns(store, q.RunA, q.RunB)
+		d, err := DiffRuns(q.RunA, q.RunB, evs)
 		if err != nil {
 			return "", err
 		}
 		return RenderRunDiff(d), nil
+	}
+	ix, err := IndexStore(store)
+	if err != nil {
+		return "", err
+	}
+	return ix.Answer(q)
+}
+
+// Answer renders the index's reply to a lineage or memo-hits query.
+func (ix *Index) Answer(q Query) (string, error) {
+	switch q.Op {
+	case OpLineage:
+		return RenderLineage(ix.Lineage(q.Path)), nil
 	case OpMemoHits:
-		hits, err := MemoHits(store, q.Run)
-		if err != nil {
-			return "", err
-		}
-		return RenderMemoHits(hits), nil
+		return RenderMemoHits(ix.MemoHits(q.Run)), nil
 	}
 	return "", fmt.Errorf("provenance: unknown query op %q", q.Op)
 }
 
-// LineageNode is one file in a lineage tree. Producer is nil for external
-// (staged) inputs that no recorded task produced.
+// LineageNode is one file in a lineage derivation. Producer is nil for
+// external (staged) inputs that no recorded task produced. A file consumed
+// by several tasks is one node reached through each of them, so the
+// derivation is a DAG, not a tree.
 type LineageNode struct {
 	Path     string
 	SizeMB   float64
@@ -139,66 +149,13 @@ type LineageStep struct {
 	Inputs      []*LineageNode
 }
 
-// Lineage walks producer links backward from path: the latest task-end
-// event producing path becomes its producer, and each of that task's
-// inputs is resolved recursively. Paths with no recorded producer are
-// leaves (staged inputs). Shared subtrees are revisited but cycles are cut,
-// so diamond-shaped dataflow renders fully while malformed traces cannot
-// recurse forever.
-func Lineage(store Store, path string) (*LineageNode, error) {
-	events, err := store.Events()
-	if err != nil {
-		return nil, err
-	}
-	// Latest producer wins: later events overwrite earlier ones, matching
-	// the manager's latest-observation indexing.
-	producer := map[string]Event{}
-	sizes := map[string]float64{}
-	for _, ev := range events {
-		if ev.Type != TaskEnd {
-			continue
-		}
-		for _, f := range ev.Outputs {
-			producer[f.Path] = ev
-			if f.SizeMB > 0 {
-				sizes[f.Path] = f.SizeMB
-			}
-		}
-		for _, f := range ev.Inputs {
-			if f.SizeMB > 0 {
-				sizes[f.Path] = f.SizeMB
-			}
-		}
-	}
-	var walk func(p string, onPath map[string]bool) *LineageNode
-	walk = func(p string, onPath map[string]bool) *LineageNode {
-		n := &LineageNode{Path: p, SizeMB: sizes[p]}
-		ev, ok := producer[p]
-		if !ok || onPath[p] {
-			return n
-		}
-		onPath[p] = true
-		defer delete(onPath, p)
-		step := &LineageStep{
-			Signature:   ev.Signature,
-			WorkflowID:  ev.WorkflowID,
-			TaskID:      ev.TaskID,
-			DurationSec: ev.DurationSec,
-			MemoHit:     ev.MemoHit,
-			MemoSource:  ev.MemoSource,
-		}
-		for _, in := range ev.Inputs {
-			step.Inputs = append(step.Inputs, walk(in.Path, onPath))
-		}
-		n.Producer = step
-		return n
-	}
-	return walk(path, map[string]bool{}), nil
-}
-
-// RenderLineage formats a lineage tree as an indented text derivation.
+// RenderLineage formats a lineage derivation as indented text. A produced
+// file reached a second time prints its own line again, marked
+// " (shown above)", without repeating the derivation under it, so the text
+// is linear in the distinct files however often dataflow fans back in.
 func RenderLineage(n *LineageNode) string {
 	var sb strings.Builder
+	shown := map[*LineageStep]bool{}
 	var rec func(n *LineageNode, depth int)
 	rec = func(n *LineageNode, depth int) {
 		indent := strings.Repeat("  ", depth)
@@ -215,6 +172,11 @@ func RenderLineage(n *LineageNode) string {
 		if p.MemoHit {
 			fmt.Fprintf(&sb, " [memo hit from %s]", p.MemoSource)
 		}
+		if shown[p] {
+			sb.WriteString(" (shown above)\n")
+			return
+		}
+		shown[p] = true
 		sb.WriteString("\n")
 		for _, in := range p.Inputs {
 			rec(in, depth+1)
@@ -251,12 +213,10 @@ type RunDiff struct {
 // DiffRuns compares two recorded workflow runs signature by signature —
 // "what changed between yesterday's run and today's?". Memo-hit counts per
 // side make memoization's contribution to a faster run visible in the
-// diff.
-func DiffRuns(store Store, runA, runB string) (*RunDiff, error) {
-	events, err := store.Events()
-	if err != nil {
-		return nil, err
-	}
+// diff. It scans the given event streams in order and keeps the events of
+// the two named runs: one stream holding a whole trace, or just the two
+// runs' own streams.
+func DiffRuns(runA, runB string, streams ...[]Event) (*RunDiff, error) {
 	d := &RunDiff{RunA: runA, RunB: runB}
 	type acc struct {
 		count, memo int
@@ -265,7 +225,7 @@ func DiffRuns(store Store, runA, runB string) (*RunDiff, error) {
 	a := map[string]*acc{}
 	b := map[string]*acc{}
 	seenA, seenB := false, false
-	for _, ev := range events {
+	scan := func(ev *Event) {
 		var side map[string]*acc
 		switch ev.WorkflowID {
 		case runA:
@@ -273,7 +233,7 @@ func DiffRuns(store Store, runA, runB string) (*RunDiff, error) {
 		case runB:
 			side, seenB = b, true
 		default:
-			continue
+			return
 		}
 		switch ev.Type {
 		case TaskEnd:
@@ -293,6 +253,11 @@ func DiffRuns(store Store, runA, runB string) (*RunDiff, error) {
 			} else {
 				d.MakespanB = ev.DurationSec
 			}
+		}
+	}
+	for _, evs := range streams {
+		for i := range evs {
+			scan(&evs[i])
 		}
 	}
 	if !seenA {
@@ -357,33 +322,6 @@ type MemoAttribution struct {
 	// CPUSavedSec is the CPU work the hit avoided — the task's recorded
 	// CPU-seconds profile.
 	CPUSavedSec float64
-}
-
-// MemoHits lists memo-hit task-ends in trace order, optionally filtered to
-// one consuming run — the attribution side of cross-tenant memoization:
-// which earlier run paid for each skipped execution.
-func MemoHits(store Store, run string) ([]MemoAttribution, error) {
-	events, err := store.Events()
-	if err != nil {
-		return nil, err
-	}
-	var out []MemoAttribution
-	for _, ev := range events {
-		if ev.Type != TaskEnd || !ev.MemoHit {
-			continue
-		}
-		if run != "" && ev.WorkflowID != run {
-			continue
-		}
-		out = append(out, MemoAttribution{
-			WorkflowID:  ev.WorkflowID,
-			TaskID:      ev.TaskID,
-			Signature:   ev.Signature,
-			MemoSource:  ev.MemoSource,
-			CPUSavedSec: ev.CPUSeconds,
-		})
-	}
-	return out, nil
 }
 
 // RenderMemoHits formats memo-hit attributions as a text table.

@@ -8,7 +8,7 @@ import (
 // traceFixture builds a two-run store: wf-a executes a two-stage chain for
 // real; wf-b re-runs the same pipeline with the second stage spliced from
 // the memo table (attributed to wf-a) plus one extra signature.
-func traceFixture(t *testing.T) Store {
+func traceFixture(t *testing.T) *MemStore {
 	t.Helper()
 	st := NewMemStore()
 	evs := []Event{
@@ -46,10 +46,7 @@ func traceFixture(t *testing.T) Store {
 }
 
 func TestLineageWalksProducersToStagedLeaves(t *testing.T) {
-	n, err := Lineage(traceFixture(t), "/wf2/annotated.vcf")
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := indexEvents(traceFixture(t).View()).Lineage("/wf2/annotated.vcf")
 	if n.Producer == nil || n.Producer.Signature != "annotate" {
 		t.Fatalf("root producer: %+v", n.Producer)
 	}
@@ -83,10 +80,7 @@ func TestLineageCutsCycles(t *testing.T) {
 		Inputs: []FileEvent{{Path: "/b"}}, Outputs: []FileEvent{{Path: "/a"}}})
 	_ = st.Append(Event{ID: "t2", Type: TaskEnd, WorkflowID: "wf", TaskID: 2, Signature: "s2",
 		Inputs: []FileEvent{{Path: "/a"}}, Outputs: []FileEvent{{Path: "/b"}}})
-	n, err := Lineage(st, "/a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := indexEvents(st.View()).Lineage("/a")
 	// /a <- s1 <- /b <- s2 <- /a (cut: leaf, no producer)
 	inner := n.Producer.Inputs[0].Producer.Inputs[0]
 	if inner.Path != "/a" || inner.Producer != nil {
@@ -95,7 +89,7 @@ func TestLineageCutsCycles(t *testing.T) {
 }
 
 func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
-	d, err := DiffRuns(traceFixture(t), "wf-a", "wf-b")
+	d, err := DiffRuns("wf-a", "wf-b", traceFixture(t).View())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +109,7 @@ func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
 	if call.TotalSecA != 5 || call.TotalSecB != 0 {
 		t.Fatalf("call durations: %+v", call)
 	}
-	if _, err := DiffRuns(traceFixture(t), "wf-a", "nope"); err == nil {
+	if _, err := DiffRuns("wf-a", "nope", traceFixture(t).View()); err == nil {
 		t.Fatal("diff against an unknown run did not error")
 	}
 	if !strings.Contains(RenderRunDiff(d), "only in wf-b: annotate") {
@@ -124,10 +118,8 @@ func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
 }
 
 func TestMemoHitsAttribution(t *testing.T) {
-	hits, err := MemoHits(traceFixture(t), "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := indexEvents(traceFixture(t).View())
+	hits := ix.MemoHits("")
 	if len(hits) != 1 {
 		t.Fatalf("hits: %+v", hits)
 	}
@@ -135,11 +127,7 @@ func TestMemoHitsAttribution(t *testing.T) {
 	if h.WorkflowID != "wf-b" || h.Signature != "call" || h.MemoSource != "wf-a" || h.CPUSavedSec != 20 {
 		t.Fatalf("attribution: %+v", h)
 	}
-	filtered, err := MemoHits(traceFixture(t), "wf-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered) != 0 {
+	if filtered := ix.MemoHits("wf-a"); len(filtered) != 0 {
 		t.Fatalf("wf-a executed everything for real, got %+v", filtered)
 	}
 	if !strings.Contains(RenderMemoHits(hits), "1 memo hits, 20.00 cpu-seconds saved") {
@@ -199,10 +187,14 @@ func TestRunQueryDispatch(t *testing.T) {
 	}
 }
 
-// FuzzProvQuery fuzzes the query parser: arbitrary input must never panic,
-// and any successfully parsed query must round-trip through String.
+// FuzzProvQuery fuzzes the query parser and the path behind it: arbitrary
+// input must never panic, any successfully parsed query must round-trip
+// through String, and what it answers over the fixture — through RunQuery,
+// hence through the Index — must be the reference implementation's text
+// (nothing in the fixture's lineages is shared, so the text is identical).
 func FuzzProvQuery(f *testing.F) {
 	f.Add("lineage /wf/calls.vcf")
+	f.Add("lineage /wf2/annotated.vcf")
 	f.Add("diff wf-a wf-b")
 	f.Add("memo-hits wf-b")
 	f.Add("memo-hits")
@@ -219,6 +211,20 @@ func FuzzProvQuery(f *testing.F) {
 		}
 		if q2 != q {
 			t.Fatalf("round trip diverged: %+v vs %+v", q, q2)
+		}
+		st := traceFixture(t)
+		got, err := RunQuery(st, q)
+		var want string
+		switch q.Op {
+		case OpLineage:
+			want = refRenderLineage(refLineage(st.View(), q.Path))
+		case OpMemoHits:
+			want = RenderMemoHits(refMemoHits(st.View(), q.Run))
+		case OpDiff:
+			return // errors on unknown runs; must only not panic
+		}
+		if err != nil || got != want {
+			t.Fatalf("%q: got %q (%v), reference %q", q, got, err, want)
 		}
 	})
 }

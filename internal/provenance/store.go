@@ -62,8 +62,26 @@ func (s *MemStore) Events() ([]Event, error) {
 	return out, nil
 }
 
+// View returns the stored events without copying them. The store only ever
+// appends, so the returned slice — clipped to its length — never changes;
+// events appended later are not visible through it.
+func (s *MemStore) View() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.events[:len(s.events):len(s.events)]
+}
+
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
+
+// readEvents is store.Events() for callers that only read the result: a
+// MemStore is viewed in place instead of copied.
+func readEvents(store Store) ([]Event, error) {
+	if ms, ok := store.(*MemStore); ok {
+		return ms.View(), nil
+	}
+	return store.Events()
+}
 
 // FileStore appends events as JSON lines to a trace file — the format the
 // paper stores in HDFS and that package lang/trace re-executes.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"time"
 
 	"hiway/internal/provenance"
 )
@@ -175,30 +176,18 @@ type ProvenanceResponse struct {
 	MemoHits int `json:"memoHits"`
 }
 
-// handleProvenance merges every admitted run's provenance buffer (the same
-// deterministic shard merge FlushProvenance uses) and either summarizes it
-// or, with ?q=, runs a provenance query — "lineage <path>",
-// "diff <runA> <runB>", or "memo-hits [run]" — and returns the rendered
-// text. Buffered events of still-running workflows may lag a flush interval.
+// handleProvenance answers from the server's provenance index (see
+// provIndex): without ?q= the event and memo-hit counts, with it a
+// provenance query — "lineage <path>", "diff <runA> <runB>", or
+// "memo-hits [run]" — as rendered text. The answer agrees with what
+// FlushProvenance would write at this moment. Buffered events of
+// still-running workflows may lag a flush interval.
 func (s *Server) handleProvenance(w http.ResponseWriter, req *http.Request) {
-	dst := provenance.NewMemStore()
-	if _, err := s.FlushProvenance(dst); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-		return
-	}
+	defer func(t0 time.Time) { s.prov.queryH.Observe(time.Since(t0).Seconds()) }(time.Now())
 	qs := req.URL.Query().Get("q")
 	if qs == "" {
-		evs, err := dst.Events()
-		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
-			return
-		}
-		resp := ProvenanceResponse{Events: len(evs)}
-		for _, ev := range evs {
-			if ev.MemoHit {
-				resp.MemoHits++
-			}
-		}
+		var resp ProvenanceResponse
+		s.withProvIndex(func(ix *provenance.Index) { resp.Events, resp.MemoHits = ix.Counts() })
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -207,7 +196,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	out, err := provenance.RunQuery(dst, q)
+	out, err := s.queryProvenance(q)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
 		return

@@ -246,6 +246,7 @@ type Server struct {
 	drainedClosed bool
 
 	runs      *runRegistry
+	prov      *provIndex // what GET /v1/provenance answers from
 	drainedCh chan struct{}
 	wg        sync.WaitGroup
 	detReady  []*Run // admitted, awaiting serial execution (deterministic mode)
@@ -314,6 +315,7 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 	s.e2eH = m.Histogram("hiway_serve_e2e_latency_seconds",
 		"seconds from first submission attempt to terminal state",
 		[]float64{1, 5, 10, 30, 60, 120, 300, 600, 1800})
+	s.prov = newProvIndex(m)
 	return s, nil
 }
 
@@ -694,21 +696,23 @@ func (s *Server) Drained() <-chan struct{} { return s.drainedCh }
 // make the last run's bookkeeping visible before reading results.
 func (s *Server) Wait() { s.wg.Wait() }
 
+// admittedRuns returns the runs admitted so far, in admission order. The
+// list is append-only, so the clipped slice stays valid unlocked.
+func (s *Server) admittedRuns() []*Run {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.admitted[:len(s.admitted):len(s.admitted)]
+}
+
 // FlushProvenance merges every admitted run's provenance buffer into dst
 // using internal/shard's deterministic merge discipline — events ordered by
 // (timestamp, admission index, within-run position) — so the flushed trace
 // is independent of goroutine scheduling. Call after Drained.
 func (s *Server) FlushProvenance(dst provenance.Store) (int, error) {
-	s.mu.Lock()
-	admitted := append([]*Run(nil), s.admitted...)
-	s.mu.Unlock()
+	admitted := s.admittedRuns()
 	shards := make([][]provenance.Event, len(admitted))
 	for i, r := range admitted {
-		evs, err := r.prov.Events()
-		if err != nil {
-			return 0, err
-		}
-		shards[i] = evs
+		shards[i] = r.prov.View()
 	}
 	merged := shard.MergeEvents(shards)
 	if ba, ok := dst.(provenance.BatchAppender); ok {

@@ -25,7 +25,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hiway/internal/provenance"
@@ -127,36 +127,27 @@ func Run(n, workers int, fn func(shard int) error) error {
 }
 
 // MergeEvents merges per-shard provenance streams into one stream ordered by
-// (timestamp, shard index, within-shard position). Each shard's stream is
-// assumed to be in its own append order (which the per-shard Manager
-// guarantees is timestamp-ordered on that shard's virtual clock); the merge
-// is stable, so equal-timestamp events keep shard order first and shard-local
-// order second. The result is independent of how the shards were scheduled
-// onto workers.
+// provenance.MergeKey: (timestamp, shard index, within-shard position). The
+// key is total, so equal-timestamp events keep shard order first and
+// shard-local order second whether or not a shard's own timestamps are
+// monotone, and the result is independent of how the shards were scheduled
+// onto workers. Only the 16-byte keys are sorted; each event is copied once,
+// into its final place.
 func MergeEvents(shards [][]provenance.Event) []provenance.Event {
 	total := 0
 	for _, s := range shards {
 		total += len(s)
 	}
-	type tagged struct {
-		shard int
-		ev    provenance.Event
-	}
-	all := make([]tagged, 0, total)
+	keys := make([]provenance.MergeKey, 0, total)
 	for i, s := range shards {
-		for _, ev := range s {
-			all = append(all, tagged{shard: i, ev: ev})
+		for j := range s {
+			keys = append(keys, provenance.MergeKey{Timestamp: s[j].Timestamp, Run: int32(i), Pos: int32(j)})
 		}
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].ev.Timestamp != all[b].ev.Timestamp {
-			return all[a].ev.Timestamp < all[b].ev.Timestamp
-		}
-		return all[a].shard < all[b].shard
-	})
+	slices.SortFunc(keys, provenance.MergeKey.Compare)
 	out := make([]provenance.Event, total)
-	for i := range all {
-		out[i] = all[i].ev
+	for i, k := range keys {
+		out[i] = shards[k.Run][k.Pos]
 	}
 	return out
 }

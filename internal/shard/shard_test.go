@@ -3,6 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -85,6 +87,92 @@ func TestMergeEventsTimestampThenShardOrder(t *testing.T) {
 		if merged[i].ID != id {
 			t.Fatalf("position %d: got %s, want %s (full: %v)", i, merged[i].ID, id, merged)
 		}
+	}
+}
+
+// stableSortMerge is the merge MergeEvents replaced — a stable sort of the
+// tagged events themselves by (timestamp, shard) — kept as the reference.
+func stableSortMerge(shards [][]provenance.Event) []provenance.Event {
+	type tagged struct {
+		shard int
+		ev    provenance.Event
+	}
+	var all []tagged
+	for i, s := range shards {
+		for _, ev := range s {
+			all = append(all, tagged{shard: i, ev: ev})
+		}
+	}
+	sort.SliceStable(all, func(a, b int) bool {
+		if all[a].ev.Timestamp != all[b].ev.Timestamp {
+			return all[a].ev.Timestamp < all[b].ev.Timestamp
+		}
+		return all[a].shard < all[b].shard
+	})
+	out := make([]provenance.Event, len(all))
+	for i := range all {
+		out[i] = all[i].ev
+	}
+	return out
+}
+
+// randomShards draws shards whose timestamps collide constantly; monotone
+// says whether each shard's own clock only moves forward.
+func randomShards(rng *rand.Rand, shards, perShard int, monotone bool) [][]provenance.Event {
+	out := make([][]provenance.Event, shards)
+	for i := range out {
+		now := 0.0
+		for j, n := 0, rng.Intn(perShard+1); j < n; j++ {
+			if monotone {
+				now += float64(rng.Intn(3))
+			} else {
+				now = float64(rng.Intn(8))
+			}
+			out[i] = append(out[i], provenance.Event{ID: fmt.Sprintf("s%d-%d", i, j), Timestamp: now})
+		}
+	}
+	return out
+}
+
+func TestMergeEventsMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shards := randomShards(rng, 1+rng.Intn(9), 40, seed%2 == 0)
+		got, want := MergeEvents(shards), stableSortMerge(shards)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: merged %d events, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("seed %d, position %d: got %s, want %s", seed, i, got[i].ID, want[i].ID)
+			}
+		}
+	}
+}
+
+// BenchmarkMergeEvents times the merge at the two shapes it runs at: a
+// sharded `hiway sim` (few long streams) and a server's drain flush (one
+// short stream per admitted run).
+func BenchmarkMergeEvents(b *testing.B) {
+	for _, shape := range []struct{ shards, perShard int }{{8, 1000}, {700, 90}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.shards, shape.perShard), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			shards := make([][]provenance.Event, shape.shards)
+			for i := range shards {
+				now := rng.Float64()
+				for j := 0; j < shape.perShard; j++ {
+					now += rng.Float64()
+					shards[i] = append(shards[i], provenance.Event{Timestamp: now})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := MergeEvents(shards); len(got) != shape.shards*shape.perShard {
+					b.Fatalf("merged %d events", len(got))
+				}
+			}
+		})
 	}
 }
 
