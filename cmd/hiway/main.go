@@ -1115,6 +1115,18 @@ func runProv(args []string) error {
 		return nil
 	}
 
+	// Each summary scans the store; a database is decoded once for all three.
+	if *dbPath != "" {
+		events, err := store.Events()
+		if err != nil {
+			return err
+		}
+		mem := provenance.NewMemStore()
+		if err := mem.AppendBatch(events); err != nil {
+			return err
+		}
+		store = mem
+	}
 	wfs, err := provenance.SummarizeWorkflows(store)
 	if err != nil {
 		return err

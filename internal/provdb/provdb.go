@@ -5,13 +5,15 @@
 //
 // Design: a single append-only write-ahead log holds length- and
 // CRC-prefixed records (puts and delete tombstones); an in-memory index
-// maps each key to its latest value. Opening a database replays the log,
-// tolerating a torn final record (a crashed writer) by truncating it.
+// maps each key to its latest value, and an ordered key list serves Range.
+// Opening a database replays the log, truncating a torn final record (a
+// crashed writer) and refusing a bad record anywhere else with ErrCorrupt.
 // Compact rewrites only live records into a fresh log and atomically
 // renames it into place.
 package provdb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,13 +29,20 @@ const (
 	opDelete = byte(2)
 
 	headerLen = 8 // 4-byte payload length + 4-byte CRC32
-	// maxRecordLen bounds a single record, guarding replay against a
-	// corrupt length prefix.
+	// maxRecordLen bounds a single record: a put over it is refused, and
+	// replay treats a length prefix over it as a bad record.
 	maxRecordLen = 64 << 20
+	// maxKeptBuf is the largest commit buffer kept for the next commit.
+	maxKeptBuf = 1 << 20
 )
 
 // ErrClosed is returned for operations on a closed database.
 var ErrClosed = errors.New("provdb: database is closed")
+
+// ErrCorrupt is wrapped by the error Open returns for a record that fails
+// its length or checksum test with more log behind it. Such a log is left as
+// it was found.
+var ErrCorrupt = errors.New("provdb: corrupt record")
 
 // DB is an embedded key-value store. All methods are safe for concurrent
 // use.
@@ -42,14 +51,26 @@ type DB struct {
 	path string
 	f    *os.File
 
-	index     map[string][]byte
+	index map[string][]byte
+	// keys holds the live keys in ascending order unless keysStale. A new
+	// key greater than the last one is appended, so a log written in key
+	// order never sorts; any other change to the key set (a new key out of
+	// order, a delete) only sets keysStale, and the next sortedKeys call
+	// rebuilds the list from the index.
+	keys      []string
+	keysStale bool
+
+	wbuf []byte // the records of one commit, reused by the next
+
 	liveBytes int64 // bytes of records still live (for compaction heuristics)
 	logBytes  int64 // total bytes in the log
 }
 
-// Open opens (or creates) the database at path, replaying its log. A torn
-// trailing record — the signature of a crash mid-write — is truncated away;
-// corruption anywhere else is reported as an error.
+// Open opens (or creates) the database at path, replaying its log. A bad
+// record that runs to the end of the log or past it — the signature of a
+// crash mid-write — is truncated away. A bad record with more log behind it
+// is damage to data that was once written whole: Open reports it as
+// ErrCorrupt, with the record's offset, and leaves the file untouched.
 func Open(path string) (*DB, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -76,34 +97,39 @@ func Open(path string) (*DB, error) {
 // replay scans the log, rebuilding the index, and returns the byte offset
 // up to which the log is valid.
 func (db *DB) replay() (int64, error) {
-	data, err := io.ReadAll(db.f)
+	fi, err := db.f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("provdb: reading log: %w", err)
 	}
-	var off int64
-	for int(off) < len(data) {
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(db.f, data); err != nil {
+		return 0, fmt.Errorf("provdb: reading log: %w", err)
+	}
+	off := 0
+	for off < len(data) {
 		rest := data[off:]
 		if len(rest) < headerLen {
 			break // torn header
 		}
 		plen := binary.LittleEndian.Uint32(rest[0:4])
 		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if plen > maxRecordLen {
-			break // corrupt length ⇒ treat as torn tail
+		end := headerLen + int64(plen)
+		if end > int64(len(rest)) {
+			break // the record runs past the end of the log: torn
 		}
-		if len(rest) < headerLen+int(plen) {
-			break // torn payload
+		if plen > maxRecordLen || crc32.ChecksumIEEE(rest[headerLen:end]) != crc {
+			if end == int64(len(rest)) {
+				break // the last record, written in part: torn
+			}
+			return 0, fmt.Errorf("%w at offset %d of %s (%d bytes): bad length or checksum",
+				ErrCorrupt, off, db.path, len(data))
 		}
-		payload := rest[headerLen : headerLen+int(plen)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt payload ⇒ stop replay here
-		}
-		if err := db.apply(payload); err != nil {
+		if err := db.apply(rest[headerLen:end]); err != nil {
 			return 0, err
 		}
-		off += int64(headerLen + int(plen))
+		off += int(end)
 	}
-	return off, nil
+	return int64(off), nil
 }
 
 // apply interprets one payload against the in-memory index.
@@ -121,69 +147,131 @@ func (db *DB) apply(payload []byte) error {
 	case opPut:
 		val := make([]byte, len(payload)-5-int(klen))
 		copy(val, payload[5+int(klen):])
-		if old, ok := db.index[key]; ok {
-			db.liveBytes -= int64(len(old) + len(key))
-		}
-		db.index[key] = val
-		db.liveBytes += int64(len(val) + len(key))
+		db.set(key, val)
 	case opDelete:
-		if old, ok := db.index[key]; ok {
-			db.liveBytes -= int64(len(old) + len(key))
-		}
-		delete(db.index, key)
+		db.unset(key)
 	default:
 		return fmt.Errorf("provdb: unknown record op %d", op)
 	}
 	return nil
 }
 
-func encodeRecord(op byte, key string, value []byte) []byte {
-	payload := make([]byte, 5+len(key)+len(value))
-	payload[0] = op
-	binary.LittleEndian.PutUint32(payload[1:5], uint32(len(key)))
-	copy(payload[5:], key)
-	copy(payload[5+len(key):], value)
-	rec := make([]byte, headerLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	copy(rec[headerLen:], payload)
-	return rec
+// set points key at val, which the index keeps.
+func (db *DB) set(key string, val []byte) {
+	if old, ok := db.index[key]; ok {
+		db.liveBytes -= int64(len(old) + len(key))
+	} else if !db.keysStale {
+		if n := len(db.keys); n > 0 && key < db.keys[n-1] {
+			db.keysStale = true
+		} else {
+			db.keys = append(db.keys, key)
+		}
+	}
+	db.index[key] = val
+	db.liveBytes += int64(len(val) + len(key))
 }
 
-// writeRecord appends one record to the log.
-func (db *DB) writeRecord(op byte, key string, value []byte) error {
-	if db.f == nil {
-		return ErrClosed
+// unset drops key, if it is live.
+func (db *DB) unset(key string) {
+	if old, ok := db.index[key]; ok {
+		db.liveBytes -= int64(len(old) + len(key))
+		delete(db.index, key)
+		db.keysStale = true
 	}
-	rec := encodeRecord(op, key, value)
-	if _, err := db.f.Write(rec); err != nil {
-		return fmt.Errorf("provdb: appending record: %w", err)
+}
+
+// sortedKeys returns the live keys in ascending order. The caller holds mu
+// and the slice is good until it lets go.
+func (db *DB) sortedKeys() []string {
+	if db.keysStale {
+		db.keys = db.keys[:0]
+		for k := range db.index {
+			db.keys = append(db.keys, k)
+		}
+		sort.Strings(db.keys)
+		db.keysStale = false
 	}
-	db.logBytes += int64(len(rec))
+	return db.keys
+}
+
+// appendRecord appends one framed record to dst.
+func appendRecord(dst []byte, op byte, key string, value []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, headerLen)...)
+	dst = append(dst, op)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = append(dst, key...)
+	dst = append(dst, value...)
+	payload := dst[start+headerLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
+// commit appends the records in buf to the log with one write and keeps
+// buf's storage for the next commit.
+func (db *DB) commit(buf []byte) error {
+	if cap(buf) <= maxKeptBuf {
+		db.wbuf = buf[:0]
+	} else {
+		db.wbuf = nil
+	}
+	if _, err := db.f.Write(buf); err != nil {
+		return fmt.Errorf("provdb: appending to the log: %w", err)
+	}
+	db.logBytes += int64(len(buf))
 	return nil
 }
 
 // Put stores value under key, replacing any previous value.
 func (db *DB) Put(key string, value []byte) error {
-	if key == "" {
-		return errors.New("provdb: empty key")
+	return db.PutBatch([]string{key}, [][]byte{value})
+}
+
+// PutBatch stores values[i] under keys[i] for every i, in order, as that
+// many Puts would: one checksummed record per key. The records are built in
+// one buffer and appended to the log with a single write, so a crash during
+// it leaves a prefix of them whole and at most one torn, which the next Open
+// truncates. The stored copies of the values share one allocation.
+func (db *DB) PutBatch(keys []string, values [][]byte) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("provdb: %d keys for %d values", len(keys), len(values))
+	}
+	total := 0
+	for i, k := range keys {
+		if k == "" {
+			return errors.New("provdb: empty key")
+		}
+		if n := 5 + len(k) + len(values[i]); n > maxRecordLen {
+			return fmt.Errorf("provdb: record of %d bytes for key %q exceeds the %d-byte limit", n, k, maxRecordLen)
+		}
+		total += len(values[i])
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.writeRecord(opPut, key, value); err != nil {
+	if db.f == nil {
+		return ErrClosed
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	buf := db.wbuf[:0]
+	for i, k := range keys {
+		buf = appendRecord(buf, opPut, k, values[i])
+	}
+	if err := db.commit(buf); err != nil {
 		return err
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	if old, ok := db.index[key]; ok {
-		db.liveBytes -= int64(len(old) + len(key))
+	slab := make([]byte, total)
+	for i, k := range keys {
+		n := copy(slab, values[i])
+		db.set(k, slab[:n:n])
+		slab = slab[n:]
 	}
-	db.index[key] = v
-	db.liveBytes += int64(len(v) + len(key))
 	return nil
 }
 
-// Get returns the value stored under key.
+// Get returns a copy of the value stored under key.
 func (db *DB) Get(key string) ([]byte, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -204,11 +292,13 @@ func (db *DB) Delete(key string) error {
 	if _, ok := db.index[key]; !ok {
 		return nil
 	}
-	if err := db.writeRecord(opDelete, key, nil); err != nil {
+	if db.f == nil {
+		return ErrClosed
+	}
+	if err := db.commit(appendRecord(db.wbuf[:0], opDelete, key, nil)); err != nil {
 		return err
 	}
-	db.liveBytes -= int64(len(db.index[key]) + len(key))
-	delete(db.index, key)
+	db.unset(key)
 	return nil
 }
 
@@ -219,26 +309,16 @@ func (db *DB) Len() int {
 	return len(db.index)
 }
 
-// Keys returns all live keys in sorted order.
-func (db *DB) Keys() []string {
+// Range calls fn for each live key in ascending order until fn returns
+// false. It holds the database's lock for the whole walk, so fn sees one
+// state of the database and must not call back into it. value is the stored
+// slice itself, not a copy: fn may read it until it returns and must not
+// modify it (Get returns a copy to keep).
+func (db *DB) Range(fn func(key string, value []byte) bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.index))
-	for k := range db.index {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Range calls fn for each live key in sorted order until fn returns false.
-func (db *DB) Range(fn func(key string, value []byte) bool) {
-	for _, k := range db.Keys() {
-		v, ok := db.Get(k)
-		if !ok {
-			continue
-		}
-		if !fn(k, v) {
+	for _, k := range db.sortedKeys() {
+		if !fn(k, db.index[k]) {
 			return
 		}
 	}
@@ -272,20 +352,23 @@ func (db *DB) Compact() error {
 	if err != nil {
 		return fmt.Errorf("provdb: creating compaction file: %w", err)
 	}
-	keys := make([]string, 0, len(db.index))
-	for k := range db.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	w := bufio.NewWriter(tmp)
 	var written int64
-	for _, k := range keys {
-		rec := encodeRecord(opPut, k, db.index[k])
-		if _, err := tmp.Write(rec); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("provdb: writing compaction file: %w", err)
+	var rec []byte
+	for _, k := range db.sortedKeys() {
+		rec = appendRecord(rec[:0], opPut, k, db.index[k])
+		if _, err = w.Write(rec); err != nil {
+			break
 		}
 		written += int64(len(rec))
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return fmt.Errorf("provdb: writing compaction file: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpPath)

@@ -2,10 +2,14 @@ package provdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -162,15 +166,25 @@ func TestCorruptPayloadStopsReplay(t *testing.T) {
 	}
 }
 
+// rangeAll collects what Range visits, copying the values it is only lent.
+func rangeAll(db *DB) (keys, values []string) {
+	db.Range(func(k string, v []byte) bool {
+		keys = append(keys, k)
+		values = append(values, string(v))
+		return true
+	})
+	return keys, values
+}
+
 func TestKeysSortedAndRange(t *testing.T) {
 	db, _ := openTemp(t)
 	defer db.Close()
 	for _, k := range []string{"zeta", "alpha", "mid"} {
 		db.Put(k, []byte(k))
 	}
-	keys := db.Keys()
-	if len(keys) != 3 || keys[0] != "alpha" || keys[1] != "mid" || keys[2] != "zeta" {
-		t.Fatalf("keys = %v", keys)
+	keys, values := rangeAll(db)
+	if want := []string{"alpha", "mid", "zeta"}; fmt.Sprint(keys) != fmt.Sprint(want) || fmt.Sprint(values) != fmt.Sprint(want) {
+		t.Fatalf("range visited %v = %v", keys, values)
 	}
 	var visited []string
 	db.Range(func(k string, v []byte) bool {
@@ -180,6 +194,131 @@ func TestKeysSortedAndRange(t *testing.T) {
 	if len(visited) != 2 || visited[1] != "mid" {
 		t.Fatalf("range visited %v", visited)
 	}
+}
+
+// A log written in key order, which is how DBStore writes, keeps its key
+// list sorted as it goes; anything else re-sorts at the next Range.
+func TestRangeResortsOnlyWhenTheKeySetWentOutOfOrder(t *testing.T) {
+	db, _ := openTemp(t)
+	defer db.Close()
+	db.PutBatch([]string{"a", "b"}, [][]byte{[]byte("1"), []byte("2")})
+	db.Put("c", []byte("3"))
+	db.Put("b", []byte("2'")) // an overwrite changes no key
+	if db.keysStale {
+		t.Fatal("in-order puts and an overwrite marked the key list stale")
+	}
+	db.Put("aa", nil)
+	if !db.keysStale {
+		t.Fatal("an out-of-order put left the key list trusted")
+	}
+	if keys, _ := rangeAll(db); fmt.Sprint(keys) != "[a aa b c]" || db.keysStale {
+		t.Fatalf("range visited %v, stale %v", keys, db.keysStale)
+	}
+	db.Delete("b")
+	if keys, values := rangeAll(db); fmt.Sprint(keys) != "[a aa c]" || fmt.Sprint(values) != "[1  3]" {
+		t.Fatalf("after delete: %v = %v", keys, values)
+	}
+}
+
+func TestPutBatchValidatesBeforeWriting(t *testing.T) {
+	db, path := openTemp(t)
+	defer db.Close()
+	if err := db.PutBatch([]string{"a"}, nil); err == nil {
+		t.Fatal("mismatched lengths accepted")
+	}
+	if err := db.PutBatch([]string{"a", ""}, [][]byte{nil, nil}); err == nil {
+		t.Fatal("empty key accepted")
+	}
+	// A record replay would refuse must not get into the log.
+	if err := db.Put("big", make([]byte, maxRecordLen)); err == nil {
+		t.Fatal("oversized record accepted")
+	}
+	if fi, _ := os.Stat(path); fi.Size() != 0 || db.Len() != 0 {
+		t.Fatalf("refused batches left %d bytes, %d keys", fi.Size(), db.Len())
+	}
+}
+
+// A bad record with log behind it is damage, not a torn tail: Open reports
+// it and leaves the file alone. The same damage in the last record is
+// indistinguishable from a crash mid-write and is truncated.
+func TestMidLogCorruptionIsReportedNotTruncated(t *testing.T) {
+	db, path := openTemp(t)
+	var ends []int64
+	for i := 0; i < 5; i++ {
+		db.Put(fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("value-%d", i)))
+		ends = append(ends, db.logBytes)
+	}
+	db.Close()
+	clean, _ := os.ReadFile(path)
+
+	damaged := append([]byte(nil), clean...)
+	damaged[ends[0]+headerLen+7] ^= 0x01 // inside record 2's payload
+	os.WriteFile(path, damaged, 0o644)
+	_, err := Open(path)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("offset %d ", ends[0])) {
+		t.Fatalf("error does not name offset %d: %v", ends[0], err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, damaged) {
+		t.Fatalf("Open changed a corrupt log: %d → %d bytes", len(damaged), len(after))
+	}
+
+	damaged = append([]byte(nil), clean...)
+	damaged[ends[3]+headerLen+7] ^= 0x01 // inside the last record's payload
+	os.WriteFile(path, damaged, 0o644)
+	db2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if db2.Len() != 4 {
+		t.Fatalf("len = %d, want the 4 records before the torn one", db2.Len())
+	}
+	if fi, _ := os.Stat(path); fi.Size() != ends[3] {
+		t.Fatalf("log is %d bytes, want it cut to %d", fi.Size(), ends[3])
+	}
+}
+
+func TestRangeAgainstConcurrentBatchCommits(t *testing.T) {
+	db, _ := openTemp(t)
+	defer db.Close()
+	const batches, per = 50, 16
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := 0; b < batches; b++ {
+			keys := make([]string, per)
+			vals := make([][]byte, per)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%06d", b*per+i)
+				vals[i] = []byte(keys[i])
+			}
+			if err := db.PutBatch(keys, vals); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	// Every walk sees whole batches, in order, each key with its own value.
+	for seen := 0; seen < batches*per; {
+		seen = 0
+		last := ""
+		db.Range(func(k string, v []byte) bool {
+			if k <= last || string(v) != k {
+				t.Errorf("after %q: key %q = %q", last, k, v)
+			}
+			last = k
+			seen++
+			return true
+		})
+		if seen%per != 0 {
+			t.Fatalf("a walk saw %d keys: part of a batch", seen)
+		}
+	}
+	wg.Wait()
 }
 
 func TestCompactShrinksLogAndPreservesData(t *testing.T) {
@@ -240,8 +379,28 @@ func TestClosedDBErrors(t *testing.T) {
 }
 
 // Property: the database agrees with a plain map under a random operation
-// sequence, including a reopen at the end.
+// sequence — single puts in and out of key order, overwrites, deletes, batch
+// commits, compaction — and Range walks it in the sorted model's order, both
+// live and after a reopen.
 func TestModelEquivalenceProperty(t *testing.T) {
+	agrees := func(db *DB, model map[string]string) bool {
+		want := make([]string, 0, len(model))
+		for k := range model {
+			want = append(want, k)
+		}
+		sort.Strings(want)
+		keys, values := rangeAll(db)
+		if db.Len() != len(model) || len(keys) != len(want) {
+			return false
+		}
+		for i, k := range want {
+			got, ok := db.Get(k)
+			if keys[i] != k || values[i] != model[k] || !ok || string(got) != model[k] {
+				return false
+			}
+		}
+		return true
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dir, err := os.MkdirTemp("", "provdb")
@@ -255,27 +414,50 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		model := map[string]string{}
-		keys := []string{"a", "b", "c", "d", "e"}
+		next := 0 // ascending keys, the way DBStore writes
+		key := func() string {
+			if rng.Intn(3) == 0 {
+				next++
+				return fmt.Sprintf("n%04d", next)
+			}
+			return string(rune('a' + rng.Intn(8)))
+		}
 		for i := 0; i < 200; i++ {
-			k := keys[rng.Intn(len(keys))]
-			switch rng.Intn(3) {
-			case 0, 1:
-				v := fmt.Sprintf("v%d", rng.Intn(1000))
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				k, v := key(), fmt.Sprintf("v%d", rng.Intn(1000))
 				if db.Put(k, []byte(v)) != nil {
 					return false
 				}
 				model[k] = v
-			case 2:
+			case 3, 4:
+				var keys []string
+				var vals [][]byte
+				for j := rng.Intn(5); j >= 0; j-- {
+					k, v := key(), fmt.Sprintf("b%d", rng.Intn(1000))
+					keys, vals = append(keys, k), append(vals, []byte(v))
+					model[k] = v // a key repeated within a batch: the later wins
+				}
+				if db.PutBatch(keys, vals) != nil {
+					return false
+				}
+			case 5, 6:
+				k := key()
 				if db.Delete(k) != nil {
 					return false
 				}
 				delete(model, k)
+			case 7:
+				if rng.Intn(4) == 0 && db.Compact() != nil {
+					return false
+				}
+				if !agrees(db, model) {
+					return false
+				}
 			}
 		}
-		if rng.Intn(2) == 0 {
-			if db.Compact() != nil {
-				return false
-			}
+		if !agrees(db, model) {
+			return false
 		}
 		db.Close()
 		db2, err := Open(path)
@@ -283,16 +465,7 @@ func TestModelEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		defer db2.Close()
-		if db2.Len() != len(model) {
-			return false
-		}
-		for k, want := range model {
-			got, ok := db2.Get(k)
-			if !ok || string(got) != want {
-				return false
-			}
-		}
-		return true
+		return agrees(db2, model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

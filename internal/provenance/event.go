@@ -1,7 +1,7 @@
 // Package provenance implements Hi-WAY's Provenance Manager (§3.5): it
 // surveys workflow execution and registers events at three levels of
 // granularity — workflow, task, and file — each timestamped and uniquely
-// identified, stored as JSON objects.
+// identified, written to traces as JSON objects.
 //
 // The resulting traces serve three purposes, all reproduced here:
 //   - adaptive scheduling: the Workflow Scheduler queries the manager for
@@ -9,8 +9,8 @@
 //   - reproducibility: a trace can be parsed back into an executable
 //     workflow (package lang/trace);
 //   - long-term storage: traces can live in a JSONL file (the paper's
-//     HDFS trace file) or an embedded database (package provdb, the
-//     MySQL/Couchbase stand-in).
+//     HDFS trace file) or, as binary records, in an embedded database
+//     (package provdb, the MySQL/Couchbase stand-in).
 package provenance
 
 import (

@@ -59,7 +59,8 @@ type fileRec struct {
 }
 
 // stepRec is the part of a task-end event a lineage step is built from.
-// inputs aliases the event's own slice, which stores never modify.
+// inputs aliases the event's own slice, which stores never modify (and
+// scanEvents never reuses).
 type stepRec struct {
 	at          MergeKey
 	signature   string
@@ -85,21 +86,18 @@ func NewIndex() *Index {
 // one stream, so "latest" means latest appended, whatever the timestamps say
 // (a database holding two runs restarts the clock for the second).
 func IndexStore(store Store) (*Index, error) {
-	evs, err := readEvents(store)
+	ix := NewIndex()
+	// At most one step per task-end, and a task has a start event too.
+	ix.steps = make([]stepRec, 0, eventsHint(store)/2)
+	pos := int32(0)
+	err := scanEvents(store, func(ev *Event) {
+		ix.fold(MergeKey{Pos: pos}, ev)
+		pos++
+	})
 	if err != nil {
 		return nil, err
 	}
-	return indexEvents(evs), nil
-}
-
-func indexEvents(evs []Event) *Index {
-	ix := NewIndex()
-	// At most one step per task-end, and a task has a start event too.
-	ix.steps = make([]stepRec, 0, len(evs)/2)
-	for i := range evs {
-		ix.fold(MergeKey{Pos: int32(i)}, &evs[i])
-	}
-	return ix
+	return ix, nil
 }
 
 // Fold adds evs, which sit at positions from, from+1, … of run's stream, to

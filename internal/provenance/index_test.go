@@ -88,6 +88,15 @@ func genRuns(seed int64) (runs [][]Event, paths []string) {
 	return runs, paths
 }
 
+// indexEvents folds one stream the way IndexStore folds a store's.
+func indexEvents(evs []Event) *Index {
+	ix := NewIndex()
+	for i := range evs {
+		ix.fold(MergeKey{Pos: int32(i)}, &evs[i])
+	}
+	return ix
+}
+
 // answers renders every query the differential test compares, in one string.
 func answers(ix *Index, paths []string, runs int) string {
 	var sb strings.Builder

@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -97,11 +98,7 @@ func (q Query) String() string {
 // it, exactly as the server asks its long-lived one.
 func RunQuery(store Store, q Query) (string, error) {
 	if q.Op == OpDiff {
-		evs, err := readEvents(store)
-		if err != nil {
-			return "", err
-		}
-		d, err := DiffRuns(q.RunA, q.RunB, evs)
+		d, err := diffRuns(q.RunA, q.RunB, func(fn func(*Event)) error { return scanEvents(store, fn) })
 		if err != nil {
 			return "", err
 		}
@@ -155,22 +152,34 @@ type LineageStep struct {
 // is linear in the distinct files however often dataflow fans back in.
 func RenderLineage(n *LineageNode) string {
 	var sb strings.Builder
+	var num [32]byte // a float or an int on its way into sb
 	shown := map[*LineageStep]bool{}
 	var rec func(n *LineageNode, depth int)
 	rec = func(n *LineageNode, depth int) {
-		indent := strings.Repeat("  ", depth)
-		fmt.Fprintf(&sb, "%s%s", indent, n.Path)
+		for i := 0; i < depth; i++ {
+			sb.WriteString("  ")
+		}
+		sb.WriteString(n.Path)
 		if n.SizeMB > 0 {
-			fmt.Fprintf(&sb, " (%g MB)", n.SizeMB)
+			sb.WriteString(" (")
+			sb.Write(strconv.AppendFloat(num[:0], n.SizeMB, 'g', -1, 64))
+			sb.WriteString(" MB)")
 		}
 		if n.Producer == nil {
 			sb.WriteString(" [staged]\n")
 			return
 		}
 		p := n.Producer
-		fmt.Fprintf(&sb, " <- %s task %d @ %s", p.Signature, p.TaskID, p.WorkflowID)
+		sb.WriteString(" <- ")
+		sb.WriteString(p.Signature)
+		sb.WriteString(" task ")
+		sb.Write(strconv.AppendInt(num[:0], p.TaskID, 10))
+		sb.WriteString(" @ ")
+		sb.WriteString(p.WorkflowID)
 		if p.MemoHit {
-			fmt.Fprintf(&sb, " [memo hit from %s]", p.MemoSource)
+			sb.WriteString(" [memo hit from ")
+			sb.WriteString(p.MemoSource)
+			sb.WriteString("]")
 		}
 		if shown[p] {
 			sb.WriteString(" (shown above)\n")
@@ -217,6 +226,18 @@ type RunDiff struct {
 // the two named runs: one stream holding a whole trace, or just the two
 // runs' own streams.
 func DiffRuns(runA, runB string, streams ...[]Event) (*RunDiff, error) {
+	return diffRuns(runA, runB, func(fn func(*Event)) error {
+		for _, evs := range streams {
+			for i := range evs {
+				fn(&evs[i])
+			}
+		}
+		return nil
+	})
+}
+
+// diffRuns is DiffRuns over whatever each hands its events to fn, in order.
+func diffRuns(runA, runB string, each func(fn func(*Event)) error) (*RunDiff, error) {
 	d := &RunDiff{RunA: runA, RunB: runB}
 	type acc struct {
 		count, memo int
@@ -255,10 +276,8 @@ func DiffRuns(runA, runB string, streams ...[]Event) (*RunDiff, error) {
 			}
 		}
 	}
-	for _, evs := range streams {
-		for i := range evs {
-			scan(&evs[i])
-		}
+	if err := each(scan); err != nil {
+		return nil, err
 	}
 	if !seenA {
 		return nil, fmt.Errorf("provenance: run %q not in trace", runA)

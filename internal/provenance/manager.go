@@ -69,12 +69,8 @@ func NewManager(store Store) (*Manager, error) {
 		signatures:  make(map[string]bool),
 		nodes:       make(map[string]bool),
 	}
-	events, err := store.Events()
-	if err != nil {
+	if err := scanEvents(store, m.index); err != nil {
 		return nil, fmt.Errorf("provenance: loading prior events: %w", err)
-	}
-	for _, ev := range events {
-		m.index(ev)
 	}
 	return m, nil
 }
@@ -95,7 +91,7 @@ func (m *Manager) Store() Store {
 func (m *Manager) Record(ev Event) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.index(ev)
+	m.index(&ev)
 	m.eventsC.Inc()
 	m.buf = append(m.buf, ev)
 	if len(m.buf) >= flushEvery {
@@ -180,7 +176,7 @@ func (m *Manager) RecordTaskEnd(wfID, wfName string, res *wf.TaskResult, inputSi
 }
 
 // index updates the scheduler-facing indexes from one event.
-func (m *Manager) index(ev Event) {
+func (m *Manager) index(ev *Event) {
 	switch ev.Type {
 	case TaskEnd:
 		m.taskCount++
@@ -211,12 +207,15 @@ func (m *Manager) index(ev Event) {
 		if ev.ExitCode == 0 && ev.Error == "" && ev.DurationSec > 0 {
 			m.history.Add(ev.Signature, ev.DurationSec)
 		}
-		for _, f := range append(append([]FileEvent{}, ev.Inputs...), ev.Outputs...) {
-			if f.SizeMB > 0 {
-				m.fileSizes[f.Path] = f.SizeMB
-			}
-			if f.TransferSec > 0 {
-				m.transferSec[f.Path] = f.TransferSec
+		for _, files := range [2][]FileEvent{ev.Inputs, ev.Outputs} {
+			for i := range files {
+				f := &files[i]
+				if f.SizeMB > 0 {
+					m.fileSizes[f.Path] = f.SizeMB
+				}
+				if f.TransferSec > 0 {
+					m.transferSec[f.Path] = f.TransferSec
+				}
 			}
 		}
 	case WorkflowEnd:

@@ -1,6 +1,9 @@
 package provenance
 
 import (
+	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -96,21 +99,117 @@ func TestMeanRuntimeAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestManagerLoadsPriorEvents(t *testing.T) {
-	store := NewMemStore()
-	m1, _ := NewManager(store)
-	m1.RecordTaskEnd("wf1", "w", sampleResult("tool", "n1", 77), nil)
-	if err := m1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A second manager over the same store sees the earlier run — the
-	// mechanism behind Fig. 9's consecutive executions.
-	m2, err := NewManager(store)
+// opaqueStore hides a store's concrete type, the way a caller's wrapper does:
+// scanEvents can only go through Events.
+type opaqueStore struct{ Store }
+
+func openDBStore(t *testing.T, path string) *DBStore {
+	t.Helper()
+	db, err := provdb.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := m2.LastRuntime("tool", "n1"); !ok || d != 77 {
-		t.Fatalf("prior run not loaded: %g %v", d, ok)
+	return NewDBStore(db)
+}
+
+// twoRuns is a seeded trace of two runs over shared paths, as one stream, with
+// the paths its files come from. Its tasks ran on three nodes.
+func twoRuns() (evs []Event, paths []string) {
+	runs, paths := genRuns(5)
+	evs = append(append(evs, runs[0]...), runs[1]...)
+	for i := range evs {
+		if evs[i].Type == TaskEnd {
+			evs[i].Node = fmt.Sprintf("n%d", i%3)
+		}
+	}
+	return evs, paths
+}
+
+// queryTexts renders every lineage, the diff of the two runs and the memo
+// hits of a store holding twoRuns.
+func queryTexts(t *testing.T, store Store, paths []string) string {
+	t.Helper()
+	var sb strings.Builder
+	queries := []Query{{Op: OpDiff, RunA: "run-0", RunB: "run-1"}, {Op: OpMemoHits}}
+	for _, p := range paths {
+		queries = append(queries, Query{Op: OpLineage, Path: p})
+	}
+	for _, q := range queries {
+		out, err := RunQuery(store, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		sb.WriteString(out)
+	}
+	return sb.String()
+}
+
+func TestManagerLoadsPriorEvents(t *testing.T) {
+	evs, paths := twoRuns()
+	mem := NewMemStore()
+	mem.AppendBatch(evs)
+	want := queryTexts(t, mem, paths)
+	if !strings.Contains(want, " <- ") || !strings.Contains(want, "\nsig") {
+		t.Fatalf("the fixture answers nothing:\n%s", want)
+	}
+	stores := map[string]Store{
+		"mem":    NewMemStore(),
+		"db":     openDBStore(t, filepath.Join(t.TempDir(), "prov.db")),
+		"opaque": opaqueStore{openDBStore(t, filepath.Join(t.TempDir(), "prov.db"))},
+	}
+	for name, store := range stores {
+		t.Run(name, func(t *testing.T) {
+			defer store.Close()
+			m1, _ := NewManager(store)
+			m1.RecordTaskEnd("wf1", "w", sampleResult("tool", "n1", 77), nil)
+			if err := m1.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// A second manager over the same store sees the earlier run — the
+			// mechanism behind Fig. 9's consecutive executions.
+			m2, err := NewManager(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, ok := m2.LastRuntime("tool", "n1"); !ok || d != 77 {
+				t.Fatalf("prior run not loaded: %g %v", d, ok)
+			}
+			// Two whole runs, recorded through the manager's batches: a
+			// manager loading them ends up where the one that recorded them
+			// is, and the store answers queries as a MemStore of the same
+			// events does (wf1's task touches none of what they ask about).
+			for _, ev := range evs {
+				if err := m2.Record(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m3, err := NewManager(m2.Store())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprint(m3.Signatures()), fmt.Sprint(m2.Signatures()); got != want {
+				t.Fatalf("signatures %s, recorded %s", got, want)
+			}
+			for _, sig := range m2.Signatures() {
+				if got, want := fmt.Sprint(m3.MeanRuntime(sig)), fmt.Sprint(m2.MeanRuntime(sig)); got != want {
+					t.Fatalf("%s: mean runtime %s, recorded %s", sig, got, want)
+				}
+				if got, want := fmt.Sprint(m3.RuntimeP95(sig)), fmt.Sprint(m2.RuntimeP95(sig)); got != want {
+					t.Fatalf("%s: p95 %s, recorded %s", sig, got, want)
+				}
+			}
+			for _, p := range paths {
+				if got, want := fmt.Sprint(m3.FileSizeMB(p)), fmt.Sprint(m2.FileSizeMB(p)); got != want {
+					t.Fatalf("%s: size %s, recorded %s", p, got, want)
+				}
+			}
+			if got, want := fmt.Sprint(m3.Counts()), fmt.Sprint(m2.Counts()); got != want {
+				t.Fatalf("counts %s, recorded %s", got, want)
+			}
+			if got := queryTexts(t, store, paths); got != want {
+				t.Fatalf("queries differ from a MemStore's:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -164,11 +263,7 @@ func TestParseTraceErrors(t *testing.T) {
 
 func TestDBStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "prov.db")
-	db, err := provdb.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewDBStore(db)
+	store := openDBStore(t, path)
 	m, _ := NewManager(store)
 	for i := 0; i < 5; i++ {
 		m.RecordTaskEnd("wf1", "demo", sampleResult("tool", "n1", float64(10+i)), nil)
@@ -192,12 +287,7 @@ func TestDBStoreRoundTrip(t *testing.T) {
 	store.Close()
 
 	// Reopen: sequence continues, prior events inform a new manager.
-	db2, err := provdb.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store2 := NewDBStore(db2)
-	defer store2.Close()
+	store2 := openDBStore(t, path)
 	m2, err := NewManager(store2)
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +300,204 @@ func TestDBStoreRoundTrip(t *testing.T) {
 	events, _ = m2.Store().Events()
 	if len(events) != 6 {
 		t.Fatalf("after reopen append: %d events", len(events))
+	}
+
+	// Two runs behind those, one event at a time and in a batch: what comes
+	// back — now, and from the file — is what went in, and answers queries as
+	// it does from a MemStore.
+	evs, paths := twoRuns()
+	mem := NewMemStore()
+	mem.AppendBatch(evs)
+	want := queryTexts(t, mem, paths)
+	for _, ev := range evs[:3] {
+		if err := store2.Append(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store2.AppendBatch(evs[3:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, reopen := range []bool{false, true} {
+		if reopen {
+			store2.Close()
+			store2 = openDBStore(t, path)
+		}
+		events, err = store2.Events()
+		if err != nil || len(events) != 6+len(evs) {
+			t.Fatalf("reopened %v: %d events, %v", reopen, len(events), err)
+		}
+		for i := range evs {
+			if !sameEvent(&events[6+i], &evs[i]) {
+				t.Fatalf("reopened %v: event %d came back as\n%+v, want\n%+v", reopen, i, events[6+i], evs[i])
+			}
+		}
+		if got := queryTexts(t, store2, paths); got != want {
+			t.Fatalf("reopened %v: queries differ from a MemStore's:\n%s\nwant:\n%s", reopen, got, want)
+		}
+	}
+	store2.Close()
+}
+
+// A batch larger than one commit arrives whole and in order.
+func TestDBStoreCutsLargeBatchesIntoCommits(t *testing.T) {
+	store := openDBStore(t, filepath.Join(t.TempDir(), "prov.db"))
+	defer store.Close()
+	evs := make([]Event, 2*maxCommitEvents+3)
+	for i := range evs {
+		evs[i] = Event{ID: fmt.Sprint("e", i), TaskID: int64(i)}
+	}
+	if err := store.AppendBatch(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Events()
+	if err != nil || len(got) != len(evs) || store.seq != int64(len(evs)) {
+		t.Fatalf("%d events, seq %d, %v; want %d", len(got), store.seq, err, len(evs))
+	}
+	for i := range got {
+		if got[i].ID != evs[i].ID {
+			t.Fatalf("event %d is %s, want %s", i, got[i].ID, evs[i].ID)
+		}
+	}
+}
+
+// A database shared with other keys — the memo's cold entries are headed for
+// this log — still numbers its events after the last event, not after the
+// last key, and reads back only events.
+func TestDBStoreIgnoresForeignKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "prov.db")
+	db, err := provdb.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewDBStore(db)
+	store.Append(Event{ID: "first", Type: WorkflowStart})
+	store.Append(Event{ID: "second", Type: WorkflowEnd})
+	// Sorting after, before, among and almost like the events' own keys.
+	foreign := []string{"zz", "a", "ev", "ev0000000000000000000", "ev0000000000000000000x", "ev+0000000000000000009",
+		"ev00000000000000000001x", "ev99999999999999999999"}
+	for _, k := range foreign {
+		if err := db.Put(k, []byte("{not an event}")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+
+	db, err = provdb.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store = NewDBStore(db)
+	defer store.Close()
+	if err := store.Append(Event{ID: "third", Type: WorkflowStart}); err != nil {
+		t.Fatal(err)
+	}
+	events, err := store.Events()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, ev := range events {
+		ids = append(ids, ev.ID)
+	}
+	if fmt.Sprint(ids) != "[first second third]" {
+		t.Fatalf("events %v: an append after a foreign key must follow the last event", ids)
+	}
+	if db.Len() != 3+len(foreign) {
+		t.Fatalf("%d keys, want the 3 events beside the %d foreign keys", db.Len(), len(foreign))
+	}
+	if _, ok := db.Get("ev00000000000000000003"); !ok {
+		t.Fatal("the third event is not under the third key")
+	}
+}
+
+// A record that is not in this format fails by name, never as a misparse.
+func TestDBStoreRefusesUnknownRecords(t *testing.T) {
+	db, err := provdb.Open(filepath.Join(t.TempDir(), "prov.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewDBStore(db)
+	defer store.Close()
+	store.Append(Event{ID: "ok"})
+	db.Put("ev00000000000000000002", []byte(`{"id":"json","type":"task-end"}`))
+	if _, err := store.Events(); err == nil || !strings.Contains(err.Error(), "ev00000000000000000002: unknown record version 0x7b") {
+		t.Fatalf("Events = %v, want the key and the version named", err)
+	}
+	if _, err := NewManager(store); err == nil {
+		t.Fatal("a manager loaded an undecodable store")
+	}
+	if _, err := RunQuery(store, Query{Op: OpMemoHits}); err == nil {
+		t.Fatal("a query ran over an undecodable store")
+	}
+}
+
+// A batch is one write: a crash during it leaves a prefix of the batch's
+// records and at most one torn one. Cutting the log at every byte of its last
+// batch, Open recovers exactly the whole records, the store reads back that
+// prefix of the events, and the next append continues behind it.
+func TestTornBatchRecoversWholeRecords(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "prov.db")
+	evs, _ := twoRuns()
+	first, last := evs[:10], evs[10:16]
+	store := openDBStore(t, path)
+	if err := store.AppendBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	fi, _ := os.Stat(path)
+	batchStart := int(fi.Size())
+	// Where each record of the last batch ends: append them one by one to a
+	// second store — the log's bytes are the same either way.
+	var ends []int
+	single := openDBStore(t, filepath.Join(dir, "single.db"))
+	single.AppendBatch(first)
+	for _, ev := range last {
+		single.Append(ev)
+		fi, _ := os.Stat(filepath.Join(dir, "single.db"))
+		ends = append(ends, int(fi.Size()))
+	}
+	single.Close()
+	if err := store.AppendBatch(last); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	whole, _ := os.ReadFile(path)
+	if one, _ := os.ReadFile(filepath.Join(dir, "single.db")); !bytes.Equal(whole, one) {
+		t.Fatal("a batch and single appends of the same events wrote different logs")
+	}
+
+	for cut := batchStart; cut <= len(whole); cut++ {
+		complete := 0
+		for _, end := range ends {
+			if end <= cut {
+				complete++
+			}
+		}
+		torn := filepath.Join(dir, "torn.db")
+		os.WriteFile(torn, whole[:cut], 0o644)
+		st := openDBStore(t, torn)
+		got, err := st.Events()
+		if err != nil || len(got) != len(first)+complete {
+			t.Fatalf("cut at %d: %d events, %v; want %d", cut, len(got), err, len(first)+complete)
+		}
+		for i := range got {
+			if !sameEvent(&got[i], &evs[i]) {
+				t.Fatalf("cut at %d: event %d came back changed", cut, i)
+			}
+		}
+		if err := st.Append(Event{ID: "after-the-crash"}); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		st = openDBStore(t, torn)
+		got, err = st.Events()
+		if err != nil || len(got) != len(first)+complete+1 || got[len(got)-1].ID != "after-the-crash" {
+			t.Fatalf("cut at %d: after the next append %d events, %v", cut, len(got), err)
+		}
+		st.Close()
 	}
 }
 

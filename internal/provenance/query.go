@@ -26,18 +26,14 @@ type TaskSummary struct {
 // SummarizeTasks aggregates all task-end events by signature, sorted by
 // total time descending — "where did the hours go?".
 func SummarizeTasks(store Store) ([]TaskSummary, error) {
-	events, err := store.Events()
-	if err != nil {
-		return nil, err
-	}
 	type acc struct {
 		TaskSummary
 		nodes map[string]bool
 	}
 	bySig := map[string]*acc{}
-	for _, ev := range events {
+	err := scanEvents(store, func(ev *Event) {
 		if ev.Type != TaskEnd {
-			continue
+			return
 		}
 		a := bySig[ev.Signature]
 		if a == nil {
@@ -58,6 +54,9 @@ func SummarizeTasks(store Store) ([]TaskSummary, error) {
 		if ev.ExitCode != 0 || ev.Error != "" {
 			a.FailedCount++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]TaskSummary, 0, len(bySig))
 	for _, a := range bySig {
@@ -85,13 +84,9 @@ type WorkflowSummary struct {
 
 // SummarizeWorkflows lists all recorded workflow runs in trace order.
 func SummarizeWorkflows(store Store) ([]WorkflowSummary, error) {
-	events, err := store.Events()
-	if err != nil {
-		return nil, err
-	}
 	order := []string{}
 	byID := map[string]*WorkflowSummary{}
-	for _, ev := range events {
+	err := scanEvents(store, func(ev *Event) {
 		switch ev.Type {
 		case WorkflowStart:
 			if _, ok := byID[ev.WorkflowID]; !ok {
@@ -108,6 +103,9 @@ func SummarizeWorkflows(store Store) ([]WorkflowSummary, error) {
 				w.Succeeded = ev.Succeeded
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]WorkflowSummary, 0, len(order))
 	for _, id := range order {
@@ -128,14 +126,10 @@ type NodeUsage struct {
 // SummarizeNodes aggregates task-end events per node, sorted by busy time
 // descending — the skew view behind adaptive scheduling decisions.
 func SummarizeNodes(store Store) ([]NodeUsage, error) {
-	events, err := store.Events()
-	if err != nil {
-		return nil, err
-	}
 	byNode := map[string]*NodeUsage{}
-	for _, ev := range events {
+	err := scanEvents(store, func(ev *Event) {
 		if ev.Type != TaskEnd || ev.Node == "" {
-			continue
+			return
 		}
 		u := byNode[ev.Node]
 		if u == nil {
@@ -147,6 +141,9 @@ func SummarizeNodes(store Store) ([]NodeUsage, error) {
 		if ev.ExitCode != 0 || ev.Error != "" {
 			u.Failures++
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]NodeUsage, 0, len(byNode))
 	for _, u := range byNode {

@@ -11,8 +11,8 @@ import (
 
 // Store is long-term storage for provenance events. Implementations:
 // MemStore (in-process), FileStore (JSONL trace file, the paper's default),
-// and the provdb-backed store in internal/provdb (the MySQL/Couchbase
-// alternative for heavily-used installations).
+// and DBStore over internal/provdb (the MySQL/Couchbase alternative for
+// heavily-used installations).
 type Store interface {
 	Append(ev Event) error
 	// Events returns all stored events in append order.
@@ -74,13 +74,41 @@ func (s *MemStore) View() []Event {
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 
-// readEvents is store.Events() for callers that only read the result: a
-// MemStore is viewed in place instead of copied.
-func readEvents(store Store) ([]Event, error) {
-	if ms, ok := store.(*MemStore); ok {
-		return ms.View(), nil
+// scanEvents calls fn with each of store's events in append order, reading
+// the store in place where it can be: a MemStore through its view, a DBStore
+// record by record; any other store through Events. ev is only good for the
+// call (a DBStore decodes every event into the same value), but what it
+// points to — its strings, Inputs, Outputs — is never written again and may
+// be kept.
+func scanEvents(store Store, fn func(ev *Event)) error {
+	var evs []Event
+	switch s := store.(type) {
+	case *DBStore:
+		return s.scan(fn)
+	case *MemStore:
+		evs = s.View()
+	default:
+		var err error
+		if evs, err = store.Events(); err != nil {
+			return err
+		}
 	}
-	return store.Events()
+	for i := range evs {
+		fn(&evs[i])
+	}
+	return nil
+}
+
+// eventsHint is about how many events scanEvents will visit, for sizing what
+// they are collected into; 0 when the store cannot say without reading them.
+func eventsHint(store Store) int {
+	switch s := store.(type) {
+	case *DBStore:
+		return s.db.Len()
+	case *MemStore:
+		return len(s.View())
+	}
+	return 0
 }
 
 // FileStore appends events as JSON lines to a trace file — the format the
