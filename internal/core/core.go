@@ -839,7 +839,7 @@ func (am *AM) launchAttempt(t *wf.Task, c *yarn.Container, speculative bool) {
 	}
 
 	if d := am.attemptDeadline(t); d > 0 {
-		a.timer = eng.ScheduleEphemeral(d, func() { am.onAttemptTimeout(a) })
+		a.timer = eng.Schedule(d, func() { am.onAttemptTimeout(a) })
 	}
 
 	c.OnLost = func() {
@@ -978,7 +978,7 @@ func (am *AM) onAttemptTimeout(a *attempt) {
 		// never gets a container), the second firing takes the
 		// kill-and-retry path instead of leaving a hung attempt behind.
 		if d := am.attemptDeadline(t); d > 0 {
-			a.timer = am.env.Cluster.Engine.ScheduleEphemeral(d, func() { am.onAttemptTimeout(a) })
+			a.timer = am.env.Cluster.Engine.Schedule(d, func() { am.onAttemptTimeout(a) })
 		}
 		return
 	}

@@ -87,7 +87,7 @@ func (am *AM) tryMemoHit(t *wf.Task) bool {
 		return false
 	}
 	am.pendingSplices++
-	am.env.Cluster.Engine.ScheduleEphemeral(0, func() { am.spliceMemoHit(t, key, entry) })
+	am.env.Cluster.Engine.Schedule(0, func() { am.spliceMemoHit(t, key, entry) })
 	return true
 }
 

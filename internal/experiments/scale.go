@@ -85,6 +85,9 @@ type ScalePoint struct {
 	EventsPerSec float64 `json:"eventsPerSec"` // events / wall second
 	AllocMB      float64 `json:"allocMB"`      // heap allocated during the run
 	Containers   int64   `json:"containers"`
+	// MaxQueueDepth is the most events any one engine of the point ever
+	// had pending at once (the maximum over its shards).
+	MaxQueueDepth int `json:"maxQueueDepth"`
 }
 
 // ScaleResult is the full harness output, serialized to BENCH_scale.json by
@@ -156,6 +159,7 @@ type scaleShard struct {
 	events     int64
 	containers int64
 	makespan   float64
+	maxDepth   int
 }
 
 func (s *scaleShard) run() error {
@@ -181,6 +185,7 @@ func (s *scaleShard) run() error {
 		return err
 	}
 	s.events = e.eng.Processed()
+	s.maxDepth = e.eng.MaxQueueDepth()
 	s.containers = rep.Containers
 	s.makespan = rep.MakespanSec
 	s.driver, s.inputs = nil, nil
@@ -235,6 +240,9 @@ func Scale(cfg ScaleConfig) (ScalePoint, error) {
 		pt.Containers += s.containers
 		if s.makespan > pt.MakespanSec {
 			pt.MakespanSec = s.makespan
+		}
+		if s.maxDepth > pt.MaxQueueDepth {
+			pt.MaxQueueDepth = s.maxDepth
 		}
 	}
 	if wall > 0 {
@@ -295,10 +303,11 @@ func (r *ScaleResult) Render() string {
 			fmt.Sprint(p.Events),
 			fmt.Sprintf("%.0f", p.EventsPerSec),
 			fmt.Sprintf("%.1f", p.AllocMB),
+			fmt.Sprint(p.MaxQueueDepth),
 		})
 	}
 	return table(
-		[]string{"tasks", "nodes", "shards", "policy", "makespan-s", "wall-s", "events", "events/s", "alloc-MB"},
+		[]string{"tasks", "nodes", "shards", "policy", "makespan-s", "wall-s", "events", "events/s", "alloc-MB", "max-depth"},
 		rows,
 	)
 }

@@ -16,11 +16,12 @@
 // is what separates two same-signature tasks with different output arities
 // or shapes, the b468fe5 class of collision.
 //
-// The table itself is tiered: a bounded in-memory hot tier answers lookups
-// in O(1) and spills least-recently-used entries to a compacted cold log in
-// internal/provdb, from which they are promoted back on demand. Memory
-// stays bounded under soak no matter how many distinct executions the
-// cluster has seen.
+// The table itself is a bounded in-memory LRU map: lookups and commits are
+// O(1), and once it holds its capacity (4,096 entries by default) a commit
+// of a new key drops the least recently used entry — that execution simply
+// runs again the next time it is asked for. Memory stays bounded under soak
+// no matter how many distinct executions the cluster has seen. Nothing is
+// persisted: a restarted process starts with an empty table.
 package memo
 
 import (
@@ -232,17 +233,13 @@ type TableStats struct {
 	Hits int64 `json:"hits"`
 	// Commits counts entries written.
 	Commits int64 `json:"commits"`
-	// Evictions counts hot-tier entries displaced to the cold log (or
-	// dropped, when no cold log is attached).
+	// Evictions counts least-recently-used entries dropped to admit a new
+	// key into a full table.
 	Evictions int64 `json:"evictions"`
-	// Promotions counts cold-log entries promoted back into the hot tier.
-	Promotions int64 `json:"promotions"`
 	// CPUSavedSec totals the CPU-seconds hits avoided re-spending.
 	CPUSavedSec float64 `json:"cpuSavedSec"`
-	// HotEntries is the current hot-tier population.
+	// HotEntries is the table's current population.
 	HotEntries int `json:"hotEntries"`
-	// ColdEntries is the current cold-log population (0 without a cold log).
-	ColdEntries int `json:"coldEntries"`
 }
 
 // Table is the shared memo table. It is safe for concurrent use: the serve
@@ -250,7 +247,7 @@ type TableStats struct {
 // single-threaded simulation engines use it without contention.
 type Table struct {
 	mu      sync.Mutex
-	tier    *tier
+	entries *lru
 	optOut  map[string]bool
 	lookups int64
 	hits    int64
@@ -264,29 +261,20 @@ type Table struct {
 	hitsC    *obs.Counter
 	commitsC *obs.Counter
 	evictC   *obs.Counter
-	promoteC *obs.Counter
 	hotG     *obs.Gauge
 	savedG   *obs.Gauge
 }
 
-// New builds a table whose hot tier holds at most capacity entries
-// (capacity <= 0 selects the default, 4096). Entries evicted from a table
-// with no cold log are dropped.
+// New builds a table holding at most capacity entries (capacity <= 0
+// selects the default, 4096); a full table drops its least recently used
+// entry to admit a new key.
 func New(capacity int) *Table {
 	return &Table{
-		tier:       newTier(capacity),
+		entries:    newLRU(capacity),
 		optOut:     make(map[string]bool),
 		sigLookups: make(map[string]int64),
 		sigHits:    make(map[string]int64),
 	}
-}
-
-// AttachCold gives the table a cold log: hot-tier evictions spill into db
-// and lookups that miss the hot tier consult it, promoting hits back.
-func (t *Table) AttachCold(db ColdStore) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tier.cold = db
 }
 
 // SetObs registers the hiway_memo_* metric family on o.
@@ -300,8 +288,7 @@ func (t *Table) SetObs(o *obs.Obs) {
 	t.lookupsC = m.Counter("hiway_memo_lookups_total", "memo table lookups")
 	t.hitsC = m.Counter("hiway_memo_hits_total", "memo table hits (executions skipped)")
 	t.commitsC = m.Counter("hiway_memo_commits_total", "memo entries committed")
-	t.evictC = m.Counter("hiway_memo_evictions_total", "hot-tier entries evicted to the cold log")
-	t.promoteC = m.Counter("hiway_memo_promotions_total", "cold-log entries promoted to the hot tier")
+	t.evictC = m.Counter("hiway_memo_evictions_total", "least-recently-used entries dropped from a full table")
 	t.hotG = m.Gauge("hiway_memo_hot_entries", "current hot-tier population")
 	t.savedG = m.Gauge("hiway_memo_cpu_seconds_saved", "CPU-seconds memo hits avoided re-spending")
 }
@@ -332,11 +319,7 @@ func (t *Table) Lookup(key string) (Entry, bool) {
 	if t.lookupsC != nil {
 		t.lookupsC.Inc()
 	}
-	e, ok, promoted := t.tier.get(key)
-	if promoted {
-		incIf(t.promoteC)
-	}
-	t.syncGaugesLocked()
+	e, ok := t.entries.get(key)
 	if !ok {
 		return Entry{}, false
 	}
@@ -353,7 +336,8 @@ func (t *Table) Lookup(key string) (Entry, bool) {
 }
 
 // Commit records a finished execution under key. Committing an existing key
-// refreshes the entry.
+// refreshes the entry. The error is always nil: an in-memory table has
+// nothing that can fail, and the signature is what callers compile against.
 func (t *Table) Commit(key string, e Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -361,25 +345,13 @@ func (t *Table) Commit(key string, e Entry) error {
 	if t.commitsC != nil {
 		t.commitsC.Inc()
 	}
-	evicted, err := t.tier.put(key, e)
-	if evicted {
-		incIf(t.evictC)
+	if t.entries.put(key, e) && t.evictC != nil {
+		t.evictC.Inc()
 	}
-	t.syncGaugesLocked()
-	return err
-}
-
-// incIf guards the nil case so metric updates stay one-liners.
-func incIf(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (t *Table) syncGaugesLocked() {
 	if t.hotG != nil {
-		t.hotG.Set(float64(t.tier.hotLen()))
+		t.hotG.Set(float64(t.entries.len()))
 	}
+	return nil
 }
 
 // sigOf extracts the signature field of a serialized key without a full
@@ -414,35 +386,12 @@ func (t *Table) HitProbability(sig string) float64 {
 func (t *Table) Stats() TableStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := TableStats{
+	return TableStats{
 		Lookups:     t.lookups,
 		Hits:        t.hits,
 		Commits:     t.commits,
-		Evictions:   t.tier.evictions,
-		Promotions:  t.tier.promotions,
+		Evictions:   t.entries.evictions,
 		CPUSavedSec: t.saved,
-		HotEntries:  t.tier.hotLen(),
+		HotEntries:  t.entries.len(),
 	}
-	if t.tier.cold != nil {
-		st.ColdEntries = t.tier.cold.Len()
-	}
-	return st
-}
-
-// Flush writes every hot entry through to the cold log without evicting
-// it, so a restarted process serves the full table from the reopened log.
-// A table without a cold log is a no-op.
-func (t *Table) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tier.flush()
-}
-
-// Compact compacts the cold log once its garbage ratio reaches minGarbage
-// (rewrites from eviction/promotion churn). A table without a cold log is a
-// no-op.
-func (t *Table) Compact(minGarbage float64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tier.compact(minGarbage)
 }

@@ -115,36 +115,3 @@ func TestTableOptOut(t *testing.T) {
 		t.Fatal("opt-out registry wrong")
 	}
 }
-
-func TestHistoryBoundedWindowAndQuantiles(t *testing.T) {
-	h := NewHistory(4)
-	if _, ok := h.Quantile("sig", 0.95); ok {
-		t.Fatal("quantile on empty history")
-	}
-	for _, v := range []float64{10, 20, 30} {
-		h.Add("sig", v)
-	}
-	if got, _ := h.Quantile("sig", 0.95); got != 30 {
-		t.Fatalf("p95 of {10,20,30} = %v", got)
-	}
-	if got, _ := h.Quantile("sig", 0.5); got != 20 {
-		t.Fatalf("p50 of {10,20,30} = %v", got)
-	}
-	// Overflow the window: the oldest samples fall out.
-	for _, v := range []float64{40, 50, 60} {
-		h.Add("sig", v)
-	}
-	if h.Count("sig") != 4 {
-		t.Fatalf("window count = %d, want 4", h.Count("sig"))
-	}
-	if got, _ := h.Quantile("sig", 0.95); got != 60 {
-		t.Fatalf("p95 of sliding window = %v, want 60", got)
-	}
-	if got, _ := h.Quantile("sig", 0.0); got != 30 {
-		t.Fatalf("min of sliding window = %v, want 30", got)
-	}
-	// Cached sorted window survives repeated queries.
-	if got, _ := h.Quantile("sig", 0.95); got != 60 {
-		t.Fatal("cached quantile diverged")
-	}
-}

@@ -1,150 +1,62 @@
 package memo
 
-import (
-	"container/list"
-	"encoding/json"
-	"fmt"
-)
+import "container/list"
 
-// ColdStore is the slice of internal/provdb the cold tier needs: a durable
-// keyed log with compaction. *provdb.DB satisfies it.
-type ColdStore interface {
-	// Put writes or overwrites one entry.
-	Put(key string, value []byte) error
-	// Get reads one entry.
-	Get(key string) ([]byte, bool)
-	// Len counts live entries.
-	Len() int
-	// GarbageRatio is the fraction of the log occupied by superseded
-	// records.
-	GarbageRatio() float64
-	// Compact rewrites the log without garbage.
-	Compact() error
+// defaultCapacity bounds the table when the caller does not.
+const defaultCapacity = 4096
+
+// lru is the table's entry store: a map bounded at cap entries that drops
+// the least recently used one to admit a new key. All methods are called
+// with the Table's lock held.
+type lru struct {
+	cap     int
+	entries map[string]*list.Element
+	order   *list.List // front = most recently used
+
+	evictions int64
 }
 
-// defaultHotCapacity bounds the hot tier when the caller does not.
-const defaultHotCapacity = 4096
-
-// tier is the two-level entry store: a bounded LRU hot map in front of an
-// optional cold log. All methods are called with the Table's lock held.
-type tier struct {
-	cap  int
-	hot  map[string]*list.Element
-	lru  *list.List // front = most recently used
-	cold ColdStore
-
-	evictions  int64
-	promotions int64
-}
-
-// hotEntry is one LRU element's payload.
-type hotEntry struct {
+// lruEntry is one list element's payload.
+type lruEntry struct {
 	key string
 	e   Entry
 }
 
-func newTier(capacity int) *tier {
+func newLRU(capacity int) *lru {
 	if capacity <= 0 {
-		capacity = defaultHotCapacity
+		capacity = defaultCapacity
 	}
-	return &tier{cap: capacity, hot: make(map[string]*list.Element), lru: list.New()}
+	return &lru{cap: capacity, entries: make(map[string]*list.Element), order: list.New()}
 }
 
-func (tr *tier) hotLen() int { return tr.lru.Len() }
+func (l *lru) len() int { return l.order.Len() }
 
-// get returns the entry for key, promoting a cold hit into the hot tier.
-// The third result reports whether a promotion happened (the promotion may
-// itself evict the LRU entry back to the cold log — the "eviction
-// mid-lookup" case the tier tests pin).
-func (tr *tier) get(key string) (Entry, bool, bool) {
-	if el, ok := tr.hot[key]; ok {
-		tr.lru.MoveToFront(el)
-		return el.Value.(*hotEntry).e, true, false
-	}
-	if tr.cold == nil {
-		return Entry{}, false, false
-	}
-	raw, ok := tr.cold.Get(key)
+// get returns the entry for key and marks it most recently used.
+func (l *lru) get(key string) (Entry, bool) {
+	el, ok := l.entries[key]
 	if !ok {
-		return Entry{}, false, false
+		return Entry{}, false
 	}
-	var e Entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		// A corrupt cold record degrades to a miss; the execution recommits.
-		return Entry{}, false, false
-	}
-	tr.promotions++
-	tr.insert(key, e)
-	return e, true, true
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry).e, true
 }
 
-// put writes the entry into the hot tier, reporting whether it displaced
-// another entry.
-func (tr *tier) put(key string, e Entry) (bool, error) {
-	if el, ok := tr.hot[key]; ok {
-		el.Value.(*hotEntry).e = e
-		tr.lru.MoveToFront(el)
-		return false, nil
+// put writes the entry as the most recently used one, reporting whether a
+// new key displaced the least recently used entry.
+func (l *lru) put(key string, e Entry) bool {
+	if el, ok := l.entries[key]; ok {
+		el.Value.(*lruEntry).e = e
+		l.order.MoveToFront(el)
+		return false
 	}
-	return tr.insert(key, e)
-}
-
-// insert adds a fresh hot entry, spilling the LRU entry to the cold log if
-// the tier is full.
-func (tr *tier) insert(key string, e Entry) (bool, error) {
 	evicted := false
-	var spillErr error
-	for tr.lru.Len() >= tr.cap {
-		tail := tr.lru.Back()
-		if tail == nil {
-			break
-		}
-		he := tail.Value.(*hotEntry)
-		if tr.cold != nil {
-			raw, err := json.Marshal(he.e)
-			if err == nil {
-				err = tr.cold.Put(he.key, raw)
-			}
-			if err != nil && spillErr == nil {
-				spillErr = fmt.Errorf("memo: spilling %q: %w", he.key, err)
-			}
-		}
-		tr.lru.Remove(tail)
-		delete(tr.hot, he.key)
-		tr.evictions++
+	if l.order.Len() >= l.cap {
+		tail := l.order.Back()
+		l.order.Remove(tail)
+		delete(l.entries, tail.Value.(*lruEntry).key)
+		l.evictions++
 		evicted = true
 	}
-	tr.hot[key] = tr.lru.PushFront(&hotEntry{key: key, e: e})
-	return evicted, spillErr
-}
-
-// flush writes every hot entry through to the cold log (keeping it hot),
-// so a restart serves the whole table from the reopened log.
-func (tr *tier) flush() error {
-	if tr.cold == nil {
-		return nil
-	}
-	for el := tr.lru.Front(); el != nil; el = el.Next() {
-		he := el.Value.(*hotEntry)
-		raw, err := json.Marshal(he.e)
-		if err == nil {
-			err = tr.cold.Put(he.key, raw)
-		}
-		if err != nil {
-			return fmt.Errorf("memo: flushing %q: %w", he.key, err)
-		}
-	}
-	return nil
-}
-
-// compact rewrites the cold log once at least minGarbage of it is
-// superseded records.
-func (tr *tier) compact(minGarbage float64) error {
-	if tr.cold == nil {
-		return nil
-	}
-	if tr.cold.GarbageRatio() < minGarbage {
-		return nil
-	}
-	return tr.cold.Compact()
+	l.entries[key] = l.order.PushFront(&lruEntry{key: key, e: e})
+	return evicted
 }

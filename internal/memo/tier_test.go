@@ -2,10 +2,7 @@ package memo
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
-
-	"hiway/internal/provdb"
 )
 
 // keyN builds a distinct valid key per index.
@@ -18,11 +15,17 @@ func keyN(i int) string {
 	}.Encode()
 }
 
-// TestTierBoundaries is the table-driven sweep over the hot/cold boundary:
-// eviction without a cold log, spill-and-promote through one, eviction
-// triggered mid-lookup by a promotion, and bounded hot memory under a soak
-// of commits far beyond capacity.
+// TestTierBoundaries is the table-driven sweep over the table's capacity
+// bound: which entry a full table drops, what protects an entry from being
+// the next one dropped, and bounded memory under a soak of commits far
+// beyond capacity.
 func TestTierBoundaries(t *testing.T) {
+	commit := func(t *testing.T, tab *Table, i int) {
+		t.Helper()
+		if err := tab.Commit(keyN(i), Entry{SourceWF: fmt.Sprintf("wf-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
@@ -30,12 +33,10 @@ func TestTierBoundaries(t *testing.T) {
 		{"eviction-without-cold-drops", func(t *testing.T) {
 			tab := New(2)
 			for i := 0; i < 3; i++ {
-				if err := tab.Commit(keyN(i), Entry{SourceWF: fmt.Sprintf("wf-%d", i)}); err != nil {
-					t.Fatal(err)
-				}
+				commit(t, tab, i)
 			}
 			if _, ok := tab.Lookup(keyN(0)); ok {
-				t.Fatal("evicted entry survived without a cold log")
+				t.Fatal("the least recently used entry survived a commit into a full table")
 			}
 			for i := 1; i < 3; i++ {
 				if _, ok := tab.Lookup(keyN(i)); !ok {
@@ -43,182 +44,62 @@ func TestTierBoundaries(t *testing.T) {
 				}
 			}
 			st := tab.Stats()
-			if st.Evictions != 1 || st.HotEntries != 2 || st.ColdEntries != 0 {
+			if st.Evictions != 1 || st.HotEntries != 2 {
 				t.Fatalf("stats: %+v", st)
 			}
 		}},
-		{"spill-to-cold-and-promote", func(t *testing.T) {
-			db, err := provdb.Open(filepath.Join(t.TempDir(), "memo.db"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
+		{"lookup-protects-from-next-eviction", func(t *testing.T) {
 			tab := New(2)
-			tab.AttachCold(db)
-			for i := 0; i < 4; i++ {
-				if err := tab.Commit(keyN(i), Entry{SourceWF: fmt.Sprintf("wf-%d", i), CPUSeconds: float64(i)}); err != nil {
-					t.Fatal(err)
-				}
+			commit(t, tab, 0)
+			commit(t, tab, 1)
+			if _, ok := tab.Lookup(keyN(0)); !ok {
+				t.Fatal("resident entry missed")
 			}
-			st := tab.Stats()
-			if st.Evictions != 2 || st.ColdEntries != 2 {
-				t.Fatalf("after spills: %+v", st)
+			commit(t, tab, 2) // must drop 1, the entry not touched since
+			if _, ok := tab.Lookup(keyN(0)); !ok {
+				t.Fatal("the entry just looked up was the one evicted")
 			}
-			// Cold hit: promoted back, with attribution intact.
-			e, ok := tab.Lookup(keyN(0))
-			if !ok || e.SourceWF != "wf-0" {
-				t.Fatalf("cold lookup: %+v ok=%v", e, ok)
-			}
-			if st := tab.Stats(); st.Promotions != 1 {
-				t.Fatalf("promotions: %+v", st)
+			if _, ok := tab.Lookup(keyN(1)); ok {
+				t.Fatal("the least recently used entry survived")
 			}
 		}},
-		{"promotion-evicts-mid-lookup", func(t *testing.T) {
-			db, err := provdb.Open(filepath.Join(t.TempDir(), "memo.db"))
-			if err != nil {
+		{"recommit-refreshes-without-evicting", func(t *testing.T) {
+			tab := New(2)
+			commit(t, tab, 0)
+			commit(t, tab, 1)
+			if err := tab.Commit(keyN(0), Entry{SourceWF: "again"}); err != nil {
 				t.Fatal(err)
 			}
-			defer db.Close()
-			tab := New(2)
-			tab.AttachCold(db)
-			for i := 0; i < 3; i++ {
-				if err := tab.Commit(keyN(i), Entry{SourceWF: fmt.Sprintf("wf-%d", i)}); err != nil {
-					t.Fatal(err)
-				}
+			if st := tab.Stats(); st.Evictions != 0 || st.HotEntries != 2 || st.Commits != 3 {
+				t.Fatalf("re-committing a resident key: %+v", st)
 			}
-			// keyN(0) is cold; promoting it must spill the current LRU
-			// (keyN(1)) without losing it: the displaced entry is still
-			// servable from the cold log afterwards.
-			if _, ok := tab.Lookup(keyN(0)); !ok {
-				t.Fatal("cold entry not promoted")
+			commit(t, tab, 2) // must drop 1: the re-commit made 0 the more recent
+			if _, ok := tab.Lookup(keyN(1)); ok {
+				t.Fatal("the re-commit did not refresh its entry's recency")
 			}
-			if _, ok := tab.Lookup(keyN(1)); !ok {
-				t.Fatal("entry displaced by the promotion was lost")
-			}
-			if _, ok := tab.Lookup(keyN(2)); !ok {
-				t.Fatal("entry displaced by the second promotion was lost")
+			if e, ok := tab.Lookup(keyN(0)); !ok || e.SourceWF != "again" {
+				t.Fatalf("re-committed entry: %+v ok=%v", e, ok)
 			}
 		}},
 		{"bounded-memory-under-soak", func(t *testing.T) {
-			db, err := provdb.Open(filepath.Join(t.TempDir(), "memo.db"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
 			tab := New(64)
-			tab.AttachCold(db)
 			const n = 5000
 			for i := 0; i < n; i++ {
-				if err := tab.Commit(keyN(i), Entry{SourceWF: "soak"}); err != nil {
-					t.Fatal(err)
+				commit(t, tab, i)
+				if got := tab.Stats().HotEntries; got > 64 {
+					t.Fatalf("table exceeded its bound after %d commits: %d entries", i+1, got)
 				}
 			}
 			st := tab.Stats()
-			if st.HotEntries > 64 {
-				t.Fatalf("hot tier exceeded its bound: %+v", st)
+			if st.HotEntries != 64 || st.Evictions != n-64 {
+				t.Fatalf("after the soak: %+v", st)
 			}
-			if st.ColdEntries != n-64 {
-				t.Fatalf("cold log population: %+v", st)
-			}
-			// Every entry ever committed is still servable.
-			for _, i := range []int{0, 1, n / 2, n - 1} {
-				if _, ok := tab.Lookup(keyN(i)); !ok {
-					t.Fatalf("entry %d lost under soak", i)
-				}
-			}
-		}},
-		{"corrupt-cold-record-degrades-to-miss", func(t *testing.T) {
-			db, err := provdb.Open(filepath.Join(t.TempDir(), "memo.db"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			if err := db.Put(keyN(0), []byte("{not json")); err != nil {
-				t.Fatal(err)
-			}
-			tab := New(2)
-			tab.AttachCold(db)
-			if _, ok := tab.Lookup(keyN(0)); ok {
-				t.Fatal("corrupt cold record served as a hit")
+			if _, ok := tab.Lookup(keyN(n - 1)); !ok {
+				t.Fatal("the newest entry is not resident")
 			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
-	}
-}
-
-// TestTierCompactionAndReopen drives the cold log through churn that leaves
-// garbage, compacts it, then reopens the compacted segment in a fresh table
-// — the resume-over-a-compacted-segment case: a restarted service keeps
-// hitting on entries that only survive in the compacted cold log.
-func TestTierCompactionAndReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "memo.db")
-	db, err := provdb.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := New(2)
-	tab.AttachCold(db)
-	// Churn: re-commit the same keys repeatedly so spills overwrite cold
-	// records, leaving superseded garbage in the log.
-	for round := 0; round < 6; round++ {
-		for i := 0; i < 6; i++ {
-			if err := tab.Commit(keyN(i), Entry{SourceWF: fmt.Sprintf("round-%d", round), CPUSeconds: float64(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Flush the still-hot tail so the cold log holds the whole table.
-	if err := tab.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before := db.GarbageRatio()
-	if before <= 0.2 {
-		t.Fatalf("churn produced too little garbage (%v); the test lost its premise", before)
-	}
-	// Below-threshold compaction is a no-op; above-threshold compacts.
-	if err := tab.Compact(0.99); err != nil {
-		t.Fatal(err)
-	}
-	if db.GarbageRatio() != before {
-		t.Fatal("compaction fired below its garbage threshold")
-	}
-	if err := tab.Compact(0.2); err != nil {
-		t.Fatal(err)
-	}
-	// Header overhead keeps the ratio above zero; the superseded records
-	// themselves must be gone.
-	if after := db.GarbageRatio(); after >= before/2 {
-		t.Fatalf("garbage ratio %v after compaction (was %v)", after, before)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen the compacted segment under a fresh table: everything spilled
-	// must still hit.
-	db2, err := provdb.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	tab2 := New(2)
-	tab2.AttachCold(db2)
-	for i := 0; i < 6; i++ {
-		e, ok := tab2.Lookup(keyN(i))
-		if !ok {
-			t.Fatalf("entry %d missing after compaction and reopen", i)
-		}
-		if e.SourceWF != "round-5" {
-			t.Fatalf("entry %d is stale: %+v", i, e)
-		}
-	}
-}
-
-// TestTableCompactWithoutCold pins the no-op path.
-func TestTableCompactWithoutCold(t *testing.T) {
-	if err := New(2).Compact(0); err != nil {
-		t.Fatal(err)
 	}
 }

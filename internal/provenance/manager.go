@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"hiway/internal/memo"
 	"hiway/internal/obs"
 	"hiway/internal/wf"
 )
@@ -31,7 +30,7 @@ type Manager struct {
 	lastRuntime map[string]map[string]float64 // signature → node → latest duration
 	runtimeSum  map[string]float64            // signature → Σ lastRuntime values (O(1) mean)
 	estVer      map[string]uint64             // signature → observation version
-	history     *memo.History                 // signature → bounded ring of successful durations
+	history     history                       // signature → bounded ring of successful durations
 	fileSizes   map[string]float64            // path → size MB
 	transferSec map[string]float64            // path → latest transfer time
 	signatures  map[string]bool
@@ -63,7 +62,7 @@ func NewManager(store Store) (*Manager, error) {
 		lastRuntime: make(map[string]map[string]float64),
 		runtimeSum:  make(map[string]float64),
 		estVer:      make(map[string]uint64),
-		history:     memo.NewHistory(0),
+		history:     make(history),
 		fileSizes:   make(map[string]float64),
 		transferSec: make(map[string]float64),
 		signatures:  make(map[string]bool),
@@ -205,7 +204,7 @@ func (m *Manager) index(ev *Event) {
 		// legitimately takes, and a memo-spliced completion (duration 0)
 		// reflects no execution at all.
 		if ev.ExitCode == 0 && ev.Error == "" && ev.DurationSec > 0 {
-			m.history.Add(ev.Signature, ev.DurationSec)
+			m.history.add(ev.Signature, ev.DurationSec)
 		}
 		for _, files := range [2][]FileEvent{ev.Inputs, ev.Outputs} {
 			for i := range files {
@@ -263,14 +262,14 @@ func (m *Manager) EstimateVersion(signature string) uint64 {
 // of recent successful observations of signature (any node). The
 // fault-tolerance layer derives attempt deadlines from it: deadline =
 // p95 × slack. ok is false when the signature has never completed
-// successfully. The distribution lives in a memo.History ring — the hot
-// tier of the provenance store — so memory stays bounded under soak and the
-// sorted window is cached between observations instead of re-sorted per
-// query.
+// successfully. The distribution lives in the Manager's history ring (the
+// last 256 observations per signature), so memory stays bounded under soak
+// and the sorted window is cached between observations instead of re-sorted
+// per query.
 func (m *Manager) RuntimeP95(signature string) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.history.Quantile(signature, 0.95)
+	return m.history.quantile(signature, 0.95)
 }
 
 // ObservedNodes returns the nodes that signature has run on, sorted.

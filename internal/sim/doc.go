@@ -10,6 +10,13 @@
 // is guaranteed: events scheduled for the same instant fire in scheduling
 // order, and no wall-clock time or global randomness is consulted.
 //
+// The queue is one position-indexed 4-ary heap and there is one kind of
+// Event. Cancel removes its event on the spot, so the heap holds exactly the
+// events that will fire; canceling an event that has fired or was canceled
+// before is always a no-op. A timer that moves far more often than it fires
+// is created once with Engine.NewEvent and moved with Engine.Rearm, which
+// orders exactly like Cancel plus a fresh At but allocates nothing.
+//
 // The kernel keeps its own lightweight instrumentation — processed-event
 // and queue-depth high-water counters (Engine.Processed, Engine.MaxQueueDepth)
 // and per-resource reshare counts (SharedResource.Reshares) — as plain

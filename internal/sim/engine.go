@@ -3,22 +3,23 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
 )
 
-// Event is a scheduled callback. It can be canceled before it fires.
+// Event is a callback bound to an engine's queue. It is pending from the
+// moment it is scheduled until it fires or is canceled; Engine.Rearm
+// schedules it again.
 type Event struct {
-	at       float64
-	seq      int64
-	fn       func()
-	queued   bool // still in the wheel or far heap, not yet popped
-	canceled bool // lazily deleted: skipped (and pooled events recycled) at pop
-	reusable bool // pooled event: recycled at pop, handle must not outlive fire/cancel
+	at  float64
+	seq int64
+	fn  func()
+	idx int // position in the engine's heap; -1 while not pending
 }
 
-// Time returns the virtual time at which the event fires.
+// Time returns the virtual time at which the event fires (or last fired).
 func (ev *Event) Time() float64 { return ev.at }
+
+// pending reports whether the event is in the queue.
+func (ev *Event) pending() bool { return ev.idx >= 0 }
 
 // evLess is the engine's total order: time, then scheduling sequence, so
 // simultaneous events fire deterministically in the order scheduled.
@@ -29,50 +30,24 @@ func evLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-const (
-	minBuckets = 64      // initial wheel size; kept tiny so short-lived engines stay cheap
-	maxBuckets = 1 << 16 // resize ceiling
-)
+// heapArity is the fan-out of the event heap: four children per node halve
+// a binary heap's depth, which is what sift-up — the direction a newly
+// scheduled timer travels — pays for.
+const heapArity = 4
 
 // Engine is a discrete-event simulation engine with a virtual clock measured
 // in seconds. The zero value is not usable; call NewEngine.
 //
-// The pending-event set is a calendar queue: a wheel of time buckets of
-// adaptive width covering a window starting at wheelT0, plus a min-heap
-// overflow ("far") for events beyond the window horizon. Enqueue hashes the
-// timestamp to a bucket in O(1) (plus a short sorted insertion within the
-// bucket); dequeue pops from the current bucket, skipping empty buckets via
-// an occupancy bitmap. Cancel is lazy — the event is only flagged, and
-// physically removed when its bucket is popped — so cancel-heavy churn
-// (attempt deadline timers) costs O(1) instead of heap.Remove's O(log n).
-// When the wheel drains, the window jumps straight to the far heap's
-// earliest event: quiescent stretches of virtual time are skipped without
-// touching the buckets in between (coarse time-skip).
-//
-// Each bucket is kept sorted descending by (at, seq) so the next event pops
-// from the slice tail; bucket misplacement from float rounding is harmless
-// because the bucket-index function is monotone in the timestamp and ties
-// are resolved by the in-bucket sort.
+// The pending-event set is one 4-ary min-heap ordered by evLess in which
+// every event records its own position, so Cancel and Rearm reach their
+// event without a search and fix the heap in O(log₄ n) on the spot: the
+// heap holds exactly the events that will fire, and Pending is its length.
 type Engine struct {
-	now    float64
-	seq    int64
-	events int64 // total events executed, for diagnostics
-
-	live     int // scheduled and not yet fired or canceled (exact Pending count)
-	queued   int // physical entries in wheel+far, including lazily canceled ones
-	maxDepth int // high-water mark of live, for observability
-
-	width    float64    // bucket width in virtual seconds
-	wheelT0  float64    // absolute time of bucket 0's left edge
-	wheelPos int        // current bucket index; events never land before it
-	buckets  [][]*Event // wheel; each bucket sorted descending by (at, seq) once reached
-	occ      []uint64   // occupancy bitmap over buckets
-	dirty    []uint64   // buckets with unsorted appends, sorted lazily at first pop
-	far      []*Event   // min-heap by (at, seq): events beyond the window horizon
-
-	gapEMA  float64  // smoothed gap between consecutive event times; sizes buckets
-	free    []*Event // pool of recycled reusable events
-	scratch []*Event // reusable buffer for window advances and rebuilds
+	now      float64
+	seq      int64
+	events   int64    // total events executed, for diagnostics
+	heap     []*Event // pending events; heap[i].idx == i
+	maxDepth int      // high-water mark of len(heap), for observability
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -87,9 +62,12 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Processed() int64 { return e.events }
 
 // MaxQueueDepth returns the high-water mark of the event queue — the most
-// live events that were ever pending at once. The observability layer
-// exports it as a gauge.
+// events that were ever pending at once. The observability layer exports it
+// as a gauge.
 func (e *Engine) MaxQueueDepth() int { return e.maxDepth }
+
+// Pending returns the number of events still scheduled to fire.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Schedule enqueues fn to run delay seconds from now. A negative delay is
 // treated as zero. The returned event may be canceled with Cancel.
@@ -103,96 +81,74 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 // At enqueues fn to run at absolute virtual time t. Times in the past are
 // clamped to the current time.
 func (e *Engine) At(t float64, fn func()) *Event {
+	ev := e.NewEvent(fn)
+	e.Rearm(ev, t)
+	return ev
+}
+
+// NewEvent returns an event bound to fn that is not yet scheduled; Rearm
+// puts it in the queue. A long-lived timer that is moved far more often than
+// it fires (a SharedResource's completion wake) owns one such event and
+// re-arms it, which costs no allocation per move.
+func (e *Engine) NewEvent(fn func()) *Event {
 	if fn == nil {
-		panic("sim: At called with nil callback")
+		panic("sim: event with nil callback")
 	}
+	return &Event{fn: fn, idx: -1}
+}
+
+// Rearm schedules ev to fire at absolute virtual time t, whatever its state:
+// a pending event moves, a fired or canceled one is queued again. In the
+// engine's ordering it is exactly Cancel followed by a fresh At — the event
+// takes a new sequence number, so it fires after everything already
+// scheduled for the same instant — but the event is reused in place. Times
+// in the past are clamped to the current time. ev must have been created by
+// this engine.
+func (e *Engine) Rearm(ev *Event, t float64) {
 	if t < e.now || math.IsNaN(t) {
 		t = e.now
 	}
 	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.insert(ev)
-	return ev
-}
-
-// ScheduleEphemeral schedules fn on a pooled event that the engine recycles
-// the moment it is popped (fired or lazily canceled). The public contract
-// that cancel-after-fire is a safe no-op does NOT hold here: the caller must
-// drop the handle when the callback runs or immediately after Cancel, and
-// never touch it again. Hot cancel-heavy call sites (per-attempt deadline
-// timers) use this to avoid allocating an Event per schedule.
-func (e *Engine) ScheduleEphemeral(delay float64, fn func()) *Event {
-	if delay < 0 || math.IsNaN(delay) {
-		delay = 0
-	}
-	return e.atReusable(e.now+delay, fn)
-}
-
-// atReusable enqueues fn at absolute time t on a pooled Event, recycled at
-// pop. Same handle contract as ScheduleEphemeral; package-internal callers
-// (SharedResource wake timers) drop the handle at fire/cancel time.
-func (e *Engine) atReusable(t float64, fn func()) *Event {
-	if t < e.now || math.IsNaN(t) {
-		t = e.now
-	}
-	e.seq++
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
-	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	ev.reusable, ev.canceled = true, false
-	e.insert(ev)
-	return ev
-}
-
-// recycle resets a reusable event and returns it to the pool.
-func (e *Engine) recycle(ev *Event) {
-	*ev = Event{}
-	e.free = append(e.free, ev)
-}
-
-// Cancel prevents a scheduled event from firing. Canceling an event that
-// already fired or was already canceled is a no-op. The event is flagged and
-// skipped at pop time (lazy deletion); its callback is released immediately.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || !ev.queued {
+	ev.at, ev.seq = t, e.seq
+	if ev.pending() {
+		// The fresh sequence number can only have moved the event later
+		// among equals, but its time may have moved either way.
+		if !e.up(ev.idx) {
+			e.down(ev.idx)
+		}
 		return
 	}
-	ev.canceled = true
-	ev.fn = nil
-	e.live--
+	ev.idx = len(e.heap)
+	e.heap = append(e.heap, ev)
+	e.up(ev.idx)
+	if len(e.heap) > e.maxDepth {
+		e.maxDepth = len(e.heap)
+	}
+}
+
+// Cancel prevents a scheduled event from firing by removing it from the
+// queue. Canceling an event that already fired or was already canceled is a
+// no-op.
+func (e *Engine) Cancel(ev *Event) {
+	if ev == nil || !ev.pending() {
+		return
+	}
+	e.removeAt(ev.idx)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	ev := e.popLive()
-	if ev == nil {
+	if len(e.heap) == 0 {
 		return false
 	}
+	ev := e.removeAt(0)
 	if ev.at < e.now {
 		panic(fmt.Sprintf("sim: event time %g before now %g", ev.at, e.now))
 	}
-	if d := ev.at - e.now; d > 0 {
-		if e.gapEMA > 0 {
-			e.gapEMA += (d - e.gapEMA) * 0.125
-		} else {
-			e.gapEMA = d
-		}
-	}
 	e.now = ev.at
 	e.events++
-	e.live--
-	fn := ev.fn
-	fn()
-	if ev.reusable {
-		e.recycle(ev)
-	}
+	ev.fn()
 	return true
 }
 
@@ -204,11 +160,7 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with time <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t float64) {
-	for {
-		next := e.peekLive()
-		if next == nil || next.at > t {
-			break
-		}
+	for len(e.heap) > 0 && e.heap[0].at <= t {
 		e.Step()
 	}
 	if e.now < t {
@@ -216,368 +168,73 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-// Pending returns the number of events still scheduled to fire. Lazily
-// canceled events are excluded: the count tracks live events exactly.
-func (e *Engine) Pending() int { return e.live }
-
-// insert places ev into the wheel or the far heap.
-func (e *Engine) insert(ev *Event) {
-	if e.buckets == nil {
-		e.initWheel(minBuckets)
-		e.width = 1
-		e.wheelT0 = e.now
-	}
-	if e.queued >= len(e.buckets)*2 && len(e.buckets) < maxBuckets {
-		// Jump straight to the size the current population wants (growing at
-		// least 4x) so a filling queue pays O(log log n) rebuilds, not one
-		// per doubling.
-		n := len(e.buckets) * 4
-		for n < e.queued {
-			n *= 2
+// removeAt takes the event at heap position i out of the queue: the last
+// event fills the hole and sifts to its place.
+func (e *Engine) removeAt(i int) *Event {
+	h := e.heap
+	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	e.heap = h[:n]
+	ev.idx = -1
+	if i < n {
+		h[i] = last
+		last.idx = i
+		if !e.up(i) {
+			e.down(i)
 		}
-		if n > maxBuckets {
-			n = maxBuckets
-		}
-		e.rebuild(n)
 	}
-	ev.queued = true
-	e.queued++
-	e.live++
-	if e.live > e.maxDepth {
-		e.maxDepth = e.live
-	}
-	if ev.at >= e.wheelT0+e.width*float64(len(e.buckets)) {
-		e.farPush(ev)
-		return
-	}
-	e.bucketInsert(e.bucketIdx(ev.at), ev)
-}
-
-// bucketIdx maps a timestamp to its wheel bucket. Monotone in t, so float
-// rounding at bucket edges can never invert pop order; out-of-range and NaN
-// inputs clamp into the current window.
-func (e *Engine) bucketIdx(t float64) int {
-	n := len(e.buckets)
-	q := (t - e.wheelT0) / e.width
-	if !(q >= 0) { // negative or NaN
-		return e.wheelPos
-	}
-	if q >= float64(n) {
-		return n - 1
-	}
-	idx := int(q)
-	if idx < e.wheelPos {
-		idx = e.wheelPos
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return idx
-}
-
-// bucketInsert places ev into bucket idx. Future buckets take a plain
-// append and are sorted lazily when the wheel reaches them; only the
-// current, already-sorted bucket pays a binary insertion (the zero-delay
-// fast path), so bulk enqueues avoid per-insert memmoves entirely.
-func (e *Engine) bucketInsert(idx int, ev *Event) {
-	word, bit := idx>>6, uint64(1)<<(idx&63)
-	b := e.buckets[idx]
-	if idx == e.wheelPos && e.dirty[word]&bit == 0 {
-		i := sort.Search(len(b), func(k int) bool { return evLess(b[k], ev) })
-		b = append(b, nil)
-		copy(b[i+1:], b[i:])
-		b[i] = ev
-	} else {
-		// An append that lands at the descending tail keeps the bucket
-		// sorted; only order-breaking appends mark it dirty.
-		if len(b) > 0 && e.dirty[word]&bit == 0 && !evLess(ev, b[len(b)-1]) {
-			e.dirty[word] |= bit
-		}
-		b = append(b, ev)
-	}
-	e.buckets[idx] = b
-	e.occ[word] |= bit
-}
-
-// bucketAppend bulk-loads ev into bucket idx unsorted, deferring order to
-// the lazy sort. Used by window refills, where binary insertion would
-// degrade to a memmove per event.
-func (e *Engine) bucketAppend(idx int, ev *Event) {
-	word, bit := idx>>6, uint64(1)<<(idx&63)
-	e.buckets[idx] = append(e.buckets[idx], ev)
-	e.dirty[word] |= bit
-	e.occ[word] |= bit
-}
-
-// sortBucket establishes bucket idx's descending (at, seq) order if it has
-// unsorted appends. Called when the wheel reaches the bucket, so each event
-// is sorted at most once per window pass.
-func (e *Engine) sortBucket(idx int) {
-	word, bit := idx>>6, uint64(1)<<(idx&63)
-	if e.dirty[word]&bit == 0 {
-		return
-	}
-	e.dirty[word] &^= bit
-	b := e.buckets[idx]
-	if len(b) <= 24 { // insertion sort: small buckets dodge sort.Slice overhead
-		for i := 1; i < len(b); i++ {
-			ev := b[i]
-			j := i - 1
-			for j >= 0 && evLess(b[j], ev) {
-				b[j+1] = b[j]
-				j--
-			}
-			b[j+1] = ev
-		}
-		return
-	}
-	sort.Slice(b, func(i, j int) bool { return evLess(b[j], b[i]) })
-}
-
-// nextBucket returns the first non-empty bucket at or after wheelPos, or -1
-// if the wheel is empty, by scanning the occupancy bitmap word-at-a-time.
-func (e *Engine) nextBucket() int {
-	w := e.wheelPos >> 6
-	mask := ^uint64(0) << (e.wheelPos & 63)
-	for ; w < len(e.occ); w++ {
-		if v := e.occ[w] & mask; v != 0 {
-			return w<<6 + bits.TrailingZeros64(v)
-		}
-		mask = ^uint64(0)
-	}
-	return -1
-}
-
-// takeTail removes and returns the tail event of bucket idx, clearing the
-// occupancy bit when the bucket drains.
-func (e *Engine) takeTail(idx int) *Event {
-	b := e.buckets[idx]
-	n := len(b) - 1
-	ev := b[n]
-	b[n] = nil
-	e.buckets[idx] = b[:n]
-	if n == 0 {
-		e.occ[idx>>6] &^= 1 << (idx & 63)
-	}
-	e.queued--
-	ev.queued = false
 	return ev
 }
 
-// popLive removes and returns the next live event, discarding (and, for
-// pooled events, recycling) lazily canceled entries along the way. Returns
-// nil when nothing is pending.
-func (e *Engine) popLive() *Event {
-	for {
-		if e.queued == 0 {
-			return nil
-		}
-		idx := e.nextBucket()
-		if idx < 0 {
-			e.advanceWindow()
-			continue
-		}
-		e.wheelPos = idx
-		e.sortBucket(idx)
-		ev := e.takeTail(idx)
-		if ev.canceled {
-			if ev.reusable {
-				e.recycle(ev)
-			}
-			continue
-		}
-		return ev
-	}
-}
-
-// peekLive returns the next live event without removing it, purging lazily
-// canceled entries it encounters. Returns nil when nothing is pending.
-func (e *Engine) peekLive() *Event {
-	for {
-		if e.queued == 0 {
-			return nil
-		}
-		idx := e.nextBucket()
-		if idx < 0 {
-			e.advanceWindow()
-			continue
-		}
-		e.wheelPos = idx
-		e.sortBucket(idx)
-		b := e.buckets[idx]
-		ev := b[len(b)-1]
-		if !ev.canceled {
-			return ev
-		}
-		e.takeTail(idx)
-		if ev.reusable {
-			e.recycle(ev)
-		}
-	}
-}
-
-// advanceWindow is called when the wheel is empty but events remain in the
-// far heap: the window jumps directly to the earliest far event (skipping
-// the quiescent interval) and far events inside the new window move into
-// buckets. Also the shrink point for the wheel when occupancy has collapsed.
-func (e *Engine) advanceWindow() {
-	if e.queued < len(e.buckets)/8 && len(e.buckets) > minBuckets {
-		e.rebuild(len(e.buckets) / 2)
-		return
-	}
-	e.wheelT0 = e.far[0].at
-	e.wheelPos = 0
-	if e.gapEMA > 0 {
-		e.width = e.gapEMA * 8
-	}
-	horizon := e.wheelT0 + e.width*float64(len(e.buckets))
-	s := e.scratch[:0]
-	s = append(s, e.farPop()) // always move at least one (guards at == horizon == +Inf)
-	for len(e.far) > 0 && e.far[0].at < horizon {
-		s = append(s, e.farPop())
-	}
-	// s is ascending; walking it backwards appends each bucket's events in
-	// descending order, so the lazy sort sees an already-ordered run.
-	for i := len(s) - 1; i >= 0; i-- {
-		e.bucketAppend(e.bucketIdx(s[i].at), s[i])
-	}
-	for i := range s {
-		s[i] = nil
-	}
-	e.scratch = s[:0]
-}
-
-// initWheel (re)allocates the wheel at n buckets, reusing prior capacity.
-func (e *Engine) initWheel(n int) {
-	if cap(e.buckets) >= n {
-		e.buckets = e.buckets[:n]
-	} else {
-		old := e.buckets
-		e.buckets = make([][]*Event, n)
-		copy(e.buckets, old) // keep inner slice capacity
-	}
-	words := (n + 63) / 64
-	if cap(e.occ) >= words {
-		e.occ = e.occ[:words]
-		e.dirty = e.dirty[:words]
-		for i := range e.occ {
-			e.occ[i] = 0
-			e.dirty[i] = 0
-		}
-	} else {
-		e.occ = make([]uint64, words)
-		e.dirty = make([]uint64, words)
-	}
-	e.wheelPos = 0
-}
-
-// rebuild resizes the wheel to n buckets and redistributes every pending
-// event, dropping lazily canceled entries for good. Triggered geometrically
-// (double on overflow, halve on collapse), so its O(n log n) cost amortizes
-// to O(1) per operation.
-func (e *Engine) rebuild(n int) {
-	s := e.scratch[:0]
-	keep := func(ev *Event) bool {
-		if !ev.canceled {
-			return true
-		}
-		e.queued--
-		ev.queued = false
-		if ev.reusable {
-			e.recycle(ev)
-		}
-		return false
-	}
-	for i := range e.buckets {
-		for j, ev := range e.buckets[i] {
-			if keep(ev) {
-				s = append(s, ev)
-			}
-			e.buckets[i][j] = nil
-		}
-		e.buckets[i] = e.buckets[i][:0]
-	}
-	for i, ev := range e.far {
-		if keep(ev) {
-			s = append(s, ev)
-		}
-		e.far[i] = nil
-	}
-	e.far = e.far[:0]
-	sort.Slice(s, func(a, b int) bool { return evLess(s[a], s[b]) })
-
-	e.initWheel(n)
-	if len(s) == 0 {
-		e.width = 1
-		e.wheelT0 = e.now
-		e.scratch = s
-		return
-	}
-	minAt, maxAt := s[0].at, s[len(s)-1].at
-	w := e.gapEMA * 8
-	if w <= 0 {
-		if span := maxAt - minAt; span > 0 && !math.IsInf(span, 1) {
-			w = span * 2 / float64(n)
-		} else {
-			w = 1
-		}
-	}
-	e.width = w
-	e.wheelT0 = minAt
-	horizon := minAt + w*float64(n)
-	cut := sort.Search(len(s), func(k int) bool { return !(s[k].at < horizon) })
-	if cut == 0 {
-		cut = 1 // at least one event stays in the wheel (guards +Inf timestamps)
-	}
-	for i := cut - 1; i >= 0; i-- {
-		e.bucketAppend(e.bucketIdx(s[i].at), s[i])
-	}
-	// The ascending suffix is already a valid min-heap.
-	e.far = append(e.far, s[cut:]...)
-	for i := range s {
-		s[i] = nil
-	}
-	e.scratch = s[:0]
-}
-
-// farPush adds ev to the beyond-horizon min-heap.
-func (e *Engine) farPush(ev *Event) {
-	e.far = append(e.far, ev)
-	i := len(e.far) - 1
+// up sifts the event at position i toward the root, reporting whether it
+// moved.
+func (e *Engine) up(i int) bool {
+	h := e.heap
+	ev := h[i]
+	start := i
 	for i > 0 {
-		p := (i - 1) / 2
-		if !evLess(e.far[i], e.far[p]) {
+		p := (i - 1) / heapArity
+		if !evLess(ev, h[p]) {
 			break
 		}
-		e.far[i], e.far[p] = e.far[p], e.far[i]
+		h[i] = h[p]
+		h[i].idx = i
 		i = p
 	}
+	h[i] = ev
+	ev.idx = i
+	return i != start
 }
 
-// farPop removes and returns the earliest event in the far heap.
-func (e *Engine) farPop() *Event {
-	h := e.far
-	ev := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = nil
-	h = h[:n]
-	e.far = h
-	i := 0
+// down sifts the event at position i toward the leaves.
+func (e *Engine) down(i int) {
+	h := e.heap
+	n := len(h)
+	ev := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := heapArity*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && evLess(h[r], h[l]) {
-			m = r
+		end := c + heapArity
+		if end > n {
+			end = n
 		}
-		if !evLess(h[m], h[i]) {
+		m := c
+		for k := c + 1; k < end; k++ {
+			if evLess(h[k], h[m]) {
+				m = k
+			}
+		}
+		if !evLess(h[m], ev) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
+		h[i].idx = i
 		i = m
 	}
-	return ev
+	h[i] = ev
+	ev.idx = i
 }

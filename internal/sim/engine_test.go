@@ -50,15 +50,82 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(1, func() { fired = true })
 	e.Cancel(ev)
+	if e.Pending() != 0 {
+		t.Fatalf("Pending()=%d after the only event was canceled", e.Pending())
+	}
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	// Double-cancel and cancel-after-fire must be no-ops.
-	e.Cancel(ev)
+	// Double-cancel and cancel-after-fire are no-ops: they must not touch
+	// whatever else is pending by then.
 	ev2 := e.Schedule(1, func() {})
 	e.Run()
+	others := 0
+	e.Schedule(1, func() { others++ })
+	e.Schedule(1, func() { others++ })
+	e.Cancel(ev)
 	e.Cancel(ev2)
+	e.Cancel(nil)
+	if e.Pending() != 2 {
+		t.Fatalf("Pending()=%d after no-op cancels, want 2", e.Pending())
+	}
+	e.Run()
+	if others != 2 {
+		t.Fatalf("no-op cancels suppressed other events: %d of 2 fired", others)
+	}
+}
+
+func TestEngineNilCallbackPanics(t *testing.T) {
+	e := NewEngine()
+	for name, schedule := range map[string]func(){
+		"Schedule": func() { e.Schedule(1, nil) },
+		"At":       func() { e.At(1, nil) },
+		"NewEvent": func() { e.NewEvent(nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a nil callback", name)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending()=%d after rejected schedules", e.Pending())
+	}
+}
+
+// The clock never runs backwards: the engine refuses to fire an event that
+// lies before now. Only a bug can produce one (every entry point clamps to
+// now), so the test has to forge it.
+func TestEngineEventBeforeNowPanics(t *testing.T) {
+	e := NewEngine()
+	e.At(1, func() {})
+	e.now = 2
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step fired an event scheduled before now")
+		}
+	}()
+	e.Step()
+}
+
+func TestEngineInfiniteTimestamp(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	e.At(math.Inf(1), func() { got = append(got, "never") })
+	e.Schedule(math.Inf(1), func() { got = append(got, "never too") })
+	e.At(1e300, func() { got = append(got, "late") })
+	e.RunUntil(math.MaxFloat64)
+	if len(got) != 1 || e.Pending() != 2 {
+		t.Fatalf("RunUntil(MaxFloat64): fired %v, Pending()=%d", got, e.Pending())
+	}
+	e.Run()
+	if len(got) != 3 || got[1] != "never" || got[2] != "never too" || !math.IsInf(e.Now(), 1) {
+		t.Fatalf("fired %v, now=%v", got, e.Now())
+	}
 }
 
 func TestEngineNegativeDelayClamped(t *testing.T) {
@@ -107,8 +174,19 @@ func TestEngineRunUntil(t *testing.T) {
 	if len(fired) != 2 || e.Now() != 2.5 {
 		t.Fatalf("RunUntil: fired=%v now=%g", fired, e.Now())
 	}
+	// Events at exactly t run, including one scheduled for t by another.
+	e.At(3, func() { e.At(3, func() { fired = append(fired, 3.5) }) })
+	e.RunUntil(3)
+	if len(fired) != 4 || fired[2] != 3 || fired[3] != 3.5 || e.Now() != 3 {
+		t.Fatalf("RunUntil(3): fired=%v now=%g", fired, e.Now())
+	}
+	// A target behind the clock runs nothing and leaves the clock alone.
+	e.RunUntil(1)
+	if len(fired) != 4 || e.Now() != 3 {
+		t.Fatalf("RunUntil(1) at 3: fired=%v now=%g", fired, e.Now())
+	}
 	e.Run()
-	if len(fired) != 4 {
+	if len(fired) != 5 {
 		t.Fatalf("remaining events did not fire: %v", fired)
 	}
 }

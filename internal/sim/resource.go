@@ -70,9 +70,9 @@ func (j *Job) Remaining() float64 {
 // Rates only change when the job set changes, so all bookkeeping is
 // incremental: jobs live in a cap-sorted slice maintained by binary
 // insertion, per-event meter accrual is O(1) from running totals, and the
-// single O(n) pass in reshare runs only on membership changes. The wake
-// event is coalesced — it is rescheduled only when the earliest projected
-// completion actually moves.
+// single O(n) pass in reshare runs only on membership changes. The resource
+// owns one wake event for its lifetime and re-arms it in place, and only
+// when the earliest projected completion actually moves (coalescing).
 type SharedResource struct {
 	eng       *Engine
 	name      string
@@ -81,9 +81,8 @@ type SharedResource struct {
 	capSum    float64 // Σ effCap over jobs (demand meter)
 	totalRate float64 // Σ allocated rates (throughput meter)
 	last      float64 // virtual time of the last meter update
-	wake      *Event  // pending earliest-completion event
-	wakeAt    float64 // absolute time wake is armed for
-	wakeFn    func()  // cached wake callback (avoids a closure per arm)
+	wake      *Event  // earliest-completion event, re-armed in place
+	wakeAt    float64 // time wake was last armed for, before the engine's clamp to now
 	seq       int64
 	reshares  int64 // rate recomputations, exported by the observability layer
 
@@ -107,11 +106,10 @@ func NewSharedResource(eng *Engine, name string, capacity float64) *SharedResour
 		last:       eng.Now(),
 		meterStart: eng.Now(),
 	}
-	r.wakeFn = func() {
-		r.wake = nil
+	r.wake = eng.NewEvent(func() {
 		r.advance()
 		r.reshare()
-	}
+	})
 	return r
 }
 
@@ -326,16 +324,10 @@ func (r *SharedResource) reshare() {
 	// rate changed, soonest is computed from the same floats as last time,
 	// so the comparison is exact.
 	if math.IsInf(soonest, 1) {
-		if r.wake != nil {
-			r.eng.Cancel(r.wake)
-			r.wake = nil
-		}
-	} else if r.wake == nil || r.wakeAt != soonest {
-		if r.wake != nil {
-			r.eng.Cancel(r.wake)
-		}
+		r.eng.Cancel(r.wake)
+	} else if !r.wake.pending() || r.wakeAt != soonest {
 		r.wakeAt = soonest
-		r.wake = r.eng.atReusable(soonest, r.wakeFn)
+		r.eng.Rearm(r.wake, soonest)
 	}
 
 	// Fire completion callbacks after internal state is consistent, so a
