@@ -1068,7 +1068,7 @@ func runServe(args []string) error {
 func runProv(args []string) error {
 	fs := flag.NewFlagSet("prov", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "JSONL trace file")
-	dbPath := fs.String("db", "", "provdb database file")
+	dbPath := fs.String("db", "", "provdb log file")
 	query := fs.String("query", "", "run one query instead of the summaries: 'lineage PATH', 'diff RUN-A RUN-B', or 'memo-hits [RUN]'")
 	fs.Parse(args)
 	var store provenance.Store
@@ -1092,6 +1092,10 @@ func runProv(args []string) error {
 		}
 		store = mem
 	case *dbPath != "":
+		// Open would create the log: a mistyped path must not.
+		if _, err := os.Stat(*dbPath); err != nil {
+			return err
+		}
 		db, err := provdb.Open(*dbPath)
 		if err != nil {
 			return err

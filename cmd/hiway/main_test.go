@@ -305,6 +305,22 @@ t( x: "1" );`
 	if err := runProv([]string{"-db", dbPath}); err != nil {
 		t.Fatal(err)
 	}
+	// -db reads: a file that is not a provdb log is refused and left as it
+	// was, and a path that is not there stays not there.
+	trace, _ := os.ReadFile(tracePath)
+	if err := runProv([]string{"-db", tracePath}); err == nil || !strings.Contains(err.Error(), "is not a provdb log") {
+		t.Fatalf("-db on a JSONL trace: %v, want it refused as not a provdb log", err)
+	}
+	if after, _ := os.ReadFile(tracePath); !bytes.Equal(after, trace) || len(trace) == 0 {
+		t.Fatalf("-db changed the trace it was given: %d → %d bytes", len(trace), len(after))
+	}
+	ghost := filepath.Join(dir, "ghost.db")
+	if err := runProv([]string{"-db", ghost}); err == nil {
+		t.Fatal("-db on a missing file accepted")
+	}
+	if _, err := os.Stat(ghost); !os.IsNotExist(err) {
+		t.Fatalf("-db on a missing file left something there: %v", err)
+	}
 }
 
 // TestSimShardDeterminism pins the parallel-shard contract end to end: for

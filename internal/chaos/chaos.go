@@ -130,29 +130,8 @@ func (p *Plan) WithReadErrorRate(r float64) *Plan { p.ReadErrorRate = r; return 
 // the rate-driven faults).
 func (p *Plan) AddRule(r TaskRule) *Plan { p.rules = append(p.rules, r); return p }
 
-// KillNodeAt schedules a node kill at the given virtual time.
-func (p *Plan) KillNodeAt(node string, atSec float64) *Plan {
-	p.events = append(p.events, NodeEvent{Node: node, AtSec: atSec, Kind: "kill"})
-	return p
-}
-
-// SlowNodeAt schedules a node slowdown: hogs background CPU stressors are
-// added at the given virtual time.
-func (p *Plan) SlowNodeAt(node string, atSec float64, hogs int) *Plan {
-	p.events = append(p.events, NodeEvent{Node: node, AtSec: atSec, Kind: "slow", Hogs: hogs})
-	return p
-}
-
 // WithSpotRate sets the per-check, per-node spot preemption probability.
 func (p *Plan) WithSpotRate(r float64) *Plan { p.SpotRate = r; return p }
-
-// SpotReclaimAt schedules a targeted spot preemption: the node is noticed at
-// atSec and reclaimed noticeSec later (negative noticeSec defers to the
-// plan-wide SpotNoticeSec default).
-func (p *Plan) SpotReclaimAt(node string, atSec, noticeSec float64) *Plan {
-	p.events = append(p.events, NodeEvent{Node: node, AtSec: atSec, Kind: "spot", NoticeSec: noticeSec})
-	return p
-}
 
 // noticeSec resolves an event's notice gap against the plan default.
 func (p *Plan) noticeSec(ev NodeEvent) float64 {

@@ -70,9 +70,8 @@ func XeonE52620() NodeSpec {
 
 // Node is a simulated compute node.
 type Node struct {
-	ID     string
-	Handle int32 // interned process-stable identity; hot paths compare this, not ID
-	Spec   NodeSpec
+	ID   string
+	Spec NodeSpec
 
 	CPU  *sim.SharedResource // capacity: vcores·factor, units: reference core-seconds/s
 	Disk *sim.SharedResource // capacity: DiskMBps
@@ -112,7 +111,6 @@ type Cluster struct {
 	version    uint64   // membership version, bumped on AddNode/RemoveNode
 	idsCache   []string // NodeIDs result, rebuilt when idsVersion falls behind
 	idsVersion uint64
-	byHandle   []*Node // handle → node; slots of departed nodes are nil
 }
 
 // New builds a cluster with the given node specs. Node IDs are
@@ -151,8 +149,6 @@ func New(eng *sim.Engine, cfg Config, specs []NodeSpec) (*Cluster, error) {
 		for h := 0; h < s.IOHogs; h++ {
 			n.Disk.SubmitBackground(s.DiskMBps)
 		}
-		n.Handle = int32(len(c.byHandle))
-		c.byHandle = append(c.byHandle, n)
 		c.nodes = append(c.nodes, n)
 		c.byID[id] = n
 	}
@@ -200,10 +196,6 @@ func (c *Cluster) AddNode(id string, spec NodeSpec) (*Node, error) {
 	copy(c.nodes[i+1:], c.nodes[i:])
 	c.nodes[i] = n
 	c.byID[id] = n
-	// A rejoining node is a new machine, so it gets a fresh handle; the old
-	// handle keeps resolving to nil forever.
-	n.Handle = int32(len(c.byHandle))
-	c.byHandle = append(c.byHandle, n)
 	c.version++
 	return n, nil
 }
@@ -216,9 +208,7 @@ func (c *Cluster) RemoveNode(id string) error {
 	if c.byID[id] == nil {
 		return fmt.Errorf("cluster: node %s not a member", id)
 	}
-	n := c.byID[id]
 	delete(c.byID, id)
-	c.byHandle[n.Handle] = nil
 	for i, m := range c.nodes {
 		if m.ID == id {
 			c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
@@ -275,16 +265,6 @@ func (c *Cluster) NodeIDs() []string {
 // RemoveNode. Downstream caches (hdfs live-node sets, scheduler indexes)
 // key their invalidation on it.
 func (c *Cluster) Version() uint64 { return c.version }
-
-// NodeByHandle resolves an interned node handle, or nil if the node has
-// left the cluster. Handles are stable for the life of the process and
-// never reused, so a stale handle can only miss, never alias.
-func (c *Cluster) NodeByHandle(h int32) *Node {
-	if h < 0 || int(h) >= len(c.byHandle) {
-		return nil
-	}
-	return c.byHandle[h]
-}
 
 // Node looks a node up by ID, or nil.
 func (c *Cluster) Node(id string) *Node { return c.byID[id] }

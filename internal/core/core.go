@@ -68,11 +68,6 @@ type Config struct {
 	// declared outputs with exit code 0.
 	Behavior wf.Behavior
 
-	// FaultInjector, if set, is consulted per attempt; returning true
-	// makes that attempt fail (the stand-in for real tool crashes).
-	// Superseded by Chaos, which can also hang attempts; both may be set.
-	FaultInjector func(t *wf.Task, node string, attempt int) bool
-
 	// Chaos, if set, decides the fate of every attempt (run, crash, or
 	// hang forever). chaos.Plan implements it deterministically.
 	Chaos chaos.Injector
@@ -531,10 +526,6 @@ func (am *AM) Finished() bool { return am.finished }
 // (load models and monitors poll it during execution).
 func (am *AM) CompletedTasks() int { return len(am.results) }
 
-// RecoveredTasks returns how many tasks Resume reconstructed from
-// provenance instead of executing.
-func (am *AM) RecoveredTasks() int { return am.recovered }
-
 // AMNodeID returns the node hosting the AM container.
 func (am *AM) AMNodeID() string { return am.app.AMContainer.NodeID }
 
@@ -786,11 +777,8 @@ func (am *AM) attemptDeadline(t *wf.Task) float64 {
 	return d
 }
 
-// fate consults the fault injectors for this attempt.
+// fate consults the fault injector for this attempt.
 func (am *AM) fate(t *wf.Task, node string, attempt int) chaos.Fate {
-	if am.cfg.FaultInjector != nil && am.cfg.FaultInjector(t, node, attempt) {
-		return chaos.FateCrash
-	}
 	if am.cfg.Chaos != nil {
 		return am.cfg.Chaos.TaskFate(t, node, attempt)
 	}

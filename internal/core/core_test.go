@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hiway/internal/chaos"
 	"hiway/internal/cluster"
 	"hiway/internal/hdfs"
 	"hiway/internal/lang/cuneiform"
@@ -163,18 +164,28 @@ func TestDataAwareBeatsFCFSUnderTightNetwork(t *testing.T) {
 	}
 }
 
+// crashWhen is a chaos.Injector that crashes the attempts it returns true for.
+type crashWhen func(t *wf.Task, node string, attempt int) bool
+
+func (f crashWhen) TaskFate(t *wf.Task, node string, attempt int) chaos.Fate {
+	if f(t, node, attempt) {
+		return chaos.FateCrash
+	}
+	return chaos.FateRun
+}
+
 func TestRetryOnDifferentNodeAfterFault(t *testing.T) {
 	env := newEnv(t, 3, spec(), 1000)
 	env.FS.Put("/in/seed", 1, "")
 	var failedNode string
 	cfg := Config{
-		FaultInjector: func(task *wf.Task, node string, attempt int) bool {
+		Chaos: crashWhen(func(task *wf.Task, node string, attempt int) bool {
 			if task.Name == "work" && attempt == 0 {
 				failedNode = node
 				return true
 			}
 			return false
-		},
+		}),
 	}
 	rep, err := Run(env.Env, chainDriver(t, 1), scheduler.NewFCFS(), cfg)
 	if err != nil {
@@ -198,8 +209,8 @@ func TestRetriesExhaustedFailsWorkflow(t *testing.T) {
 	env := newEnv(t, 2, spec(), 1000)
 	env.FS.Put("/in/seed", 1, "")
 	cfg := Config{
-		MaxRetries:    2,
-		FaultInjector: func(task *wf.Task, node string, attempt int) bool { return task.Name == "work" },
+		MaxRetries: 2,
+		Chaos:      crashWhen(func(task *wf.Task, node string, attempt int) bool { return task.Name == "work" }),
 	}
 	rep, err := Run(env.Env, chainDriver(t, 1), scheduler.NewFCFS(), cfg)
 	if err == nil || rep.Succeeded {
@@ -509,8 +520,8 @@ func TestRetryExhaustionRecordsEveryAttempt(t *testing.T) {
 	env := newEnv(t, 2, spec(), 1000)
 	env.FS.Put("/in/seed", 1, "")
 	cfg := Config{
-		MaxRetries:    2,
-		FaultInjector: func(task *wf.Task, node string, attempt int) bool { return task.Name == "work" },
+		MaxRetries: 2,
+		Chaos:      crashWhen(func(task *wf.Task, node string, attempt int) bool { return task.Name == "work" }),
 	}
 	rep, err := Run(env.Env, chainDriver(t, 1), scheduler.NewFCFS(), cfg)
 	if err == nil || rep.Succeeded {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hiway/internal/chaos"
 	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
@@ -180,6 +181,16 @@ func TestGalaxyWorkflowOnSimulatedCluster(t *testing.T) {
 	}
 }
 
+// crashWhen is a chaos.Injector that crashes the attempts it returns true for.
+type crashWhen func(t *wf.Task, node string, attempt int) bool
+
+func (f crashWhen) TaskFate(t *wf.Task, node string, attempt int) chaos.Fate {
+	if f(t, node, attempt) {
+		return chaos.FateCrash
+	}
+	return chaos.FateRun
+}
+
 // TestIterativeWorkflowSurvivesFaults combines the two hard features:
 // an iterative Cuneiform workflow and injected task failures; the AM must
 // retry on other nodes and the loop must still converge.
@@ -208,14 +219,14 @@ loop( cur: "/data/init" );`)
 			}
 			return out
 		},
-		FaultInjector: func(task *wf.Task, node string, attempt int) bool {
+		Chaos: crashWhen(func(task *wf.Task, node string, attempt int) bool {
 			// Every step task fails its first attempt.
 			if task.Name == "step" && attempt == 0 && !failed[task.ID] {
 				failed[task.ID] = true
 				return true
 			}
 			return false
-		},
+		}),
 	}
 	rep, err := core.Run(env, driver, scheduler.NewFCFS(), cfg)
 	if err != nil {

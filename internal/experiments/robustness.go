@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"hiway/internal/chaos"
 	"hiway/internal/cluster"
 	"hiway/internal/core"
@@ -119,23 +117,4 @@ func faultToleranceRun(policy string, crashRate float64, speculate bool, seed in
 		return nil, err
 	}
 	return rep, nil
-}
-
-// RenderFaultToleranceAblation formats the rows.
-func RenderFaultToleranceAblation(rows []FaultToleranceRow) string {
-	hdr := []string{"policy", "crash rate", "speculate", "median (s)", "retries", "timed out", "speculative", "failed runs"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Policy,
-			fmt.Sprintf("%.2f", r.CrashRate),
-			fmt.Sprintf("%v", r.Speculate),
-			fmt.Sprintf("%.1f", r.MedianSec),
-			fmt.Sprintf("%.1f", r.Retries),
-			fmt.Sprintf("%.1f", r.TimedOut),
-			fmt.Sprintf("%.1f", r.Speculative),
-			fmt.Sprintf("%d", r.Failed),
-		})
-	}
-	return table(hdr, body)
 }

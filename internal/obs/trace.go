@@ -184,19 +184,6 @@ func (t *Tracer) Sample(track, name string, value float64) {
 	t.samples = append(t.samples, sample{Track: track, Name: name, At: t.clock(), Value: value})
 }
 
-// Spans returns a copy of all recorded spans, in Begin order. Span IDs are
-// indexes+1 into this slice.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, len(t.spans))
-	copy(out, t.spans)
-	return out
-}
-
 // Counts returns how many spans, instants, and samples were recorded.
 func (t *Tracer) Counts() (spans, instants, samples int) {
 	if t == nil {

@@ -8,7 +8,7 @@ import (
 	"hiway/internal/provdb"
 )
 
-// Example demonstrates the crash-safe lifecycle: put, reopen, read.
+// Example demonstrates the crash-safe lifecycle: append, reopen, scan.
 func Example() {
 	dir, err := os.MkdirTemp("", "provdb-example")
 	if err != nil {
@@ -21,17 +21,30 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	db.Put("workflow/1", []byte(`{"makespan": 42}`))
+	// A batch is its records back to back and where each ends.
+	var batch []byte
+	var ends []int
+	for _, rec := range []string{"workflow-start w1", "task-end w1 align", "workflow-end w1"} {
+		batch = append(batch, rec...)
+		ends = append(ends, len(batch))
+	}
+	if err := db.Append(batch, ends); err != nil {
+		panic(err)
+	}
 	db.Close()
 
-	// Reopening replays the write-ahead log.
+	// Reopening replays the log.
 	db2, err := provdb.Open(path)
 	if err != nil {
 		panic(err)
 	}
 	defer db2.Close()
-	v, ok := db2.Get("workflow/1")
-	fmt.Println(ok, string(v))
+	db2.Scan(func(i int, rec []byte) bool {
+		fmt.Println(i, string(rec))
+		return true
+	})
 	// Output:
-	// true {"makespan": 42}
+	// 0 workflow-start w1
+	// 1 task-end w1 align
+	// 2 workflow-end w1
 }

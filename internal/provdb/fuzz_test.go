@@ -1,66 +1,60 @@
 package provdb
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzReplay feeds arbitrary bytes to the log-replay path: Open must never
-// panic or loop, and must either recover a valid prefix or truncate.
+// FuzzReplay feeds arbitrary bytes to Open: it must never panic, loop or
+// change the file, and what it accepts must take an append and reopen to the
+// same records with that one behind them.
 func FuzzReplay(f *testing.F) {
-	// Seed with a valid log and a few corruptions of it.
-	dir, err := os.MkdirTemp("", "provdb-fuzz-seed")
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "seed.db")
-	db, err := Open(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	db.Put("alpha", []byte("one"))
-	db.Put("beta", []byte("two"))
-	db.Delete("alpha")
-	db.Close()
-	seed, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
+	one, two := logOf("one"), logOf("one", "")
 	f.Add([]byte{})
+	f.Add([]byte(header))
+	f.Add(one)
+	f.Add(one[:len(one)-2]) // torn record
+	f.Add(two)
+	badCRC := append([]byte(nil), two...)
+	badCRC[len(header)+5] ^= 0xA5
+	f.Add(badCRC)
+	f.Add(keyedLog("ev00000000000000000001", "one"))
+	f.Add([]byte(`{"id":"e1","type":"workflow-start"}` + "\n"))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
-	mutated := append([]byte(nil), seed...)
-	if len(mutated) > 10 {
-		mutated[10] ^= 0xA5
-	}
-	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		p := filepath.Join(dir, "fuzz.db")
+		p := filepath.Join(t.TempDir(), "fuzz.db")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		db, err := Open(p)
+		if after, _ := os.ReadFile(p); !bytes.Equal(after, data) {
+			t.Fatalf("Open (%v) changed the file: %d → %d bytes", err, len(data), len(after))
+		}
 		if err != nil {
-			return // structured corruption may be rejected outright
+			return // not a log, or a damaged one
 		}
-		// The recovered database must be usable.
-		if err := db.Put("probe", []byte("x")); err != nil {
-			t.Fatalf("Put after recovery: %v", err)
-		}
-		if v, ok := db.Get("probe"); !ok || string(v) != "x" {
-			t.Fatalf("Get after recovery: %q %v", v, ok)
+		// What was recovered must be usable.
+		before := scanAll(t, db)
+		if err := appendStrings(db, "probe"); err != nil {
+			t.Fatalf("Append after recovery: %v", err)
 		}
 		db.Close()
-		// And reopenable.
 		db2, err := Open(p)
 		if err != nil {
 			t.Fatalf("reopen after recovery: %v", err)
 		}
-		db2.Close()
+		defer db2.Close()
+		after := scanAll(t, db2)
+		if len(after) != len(before)+1 || string(after[len(before)]) != "probe" {
+			t.Fatalf("%d records, then an append, reopened to %d", len(before), len(after))
+		}
+		for i := range before {
+			if !bytes.Equal(before[i], after[i]) {
+				t.Fatalf("record %d changed across the reopen", i)
+			}
+		}
 	})
 }

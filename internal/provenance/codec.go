@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the binary record format DBStore keeps events in. JSON stays
-// the format of traces (FileStore, ParseTrace, serve's -prov export); a
-// database record is read back far more often than a person looks at it, and
+// the format of traces (FileStore, ParseTrace, serve's -prov export); a log
+// record is read back far more often than a person looks at it, and
 // encoding/json's reflection was most of what a query over a DBStore cost.
 //
 // A record is the version byte, then the type code (an unknown type is code
@@ -110,7 +110,7 @@ func appendFiles(b []byte, files []FileEvent) []byte {
 	return b
 }
 
-// decodeEvent decodes one record into ev, overwriting every field. A database
+// decodeEvent decodes one record into ev, overwriting every field. A provdb
 // file is outside input: every length is checked against the bytes that are
 // left before anything is allocated, and bytes left over are an error. What
 // ev points to afterwards is freshly allocated; nothing aliases b.

@@ -9,7 +9,7 @@
 //   - reproducibility: a trace can be parsed back into an executable
 //     workflow (package lang/trace);
 //   - long-term storage: traces can live in a JSONL file (the paper's
-//     HDFS trace file) or, as binary records, in an embedded database
+//     HDFS trace file) or, as binary records, in an append-only log
 //     (package provdb, the MySQL/Couchbase stand-in).
 package provenance
 

@@ -278,7 +278,7 @@ func TestDBStoreRoundTrip(t *testing.T) {
 	if len(events) != 5 {
 		t.Fatalf("events = %d", len(events))
 	}
-	// Append order preserved (fixed-width keys).
+	// Append order preserved.
 	for i := 1; i < len(events); i++ {
 		if events[i].DurationSec <= events[i-1].DurationSec {
 			t.Fatalf("order broken: %v", events)
@@ -353,63 +353,13 @@ func TestDBStoreCutsLargeBatchesIntoCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := store.Events()
-	if err != nil || len(got) != len(evs) || store.seq != int64(len(evs)) {
-		t.Fatalf("%d events, seq %d, %v; want %d", len(got), store.seq, err, len(evs))
+	if err != nil || len(got) != len(evs) || store.db.Len() != len(evs) {
+		t.Fatalf("%d events from %d records, %v; want %d", len(got), store.db.Len(), err, len(evs))
 	}
 	for i := range got {
 		if got[i].ID != evs[i].ID {
 			t.Fatalf("event %d is %s, want %s", i, got[i].ID, evs[i].ID)
 		}
-	}
-}
-
-// A database shared with other keys — the memo's cold entries are headed for
-// this log — still numbers its events after the last event, not after the
-// last key, and reads back only events.
-func TestDBStoreIgnoresForeignKeys(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "prov.db")
-	db, err := provdb.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewDBStore(db)
-	store.Append(Event{ID: "first", Type: WorkflowStart})
-	store.Append(Event{ID: "second", Type: WorkflowEnd})
-	// Sorting after, before, among and almost like the events' own keys.
-	foreign := []string{"zz", "a", "ev", "ev0000000000000000000", "ev0000000000000000000x", "ev+0000000000000000009",
-		"ev00000000000000000001x", "ev99999999999999999999"}
-	for _, k := range foreign {
-		if err := db.Put(k, []byte("{not an event}")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store.Close()
-
-	db, err = provdb.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store = NewDBStore(db)
-	defer store.Close()
-	if err := store.Append(Event{ID: "third", Type: WorkflowStart}); err != nil {
-		t.Fatal(err)
-	}
-	events, err := store.Events()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for _, ev := range events {
-		ids = append(ids, ev.ID)
-	}
-	if fmt.Sprint(ids) != "[first second third]" {
-		t.Fatalf("events %v: an append after a foreign key must follow the last event", ids)
-	}
-	if db.Len() != 3+len(foreign) {
-		t.Fatalf("%d keys, want the 3 events beside the %d foreign keys", db.Len(), len(foreign))
-	}
-	if _, ok := db.Get("ev00000000000000000003"); !ok {
-		t.Fatal("the third event is not under the third key")
 	}
 }
 
@@ -422,9 +372,10 @@ func TestDBStoreRefusesUnknownRecords(t *testing.T) {
 	store := NewDBStore(db)
 	defer store.Close()
 	store.Append(Event{ID: "ok"})
-	db.Put("ev00000000000000000002", []byte(`{"id":"json","type":"task-end"}`))
-	if _, err := store.Events(); err == nil || !strings.Contains(err.Error(), "ev00000000000000000002: unknown record version 0x7b") {
-		t.Fatalf("Events = %v, want the key and the version named", err)
+	jsonl := []byte(`{"id":"json","type":"task-end"}`)
+	db.Append(jsonl, []int{len(jsonl)})
+	if _, err := store.Events(); err == nil || !strings.Contains(err.Error(), "record 1: unknown record version 0x7b") {
+		t.Fatalf("Events = %v, want the record's position and the version named", err)
 	}
 	if _, err := NewManager(store); err == nil {
 		t.Fatal("a manager loaded an undecodable store")
@@ -436,68 +387,71 @@ func TestDBStoreRefusesUnknownRecords(t *testing.T) {
 
 // A batch is one write: a crash during it leaves a prefix of the batch's
 // records and at most one torn one. Cutting the log at every byte of its last
-// batch, Open recovers exactly the whole records, the store reads back that
-// prefix of the events, and the next append continues behind it.
+// batch — the header's bytes too, when that batch is the log's first — Open
+// recovers exactly the whole records, the store reads back that prefix of the
+// events, and the next append continues behind it.
 func TestTornBatchRecoversWholeRecords(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "prov.db")
 	evs, _ := twoRuns()
-	first, last := evs[:10], evs[10:16]
-	store := openDBStore(t, path)
-	if err := store.AppendBatch(first); err != nil {
-		t.Fatal(err)
-	}
-	fi, _ := os.Stat(path)
-	batchStart := int(fi.Size())
-	// Where each record of the last batch ends: append them one by one to a
-	// second store — the log's bytes are the same either way.
-	var ends []int
-	single := openDBStore(t, filepath.Join(dir, "single.db"))
-	single.AppendBatch(first)
-	for _, ev := range last {
-		single.Append(ev)
-		fi, _ := os.Stat(filepath.Join(dir, "single.db"))
-		ends = append(ends, int(fi.Size()))
-	}
-	single.Close()
-	if err := store.AppendBatch(last); err != nil {
-		t.Fatal(err)
-	}
-	store.Close()
-	whole, _ := os.ReadFile(path)
-	if one, _ := os.ReadFile(filepath.Join(dir, "single.db")); !bytes.Equal(whole, one) {
-		t.Fatal("a batch and single appends of the same events wrote different logs")
-	}
-
-	for cut := batchStart; cut <= len(whole); cut++ {
-		complete := 0
-		for _, end := range ends {
-			if end <= cut {
-				complete++
-			}
-		}
-		torn := filepath.Join(dir, "torn.db")
-		os.WriteFile(torn, whole[:cut], 0o644)
-		st := openDBStore(t, torn)
-		got, err := st.Events()
-		if err != nil || len(got) != len(first)+complete {
-			t.Fatalf("cut at %d: %d events, %v; want %d", cut, len(got), err, len(first)+complete)
-		}
-		for i := range got {
-			if !sameEvent(&got[i], &evs[i]) {
-				t.Fatalf("cut at %d: event %d came back changed", cut, i)
-			}
-		}
-		if err := st.Append(Event{ID: "after-the-crash"}); err != nil {
+	for _, before := range []int{10, 0} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "prov.db")
+		first, last := evs[:before], evs[before:before+6]
+		store := openDBStore(t, path)
+		if err := store.AppendBatch(first); err != nil {
 			t.Fatal(err)
 		}
-		st.Close()
-		st = openDBStore(t, torn)
-		got, err = st.Events()
-		if err != nil || len(got) != len(first)+complete+1 || got[len(got)-1].ID != "after-the-crash" {
-			t.Fatalf("cut at %d: after the next append %d events, %v", cut, len(got), err)
+		fi, _ := os.Stat(path)
+		batchStart := int(fi.Size())
+		// Where each record of the last batch ends: append them one by one to a
+		// second store — the log's bytes are the same either way.
+		var ends []int
+		single := openDBStore(t, filepath.Join(dir, "single.db"))
+		single.AppendBatch(first)
+		for _, ev := range last {
+			single.Append(ev)
+			fi, _ := os.Stat(filepath.Join(dir, "single.db"))
+			ends = append(ends, int(fi.Size()))
 		}
-		st.Close()
+		single.Close()
+		if err := store.AppendBatch(last); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		whole, _ := os.ReadFile(path)
+		if one, _ := os.ReadFile(filepath.Join(dir, "single.db")); !bytes.Equal(whole, one) {
+			t.Fatal("a batch and single appends of the same events wrote different logs")
+		}
+
+		for cut := batchStart; cut <= len(whole); cut++ {
+			complete := 0
+			for _, end := range ends {
+				if end <= cut {
+					complete++
+				}
+			}
+			torn := filepath.Join(dir, "torn.db")
+			os.WriteFile(torn, whole[:cut], 0o644)
+			st := openDBStore(t, torn)
+			got, err := st.Events()
+			if err != nil || len(got) != len(first)+complete {
+				t.Fatalf("cut at %d: %d events, %v; want %d", cut, len(got), err, len(first)+complete)
+			}
+			for i := range got {
+				if !sameEvent(&got[i], &evs[i]) {
+					t.Fatalf("cut at %d: event %d came back changed", cut, i)
+				}
+			}
+			if err := st.Append(Event{ID: "after-the-crash"}); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			st = openDBStore(t, torn)
+			got, err = st.Events()
+			if err != nil || len(got) != len(first)+complete+1 || got[len(got)-1].ID != "after-the-crash" {
+				t.Fatalf("cut at %d: after the next append %d events, %v", cut, len(got), err)
+			}
+			st.Close()
+		}
 	}
 }
 

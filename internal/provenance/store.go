@@ -11,8 +11,8 @@ import (
 
 // Store is long-term storage for provenance events. Implementations:
 // MemStore (in-process), FileStore (JSONL trace file, the paper's default),
-// and DBStore over internal/provdb (the MySQL/Couchbase alternative for
-// heavily-used installations).
+// and DBStore over an internal/provdb log (the MySQL/Couchbase alternative
+// for heavily-used installations).
 type Store interface {
 	Append(ev Event) error
 	// Events returns all stored events in append order.

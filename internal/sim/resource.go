@@ -24,9 +24,6 @@ type Job struct {
 	seq       int64
 }
 
-// Rate returns the job's currently allocated rate in resource units/sec.
-func (j *Job) Rate() float64 { return j.rate }
-
 // Cancel withdraws the job from its resource without invoking its done
 // callback. Canceling a finished or already-canceled job is a no-op. This is
 // what makes task attempts killable: a timed-out or superseded attempt's
@@ -115,9 +112,6 @@ func NewSharedResource(eng *Engine, name string, capacity float64) *SharedResour
 
 // Name returns the resource's diagnostic name.
 func (r *SharedResource) Name() string { return r.name }
-
-// Capacity returns the aggregate capacity in units/sec.
-func (r *SharedResource) Capacity() float64 { return r.capacity }
 
 // Active returns the number of jobs currently sharing the resource.
 func (r *SharedResource) Active() int { return len(r.jobs) }
