@@ -75,8 +75,30 @@ func chainDriver(n int) wf.StaticDriver {
 	return sb
 }
 
+// membershipLog is a yarn.MembershipAuditHook — the RM's one membership
+// observer, the mechanism hiway verify's auditor uses — that records every
+// join, drain and leave as "<time>:<node>:<event>".
+type membershipLog struct{ events []string }
+
+func (l *membershipLog) note(now float64, node, event string) {
+	l.events = append(l.events, fmt.Sprintf("%g:%s:%s", now, node, event))
+}
+
+func (l *membershipLog) OnNodeJoined(now float64, node string, vcores, memMB int) {
+	l.note(now, node, "join")
+}
+func (l *membershipLog) OnNodeDraining(now float64, node string) { l.note(now, node, "drain") }
+func (l *membershipLog) OnNodeRemoved(now float64, node string)  { l.note(now, node, "leave") }
+
+func (l *membershipLog) OnContainerAllocated(float64, *yarn.Container)      {}
+func (l *membershipLog) OnContainerReleased(float64, *yarn.Container, bool) {}
+func (l *membershipLog) OnContainerLost(float64, *yarn.Container)           {}
+func (l *membershipLog) OnNodeDead(float64, string)                         {}
+
 func TestManagerJoinDrainLeaveAcrossLayers(t *testing.T) {
 	e := newEnv(t, 2)
+	var log membershipLog
+	e.rm.SetAudit(&log)
 	m := e.manager(t, ManagerConfig{})
 	id, err := m.Join("", true)
 	if err != nil {
@@ -104,6 +126,11 @@ func TestManagerJoinDrainLeaveAcrossLayers(t *testing.T) {
 	// The departed id can rejoin as a fresh machine.
 	if _, err := m.Join(id, false); err != nil {
 		t.Fatalf("rejoin: %v", err)
+	}
+	// The RM told its audit hook of every transition, in order.
+	want := "[0:node-02:join 0:node-02:drain 0:node-02:leave 0.25:node-02:join]"
+	if got := fmt.Sprint(log.events); got != want {
+		t.Fatalf("membership transitions = %s, want %s", got, want)
 	}
 }
 
@@ -181,17 +208,15 @@ func TestSpotChaosIsDeterministic(t *testing.T) {
 		e := newEnv(t, 2)
 		m := e.manager(t, ManagerConfig{Protected: []string{"node-00"}, SpotNoticeSec: 30})
 		m.AddNodes(4, true)
-		var events []string
-		e.rm.OnMembership(func(now float64, node, event string) {
-			events = append(events, fmt.Sprintf("%g:%s:%s", now, node, event))
-		})
+		var log membershipLog
+		e.rm.SetAudit(&log)
 		plan, err := chaos.Parse("spotrate=0.5;spotnotice=30;spotevery=20", 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan.ArmSpot(e.eng, m, 200)
 		e.eng.Run()
-		return m.Notices, m.Leaves, events
+		return m.Notices, m.Leaves, log.events
 	}
 	n1, l1, ev1 := run()
 	n2, l2, ev2 := run()

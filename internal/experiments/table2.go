@@ -9,7 +9,6 @@ import (
 	"hiway/internal/hdfs"
 	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
-	"hiway/internal/wf"
 	"hiway/internal/workloads"
 	"hiway/internal/yarn"
 )
@@ -274,5 +273,3 @@ func (r *Table2Result) RenderFig6() string {
 		"(CPU: uptime-style load; disk: iostat busy fraction; net: ifstat throughput)\n" +
 		table(headers, rows)
 }
-
-var _ = wf.NextID

@@ -51,6 +51,24 @@ func TestHistoryBoundedWindowAndQuantiles(t *testing.T) {
 	}
 }
 
+// A server builds one Manager per run, and most of its signatures see a
+// handful of samples: the ring must cost what it holds, not the window.
+func TestDurationRingGrowsWithItsSamples(t *testing.T) {
+	h := make(history)
+	for _, v := range []float64{10, 20, 30} {
+		h.add("sig", v)
+	}
+	if c := cap(h["sig"].buf); c > 4 {
+		t.Fatalf("3 samples hold room for %d, want at most 4", c)
+	}
+	for i := 0; i < 3*historyWindow; i++ {
+		h.add("sig", float64(i))
+	}
+	if n := len(h["sig"].buf); n != historyWindow {
+		t.Fatalf("full ring holds %d samples, want %d", n, historyWindow)
+	}
+}
+
 // The memo table sits above provenance (core splices what provenance
 // recorded); provenance must not reach back up, directly or through
 // anything it imports.

@@ -2,39 +2,34 @@ package provenance
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"hiway/internal/obs"
 	"hiway/internal/wf"
 )
 
-// Manager gathers, stores, and serves provenance (§3.5). It appends every
-// event to the configured Store and maintains in-memory indexes that answer
-// the Workflow Scheduler's queries: the latest observed runtime of a task
-// signature on a compute node, the set of nodes a signature has run on, and
-// observed file sizes and transfer times.
-//
-// Following the paper's estimation strategy, the runtime estimate for a
-// (signature, node) pair is always the latest observation, so the scheduler
-// adapts quickly to performance changes in the infrastructure.
 // flushEvery is the buffered-append high-water mark: Record hands events to
 // the store in batches of this size (or earlier, at an explicit Flush).
 const flushEvery = 128
 
+// Manager gathers, stores, and serves provenance (§3.5). It appends every
+// event to the configured Store and keeps a hot index of exactly what is
+// read while workflows run: per task signature, the latest observed runtime
+// on each compute node and their mean (the Workflow Scheduler's estimates),
+// a version that moves with every observation, and the recent successful
+// durations behind the p95 attempt deadline. File sizes and transfer times
+// are not indexed here — they stay in every event, and provenance.Index is
+// what lineage queries read them from.
+//
+// Following the paper's estimation strategy, the runtime estimate for a
+// (signature, node) pair is always the latest observation, so the scheduler
+// adapts quickly to performance changes in the infrastructure.
 type Manager struct {
 	mu    sync.Mutex
 	store Store
 	buf   []Event // recorded but not yet handed to the store
 
-	lastRuntime map[string]map[string]float64 // signature → node → latest duration
-	runtimeSum  map[string]float64            // signature → Σ lastRuntime values (O(1) mean)
-	estVer      map[string]uint64             // signature → observation version
-	history     history                       // signature → bounded ring of successful durations
-	fileSizes   map[string]float64            // path → size MB
-	transferSec map[string]float64            // path → latest transfer time
-	signatures  map[string]bool
-	nodes       map[string]bool
+	hist history // signature → what has been observed of it
 
 	taskCount     int64
 	workflowCount int64
@@ -57,17 +52,7 @@ func (m *Manager) SetObs(o *obs.Obs) {
 // runs immediately informs adaptive scheduling (the mechanism behind the
 // paper's Fig. 9).
 func NewManager(store Store) (*Manager, error) {
-	m := &Manager{
-		store:       store,
-		lastRuntime: make(map[string]map[string]float64),
-		runtimeSum:  make(map[string]float64),
-		estVer:      make(map[string]uint64),
-		history:     make(history),
-		fileSizes:   make(map[string]float64),
-		transferSec: make(map[string]float64),
-		signatures:  make(map[string]bool),
-		nodes:       make(map[string]bool),
-	}
+	m := &Manager{store: store, hist: make(history)}
 	if err := scanEvents(store, m.index); err != nil {
 		return nil, fmt.Errorf("provenance: loading prior events: %w", err)
 	}
@@ -174,7 +159,7 @@ func (m *Manager) RecordTaskEnd(wfID, wfName string, res *wf.TaskResult, inputSi
 	return m.Record(TaskEndEvent(wfID, wfName, res, inputSizes))
 }
 
-// index updates the scheduler-facing indexes from one event.
+// index updates the hot index from one event.
 func (m *Manager) index(ev *Event) {
 	switch ev.Type {
 	case TaskEnd:
@@ -182,40 +167,15 @@ func (m *Manager) index(ev *Event) {
 		if ev.Signature == "" {
 			return
 		}
-		m.signatures[ev.Signature] = true
 		if ev.Node != "" {
-			m.nodes[ev.Node] = true
-			byNode := m.lastRuntime[ev.Signature]
-			if byNode == nil {
-				byNode = make(map[string]float64)
-				m.lastRuntime[ev.Signature] = byNode
-			}
-			old, seen := byNode[ev.Node]
-			byNode[ev.Node] = ev.DurationSec
-			if seen {
-				m.runtimeSum[ev.Signature] += ev.DurationSec - old
-			} else {
-				m.runtimeSum[ev.Signature] += ev.DurationSec
-			}
-			m.estVer[ev.Signature]++
+			m.hist.observe(ev.Signature, ev.Node, ev.DurationSec)
 		}
 		// Only successful attempts feed the runtime distribution; a crashed
 		// or killed attempt's duration says nothing about how long the task
 		// legitimately takes, and a memo-spliced completion (duration 0)
 		// reflects no execution at all.
 		if ev.ExitCode == 0 && ev.Error == "" && ev.DurationSec > 0 {
-			m.history.add(ev.Signature, ev.DurationSec)
-		}
-		for _, files := range [2][]FileEvent{ev.Inputs, ev.Outputs} {
-			for i := range files {
-				f := &files[i]
-				if f.SizeMB > 0 {
-					m.fileSizes[f.Path] = f.SizeMB
-				}
-				if f.TransferSec > 0 {
-					m.transferSec[f.Path] = f.TransferSec
-				}
-			}
+			m.hist.add(ev.Signature, ev.DurationSec)
 		}
 	case WorkflowEnd:
 		m.workflowCount++
@@ -228,11 +188,11 @@ func (m *Manager) index(ev *Event) {
 func (m *Manager) LastRuntime(signature, node string) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byNode, ok := m.lastRuntime[signature]
-	if !ok {
+	r := m.hist[signature]
+	if r == nil {
 		return 0, false
 	}
-	d, ok := byNode[node]
+	d, ok := r.byNode[node]
 	return d, ok
 }
 
@@ -242,11 +202,11 @@ func (m *Manager) LastRuntime(signature, node string) (float64, bool) {
 func (m *Manager) MeanRuntime(signature string) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byNode, ok := m.lastRuntime[signature]
-	if !ok || len(byNode) == 0 {
+	r := m.hist[signature]
+	if r == nil || len(r.byNode) == 0 {
 		return 0, false
 	}
-	return m.runtimeSum[signature] / float64(len(byNode)), true
+	return r.sum / float64(len(r.byNode)), true
 }
 
 // EstimateVersion returns a counter that advances with every new runtime
@@ -255,53 +215,23 @@ func (m *Manager) MeanRuntime(signature string) (float64, bool) {
 func (m *Manager) EstimateVersion(signature string) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.estVer[signature]
+	if r := m.hist[signature]; r != nil {
+		return r.ver
+	}
+	return 0
 }
 
 // RuntimeP95 returns the 95th-percentile duration over the bounded window
 // of recent successful observations of signature (any node). The
 // fault-tolerance layer derives attempt deadlines from it: deadline =
 // p95 × slack. ok is false when the signature has never completed
-// successfully. The distribution lives in the Manager's history ring (the
-// last 256 observations per signature), so memory stays bounded under soak
-// and the sorted window is cached between observations instead of re-sorted
-// per query.
+// successfully. The distribution lives in the signature's duration ring (the
+// last 256 observations), so memory stays bounded under soak and the sorted
+// window is cached between observations instead of re-sorted per query.
 func (m *Manager) RuntimeP95(signature string) (float64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.history.quantile(signature, 0.95)
-}
-
-// ObservedNodes returns the nodes that signature has run on, sorted.
-func (m *Manager) ObservedNodes(signature string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for n := range m.lastRuntime[signature] {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Signatures returns all observed task signatures, sorted.
-func (m *Manager) Signatures() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for s := range m.signatures {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FileSizeMB returns the latest observed size of a file.
-func (m *Manager) FileSizeMB(path string) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.fileSizes[path]
-	return s, ok
+	return m.hist.quantile(signature, 0.95)
 }
 
 // Counts returns the number of indexed task-end and workflow-end events.

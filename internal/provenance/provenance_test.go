@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hiway/internal/provdb"
 	"hiway/internal/wf"
@@ -56,17 +58,17 @@ func TestManagerRecordsAndIndexes(t *testing.T) {
 	if _, ok := m.LastRuntime("ghost", "node-00"); ok {
 		t.Fatal("unobserved signature must report ok=false")
 	}
-	if nodes := m.ObservedNodes("bowtie2"); len(nodes) != 1 || nodes[0] != "node-00" {
-		t.Fatalf("nodes = %v", nodes)
+	if d, ok := m.MeanRuntime("bowtie2"); !ok || d != 120 {
+		t.Fatalf("MeanRuntime = %g %v", d, ok)
 	}
-	if sigs := m.Signatures(); len(sigs) != 1 || sigs[0] != "bowtie2" {
-		t.Fatalf("signatures = %v", sigs)
+	if d, ok := m.RuntimeP95("bowtie2"); !ok || d != 120 {
+		t.Fatalf("RuntimeP95 = %g %v", d, ok)
 	}
-	if s, ok := m.FileSizeMB("out.dat"); !ok || s != 10 {
-		t.Fatalf("file size = %g %v", s, ok)
+	if v := m.EstimateVersion("bowtie2"); v != 1 {
+		t.Fatalf("EstimateVersion = %d after one observation", v)
 	}
-	if s, ok := m.FileSizeMB("in.dat"); !ok || s != 5 {
-		t.Fatalf("input size = %g %v", s, ok)
+	if v := m.EstimateVersion("ghost"); v != 0 {
+		t.Fatalf("EstimateVersion = %d for an unobserved signature", v)
 	}
 	tasks, wfs := m.Counts()
 	if tasks != 1 || wfs != 1 {
@@ -75,6 +77,12 @@ func TestManagerRecordsAndIndexes(t *testing.T) {
 	events, _ := m.Store().Events()
 	if len(events) != 4 {
 		t.Fatalf("stored %d events, want 4", len(events))
+	}
+	// File sizes are not indexed by the Manager: they live in the event.
+	end := events[2]
+	if end.Type != TaskEnd || len(end.Inputs) != 1 || end.Inputs[0].SizeMB != 5 ||
+		len(end.Outputs) != 1 || end.Outputs[0].SizeMB != 10 {
+		t.Fatalf("task-end event lost its file sizes: %+v", end)
 	}
 }
 
@@ -123,6 +131,23 @@ func twoRuns() (evs []Event, paths []string) {
 		}
 	}
 	return evs, paths
+}
+
+// readState renders everything a Manager answers about twoRuns' signatures
+// (sig0…sig3), the "tool" signature the tests add, and one never observed,
+// on twoRuns' nodes and one that ran nothing.
+func readState(m *Manager) string {
+	var sb strings.Builder
+	for _, sig := range []string{"sig0", "sig1", "sig2", "sig3", "tool", "ghost"} {
+		fmt.Fprintf(&sb, "%s: mean %v, p95 %v, version %d, last",
+			sig, fmt.Sprint(m.MeanRuntime(sig)), fmt.Sprint(m.RuntimeP95(sig)), m.EstimateVersion(sig))
+		for _, node := range []string{"n0", "n1", "n2", "n9"} {
+			fmt.Fprintf(&sb, " %s=%v", node, fmt.Sprint(m.LastRuntime(sig, node)))
+		}
+		sb.WriteByte('\n')
+	}
+	fmt.Fprintf(&sb, "counts %v\n", fmt.Sprint(m.Counts()))
+	return sb.String()
 }
 
 // queryTexts renders every lineage, the diff of the two runs and the memo
@@ -187,29 +212,63 @@ func TestManagerLoadsPriorEvents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := fmt.Sprint(m3.Signatures()), fmt.Sprint(m2.Signatures()); got != want {
-				t.Fatalf("signatures %s, recorded %s", got, want)
-			}
-			for _, sig := range m2.Signatures() {
-				if got, want := fmt.Sprint(m3.MeanRuntime(sig)), fmt.Sprint(m2.MeanRuntime(sig)); got != want {
-					t.Fatalf("%s: mean runtime %s, recorded %s", sig, got, want)
+			recorded := readState(m2)
+			for _, sig := range []string{"sig0", "sig1", "sig2", "sig3", "tool"} {
+				if _, ok := m2.MeanRuntime(sig); !ok {
+					t.Fatalf("the fixture never ran %s:\n%s", sig, recorded)
 				}
-				if got, want := fmt.Sprint(m3.RuntimeP95(sig)), fmt.Sprint(m2.RuntimeP95(sig)); got != want {
-					t.Fatalf("%s: p95 %s, recorded %s", sig, got, want)
+				if _, ok := m2.RuntimeP95(sig); !ok {
+					t.Fatalf("the fixture never finished %s:\n%s", sig, recorded)
 				}
 			}
-			for _, p := range paths {
-				if got, want := fmt.Sprint(m3.FileSizeMB(p)), fmt.Sprint(m2.FileSizeMB(p)); got != want {
-					t.Fatalf("%s: size %s, recorded %s", p, got, want)
-				}
-			}
-			if got, want := fmt.Sprint(m3.Counts()), fmt.Sprint(m2.Counts()); got != want {
-				t.Fatalf("counts %s, recorded %s", got, want)
+			if got := readState(m3); got != recorded {
+				t.Fatalf("loaded:\n%s\nrecorded:\n%s", got, recorded)
 			}
 			if got := queryTexts(t, store, paths); got != want {
 				t.Fatalf("queries differ from a MemStore's:\n%s\nwant:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// allocatedBy returns the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A growing MemStore must not re-copy its log at append's 1.25× steps (5.3×
+// the final size for a sim-wide run's 20,000 events), and a store fed one
+// batch — every small run of a server — must allocate that batch and no more.
+func TestMemStoreGrowthCopiesLittle(t *testing.T) {
+	const total, batchLen = 20000, 128
+	const evSize = uint64(unsafe.Sizeof(Event{}))
+	batch := make([]Event, batchLen)
+	st := NewMemStore()
+	got := allocatedBy(func() {
+		for n := 0; n < total; n += batchLen {
+			if err := st.AppendBatch(batch[:min(batchLen, total-n)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n := len(st.View()); n != total {
+		t.Fatalf("store holds %d events, want %d", n, total)
+	}
+	if limit := total * evSize * 35 / 10; got > limit {
+		t.Fatalf("appending %d events allocated %d bytes, %.1f× the log; want at most 3.5×",
+			total, got, float64(got)/float64(total*evSize))
+	}
+
+	one := NewMemStore()
+	got = allocatedBy(func() { _ = one.AppendBatch(batch[:90]) })
+	// 90 events round up to the allocator's next size class, not to a chunk.
+	if limit := 90 * evSize * 11 / 10; cap(one.events) != 90 || got > limit {
+		t.Fatalf("one 90-event batch: capacity %d, %d bytes allocated; want 90 and at most %d",
+			cap(one.events), got, limit)
 	}
 }
 

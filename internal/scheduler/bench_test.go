@@ -136,21 +136,6 @@ func BenchmarkDataAwareChurn(b *testing.B) {
 	churn(b, func() Scheduler { return NewDataAware(oracle) }, tasks, 256)
 }
 
-// BenchmarkDataAwareChurnScan forces the linear-scan fallback (a plain
-// LocalityOracle without candidate indexing) for comparison.
-func BenchmarkDataAwareChurnScan(b *testing.B) {
-	tasks := benchTasks(4000, 8)
-	oracle := &benchOracle{nodes: benchNodeIDs(256)}
-	churn(b, func() Scheduler { return NewDataAware(scanOnly{oracle}) }, tasks, 256)
-}
-
-// scanOnly hides the CandidateOracle methods of the wrapped oracle.
-type scanOnly struct{ o *benchOracle }
-
-func (s scanOnly) LocalFraction(paths []string, nodeID string) float64 {
-	return s.o.LocalFraction(paths, nodeID)
-}
-
 func BenchmarkAdaptiveGreedyChurn(b *testing.B) {
 	tasks := benchTasks(4000, 8)
 	churn(b, func() Scheduler { return NewAdaptiveGreedy(benchEstimator{}) }, tasks, 256)

@@ -74,7 +74,7 @@ func TestSchedulersDeclineBlacklistedNodes(t *testing.T) {
 
 	task := wf.NewTask("tool", nil, []wf.FileInfo{{Path: "o", SizeMB: 1}})
 
-	for _, s := range []Scheduler{NewFCFS(), NewDataAware(fracOracle{}), NewAdaptiveGreedy(zeroEstimator{})} {
+	for _, s := range []Scheduler{NewFCFS(), NewDataAware(&fakeLocality{}), NewAdaptiveGreedy(zeroEstimator{})} {
 		ha, ok := s.(HealthAware)
 		if !ok {
 			t.Fatalf("%s does not implement HealthAware", s.Name())
@@ -277,10 +277,6 @@ func TestAllNodesBlacklistedSchedulerWithholdsUntilExpiry(t *testing.T) {
 		t.Fatalf("Select(n1) = %v after expiry, want the queued task", got)
 	}
 }
-
-type fracOracle struct{}
-
-func (fracOracle) LocalFraction(paths []string, nodeID string) float64 { return 0 }
 
 type zeroEstimator struct{}
 

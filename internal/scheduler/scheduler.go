@@ -27,12 +27,12 @@ type LocalityOracle interface {
 	LocalFraction(paths []string, nodeID string) float64
 }
 
-// CandidateOracle is the optional fast-path extension of LocalityOracle:
-// CandidateNodes must return a superset of the nodes where LocalFraction of
-// the paths is positive, and LocalityEpoch must advance whenever the
-// locality of an existing file can change. hdfs.FS implements it; when the
-// oracle does, DataAware indexes queued tasks by node instead of scanning
-// the whole queue per freed container.
+// CandidateOracle is the extension of LocalityOracle the data-aware policy
+// needs to index queued tasks by node instead of scanning the whole queue
+// per freed container: CandidateNodes must return a superset of the nodes
+// where LocalFraction of the paths is positive, and LocalityEpoch must
+// advance whenever the locality of an existing file can change. hdfs.FS
+// implements it.
 type CandidateOracle interface {
 	LocalityOracle
 	CandidateNodes(paths []string) []string
@@ -110,17 +110,19 @@ const (
 )
 
 // New builds a scheduler by policy name. The data-aware policy requires a
-// locality oracle; HEFT and adaptive-greedy require an estimator.
+// locality oracle that is a CandidateOracle; HEFT and adaptive-greedy require
+// an estimator.
 func New(policy string, deps Deps) (Scheduler, error) {
 	var s Scheduler
 	switch policy {
 	case PolicyFCFS, "greedy", "":
 		s = NewFCFS()
 	case PolicyDataAware:
-		if deps.Locality == nil {
-			return nil, fmt.Errorf("scheduler: data-aware policy needs a locality oracle")
+		cand, ok := deps.Locality.(CandidateOracle)
+		if !ok {
+			return nil, fmt.Errorf("scheduler: data-aware policy needs a locality oracle that is a CandidateOracle, got %T", deps.Locality)
 		}
-		s = NewDataAware(deps.Locality)
+		s = NewDataAware(cand)
 	case PolicyRoundRobin:
 		s = NewRoundRobin()
 	case PolicyHEFT:
@@ -295,23 +297,17 @@ type daScored struct {
 // the highest fraction of input data locally available (in HDFS) on the
 // hosting node. Ties fall back to arrival order.
 //
-// With a plain LocalityOracle every Select scans the whole queue. With a
-// CandidateOracle (hdfs.FS) the queue is indexed: each ready task is scored
-// once into per-node buckets covering every node where its locality is
-// positive, so Select only examines the handful of tasks with data on the
-// freed node, falling back to plain FIFO order when none has any. Buckets
-// are rebuilt when the oracle's locality epoch moves (node death, deletes,
-// re-replication — rare), and stale entries are dropped lazily.
+// The queue is indexed: each ready task is scored once into per-node buckets
+// covering every node where its locality is positive, so Select only
+// examines the handful of tasks with data on the freed node, falling back to
+// plain FIFO order when none has any. Buckets are rebuilt when the oracle's
+// locality epoch moves (node death, deletes, re-replication — rare), and
+// stale entries are dropped lazily.
 type DataAware struct {
 	healthGate
 	obsSink
-	locality LocalityOracle
-	cand     CandidateOracle // nil → linear-scan fallback
+	locality CandidateOracle
 
-	// linear-scan fallback state
-	queue []*wf.Task
-
-	// indexed fast-path state
 	queued  map[int64]*daEntry // task ID → live entry
 	fifo    []*daEntry         // arrival order (zero-locality fallback)
 	head    int                // first possibly-live fifo slot
@@ -321,15 +317,13 @@ type DataAware struct {
 }
 
 // NewDataAware returns the policy backed by the given locality oracle.
-func NewDataAware(locality LocalityOracle) *DataAware {
-	s := &DataAware{locality: locality}
-	if c, ok := locality.(CandidateOracle); ok {
-		s.cand = c
-		s.queued = make(map[int64]*daEntry)
-		s.buckets = make(map[string][]daScored)
-		s.epoch = c.LocalityEpoch()
+func NewDataAware(locality CandidateOracle) *DataAware {
+	return &DataAware{
+		locality: locality,
+		queued:   make(map[int64]*daEntry),
+		buckets:  make(map[string][]daScored),
+		epoch:    locality.LocalityEpoch(),
 	}
-	return s
 }
 
 // Name implements Scheduler.
@@ -337,10 +331,6 @@ func (s *DataAware) Name() string { return PolicyDataAware }
 
 // OnTaskReady implements Scheduler.
 func (s *DataAware) OnTaskReady(t *wf.Task) {
-	if s.cand == nil {
-		s.queue = append(s.queue, t)
-		return
-	}
 	s.maybeInvalidate()
 	s.seq++
 	e := &daEntry{t: t, seq: s.seq}
@@ -352,7 +342,7 @@ func (s *DataAware) OnTaskReady(t *wf.Task) {
 // score inserts the entry into the bucket of every node where its inputs
 // have positive locality.
 func (s *DataAware) score(e *daEntry) {
-	for _, n := range s.cand.CandidateNodes(e.t.Inputs) {
+	for _, n := range s.locality.CandidateNodes(e.t.Inputs) {
 		if frac := s.locality.LocalFraction(e.t.Inputs, n); frac > 0 {
 			s.buckets[n] = append(s.buckets[n], daScored{e: e, frac: frac})
 		}
@@ -362,7 +352,7 @@ func (s *DataAware) score(e *daEntry) {
 // maybeInvalidate rebuilds all buckets when the oracle's locality epoch has
 // moved since they were scored.
 func (s *DataAware) maybeInvalidate() {
-	ep := s.cand.LocalityEpoch()
+	ep := s.locality.LocalityEpoch()
 	if ep == s.epoch {
 		return
 	}
@@ -381,9 +371,6 @@ func (s *DataAware) Placement(*wf.Task) (string, bool) { return "", false }
 
 // Select implements Scheduler.
 func (s *DataAware) Select(node string) *wf.Task {
-	if s.cand == nil {
-		return s.selectScan(node)
-	}
 	s.maybeInvalidate()
 	if len(s.queued) == 0 {
 		return nil
@@ -418,8 +405,7 @@ func (s *DataAware) Select(node string) *wf.Task {
 		s.buckets[node] = b[:w]
 	}
 	if best == nil {
-		// No local data anywhere on this node: plain arrival order, exactly
-		// what the linear scan degenerates to when every fraction is zero.
+		// No queued task has data on this node: plain arrival order.
 		bestFrac = 0
 		for s.head < len(s.fifo) {
 			e := s.fifo[s.head]
@@ -444,35 +430,5 @@ func (s *DataAware) Select(node string) *wf.Task {
 	return best.t
 }
 
-// selectScan is the O(queue) fallback for plain locality oracles.
-func (s *DataAware) selectScan(node string) *wf.Task {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	if !s.nodeOK(node) {
-		s.noteDecline(PolicyDataAware, node, obs.OutcomeBlacklist, len(s.queue), 0)
-		return nil
-	}
-	queuedBefore := len(s.queue)
-	best, bestFrac := 0, -1.0
-	for i, t := range s.queue {
-		frac := s.locality.LocalFraction(t.Inputs, node)
-		if frac > bestFrac {
-			best, bestFrac = i, frac
-		}
-	}
-	t := s.queue[best]
-	copy(s.queue[best:], s.queue[best+1:])
-	s.queue[len(s.queue)-1] = nil
-	s.queue = s.queue[:len(s.queue)-1]
-	s.noteAssign(PolicyDataAware, node, t, queuedBefore, queuedBefore, bestFrac)
-	return t
-}
-
 // Queued implements Scheduler.
-func (s *DataAware) Queued() int {
-	if s.cand == nil {
-		return len(s.queue)
-	}
-	return len(s.queued)
-}
+func (s *DataAware) Queued() int { return len(s.queued) }

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"hiway/internal/wf"
@@ -15,10 +16,36 @@ func mkTask(name string, inputs []string, outputs ...string) *wf.Task {
 	return wf.NewTask(name, inputs, fis)
 }
 
-// fakeLocality maps "taskInput→node" fractions.
+// fakeLocality maps "taskInput→node" fractions. It is a CandidateOracle, as
+// hdfs.FS is: a test that rewrites frac moves epoch along with it.
 type fakeLocality struct {
-	frac map[string]map[string]float64 // input path → node → fraction
+	frac  map[string]map[string]float64 // input path → node → fraction
+	epoch uint64
 }
+
+func (f *fakeLocality) CandidateNodes(paths []string) []string {
+	seen := map[string]bool{}
+	for _, p := range paths {
+		for n, frac := range f.frac[p] {
+			if frac > 0 {
+				seen[n] = true
+			}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (f *fakeLocality) LocalityEpoch() uint64 { return f.epoch }
+
+// plainLocality answers fractions but cannot list candidate nodes.
+type plainLocality struct{}
+
+func (plainLocality) LocalFraction([]string, string) float64 { return 0 }
 
 func (f *fakeLocality) LocalFraction(paths []string, node string) float64 {
 	if len(paths) == 0 {
@@ -70,6 +97,9 @@ func TestNewFactory(t *testing.T) {
 	}
 	if _, err := New(PolicyDataAware, Deps{}); err == nil {
 		t.Fatal("data-aware without oracle must fail")
+	}
+	if _, err := New(PolicyDataAware, Deps{Locality: plainLocality{}}); err == nil {
+		t.Fatal("data-aware with an oracle that cannot list candidate nodes must fail")
 	}
 	if _, err := New(PolicyHEFT, Deps{}); err == nil {
 		t.Fatal("HEFT without estimator must fail")
@@ -139,6 +169,42 @@ func TestDataAwareTieFallsBackToFIFO(t *testing.T) {
 	s.OnTaskReady(t2)
 	if got := s.Select("n"); got != t1 {
 		t.Fatalf("tie should pick FIFO head, got %v", got)
+	}
+}
+
+// Locality changes under queued tasks (a node dies, a file is re-replicated):
+// the oracle's epoch moves, the buckets are re-scored, and the choice follows
+// the new locality instead of the one the tasks were queued under.
+func TestDataAwareRescoresWhenTheEpochMoves(t *testing.T) {
+	loc := &fakeLocality{frac: map[string]map[string]float64{
+		"f1": {"node-00": 1.0},
+		"f2": {"node-01": 1.0},
+	}}
+	s := NewDataAware(loc)
+	t1 := mkTask("t1", []string{"f1"}, "o1")
+	t2 := mkTask("t2", []string{"f2"}, "o2")
+	t3 := mkTask("t3", []string{"f3"}, "o3")
+	for _, task := range []*wf.Task{t1, t2, t3} {
+		s.OnTaskReady(task)
+	}
+	// The two files trade places and f3 gains a replica beside f1.
+	loc.frac = map[string]map[string]float64{
+		"f1": {"node-01": 1.0},
+		"f2": {"node-00": 1.0},
+		"f3": {"node-01": 0.5},
+	}
+	loc.epoch++
+	if got := s.Select("node-00"); got != t2 {
+		t.Fatalf("node-00 got %v, want t2: its file moved there", got)
+	}
+	if got := s.Select("node-01"); got != t1 {
+		t.Fatalf("node-01 got %v, want t1: fully local beats t3's half", got)
+	}
+	if got := s.Select("node-01"); got != t3 {
+		t.Fatalf("node-01 got %v, want t3", got)
+	}
+	if got := s.Select("node-01"); got != nil || s.Queued() != 0 {
+		t.Fatalf("drained scheduler handed out %v with %d queued", got, s.Queued())
 	}
 }
 

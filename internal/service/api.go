@@ -220,12 +220,12 @@ type TimedSubmission struct {
 }
 
 // SeededSubmissions pre-generates the open-loop arrival schedule for the
-// profiles over [0, durationSec): per-tenant Poisson substreams (the same
-// substream discipline as Service.Start, so adding a tenant does not
-// perturb the others) with per-tenant sequence-numbered run names wNNN.
-// The same (seed, profiles, duration) triple always yields the same
-// submission list — it is the shared ground truth that the deterministic
-// replay and a live HTTP load test compare against.
+// profiles over [0, durationSec): per-tenant Poisson substreams (so adding
+// a tenant does not perturb the others) with per-tenant sequence-numbered
+// run names wNNN. The same (seed, profiles, duration) triple always yields
+// the same submission list — it is the one arrival generator: Service.Start
+// schedules it, the deterministic replay submits it, and a live HTTP load
+// test compares against it.
 func SeededSubmissions(seed int64, profiles []TenantProfile, durationSec float64) []TimedSubmission {
 	type arrival struct {
 		at      float64

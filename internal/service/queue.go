@@ -40,6 +40,7 @@ func (g *fifoGate[T]) Next() (T, bool) {
 		return zero, false
 	}
 	x := g.queue[0]
+	g.queue[0] = zero // the backing array must not keep what was admitted
 	g.queue = g.queue[1:]
 	g.running++
 	return x, true

@@ -109,8 +109,10 @@ func (c *ServerConfig) setDefaults() {
 	}
 }
 
-// Run is one submitted workflow's server-side record: identity, lifecycle
-// timestamps, the SSE event log, and the run's private provenance buffer.
+// Run is one submitted workflow's server-side record, kept for the server's
+// lifetime: identity, lifecycle timestamps, the SSE event log, and the run's
+// private provenance buffer. What executing the run needs lives in its runJob
+// and goes when the run ends.
 type Run struct {
 	// ID is "<tenant>-<name>", unique for the server's lifetime.
 	ID string
@@ -119,11 +121,8 @@ type Run struct {
 	// Name is the client-chosen run name.
 	Name string
 
-	req    SubmitRequest
-	driver wf.Driver
-	inputs []workloads.Input
-	prov   *provenance.MemStore
-	done   chan struct{}
+	prov *provenance.MemStore
+	done chan struct{}
 
 	mu             sync.Mutex
 	state          string
@@ -209,12 +208,35 @@ func (r *Run) subscribe() (ch chan RunEvent, replay []RunEvent, cancel func()) {
 	}
 }
 
+// runJob is what executing an accepted run needs and the API never serves:
+// the parsed workflow, the inputs to stage, and the settings resolved from the
+// request. It travels through the admission gate to whatever executes the run
+// and is unreachable once runWorkflow returns, so a terminal run retains
+// neither its payload nor its task graph.
+type runJob struct {
+	run    *Run
+	driver wf.Driver
+	inputs []workloads.Input
+	policy string
+	// memoPrefix is the run-private path root stripped from memo keys, so
+	// identical workload specs hit across runs and tenants; empty for source
+	// submissions, which keep their payload-chosen paths verbatim.
+	memoPrefix string
+}
+
 // rejectRecord accumulates 429s for a run ID that has not been accepted yet,
 // so the eventual Run carries its full submission history.
 type rejectRecord struct {
 	count   int
 	firstAt float64
 }
+
+// rejectHistoryPerQueueSlot bounds Server.rejects at this many records per
+// MaxQueue slot. A record goes only when its ID is accepted, so without a
+// bound every name a client gave up on would stay for the life of the
+// process. At the bound a new ID's rejection is still counted and answered
+// 429 but not recorded; its eventual run starts its history at acceptance.
+const rejectHistoryPerQueueSlot = 16
 
 // Server is the concurrent network front-end: it accepts workflow
 // submissions over HTTP, routes them through the same fifoGate admission
@@ -237,7 +259,7 @@ type Server struct {
 	vnow  float64 // virtual clock (deterministic mode only)
 
 	mu            sync.Mutex
-	gate          *fifoGate[*Run]
+	gate          *fifoGate[*runJob]
 	inflight      map[string]int // per-tenant queued+running
 	rejects       map[string]*rejectRecord
 	admitted      []*Run // admission order, for the provenance merge
@@ -249,7 +271,7 @@ type Server struct {
 	prov      *provIndex // what GET /v1/provenance answers from
 	drainedCh chan struct{}
 	wg        sync.WaitGroup
-	detReady  []*Run // admitted, awaiting serial execution (deterministic mode)
+	detReady  []*runJob // admitted, awaiting serial execution (deterministic mode)
 
 	submittedC *obs.Counter
 	acceptedC  *obs.Counter
@@ -282,7 +304,7 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 		tenants:   make(map[string]*TenantProfile, len(profiles)),
 		policies:  TenantPolicies(profiles),
 		start:     time.Now(),
-		gate:      newFifoGate[*Run](cfg.MaxConcurrent, cfg.MaxQueue),
+		gate:      newFifoGate[*runJob](cfg.MaxConcurrent, cfg.MaxQueue),
 		inflight:  make(map[string]int),
 		rejects:   make(map[string]*rejectRecord),
 		runs:      newRunRegistry(),
@@ -383,6 +405,13 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 	if err != nil {
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
 	}
+	j := &runJob{driver: driver, inputs: inputs, policy: req.Policy}
+	if j.policy == "" {
+		j.policy = s.cfg.Policy
+	}
+	if req.Workload != nil {
+		j.memoPrefix = fmt.Sprintf("/svc/%s/%s", req.Tenant, req.Name)
+	}
 	id := req.Tenant + "-" + req.Name
 	now := s.now()
 	prof := s.tenants[req.Tenant]
@@ -399,11 +428,13 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 	overQuota := prof.MaxInFlight > 0 && s.inflight[req.Tenant] >= prof.MaxInFlight
 	if overQuota || s.gate.Full() {
 		rej := s.rejects[id]
-		if rej == nil {
+		if rej == nil && len(s.rejects) < rejectHistoryPerQueueSlot*s.cfg.MaxQueue {
 			rej = &rejectRecord{firstAt: now}
 			s.rejects[id] = rej
 		}
-		rej.count++
+		if rej != nil {
+			rej.count++
+		}
 		s.rejectedC.Inc()
 		retry := s.cfg.RetryAfterSec
 		s.mu.Unlock()
@@ -420,9 +451,6 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 		ID:     id,
 		Tenant: req.Tenant,
 		Name:   req.Name,
-		req:    *req,
-		driver: driver,
-		inputs: inputs,
 		prov:   provenance.NewMemStore(),
 		done:   make(chan struct{}),
 		state:  StateQueued,
@@ -433,9 +461,10 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 		r.submitAt = rej.firstAt
 		delete(s.rejects, id)
 	}
+	j.run = r
 	s.runs.Store(id, r)
 	s.inflight[req.Tenant]++
-	s.gate.Enqueue(r)
+	s.gate.Enqueue(j)
 	s.acceptedC.Inc()
 	admitted := s.dispatchLocked()
 	s.mu.Unlock()
@@ -453,20 +482,20 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 // Unlike the simulated Service, a Server run is always launchable (each run
 // brings its own substrate), so the gate never needs a Requeue here. Called
 // with s.mu held; the returned runs must be handed to launch after unlock.
-func (s *Server) dispatchLocked() []*Run {
-	var admitted []*Run
+func (s *Server) dispatchLocked() []*runJob {
+	var admitted []*runJob
 	now := s.now()
 	for {
-		r, ok := s.gate.Next()
+		j, ok := s.gate.Next()
 		if !ok {
 			break
 		}
-		r.mu.Lock()
-		r.state = StateRunning
-		r.admitAt = now
-		r.mu.Unlock()
-		s.admitted = append(s.admitted, r)
-		admitted = append(admitted, r)
+		j.run.mu.Lock()
+		j.run.state = StateRunning
+		j.run.admitAt = now
+		j.run.mu.Unlock()
+		s.admitted = append(s.admitted, j.run)
+		admitted = append(admitted, j)
 	}
 	if n := s.gate.Running(); n > s.peak {
 		s.peak = n
@@ -479,8 +508,9 @@ func (s *Server) dispatchLocked() []*Run {
 
 // launch starts execution of freshly admitted runs: one goroutine per AM in
 // real mode, a serial ready-list in deterministic mode.
-func (s *Server) launch(admitted []*Run) {
-	for _, r := range admitted {
+func (s *Server) launch(admitted []*runJob) {
+	for _, j := range admitted {
+		r := j.run
 		r.mu.Lock()
 		at := r.admitAt
 		r.mu.Unlock()
@@ -489,18 +519,19 @@ func (s *Server) launch(admitted []*Run) {
 			if s.cfg.Hook != nil {
 				s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
 			}
-			s.detReady = append(s.detReady, r)
+			s.detReady = append(s.detReady, j)
 			continue
 		}
 		s.wg.Add(1)
-		go func(r *Run, at float64) {
+		go func(j *runJob, at float64) {
 			defer s.wg.Done()
+			r := j.run
 			if s.cfg.Hook != nil {
 				s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
 			}
-			rep, err := s.runWorkflow(r)
+			rep, err := s.runWorkflow(j)
 			s.finishRun(r, rep, err)
-		}(r, at)
+		}(j, at)
 	}
 }
 
@@ -548,7 +579,8 @@ func (a *runAudit) OnTaskCompleted(now float64, t *wf.Task, node string) {
 // any number of runs execute concurrently without shared locks, and the
 // result is a pure function of (run ID, payload, policy, Nodes): real and
 // deterministic mode produce byte-identical completed-task sets per run.
-func (s *Server) runWorkflow(r *Run) (*core.Report, error) {
+func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
+	r := j.run
 	rec := &recipes.Recipe{
 		Name: r.ID,
 		Groups: []recipes.NodeGroup{{Count: s.cfg.Nodes, Spec: cluster.NodeSpec{
@@ -573,34 +605,23 @@ func (s *Server) runWorkflow(r *Run) (*core.Report, error) {
 		return nil, err
 	}
 	env.Prov = prov
-	if err := workloads.Stage(env.FS, r.inputs); err != nil {
+	if err := workloads.Stage(env.FS, j.inputs); err != nil {
 		return nil, err
-	}
-	policy := r.req.Policy
-	if policy == "" {
-		policy = s.cfg.Policy
 	}
 	deps := scheduler.Deps{Locality: env.FS, Estimator: env.Prov}
 	if s.memo != nil {
 		deps.Predictor = s.memo
 	}
-	sched, err := scheduler.New(policy, deps)
+	sched, err := scheduler.New(j.policy, deps)
 	if err != nil {
 		return nil, err
 	}
-	memoPrefix := ""
-	if r.req.Workload != nil {
-		// Workload runs are rebased under a run-private root; stripping it
-		// lets identical specs hit across runs and tenants. Source
-		// submissions keep their payload-chosen paths verbatim.
-		memoPrefix = fmt.Sprintf("/svc/%s/%s", r.Tenant, r.Name)
-	}
-	am, err := core.Launch(env, r.driver, sched, core.Config{
+	am, err := core.Launch(env, j.driver, sched, core.Config{
 		WorkflowID: r.ID,
 		Tenant:     r.Tenant,
 		MaxRetries: s.cfg.MaxTaskRetries,
 		Memo:       s.memo,
-		MemoPrefix: memoPrefix,
+		MemoPrefix: j.memoPrefix,
 		Audit:      &runAudit{s: s, r: r},
 	})
 	if err != nil {
@@ -854,16 +875,16 @@ func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
 		e.fire()
 		// Serially execute whatever the event admitted; each run completes
 		// at its admission time plus its (virtually simulated) makespan.
-		for len(s.detReady) > 0 {
-			r := s.detReady[0]
-			s.detReady = s.detReady[1:]
-			rep, err := s.runWorkflow(r)
+		ready := s.detReady
+		s.detReady = nil
+		for _, j := range ready {
+			r := j.run
+			rep, err := s.runWorkflow(j)
 			makespan := 0.0
 			if rep != nil {
 				makespan = rep.MakespanSec
 			}
-			rr, rrep, rerr := r, rep, err
-			push(s.vnow+makespan, func() { s.finishRun(rr, rrep, rerr) })
+			push(s.vnow+makespan, func() { s.finishRun(r, rep, err) })
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -401,6 +402,53 @@ func TestServerRejectionHistoryMergesIntoRun(t *testing.T) {
 	waitDrained(t, s)
 }
 
+// A client that gives up on a rejected name never has it accepted, so nothing
+// ever deletes its rejection record: the history must be bounded, and beyond
+// the bound a rejection is still counted and answered 429, just not kept.
+func TestServerRejectionHistoryIsBounded(t *testing.T) {
+	const maxQueue, distinct = 2, 10000
+	hook := &gateHook{admitted: make(chan string, 16), release: make(chan struct{})}
+	s, err := NewServer(ServerConfig{Nodes: 2, MaxConcurrent: 1, MaxQueue: maxQueue, Hook: hook}, serveProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for i := 0; i <= maxQueue; i++ { // one admitted and parked, the queue full behind it
+		if rec := postJSON(t, h, "/v1/workflows", workloadSubmission("alpha", fmt.Sprintf("held%d", i))); rec.Code != http.StatusAccepted {
+			t.Fatalf("held%d: got %d", i, rec.Code)
+		}
+	}
+	<-hook.admitted
+	for i := 0; i < distinct; i++ {
+		req := workloadSubmission("beta", fmt.Sprintf("gone%05d", i))
+		if code, _ := s.submit(&req); code != http.StatusTooManyRequests {
+			t.Fatalf("gone%05d: got %d against a full queue", i, code)
+		}
+	}
+	s.mu.Lock()
+	kept := len(s.rejects)
+	s.mu.Unlock()
+	if bound := rejectHistoryPerQueueSlot * maxQueue; kept == 0 || kept > bound {
+		t.Fatalf("%d rejection records kept after %d distinct rejected IDs, want 1..%d", kept, distinct, bound)
+	}
+	if st := s.Stats(); st.Rejected != distinct {
+		t.Fatalf("counted %d rejections, want %d", st.Rejected, distinct)
+	}
+	close(hook.release)
+	for i := 0; i <= maxQueue; i++ {
+		<-s.Lookup(fmt.Sprintf("alpha-held%d", i)).Done()
+	}
+	// A recorded ID carries its history into the run; one past the bound
+	// starts its history at acceptance.
+	for name, want := range map[string]int{"gone00000": 1, fmt.Sprintf("gone%05d", distinct-1): 0} {
+		run := runToTerminal(t, s, h, workloadSubmission("beta", name))
+		if st := run.Status(); st.Rejections != want {
+			t.Fatalf("%s: %d rejections in its history, want %d", name, st.Rejections, want)
+		}
+	}
+	waitDrained(t, s)
+}
+
 func TestSeededSubmissionsDeterministic(t *testing.T) {
 	profiles := serveProfiles()
 	render := func(subs []TimedSubmission) string {
@@ -668,4 +716,138 @@ func TestServerSharedMemoAcrossTenants(t *testing.T) {
 		t.Fatal("hiway_memo_* metrics missing from /metrics")
 	}
 	waitDrained(t, s)
+}
+
+// liveHeap returns the bytes reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// runToTerminal submits req over the handler and waits for the run to end.
+func runToTerminal(t *testing.T, s *Server, h http.Handler, req SubmitRequest) *Run {
+	t.Helper()
+	if rec := postJSON(t, h, "/v1/workflows", req); rec.Code != http.StatusAccepted {
+		t.Fatalf("%s: got %d (%s)", req.Name, rec.Code, rec.Body.String())
+	}
+	run := s.Lookup(req.Tenant + "-" + req.Name)
+	select {
+	case <-run.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s did not finish", req.Name)
+	}
+	if st := run.Status(); st.State != StateSucceeded {
+		t.Fatalf("%s: state %q, error %q", req.Name, st.State, st.Error)
+	}
+	return run
+}
+
+// A terminal run is the record the API serves. The submitted payload — here a
+// Cuneiform source padded with 256 KB of comment — was needed to build and
+// execute the workflow and must not stay behind for the server's lifetime.
+func TestTerminalRunRetainsNoPayload(t *testing.T) {
+	const runs, padding = 40, 256 << 10
+	s, err := NewServer(ServerConfig{Nodes: 2}, serveProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	src := "%% " + strings.Repeat("x", padding) + `
+deftask gen( out : inp ) @cpu 5 in bash *{ make $inp > $out }*
+gen( inp: "seed.txt" );`
+	submission := func(i int) SubmitRequest {
+		return SubmitRequest{
+			Tenant: "alpha", Name: fmt.Sprintf("cf%02d", i), Lang: "cuneiform", Source: src,
+			Inputs: []InputSpec{{Path: "seed.txt", SizeMB: 8}},
+		}
+	}
+	runToTerminal(t, s, h, submission(runs)) // warm-up: lazy one-time state
+	before := liveHeap()
+	for i := 0; i < runs; i++ {
+		runToTerminal(t, s, h, submission(i))
+	}
+	waitDrained(t, s)
+	perRun := (liveHeap() - before) / runs
+	runtime.KeepAlive(s)
+	if perRun > padding/4 {
+		t.Fatalf("a terminal run retains %d bytes of a submission padded with %d", perRun, padding)
+	}
+}
+
+// The same for what the payload was parsed into: besides the two buffers the
+// record keeps by design (provenance, SSE log), a terminal workload run must
+// retain far less than its task graph occupies.
+func TestTerminalRunRetainsNoGraph(t *testing.T) {
+	const runs = 20
+	spec := WorkloadSpec{Kind: WorkloadSNV, Samples: 8, FilesPerSample: 8, FileSizeMB: 16, CPUSeconds: 10}
+
+	before := liveHeap()
+	graphs := make([]any, 0, 2*runs)
+	for i := 0; i < runs; i++ {
+		d, inputs, err := buildSpecWorkflow("alpha", fmt.Sprintf("g%02d", i), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, d, inputs)
+	}
+	graph := (liveHeap() - before) / runs
+	runtime.KeepAlive(graphs)
+	graphs = nil
+
+	s, err := NewServer(ServerConfig{Nodes: 4}, serveProfiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	submission := func(i int) SubmitRequest {
+		return SubmitRequest{Tenant: "alpha", Name: fmt.Sprintf("w%02d", i), Workload: &spec}
+	}
+	runToTerminal(t, s, h, submission(runs)) // warm-up: lazy one-time state
+	before = liveHeap()
+	var terminal []*Run
+	for i := 0; i < runs; i++ {
+		terminal = append(terminal, runToTerminal(t, s, h, submission(i)))
+	}
+	waitDrained(t, s)
+	for _, r := range terminal {
+		r.prov, r.events = nil, nil
+	}
+	perRun := (liveHeap() - before) / runs
+	runtime.KeepAlive(s)
+	t.Logf("graph %d bytes, retained besides the buffers %d bytes", graph, perRun)
+	if perRun > graph/4 {
+		t.Fatalf("besides its buffers a terminal run retains %d bytes; its task graph occupies %d", perRun, graph)
+	}
+}
+
+// The gate's queue array outlives what passed through it (the next run is
+// queued behind the one admitted), so an admitted slot must be cleared or the
+// array keeps the job — payload, graph and all — reachable after its run.
+func TestFifoGateForgetsWhatItAdmitted(t *testing.T) {
+	type job struct{ payload [256]byte }
+	g := newFifoGate[*job](1, 4)
+	collected := make(chan struct{})
+	first := new(job)
+	runtime.SetFinalizer(first, func(*job) { close(collected) })
+	g.Enqueue(first)
+	g.Enqueue(new(job))
+	if got, ok := g.Next(); !ok || got != first {
+		t.Fatal("the gate did not admit its head")
+	}
+	first = nil
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if g.Depth() != 1 || g.Running() != 1 {
+				t.Fatalf("depth %d, running %d after one admission of two", g.Depth(), g.Running())
+			}
+			return
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	t.Fatal("the admitted job is still reachable from the gate")
 }

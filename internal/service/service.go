@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"hiway/internal/chaos"
@@ -188,11 +187,12 @@ type Account struct {
 
 // pendingWF is a queued workflow awaiting admission.
 type pendingWF struct {
-	id      string
-	profile *TenantProfile
-	seq     int
-	acct    *Account
-	span    obs.SpanID
+	id     string // "<tenant>-<name>"
+	tenant string
+	name   string // the tenant's sequence-numbered run name, wNNN
+	spec   WorkloadSpec
+	acct   *Account
+	span   obs.SpanID
 }
 
 // Service runs the submission queue, admission control and accounting over
@@ -267,48 +267,18 @@ func New(eng *sim.Engine, env core.Env, cfg Config, profiles []TenantProfile) (*
 	return s, nil
 }
 
-// arrival is one pre-generated submission instant.
-type arrival struct {
-	at      float64
-	profile int
-}
-
-// Start pre-generates the seeded arrival schedule and registers every
-// submission with the engine. The caller then drives the engine (Run) until
-// the service drains.
+// Start registers the seeded arrival schedule — SeededSubmissions, the same
+// list the network server's deterministic replay submits — with the engine.
+// The caller then drives the engine (Run) until the service drains.
 func (s *Service) Start() {
-	var arrivals []arrival
-	for i := range s.profiles {
-		// Per-tenant substream: adding a tenant does not perturb the
-		// arrival times of the others.
-		rng := rand.New(rand.NewSource(s.cfg.Seed + int64(i+1)*0x9e3779b9))
-		t := 0.0
-		for {
-			t += rng.ExpFloat64() / s.profiles[i].RatePerSec
-			if t >= s.cfg.DurationSec {
-				break
-			}
-			arrivals = append(arrivals, arrival{at: t, profile: i})
+	for _, ts := range SeededSubmissions(s.cfg.Seed, s.profiles, s.cfg.DurationSec) {
+		w := &pendingWF{
+			id:     ts.Req.Tenant + "-" + ts.Req.Name,
+			tenant: ts.Req.Tenant,
+			name:   ts.Req.Name,
+			spec:   *ts.Req.Workload,
 		}
-	}
-	sort.SliceStable(arrivals, func(a, b int) bool {
-		if arrivals[a].at != arrivals[b].at {
-			return arrivals[a].at < arrivals[b].at
-		}
-		return arrivals[a].profile < arrivals[b].profile
-	})
-	seq := make([]int, len(s.profiles))
-	for _, a := range arrivals {
-		p := &s.profiles[a.profile]
-		for b := 0; b < p.Burst; b++ {
-			w := &pendingWF{
-				id:      fmt.Sprintf("%s-w%03d", p.Name, seq[a.profile]),
-				profile: p,
-				seq:     seq[a.profile],
-			}
-			seq[a.profile]++
-			s.eng.At(a.at, func() { s.submitAttempt(w, 0) })
-		}
+		s.eng.At(ts.At, func() { s.submitAttempt(w, 0) })
 	}
 }
 
@@ -316,19 +286,18 @@ func (s *Service) Start() {
 // arrival; later attempts are post-rejection retries).
 func (s *Service) submitAttempt(w *pendingWF, attempt int) {
 	now := s.eng.Now()
-	tenant := w.profile.Name
-	s.submittedC[tenant].Inc()
+	s.submittedC[w.tenant].Inc()
 	if attempt == 0 {
-		w.acct = &Account{ID: w.id, Tenant: tenant, SubmitAt: now}
+		w.acct = &Account{ID: w.id, Tenant: w.tenant, SubmitAt: now}
 		s.accounts = append(s.accounts, w.acct)
 	}
 	if s.gate.Full() {
 		// Backpressure: reject with a retry-after hint.
 		w.acct.Rejections++
-		s.rejectedC[tenant].Inc()
+		s.rejectedC[w.tenant].Inc()
 		s.tr.Instant("svc", "rejected", "service")
 		if s.cfg.Hook != nil {
-			s.cfg.Hook.OnRejected(now, tenant, w.id, s.cfg.RetryAfterSec)
+			s.cfg.Hook.OnRejected(now, w.tenant, w.id, s.cfg.RetryAfterSec)
 		}
 		if attempt < s.cfg.RetryLimit {
 			s.eng.Schedule(s.cfg.RetryAfterSec, func() { s.submitAttempt(w, attempt+1) })
@@ -341,10 +310,10 @@ func (s *Service) submitAttempt(w *pendingWF, attempt int) {
 	}
 	w.acct.QueuedAt = now
 	w.span = s.tr.BeginAsync("svc", w.id, "service", 0)
-	s.tr.Arg(w.span, "tenant", tenant)
+	s.tr.Arg(w.span, "tenant", w.tenant)
 	s.gate.Enqueue(w)
 	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnQueued(now, tenant, w.id)
+		s.cfg.Hook.OnQueued(now, w.tenant, w.id)
 	}
 	s.pump()
 }
@@ -386,7 +355,7 @@ func (s *Service) pump() {
 // already charged the concurrency budget.
 func (s *Service) admit(w *pendingWF) error {
 	now := s.eng.Now()
-	driver, inputs, err := buildWorkflow(w.profile, w.seq)
+	driver, inputs, err := buildSpecWorkflow(w.tenant, w.name, w.spec)
 	if err != nil {
 		return err
 	}
@@ -405,20 +374,20 @@ func (s *Service) admit(w *pendingWF) error {
 	w.acct.AdmitAt = now
 	w.acct.Admitted = true
 	w.acct.QueueWaitSec = now - w.acct.QueuedAt
-	s.admittedC[w.profile.Name].Inc()
+	s.admittedC[w.tenant].Inc()
 	s.queueWaitH.Observe(w.acct.QueueWaitSec)
 	s.tr.Arg(w.span, "admitted", "true")
 	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnAdmitted(now, w.profile.Name, w.id)
+		s.cfg.Hook.OnAdmitted(now, w.tenant, w.id)
 	}
 	cfg := core.Config{
 		WorkflowID: w.id,
-		Tenant:     w.profile.Name,
+		Tenant:     w.tenant,
 		AMNode:     s.cfg.AMNode,
 		MaxRetries: s.cfg.MaxTaskRetries,
 		Chaos:      s.cfg.Chaos,
 		Memo:       s.cfg.Memo,
-		MemoPrefix: fmt.Sprintf("/svc/%s/w%03d", w.profile.Name, w.seq),
+		MemoPrefix: fmt.Sprintf("/svc/%s/%s", w.tenant, w.name),
 		OnTerminal: func(rep *core.Report) { s.onTerminal(w, rep) },
 	}
 	if _, err := core.Launch(s.env, driver, sched, cfg); err != nil {
@@ -461,7 +430,7 @@ func (s *Service) terminate(w *pendingWF, succeeded bool, err error) {
 	s.tr.Arg(w.span, "succeeded", fmt.Sprintf("%v", succeeded))
 	s.tr.End(w.span)
 	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnFinished(now, w.profile.Name, w.id, succeeded)
+		s.cfg.Hook.OnFinished(now, w.tenant, w.id, succeeded)
 	}
 	s.depthG.Set(float64(s.gate.Depth()))
 	s.runningG.Set(float64(s.gate.Running()))

@@ -58,13 +58,6 @@ func (w *WorkloadSpec) validate() error {
 	}
 }
 
-// buildWorkflow instantiates one workflow for a tenant's seq-th submission,
-// rebased under a per-instance path prefix so concurrent instances never
-// collide in HDFS.
-func buildWorkflow(p *TenantProfile, seq int) (wf.StaticDriver, []workloads.Input, error) {
-	return buildSpecWorkflow(p.Name, fmt.Sprintf("w%03d", seq), p.Workload)
-}
-
 // buildSpecWorkflow instantiates one generator-backed workflow for a named
 // submission, rebased under /svc/<tenant>/<name> so concurrent instances
 // never collide in HDFS. Both the seeded-arrival Service and the network

@@ -138,7 +138,6 @@ type pendingReq struct {
 	app   *Application
 	req   Request
 	onOK  func(*Container)
-	seq   int64
 	at    float64 // request arrival time, for allocation-latency metrics
 	taken bool    // satisfied this allocation round (transient)
 }
@@ -179,12 +178,6 @@ type MembershipAuditHook interface {
 	OnNodeRemoved(now float64, node string)
 }
 
-// MembershipListener observes node lifecycle transitions. Events are
-// "join" (node registered), "drain" (graceful decommission started), and
-// "leave" (node removed). Listeners run synchronously inside the RM, so they
-// must not call back into it.
-type MembershipListener func(now float64, node, event string)
-
 // ResourceManager allocates containers over the simulated cluster.
 type ResourceManager struct {
 	eng *sim.Engine
@@ -214,11 +207,8 @@ type ResourceManager struct {
 	onDemandBusySec float64 // finalized busy core-seconds, on-demand nodes
 	spotBusySec     float64 // finalized busy core-seconds, spot nodes
 
-	membership []MembershipListener
-
 	nextApp       int
 	nextContainer int64
-	nextSeq       int64
 	allocPending  bool
 	allocLatEWMA  float64 // exponentially weighted recent allocation latency
 
@@ -314,20 +304,6 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, cfg Config) *Resour
 	return rm
 }
 
-// OnMembership registers a listener for node join/drain/leave events.
-// Listeners fire synchronously, in registration order, after the RM state
-// change they describe.
-func (rm *ResourceManager) OnMembership(fn MembershipListener) {
-	rm.membership = append(rm.membership, fn)
-}
-
-func (rm *ResourceManager) notifyMembership(node, event string) {
-	now := rm.eng.Now()
-	for _, fn := range rm.membership {
-		fn(now, node, event)
-	}
-}
-
 // accrueBusy brings a node's busy-core integral up to now. It must run
 // before every capacity change on the node and before reading cost totals.
 func (rm *ResourceManager) accrueBusy(nm *nodeManager) {
@@ -420,7 +396,6 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 	if mh, ok := rm.audit.(MembershipAuditHook); ok {
 		mh.OnNodeJoined(now, nodeID, vcores, memMB)
 	}
-	rm.notifyMembership(nodeID, "join")
 	rm.kick()
 	return nil
 }
@@ -451,7 +426,6 @@ func (rm *ResourceManager) DrainNode(nodeID string, deadlineSec float64, onDone 
 	if mh, ok := rm.audit.(MembershipAuditHook); ok {
 		mh.OnNodeDraining(now, nodeID)
 	}
-	rm.notifyMembership(nodeID, "drain")
 	rm.rerouteStrict(nodeID)
 	if len(nm.running) == 0 {
 		rm.completeDrain(nm, true)
@@ -542,7 +516,6 @@ func (rm *ResourceManager) RemoveNode(nodeID string) error {
 	if mh, ok := rm.audit.(MembershipAuditHook); ok {
 		mh.OnNodeRemoved(now, nodeID)
 	}
-	rm.notifyMembership(nodeID, "leave")
 	rm.kick()
 	return nil
 }
@@ -638,10 +611,9 @@ func (a *Application) Request(req Request, onAllocated func(*Container)) {
 	if req.Resource.MemMB <= 0 {
 		req.Resource.MemMB = 1024
 	}
-	a.rm.nextSeq++
 	a.rm.requestsC.Inc()
 	p := a.rm.newPendingReq()
-	*p = pendingReq{app: a, req: req, onOK: onAllocated, seq: a.rm.nextSeq, at: a.rm.eng.Now()}
+	*p = pendingReq{app: a, req: req, onOK: onAllocated, at: a.rm.eng.Now()}
 	a.rm.pending = append(a.rm.pending, p)
 	a.rm.kick()
 }

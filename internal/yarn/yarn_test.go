@@ -311,10 +311,8 @@ func TestFairSharingInterleavesApps(t *testing.T) {
 func TestFairOrderRoundRobin(t *testing.T) {
 	a1 := &Application{ID: 1}
 	a2 := &Application{ID: 2}
-	mk := func(app *Application, seq int64) *pendingReq {
-		return &pendingReq{app: app, seq: seq}
-	}
-	pending := []*pendingReq{mk(a1, 1), mk(a1, 2), mk(a1, 3), mk(a2, 4), mk(a2, 5)}
+	mk := func(app *Application) *pendingReq { return &pendingReq{app: app} }
+	pending := []*pendingReq{mk(a1), mk(a1), mk(a1), mk(a2), mk(a2)}
 	got := fairOrder(pending, nil)
 	wantApps := []int{1, 2, 1, 2, 1}
 	if len(got) != 5 {
@@ -384,8 +382,8 @@ func TestFairOrderTenantTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var pending []*pendingReq
-			for i, a := range tc.reqs {
-				pending = append(pending, &pendingReq{app: a, seq: int64(i + 1)})
+			for _, a := range tc.reqs {
+				pending = append(pending, &pendingReq{app: a})
 			}
 			got := fairOrder(pending, tc.tenants)
 			if len(got) != len(tc.want) {
