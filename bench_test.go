@@ -91,97 +91,6 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// --- Ablations of the design choices DESIGN.md calls out ---
-
-// BenchmarkAblationSchedulers compares all four policies (plus the dynamic
-// adaptive-greedy extension) with warm provenance on the heterogeneous
-// cluster.
-func BenchmarkAblationSchedulers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SchedulerAblation(4, 12, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.MedianSec, r.Policy+"-median-s")
-		}
-	}
-}
-
-// BenchmarkAblationReplication varies the HDFS replication factor under
-// data-aware scheduling (the locality/write-traffic trade-off of Fig. 4).
-func BenchmarkAblationReplication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ReplicationAblation(5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.MakespanMin, "repl"+string(rune('0'+r.Replication))+"-min")
-		}
-	}
-}
-
-// BenchmarkAblationEstimatePolicy contrasts the paper's latest-observation
-// zero-default estimates with a non-exploring mean fallback.
-func BenchmarkAblationEstimatePolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.EstimateAblation(4, 8, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ZeroDefaultMedianSec[7], "zero-default-run8-s")
-		b.ReportMetric(res.MeanFallbackMedianSec[7], "mean-fallback-run8-s")
-	}
-}
-
-// BenchmarkAblationMultiAM measures §3.1's one-AM-per-workflow design:
-// concurrent multi-tenant execution vs serializing workflows.
-func BenchmarkAblationMultiAM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MultiAMAblation(4, 13)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.ConcurrentMin, "concurrent-min")
-		b.ReportMetric(res.SerialMin, "serial-min")
-	}
-}
-
-// BenchmarkAblationContainerSizing measures §5's future-work mode:
-// task-tailored containers vs the uniform configuration.
-func BenchmarkAblationContainerSizing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ContainerSizingAblation(17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.UniformMin, "uniform-min")
-		b.ReportMetric(res.TailoredMin, "tailored-min")
-	}
-}
-
-// BenchmarkAblationFaultTolerance sweeps injected failure rates over three
-// policies with speculation off/on (the robustness layer's headline
-// numbers: makespan cost of faults, and what speculation buys back).
-func BenchmarkAblationFaultTolerance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FaultToleranceAblation(2, 29)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.CrashRate == 0.25 && r.Policy == "fcfs" {
-				mode := "nospec"
-				if r.Speculate {
-					mode = "spec"
-				}
-				b.ReportMetric(r.MedianSec, "fcfs-r25-"+mode+"-s")
-			}
-		}
-	}
-}
-
 // BenchmarkScale runs the scale-out harness — synthetic layered workflows
 // of up to ~10k tasks on clusters of up to 256 nodes (set HIWAY_SCALE_FULL=1
 // for the full ladder) — and writes the measurements to BENCH_scale.json.
@@ -215,7 +124,11 @@ func BenchmarkServiceLoad(b *testing.B) {
 	full := os.Getenv("HIWAY_SCALE_FULL") != ""
 	for i := 0; i < b.N; i++ {
 		cfgs := experiments.ServiceSweepConfigs(full)
-		cfgs = append(cfgs, experiments.WithMemo(experiments.ServiceSweepConfigs(full))...)
+		for _, c := range experiments.ServiceSweepConfigs(full) {
+			// The memo-on rungs differ from their memo-off pair only in the Memo bit.
+			c.Memo = true
+			cfgs = append(cfgs, c)
+		}
 		res, err := experiments.ServiceSweep(cfgs)
 		if err != nil {
 			b.Fatal(err)

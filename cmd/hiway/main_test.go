@@ -7,6 +7,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -124,6 +126,69 @@ upper( inp: "words.txt" );`
 	if err := runSim([]string{"-w", wfPath, "-policy", "mystery", "-input", "words.txt=5"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+}
+
+// TestRunSimReplaysRecoveredTraces re-executes (§3.5) the traces of runs
+// that exercised fault tolerance — a crashed attempt its retry recovered,
+// and a hung attempt raced by a speculative duplicate — and requires the
+// replay to complete the same tasks the recorded run completed.
+func TestRunSimReplaysRecoveredTraces(t *testing.T) {
+	for name, faults := range map[string][]string{
+		"retry":       {"-chaos", "crashrate=0.4", "-chaos-seed", "5"},
+		"speculation": {"-chaos", "hang=gen@0:1", "-timeout-floor", "20", "-speculate"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			recorded, replayed := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.jsonl")
+			args := []string{"-w", filepath.Join("..", "..", "examples", "demo.cf"), "-input", "seed.txt=64", "-prov", recorded}
+			if err := runSim(append(args, faults...)); err != nil {
+				t.Fatal(err)
+			}
+			want, failedEnds := completedTasks(t, recorded)
+			if failedEnds == 0 {
+				t.Fatalf("the recorded run ended no attempt unsuccessfully; %v injects nothing", faults)
+			}
+			if err := runSim([]string{"-w", recorded, "-input", "seed.txt=64", "-prov", replayed}); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if got, _ := completedTasks(t, replayed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay completed %v, the recorded run %v", got, want)
+			}
+		})
+	}
+}
+
+// completedTasks reads a provenance trace and returns its successful task
+// ends as a sorted "signature → outputs" multiset, plus the number of
+// unsuccessful ends.
+func completedTasks(t *testing.T, path string) ([]string, int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := provenance.ParseTrace(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []string
+	failed := 0
+	for _, ev := range evs {
+		if ev.Type != provenance.TaskEnd {
+			continue
+		}
+		if ev.ExitCode != 0 || ev.Error != "" {
+			failed++
+			continue
+		}
+		var outs []string
+		for _, o := range ev.Outputs {
+			outs = append(outs, o.Path)
+		}
+		done = append(done, ev.Signature+" → "+strings.Join(outs, ","))
+	}
+	sort.Strings(done)
+	return done, failed
 }
 
 // TestRunSimObservability exercises the -trace/-metrics/-decisions outputs:

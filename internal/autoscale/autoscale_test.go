@@ -321,8 +321,8 @@ func TestMembershipEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.eng.Run()
-			if got := health.Blacklisted(); len(got) != 0 {
-				t.Fatalf("blacklist after leave = %v, want empty", got)
+			if !health.Healthy("node-02") {
+				t.Fatal("node-02 still blacklisted after it left")
 			}
 			if _, err := m.Join("node-02", false); err != nil {
 				t.Fatal(err)

@@ -25,11 +25,6 @@ import (
 	"hiway/internal/yarn"
 )
 
-// SpotPrice is the default price of a spot node-second relative to an
-// on-demand node-second — the discount that makes preemptible capacity
-// worth the churn.
-const SpotPrice = 0.3
-
 // ManagerConfig tunes the membership manager.
 type ManagerConfig struct {
 	// Spec is the hardware profile for nodes joined by the manager.

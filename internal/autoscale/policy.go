@@ -26,8 +26,6 @@ func (s Signals) Backlog() int { return s.QueueDepth + s.Running }
 // evaluated at deterministic virtual times, so stateful policies stay
 // reproducible.
 type Policy interface {
-	// Name identifies the policy in reports and metrics.
-	Name() string
 	// Desired returns the target node count given the signals and the
 	// current size. The controller clamps the result to [MinNodes,
 	// MaxNodes] and applies hysteresis and cooldown.
@@ -40,9 +38,6 @@ type Static struct {
 	// Nodes is the fixed target size.
 	Nodes int
 }
-
-// Name implements Policy.
-func (p *Static) Name() string { return "static" }
 
 // Desired implements Policy.
 func (p *Static) Desired(now float64, s Signals, current int) int { return p.Nodes }
@@ -57,9 +52,6 @@ type Reactive struct {
 	// LatencyHighSec triggers the +1 escalation. Default 5s.
 	LatencyHighSec float64
 }
-
-// Name implements Policy.
-func (p *Reactive) Name() string { return "reactive" }
 
 // Desired implements Policy.
 func (p *Reactive) Desired(now float64, s Signals, current int) int {
@@ -98,9 +90,6 @@ type Predictive struct {
 	ewma        float64
 	trend       float64
 }
-
-// Name implements Policy.
-func (p *Predictive) Name() string { return "predictive" }
 
 // Desired implements Policy.
 func (p *Predictive) Desired(now float64, s Signals, current int) int {

@@ -114,18 +114,6 @@ func NewPlan(seed int64) *Plan {
 	return &Plan{seed: seed, calls: make(map[string]int64)}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() int64 { return p.seed }
-
-// WithCrashRate sets the per-attempt crash probability.
-func (p *Plan) WithCrashRate(r float64) *Plan { p.CrashRate = r; return p }
-
-// WithHangRate sets the per-attempt hang probability.
-func (p *Plan) WithHangRate(r float64) *Plan { p.HangRate = r; return p }
-
-// WithReadErrorRate sets the per-read transient HDFS error probability.
-func (p *Plan) WithReadErrorRate(r float64) *Plan { p.ReadErrorRate = r; return p }
-
 // AddRule appends a targeted task rule (rules are checked in order, before
 // the rate-driven faults).
 func (p *Plan) AddRule(r TaskRule) *Plan { p.rules = append(p.rules, r); return p }

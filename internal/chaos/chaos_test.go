@@ -11,6 +11,15 @@ func task(name string) *wf.Task {
 	return &wf.Task{ID: wf.NextID(), Name: name}
 }
 
+func mustParse(t *testing.T, spec string, seed int64) *Plan {
+	t.Helper()
+	p, err := Parse(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestTaskRuleMatching(t *testing.T) {
 	p := NewPlan(1).
 		AddRule(TaskRule{Signature: "align", Attempt: 0, Fate: FateHang, Count: 1}).
@@ -36,7 +45,7 @@ func TestTaskRuleMatching(t *testing.T) {
 
 func TestRateDecisionsDeterministic(t *testing.T) {
 	run := func() []Fate {
-		p := NewPlan(42).WithCrashRate(0.3).WithHangRate(0.1)
+		p := mustParse(t, "crashrate=0.3;hangrate=0.1", 42)
 		var fates []Fate
 		for i := 0; i < 50; i++ {
 			fates = append(fates, p.TaskFate(task("t"), "n1", 0))
@@ -60,7 +69,7 @@ func TestRateDecisionsDeterministic(t *testing.T) {
 		t.Fatal("crash rate 0.3 over 50 draws produced no crashes")
 	}
 	// A different seed must diverge somewhere over 50 draws.
-	p2 := NewPlan(43).WithCrashRate(0.3).WithHangRate(0.1)
+	p2 := mustParse(t, "crashrate=0.3;hangrate=0.1", 43)
 	same := true
 	for i := 0; i < 50; i++ {
 		if p2.TaskFate(task("t"), "n1", 0) != a[i] {
@@ -75,7 +84,7 @@ func TestRateDecisionsDeterministic(t *testing.T) {
 
 func TestReadErrorDeterministic(t *testing.T) {
 	run := func() []bool {
-		p := NewPlan(7).WithReadErrorRate(0.25)
+		p := mustParse(t, "readerr=0.25", 7)
 		var errs []bool
 		for i := 0; i < 40; i++ {
 			errs = append(errs, p.ReadError("n1", nil) != nil)

@@ -338,13 +338,3 @@ func (c *Cluster) Metrics() []NodeMetrics {
 	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out
 }
-
-// ResetMeters restarts utilization accounting on every resource.
-func (c *Cluster) ResetMeters() {
-	c.Switch.ResetMeters()
-	for _, n := range c.nodes {
-		n.CPU.ResetMeters()
-		n.Disk.ResetMeters()
-		n.NIC.ResetMeters()
-	}
-}

@@ -52,10 +52,6 @@ type Config struct {
 	ContainerVCores int // default 1
 	ContainerMemMB  int // default 1024
 
-	// SizeContainersByTask enables the future-work mode of §5: containers
-	// are custom-tailored to each task's threads and memory demand.
-	SizeContainersByTask bool
-
 	// MaxRetries is how many times a failed task is re-tried on another
 	// node before the workflow fails. Default 3.
 	MaxRetries int
@@ -526,9 +522,6 @@ func (am *AM) Finished() bool { return am.finished }
 // (load models and monitors poll it during execution).
 func (am *AM) CompletedTasks() int { return len(am.results) }
 
-// AMNodeID returns the node hosting the AM container.
-func (am *AM) AMNodeID() string { return am.app.AMContainer.NodeID }
-
 // runningAttempts counts live attempts across all tasks.
 func (am *AM) runningAttempts() int {
 	n := 0
@@ -593,18 +586,9 @@ func (am *AM) plannableNodes() []scheduler.NodeInfo {
 	return out
 }
 
-// containerResource sizes the container for a task.
-func (am *AM) containerResource(t *wf.Task) yarn.Resource {
-	if am.cfg.SizeContainersByTask {
-		res := yarn.Resource{VCores: t.Threads, MemMB: t.MemMB}
-		if res.VCores <= 0 {
-			res.VCores = 1
-		}
-		if res.MemMB <= 0 {
-			res.MemMB = am.cfg.ContainerMemMB
-		}
-		return res
-	}
+// containerResource is the one worker-container size every task shares
+// (the paper's mode: all containers have the same configuration).
+func (am *AM) containerResource() yarn.Resource {
 	return yarn.Resource{VCores: am.cfg.ContainerVCores, MemMB: am.cfg.ContainerMemMB}
 }
 
@@ -652,8 +636,8 @@ func (am *AM) hintAvoiding(excl map[string]bool) string {
 // preferring one where the task's container currently fits — the AM node,
 // for instance, may never have room for a worker container, and a strict
 // request pinned there would wait forever.
-func (am *AM) retryTarget(t *wf.Task, excl map[string]bool) string {
-	res := am.containerResource(t)
+func (am *AM) retryTarget(excl map[string]bool) string {
+	res := am.containerResource()
 	// Capacity our own live attempts hold per node: it will be released
 	// when they finish, so a node busy with our work is still viable —
 	// unlike the AM node, whose deficit is permanent.
@@ -692,9 +676,9 @@ func (am *AM) retryTarget(t *wf.Task, excl map[string]bool) string {
 	}
 }
 
-// requestContainer asks YARN for a container suitable for t. The request is
-// anonymous unless the policy pins tasks or containers are task-sized.
-// Tasks with failed attempts steer their request away from excluded nodes.
+// requestContainer asks YARN for a container to run t on: a node hint the
+// policy pins it to (strictly for static plans), or one steering a task with
+// failed attempts away from its excluded nodes.
 // A strict request whose pinned node dies while pending is re-planned onto
 // a surviving node and re-requested.
 func (am *AM) requestContainer(t *wf.Task) {
@@ -704,14 +688,9 @@ func (am *AM) requestContainer(t *wf.Task) {
 			hint = h
 		}
 	}
-	req := yarn.Request{Resource: am.containerResource(t), NodeHint: hint, Strict: strict}
+	req := yarn.Request{Resource: am.containerResource(), NodeHint: hint, Strict: strict}
 	if strict {
 		req.OnUnplaceable = func(yarn.Request) { am.onUnplaceable(t) }
-	}
-	if am.cfg.SizeContainersByTask {
-		// Task-addressed container: run exactly this task on allocation.
-		am.app.Request(req, func(c *yarn.Container) { am.launchAttempt(t, c, false) })
-		return
 	}
 	am.app.Request(req, am.onAnonymousContainer)
 }
@@ -729,7 +708,7 @@ func (am *AM) onUnplaceable(t *wf.Task) {
 		return
 	}
 	if ra, ok := am.sched.(scheduler.Reassigner); ok {
-		target := am.retryTarget(t, am.excluded[t.ID])
+		target := am.retryTarget(am.excluded[t.ID])
 		if target == "" {
 			target = live[0]
 		}
@@ -749,10 +728,7 @@ func (am *AM) onAnonymousContainer(c *yarn.Container) {
 		am.app.Release(c)
 		if !am.finished && am.sched.Queued() > am.app.PendingRequests() {
 			hint := am.hintAvoiding(map[string]bool{c.NodeID: true})
-			am.app.Request(yarn.Request{
-				Resource: yarn.Resource{VCores: am.cfg.ContainerVCores, MemMB: am.cfg.ContainerMemMB},
-				NodeHint: hint,
-			}, am.onAnonymousContainer)
+			am.app.Request(yarn.Request{Resource: am.containerResource(), NodeHint: hint}, am.onAnonymousContainer)
 		}
 		return
 	}
@@ -960,7 +936,7 @@ func (am *AM) onAttemptTimeout(a *attempt) {
 		for n := range am.excluded[t.ID] {
 			avoid[n] = true
 		}
-		req := yarn.Request{Resource: am.containerResource(t), NodeHint: am.hintAvoiding(avoid)}
+		req := yarn.Request{Resource: am.containerResource(), NodeHint: am.hintAvoiding(avoid)}
 		am.app.Request(req, func(c *yarn.Container) { am.launchAttempt(t, c, true) })
 		// Re-arm this attempt's deadline: if the duplicate dies too (or
 		// never gets a container), the second firing takes the
@@ -1137,7 +1113,7 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 	// Static plans pin tasks to nodes; move the pin off the failing
 	// node so the strict retry request can be satisfied.
 	if ra, ok := am.sched.(scheduler.Reassigner); ok {
-		if target := am.retryTarget(t, excl); target != "" {
+		if target := am.retryTarget(excl); target != "" {
 			ra.Reassign(t, target)
 		}
 	}

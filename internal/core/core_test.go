@@ -345,43 +345,6 @@ loop( cur: "init" );`)
 	}
 }
 
-func TestSizeContainersByTaskLimitsConcurrency(t *testing.T) {
-	// Two 6 GB tasks on one 8 GB node: task-sized containers force them
-	// to run serially.
-	mk := func() wf.StaticDriver {
-		var tasks []*wf.Task
-		for i := 0; i < 2; i++ {
-			w := wf.NewTask("big", nil, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 0.1}})
-			w.CPUSeconds = 10
-			w.MemMB = 6000
-			tasks = append(tasks, w)
-		}
-		sb := &wf.StaticBase{WFName: "mem"}
-		sb.Build = func() ([]*wf.Task, []string, []wf.Edge, error) { return tasks, nil, nil, nil }
-		return sb
-	}
-	env := newEnv(t, 2, spec(), 1000)
-	rep, err := Run(env.Env, mk(), scheduler.NewFCFS(), Config{SizeContainersByTask: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One node hosts the AM (1024 MB), so only one 6 GB container fits a
-	// node at a time; with 2 nodes both run in parallel. Force serial by
-	// checking results' nodes differ OR makespan reflects serialization.
-	if !rep.Succeeded {
-		t.Fatal(rep.Err)
-	}
-	// Now on a single node: must serialize (makespan ≥ 20s of CPU).
-	env1 := newEnv(t, 1, spec(), 1000)
-	rep1, err := Run(env1.Env, mk(), scheduler.NewFCFS(), Config{SizeContainersByTask: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.MakespanSec < 20 {
-		t.Fatalf("memory gating should serialize: makespan %.1f", rep1.MakespanSec)
-	}
-}
-
 func TestTwoWorkflowsConcurrently(t *testing.T) {
 	// One AM per workflow (§3.1): two independent workflows share the
 	// cluster and both finish.

@@ -50,7 +50,7 @@ func (am *AM) inputIdentity(path string) (string, bool) {
 // profile, canonical input identities, and declared outputs. ok is false
 // when any input cannot be identified; such tasks execute normally.
 func (am *AM) memoKey(t *wf.Task) (string, bool) {
-	res := am.containerResource(t)
+	res := am.containerResource()
 	k := memo.Key{
 		Sig:     t.Name,
 		Profile: memo.Profile{VCores: res.VCores, MemMB: res.MemMB},

@@ -51,6 +51,20 @@ func newEnv(t *testing.T, nodes int, store provenance.Store, inputs []workloads.
 	return eng, env
 }
 
+// replayOf wraps a recorded run's provenance as a trace workflow — what
+// `hiway sim -w trace.jsonl` builds from the same events.
+func replayOf(t *testing.T, name string, store provenance.Store) wf.StaticDriver {
+	t.Helper()
+	events, err := store.Events()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &trace.Driver{}
+	d.WFName = name
+	d.Build = func() ([]*wf.Task, []string, []wf.Edge, error) { return trace.FromEvents(events) }
+	return d
+}
+
 // signatureCounts summarizes a report by task name.
 func signatureCounts(results []*wf.TaskResult) map[string]int {
 	out := map[string]int{}
@@ -83,7 +97,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	// Replay on a different (smaller) cluster — "albeit not necessarily on
 	// the same compute nodes". The input data must be present, as §3.6
 	// requires for trace replay.
-	replayDriver := trace.NewDriverFromStore("replay", store)
+	replayDriver := replayOf(t, "replay", store)
 	_, env2 := newEnv(t, 2, nil, inputs)
 	rep2, err := core.Run(env2, replayDriver, scheduler.NewFCFS(), core.Config{ContainerVCores: 2, ContainerMemMB: 4096})
 	if err != nil {
@@ -271,7 +285,7 @@ func TestProvDBBackedRun(t *testing.T) {
 	}
 	store2 := provenance.NewDBStore(db2)
 	defer store2.Close()
-	replay := trace.NewDriverFromStore("montage-replay", store2)
+	replay := replayOf(t, "montage-replay", store2)
 	_, env2 := newEnv(t, 4, nil, inputs)
 	rep2, err := core.Run(env2, replay, scheduler.NewFCFS(), core.Config{ContainerVCores: 1, ContainerMemMB: 2048})
 	if err != nil {
@@ -291,19 +305,13 @@ func TestNodeCrashMidWorkflow(t *testing.T) {
 		RefLocal: true,
 	})
 	eng, env := newEnv(t, 5, nil, inputs)
-	am, err := core.Launch(env, driver, scheduler.NewDataAware(env.FS), core.Config{ContainerVCores: 2, ContainerMemMB: 4096})
+	am, err := core.Launch(env, driver, scheduler.NewDataAware(env.FS), core.Config{ContainerVCores: 2, ContainerMemMB: 4096, AMNode: "node-00"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick a non-AM victim once execution is underway.
+	// Kill a worker that is not the AM's node once execution is underway.
 	eng.RunUntil(10)
-	victim := ""
-	for _, id := range env.RM.LiveNodes() {
-		if id != am.AMNodeID() {
-			victim = id
-			break
-		}
-	}
+	victim := "node-01"
 	env.RM.KillNode(victim)
 	env.FS.KillNode(victim)
 	eng.Run()

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hiway/internal/core"
+	"hiway/internal/lang/cwl"
 	"hiway/internal/scheduler"
 	"hiway/internal/verify"
 	"hiway/internal/workloads"
@@ -41,7 +42,8 @@ func TestSNVCrossLanguageEquivalence(t *testing.T) {
 		t.Fatal("cuneiform run failed:", cfRep.Err)
 	}
 
-	cwlDriver, cwlInputs := workloads.SNVCWLDriver("snv-port", cfg)
+	cwlSrc, cwlInputs := workloads.SNVCWL(cfg)
+	cwlDriver := cwl.NewDriver("snv-port", cwlSrc, cwl.Options{})
 	_, cwlEnv := newEnv(t, 4, nil, cwlInputs)
 	cwlRep, err := core.Run(cwlEnv, cwlDriver, scheduler.NewDataAware(cwlEnv.FS),
 		core.Config{ContainerVCores: 2, ContainerMemMB: 7000})

@@ -21,9 +21,7 @@ import (
 	"sort"
 	"strings"
 
-	"hiway/internal/cluster"
 	"hiway/internal/core"
-	"hiway/internal/hdfs"
 	"hiway/internal/provenance"
 	"hiway/internal/recipes"
 	"hiway/internal/sim"
@@ -131,20 +129,8 @@ func table(headers []string, rows [][]string) string {
 	return sb.String()
 }
 
-// masterSpec is the small master node that hosts Hadoop's and Hi-WAY's
-// master processes: worker containers deliberately do not fit in its
-// memory, so task containers land on workers only.
-func masterSpec(base cluster.NodeSpec, memMB int) cluster.NodeSpec {
-	s := base
-	s.MemMB = memMB
-	return s
-}
-
-// amOnly is a YARN config whose AM container exactly fills the master
+// amConfig is a YARN config whose AM container exactly fills the master
 // node's free memory headroom used by the experiments.
 func amConfig() yarn.Config {
 	return yarn.Config{AMResource: yarn.Resource{VCores: 1, MemMB: 1024}}
 }
-
-// fsOf returns the env's filesystem (convenience for oracle wiring).
-func (e *env) fs() *hdfs.FS { return e.FS }

@@ -125,7 +125,7 @@ type ElasticPoint struct {
 	E2EP99Sec       float64 `json:"e2eP99Sec"`
 
 	// Cost: node-seconds billed per class and the blended price
-	// (on-demand 1.0, spot autoscale.SpotPrice).
+	// (yarn.CostReport.CostUnits: on-demand 1.0, spot 0.3).
 	OnDemandNodeSec float64 `json:"onDemandNodeSec"`
 	SpotNodeSec     float64 `json:"spotNodeSec"`
 	CostUnits       float64 `json:"costUnits"`

@@ -287,27 +287,3 @@ func (r *ScaleResult) JSON() []byte {
 	b, _ := json.MarshalIndent(r, "", "  ")
 	return append(b, '\n')
 }
-
-// Render formats the result as an aligned text table.
-func (r *ScaleResult) Render() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		sh := p.Shards
-		if sh == 0 {
-			sh = 1
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(p.Tasks), fmt.Sprint(p.Nodes), fmt.Sprint(sh), p.Policy,
-			fmt.Sprintf("%.0f", p.MakespanSec),
-			fmt.Sprintf("%.3f", p.WallSec),
-			fmt.Sprint(p.Events),
-			fmt.Sprintf("%.0f", p.EventsPerSec),
-			fmt.Sprintf("%.1f", p.AllocMB),
-			fmt.Sprint(p.MaxQueueDepth),
-		})
-	}
-	return table(
-		[]string{"tasks", "nodes", "shards", "policy", "makespan-s", "wall-s", "events", "events/s", "alloc-MB", "max-depth"},
-		rows,
-	)
-}

@@ -319,19 +319,6 @@ func ServiceSweepConfigs(full bool) []ServiceLoadConfig {
 	return cfgs
 }
 
-// WithMemo returns a copy of the configs with the shared memo table enabled
-// on each, for appending memo-on rungs after the memo-off ladder: the
-// memo-off rows stay untouched and the paired rungs differ only in the Memo
-// bit.
-func WithMemo(cfgs []ServiceLoadConfig) []ServiceLoadConfig {
-	out := make([]ServiceLoadConfig, len(cfgs))
-	for i, c := range cfgs {
-		c.Memo = true
-		out[i] = c
-	}
-	return out
-}
-
 // ServiceSweep runs the ladder.
 func ServiceSweep(cfgs []ServiceLoadConfig) (*ServiceResult, error) {
 	res := &ServiceResult{}

@@ -92,15 +92,12 @@ func New(c *cluster.Cluster, cfg Config, seed int64) *FS {
 	return fs
 }
 
-// Config returns the effective configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
 // LocalityEpoch is a counter that advances whenever the locality of an
-// already-registered file can have changed: node death/revival, deletes,
-// re-replication, or overwrites. Registering a brand-new file does not
-// advance it — a task only becomes ready once its inputs exist, so new
-// files cannot affect queued tasks. Schedulers cache locality lookups and
-// invalidate when the epoch moves.
+// already-registered file can have changed: node death, decommission or
+// departure, re-replication, or overwrites. Registering a brand-new file
+// does not advance it — a task only becomes ready once its inputs exist, so
+// new files cannot affect queued tasks. Schedulers cache locality lookups
+// and invalidate when the epoch moves.
 func (fs *FS) LocalityEpoch() uint64 { return fs.epoch }
 
 // CandidateNodes returns every node holding a live replica of any block of
@@ -138,14 +135,6 @@ func (fs *FS) Stat(path string) (*File, bool) {
 func (fs *FS) Exists(path string) bool {
 	_, ok := fs.files[path]
 	return ok
-}
-
-// Delete removes a file's metadata (no I/O is simulated for deletes).
-func (fs *FS) Delete(path string) {
-	if _, ok := fs.files[path]; ok {
-		fs.epoch++
-	}
-	delete(fs.files, path)
 }
 
 // Files returns all paths in sorted order.
@@ -270,12 +259,6 @@ func (fs *FS) KillNode(nodeID string) {
 	fs.epoch++
 }
 
-// ReviveNode brings a node back (existing replica metadata is retained).
-func (fs *FS) ReviveNode(nodeID string) {
-	delete(fs.dead, nodeID)
-	fs.epoch++
-}
-
 // DecommissionNode marks a node as decommissioning, mirroring HDFS graceful
 // decommission: it receives no new replicas and its existing replicas no
 // longer count toward the replication factor — so Rereplicate evacuates its
@@ -288,10 +271,9 @@ func (fs *FS) DecommissionNode(nodeID string) {
 
 // ForgetNode erases a departed node from the namespace: every replica it
 // held is dropped from block metadata and its dead-marker is cleared. Use it
-// when a node leaves for good (spot reclaim, decommission complete) — unlike
-// ReviveNode, a node re-added after ForgetNode is a blank machine, so a
-// same-ID rejoin does not resurrect data that physically went away with the
-// old instance.
+// when a node leaves for good (spot reclaim, decommission complete): a node
+// re-added after ForgetNode is a blank machine, so a same-ID rejoin does not
+// resurrect data that physically went away with the old instance.
 func (fs *FS) ForgetNode(nodeID string) {
 	for _, f := range fs.files {
 		for i := range f.Blocks {
@@ -381,51 +363,12 @@ func (fs *FS) LocalFraction(paths []string, nodeID string) float64 {
 	return local / total
 }
 
-// TotalMB sums sizes of the given paths (missing files count zero).
-func (fs *FS) TotalMB(paths []string) float64 {
-	var total float64
-	for _, p := range paths {
-		if f, ok := fs.files[p]; ok {
-			total += f.SizeMB
-		}
-	}
-	return total
-}
-
-// UnderReplicated returns the number of blocks whose live replica count is
-// below the effective replication target.
-func (fs *FS) UnderReplicated() int {
-	target := fs.replicationTarget()
-	n := 0
-	for _, f := range fs.files {
-		if f.External {
-			continue
-		}
-		for _, b := range f.Blocks {
-			if fs.liveReplicaCount(b) < target {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 func (fs *FS) replicationTarget() int {
 	target := fs.cfg.Replication
 	if live := len(fs.liveNodes()); target > live {
 		target = live
 	}
 	return target
-}
-
-func (fs *FS) liveReplicaCount(b Block) int {
-	n := 0
-	for _, r := range b.Replicas {
-		if !fs.dead[r] {
-			n++
-		}
-	}
-	return n
 }
 
 // Rereplicate restores the replication factor of under-replicated blocks —
@@ -503,43 +446,6 @@ func (fs *FS) Rereplicate(done func(copies int)) {
 			}
 		})
 	}
-}
-
-// ReadPlan describes the I/O needed to read a file set from a node.
-type ReadPlan struct {
-	LocalMB    float64
-	RemoteMB   float64 // read from other live datanodes through the switch
-	ExternalMB float64 // fetched from the external source over the NIC
-	Missing    []string
-	Broken     []string // files with a block that has no live replica
-}
-
-// Plan computes the read plan for paths from nodeID.
-func (fs *FS) Plan(paths []string, nodeID string) ReadPlan {
-	var plan ReadPlan
-	for _, p := range paths {
-		f, ok := fs.files[p]
-		if !ok {
-			plan.Missing = append(plan.Missing, p)
-			continue
-		}
-		if f.External {
-			plan.ExternalMB += f.SizeMB
-			continue
-		}
-		for _, b := range f.Blocks {
-			src := fs.liveReplica(b, nodeID)
-			switch src {
-			case "":
-				plan.Broken = append(plan.Broken, p)
-			case nodeID:
-				plan.LocalMB += b.SizeMB
-			default:
-				plan.RemoteMB += b.SizeMB
-			}
-		}
-	}
-	return plan
 }
 
 // SetReadFault installs (or clears, with nil) a hook consulted at the start

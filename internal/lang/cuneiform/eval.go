@@ -221,9 +221,6 @@ func (d *Driver) Outputs() []string {
 	return out
 }
 
-// Pending returns the number of unresolved invocations (for diagnostics).
-func (d *Driver) Pending() int { return d.unresolved }
-
 // evaluate evaluates the queued statements in ascending program order,
 // collecting freshly issued tasks. A statement not queued can only re-find
 // invocations that exist, so this discovers the same new tasks in the same

@@ -32,34 +32,37 @@ func NewDriver(name, traceText string) *Driver {
 	return d
 }
 
-// NewDriverFromStore builds a driver replaying the contents of a
-// provenance store.
-func NewDriverFromStore(name string, store provenance.Store) *Driver {
-	d := &Driver{}
-	d.WFName = name
-	d.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
-		events, err := store.Events()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return FromEvents(events)
-	}
-	return d
-}
-
-// FromEvents reconstructs the task graph from task-end events. Only
-// successful tasks are replayed; a trace containing a failed task is
-// rejected, since its downstream products never existed.
+// FromEvents reconstructs the task graph from task-end events. A task may
+// end more than once — a failed attempt a retry recovered, the loser of a
+// speculative race — and is replayed from its one successful end, in the
+// order of those ends. A task with no successful end is rejected, since its
+// downstream products never existed; so is one that succeeded twice.
 func FromEvents(events []provenance.Event) ([]*wf.Task, []string, []wf.Edge, error) {
-	var tasks []*wf.Task
-	produced := make(map[string]bool)
+	type taskKey struct {
+		workflow string
+		task     int64
+	}
+	succeeded := map[taskKey]bool{}
+	var ends []provenance.Event
 	for _, ev := range events {
-		if ev.Type != provenance.TaskEnd {
+		if ev.Type != provenance.TaskEnd || ev.ExitCode != 0 || ev.Error != "" {
 			continue
 		}
-		if ev.ExitCode != 0 || ev.Error != "" {
+		k := taskKey{ev.WorkflowID, ev.TaskID}
+		if succeeded[k] {
+			return nil, nil, nil, fmt.Errorf("trace: task %d (%s) succeeded twice in the recorded run; trace is not replayable", ev.TaskID, ev.Signature)
+		}
+		succeeded[k] = true
+		ends = append(ends, ev)
+	}
+	for _, ev := range events {
+		if ev.Type == provenance.TaskEnd && !succeeded[taskKey{ev.WorkflowID, ev.TaskID}] {
 			return nil, nil, nil, fmt.Errorf("trace: task %d (%s) failed in the recorded run; trace is not replayable", ev.TaskID, ev.Signature)
 		}
+	}
+	var tasks []*wf.Task
+	produced := make(map[string]bool)
+	for _, ev := range ends {
 		t := &wf.Task{
 			ID:         wf.NextID(),
 			Name:       ev.Signature,

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"hiway/internal/provenance"
@@ -54,11 +56,15 @@ func TestReplayFromEvents(t *testing.T) {
 }
 
 func TestDriverExecutesSameDAG(t *testing.T) {
-	store := provenance.NewMemStore()
+	var text strings.Builder
 	for _, ev := range recordedRun() {
-		store.Append(ev)
+		line, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text.Write(append(line, '\n'))
 	}
-	d := NewDriverFromStore("replay", store)
+	d := NewDriver("replay", text.String())
 	ready, err := d.Parse()
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +105,46 @@ func TestDriverFromJSONLText(t *testing.T) {
 func TestFailedTaskRejectsReplay(t *testing.T) {
 	events := recordedRun()
 	events[2].ExitCode = 1
-	if _, _, _, err := FromEvents(events); err == nil {
-		t.Fatal("trace with a failed task must be rejected")
+	if _, _, _, err := FromEvents(events); err == nil || !strings.Contains(err.Error(), "task 2 (call) failed") {
+		t.Fatalf("trace with a never-successful task must be rejected, got %v", err)
+	}
+}
+
+// TestRecoveredAttemptsReplayFromTheirSuccess covers the runs that exercised
+// fault tolerance: a crashed attempt its retry recovered, and the loser of a
+// speculative race that core ends as "superseded", each recorded beside the
+// task's one successful end. Either replays exactly like the clean trace.
+func TestRecoveredAttemptsReplayFromTheirSuccess(t *testing.T) {
+	clean, _, _, err := FromEvents(recordedRun())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, loser := range map[string]provenance.Event{
+		"retry":      {ExitCode: 1, Error: "chaos: injected crash", Node: "node-02"},
+		"superseded": {ExitCode: 137, Error: "superseded: a duplicate attempt finished first", Node: "node-00"},
+	} {
+		events := recordedRun()
+		loser.Type, loser.WorkflowID, loser.TaskID, loser.Signature = provenance.TaskEnd, "wf1", 1, "align"
+		loser.Outputs = events[1].Outputs // a loser may name the same outputs
+		events = append(events[:1], append([]provenance.Event{loser}, events[1:]...)...)
+		tasks, initial, _, err := FromEvents(events)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(tasks) != len(clean) || len(initial) != 1 {
+			t.Fatalf("%s: %d tasks, initial %v", name, len(tasks), initial)
+		}
+		for i := range tasks {
+			if tasks[i].Name != clean[i].Name || tasks[i].Meta["recordedNode"] != clean[i].Meta["recordedNode"] {
+				t.Fatalf("%s: task %d replays %s@%s, want %s@%s", name, i,
+					tasks[i].Name, tasks[i].Meta["recordedNode"], clean[i].Name, clean[i].Meta["recordedNode"])
+			}
+		}
+	}
+	twice := recordedRun()
+	twice = append(twice, twice[1])
+	if _, _, _, err := FromEvents(twice); err == nil || !strings.Contains(err.Error(), "succeeded twice") {
+		t.Fatalf("a task with two successful ends must be rejected, got %v", err)
 	}
 }
 

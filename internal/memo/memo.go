@@ -139,61 +139,6 @@ func (k Key) Encode() string {
 		"|" + strings.Join(outs, ",")
 }
 
-// ParseKey decodes a serialized key. It is the inverse of Encode on every
-// key Encode can produce, and returns an error (never panics) on anything
-// else — the FuzzMemoKey target pins both properties.
-func ParseKey(s string) (Key, error) {
-	parts := strings.Split(s, "|")
-	if len(parts) != 5 {
-		return Key{}, fmt.Errorf("memo: key has %d fields, want 5", len(parts))
-	}
-	if parts[0] != keyVersion {
-		return Key{}, fmt.Errorf("memo: unknown key version %q", parts[0])
-	}
-	var k Key
-	var err error
-	if k.Sig, err = unescapeField(parts[1]); err != nil {
-		return Key{}, err
-	}
-	cores, mem, ok := strings.Cut(parts[2], "x")
-	if !ok {
-		return Key{}, fmt.Errorf("memo: malformed profile %q", parts[2])
-	}
-	if k.Profile.VCores, err = strconv.Atoi(cores); err != nil {
-		return Key{}, fmt.Errorf("memo: bad vcores: %v", err)
-	}
-	if k.Profile.MemMB, err = strconv.Atoi(mem); err != nil {
-		return Key{}, fmt.Errorf("memo: bad memMB: %v", err)
-	}
-	if parts[3] != "" {
-		for _, f := range strings.Split(parts[3], ",") {
-			in, err := unescapeField(f)
-			if err != nil {
-				return Key{}, err
-			}
-			k.Inputs = append(k.Inputs, in)
-		}
-	}
-	if parts[4] != "" {
-		for _, f := range strings.Split(parts[4], ",") {
-			pathF, sizeF, ok := strings.Cut(f, ":")
-			if !ok {
-				return Key{}, fmt.Errorf("memo: malformed output %q", f)
-			}
-			p, err := unescapeField(pathF)
-			if err != nil {
-				return Key{}, err
-			}
-			sz, err := strconv.ParseFloat(sizeF, 64)
-			if err != nil {
-				return Key{}, fmt.Errorf("memo: bad output size %q: %v", sizeF, err)
-			}
-			k.Outputs = append(k.Outputs, OutputID{Path: p, SizeMB: sz})
-		}
-	}
-	return k, nil
-}
-
 // StagedIdentity is the canonical identity of an input file no completed
 // task produced: its canonical path plus its size.
 func StagedIdentity(canonPath string, sizeMB float64) string {

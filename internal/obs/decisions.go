@@ -59,28 +59,6 @@ func (l *DecisionLog) Record(d Decision) {
 	l.recs = append(l.recs, d)
 }
 
-// Len returns the number of recorded decisions.
-func (l *DecisionLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
-}
-
-// Decisions returns a copy of the recorded decisions in order.
-func (l *DecisionLog) Decisions() []Decision {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Decision, len(l.recs))
-	copy(out, l.recs)
-	return out
-}
-
 // Render formats the log as one line per decision. The format is stable and
 // fully determined by the decision stream; task IDs are process-local, so
 // cross-process comparisons should use RenderStable instead.

@@ -86,26 +86,6 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // family is all series sharing one metric name: either a single unlabeled
 // series or one series per value of a single label.
 type family struct {

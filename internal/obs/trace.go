@@ -66,14 +66,6 @@ func NewTracer(clock func() float64) *Tracer {
 // guard work that only feeds the tracer (e.g. formatting a span name).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Now returns the tracer's current time, 0 on a nil tracer.
-func (t *Tracer) Now() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.clock()
-}
-
 // SetSampleEvery keeps only every nth Sample call per (track, name) series;
 // n <= 1 keeps all samples. Spans and instants are never sampled away.
 func (t *Tracer) SetSampleEvery(n int) {

@@ -4,12 +4,10 @@
 // everything needed to reproduce an experiment: the cluster (node groups,
 // switch), the Hadoop configuration (HDFS block size/replication, YARN
 // heartbeat, AM container size), and the input data to stage. Materialize
-// turns a recipe into a ready-to-run environment; recipes round-trip
-// through JSON so they can be stored next to the experiment that uses them.
+// turns a recipe into a ready-to-run environment.
 package recipes
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"hiway/internal/cluster"
@@ -97,21 +95,4 @@ func (r *Recipe) Materialize() (*sim.Engine, core.Env, error) {
 		return nil, core.Env{}, err
 	}
 	return eng, core.Env{Cluster: cl, FS: fs, RM: rm, Prov: prov}, nil
-}
-
-// Marshal encodes the recipe as indented JSON.
-func (r *Recipe) Marshal() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
-// Parse decodes a JSON recipe.
-func Parse(data []byte) (*Recipe, error) {
-	var r Recipe
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("recipes: parsing: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

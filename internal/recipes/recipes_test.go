@@ -56,27 +56,3 @@ func TestValidateRejectsBadRecipes(t *testing.T) {
 		}
 	}
 }
-
-func TestJSONRoundTrip(t *testing.T) {
-	r := valid()
-	data, err := r.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Name != r.Name || len(r2.Groups) != 2 || r2.Groups[1].Spec.VCores != 8 {
-		t.Fatalf("round trip lost data: %+v", r2)
-	}
-	if len(r2.Inputs) != 2 || !r2.Inputs[1].External {
-		t.Fatalf("inputs lost: %+v", r2.Inputs)
-	}
-	if _, err := Parse([]byte("{")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-	if _, err := Parse([]byte(`{"name":"x"}`)); err == nil {
-		t.Fatal("invalid recipe accepted")
-	}
-}

@@ -1,10 +1,6 @@
 package scheduler
 
-import (
-	"testing"
-
-	"hiway/internal/wf"
-)
+import "testing"
 
 func TestAdaptiveGreedyPrefersRelativelyFastNode(t *testing.T) {
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
@@ -89,62 +85,16 @@ func TestHEFTEstimateModes(t *testing.T) {
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		"w": {"n1": 10, "n2": 1000},
 	}}
-	latest := NewHEFT(est)
-	if got := latest.estimate("w", "n3"); got != 0 {
+	h := NewHEFT(est)
+	if got := h.estimate("w", "n3"); got != 0 {
 		t.Fatalf("zero-default estimate = %g", got)
 	}
-	mean := NewHEFT(est)
-	mean.SetEstimateMode(EstimateMeanFallback)
-	if got := mean.estimate("w", "n3"); got != 505 {
-		t.Fatalf("mean-fallback estimate = %g, want 505", got)
-	}
-	if got := mean.estimate("w", "n1"); got != 10 {
+	if got := h.estimate("w", "n1"); got != 10 {
 		t.Fatalf("observed estimate = %g, want 10", got)
 	}
-	if got := mean.estimate("unknown", "n1"); got != 0 {
+	if got := h.estimate("unknown", "n1"); got != 0 {
 		t.Fatalf("unknown signature estimate = %g", got)
 	}
-}
-
-func TestHEFTMeanFallbackSkipsExploration(t *testing.T) {
-	// With mean-fallback, a task whose good node is known should stay
-	// there instead of exploring the unknown node.
-	est := &fakeEstimator{runtimes: map[string]map[string]float64{
-		"w": {"good": 10, "bad": 1000},
-	}}
-	var tasks []*wf.Task
-	for i := 0; i < 3; i++ {
-		tasks = append(tasks, mkTask("w", nil, mkName(i)))
-	}
-	dag, _ := wf.NewDAG(tasks, nil, nil)
-	h := NewHEFT(est)
-	h.SetEstimateMode(EstimateMeanFallback)
-	if err := h.Plan(dag, nodes("good", "bad", "mystery")); err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range tasks {
-		if node, _ := h.Placement(task); node != "good" {
-			t.Fatalf("mean-fallback should serialize on the known-good node, got %s", node)
-		}
-	}
-	// The paper's zero-default strategy, by contrast, explores "mystery".
-	h2 := NewHEFT(est)
-	if err := h2.Plan(dag, nodes("good", "bad", "mystery")); err != nil {
-		t.Fatal(err)
-	}
-	explored := false
-	for _, task := range tasks {
-		if node, _ := h2.Placement(task); node == "mystery" {
-			explored = true
-		}
-	}
-	if !explored {
-		t.Fatal("zero-default HEFT should try the unobserved node")
-	}
-}
-
-func mkName(i int) string {
-	return string(rune('p'+i)) + "-out"
 }
 
 func TestAdaptiveGreedyDeclinesKnownSlowNode(t *testing.T) {

@@ -1,9 +1,6 @@
 package scheduler
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // NodeHealth answers "should this node receive work right now?". All
 // scheduling policies consult it (when set) before handing a task to an
@@ -109,18 +106,4 @@ func (h *NodeHealthTracker) Forget(node string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.nodes, node)
-}
-
-// Blacklisted returns the currently blacklisted nodes, sorted.
-func (h *NodeHealthTracker) Blacklisted() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []string
-	for n, st := range h.nodes {
-		if h.now() < st.until {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -364,10 +364,16 @@ func TestHEFTPartialKnowledgeAvoidsKnownSlowNode(t *testing.T) {
 	if err := s.Plan(dag, nodes("n0", "n1", "n2")); err != nil {
 		t.Fatal(err)
 	}
+	explored := false
 	for _, task := range tasks {
-		if node, _ := s.Placement(task); node == "n1" {
+		node, _ := s.Placement(task)
+		if node == "n1" {
 			t.Fatalf("task placed on known-slow node n1")
 		}
+		explored = explored || node == "n2"
+	}
+	if !explored {
+		t.Fatal("zero-default HEFT should try the unobserved node n2")
 	}
 }
 

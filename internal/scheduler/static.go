@@ -143,26 +143,10 @@ func (s *RoundRobin) Plan(dag *wf.DAG, nodes []NodeInfo) error {
 // estimates come from provenance; untried (signature, node) pairs estimate
 // zero, which makes unexplored nodes attractive and drives the exploration
 // visible in the paper's Fig. 9.
-// EstimateMode selects how HEFT treats (signature, node) pairs without any
-// observation.
-type EstimateMode int
-
-const (
-	// EstimateLatestZeroDefault is the paper's strategy: use the latest
-	// observation; assume zero for untried pairs, which makes unexplored
-	// nodes attractive and drives exploration.
-	EstimateLatestZeroDefault EstimateMode = iota
-	// EstimateMeanFallback substitutes the signature's mean across nodes
-	// for untried pairs — no exploration incentive. Used by the ablation
-	// benchmarks to quantify what the default-zero strategy buys.
-	EstimateMeanFallback
-)
-
 type HEFT struct {
 	staticBase
-	est  Estimator
-	rng  *rand.Rand
-	mode EstimateMode
+	est Estimator
+	rng *rand.Rand
 }
 
 // NewHEFT returns an unplanned HEFT scheduler over the estimator.
@@ -183,22 +167,11 @@ func NewHEFTSeeded(est Estimator, seed int64) *HEFT {
 	return h
 }
 
-// SetEstimateMode switches the treatment of unobserved pairs; must be
-// called before Plan.
-func (s *HEFT) SetEstimateMode(m EstimateMode) { s.mode = m }
-
-// estimate returns the runtime estimate for signature on node. Untried
-// pairs default to zero (the paper's exploration strategy) or to the
-// signature mean, per the configured mode.
+// estimate returns the latest observed runtime of signature on node, and
+// zero for an untried pair — the paper's exploration strategy.
 func (s *HEFT) estimate(signature, node string) float64 {
-	d, ok := s.est.LastRuntime(signature, node)
-	if ok {
+	if d, ok := s.est.LastRuntime(signature, node); ok {
 		return d
-	}
-	if s.mode == EstimateMeanFallback {
-		if mean, ok := s.est.MeanRuntime(signature); ok {
-			return mean
-		}
 	}
 	return 0
 }

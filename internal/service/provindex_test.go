@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,7 +145,7 @@ func TestProvenanceIndexFoldsEachEventOnce(t *testing.T) {
 			t.Fatalf("submit %d: got %d", i, rec.Code)
 		}
 	}
-	for _, r := range s.Runs() {
+	for _, r := range s.runs.All() {
 		<-r.Done()
 	}
 	requireFolded("after three runs", int64(held()))
@@ -169,7 +170,8 @@ func TestProvenanceIndexFoldsEachEventOnce(t *testing.T) {
 	if s.prov.settled != len(s.admittedRuns()) {
 		t.Fatalf("settled %d of %d terminal runs", s.prov.settled, len(s.admittedRuns()))
 	}
-	if n := s.prov.queryH.Count(); n == 0 {
+	const countLine = "hiway_serve_provenance_query_seconds_count "
+	if metrics := get(t, s.Handler(), "/metrics").Body.String(); !strings.Contains(metrics, countLine) || strings.Contains(metrics, countLine+"0\n") {
 		t.Fatal("query histogram never observed")
 	}
 	waitDrained(t, s)

@@ -353,9 +353,6 @@ func (s *Server) now() float64 {
 // Obs exposes the server's observability bundle (the /metrics registry).
 func (s *Server) Obs() *obs.Obs { return s.obs }
 
-// Runs returns every run registered so far, in unspecified order.
-func (s *Server) Runs() []*Run { return s.runs.All() }
-
 // Lookup returns the run registered under id, or nil.
 func (s *Server) Lookup(id string) *Run { return s.runs.Load(id) }
 

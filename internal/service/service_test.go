@@ -174,9 +174,13 @@ func TestAdmissionCapAndIntraTenantOrder(t *testing.T) {
 func TestServiceUnderChaosIsDeterministic(t *testing.T) {
 	profiles := []TenantProfile{{Name: "acme", RatePerSec: 0.01}}
 	run := func() ([]*Account, *Stats) {
+		plan, err := chaos.Parse("crashrate=0.3", 9)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := Config{
 			Seed: 3, DurationSec: 300, MaxConcurrent: 2, MaxQueue: 8,
-			Chaos: chaos.NewPlan(9).WithCrashRate(0.3),
+			Chaos: plan,
 		}
 		return runOnce(t, cfg, profiles)
 	}

@@ -56,8 +56,8 @@ type Stats struct {
 	E2EP99Sec       float64
 
 	// Cost accounting from the RM: node-seconds bill alive node lifetime by
-	// class, CostUnits prices them (on-demand 1.0, spot autoscale.SpotPrice
-	// equivalent 0.3), and the per-tenant core-seconds in Tenants attribute
+	// class, CostUnits prices them (yarn.CostReport.CostUnits: on-demand
+	// 1.0, spot 0.3), and the per-tenant core-seconds in Tenants attribute
 	// the busy share.
 	OnDemandNodeSec float64
 	SpotNodeSec     float64
@@ -73,10 +73,6 @@ type Stats struct {
 
 	Tenants map[string]*TenantStats
 }
-
-// spotPrice mirrors autoscale.SpotPrice without importing the package: the
-// relative price of a spot node-second.
-const spotPrice = 0.3
 
 // Stats rolls up the accounts. Call after the engine has drained.
 func (s *Service) Stats() *Stats {
@@ -150,7 +146,7 @@ func (s *Service) Stats() *Stats {
 	cost := s.env.RM.CostReport()
 	st.OnDemandNodeSec = cost.OnDemandNodeSec
 	st.SpotNodeSec = cost.SpotNodeSec
-	st.CostUnits = cost.CostUnits(spotPrice)
+	st.CostUnits = cost.CostUnits()
 	for name, ts := range st.Tenants {
 		if tc, ok := cost.Tenants[name]; ok {
 			ts.OnDemandCoreSec = tc.OnDemandCoreSec

@@ -15,9 +15,6 @@ type Event struct {
 	idx int // position in the engine's heap; -1 while not pending
 }
 
-// Time returns the virtual time at which the event fires (or last fired).
-func (ev *Event) Time() float64 { return ev.at }
-
 // pending reports whether the event is in the queue.
 func (ev *Event) pending() bool { return ev.idx >= 0 }
 

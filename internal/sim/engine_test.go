@@ -380,11 +380,6 @@ func TestSharedResourceMeters(t *testing.T) {
 	if th := r.Throughput(); !almostEqual(th, 25, 1e-9) {
 		t.Fatalf("throughput = %g, want 25", th)
 	}
-	r.ResetMeters()
-	e.RunUntil(5)
-	if u := r.Utilization(); u != 0 {
-		t.Fatalf("utilization after reset = %g, want 0", u)
-	}
 }
 
 func TestSharedResourceLoadMeter(t *testing.T) {

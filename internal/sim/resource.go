@@ -13,7 +13,7 @@ const workEps = 1e-9
 // recomputed by max-min fair sharing whenever the resource's job set changes.
 type Job struct {
 	res       *SharedResource
-	remaining float64 // work left as of syncT; live value via Remaining()
+	remaining float64 // work left as of syncT
 	syncT     float64 // virtual time remaining refers to
 	cap       float64 // maximum rate this job can absorb; 0 means unlimited
 	rate      float64 // current allocated rate
@@ -35,26 +35,6 @@ func (j *Job) Cancel() {
 	j.res.Remove(j)
 }
 
-// Active reports whether the job is still submitted to its resource.
-func (j *Job) Active() bool { return j != nil && j.active }
-
-// Remaining returns the job's remaining work in resource units as of the
-// current virtual time. Progress is tracked lazily — a job's stored state is
-// only synced when its rate changes — so the live value is derived here.
-func (j *Job) Remaining() float64 {
-	if j == nil {
-		return 0
-	}
-	if !j.active || j.infinite || j.res == nil {
-		return j.remaining
-	}
-	rem := j.remaining - j.rate*(j.res.eng.Now()-j.syncT)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
 // SharedResource models a contended resource (switch, NIC, disk, CPU) with a
 // fixed aggregate capacity in units per second. Concurrent jobs share the
 // capacity max-min fairly, honoring per-job rate caps: jobs whose cap is
@@ -72,7 +52,6 @@ func (j *Job) Remaining() float64 {
 // when the earliest projected completion actually moves (coalescing).
 type SharedResource struct {
 	eng       *Engine
-	name      string
 	capacity  float64
 	jobs      []*Job  // active finite+background jobs, ascending (effCap, seq)
 	capSum    float64 // Σ effCap over jobs (demand meter)
@@ -98,7 +77,6 @@ func NewSharedResource(eng *Engine, name string, capacity float64) *SharedResour
 	}
 	r := &SharedResource{
 		eng:        eng,
-		name:       name,
 		capacity:   capacity,
 		last:       eng.Now(),
 		meterStart: eng.Now(),
@@ -110,18 +88,12 @@ func NewSharedResource(eng *Engine, name string, capacity float64) *SharedResour
 	return r
 }
 
-// Name returns the resource's diagnostic name.
-func (r *SharedResource) Name() string { return r.name }
-
-// Active returns the number of jobs currently sharing the resource.
-func (r *SharedResource) Active() int { return len(r.jobs) }
-
 // Submit enqueues work units to be processed, calling done on completion.
 // rateCap bounds the job's share (0 = unbounded). Zero or negative work
 // completes at the current instant via a scheduled event, preserving
 // callback ordering; until that event fires the returned Job is a
-// first-class handle — Active() reports true and Cancel() withdraws the
-// pending callback — but it never contends for capacity.
+// first-class handle — it is active and Cancel() withdraws the pending
+// callback — but it never contends for capacity.
 func (r *SharedResource) Submit(work, rateCap float64, done func()) *Job {
 	r.seq++
 	if work <= 0 {
@@ -391,12 +363,3 @@ func (r *SharedResource) BusyFraction() float64 {
 // layer. One reshare per job-set change is the design target; a number far
 // above (submits + removals + completions) signals a wake-coalescing bug.
 func (r *SharedResource) Reshares() int64 { return r.reshares }
-
-// ResetMeters restarts utilization accounting from the current instant.
-func (r *SharedResource) ResetMeters() {
-	r.advance()
-	r.meterStart = r.eng.Now()
-	r.rateIntegral = 0
-	r.demandInt = 0
-	r.busyInt = 0
-}

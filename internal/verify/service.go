@@ -150,9 +150,6 @@ func (a *TenantAuditor) OnContainerLost(now float64, c *yarn.Container) {
 // OnNodeDead implements yarn.AuditHook.
 func (a *TenantAuditor) OnNodeDead(now float64, node string) {}
 
-// Violations returns everything recorded so far.
-func (a *TenantAuditor) Violations() []Violation { return a.violations }
-
 // FinalCheck verifies every tenant's count returned to zero and returns the
 // full violation list.
 func (a *TenantAuditor) FinalCheck(now float64) []Violation {

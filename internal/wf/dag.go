@@ -153,9 +153,6 @@ func (d *DAG) checkAcyclic() error {
 // All returns every task in insertion order.
 func (d *DAG) All() []*Task { return d.tasks }
 
-// Task looks up a task by ID.
-func (d *DAG) Task(id int64) *Task { return d.byID[id] }
-
 // Predecessors returns the tasks that must complete before t.
 func (d *DAG) Predecessors(t *Task) []*Task { return d.preds[t.ID] }
 
@@ -202,9 +199,6 @@ func (d *DAG) Complete(t *Task, produced []FileInfo) []*Task {
 func (d *DAG) Done() bool {
 	return len(d.completed) == len(d.tasks)
 }
-
-// Remaining returns the number of tasks not yet completed.
-func (d *DAG) Remaining() int { return len(d.tasks) - len(d.completed) }
 
 // Sinks returns the declared outputs of tasks with no successors — the
 // workflow's final products.

@@ -3,8 +3,6 @@ package workloads
 import (
 	"encoding/json"
 	"fmt"
-
-	"hiway/internal/lang/cwl"
 )
 
 // This file renders the SNV-calling pipeline as a CWL v1.2 document — the
@@ -143,13 +141,4 @@ func SNVCWL(cfg SNVConfig) (string, []Input) {
 		panic(err)
 	}
 	return string(b) + "\n", inputs
-}
-
-// SNVCWLDriver builds the CWL driver for the workflow. No Behavior hook is
-// needed: the region scatter that is dynamic in the Cuneiform rendering is
-// declared statically here via outCount.
-func SNVCWLDriver(name string, cfg SNVConfig) (*cwl.Driver, []Input) {
-	cfg.setDefaults()
-	src, inputs := SNVCWL(cfg)
-	return cwl.NewDriver(name, src, cwl.Options{}), inputs
 }

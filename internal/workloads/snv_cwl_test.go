@@ -4,8 +4,17 @@ import (
 	"os"
 	"testing"
 
+	"hiway/internal/lang/cwl"
 	"hiway/internal/wf"
 )
+
+// snvCWLDriver builds the CWL driver for the workflow. No Behavior hook is
+// needed: the region scatter that is dynamic in the Cuneiform rendering is
+// declared statically via outCount.
+func snvCWLDriver(name string, cfg SNVConfig) (*cwl.Driver, []Input) {
+	src, inputs := SNVCWL(cfg)
+	return cwl.NewDriver(name, src, cwl.Options{}), inputs
+}
 
 // TestSNVCWLDrivesToCompletion mirrors the Cuneiform drive-to-completion
 // test: the CWL rendering must produce the same task counts and the same
@@ -14,7 +23,7 @@ import (
 func TestSNVCWLDrivesToCompletion(t *testing.T) {
 	cfg := SNVConfig{Samples: 2, FilesPerSample: 3, FileSizeMB: 64, CallSplitRegions: 4,
 		AlignCPUSeconds: 10, SortCPUSeconds: 5, CallCPUSeconds: 8, AnnotateCPUSeconds: 4, RefLocal: true}
-	driver, inputs := SNVCWLDriver("snv-test", cfg)
+	driver, inputs := snvCWLDriver("snv-test", cfg)
 	if len(inputs) != 6 {
 		t.Fatalf("inputs = %d", len(inputs))
 	}
@@ -56,7 +65,7 @@ func TestSNVCWLDrivesToCompletion(t *testing.T) {
 // Cuneiform @threads/@mem/@cpu/@size annotations do.
 func TestSNVCWLResourceProfile(t *testing.T) {
 	cfg := SNVConfig{Samples: 1, FilesPerSample: 2, FileSizeMB: 100, CallSplitRegions: 4, RefLocal: true}
-	driver, _ := SNVCWLDriver("snv-res", cfg)
+	driver, _ := snvCWLDriver("snv-res", cfg)
 	if _, err := driver.Parse(); err != nil {
 		t.Fatal(err)
 	}

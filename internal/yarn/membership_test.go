@@ -247,7 +247,7 @@ func TestCostConservation(t *testing.T) {
 	if rep.SpotNodeSec <= 0 || rep.OnDemandNodeSec <= rep.SpotNodeSec {
 		t.Fatalf("node-sec = %g on-demand / %g spot: want both positive, on-demand larger", rep.OnDemandNodeSec, rep.SpotNodeSec)
 	}
-	if units := rep.CostUnits(0.3); units != rep.OnDemandNodeSec+0.3*rep.SpotNodeSec {
+	if units := rep.CostUnits(); units != rep.OnDemandNodeSec+0.3*rep.SpotNodeSec {
 		t.Fatalf("cost units = %g", units)
 	}
 }

@@ -848,13 +848,6 @@ func (rm *ResourceManager) creditTenant(c *Container) {
 	rm.tenantUse[c.Tenant]--
 }
 
-// TenantContainers returns the number of live (allocated, unreleased)
-// worker containers currently charged to the tenant — the quantity
-// TenantPolicy.MaxContainers caps. AM containers are exempt.
-func (rm *ResourceManager) TenantContainers(tenant string) int {
-	return rm.tenantUse[tenant]
-}
-
 // newPendingReq takes a request record from the free list, or allocates.
 func (rm *ResourceManager) newPendingReq() *pendingReq {
 	if n := len(rm.reqFree); n > 0 {
@@ -1101,11 +1094,6 @@ func (rm *ResourceManager) NodeRunning(nodeID string) int {
 	return len(nm.running)
 }
 
-// RegisteredNodes returns how many nodes the RM currently tracks, including
-// dead and draining ones — the quantity the bounded-state regression test
-// asserts on.
-func (rm *ResourceManager) RegisteredNodes() int { return len(rm.nms) }
-
 // QueuedRequests returns the RM-wide count of pending, unallocated container
 // requests — an autoscaling pressure signal.
 func (rm *ResourceManager) QueuedRequests() int { return len(rm.pending) }
@@ -1140,9 +1128,13 @@ type CostReport struct {
 	Tenants         map[string]TenantCost `json:"tenants"`            // per-tenant usage ("" = untenanted apps)
 }
 
+// spotPrice is the price of a spot node-second relative to an on-demand
+// node-second — the discount that makes preemptible capacity worth the churn.
+const spotPrice = 0.3
+
 // CostUnits converts the bill to abstract cost units: one unit per
-// on-demand node-second, spotPrice units per spot node-second.
-func (r CostReport) CostUnits(spotPrice float64) float64 {
+// on-demand node-second, spotPrice (0.3) units per spot node-second.
+func (r CostReport) CostUnits() float64 {
 	return r.OnDemandNodeSec + spotPrice*r.SpotNodeSec
 }
 
