@@ -35,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -267,12 +268,11 @@ type simShard struct {
 	sched  scheduler.Scheduler
 	cfg    core.Config
 	o      *obs.Obs
-	store  *provenance.MemStore // shard-local event buffer for the merged -prov file
+	store  *provenance.MemStore // the shard's provenance, for -prov
 	gantt  bool
 
-	out    bytes.Buffer
-	rep    *core.Report
-	events []provenance.Event
+	out bytes.Buffer
+	rep *core.Report
 }
 
 func (s *simShard) run() error {
@@ -312,15 +312,7 @@ func (s *simShard) run() error {
 		fmt.Fprint(&s.out, rep.Gantt(100))
 	}
 	s.rep = rep
-	if s.store != nil {
-		if err := s.env.Prov.Flush(); err != nil {
-			return err
-		}
-		if s.events, err = s.store.Events(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.env.Prov.Flush()
 }
 
 // shardFile derives the per-shard variant of an output path: the path itself
@@ -371,14 +363,6 @@ func runSim(args []string) error {
 	// assignment) happens here, in -w flag order, so the shard workers
 	// below start from identical state at any -shard-workers value.
 	n := len(wfPaths)
-	multi := n > 1
-	var fstore *provenance.FileStore
-	if *provPath != "" {
-		if fstore, err = provenance.OpenFileStore(*provPath); err != nil {
-			return err
-		}
-		defer fstore.Close()
-	}
 	shards := make([]*simShard, n)
 	for i, wfPath := range wfPaths {
 		driver, _, err := buildDriver(wfPath, *lang, bindMap)
@@ -397,16 +381,8 @@ func runSim(args []string) error {
 		if err != nil {
 			return err
 		}
-		s := &simShard{driver: driver, eng: eng, env: env, gantt: *gantt}
-		// A single workflow streams provenance straight to the trace file;
-		// multiple workflows buffer per shard and merge after the run.
-		var store provenance.Store = provenance.NewMemStore()
-		if fstore != nil && !multi {
-			store = fstore
-		} else if fstore != nil {
-			s.store = store.(*provenance.MemStore)
-		}
-		if s.env.Prov, err = provenance.NewManager(store); err != nil {
+		s := &simShard{driver: driver, eng: eng, env: env, store: provenance.NewMemStore(), gantt: *gantt}
+		if s.env.Prov, err = provenance.NewManager(s.store); err != nil {
 			return err
 		}
 		// Observability is built only when an output asks for it, so the
@@ -489,16 +465,11 @@ func runSim(args []string) error {
 		os.Stdout.Write(s.out.Bytes())
 	}
 	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+		err := writeFile(*memProfile, func(w io.Writer) error {
+			runtime.GC() // measure live objects, not garbage
+			return pprof.WriteHeapProfile(w)
+		})
 		if err != nil {
-			return err
-		}
-		runtime.GC() // measure live objects, not garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Println("heap profile:", *memProfile)
@@ -515,35 +486,25 @@ func runSim(args []string) error {
 	if *tracePath != "" {
 		for i, s := range shards {
 			p := shardFile(*tracePath, i, n)
-			f, err := os.Create(p)
-			if err != nil {
-				return err
-			}
-			if err := s.o.T().WriteChrome(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(p, s.o.T().WriteChrome); err != nil {
 				return err
 			}
 			fmt.Println("trace:", p)
 		}
 	}
 	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
+		err := writeFile(*metricsPath, func(w io.Writer) error {
+			for i, s := range shards {
+				if n > 1 {
+					fmt.Fprintf(w, "# shard %02d: %s\n", i, s.driver.Name())
+				}
+				if err := s.o.M().WritePrometheus(w); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		for i, s := range shards {
-			if multi {
-				fmt.Fprintf(f, "# shard %02d: %s\n", i, s.driver.Name())
-			}
-			if err := s.o.M().WritePrometheus(f); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Println("metrics:", *metricsPath)
@@ -558,19 +519,61 @@ func runSim(args []string) error {
 		}
 	}
 	if *provPath != "" {
-		if multi {
-			// Merge the buffered per-shard streams into one file, ordered
-			// by (timestamp, shard, shard-local position).
-			perShard := make([][]provenance.Event, n)
-			for i, s := range shards {
-				perShard[i] = s.events
-			}
-			if err := fstore.AppendBatch(shard.MergeEvents(perShard)); err != nil {
-				return err
-			}
+		// One trace for all shards, ordered by (timestamp, shard, position).
+		// A shard records in time order, so one workflow's trace is its
+		// events as recorded. The file is created only now: -prov may name
+		// the trace -w is replaying.
+		perShard := make([][]provenance.Event, n)
+		for i, s := range shards {
+			perShard[i] = s.store.View()
+		}
+		err := writeFile(*provPath, func(w io.Writer) error {
+			return provenance.WriteTrace(w, shard.MergeEvents(perShard))
+		})
+		if err != nil {
+			return err
 		}
 		fmt.Println("provenance trace:", *provPath)
 	}
+	return nil
+}
+
+// writeFile creates path, replacing whatever was there, and fills it with
+// write: every artifact flag names a fresh file.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeMetrics writes o's Prometheus snapshot to path, if one was asked for.
+func writeMetrics(path string, o *obs.Obs) error {
+	if path == "" {
+		return nil
+	}
+	if err := writeFile(path, o.M().WritePrometheus); err != nil {
+		return err
+	}
+	fmt.Println("metrics:", path)
+	return nil
+}
+
+// printLadder prints a ladder's table and, with -json, writes its points.
+func printLadder(table string, points []byte, jsonPath string) error {
+	fmt.Print(table)
+	if jsonPath == "" {
+		return nil
+	}
+	if err := os.WriteFile(jsonPath, points, 0o644); err != nil {
+		return err
+	}
+	fmt.Println("ladder:", jsonPath)
 	return nil
 }
 
@@ -704,12 +707,9 @@ func runVerify(args []string) error {
 	return nil
 }
 
-// runLoad drives the multi-tenant service tier: an open-loop arrival
-// process (the default tenant mix, scaled by -rate) submits workflow
-// instances through admission control onto one simulated cluster, and the
-// per-workflow accounting is printed when the run drains. Same-seed runs
-// print byte-identical reports. With -ladder the arrival rate is swept and
-// the measured points are emitted as BENCH_service.json.
+// runElastic drives the service tier on a fleet sized by an autoscaling
+// policy, optionally under spot-preemption chaos. With -ladder the policy ×
+// chaos grid is swept and the points are emitted as BENCH_elastic.json.
 func runElastic(args []string) error {
 	fs := flag.NewFlagSet("elastic", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "seed for arrivals, autoscaling draws, and the simulated substrate")
@@ -760,14 +760,7 @@ func runElastic(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Render())
-		if *jsonPath != "" {
-			if err := os.WriteFile(*jsonPath, res.JSON(), 0o644); err != nil {
-				return err
-			}
-			fmt.Println("ladder:", *jsonPath)
-		}
-		return nil
+		return printLadder(res.Render(), res.JSON(), *jsonPath)
 	}
 
 	cfg.WithObs = *metricsPath != ""
@@ -782,23 +775,15 @@ func runElastic(args []string) error {
 			cfg.SpotRate, cfg.SpotNoticeSec, cfg.SpotEverySec)
 	}
 	fmt.Print(run.Render())
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := run.Obs.M().WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("metrics:", *metricsPath)
-	}
-	return nil
+	return writeMetrics(*metricsPath, run.Obs)
 }
 
+// runLoad drives the multi-tenant service tier: an open-loop arrival
+// process (the default tenant mix, scaled by -rate) submits workflow
+// instances through admission control onto one simulated cluster, and the
+// per-workflow accounting is printed when the run drains. Same-seed runs
+// print byte-identical reports. With -ladder the arrival rate is swept and
+// the measured points are emitted as BENCH_service.json.
 func runLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "seed for arrivals and the simulated substrate")
@@ -845,14 +830,7 @@ func runLoad(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.Render())
-		if *jsonPath != "" {
-			if err := os.WriteFile(*jsonPath, res.JSON(), 0o644); err != nil {
-				return err
-			}
-			fmt.Println("ladder:", *jsonPath)
-		}
-		return nil
+		return printLadder(res.Render(), res.JSON(), *jsonPath)
 	}
 
 	cfg.WithObs = *metricsPath != ""
@@ -869,21 +847,7 @@ func runLoad(args []string) error {
 		fmt.Println("memo: cross-tenant table enabled")
 	}
 	fmt.Print(run.Render())
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := run.Obs.M().WritePrometheus(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("metrics:", *metricsPath)
-	}
-	return nil
+	return writeMetrics(*metricsPath, run.Obs)
 }
 
 // parseTenantProfiles decodes repeated -tenant flags of the form
@@ -1030,29 +994,18 @@ func runServe(args []string) error {
 	fmt.Printf("serve: submitted %d  accepted %d  rejected %d  dropped %d  completed %d  failed %d  peak-running %d\n",
 		st.Submitted, st.Accepted, st.Rejected, st.Dropped, st.Completed, st.Failed, st.PeakRunning)
 	if *provPath != "" {
-		store, err := provenance.OpenFileStore(*provPath)
+		merged := provenance.NewMemStore()
+		n, err := srv.FlushProvenance(merged)
 		if err != nil {
 			return err
 		}
-		n, err := srv.FlushProvenance(store)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		if err := store.Close(); err != nil {
+		if err := writeFile(*provPath, func(w io.Writer) error { return provenance.WriteTrace(w, merged.View()) }); err != nil {
 			return err
 		}
 		fmt.Printf("prov: %s (%d events)\n", *provPath, n)
 	}
-	if *metricsPath != "" {
-		var buf bytes.Buffer
-		if err := srv.Obs().M().WritePrometheus(&buf); err != nil {
-			return err
-		}
-		if err := os.WriteFile(*metricsPath, buf.Bytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("metrics:", *metricsPath)
+	if err := writeMetrics(*metricsPath, srv.Obs()); err != nil {
+		return err
 	}
 	if *multisetPath != "" {
 		if err := os.WriteFile(*multisetPath, srv.Multiset(), 0o644); err != nil {

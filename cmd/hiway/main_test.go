@@ -158,6 +158,93 @@ func TestRunSimReplaysRecoveredTraces(t *testing.T) {
 	}
 }
 
+// TestSimProvWritesAFreshTrace pins -prov's file semantics: a second run into
+// the same path replaces the first run's trace (appending would leave two
+// runs that share workflow and task IDs, which does not replay), and the
+// trace being replayed may be the one -prov names. Each run is a fresh
+// process (see TestMain), so equal runs write equal bytes.
+func TestSimProvWritesAFreshTrace(t *testing.T) {
+	dir := t.TempDir()
+	sim := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "HIWAY_SIM_HELPER="+strings.Join(args, "\x1f"))
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("sim %v: %v\n%s", args, err, out)
+		}
+	}
+	demo := filepath.Join("..", "..", "examples", "demo.cf")
+	trace, once := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "once.jsonl")
+	sim("-w", demo, "-input", "seed.txt=64", "-prov", once)
+	sim("-w", demo, "-input", "seed.txt=64", "-prov", trace)
+	sim("-w", demo, "-input", "seed.txt=64", "-prov", trace)
+	got, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(once)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("two runs into one -prov path left %d bytes; one run writes %d", len(got), len(want))
+	}
+	if err := runSim([]string{"-w", trace, "-input", "seed.txt=64"}); err != nil {
+		t.Fatalf("replaying the trace: %v", err)
+	}
+	sim("-w", trace, "-input", "seed.txt=64", "-prov", trace)
+	if done, _ := completedTasks(t, trace); len(done) != 3 {
+		t.Fatalf("replaying a trace into its own path recorded %v, want the 3 demo tasks", done)
+	}
+}
+
+// TestLoadAndElasticTails drives the tail `load` and `elastic` share: a
+// -metrics snapshot written twice into one path holds one run's bytes, and
+// -ladder -json writes one point per rung.
+func TestLoadAndElasticTails(t *testing.T) {
+	dir := t.TempDir()
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		run  func([]string) error
+		args []string
+	}{
+		{runLoad, []string{"-duration", "300"}},
+		{runElastic, []string{"-duration", "300", "-autoscale", "reactive"}},
+	} {
+		prom := filepath.Join(dir, "m.prom")
+		if err := c.run(append(c.args, "-metrics", prom)); err != nil {
+			t.Fatal(err)
+		}
+		once := read(prom)
+		if err := c.run(append(c.args, "-metrics", prom)); err != nil {
+			t.Fatal(err)
+		}
+		if again := read(prom); !bytes.Equal(again, once) || !bytes.Contains(once, []byte("hiway_svc_admitted_total")) {
+			t.Fatalf("%v: a second -metrics run left %d bytes, the first wrote %d", c.args, len(again), len(once))
+		}
+	}
+	for _, c := range []struct {
+		run    func([]string) error
+		points int
+	}{{runLoad, 3}, {runElastic, 6}} {
+		ladder := filepath.Join(dir, "ladder.json")
+		if err := c.run([]string{"-ladder", "-json", ladder}); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Points []json.RawMessage }
+		if err := json.Unmarshal(read(ladder), &doc); err != nil || len(doc.Points) != c.points {
+			t.Fatalf("ladder JSON: %d points, %v; want %d", len(doc.Points), err, c.points)
+		}
+	}
+}
+
 // completedTasks reads a provenance trace and returns its successful task
 // ends as a sorted "signature → outputs" multiset, plus the number of
 // unsuccessful ends.

@@ -36,12 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Provenance events (workflow, task, file level) go to a JSONL trace.
-	store, err := provenance.OpenFileStore(workdir + "/trace.jsonl")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer store.Close()
+	// Provenance events (workflow, task, file level) are buffered in memory
+	// and exported as a JSONL trace once the run is over.
+	store := provenance.NewMemStore()
 	prov, err := provenance.NewManager(store)
 	if err != nil {
 		log.Fatal(err)
@@ -64,6 +61,18 @@ func main() {
 		}
 		fmt.Printf("result file %s: %s", out, data)
 	}
-	events, _ := store.Events()
-	fmt.Printf("provenance trace: %d events in %s/trace.jsonl\n", len(events), workdir)
+	if err := prov.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	trace, err := os.Create(workdir + "/trace.jsonl")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := provenance.WriteTrace(trace, store.View()); err != nil {
+		log.Fatal(err)
+	}
+	if err := trace.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("provenance trace: %d events in %s/trace.jsonl\n", len(store.View()), workdir)
 }

@@ -3,25 +3,23 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"hiway/internal/autoscale"
 	"hiway/internal/chaos"
-	"hiway/internal/hdfs"
 	"hiway/internal/obs"
-	"hiway/internal/recipes"
-	"hiway/internal/scheduler"
 	"hiway/internal/service"
 	"hiway/internal/yarn"
 )
 
 // ElasticLoadConfig describes one elastic service run: the standard tenant
 // mix submitting into a cluster whose size is governed by an autoscaling
-// policy, optionally under spot-preemption chaos.
+// policy, optionally under spot-preemption chaos. Seed, DurationSec, RateX
+// and the admission limits mean what they mean in ServiceLoadConfig, and
+// default the same way.
 type ElasticLoadConfig struct {
 	Seed        int64
-	DurationSec float64 // arrival window; default 1800
-	RateX       float64 // arrival-rate multiplier; default 1
+	DurationSec float64
+	RateX       float64
 
 	// Autoscale names the sizing policy: "static", "reactive", or
 	// "predictive". Default static.
@@ -47,22 +45,13 @@ type ElasticLoadConfig struct {
 	// measured rather than dodged by short tasks.
 	TaskCPUSeconds float64
 
-	MaxConcurrent int     // admitted-AM cap; default 4
-	MaxQueue      int     // backpressure threshold; default 16
-	RetryAfterSec float64 // client retry delay after rejection; default 30
-	RetryLimit    int     // client retries before dropping; default 1
-	Policy        string  // per-workflow scheduling policy; default fcfs
+	MaxConcurrent int
+	MaxQueue      int
 
 	WithObs bool // build the observability layer (metrics snapshot)
 }
 
 func (c *ElasticLoadConfig) setDefaults() {
-	if c.DurationSec <= 0 {
-		c.DurationSec = 1800
-	}
-	if c.RateX <= 0 {
-		c.RateX = 1
-	}
 	if c.Autoscale == "" {
 		c.Autoscale = "static"
 	}
@@ -84,24 +73,6 @@ func (c *ElasticLoadConfig) setDefaults() {
 	if c.TaskCPUSeconds <= 0 {
 		c.TaskCPUSeconds = 180
 	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 16
-	}
-	if c.Policy == "" {
-		c.Policy = scheduler.PolicyFCFS
-	}
-}
-
-// initialNodes is the cluster size at t=0: the static policy starts (and
-// stays) at its fixed size, elastic policies start at the floor.
-func (c *ElasticLoadConfig) initialNodes() int {
-	if c.Autoscale == "static" {
-		return c.StaticNodes
-	}
-	return c.MinNodes
 }
 
 // ElasticPoint is one elastic-ladder measurement: goodput and tail latency
@@ -145,119 +116,88 @@ type ElasticPoint struct {
 
 // ElasticRun bundles one elastic run's outputs.
 type ElasticRun struct {
-	Point    ElasticPoint
-	Stats    *service.Stats
-	Accounts []*service.Account
-	Obs      *obs.Obs
+	Point ElasticPoint
+	Stats *service.Stats
+	Obs   *obs.Obs
 }
 
-// ElasticLoad materializes the starting cluster, wires the autoscaler and
-// (optionally) spot-preemption chaos, runs one sustained open-loop load
-// until the service drains, and measures goodput, tail wait, and cost.
+// ElasticLoad runs ServiceLoad's driver on a fleet that starts at the
+// policy's floor, with the autoscaler and (optionally) spot-preemption chaos
+// armed before the first arrival, and measures goodput, tail wait, and cost.
 // Everything derives from the seed and virtual time, so same-seed runs are
 // byte-identical.
 func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 	cfg.setDefaults()
-	mix := ServiceTenantMix(cfg.RateX)
-	for i := range mix {
-		mix[i].Workload.CPUSeconds = cfg.TaskCPUSeconds
-	}
-	r := &recipes.Recipe{
-		Name:       "elastic-load",
-		Groups:     []recipes.NodeGroup{{Count: cfg.initialNodes(), Spec: svcNodeSpec()}},
-		SwitchMBps: 100 * float64(cfg.MaxNodes),
-		HDFS:       hdfs.Config{},
-		YARN: yarn.Config{
-			Fair:       true,
-			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
-			Tenants:    service.TenantPolicies(mix),
-		},
-		Seed: cfg.Seed,
-	}
-	e, err := buildEnv(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	var o *obs.Obs
-	if cfg.WithObs {
-		o = obs.New(e.eng.Now)
-		e.Env.Obs = o
-		e.RM.SetObs(o)
-		e.Prov.SetObs(o)
-	}
-	svcCfg := service.Config{
-		Seed:          cfg.Seed,
-		DurationSec:   cfg.DurationSec,
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueue:      cfg.MaxQueue,
-		RetryAfterSec: cfg.RetryAfterSec,
-		RetryLimit:    cfg.RetryLimit,
-		Policy:        cfg.Policy,
-		AMNode:        "node-00", // AMs stay on the protected node
-	}
-	svc, err := service.New(e.eng, e.Env, svcCfg, mix)
-	if err != nil {
-		return nil, err
-	}
-
-	mgr := autoscale.NewManager(e.eng, e.Cluster, e.RM, e.FS, autoscale.ManagerConfig{
-		Spec:          svcNodeSpec(),
-		SpotNoticeSec: cfg.SpotNoticeSec,
-		Protected:     []string{"node-00"},
-		Rereplicate:   true,
-	})
-	if cfg.WithObs {
-		mgr.SetObs(o)
-	}
 	pol := autoscale.NewPolicy(cfg.Autoscale, cfg.StaticNodes)
 	if pol == nil {
 		return nil, fmt.Errorf("elastic load: unknown autoscale policy %q", cfg.Autoscale)
 	}
+	// The static policy's fleet starts, and stays, at its fixed size;
+	// elastic policies start at the floor.
 	minNodes, maxNodes := cfg.MinNodes, cfg.MaxNodes
 	if cfg.Autoscale == "static" {
 		minNodes, maxNodes = cfg.StaticNodes, cfg.StaticNodes
 	}
-	ctl := autoscale.NewController(e.eng, mgr, pol, func() autoscale.Signals {
-		return autoscale.Signals{
-			QueueDepth:      svc.QueueDepth(),
-			Running:         svc.Running(),
-			PendingRequests: e.RM.QueuedRequests(),
-			AllocLatencySec: e.RM.AllocLatencyEWMA(),
-		}
-	}, autoscale.ControllerConfig{
-		MinNodes:     minNodes,
-		MaxNodes:     maxNodes,
-		SpotScaleOut: true,
-		HorizonSec:   cfg.DurationSec * 4,
-		Done: func() bool {
-			return e.eng.Now() > cfg.DurationSec && svc.QueueDepth() == 0 && svc.Running() == 0
+	var mgr *autoscale.Manager
+	var ctl *autoscale.Controller
+	var rm *yarn.ResourceManager
+	run, err := serviceLoad(ServiceLoadConfig{
+		Seed:          cfg.Seed,
+		Nodes:         minNodes,
+		DurationSec:   cfg.DurationSec,
+		RateX:         cfg.RateX,
+		MaxConcurrent: cfg.MaxConcurrent,
+		MaxQueue:      cfg.MaxQueue,
+		WithObs:       cfg.WithObs,
+	}, loadVariant{
+		name:        "elastic-load",
+		switchNodes: cfg.MaxNodes,
+		taskCPU:     cfg.TaskCPUSeconds,
+		amNode:      "node-00", // AMs stay on the protected node
+		arm: func(l *loadEnv) {
+			rm = l.RM
+			mgr = autoscale.NewManager(l.eng, l.Cluster, l.RM, l.FS, autoscale.ManagerConfig{
+				Spec:          l.spec,
+				SpotNoticeSec: cfg.SpotNoticeSec,
+				Protected:     []string{"node-00"},
+				Rereplicate:   true,
+			})
+			mgr.SetObs(l.obs)
+			svc, window := l.svc, l.cfg.DurationSec
+			ctl = autoscale.NewController(l.eng, mgr, pol, func() autoscale.Signals {
+				return autoscale.Signals{
+					QueueDepth:      svc.QueueDepth(),
+					Running:         svc.Running(),
+					PendingRequests: rm.QueuedRequests(),
+					AllocLatencySec: rm.AllocLatencyEWMA(),
+				}
+			}, autoscale.ControllerConfig{
+				MinNodes:     minNodes,
+				MaxNodes:     maxNodes,
+				SpotScaleOut: true,
+				HorizonSec:   window * 4,
+				Done: func() bool {
+					return l.eng.Now() > window && svc.QueueDepth() == 0 && svc.Running() == 0
+				},
+			})
+			ctl.SetObs(l.obs)
+			ctl.Start()
+			if cfg.SpotRate > 0 {
+				plan := chaos.NewPlan(cfg.Seed).WithSpotRate(cfg.SpotRate)
+				plan.SpotNoticeSec = cfg.SpotNoticeSec
+				plan.SpotEverySec = cfg.SpotEverySec
+				plan.ArmSpot(l.eng, mgr, window)
+			}
 		},
 	})
-	if cfg.WithObs {
-		ctl.SetObs(o)
+	if err != nil {
+		return nil, err
 	}
-	ctl.Start()
-
-	if cfg.SpotRate > 0 {
-		plan := chaos.NewPlan(cfg.Seed).WithSpotRate(cfg.SpotRate)
-		plan.SpotNoticeSec = cfg.SpotNoticeSec
-		plan.SpotEverySec = cfg.SpotEverySec
-		plan.ArmSpot(e.eng, mgr, cfg.DurationSec)
-	}
-
-	start := time.Now()
-	svc.Start()
-	e.eng.Run()
-	wall := time.Since(start).Seconds()
-	if svc.QueueDepth() != 0 || svc.Running() != 0 {
-		return nil, fmt.Errorf("elastic load: engine quiesced with %d queued, %d running",
-			svc.QueueDepth(), svc.Running())
-	}
-	st := svc.Stats()
+	st := run.Stats
 	pt := ElasticPoint{
 		Autoscale:   cfg.Autoscale,
-		RateX:       cfg.RateX,
-		DurationSec: cfg.DurationSec,
+		RateX:       run.Point.RateX,
+		DurationSec: run.Point.DurationSec,
 		SpotRate:    cfg.SpotRate,
 		MinNodes:    minNodes,
 		MaxNodes:    maxNodes,
@@ -276,7 +216,7 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 		SpotNodeSec:     st.SpotNodeSec,
 		CostUnits:       st.CostUnits,
 
-		Preempted:  e.RM.Preempted(),
+		Preempted:  rm.Preempted(),
 		Joins:      mgr.Joins,
 		Leaves:     mgr.Leaves,
 		Notices:    mgr.Notices,
@@ -285,9 +225,9 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 		Flaps:      ctl.Flaps,
 		FinalNodes: mgr.Size(),
 
-		WallSec: wall,
+		WallSec: run.Point.WallSec,
 	}
-	return &ElasticRun{Point: pt, Stats: st, Accounts: svc.Accounts(), Obs: o}, nil
+	return &ElasticRun{Point: pt, Stats: st, Obs: run.Obs}, nil
 }
 
 // Render formats one elastic run for the CLI: the service outcome, the

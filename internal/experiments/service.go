@@ -8,13 +8,9 @@ import (
 
 	"hiway/internal/chaos"
 	"hiway/internal/cluster"
-	"hiway/internal/hdfs"
 	"hiway/internal/memo"
 	"hiway/internal/obs"
-	"hiway/internal/recipes"
-	"hiway/internal/scheduler"
 	"hiway/internal/service"
-	"hiway/internal/yarn"
 )
 
 // ServiceLoadConfig describes one sustained-load service run: the tenant
@@ -26,11 +22,13 @@ type ServiceLoadConfig struct {
 	DurationSec float64 // arrival window; default 1800
 	RateX       float64 // arrival-rate multiplier; default 1
 
-	MaxConcurrent int     // admitted-AM cap; default 4
-	MaxQueue      int     // backpressure threshold; default 16
-	RetryAfterSec float64 // client retry delay after rejection; default 30
-	RetryLimit    int     // client retries before dropping; default 1
-	Policy        string  // per-workflow scheduling policy; default fcfs
+	// Admission control and the simulated clients' retries; zero values
+	// take service.Config's defaults.
+	MaxConcurrent int     // admitted-AM cap
+	MaxQueue      int     // backpressure threshold
+	RetryAfterSec float64 // client retry delay after rejection
+	RetryLimit    int     // client retries before dropping
+	Policy        string  // per-workflow scheduling policy
 
 	ChaosSpec string // optional chaos plan (chaos.Parse DSL)
 	ChaosSeed int64  // seed for chaos rate draws; default 1
@@ -52,15 +50,6 @@ func (c *ServiceLoadConfig) setDefaults() {
 	}
 	if c.RateX <= 0 {
 		c.RateX = 1
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 16
-	}
-	if c.Policy == "" {
-		c.Policy = scheduler.PolicyFCFS
 	}
 	if c.ChaosSeed == 0 {
 		c.ChaosSeed = 1
@@ -136,38 +125,57 @@ type ServiceRun struct {
 	Obs      *obs.Obs
 }
 
-// svcNodeSpec is the worker node used by service load runs.
-func svcNodeSpec() cluster.NodeSpec {
-	return cluster.NodeSpec{VCores: 8, MemMB: 16384, CPUFactor: 1, DiskMBps: 200, NetMBps: 200}
-}
-
 // ServiceLoad materializes a cluster for the tenant mix, runs one sustained
 // open-loop load until the service drains, and measures it.
 func ServiceLoad(cfg ServiceLoadConfig) (*ServiceRun, error) {
+	return serviceLoad(cfg, loadVariant{name: "service-load"})
+}
+
+// loadVariant is what a load harness changes about serviceLoad's run.
+type loadVariant struct {
+	name        string  // recipe name, and the prefix of serviceLoad's errors
+	switchNodes int     // nodes the switch is sized for; default cfg.Nodes
+	taskCPU     float64 // every task's CPU seconds; 0 keeps the mix's own
+	amNode      string  // pins every AM to this node
+	// arm, if set, wires what the variant adds between service.New and
+	// Start, before the engine sees the first arrival.
+	arm func(l *loadEnv)
+}
+
+// loadEnv is one load run's substrate and service, as arm sees them.
+type loadEnv struct {
+	*env
+	cfg  ServiceLoadConfig // defaults resolved
+	spec cluster.NodeSpec  // the worker node the recipe materialized
+	svc  *service.Service
+	obs  *obs.Obs // nil unless cfg.WithObs
+}
+
+// serviceLoad is the load harnesses' one driver: the service-tier recipe,
+// observability, chaos and memo wiring, service.Config, the run to
+// quiescence, and the drain check.
+func serviceLoad(cfg ServiceLoadConfig, v loadVariant) (*ServiceRun, error) {
 	cfg.setDefaults()
 	mix := ServiceTenantMix(cfg.RateX)
-	r := &recipes.Recipe{
-		Name:       "service-load",
-		Groups:     []recipes.NodeGroup{{Count: cfg.Nodes, Spec: svcNodeSpec()}},
-		SwitchMBps: 100 * float64(cfg.Nodes),
-		HDFS:       hdfs.Config{},
-		YARN: yarn.Config{
-			Fair:       true,
-			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
-			Tenants:    service.TenantPolicies(mix),
-		},
-		Seed: cfg.Seed,
+	if v.taskCPU > 0 {
+		for i := range mix {
+			mix[i].Workload.CPUSeconds = v.taskCPU
+		}
 	}
+	if v.switchNodes == 0 {
+		v.switchNodes = cfg.Nodes
+	}
+	r := service.TierRecipe(v.name, cfg.Nodes, v.switchNodes, service.TenantPolicies(mix), cfg.Seed)
 	e, err := buildEnv(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	var o *obs.Obs
+	l := &loadEnv{env: e, cfg: cfg, spec: r.Groups[0].Spec}
 	if cfg.WithObs {
-		o = obs.New(e.eng.Now)
-		e.Env.Obs = o
-		e.RM.SetObs(o)
-		e.Prov.SetObs(o)
+		l.obs = obs.New(e.eng.Now)
+		e.Env.Obs = l.obs
+		e.RM.SetObs(l.obs)
+		e.Prov.SetObs(l.obs)
 	}
 	svcCfg := service.Config{
 		Seed:          cfg.Seed,
@@ -177,6 +185,7 @@ func ServiceLoad(cfg ServiceLoadConfig) (*ServiceRun, error) {
 		RetryAfterSec: cfg.RetryAfterSec,
 		RetryLimit:    cfg.RetryLimit,
 		Policy:        cfg.Policy,
+		AMNode:        v.amNode,
 	}
 	if cfg.ChaosSpec != "" {
 		plan, err := chaos.Parse(cfg.ChaosSpec, cfg.ChaosSeed)
@@ -189,26 +198,27 @@ func ServiceLoad(cfg ServiceLoadConfig) (*ServiceRun, error) {
 	if cfg.Memo {
 		svcCfg.Memo = memo.New(0)
 	}
-	svc, err := service.New(e.eng, e.Env, svcCfg, mix)
-	if err != nil {
+	if l.svc, err = service.New(e.eng, e.Env, svcCfg, mix); err != nil {
 		return nil, err
 	}
+	if v.arm != nil {
+		v.arm(l)
+	}
 	start := time.Now()
-	svc.Start()
+	l.svc.Start()
 	e.eng.Run()
 	wall := time.Since(start).Seconds()
-	if svc.QueueDepth() != 0 || svc.Running() != 0 {
-		return nil, fmt.Errorf("service load: engine quiesced with %d queued, %d running",
-			svc.QueueDepth(), svc.Running())
+	if d, n := l.svc.QueueDepth(), l.svc.Running(); d != 0 || n != 0 {
+		return nil, fmt.Errorf("%s: engine quiesced with %d queued, %d running", v.name, d, n)
 	}
-	st := svc.Stats()
+	st := l.svc.Stats()
 	pt := ServicePoint{
 		RateX:         cfg.RateX,
 		Nodes:         cfg.Nodes,
 		DurationSec:   cfg.DurationSec,
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueue:      cfg.MaxQueue,
-		Policy:        cfg.Policy,
+		MaxConcurrent: st.MaxConcurrent,
+		MaxQueue:      st.MaxQueue,
+		Policy:        st.Policy,
 
 		Submitted:  st.Submitted,
 		Admitted:   st.Admitted,
@@ -236,7 +246,7 @@ func ServiceLoad(cfg ServiceLoadConfig) (*ServiceRun, error) {
 		}
 		pt.MemoCPUSavedSec = st.MemoCPUSavedSec
 	}
-	return &ServiceRun{Point: pt, Stats: st, Accounts: svc.Accounts(), Obs: o}, nil
+	return &ServiceRun{Point: pt, Stats: st, Accounts: l.svc.Accounts(), Obs: l.obs}, nil
 }
 
 // Render formats one run's summary, per-tenant breakdown, and per-workflow

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the binary record format DBStore keeps events in. JSON stays
-// the format of traces (FileStore, ParseTrace, serve's -prov export); a log
+// the format of traces (WriteTrace, ParseTrace, the CLI's -prov files); a log
 // record is read back far more often than a person looks at it, and
 // encoding/json's reflection was most of what a query over a DBStore cost.
 //

@@ -11,7 +11,7 @@ import (
 // paper's MySQL/Couchbase backends, intended for heavily-used installations
 // with thousands of trace files. Each event is one record, in the binary
 // format of codec.go (not JSON: read a log with Events, RunQuery or the
-// Summarize functions, export it with FileStore), and an event's position in
+// Summarize functions, export it with WriteTrace), and an event's position in
 // the log is its sequence number.
 type DBStore struct {
 	mu sync.Mutex

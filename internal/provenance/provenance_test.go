@@ -2,9 +2,12 @@ package provenance
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -272,43 +275,45 @@ func TestMemStoreGrowthCopiesLittle(t *testing.T) {
 	}
 }
 
-func TestFileStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := NewManager(fs)
+// TestWriteTraceRoundTrip pins the trace format: one json.Marshal line per
+// event, in order, which ParseTrace reads back to the same events.
+func TestWriteTraceRoundTrip(t *testing.T) {
+	store := NewMemStore()
+	m, _ := NewManager(store)
 	m.RecordWorkflowStart("wf1", "demo", 0)
-	m.RecordTaskEnd("wf1", "demo", sampleResult("tool", "n1", 10), nil)
+	m.RecordTaskEnd("wf1", "demo", sampleResult("tool", "n1", 10), map[string]float64{"in.dat": 5})
+	m.RecordWorkflowEnd("wf1", "demo", 12, 12, true)
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := fs.Events()
+	events := store.View()
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, ev := range events {
+		b, _ := json.Marshal(ev)
+		want.Write(append(b, '\n'))
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("trace bytes:\n%s\nwant:\n%s", buf.Bytes(), want.Bytes())
+	}
+	back, err := ParseTrace(buf.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[1].Signature != "tool" {
-		t.Fatalf("events = %+v", events)
+	if !reflect.DeepEqual(back, events) {
+		t.Fatalf("round trip:\n%+v\nwant:\n%+v", back, events)
 	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Append(Event{}); err == nil {
-		t.Fatal("append after close must fail")
-	}
-	// Reopen appends rather than truncating.
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
-	fs2.Append(Event{ID: "x", Type: WorkflowEnd})
-	events, _ = fs2.Events()
-	if len(events) != 3 {
-		t.Fatalf("after reopen: %d events", len(events))
+	if err := WriteTrace(failWriter{}, events); err == nil {
+		t.Fatal("a failing writer must fail WriteTrace")
 	}
 }
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestParseTraceErrors(t *testing.T) {
 	if _, err := ParseTrace("not-json\n"); err == nil {

@@ -4,15 +4,16 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"sync"
 )
 
 // Store is long-term storage for provenance events. Implementations:
-// MemStore (in-process), FileStore (JSONL trace file, the paper's default),
-// and DBStore over an internal/provdb log (the MySQL/Couchbase alternative
-// for heavily-used installations).
+// MemStore (in-process) and DBStore over an internal/provdb log (the
+// MySQL/Couchbase alternative for heavily-used installations). A JSONL trace
+// file, the paper's default, is not a Store: a run buffers its events and
+// WriteTrace exports them once it is over.
 type Store interface {
 	Append(ev Event) error
 	// Events returns all stored events in append order.
@@ -119,91 +120,18 @@ func eventsHint(store Store) int {
 	return 0
 }
 
-// FileStore appends events as JSON lines to a trace file — the format the
-// paper stores in HDFS and that package lang/trace re-executes.
-type FileStore struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	w    *bufio.Writer
-}
-
-// OpenFileStore opens (creating or appending to) a JSONL trace file.
-func OpenFileStore(path string) (*FileStore, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("provenance: opening trace file: %w", err)
-	}
-	return &FileStore{path: path, f: f, w: bufio.NewWriter(f)}, nil
-}
-
-// Append implements Store.
-func (s *FileStore) Append(ev Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return fmt.Errorf("provenance: store %s is closed", s.path)
-	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return fmt.Errorf("provenance: encoding event %s: %w", ev.ID, err)
-	}
-	if _, err := s.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("provenance: writing trace: %w", err)
-	}
-	return s.w.Flush()
-}
-
-// AppendBatch implements BatchAppender: all lines are written under one
-// lock and flushed to the OS once at the end.
-func (s *FileStore) AppendBatch(evs []Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return fmt.Errorf("provenance: store %s is closed", s.path)
-	}
-	for _, ev := range evs {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return fmt.Errorf("provenance: encoding event %s: %w", ev.ID, err)
-		}
-		if _, err := s.w.Write(append(b, '\n')); err != nil {
+// WriteTrace writes evs to w as a JSONL trace, one JSON object per line — the
+// format the paper stores in HDFS, ParseTrace reads back and package
+// lang/trace re-executes.
+func WriteTrace(w io.Writer, evs []Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range evs {
+		if err := enc.Encode(&evs[i]); err != nil {
 			return fmt.Errorf("provenance: writing trace: %w", err)
 		}
 	}
-	return s.w.Flush()
-}
-
-// Events implements Store by re-reading the trace file.
-func (s *FileStore) Events() ([]Event, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	data, err := os.ReadFile(s.path)
-	if err != nil {
-		return nil, fmt.Errorf("provenance: reading trace file: %w", err)
-	}
-	return ParseTrace(string(data))
-}
-
-// Close implements Store.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return nil
-	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	s.w = nil
-	err := s.f.Close()
-	s.f = nil
-	return err
+	return bw.Flush()
 }
 
 // ParseTrace decodes a JSONL trace text into events, skipping blank lines.

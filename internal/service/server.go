@@ -11,14 +11,13 @@ import (
 	"sync"
 	"time"
 
-	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/memo"
 	"hiway/internal/obs"
 	"hiway/internal/provenance"
-	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/shard"
+	"hiway/internal/sim"
 	"hiway/internal/wf"
 	"hiway/internal/workloads"
 	"hiway/internal/yarn"
@@ -63,8 +62,6 @@ type ServerConfig struct {
 	// RetryLimit is how many times the deterministic replay's simulated
 	// client retries a rejected submission before dropping it. Default 1.
 	RetryLimit int
-	// MaxTaskRetries is forwarded to each run's core.Config. Default 3.
-	MaxTaskRetries int
 	// Deterministic switches the server onto a virtual clock with serial
 	// run execution, driven by RunDeterministic through the same HTTP
 	// handlers over an in-process transport. A deterministic server must
@@ -103,9 +100,6 @@ func (c *ServerConfig) setDefaults() {
 		c.RetryLimit = 0
 	} else if c.RetryLimit == 0 {
 		c.RetryLimit = 1
-	}
-	if c.MaxTaskRetries <= 0 {
-		c.MaxTaskRetries = 3
 	}
 }
 
@@ -256,7 +250,9 @@ type Server struct {
 	obs   *obs.Obs
 	memo  *memo.Table // nil unless cfg.Memo
 	start time.Time
-	vnow  float64 // virtual clock (deterministic mode only)
+	// vclock is the deterministic replay's virtual clock and event queue (nil
+	// in live mode).
+	vclock *sim.Engine
 
 	mu            sync.Mutex
 	gate          *fifoGate[*runJob]
@@ -313,6 +309,9 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 	for i := range profiles {
 		s.tenants[profiles[i].Name] = &profiles[i]
 	}
+	if cfg.Deterministic {
+		s.vclock = sim.NewEngine()
+	}
 	s.obs = obs.New(s.now)
 	if cfg.Memo {
 		s.memo = memo.New(0)
@@ -344,8 +343,8 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 // now returns the service clock: virtual seconds in deterministic mode,
 // wall seconds since construction otherwise.
 func (s *Server) now() float64 {
-	if s.cfg.Deterministic {
-		return s.vnow
+	if s.vclock != nil {
+		return s.vclock.Now()
 	}
 	return time.Since(s.start).Seconds()
 }
@@ -578,20 +577,7 @@ func (a *runAudit) OnTaskCompleted(now float64, t *wf.Task, node string) {
 // deterministic mode produce byte-identical completed-task sets per run.
 func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
 	r := j.run
-	rec := &recipes.Recipe{
-		Name: r.ID,
-		Groups: []recipes.NodeGroup{{Count: s.cfg.Nodes, Spec: cluster.NodeSpec{
-			VCores: 8, MemMB: 16384, CPUFactor: 1, DiskMBps: 200, NetMBps: 200,
-		}}},
-		SwitchMBps: 100 * float64(s.cfg.Nodes),
-		YARN: yarn.Config{
-			Fair:       true,
-			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
-			Tenants:    s.policies,
-		},
-		Seed: seedFor(r.ID),
-	}
-	eng, env, err := rec.Materialize()
+	eng, env, err := TierRecipe(r.ID, s.cfg.Nodes, s.cfg.Nodes, s.policies, seedFor(r.ID)).Materialize()
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +602,6 @@ func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
 	am, err := core.Launch(env, j.driver, sched, core.Config{
 		WorkflowID: r.ID,
 		Tenant:     r.Tenant,
-		MaxRetries: s.cfg.MaxTaskRetries,
 		Memo:       s.memo,
 		MemoPrefix: j.memoPrefix,
 		Audit:      &runAudit{s: s, r: r},
@@ -800,13 +785,6 @@ func (r *responseRecorder) status() int {
 	return r.code
 }
 
-// detEvent is one deterministic-replay timeline entry.
-type detEvent struct {
-	at   float64
-	seq  int
-	fire func()
-}
-
 // RunDeterministic drives a deterministic server through a full seeded
 // traffic run on the virtual clock: SeededSubmissions(seed, profiles,
 // durationSec) arrive through the real HTTP handlers over an in-process
@@ -822,21 +800,7 @@ func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
 		return fmt.Errorf("service: RunDeterministic needs a positive duration")
 	}
 	h := s.Handler()
-	var queue []detEvent
-	seq := 0
-	push := func(at float64, fire func()) {
-		e := detEvent{at: at, seq: seq, fire: fire}
-		seq++
-		i := sort.Search(len(queue), func(i int) bool {
-			if queue[i].at != e.at {
-				return queue[i].at > e.at
-			}
-			return queue[i].seq > e.seq
-		})
-		queue = append(queue, detEvent{})
-		copy(queue[i+1:], queue[i:])
-		queue[i] = e
-	}
+	eng := s.vclock
 	var attemptAt func(ts TimedSubmission, attempt int) func()
 	attemptAt = func(ts TimedSubmission, attempt int) func() {
 		return func() {
@@ -853,7 +817,7 @@ func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
 			h.ServeHTTP(rec, req)
 			if rec.status() == http.StatusTooManyRequests {
 				if attempt < s.cfg.RetryLimit {
-					push(s.vnow+s.cfg.RetryAfterSec, attemptAt(ts, attempt+1))
+					eng.Schedule(s.cfg.RetryAfterSec, attemptAt(ts, attempt+1))
 				} else {
 					s.droppedC.Inc()
 				}
@@ -861,15 +825,9 @@ func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
 		}
 	}
 	for _, ts := range SeededSubmissions(seed, s.profiles, durationSec) {
-		push(ts.At, attemptAt(ts, 0))
+		eng.At(ts.At, attemptAt(ts, 0))
 	}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		if e.at > s.vnow {
-			s.vnow = e.at
-		}
-		e.fire()
+	for eng.Step() {
 		// Serially execute whatever the event admitted; each run completes
 		// at its admission time plus its (virtually simulated) makespan.
 		ready := s.detReady
@@ -881,7 +839,7 @@ func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
 			if rep != nil {
 				makespan = rep.MakespanSec
 			}
-			push(s.vnow+makespan, func() { s.finishRun(r, rep, err) })
+			eng.Schedule(makespan, func() { s.finishRun(r, rep, err) })
 		}
 	}
 	return nil

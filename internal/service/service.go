@@ -5,9 +5,11 @@ import (
 	"sort"
 
 	"hiway/internal/chaos"
+	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/memo"
 	"hiway/internal/obs"
+	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/sim"
 	"hiway/internal/workloads"
@@ -86,6 +88,27 @@ func TenantPolicies(profiles []TenantProfile) map[string]yarn.TenantPolicy {
 	return out
 }
 
+// TierRecipe is the service tier's substrate, shared by the load harnesses
+// and every run the network server executes: nodes workers of 8 vcores and
+// 16 GB, a switch of 100 MB/s per node for switchNodes nodes (a fleet that
+// grows toward switchNodes keeps one switch), and Fair YARN with a
+// memory-only 256 MB AM under the tenants' weights and quotas.
+func TierRecipe(name string, nodes, switchNodes int, tenants map[string]yarn.TenantPolicy, seed int64) *recipes.Recipe {
+	return &recipes.Recipe{
+		Name: name,
+		Groups: []recipes.NodeGroup{{Count: nodes, Spec: cluster.NodeSpec{
+			VCores: 8, MemMB: 16384, CPUFactor: 1, DiskMBps: 200, NetMBps: 200,
+		}}},
+		SwitchMBps: 100 * float64(switchNodes),
+		YARN: yarn.Config{
+			Fair:       true,
+			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
+			Tenants:    tenants,
+		},
+		Seed: seed,
+	}
+}
+
 // Config tunes the service tier.
 type Config struct {
 	// Seed drives every random draw (arrival times, bursts). Same seed,
@@ -109,8 +132,6 @@ type Config struct {
 	Policy string
 	// AMNode optionally pins every workflow's AM container to one node.
 	AMNode string
-	// MaxTaskRetries is forwarded to each workflow's core.Config. Default 3.
-	MaxTaskRetries int
 	// Chaos, if set, injects task-level faults into every workflow.
 	Chaos chaos.Injector
 	// Memo, if set, is the cluster-wide memo table shared by every admitted
@@ -143,9 +164,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Policy == "" {
 		c.Policy = scheduler.PolicyFCFS
-	}
-	if c.MaxTaskRetries <= 0 {
-		c.MaxTaskRetries = 3
 	}
 }
 
@@ -223,8 +241,9 @@ type Service struct {
 }
 
 // New validates the profiles and builds the service over the environment.
-// The environment's RM should be configured with TenantPolicies(profiles)
-// and Fair sharing for the quotas and weights to take effect.
+// The environment should come from TierRecipe (or another recipe with Fair
+// sharing and TenantPolicies(profiles)) for the quotas and weights to take
+// effect.
 func New(eng *sim.Engine, env core.Env, cfg Config, profiles []TenantProfile) (*Service, error) {
 	cfg.setDefaults()
 	if err := validateProfiles(profiles, true); err != nil {
@@ -352,9 +371,10 @@ func (s *Service) pump() {
 }
 
 // admit stages the workflow's inputs and launches its AM. The caller has
-// already charged the concurrency budget.
+// already charged the concurrency budget. The workflow counts as admitted
+// only once its AM has launched: a head that fails to launch is requeued or
+// failed by the pump, and admitted at most once.
 func (s *Service) admit(w *pendingWF) error {
-	now := s.eng.Now()
 	driver, inputs, err := buildSpecWorkflow(w.tenant, w.name, w.spec)
 	if err != nil {
 		return err
@@ -371,6 +391,28 @@ func (s *Service) admit(w *pendingWF) error {
 		return err
 	}
 	w.acct.Tasks = len(driver.Graph().All())
+	cfg := core.Config{
+		WorkflowID: w.id,
+		Tenant:     w.tenant,
+		AMNode:     s.cfg.AMNode,
+		Chaos:      s.cfg.Chaos,
+		Memo:       s.cfg.Memo,
+		MemoPrefix: fmt.Sprintf("/svc/%s/%s", w.tenant, w.name),
+		OnTerminal: func(rep *core.Report) { s.onTerminal(w, rep) },
+	}
+	if _, err := core.Launch(s.env, driver, sched, cfg); err != nil {
+		return err
+	}
+	s.markAdmitted(w)
+	return nil
+}
+
+// markAdmitted records a launched AM's admission, once.
+func (s *Service) markAdmitted(w *pendingWF) {
+	if w.acct.Admitted {
+		return
+	}
+	now := s.eng.Now()
 	w.acct.AdmitAt = now
 	w.acct.Admitted = true
 	w.acct.QueueWaitSec = now - w.acct.QueuedAt
@@ -380,25 +422,12 @@ func (s *Service) admit(w *pendingWF) error {
 	if s.cfg.Hook != nil {
 		s.cfg.Hook.OnAdmitted(now, w.tenant, w.id)
 	}
-	cfg := core.Config{
-		WorkflowID: w.id,
-		Tenant:     w.tenant,
-		AMNode:     s.cfg.AMNode,
-		MaxRetries: s.cfg.MaxTaskRetries,
-		Chaos:      s.cfg.Chaos,
-		Memo:       s.cfg.Memo,
-		MemoPrefix: fmt.Sprintf("/svc/%s/%s", w.tenant, w.name),
-		OnTerminal: func(rep *core.Report) { s.onTerminal(w, rep) },
-	}
-	if _, err := core.Launch(s.env, driver, sched, cfg); err != nil {
-		return err
-	}
-	return nil
 }
 
 // onTerminal settles the account when a workflow's AM reaches a terminal
 // report, then re-pumps the queue.
 func (s *Service) onTerminal(w *pendingWF, rep *core.Report) {
+	s.markAdmitted(w) // a workflow with no work terminates inside Launch
 	s.gate.Finish()
 	w.acct.Memoized = rep.Memoized
 	var err error
@@ -429,7 +458,7 @@ func (s *Service) terminate(w *pendingWF, succeeded bool, err error) {
 	}
 	s.tr.Arg(w.span, "succeeded", fmt.Sprintf("%v", succeeded))
 	s.tr.End(w.span)
-	if s.cfg.Hook != nil {
+	if s.cfg.Hook != nil && w.acct.Admitted {
 		s.cfg.Hook.OnFinished(now, w.tenant, w.id, succeeded)
 	}
 	s.depthG.Set(float64(s.gate.Depth()))

@@ -8,6 +8,7 @@ import (
 	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/memo"
+	"hiway/internal/obs"
 	"hiway/internal/recipes"
 	"hiway/internal/sim"
 	"hiway/internal/yarn"
@@ -168,6 +169,49 @@ func TestAdmissionCapAndIntraTenantOrder(t *testing.T) {
 		if !reflect.DeepEqual(q, hook.admitted[tenant]) {
 			t.Fatalf("tenant %s admission order %v != queue order %v", tenant, hook.admitted[tenant], q)
 		}
+	}
+}
+
+// TestAMCapacityRequeueAdmitsOnce pins every AM to a node with room for two
+// 256 MB AMs while the gate admits three: the third head fails to launch,
+// goes back to the queue, and launches when a running AM finishes. It must
+// be admitted once — one OnAdmitted, one tick of the admitted counter — not
+// once per try.
+func TestAMCapacityRequeueAdmitsOnce(t *testing.T) {
+	profiles := twoTenants()
+	r := TierRecipe("service-requeue", 3, 4, TenantPolicies(profiles), 1)
+	r.Groups = append([]recipes.NodeGroup{{Count: 1, Spec: cluster.NodeSpec{
+		VCores: 8, MemMB: 512, CPUFactor: 1, DiskMBps: 200, NetMBps: 200,
+	}}}, r.Groups...)
+	eng, env, err := r.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Obs = obs.New(eng.Now)
+	hook := newRecordingHook()
+	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 32, AMNode: "node-00", Hook: hook}
+	svc, err := New(eng, env, cfg, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	eng.Run()
+	st := svc.Stats()
+	if svc.QueueDepth() != 0 || svc.Running() != 0 || st.Failed != 0 {
+		t.Fatalf("service did not drain cleanly: depth=%d running=%d failed=%d", svc.QueueDepth(), svc.Running(), st.Failed)
+	}
+	if hook.maxRun != 2 {
+		t.Fatalf("%d AMs ran at once on a node with room for 2", hook.maxRun)
+	}
+	var counted int64
+	for tenant, q := range hook.queued {
+		if !reflect.DeepEqual(q, hook.admitted[tenant]) {
+			t.Fatalf("tenant %s admitted %v, queued %v", tenant, hook.admitted[tenant], q)
+		}
+		counted += svc.admittedC[tenant].Value()
+	}
+	if counted != int64(st.Admitted) || st.Admitted != st.Submitted {
+		t.Fatalf("admitted counter %d, Stats().Admitted %d, submitted %d", counted, st.Admitted, st.Submitted)
 	}
 }
 

@@ -10,7 +10,7 @@ type TenantStats struct {
 	Submitted  int // workflows first-submitted
 	Admitted   int
 	Succeeded  int
-	Failed     int // admitted but terminated in failure
+	Failed     int // terminated in failure, admitted or not
 	Rejections int // rejected submission attempts
 	Dropped    int // never ran: rejections exhausted the retry budget
 
@@ -33,6 +33,11 @@ type TenantStats struct {
 // rejection rate).
 type Stats struct {
 	WindowSec float64 // last workflow end (≥ the arrival window)
+
+	// The admission settings the run was measured under, defaults resolved.
+	MaxConcurrent int
+	MaxQueue      int
+	Policy        string
 
 	Submitted  int // workflows first-submitted (excl. retry attempts)
 	Attempts   int // submission attempts incl. post-rejection retries
@@ -76,7 +81,12 @@ type Stats struct {
 
 // Stats rolls up the accounts. Call after the engine has drained.
 func (s *Service) Stats() *Stats {
-	st := &Stats{Tenants: make(map[string]*TenantStats, len(s.profiles))}
+	st := &Stats{
+		MaxConcurrent: s.cfg.MaxConcurrent,
+		MaxQueue:      s.cfg.MaxQueue,
+		Policy:        s.cfg.Policy,
+		Tenants:       make(map[string]*TenantStats, len(s.profiles)),
+	}
 	for _, p := range s.profiles {
 		st.Tenants[p.Name] = &TenantStats{}
 	}
