@@ -283,7 +283,7 @@ func TestStaticHEFTWithDAXDriver(t *testing.T) {
 	env := newEnv(t, 3, spec(), 1000)
 	env.FS.Put("/in/x", 10, "")
 	h := scheduler.NewHEFT(env.Prov)
-	rep, err := Run(env.Env, dax.NewDriver("mini", miniDAX, dax.Options{}), h, Config{})
+	rep, err := Run(env.Env, dax.NewDriver("mini", miniDAX), h, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,24 +7,35 @@
 // Resource annotations: jobs may carry runtime (reference core-seconds),
 // threads and memMB attributes — the convention of DAX generators such as
 // the Montage toolkit wrapper in this repository. <uses> elements may carry
-// size (bytes, as Pegasus writes) or sizeMB. For jobs without annotations a
-// per-tool Profile registry supplies the resource model.
+// size (bytes, as Pegasus writes) or sizeMB. A job without threads runs on
+// one core; an output without a size counts as 1 MB.
+//
+// The document is read by a single-pass reader written for the DAX subset
+// (read.go). It accepts what encoding/xml's strict decoder accepts when it
+// decodes into the document type below and yields the same document; the
+// struct decode is kept in the tests as the reference, and FuzzParse runs
+// both on every input. Two constructs are refused on purpose: an element,
+// attribute or processing-instruction name with a non-ASCII character
+// (encoding/xml judges those against the XML 1.0 Appendix B letter tables,
+// which the reader does not carry), and a '<' outside quotes inside a
+// <!DOCTYPE> or other <!directive> — a DOCTYPE's internal subset. Sniff
+// recognises a DAX document by its first element.
 package dax
 
 import (
-	"encoding/xml"
 	"fmt"
 	"strings"
 
 	"hiway/internal/wf"
 )
 
-// xmlADAG mirrors the DAX <adag> document structure.
+// xmlADAG is the DAX <adag> document. The struct tags are the mapping the
+// encoding/xml reference in the tests decodes by; the reader fills the same
+// fields.
 type xmlADAG struct {
-	XMLName xml.Name   `xml:"adag"`
-	Name    string     `xml:"name,attr"`
-	Jobs    []xmlJob   `xml:"job"`
-	Childs  []xmlChild `xml:"child"`
+	Name   string     `xml:"name,attr"`
+	Jobs   []xmlJob   `xml:"job"`
+	Childs []xmlChild `xml:"child"`
 }
 
 type xmlJob struct {
@@ -54,19 +65,12 @@ type xmlParent struct {
 	Ref string `xml:"ref,attr"`
 }
 
-// Options configures parsing.
-type Options struct {
-	// Profiles supplies resource models by job name for jobs without
-	// explicit runtime annotations.
-	Profiles map[string]wf.Profile
-}
-
 // NewDriver returns a static driver for the DAX document src.
-func NewDriver(name, src string, opts Options) *Driver {
-	d := &Driver{opts: opts}
+func NewDriver(name, src string) *Driver {
+	d := &Driver{}
 	d.WFName = name
 	d.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
-		return build(name, src, opts)
+		return build(name, src)
 	}
 	return d
 }
@@ -75,13 +79,11 @@ func NewDriver(name, src string, opts Options) *Driver {
 // scheduling policies (HEFT, round-robin) apply.
 type Driver struct {
 	wf.StaticBase
-	opts Options
 }
 
-func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, error) {
-	var doc xmlADAG
-	dec := xml.NewDecoder(strings.NewReader(src))
-	if err := dec.Decode(&doc); err != nil {
+func build(name, src string) ([]*wf.Task, []string, []wf.Edge, error) {
+	doc, err := readDoc(src)
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dax: parsing %s: %w", name, err)
 	}
 	if len(doc.Jobs) == 0 {
@@ -128,9 +130,6 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 			default:
 				return nil, nil, nil, fmt.Errorf("dax: job %q uses %q with unknown link %q", j.ID, u.File, u.Link)
 			}
-		}
-		if p, ok := opts.Profiles[j.Name]; ok {
-			p.ApplyTo(t)
 		}
 		if t.Threads == 0 {
 			t.Threads = 1

@@ -32,7 +32,7 @@ const sampleDAX = `<?xml version="1.0" encoding="UTF-8"?>
 </adag>`
 
 func TestParseSampleDAX(t *testing.T) {
-	d := NewDriver("diamond", sampleDAX, Options{})
+	d := NewDriver("diamond", sampleDAX)
 	ready, err := d.Parse()
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestParseSampleDAX(t *testing.T) {
 }
 
 func TestExecutionOrder(t *testing.T) {
-	d := NewDriver("diamond", sampleDAX, Options{})
+	d := NewDriver("diamond", sampleDAX)
 	ready, err := d.Parse()
 	if err != nil {
 		t.Fatal(err)
@@ -98,53 +98,13 @@ func TestExecutionOrder(t *testing.T) {
 	}
 }
 
-func TestProfileFallback(t *testing.T) {
-	src := `<adag name="p">
-  <job id="J1" name="mytool">
-    <uses file="in.dat" link="input"/>
-    <uses file="out.dat" link="output"/>
-  </job>
-</adag>`
-	d := NewDriver("p", src, Options{Profiles: map[string]wf.Profile{
-		"mytool": {CPUSeconds: 77, Threads: 3, MemMB: 2048, OutputSizeMB: 42},
-	}})
-	if _, err := d.Parse(); err != nil {
-		t.Fatal(err)
-	}
-	task := d.Graph().All()[0]
-	if task.CPUSeconds != 77 || task.Threads != 3 || task.MemMB != 2048 {
-		t.Fatalf("profile not applied: %+v", task)
-	}
-	if task.Declared["out"][0].SizeMB != 42 {
-		t.Fatalf("output size = %+v", task.Declared["out"])
-	}
-}
-
-func TestExplicitRuntimeWinsOverProfile(t *testing.T) {
-	src := `<adag name="p">
-  <job id="J1" name="mytool" runtime="5">
-    <uses file="out.dat" link="output" sizeMB="7"/>
-  </job>
-</adag>`
-	d := NewDriver("p", src, Options{Profiles: map[string]wf.Profile{
-		"mytool": {CPUSeconds: 77, OutputSizeMB: 42},
-	}})
-	if _, err := d.Parse(); err != nil {
-		t.Fatal(err)
-	}
-	task := d.Graph().All()[0]
-	if task.CPUSeconds != 5 || task.Declared["out"][0].SizeMB != 7 {
-		t.Fatalf("explicit annotations lost: %+v", task)
-	}
-}
-
 func TestDefaultsWhenUnannotated(t *testing.T) {
 	src := `<adag name="p">
   <job id="J1" name="anon">
     <uses file="out.dat" link="output"/>
   </job>
 </adag>`
-	d := NewDriver("p", src, Options{})
+	d := NewDriver("p", src)
 	if _, err := d.Parse(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +131,7 @@ func TestParseErrors(t *testing.T) {
 		"dangling input": `<adag><job id="J" name="a"><uses file="ghost-not-initial" link="input"/><uses file="o" link="output"/></job><job id="K" name="b"><uses file="o" link="input"/><uses file="ghost-not-initial" link="output"/></job></adag>`,
 	}
 	for name, src := range cases {
-		d := NewDriver(name, src, Options{})
+		d := NewDriver(name, src)
 		if _, err := d.Parse(); err == nil {
 			t.Errorf("%s: Parse should fail", name)
 		}

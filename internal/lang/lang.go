@@ -47,9 +47,11 @@ func IsKnown(name string) bool {
 // Detect sniffs the frontend language of a workflow source. The file
 // extension decides when recognized (.cf/.cuneiform, .dax/.xml, .ga,
 // .cwl, .jsonl/.trace); otherwise the content is inspected: CWL documents
-// carry cwlVersion, DAX starts with an <adag> XML element, Galaxy exports
-// are JSON objects with a_galaxy_workflow, traces are JSON lines with a
-// task field. Everything else parses as Cuneiform, the native language.
+// carry cwlVersion, a DAX document's first element is <adag> (after a
+// byte-order mark, the XML declaration, comments, processing instructions
+// or a DOCTYPE), Galaxy exports are JSON objects with a_galaxy_workflow,
+// traces are JSON lines with a task field. Everything else parses as
+// Cuneiform, the native language.
 func Detect(path, src string) string {
 	switch strings.ToLower(filepath.Ext(path)) {
 	case ".cf", ".cuneiform":
@@ -67,7 +69,7 @@ func Detect(path, src string) string {
 	switch {
 	case strings.Contains(t, `"cwlVersion"`) || strings.Contains(t, "cwlVersion:"):
 		return CWL
-	case strings.HasPrefix(t, "<?xml") || strings.HasPrefix(t, "<adag"):
+	case dax.Sniff(src):
 		return DAX
 	case strings.HasPrefix(t, "{") && strings.Contains(t, `"a_galaxy_workflow"`):
 		return Galaxy
@@ -86,7 +88,7 @@ func NewDriver(language, name, src string, binds map[string]string) (wf.Driver, 
 	case Cuneiform:
 		return cuneiform.NewDriver(name, src), nil
 	case DAX:
-		return dax.NewDriver(name, src, dax.Options{}), nil
+		return dax.NewDriver(name, src), nil
 	case Galaxy:
 		return galaxy.NewDriver(name, src, galaxy.Options{Inputs: binds}), nil
 	case Trace:

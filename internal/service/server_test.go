@@ -746,34 +746,47 @@ func runToTerminal(t *testing.T, s *Server, h http.Handler, req SubmitRequest) *
 }
 
 // A terminal run is the record the API serves. The submitted payload — here a
-// Cuneiform source padded with 256 KB of comment — was needed to build and
-// execute the workflow and must not stay behind for the server's lifetime.
+// source padded with 256 KB of comment — was needed to build and execute the
+// workflow and must not stay behind for the server's lifetime, not even
+// through a task name or file path cut out of it.
 func TestTerminalRunRetainsNoPayload(t *testing.T) {
 	const runs, padding = 40, 256 << 10
-	s, err := NewServer(ServerConfig{Nodes: 2}, serveProfiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	src := "%% " + strings.Repeat("x", padding) + `
+	pad := strings.Repeat("x", padding)
+	for _, c := range []struct{ lang, src string }{
+		{"cuneiform", "%% " + pad + `
 deftask gen( out : inp ) @cpu 5 in bash *{ make $inp > $out }*
-gen( inp: "seed.txt" );`
-	submission := func(i int) SubmitRequest {
-		return SubmitRequest{
-			Tenant: "alpha", Name: fmt.Sprintf("cf%02d", i), Lang: "cuneiform", Source: src,
-			Inputs: []InputSpec{{Path: "seed.txt", SizeMB: 8}},
-		}
-	}
-	runToTerminal(t, s, h, submission(runs)) // warm-up: lazy one-time state
-	before := liveHeap()
-	for i := 0; i < runs; i++ {
-		runToTerminal(t, s, h, submission(i))
-	}
-	waitDrained(t, s)
-	perRun := (liveHeap() - before) / runs
-	runtime.KeepAlive(s)
-	if perRun > padding/4 {
-		t.Fatalf("a terminal run retains %d bytes of a submission padded with %d", perRun, padding)
+gen( inp: "seed.txt" );`},
+		{"dax", `<adag name="pad"><!-- ` + pad + ` -->
+  <job id="gen" name="gen" runtime="5">
+    <uses file="seed.txt" link="input"/>
+    <uses file="out.txt" link="output"/>
+  </job>
+</adag>`},
+	} {
+		t.Run(c.lang, func(t *testing.T) {
+			s, err := NewServer(ServerConfig{Nodes: 2}, serveProfiles())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := s.Handler()
+			submission := func(i int) SubmitRequest {
+				return SubmitRequest{
+					Tenant: "alpha", Name: fmt.Sprintf("%s%02d", c.lang, i), Lang: c.lang, Source: c.src,
+					Inputs: []InputSpec{{Path: "seed.txt", SizeMB: 8}},
+				}
+			}
+			runToTerminal(t, s, h, submission(runs)) // warm-up: lazy one-time state
+			before := liveHeap()
+			for i := 0; i < runs; i++ {
+				runToTerminal(t, s, h, submission(i))
+			}
+			waitDrained(t, s)
+			perRun := (liveHeap() - before) / runs
+			runtime.KeepAlive(s)
+			if perRun > padding/4 {
+				t.Fatalf("a terminal run retains %d bytes of a submission padded with %d", perRun, padding)
+			}
+		})
 	}
 }
 

@@ -126,7 +126,7 @@ func Montage(cfg MontageConfig) (wf.StaticDriver, []Input) {
 	for i := 0; i < n; i++ {
 		inputs = append(inputs, Input{Path: fmt.Sprintf("raw/tile%02d.fits", i), SizeMB: 18})
 	}
-	return dax.NewDriver(fmt.Sprintf("montage-%.2fdeg", cfg.Degree), MontageDAX(cfg), dax.Options{}), inputs
+	return dax.NewDriver(fmt.Sprintf("montage-%.2fdeg", cfg.Degree), MontageDAX(cfg)), inputs
 }
 
 // ---------------------------------------------------------------------------
