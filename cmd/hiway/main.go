@@ -16,9 +16,10 @@
 //
 // -w is repeatable: each occurrence becomes an independent workflow shard
 // simulated on its own cluster by a pool of -shard-workers goroutines
-// (default GOMAXPROCS), with stdout, per-shard artifact files
-// (out.json.shard00, ...), and the merged provenance stream all
-// byte-identical to a serial -shard-workers=1 run.
+// (default GOMAXPROCS; one when any shard is a Cuneiform workflow, whose
+// mid-run task IDs come from a process-wide counter), with stdout,
+// per-shard artifact files (out.json.shard00, ...), and the merged
+// provenance stream all byte-identical to a serial -shard-workers=1 run.
 //
 // -trace writes a Chrome trace_event JSON timeline (open in chrome://tracing
 // or Perfetto), -metrics a Prometheus text snapshot, -decisions the
@@ -117,8 +118,8 @@ func usage() {
             [-trace-sample N] [-gantt] [-timeline FILE.csv]
             [-cpuprofile FILE] [-memprofile FILE]
       run the workflow(s) on a simulated YARN cluster; repeated -w flags
-      become independent shards simulated in parallel with deterministic
-      merged output
+      become independent shards simulated in parallel (serially when any
+      is Cuneiform) with deterministic merged output
 
   hiway inspect -w WORKFLOW [-lang L] [-bind name=path ...]
       analyze a static workflow's structure without running it
@@ -328,7 +329,7 @@ func runSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	var wfPaths multiFlag
 	fs.Var(&wfPaths, "w", "workflow file (repeatable: each extra -w runs as an independent shard)")
-	shardWorkers := fs.Int("shard-workers", runtime.GOMAXPROCS(0), "goroutines simulating shards in parallel (outputs are identical at any value)")
+	shardWorkers := fs.Int("shard-workers", runtime.GOMAXPROCS(0), "goroutines simulating shards in parallel; 1 when any shard is Cuneiform (outputs are identical at any value)")
 	nodes := fs.Int("nodes", 8, "number of simulated worker nodes")
 	policy := fs.String("policy", scheduler.PolicyDataAware, "scheduling policy")
 	lang := fs.String("lang", "", "force workflow language")
@@ -455,8 +456,18 @@ func runSim(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// --- Parallel phase: one engine per shard, nothing shared.
-	if err := shard.Run(n, *shardWorkers, func(i int) error { return shards[i].run() }); err != nil {
+	// --- Parallel phase: one engine per shard, nothing shared — except the
+	// process-wide task-ID counter, which a frontend that discovers tasks
+	// mid-run (Cuneiform) draws from while its shard simulates. Parallel
+	// shards would interleave those draws, so such runs go serially, in
+	// shard order, and their outputs stay identical at any -shard-workers.
+	workers := *shardWorkers
+	for _, s := range shards {
+		if _, static := s.driver.(wf.StaticDriver); !static {
+			workers = 1
+		}
+	}
+	if err := shard.Run(n, workers, func(i int) error { return shards[i].run() }); err != nil {
 		return err
 	}
 

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,6 +20,7 @@ import (
 	"hiway/internal/provdb"
 	"hiway/internal/provenance"
 	"hiway/internal/scheduler"
+	"hiway/internal/service"
 )
 
 // TestMain doubles as a helper process: when HIWAY_SIM_HELPER is set, the
@@ -63,6 +68,95 @@ func TestParseBinds(t *testing.T) {
 	}
 	if _, err := parseBinds([]string{"nope"}); err == nil {
 		t.Fatal("malformed bind accepted")
+	}
+}
+
+func TestParseTenantProfiles(t *testing.T) {
+	for _, tc := range []struct {
+		specs []string
+		want  []service.TenantProfile
+		err   string // substring of the error; "" means success
+	}{
+		{specs: []string{"genomics"}, want: []service.TenantProfile{{Name: "genomics"}}},
+		{
+			specs: []string{"genomics,weight=2,containers=12,inflight=4,rate=0.5,burst=3,memo=off", "bg,weight=0,memo=on"},
+			want: []service.TenantProfile{
+				{Name: "genomics", Weight: 2, MaxContainers: 12, MaxInFlight: 4, RatePerSec: 0.5, Burst: 3, MemoOptOut: true},
+				{Name: "bg"},
+			},
+		},
+		{specs: []string{",weight=1"}, err: "empty name"},
+		{specs: []string{"a,weight"}, err: `field "weight" (want key=value)`},
+		{specs: []string{"a,color=red"}, err: "want weight, containers, inflight, rate, burst, or memo"},
+		{specs: []string{"a,weight=x"}, err: `field "weight=x"`},
+		{specs: []string{"a,containers=x"}, err: `field "containers=x"`},
+		{specs: []string{"a,inflight=x"}, err: `field "inflight=x"`},
+		{specs: []string{"a,rate=x"}, err: `field "rate=x"`},
+		{specs: []string{"a,burst=x"}, err: `field "burst=x"`},
+		{specs: []string{"a,memo=maybe"}, err: "want on or off"},
+		{specs: []string{"ok", "a,weight=x"}, err: `field "weight=x"`},
+	} {
+		got, err := parseTenantProfiles(tc.specs)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%q: error %v, want one containing %q", tc.specs, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.specs, err)
+		} else if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q: got %+v, want %+v", tc.specs, got, tc.want)
+		}
+	}
+}
+
+// TestUsageNamesEverySubcommand reads the subcommands main dispatches on
+// from its switch and requires the usage text to document each one.
+func TestUsageNamesEverySubcommand(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds []string
+	for _, decl := range f.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "main" {
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if cc, ok := n.(*ast.CaseClause); ok {
+					for _, e := range cc.List {
+						if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							cmds = append(cmds, strings.Trim(lit.Value, `"`))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(cmds) < 8 {
+		t.Fatalf("found only %d dispatched subcommands: %v", len(cmds), cmds)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	usage()
+	os.Stderr = stderr
+	w.Close()
+	text, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range cmds {
+		if strings.HasPrefix(cmd, "-") || cmd == "help" {
+			continue
+		}
+		if !strings.Contains(string(text), "  hiway "+cmd+" ") {
+			t.Errorf("usage does not document `hiway %s`", cmd)
+		}
 	}
 }
 
@@ -491,6 +585,63 @@ func TestSimShardDeterminism(t *testing.T) {
 		}
 		return p
 	}
+	type run struct{ stdout, prov, metrics []byte }
+	sim := func(name string, args ...string) run {
+		sub := filepath.Join(dir, name)
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		provPath := filepath.Join(sub, "run.jsonl")
+		promPath := filepath.Join(sub, "run.prom")
+		args = append(args, "-prov", provPath, "-metrics", promPath)
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "HIWAY_SIM_HELPER="+strings.Join(args, "\x1f"))
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, stderr.String())
+		}
+		prov, err := os.ReadFile(provPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics, err := os.ReadFile(promPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := bytes.ReplaceAll(stdout.Bytes(), []byte(sub), []byte("@OUT@"))
+		return run{stdout: out, prov: prov, metrics: metrics}
+	}
+	same := func(what string, a, b run) {
+		if !bytes.Equal(a.stdout, b.stdout) {
+			t.Errorf("%s: stdout differs between serial and parallel shards:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				what, a.stdout, b.stdout)
+		}
+		if !bytes.Equal(a.prov, b.prov) {
+			t.Errorf("%s: merged provenance trace differs between serial and parallel shards", what)
+		}
+		if !bytes.Equal(a.metrics, b.metrics) {
+			t.Errorf("%s: metrics snapshot differs between serial and parallel shards", what)
+		}
+	}
+
+	// Cuneiform reveals each step of this chain only when its predecessor
+	// completes, so every step's task ID is drawn mid-run: parallel shards
+	// would interleave those draws. Every parallel run must match the
+	// serial one, not just most of them.
+	chain := "deftask step( out : inp ) @cpu 5 in bash *{ step $inp > $out }*\nlet s0 = step( inp: \"seed.txt\" );\n"
+	for i := 1; i < 25; i++ {
+		chain += fmt.Sprintf("let s%d = step( inp: s%d );\n", i, i-1)
+	}
+	cf := write("chain.cf", chain+"s24;\n")
+	cfArgs := func(workers string) []string {
+		return []string{"-w", cf, "-w", cf, "-input", "seed.txt=64", "-nodes", "4", "-shard-workers", workers}
+	}
+	serial := sim("cf-w1", cfArgs("1")...)
+	for rep := 0; rep < 5; rep++ {
+		same(fmt.Sprintf("cuneiform run %d", rep), serial, sim(fmt.Sprintf("cf-w4-%d", rep), cfArgs("4")...))
+	}
+
 	wfA := write("alpha.dax", `<adag name="alpha">
   <job id="A" name="prep" runtime="2"><uses file="a1" link="output" size="8"/></job>
   <job id="B" name="crunch" runtime="5"><uses file="a1" link="input"/><uses file="a2" link="output" size="4"/></job>
@@ -505,49 +656,13 @@ func TestSimShardDeterminism(t *testing.T) {
 		scheduler.PolicyFCFS, scheduler.PolicyDataAware, scheduler.PolicyRoundRobin,
 		scheduler.PolicyHEFT, scheduler.PolicyAdaptiveGreedy,
 	}
-	type run struct{ stdout, prov, metrics []byte }
 	for _, pol := range policies {
 		var runs []run
 		for _, workers := range []string{"1", "4"} {
-			sub := filepath.Join(dir, pol+"-w"+workers)
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			provPath := filepath.Join(sub, "run.jsonl")
-			promPath := filepath.Join(sub, "run.prom")
-			args := []string{
-				"-w", wfA, "-w", wfB, "-shard-workers", workers,
-				"-nodes", "4", "-policy", pol,
-				"-prov", provPath, "-metrics", promPath,
-			}
-			cmd := exec.Command(os.Args[0])
-			cmd.Env = append(os.Environ(), "HIWAY_SIM_HELPER="+strings.Join(args, "\x1f"))
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("policy %s workers %s: %v\n%s", pol, workers, err, stderr.String())
-			}
-			prov, err := os.ReadFile(provPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			metrics, err := os.ReadFile(promPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := bytes.ReplaceAll(stdout.Bytes(), []byte(sub), []byte("@OUT@"))
-			runs = append(runs, run{stdout: out, prov: prov, metrics: metrics})
+			runs = append(runs, sim(pol+"-w"+workers,
+				"-w", wfA, "-w", wfB, "-shard-workers", workers, "-nodes", "4", "-policy", pol))
 		}
-		if !bytes.Equal(runs[0].stdout, runs[1].stdout) {
-			t.Errorf("policy %s: stdout differs between serial and parallel shards:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				pol, runs[0].stdout, runs[1].stdout)
-		}
-		if !bytes.Equal(runs[0].prov, runs[1].prov) {
-			t.Errorf("policy %s: merged provenance trace differs between serial and parallel shards", pol)
-		}
-		if !bytes.Equal(runs[0].metrics, runs[1].metrics) {
-			t.Errorf("policy %s: metrics snapshot differs between serial and parallel shards", pol)
-		}
+		same("policy "+pol, runs[0], runs[1])
 		// Sanity: the merged trace holds both workflows, timestamp-ordered.
 		evs, err := provenance.ParseTrace(string(runs[0].prov))
 		if err != nil {

@@ -210,10 +210,8 @@ func TestSpotChaosIsDeterministic(t *testing.T) {
 		m.AddNodes(4, true)
 		var log membershipLog
 		e.rm.SetAudit(&log)
-		plan, err := chaos.Parse("spotrate=0.5;spotnotice=30;spotevery=20", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := chaos.NewPlan(7)
+		plan.SpotRate, plan.SpotNoticeSec, plan.SpotEverySec = 0.5, 30, 20
 		plan.ArmSpot(e.eng, m, 200)
 		e.eng.Run()
 		return m.Notices, m.Leaves, log.events

@@ -77,11 +77,8 @@ type TaskRule struct {
 type NodeEvent struct {
 	Node  string
 	AtSec float64
-	Kind  string // "kill", "slow", or "spot"
+	Kind  string // "kill" or "slow"
 	Hogs  int    // for "slow": background CPU hogs to add
-	// NoticeSec is the notice→reclaim gap for "spot" events; negative means
-	// the plan-wide SpotNoticeSec default applies.
-	NoticeSec float64
 }
 
 // Plan is a composed failure plan. The zero value injects nothing; build
@@ -98,7 +95,9 @@ type Plan struct {
 	// Spot-market preemption (two-phase notice→reclaim, armed via ArmSpot).
 	// Every SpotEverySec, each live spot node independently receives a
 	// preemption notice with probability SpotRate; the node is reclaimed
-	// SpotNoticeSec after its notice, mirroring real spot markets.
+	// SpotNoticeSec after its notice, mirroring real spot markets. Only the
+	// elastic harness sets these: spot nodes exist only on an autoscaled
+	// cluster, so Parse refuses the spot directives.
 	SpotRate      float64 // per-check, per-node notice probability
 	SpotNoticeSec float64 // notice→reclaim gap; default 120s
 	SpotEverySec  float64 // market-check period; default 60s
@@ -117,20 +116,6 @@ func NewPlan(seed int64) *Plan {
 // AddRule appends a targeted task rule (rules are checked in order, before
 // the rate-driven faults).
 func (p *Plan) AddRule(r TaskRule) *Plan { p.rules = append(p.rules, r); return p }
-
-// WithSpotRate sets the per-check, per-node spot preemption probability.
-func (p *Plan) WithSpotRate(r float64) *Plan { p.SpotRate = r; return p }
-
-// noticeSec resolves an event's notice gap against the plan default.
-func (p *Plan) noticeSec(ev NodeEvent) float64 {
-	if ev.NoticeSec >= 0 {
-		return ev.NoticeSec
-	}
-	if p.SpotNoticeSec > 0 {
-		return p.SpotNoticeSec
-	}
-	return 120
-}
 
 // Events returns the scheduled node events, sorted by time then node.
 func (p *Plan) Events() []NodeEvent {
@@ -264,26 +249,13 @@ type NodeReclaimer interface {
 }
 
 // ArmSpot installs the plan's spot-market preemptions onto the engine.
-// Targeted "spot" events notice their node at AtSec and reclaim it a notice
-// gap later. With SpotRate > 0, a market check additionally runs every
-// SpotEverySec (default 60s) up to horizonSec: each eligible spot node
-// independently draws a seeded chance("spot", node) and, when preempted, is
-// noticed immediately and reclaimed after the notice gap. The check loop
+// With SpotRate > 0, a market check runs every SpotEverySec (default 60s)
+// up to horizonSec: each eligible spot node independently draws a seeded
+// chance("spot", node) and, when preempted, is noticed immediately and
+// reclaimed SpotNoticeSec (default 120s) later. The check loop
 // self-terminates at horizonSec so the engine can quiesce.
 func (p *Plan) ArmSpot(eng *sim.Engine, r NodeReclaimer, horizonSec float64) {
-	if r == nil {
-		return
-	}
-	for _, ev := range p.Events() {
-		if ev.Kind != "spot" {
-			continue
-		}
-		ev := ev
-		notice := p.noticeSec(ev)
-		eng.At(ev.AtSec, func() { r.NoticeNode(ev.Node) })
-		eng.At(ev.AtSec+notice, func() { r.ReclaimNode(ev.Node) })
-	}
-	if p.SpotRate <= 0 {
+	if r == nil || p.SpotRate <= 0 {
 		return
 	}
 	period := p.SpotEverySec
@@ -326,15 +298,6 @@ func (p *Plan) String() string {
 	if p.ReadErrorRate > 0 {
 		parts = append(parts, fmt.Sprintf("readerr=%g", p.ReadErrorRate))
 	}
-	if p.SpotRate > 0 {
-		parts = append(parts, fmt.Sprintf("spotrate=%g", p.SpotRate))
-	}
-	if p.SpotNoticeSec > 0 {
-		parts = append(parts, fmt.Sprintf("spotnotice=%g", p.SpotNoticeSec))
-	}
-	if p.SpotEverySec > 0 {
-		parts = append(parts, fmt.Sprintf("spotevery=%g", p.SpotEverySec))
-	}
 	for _, r := range p.rules {
 		sig := r.Signature
 		if sig == "" {
@@ -351,11 +314,8 @@ func (p *Plan) String() string {
 	}
 	for _, ev := range p.events {
 		s := fmt.Sprintf("%s=%s@%g", ev.Kind, ev.Node, ev.AtSec)
-		switch {
-		case ev.Kind == "slow":
+		if ev.Kind == "slow" {
 			s += fmt.Sprintf(":%d", ev.Hogs)
-		case ev.Kind == "spot" && ev.NoticeSec >= 0:
-			s += fmt.Sprintf(":%g", ev.NoticeSec)
 		}
 		parts = append(parts, s)
 	}
@@ -374,14 +334,13 @@ func (p *Plan) String() string {
 //	hang=SIG[@N][:C]   hang attempts likewise
 //	kill=NODE@T        kill NODE at virtual time T seconds
 //	slow=NODE@T[:H]    add H (default 1) background CPU hogs to NODE at T
-//	spot=NODE@T[:N]    spot-preempt NODE: notice at T, reclaim N (default
-//	                   spotnotice) seconds later
-//	spotrate=P         each spot node is noticed with probability P per
-//	                   market check (armed via ArmSpot)
-//	spotnotice=SEC     notice→reclaim gap for spot preemptions (default 120)
-//	spotevery=SEC      spot-market check period (default 60)
 //
-// Example: "hang=align@0:1;crashrate=0.05;kill=node-03@120;spotrate=0.1".
+// Example: "hang=align@0:1;crashrate=0.05;kill=node-03@120".
+//
+// Spot preemption is not a directive: spot nodes exist only on an
+// autoscaled cluster, so spot=, spotrate=, spotnotice= and spotevery= are
+// refused and the error points at hiway elastic's -spot-rate, -spot-notice
+// and -spot-every flags.
 func Parse(spec string, seed int64) (*Plan, error) {
 	p := NewPlan(seed)
 	for _, dir := range strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' }) {
@@ -394,7 +353,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			return nil, fmt.Errorf("chaos: directive %q is not key=value", dir)
 		}
 		switch key {
-		case "crashrate", "hangrate", "readerr", "spotrate":
+		case "crashrate", "hangrate", "readerr":
 			rate, err := strconv.ParseFloat(val, 64)
 			if err != nil || rate < 0 || rate > 1 {
 				return nil, fmt.Errorf("chaos: bad rate in %q (want 0..1)", dir)
@@ -406,19 +365,9 @@ func Parse(spec string, seed int64) (*Plan, error) {
 				p.HangRate = rate
 			case "readerr":
 				p.ReadErrorRate = rate
-			case "spotrate":
-				p.SpotRate = rate
 			}
-		case "spotnotice", "spotevery":
-			sec, err := strconv.ParseFloat(val, 64)
-			if err != nil || sec <= 0 {
-				return nil, fmt.Errorf("chaos: bad duration in %q (want > 0)", dir)
-			}
-			if key == "spotnotice" {
-				p.SpotNoticeSec = sec
-			} else {
-				p.SpotEverySec = sec
-			}
+		case "spot", "spotrate", "spotnotice", "spotevery":
+			return nil, fmt.Errorf("chaos: %q: spot preemption needs an elastic cluster; use hiway elastic -spot-rate/-spot-notice/-spot-every", dir)
 		case "crash", "hang":
 			fate := FateCrash
 			if key == "hang" {
@@ -429,7 +378,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 				return nil, fmt.Errorf("chaos: %q: %w", dir, err)
 			}
 			p.AddRule(rule)
-		case "kill", "slow", "spot":
+		case "kill", "slow":
 			ev, err := parseNodeEvent(key, val)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: %q: %w", dir, err)
@@ -468,27 +417,18 @@ func parseTaskRule(val string, fate Fate) (TaskRule, error) {
 	return rule, nil
 }
 
-// parseNodeEvent parses "NODE@T[:H]" (slow hog count) or "NODE@T[:N]"
-// (spot notice seconds).
+// parseNodeEvent parses "NODE@T", with a ":H" hog-count suffix for slow.
 func parseNodeEvent(kind, val string) (NodeEvent, error) {
-	ev := NodeEvent{Kind: kind, Hogs: 1, NoticeSec: -1}
+	ev := NodeEvent{Kind: kind, Hogs: 1}
 	if body, suffix, ok := strings.Cut(val, ":"); ok {
-		switch kind {
-		case "slow":
-			n, err := strconv.Atoi(suffix)
-			if err != nil || n <= 0 {
-				return ev, fmt.Errorf("bad hog count %q", suffix)
-			}
-			ev.Hogs = n
-		case "spot":
-			sec, err := strconv.ParseFloat(suffix, 64)
-			if err != nil || sec < 0 {
-				return ev, fmt.Errorf("bad notice %q", suffix)
-			}
-			ev.NoticeSec = sec
-		default:
-			return ev, fmt.Errorf("only slow and spot take a suffix")
+		if kind != "slow" {
+			return ev, fmt.Errorf("only slow takes a suffix")
 		}
+		n, err := strconv.Atoi(suffix)
+		if err != nil || n <= 0 {
+			return ev, fmt.Errorf("bad hog count %q", suffix)
+		}
+		ev.Hogs = n
 		val = body
 	}
 	node, at, ok := strings.Cut(val, "@")

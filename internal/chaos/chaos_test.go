@@ -159,3 +159,23 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesSpotDirectives pins that a spot directive is an error, not
+// a plan that arms nothing: no -chaos caller has spot nodes to preempt, and
+// the error names the elastic flags that do.
+func TestParseRefusesSpotDirectives(t *testing.T) {
+	for _, spec := range []string{
+		"spot=node-01@5",
+		"spotrate=1",
+		"spotnotice=30",
+		"spotevery=20",
+		"crashrate=0.1;spotrate=1;spot=node-01@5",
+	} {
+		_, err := Parse(spec, 1)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted a spot directive", spec)
+		} else if !strings.Contains(err.Error(), "hiway elastic -spot-rate") {
+			t.Errorf("Parse(%q) error does not point at hiway elastic: %v", spec, err)
+		}
+	}
+}

@@ -534,3 +534,38 @@ func TestRetryExhaustionRecordsEveryAttempt(t *testing.T) {
 		t.Fatalf("last event = %+v, want failed workflow-end", last)
 	}
 }
+
+// TestReportNamesAStall pins the error a report gives when the engine
+// quiesces with the workflow unfinished: it counts the live attempts, the
+// scheduler queue and the pending container requests, so a deadlock
+// explains itself. A hang with timeouts off leaves one attempt running; a
+// container no node can hold leaves its task queued and its request
+// pending.
+func TestReportNamesAStall(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"hung attempt", Config{Chaos: chaos.NewPlan(1).AddRule(chaos.TaskRule{Signature: "prep", Attempt: -1, Fate: chaos.FateHang})},
+			"stalled: 1 attempts running, 0 queued, 0 requests pending, driver done=false"},
+		{"unplaceable container", Config{ContainerVCores: 64},
+			"stalled: 0 attempts running, 1 queued, 1 requests pending, driver done=false"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newEnv(t, 2, spec(), 1000)
+			env.FS.Put("/in/seed", 20, "")
+			am, err := Launch(env.Env, chainDriver(t, 1), scheduler.NewFCFS(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.eng.Run()
+			if am.Finished() {
+				t.Fatal("the workflow finished; want a stall")
+			}
+			if _, err := am.Report(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("report error %v, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}

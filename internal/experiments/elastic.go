@@ -183,9 +183,8 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 			ctl.SetObs(l.obs)
 			ctl.Start()
 			if cfg.SpotRate > 0 {
-				plan := chaos.NewPlan(cfg.Seed).WithSpotRate(cfg.SpotRate)
-				plan.SpotNoticeSec = cfg.SpotNoticeSec
-				plan.SpotEverySec = cfg.SpotEverySec
+				plan := chaos.NewPlan(cfg.Seed)
+				plan.SpotRate, plan.SpotNoticeSec, plan.SpotEverySec = cfg.SpotRate, cfg.SpotNoticeSec, cfg.SpotEverySec
 				plan.ArmSpot(l.eng, mgr, window)
 			}
 		},

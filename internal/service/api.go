@@ -138,9 +138,6 @@ type apiError struct {
 	msg  string
 }
 
-// Error returns the validation message.
-func (e *apiError) Error() string { return e.msg }
-
 func errf(code int, format string, args ...any) *apiError {
 	return &apiError{code: code, msg: fmt.Sprintf(format, args...)}
 }

@@ -132,14 +132,15 @@ func costViolations(rep yarn.CostReport, now float64) []Violation {
 		tenantSpot += tc.SpotCoreSec
 	}
 	var out []Violation
-	check := func(class string, tenants, busy float64) {
-		tol := 1e-6 * (1 + busy)
-		if d := tenants - busy; d > tol || d < -tol {
+	for _, c := range []struct {
+		class         string
+		tenants, busy float64
+	}{{"on-demand", tenantOD, rep.OnDemandBusySec}, {"spot", tenantSpot, rep.SpotBusySec}} {
+		tol := 1e-6 * (1 + c.busy)
+		if d := c.tenants - c.busy; d > tol || d < -tol {
 			out = append(out, Violation{TimeSec: now, Invariant: InvCost,
-				Detail: fmt.Sprintf("%s: tenants account %.6f core-sec, cluster busy integral is %.6f", class, tenants, busy)})
+				Detail: fmt.Sprintf("%s: tenants account %.6f core-sec, cluster busy integral is %.6f", c.class, c.tenants, c.busy)})
 		}
 	}
-	check("on-demand", tenantOD, rep.OnDemandBusySec)
-	check("spot", tenantSpot, rep.SpotBusySec)
 	return out
 }

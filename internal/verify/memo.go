@@ -1,10 +1,6 @@
 package verify
 
 import (
-	"fmt"
-	"strings"
-
-	"hiway/internal/core"
 	"hiway/internal/memo"
 	"hiway/internal/scheduler"
 )
@@ -34,142 +30,42 @@ import (
 // runMemoFamily executes the family and returns the audited runs plus any
 // failures, phrased against the baseline run.
 func runMemoFamily(sc *Scenario, baseline *PolicyRun, opts Options) ([]PolicyRun, []string) {
-	var runs []PolicyRun
-	var fails []string
-	fail := func(format string, args ...any) {
-		fails = append(fails, fmt.Sprintf(format, args...))
+	f := &family{sc: sc, tamper: opts.Tamper}
+	tab := memo.New(0)
+	specs := []runSpec{
+		{name: "memo-cold", driver: sc.Driver, policy: scheduler.PolicyFCFS, memo: tab},
+		{name: "memo-warm", driver: sc.Driver, policy: scheduler.PolicyFCFS, memo: tab},
 	}
-	// check compares a family run against the baseline. Recovered tasks are
-	// reconstructed from provenance, not executed, so they never appear in a
-	// run's completion multiset — the resume variant compares final outputs
-	// only (same contract as the memo-off resume check), while cold and warm
-	// compare the full multiset.
-	check := func(run *PolicyRun, compareCompleted bool) bool {
-		for _, v := range run.Violations {
-			fail("%s: %s", run.Policy, v)
+	if !opts.SkipResume {
+		specs = append(specs, runSpec{name: "memo-resume", driver: sc.Driver, policy: scheduler.PolicyFCFS,
+			memo: memo.New(0), killAt: killPoint(baseline)})
+	}
+	for _, spec := range specs {
+		r := f.run(spec)
+		if !f.judge(spec.name, r, expectation{baseline: baseline, outputsOnly: spec.killAt > 0}) {
+			continue
 		}
-		if !run.Succeeded {
-			fail("%s: workflow failed: %s", run.Policy, run.Err)
-			return false
-		}
-		if compareCompleted {
-			if d := diffCompleted(baseline.Completed, run.Completed); d != "" {
-				fail("%s: completed set diverges from %s: %s", run.Policy, baseline.Policy, d)
+		switch spec.name {
+		case "memo-cold":
+			if r.Memoized != 0 {
+				f.failf("memo-cold: %d tasks spliced from an empty table", r.Memoized)
+			}
+		case "memo-warm":
+			if r.Memoized != sc.TotalTasks() {
+				f.failf("memo-warm: spliced %d of %d tasks (warm table must serve every task)",
+					r.Memoized, sc.TotalTasks())
+			}
+			if r.Containers != 0 {
+				f.failf("memo-warm: allocated %d worker containers (memo-hit tasks re-executed)", r.Containers)
+			}
+		case "memo-resume":
+			// Memo entries may serve tasks whose outputs did not survive the
+			// kill, so coverage is once per task, not zero splices.
+			if r.Recovered+r.Executed != sc.TotalTasks() {
+				f.failf("memo-resume: recovered %d + executed %d != %d total tasks",
+					r.Recovered, r.Executed, sc.TotalTasks())
 			}
 		}
-		if strings.Join(baseline.Outputs, "\n") != strings.Join(run.Outputs, "\n") {
-			fail("%s: outputs %v differ from %s outputs %v", run.Policy, run.Outputs, baseline.Policy, baseline.Outputs)
-		}
-		return true
 	}
-
-	tab := memo.New(0)
-	cold := runMemoPolicy(sc, tab, "memo-cold", opts.Tamper)
-	runs = append(runs, cold)
-	if check(&cold, true) && cold.Memoized != 0 {
-		fail("memo-cold: %d tasks spliced from an empty table", cold.Memoized)
-	}
-
-	warm := runMemoPolicy(sc, tab, "memo-warm", opts.Tamper)
-	runs = append(runs, warm)
-	if check(&warm, true) {
-		if warm.Memoized != sc.TotalTasks() {
-			fail("memo-warm: spliced %d of %d tasks (warm table must serve every task)",
-				warm.Memoized, sc.TotalTasks())
-		}
-		if warm.Containers != 0 {
-			fail("memo-warm: allocated %d worker containers (memo-hit tasks re-executed)", warm.Containers)
-		}
-	}
-
-	if !opts.SkipResume {
-		frac := opts.ResumeFraction
-		if frac <= 0 || frac >= 1 {
-			frac = 0.5
-		}
-		res := runMemoResume(sc, baseline.MakespanSec, frac, opts.Tamper)
-		runs = append(runs, res)
-		if check(&res, false) && res.Recovered+res.Executed != sc.TotalTasks() {
-			fail("memo-resume: recovered %d + executed %d != %d total tasks",
-				res.Recovered, res.Executed, sc.TotalTasks())
-		}
-	}
-	return runs, fails
-}
-
-// runMemoPolicy is one audited FCFS execution of the scenario with
-// memoization enabled against tab, tagged with the family run name.
-func runMemoPolicy(sc *Scenario, tab *memo.Table, name string, tamper func(core.Env)) PolicyRun {
-	run := PolicyRun{Policy: name, Completed: map[string]int{}}
-	ctx, err := sc.buildRun(scheduler.PolicyFCFS, tamper, tab)
-	if err != nil {
-		run.Err = err.Error()
-		return run
-	}
-	rep, err := core.Run(ctx.env, sc.Driver(), ctx.sched, ctx.cfg)
-	if err != nil {
-		run.Err = err.Error()
-		run.Violations = ctx.aud.Violations()
-		return run
-	}
-	run.capture(rep, ctx.aud)
-	return run
-}
-
-// runMemoResume is the kill/resume variant with memoization on and a fresh
-// table: the first incarnation populates it, the AM dies partway through
-// the baseline makespan, and the resumed incarnation recovers from
-// provenance on the surviving substrate. Memo entries may legitimately
-// serve tasks whose outputs did not survive the crash, so the accounting
-// check is once-per-task coverage, not zero splices.
-func runMemoResume(sc *Scenario, baseline, frac float64, tamper func(core.Env)) PolicyRun {
-	const policy = scheduler.PolicyFCFS
-	run := PolicyRun{Policy: "memo-resume", Completed: map[string]int{}}
-	tab := memo.New(0)
-	ctx, err := sc.buildRun(policy, tamper, tab)
-	if err != nil {
-		run.Err = err.Error()
-		return run
-	}
-	am, err := core.Launch(ctx.env, sc.Driver(), ctx.sched, ctx.cfg)
-	if err != nil {
-		run.Err = fmt.Sprintf("launch: %v", err)
-		return run
-	}
-	killAt := baseline * frac
-	if killAt < 5 {
-		killAt = 5
-	}
-	ctx.eng.RunUntil(killAt)
-	if am.Finished() {
-		rep, err := am.Report()
-		if err != nil {
-			run.Err = err.Error()
-			return run
-		}
-		run.capture(rep, ctx.aud)
-		return run
-	}
-	am.Kill()
-	ctx.aud.OnResume()
-	sched2, err := scheduler.New(policy, scheduler.Deps{Locality: ctx.env.FS, Estimator: ctx.env.Prov})
-	if err != nil {
-		run.Err = err.Error()
-		return run
-	}
-	am2, err := core.Resume(ctx.env, sc.Driver(), sched2, ctx.cfg, ctx.env.Prov.Store())
-	if err != nil {
-		run.Err = fmt.Sprintf("resume: %v", err)
-		run.Violations = ctx.aud.Violations()
-		return run
-	}
-	ctx.eng.Run()
-	rep, err := am2.Report()
-	if err != nil {
-		run.Err = err.Error()
-		return run
-	}
-	run.Recovered = rep.Recovered
-	run.capture(rep, ctx.aud)
-	return run
+	return f.runs, f.fails
 }

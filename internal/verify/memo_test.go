@@ -71,7 +71,7 @@ func TestGenMemoFrequency(t *testing.T) {
 // cannot silently pass.
 func TestMemoFamilyDetectsBaselineDivergence(t *testing.T) {
 	sc := Generate(2)
-	base := runPolicy(sc, scheduler.PolicyFCFS, nil)
+	base := sc.execute(runSpec{name: scheduler.PolicyFCFS, driver: sc.Driver, policy: scheduler.PolicyFCFS}, nil)
 	if !base.Succeeded {
 		t.Fatalf("baseline failed: %s", base.Err)
 	}
@@ -94,7 +94,7 @@ func TestMemoFamilyDetectsBaselineDivergence(t *testing.T) {
 // the policy matrix.
 func TestMemoFamilySurfacesTamperedRuns(t *testing.T) {
 	sc := Generate(2)
-	base := runPolicy(sc, scheduler.PolicyFCFS, nil)
+	base := sc.execute(runSpec{name: scheduler.PolicyFCFS, driver: sc.Driver, policy: scheduler.PolicyFCFS}, nil)
 	if !base.Succeeded {
 		t.Fatalf("baseline failed: %s", base.Err)
 	}

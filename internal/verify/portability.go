@@ -8,6 +8,7 @@ import (
 
 	"hiway/internal/lang/cuneiform"
 	"hiway/internal/lang/cwl"
+	"hiway/internal/scheduler"
 	"hiway/internal/wf"
 )
 
@@ -394,67 +395,28 @@ func runPortability(sc *Scenario, opts Options) ([]PolicyRun, []string) {
 	if err != nil {
 		return nil, []string{fmt.Sprintf("portability: %v", err)}
 	}
-	expected, expOuts := sc.specCanonical()
+	var exp expectation
+	exp.canonical, exp.canonOuts = sc.specCanonical()
 
-	var runs []PolicyRun
-	var fails []string
-	check := func(run PolicyRun) *PolicyRun {
-		runs = append(runs, run)
-		r := &runs[len(runs)-1]
-		tag := fmt.Sprintf("portability %s/%s", r.Lang, r.Policy)
-		for _, v := range r.Violations {
-			fails = append(fails, fmt.Sprintf("%s: %s", tag, v))
-		}
-		if !r.Succeeded {
-			fails = append(fails, fmt.Sprintf("%s: workflow failed: %s", tag, r.Err))
-			return r
-		}
-		if d := diffCompleted(expected, r.Canonical); d != "" {
-			fails = append(fails, fmt.Sprintf("%s: canonical completions diverge from spec: %s", tag, d))
-		}
-		if strings.Join(r.CanonOutputs, "\n") != strings.Join(expOuts, "\n") {
-			fails = append(fails, fmt.Sprintf("%s: canonical outputs %v, want %v", tag, r.CanonOutputs, expOuts))
-		}
-		return r
-	}
-
-	type rendering struct {
-		lang    string
-		factory func() wf.Driver
-		// static reports whether the rendering parses into a static DAG:
-		// the CWL document does; the Cuneiform program evaluates
-		// dynamically, so static planners cannot drive it.
+	f := &family{sc: sc, tamper: opts.Tamper}
+	for _, rd := range []struct {
+		lang   string
+		driver func() wf.Driver
+		// static: the CWL document parses into a static DAG; the Cuneiform
+		// program evaluates dynamically, so static planners cannot drive it.
 		static bool
-	}
-	renderings := []rendering{
-		{lang: "cuneiform", factory: cfFactory, static: false},
-		{lang: "cwl", factory: cwlFactory, static: true},
-	}
-	for _, rd := range renderings {
+	}{{"cuneiform", cfFactory, false}, {"cwl", cwlFactory, true}} {
 		var baseline *PolicyRun
-		for _, policy := range opts.policies() {
-			if staticPolicies[policy] {
-				if !rd.static {
-					continue
-				}
-				if sc.KillsNode() || sc.Elastic.Disruptive() {
-					// A static plan cannot reroute around a dying or
-					// draining node, rendering or not.
-					continue
-				}
-			}
-			r := check(runPolicyDriver(sc, policy, opts.Tamper, rd.factory, rd.lang))
-			if baseline == nil && r.Succeeded {
+		for _, spec := range sc.policySpecs(opts.policies(), rd.driver, rd.lang, rd.static) {
+			r := f.run(spec)
+			if f.judge("portability "+rd.lang+"/"+spec.name, r, exp) && baseline == nil {
 				baseline = r
 			}
 		}
 		if !opts.SkipResume && baseline != nil {
-			frac := opts.ResumeFraction
-			if frac <= 0 || frac >= 1 {
-				frac = 0.5
-			}
-			check(runResumeDriver(sc, baseline.MakespanSec, frac, opts.Tamper, rd.factory, rd.lang))
+			r := f.run(runSpec{name: "resume", lang: rd.lang, driver: rd.driver, policy: scheduler.PolicyFCFS, killAt: killPoint(baseline)})
+			f.judge("portability "+rd.lang+"/resume", r, exp)
 		}
 	}
-	return runs, fails
+	return f.runs, f.fails
 }

@@ -42,9 +42,14 @@ type Options struct {
 	Tamper func(env core.Env)
 	// SkipResume disables the kill/resume variant.
 	SkipResume bool
-	// ResumeFraction is the fraction of the baseline makespan at which the
-	// AM is killed in the resume variant; default 0.5.
-	ResumeFraction float64
+}
+
+// resumeFraction places the kill of every kill/resume run: at this
+// fraction of its baseline's makespan, and never before 5 s.
+const resumeFraction = 0.5
+
+func killPoint(baseline *PolicyRun) float64 {
+	return max(resumeFraction*baseline.MakespanSec, 5)
 }
 
 func (o Options) policies() []string {
@@ -74,6 +79,13 @@ type PolicyRun struct {
 	// canonicalized final outputs (see portability.go).
 	Canonical    map[string]int `json:"-"`
 	CanonOutputs []string       `json:"-"`
+
+	// A run whose AM was killed and resumed records how many tasks had
+	// completed at the kill and when the engine quiesced, for the resume
+	// family's coverage checks.
+	killed bool
+	atKill int
+	endSec float64
 }
 
 // capture folds a finished report into the run: completion multiset,
@@ -191,11 +203,10 @@ func (s *Scenario) buildRun(policy string, tamper func(core.Env), tab *memo.Tabl
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: %w", err)
 	}
-	return &runCtx{sc: s, eng: eng, env: env, aud: aud, sched: sched, cfg: cfg}, nil
+	return &runCtx{eng: eng, env: env, aud: aud, sched: sched, cfg: cfg}, nil
 }
 
 type runCtx struct {
-	sc    *Scenario
 	eng   *sim.Engine
 	env   core.Env
 	aud   *Auditor
@@ -203,131 +214,180 @@ type runCtx struct {
 	cfg   core.Config
 }
 
-// runPolicy executes the scenario to quiescence under one policy and audits
-// the result.
-func runPolicy(sc *Scenario, policy string, tamper func(core.Env)) PolicyRun {
-	return runPolicyDriver(sc, policy, tamper, sc.Driver, "")
+// runSpec is one audited execution of a scenario.
+type runSpec struct {
+	name   string           // the run's Policy: a policy, "resume", or a memo run
+	lang   string           // a rendering's language; "" for the spec driver
+	driver func() wf.Driver // called once per AM incarnation, as a restart re-reads its source
+	policy string
+	memo   *memo.Table // nil: memoization off
+	killAt float64     // > 0: kill the AM at this virtual time and resume it
 }
 
-// runPolicyDriver is runPolicy over an arbitrary driver factory: the spec
-// driver for the main differential matrix, or a language rendering for the
-// portability family (language tags the run and switches the capture to
-// canonical comparison).
-func runPolicyDriver(sc *Scenario, policy string, tamper func(core.Env), driver func() wf.Driver, language string) PolicyRun {
-	run := PolicyRun{Policy: policy, Lang: language, Completed: map[string]int{}}
-	ctx, err := sc.buildRun(policy, tamper, nil)
+// policySpecs is one plain run of driver per requested policy. Static
+// planners are left out when the workflow unfolds at run time (§3.4) or a
+// node the chaos plan kills or the elastic plan drains would take part of
+// their up-front plan with it.
+func (s *Scenario) policySpecs(policies []string, driver func() wf.Driver, lang string, static bool) []runSpec {
+	var specs []runSpec
+	for _, p := range policies {
+		if staticPolicies[p] && (!static || s.KillsNode() || s.Elastic.Disruptive()) {
+			continue
+		}
+		specs = append(specs, runSpec{name: p, lang: lang, driver: driver, policy: p})
+	}
+	return specs
+}
+
+// execute runs spec on a fresh substrate and audits it. A kill/resume run
+// kills the AM at killAt and resumes a second incarnation from provenance
+// on the surviving substrate: the cluster, HDFS, the armed chaos plan and
+// the auditor's RM-level state span both incarnations, only AM state is
+// lost. A run that beats the kill point is audited as it stands, and a
+// resumed run that fails is reported without the partial audit.
+func (s *Scenario) execute(spec runSpec, tamper func(core.Env)) PolicyRun {
+	run := PolicyRun{Policy: spec.name, Lang: spec.lang, Completed: map[string]int{}}
+	ctx, err := s.buildRun(spec.policy, tamper, spec.memo)
 	if err != nil {
 		run.Err = err.Error()
 		return run
 	}
-	rep, err := core.Run(ctx.env, driver(), ctx.sched, ctx.cfg)
+	am, err := core.Launch(ctx.env, spec.driver(), ctx.sched, ctx.cfg)
 	if err != nil {
-		run.Err = err.Error()
-		run.Violations = ctx.aud.Violations()
+		run.Err, run.Violations = err.Error(), ctx.aud.Violations()
 		return run
 	}
-	run.capture(rep, ctx.aud)
-	return run
-}
-
-// runResume executes the kill/resume variant: launch under FCFS, kill the
-// AM partway through the baseline makespan, resume a fresh AM incarnation
-// from provenance on the surviving substrate, and verify that recovery
-// re-executed zero completed tasks. The chaos plan instance spans both
-// incarnations (the injected world does not reset when the AM dies).
-func runResume(sc *Scenario, baseline, frac float64, tamper func(core.Env)) PolicyRun {
-	return runResumeDriver(sc, baseline, frac, tamper, sc.Driver, "")
-}
-
-// runResumeDriver is runResume over an arbitrary driver factory. The
-// factory is called once per AM incarnation, exactly like a real restart
-// re-parsing the workflow source. For the spec driver (language == ""),
-// declared output paths are stable across incarnations, so recovery must
-// re-execute zero completed tasks. A language rendering synthesizes paths
-// around process-local task IDs, so its second incarnation matches nothing
-// in provenance and legitimately re-executes the whole workflow — the
-// check for renderings is the canonical outcome of the final state, not
-// zero re-execution.
-func runResumeDriver(sc *Scenario, baseline, frac float64, tamper func(core.Env), driver func() wf.Driver, language string) PolicyRun {
-	const policy = scheduler.PolicyFCFS
-	run := PolicyRun{Policy: "resume", Lang: language, Completed: map[string]int{}}
-	ctx, err := sc.buildRun(policy, tamper, nil)
-	if err != nil {
-		run.Err = err.Error()
-		return run
-	}
-	am, err := core.Launch(ctx.env, driver(), ctx.sched, ctx.cfg)
-	if err != nil {
-		run.Err = fmt.Sprintf("launch: %v", err)
-		return run
-	}
-	killAt := baseline * frac
-	if killAt < 5 {
-		killAt = 5
-	}
-	ctx.eng.RunUntil(killAt)
-
-	if am.Finished() {
-		// The run beat the kill point (tiny scenario); audit it as a plain
-		// run — resume has nothing to recover.
-		rep, err := am.Report()
+	if spec.killAt == 0 {
+		ctx.eng.Run()
+	} else if ctx.eng.RunUntil(spec.killAt); !am.Finished() {
+		run.killed, run.atKill = true, am.CompletedTasks()
+		am.Kill()
+		// OnResume clears the per-incarnation task bookkeeping and keeps
+		// container, capacity and node-death history, so late defensive
+		// re-releases of first-incarnation containers stay legitimate.
+		ctx.aud.OnResume()
+		sched, err := scheduler.New(spec.policy, scheduler.Deps{Locality: ctx.env.FS, Estimator: ctx.env.Prov})
 		if err != nil {
 			run.Err = err.Error()
 			return run
 		}
-		run.capture(rep, ctx.aud)
-		return run
+		if am, err = core.Resume(ctx.env, spec.driver(), sched, ctx.cfg, ctx.env.Prov.Store()); err != nil {
+			run.Err, run.Violations = fmt.Sprintf("resume: %v", err), ctx.aud.Violations()
+			return run
+		}
+		ctx.eng.Run()
 	}
-
-	completedAtKill := am.CompletedTasks()
-	am.Kill()
-	// Second incarnation: the cluster, HDFS, provenance store, armed chaos
-	// events — and the auditor's RM-level state — survive; only AM state is
-	// lost. OnResume clears the per-incarnation task bookkeeping while
-	// keeping container, capacity, and node-death history, so late defensive
-	// re-releases of first-incarnation containers stay legitimate.
-	ctx.aud.OnResume()
-	sched2, err := scheduler.New(policy, scheduler.Deps{Locality: ctx.env.FS, Estimator: ctx.env.Prov})
+	rep, err := am.Report()
 	if err != nil {
 		run.Err = err.Error()
-		return run
-	}
-	am2, err := core.Resume(ctx.env, driver(), sched2, ctx.cfg, ctx.env.Prov.Store())
-	if err != nil {
-		run.Err = fmt.Sprintf("resume: %v", err)
-		run.Violations = ctx.aud.Violations()
-		return run
-	}
-	ctx.eng.Run()
-	rep, err := am2.Report()
-	if err != nil {
-		run.Err = err.Error()
+		if spec.killAt == 0 {
+			run.Violations = ctx.aud.Violations()
+		}
 		return run
 	}
 	run.Recovered = rep.Recovered
 	run.capture(rep, ctx.aud)
+	run.endSec = ctx.eng.Now()
+	return run
+}
 
-	// Replay equivalence: recovery reconstructed exactly what had completed,
-	// and nothing completed was re-executed. Only spec drivers have stable
-	// paths for provenance recovery to match; renderings re-execute.
-	if run.Succeeded && language == "" {
-		if rep.Recovered != completedAtKill {
-			run.Violations = append(run.Violations, Violation{
-				TimeSec:   ctx.eng.Now(),
-				Invariant: "zero-reexecution",
-				Detail:    fmt.Sprintf("recovered %d tasks, %d had completed at the kill", rep.Recovered, completedAtKill),
-			})
-		}
-		if rep.Recovered+len(rep.Results) != sc.TotalTasks() {
-			run.Violations = append(run.Violations, Violation{
-				TimeSec:   ctx.eng.Now(),
-				Invariant: "zero-reexecution",
-				Detail: fmt.Sprintf("recovered %d + executed %d != %d total tasks (completed work re-ran)",
-					rep.Recovered, len(rep.Results), sc.TotalTasks()),
-			})
+// expectation is what judge holds a run to beyond its own audit: the
+// scenario's completion multiset, a baseline run's completions and outputs
+// (outputs only for a kill/resume run, whose recovered tasks are rebuilt
+// from provenance and never appear among its completions), and for a
+// rendering the spec's canonical outcome.
+type expectation struct {
+	scenario    map[string]int
+	baseline    *PolicyRun
+	outputsOnly bool
+	canonical   map[string]int
+	canonOuts   []string
+}
+
+// judge lists what is wrong with r, each failure prefixed with tag: its
+// violations, a failed workflow, and every way it departs from e.
+func (e expectation) judge(tag string, r *PolicyRun) []string {
+	var fails []string
+	failf := func(format string, args ...any) {
+		fails = append(fails, tag+": "+fmt.Sprintf(format, args...))
+	}
+	for _, v := range r.Violations {
+		failf("%s", v)
+	}
+	if !r.Succeeded {
+		failf("workflow failed: %s", r.Err)
+		return fails
+	}
+	if e.scenario != nil {
+		if d := diffCompleted(e.scenario, r.Completed); d != "" {
+			failf("completed set diverges from scenario: %s", d)
 		}
 	}
-	return run
+	if b := e.baseline; b != nil {
+		if !e.outputsOnly {
+			if d := diffCompleted(b.Completed, r.Completed); d != "" {
+				failf("completed set diverges from %s: %s", b.Policy, d)
+			}
+		}
+		if strings.Join(b.Outputs, "\n") != strings.Join(r.Outputs, "\n") {
+			failf("outputs %v differ from %s outputs %v", r.Outputs, b.Policy, b.Outputs)
+		}
+	}
+	if e.canonical != nil {
+		if d := diffCompleted(e.canonical, r.Canonical); d != "" {
+			failf("canonical completions diverge from spec: %s", d)
+		}
+		if strings.Join(r.CanonOutputs, "\n") != strings.Join(e.canonOuts, "\n") {
+			failf("canonical outputs %v, want %v", r.CanonOutputs, e.canonOuts)
+		}
+	}
+	return fails
+}
+
+// family collects one verifier family's audited runs and failures.
+type family struct {
+	sc     *Scenario
+	tamper func(core.Env)
+	runs   []PolicyRun
+	fails  []string
+}
+
+// run executes spec and records the run.
+func (f *family) run(spec runSpec) *PolicyRun {
+	f.runs = append(f.runs, f.sc.execute(spec, f.tamper))
+	return &f.runs[len(f.runs)-1]
+}
+
+// judge records what is wrong with r and reports whether it succeeded.
+func (f *family) judge(tag string, r *PolicyRun, e expectation) bool {
+	f.fails = append(f.fails, e.judge(tag, r)...)
+	return r.Succeeded
+}
+
+func (f *family) failf(format string, args ...any) {
+	f.fails = append(f.fails, fmt.Sprintf(format, args...))
+}
+
+// zeroReexecution is the resume family's coverage check on a resumed spec
+// run: recovery rebuilt exactly what had completed at the kill, and nothing
+// completed ran again. Only the spec driver's declared paths are stable
+// across incarnations; a rendering's second incarnation matches nothing in
+// provenance and legitimately re-executes the whole workflow.
+func (s *Scenario) zeroReexecution(r *PolicyRun) []Violation {
+	if !r.killed || !r.Succeeded {
+		return nil
+	}
+	var out []Violation
+	if r.Recovered != r.atKill {
+		out = append(out, Violation{TimeSec: r.endSec, Invariant: "zero-reexecution",
+			Detail: fmt.Sprintf("recovered %d tasks, %d had completed at the kill", r.Recovered, r.atKill)})
+	}
+	if r.Recovered+r.Executed != s.TotalTasks() {
+		out = append(out, Violation{TimeSec: r.endSec, Invariant: "zero-reexecution",
+			Detail: fmt.Sprintf("recovered %d + executed %d != %d total tasks (completed work re-ran)",
+				r.Recovered, r.Executed, s.TotalTasks())})
+	}
+	return out
 }
 
 // diffCompleted renders the difference between two completion multisets.
@@ -360,85 +420,42 @@ func diffCompleted(want, got map[string]int) string {
 // invariant violations, policy-vs-policy disagreement on the completed task
 // multiset or final outputs, and replay divergence all become Failures.
 func CheckScenario(sc *Scenario, opts Options) *Result {
-	res := &Result{Scenario: sc}
+	f := &family{sc: sc, tamper: opts.Tamper}
 	expected := sc.expectedCompletions()
 
+	// The first run that succeeds is the baseline every later one must match.
 	var baseline *PolicyRun
-	for _, policy := range opts.policies() {
-		if staticPolicies[policy] && (sc.Iterative() || sc.KillsNode() || sc.Elastic.Disruptive()) {
-			// §3.4: static planners cannot run unfolding workflows, and a
-			// static plan cannot reroute around a node the chaos plan kills
-			// or the elastic plan drains away.
-			continue
-		}
-		run := runPolicy(sc, policy, opts.Tamper)
-		res.Runs = append(res.Runs, run)
-		r := &res.Runs[len(res.Runs)-1]
-		for _, v := range r.Violations {
-			res.Failures = append(res.Failures, fmt.Sprintf("policy %s: %s", policy, v))
-		}
-		if !r.Succeeded {
-			res.Failures = append(res.Failures, fmt.Sprintf("policy %s: workflow failed: %s", policy, r.Err))
-			continue
-		}
-		if d := diffCompleted(expected, r.Completed); d != "" {
-			res.Failures = append(res.Failures, fmt.Sprintf("policy %s: completed set diverges from scenario: %s", policy, d))
-		}
-		if baseline == nil {
+	for _, spec := range sc.policySpecs(opts.policies(), sc.Driver, "", !sc.Iterative()) {
+		r := f.run(spec)
+		if f.judge("policy "+spec.policy, r, expectation{scenario: expected, baseline: baseline}) && baseline == nil {
 			baseline = r
-			continue
-		}
-		if d := diffCompleted(baseline.Completed, r.Completed); d != "" {
-			res.Failures = append(res.Failures,
-				fmt.Sprintf("policy %s: completed set diverges from %s: %s", policy, baseline.Policy, d))
-		}
-		if strings.Join(baseline.Outputs, "\n") != strings.Join(r.Outputs, "\n") {
-			res.Failures = append(res.Failures,
-				fmt.Sprintf("policy %s: outputs %v differ from %s outputs %v", policy, r.Outputs, baseline.Policy, baseline.Outputs))
 		}
 	}
 
 	if sc.Service != nil {
-		run := runService(sc, opts.Tamper)
-		res.Runs = append(res.Runs, run)
-		r := &res.Runs[len(res.Runs)-1]
+		r := runService(sc, opts.Tamper)
+		f.runs = append(f.runs, r)
 		for _, v := range r.Violations {
-			res.Failures = append(res.Failures, fmt.Sprintf("service: %s", v))
+			f.failf("service: %s", v)
 		}
 		if r.Err != "" {
-			res.Failures = append(res.Failures, fmt.Sprintf("service: %s", r.Err))
+			f.failf("service: %s", r.Err)
 		}
 	}
 
 	if !opts.SkipResume && baseline != nil {
-		frac := opts.ResumeFraction
-		if frac <= 0 || frac >= 1 {
-			frac = 0.5
-		}
-		run := runResume(sc, baseline.MakespanSec, frac, opts.Tamper)
-		res.Runs = append(res.Runs, run)
-		r := &res.Runs[len(res.Runs)-1]
-		for _, v := range r.Violations {
-			res.Failures = append(res.Failures, fmt.Sprintf("resume: %s", v))
-		}
-		if !r.Succeeded {
-			res.Failures = append(res.Failures, fmt.Sprintf("resume: workflow failed: %s", r.Err))
-		} else if strings.Join(baseline.Outputs, "\n") != strings.Join(r.Outputs, "\n") {
-			res.Failures = append(res.Failures,
-				fmt.Sprintf("resume: outputs %v differ from %s outputs %v", r.Outputs, baseline.Policy, baseline.Outputs))
-		}
+		r := f.run(runSpec{name: "resume", driver: sc.Driver, policy: scheduler.PolicyFCFS, killAt: killPoint(baseline)})
+		r.Violations = append(r.Violations, sc.zeroReexecution(r)...)
+		f.judge("resume", r, expectation{baseline: baseline, outputsOnly: true})
 	}
 
 	if sc.Portability {
 		runs, fails := runPortability(sc, opts)
-		res.Runs = append(res.Runs, runs...)
-		res.Failures = append(res.Failures, fails...)
+		f.runs, f.fails = append(f.runs, runs...), append(f.fails, fails...)
 	}
-
 	if sc.Memo && baseline != nil {
 		runs, fails := runMemoFamily(sc, baseline, opts)
-		res.Runs = append(res.Runs, runs...)
-		res.Failures = append(res.Failures, fails...)
+		f.runs, f.fails = append(f.runs, runs...), append(f.fails, fails...)
 	}
-	return res
+	return &Result{Scenario: sc, Runs: f.runs, Failures: f.fails}
 }

@@ -351,11 +351,15 @@ func (s *Scenario) genChaos(r *rand.Rand) {
 // a homogeneous cluster with a zero-vcore AM container (so worker capacity
 // is uniform across nodes), replication-2 HDFS, and the staged inputs.
 func (s *Scenario) Materialize() (*sim.Engine, core.Env, error) {
+	return s.recipe().Materialize()
+}
+
+func (s *Scenario) recipe() *recipes.Recipe {
 	var inputs []workloads.Input
 	for _, in := range s.Inputs {
 		inputs = append(inputs, workloads.Input{Path: in.Path, SizeMB: in.SizeMB})
 	}
-	r := &recipes.Recipe{
+	return &recipes.Recipe{
 		Name:       fmt.Sprintf("verify-%d", s.Seed),
 		Groups:     []recipes.NodeGroup{{Count: s.Nodes, Spec: cluster.M3Large()}},
 		SwitchMBps: 2000,
@@ -364,7 +368,6 @@ func (s *Scenario) Materialize() (*sim.Engine, core.Env, error) {
 		Seed:       s.Seed,
 		Inputs:     inputs,
 	}
-	return r.Materialize()
 }
 
 // task materializes the spec as a fresh wf.Task (IDs are process-local, so

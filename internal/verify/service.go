@@ -6,10 +6,7 @@ import (
 	"reflect"
 
 	"hiway/internal/chaos"
-	"hiway/internal/cluster"
 	"hiway/internal/core"
-	"hiway/internal/hdfs"
-	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/service"
 	"hiway/internal/sim"
@@ -215,22 +212,18 @@ func (h *orderRecorder) check(now float64, maxConcurrent int) []Violation {
 }
 
 // materializeService builds the substrate for the service-tier run: the
-// scenario's cluster with fair scheduling, tenant policies installed in the
-// RM, a zero-vcore AM container, and replication-2 HDFS so the generated
-// single-node kills never destroy the only copy of a block.
+// scenario's own cluster and replication-2 HDFS (so the generated
+// single-node kills never destroy the only copy of a block), with fair
+// scheduling, the tenant policies and a 256 MB zero-vcore AM container in
+// the RM, and no staged inputs — each service workflow stages its own.
 func (s *Scenario) materializeService(profiles []service.TenantProfile) (*sim.Engine, core.Env, error) {
-	r := &recipes.Recipe{
-		Name:       fmt.Sprintf("verify-svc-%d", s.Seed),
-		Groups:     []recipes.NodeGroup{{Count: s.Nodes, Spec: cluster.M3Large()}},
-		SwitchMBps: 2000,
-		HDFS:       hdfs.Config{BlockSizeMB: 256, Replication: 2},
-		YARN: yarn.Config{
-			Fair:       true,
-			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
-			Tenants:    service.TenantPolicies(profiles),
-		},
-		Seed: s.Seed,
+	r := s.recipe()
+	r.YARN = yarn.Config{
+		Fair:       true,
+		AMResource: yarn.Resource{VCores: 0, MemMB: 256},
+		Tenants:    service.TenantPolicies(profiles),
 	}
+	r.Inputs = nil
 	return r.Materialize()
 }
 

@@ -2,6 +2,20 @@ package verify
 
 import "strings"
 
+// clearers each drop one optional part of a scenario and report whether it
+// had one, in the order Shrink tries them: the memo family first (its runs
+// triple the execution count), then the iteration chain, the service tier,
+// the elastic membership plan, and the portability family. Whichever part
+// carries the failure survives; a memo or portability failure keeps its
+// family and the reproducer stays a memo triple or a two-language case.
+var clearers = []func(*Scenario) bool{
+	func(s *Scenario) bool { had := s.Memo; s.Memo = false; return had },
+	func(s *Scenario) bool { had := len(s.IterTasks) > 0; s.IterTasks = nil; return had },
+	func(s *Scenario) bool { had := s.Service != nil; s.Service = nil; return had },
+	func(s *Scenario) bool { had := s.Elastic != nil; s.Elastic = nil; return had },
+	func(s *Scenario) bool { had := s.Portability; s.Portability = false; return had },
+}
+
 // ShrinkReport describes a minimization: the reduced scenario plus how many
 // candidate executions the search spent.
 type ShrinkReport struct {
@@ -14,9 +28,7 @@ type ShrinkReport struct {
 
 // Shrink minimizes a failing scenario while preserving the failure:
 //
-//  1. drop the memoization family if the memo-off matrix alone still fails,
-//     then the iteration chain if the base graph alone still fails, then
-//     the service tier, then the elastic membership plan,
+//  1. drop each optional part the failure survives without (clearers),
 //  2. binary-search the shortest failing task prefix — tasks are stored in
 //     topological order with producers before consumers, so every prefix is
 //     a dependency-closed workflow,
@@ -41,55 +53,12 @@ func Shrink(sc *Scenario, opts Options) ShrinkReport {
 		return ShrinkReport{Scenario: cur, Probes: probes}
 	}
 
-	// 0. Memo family gone? The memo runs triple the execution count, so the
-	// reproducer sheds them first; if only a memo run diverges, the flag
-	// survives and the case stays a cold/warm/resume triple.
-	if cur.Memo {
-		cand := cur.Clone()
-		cand.Memo = false
-		if f := fails(cand); len(f) > 0 {
-			cur, last = cand, f
-		}
-	}
-
-	// 1. Iterations gone?
-	if len(cur.IterTasks) > 0 {
-		cand := cur.Clone()
-		cand.IterTasks = nil
-		if f := fails(cand); len(f) > 0 {
-			cur, last = cand, f
-		}
-	}
-
-	// 1b. Service tier gone? (The policy matrix and the service run are
-	// independent, so whichever one carries the failure survives.)
-	if cur.Service != nil {
-		cand := cur.Clone()
-		cand.Service = nil
-		if f := fails(cand); len(f) > 0 {
-			cur, last = cand, f
-		}
-	}
-
-	// 1c. Elastic plan gone? (Membership churn is orthogonal to the task
-	// graph; if the failure survives without it, the reproducer sheds it.)
-	if cur.Elastic != nil {
-		cand := cur.Clone()
-		cand.Elastic = nil
-		if f := fails(cand); len(f) > 0 {
-			cur, last = cand, f
-		}
-	}
-
-	// 1d. Portability family gone? If the spec-driver matrix alone still
-	// fails, the reproducer sheds the cross-language runs; if only a
-	// rendering diverges, the flag survives and the reproducer stays a
-	// two-language case.
-	if cur.Portability {
-		cand := cur.Clone()
-		cand.Portability = false
-		if f := fails(cand); len(f) > 0 {
-			cur, last = cand, f
+	// 1. Drop each optional part whose absence keeps the failure.
+	for _, drop := range clearers {
+		if cand := cur.Clone(); drop(cand) {
+			if f := fails(cand); len(f) > 0 {
+				cur, last = cand, f
+			}
 		}
 	}
 

@@ -454,38 +454,45 @@ func (rm *ResourceManager) completeDrain(nm *nodeManager, graceful bool) {
 }
 
 // preemptRunning destroys a node's running containers the way a spot
-// reclaim does: capacity is not credited back (the node is leaving), tenants
-// are charged for usage up to now, quota slots free, OnLost fires, and the
-// preemption counter advances.
+// reclaim does (see loseRunning) and advances the preemption counter.
 func (rm *ResourceManager) preemptRunning(nm *nodeManager) {
 	rm.accrueBusy(nm)
+	nm.freeCores = nm.totalCores
+	nm.freeMem = nm.totalMem
+	rm.idxSync(nm)
+	rm.preempted += rm.loseRunning(nm, rm.preemptedC, "preempted")
+}
+
+// loseRunning takes every running container off nm, in ID order, and
+// returns how many it took. The node's capacity is not credited back (it is
+// dead or leaving), but each tenant's quota slot frees — the container no
+// longer runs anywhere — and usage up to now is still charged, since the
+// tenant occupied the cores until now. The auditor sees each container
+// lost, its span ends tagged arg, count advances, and OnLost fires.
+func (rm *ResourceManager) loseRunning(nm *nodeManager, count *obs.Counter, arg string) int {
 	lost := make([]*Container, 0, len(nm.running))
 	for _, c := range nm.running {
 		lost = append(lost, c)
 	}
 	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
 	nm.running = make(map[int64]*Container)
-	nm.freeCores = nm.totalCores
-	nm.freeMem = nm.totalMem
-	rm.idxSync(nm)
 	for _, c := range lost {
 		c.released = true
 		rm.chargeTenant(c, nm.spot)
 		rm.creditTenant(c)
-		rm.preempted++
-		rm.preemptedC.Inc()
+		count.Inc()
 		if rm.audit != nil {
 			rm.audit.OnContainerLost(rm.eng.Now(), c)
 		}
 		if tr := rm.obs.T(); tr.Enabled() {
-			tr.Arg(c.span, "preempted", "true")
+			tr.Arg(c.span, arg, "true")
 			tr.End(c.span)
 		}
 		if c.OnLost != nil {
-			cb := c.OnLost
-			rm.eng.Schedule(0, cb)
+			rm.eng.Schedule(0, c.OnLost)
 		}
 	}
+	return len(lost)
 }
 
 // RemoveNode deregisters a node. Running containers (if any) are preempted
@@ -1000,32 +1007,7 @@ func (rm *ResourceManager) KillNode(nodeID string) {
 		rm.audit.OnNodeDead(rm.eng.Now(), nodeID)
 	}
 	rm.obs.T().Instant("fault", "node-killed", nodeID)
-	lost := make([]*Container, 0, len(nm.running))
-	for _, c := range nm.running {
-		lost = append(lost, c)
-	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
-	nm.running = make(map[int64]*Container)
-	for _, c := range lost {
-		c.released = true
-		// The node's capacity is gone, but the tenant's quota slot frees:
-		// the container no longer runs anywhere. Usage up to the crash is
-		// still charged — the tenant occupied the cores until now.
-		rm.chargeTenant(c, nm.spot)
-		rm.creditTenant(c)
-		rm.lostC.Inc()
-		if rm.audit != nil {
-			rm.audit.OnContainerLost(rm.eng.Now(), c)
-		}
-		if tr := rm.obs.T(); tr.Enabled() {
-			tr.Arg(c.span, "lost", "true")
-			tr.End(c.span)
-		}
-		if c.OnLost != nil {
-			cb := c.OnLost
-			rm.eng.Schedule(0, cb)
-		}
-	}
+	rm.loseRunning(nm, rm.lostC, "lost")
 	// Re-route pending strict requests pinned to the dead node.
 	rm.rerouteStrict(nodeID)
 	rm.kick()
