@@ -16,10 +16,9 @@
 //
 // -w is repeatable: each occurrence becomes an independent workflow shard
 // simulated on its own cluster by a pool of -shard-workers goroutines
-// (default GOMAXPROCS; one when any shard is a Cuneiform workflow, whose
-// mid-run task IDs come from a process-wide counter), with stdout,
-// per-shard artifact files (out.json.shard00, ...), and the merged
-// provenance stream all byte-identical to a serial -shard-workers=1 run.
+// (default GOMAXPROCS), with stdout, per-shard artifact files
+// (out.json.shard00, ...), and the merged provenance stream all
+// byte-identical to a serial -shard-workers=1 run.
 //
 // -trace writes a Chrome trace_event JSON timeline (open in chrome://tracing
 // or Perfetto), -metrics a Prometheus text snapshot, -decisions the
@@ -118,8 +117,8 @@ func usage() {
             [-trace-sample N] [-gantt] [-timeline FILE.csv]
             [-cpuprofile FILE] [-memprofile FILE]
       run the workflow(s) on a simulated YARN cluster; repeated -w flags
-      become independent shards simulated in parallel (serially when any
-      is Cuneiform) with deterministic merged output
+      become independent shards simulated in parallel with deterministic
+      merged output
 
   hiway inspect -w WORKFLOW [-lang L] [-bind name=path ...]
       analyze a static workflow's structure without running it
@@ -329,7 +328,7 @@ func runSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	var wfPaths multiFlag
 	fs.Var(&wfPaths, "w", "workflow file (repeatable: each extra -w runs as an independent shard)")
-	shardWorkers := fs.Int("shard-workers", runtime.GOMAXPROCS(0), "goroutines simulating shards in parallel; 1 when any shard is Cuneiform (outputs are identical at any value)")
+	shardWorkers := fs.Int("shard-workers", runtime.GOMAXPROCS(0), "goroutines simulating shards in parallel (outputs are identical at any value)")
 	nodes := fs.Int("nodes", 8, "number of simulated worker nodes")
 	policy := fs.String("policy", scheduler.PolicyDataAware, "scheduling policy")
 	lang := fs.String("lang", "", "force workflow language")
@@ -359,10 +358,9 @@ func runSim(args []string) error {
 		return err
 	}
 
-	// --- Serial setup phase. Everything that draws from process-global
-	// state (workflow parsing and its task-ID allocation, workflow-ID
-	// assignment) happens here, in -w flag order, so the shard workers
-	// below start from identical state at any -shard-workers value.
+	// --- Setup, in -w flag order: each shard gets its own driver and
+	// substrate. A driver numbers its tasks from 1, so a shard's run is a
+	// function of its own workflow, whichever worker simulates it.
 	n := len(wfPaths)
 	shards := make([]*simShard, n)
 	for i, wfPath := range wfPaths {
@@ -430,15 +428,8 @@ func runSim(args []string) error {
 			s.cfg.Health = scheduler.NewNodeHealthTracker(eng.Now, 3, 60)
 			fmt.Fprintln(&s.out, "chaos:", plan)
 		}
-		// Parse now (consuming the global task-ID counter serially) and
-		// pin the workflow ID core.Launch would otherwise derive inside
-		// the worker.
-		if s.driver, err = shard.PreParse(driver); err != nil {
-			return err
-		}
-		// The shard index (not the global ID counter) keys the workflow
-		// ID, so the same workflow at the same position gets the same ID
-		// regardless of what parsed before it — renderings of one logical
+		// The shard index keys the workflow ID, so the same workflow at the
+		// same position gets the same ID — renderings of one logical
 		// workflow in different languages stay byte-comparable.
 		s.cfg.WorkflowID = fmt.Sprintf("hiway-%s-%02d", driver.Name(), i)
 		shards[i] = s
@@ -456,18 +447,9 @@ func runSim(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// --- Parallel phase: one engine per shard, nothing shared — except the
-	// process-wide task-ID counter, which a frontend that discovers tasks
-	// mid-run (Cuneiform) draws from while its shard simulates. Parallel
-	// shards would interleave those draws, so such runs go serially, in
-	// shard order, and their outputs stay identical at any -shard-workers.
-	workers := *shardWorkers
-	for _, s := range shards {
-		if _, static := s.driver.(wf.StaticDriver); !static {
-			workers = 1
-		}
-	}
-	if err := shard.Run(n, workers, func(i int) error { return shards[i].run() }); err != nil {
+	// --- Parallel phase: one engine and one driver per shard, nothing
+	// shared, so the outputs are identical at any -shard-workers.
+	if err := shard.Run(n, *shardWorkers, func(i int) error { return shards[i].run() }); err != nil {
 		return err
 	}
 

@@ -25,9 +25,8 @@ import (
 
 // TestMain doubles as a helper process: when HIWAY_SIM_HELPER is set, the
 // test binary runs `sim` with the \x1f-separated arguments instead of the
-// test suite. The shard-determinism test needs fresh processes because task
-// and workflow IDs come from a process-global counter — two runs are only
-// comparable byte-for-byte when both start from a fresh ID space.
+// test suite, so the shard-determinism test can capture a whole run's
+// stdout.
 func TestMain(m *testing.M) {
 	if spec := os.Getenv("HIWAY_SIM_HELPER"); spec != "" {
 		if err := runSim(strings.Split(spec, "\x1f")); err != nil {
@@ -255,16 +254,14 @@ func TestRunSimReplaysRecoveredTraces(t *testing.T) {
 // TestSimProvWritesAFreshTrace pins -prov's file semantics: a second run into
 // the same path replaces the first run's trace (appending would leave two
 // runs that share workflow and task IDs, which does not replay), and the
-// trace being replayed may be the one -prov names. Each run is a fresh
-// process (see TestMain), so equal runs write equal bytes.
+// trace being replayed may be the one -prov names. Task IDs are per run, so
+// equal runs write equal bytes in one process.
 func TestSimProvWritesAFreshTrace(t *testing.T) {
 	dir := t.TempDir()
 	sim := func(args ...string) {
 		t.Helper()
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "HIWAY_SIM_HELPER="+strings.Join(args, "\x1f"))
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("sim %v: %v\n%s", args, err, out)
+		if err := runSim(args); err != nil {
+			t.Fatalf("sim %v: %v", args, err)
 		}
 	}
 	demo := filepath.Join("..", "..", "examples", "demo.cf")
@@ -573,9 +570,9 @@ t( x: "1" );`
 // every scheduling policy, a multi-workflow `hiway sim` must produce
 // byte-identical stdout, merged provenance trace, and metrics snapshot
 // whether the shards run serially (-shard-workers 1) or on parallel workers.
-// Each run gets a fresh process (see TestMain) so both start from the same
-// task-ID space; output paths are normalized before comparison since the
-// runs write to different directories.
+// Each run is a child process (see TestMain) whose stdout the test captures;
+// output paths are normalized before comparison since the runs write to
+// different directories.
 func TestSimShardDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -626,9 +623,9 @@ func TestSimShardDeterminism(t *testing.T) {
 	}
 
 	// Cuneiform reveals each step of this chain only when its predecessor
-	// completes, so every step's task ID is drawn mid-run: parallel shards
-	// would interleave those draws. Every parallel run must match the
-	// serial one, not just most of them.
+	// completes, so every step's task ID is drawn mid-run, by the shard's own
+	// driver. Every parallel run must match the serial one, not just most
+	// of them.
 	chain := "deftask step( out : inp ) @cpu 5 in bash *{ step $inp > $out }*\nlet s0 = step( inp: \"seed.txt\" );\n"
 	for i := 1; i < 25; i++ {
 		chain += fmt.Sprintf("let s%d = step( inp: s%d );\n", i, i-1)

@@ -52,20 +52,27 @@ func (e *env) manager(t *testing.T, cfg ManagerConfig) *Manager {
 	return NewManager(e.eng, e.cl, e.rm, e.fs, cfg)
 }
 
+// newTask builds a one-output task numbered by the run's ID sequence.
+func newTask(ids *wf.IDSeq, name string, inputs []string, outputs []wf.FileInfo) *wf.Task {
+	return &wf.Task{ID: ids.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": outputs}, Threads: 1}
+}
+
 // chainDriver builds prep → work ×n → merge.
 func chainDriver(n int) wf.StaticDriver {
-	prep := wf.NewTask("prep", []string{"/in/seed"}, []wf.FileInfo{{Path: "/tmp/split", SizeMB: 10}})
+	var ids wf.IDSeq
+	prep := newTask(&ids, "prep", []string{"/in/seed"}, []wf.FileInfo{{Path: "/tmp/split", SizeMB: 10}})
 	prep.CPUSeconds = 5
 	tasks := []*wf.Task{prep}
 	var mergeIn []string
 	for i := 0; i < n; i++ {
 		out := fmt.Sprintf("/tmp/part%d", i)
-		w := wf.NewTask("work", []string{"/tmp/split"}, []wf.FileInfo{{Path: out, SizeMB: 5}})
+		w := newTask(&ids, "work", []string{"/tmp/split"}, []wf.FileInfo{{Path: out, SizeMB: 5}})
 		w.CPUSeconds = 30
 		tasks = append(tasks, w)
 		mergeIn = append(mergeIn, out)
 	}
-	merge := wf.NewTask("merge", mergeIn, []wf.FileInfo{{Path: "/tmp/result", SizeMB: 1}})
+	merge := newTask(&ids, "merge", mergeIn, []wf.FileInfo{{Path: "/tmp/result", SizeMB: 1}})
 	merge.CPUSeconds = 2
 	tasks = append(tasks, merge)
 	sb := &wf.StaticBase{WFName: "chain"}

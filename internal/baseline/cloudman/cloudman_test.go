@@ -22,13 +22,14 @@ func newCluster(t *testing.T, nodes int) *cluster.Cluster {
 }
 
 func pipelineDriver(lanes int) wf.StaticDriver {
+	var ids wf.IDSeq
 	var tasks []*wf.Task
 	for i := 0; i < lanes; i++ {
 		in := fmt.Sprintf("/in/lane%d", i)
-		a := wf.NewTask("tophat", []string{in}, []wf.FileInfo{{Path: fmt.Sprintf("/mid/%d", i), SizeMB: 500}})
+		a := newTask(&ids, "tophat", []string{in}, []wf.FileInfo{{Path: fmt.Sprintf("/mid/%d", i), SizeMB: 500}})
 		a.CPUSeconds = 100
 		a.Threads = 8
-		b := wf.NewTask("cufflinks", []string{fmt.Sprintf("/mid/%d", i)}, []wf.FileInfo{{Path: fmt.Sprintf("/out/%d", i), SizeMB: 50}})
+		b := newTask(&ids, "cufflinks", []string{fmt.Sprintf("/mid/%d", i)}, []wf.FileInfo{{Path: fmt.Sprintf("/out/%d", i), SizeMB: 50}})
 		b.CPUSeconds = 50
 		tasks = append(tasks, a, b)
 	}
@@ -90,9 +91,10 @@ func TestSharedVolumeContention(t *testing.T) {
 
 func TestSingleTaskPerNodeSerializes(t *testing.T) {
 	// 4 independent CPU tasks on 1 node with 1 slot: strictly serial.
+	var ids wf.IDSeq
 	var tasks []*wf.Task
 	for i := 0; i < 4; i++ {
-		w := wf.NewTask("w", nil, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 0.1}})
+		w := newTask(&ids, "w", nil, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 0.1}})
 		w.CPUSeconds = 10
 		tasks = append(tasks, w)
 	}
@@ -125,4 +127,10 @@ func TestFailedTaskAborts(t *testing.T) {
 	if err == nil || rep.Succeeded {
 		t.Fatalf("expected failure: %+v", rep)
 	}
+}
+
+// newTask builds a one-output task numbered by the run's ID sequence.
+func newTask(ids *wf.IDSeq, name string, inputs []string, outputs []wf.FileInfo) *wf.Task {
+	return &wf.Task{ID: ids.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": outputs}, Threads: 1}
 }

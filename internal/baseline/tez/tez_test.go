@@ -26,9 +26,10 @@ func newEnv(t *testing.T, nodes int, switchMBps float64) (core.Env, *sim.Engine)
 }
 
 func fanDriver(n int, inputs []string) wf.StaticDriver {
+	var ids wf.IDSeq
 	var tasks []*wf.Task
 	for i := 0; i < n; i++ {
-		w := wf.NewTask("work", inputs, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 1}})
+		w := newTask(&ids, "work", inputs, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 1}})
 		w.CPUSeconds = 10
 		tasks = append(tasks, w)
 	}
@@ -106,4 +107,10 @@ func TestTezParseErrorPropagates(t *testing.T) {
 	if _, err := Run(env, sb, Config{}); err == nil {
 		t.Fatal("parse error must propagate")
 	}
+}
+
+// newTask builds a one-output task numbered by the run's ID sequence.
+func newTask(ids *wf.IDSeq, name string, inputs []string, outputs []wf.FileInfo) *wf.Task {
+	return &wf.Task{ID: ids.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": outputs}, Threads: 1}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func task(name string) *wf.Task {
-	return &wf.Task{ID: wf.NextID(), Name: name}
+	return &wf.Task{Name: name} // plans key on the signature, never the ID
 }
 
 func mustParse(t *testing.T, spec string, seed int64) *Plan {

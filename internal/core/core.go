@@ -1,10 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"hiway/internal/chaos"
 	"hiway/internal/cluster"
@@ -38,8 +38,9 @@ type HealthReporter interface {
 // Config tunes one workflow execution.
 type Config struct {
 	// WorkflowID uniquely identifies the run in provenance; derived from
-	// the driver name if empty. Resume requires it to match the crashed
-	// run's ID.
+	// the driver name and the RM's application ID if empty, which is unique
+	// per RM only — callers recording runs of several RMs into one store
+	// name each run. Resume requires it to match the crashed run's ID.
 	WorkflowID string
 
 	// Tenant attributes the workflow's YARN application to a tenant; the
@@ -291,14 +292,20 @@ func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*A
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: submitting AM: %w", err)
 	}
+	if am.cfg.WorkflowID == "" {
+		// Task IDs count from 1 in every run, so what tells this run's
+		// provenance from another's on the same RM is the application ID.
+		am.cfg.WorkflowID = fmt.Sprintf("hiway-%s-%d", driver.Name(), app.ID)
+	}
 	am.app = app
 	am.start = env.Cluster.Engine.Now()
-	am.wfSpan = am.tr.Begin("workflow", cfg.WorkflowID, "workflow", 0)
+	am.wfSpan = am.tr.Begin("workflow", am.cfg.WorkflowID, "workflow", 0)
 
+	// A frontend's errors name their language and workflow already.
 	ready, err := driver.Parse()
 	if err != nil {
 		app.Finish()
-		return nil, nil, fmt.Errorf("core: parsing workflow %s: %w", driver.Name(), err)
+		return nil, nil, err
 	}
 	if planner, ok := sched.(scheduler.StaticPlanner); ok {
 		static, ok := driver.(wf.StaticDriver)
@@ -319,9 +326,6 @@ func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*A
 // workflow finishes) the report is available via Report.
 func Launch(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*AM, error) {
 	cfg.setDefaults()
-	if cfg.WorkflowID == "" {
-		cfg.WorkflowID = fmt.Sprintf("hiway-%s-%d", driver.Name(), wf.NextID())
-	}
 	am, ready, err := newAM(env, driver, sched, cfg)
 	if err != nil {
 		return nil, err
@@ -375,8 +379,9 @@ func Resume(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config, st
 		return nil, fmt.Errorf("core: reading provenance for resume: %w", err)
 	}
 	// Successful recorded attempts of this workflow, keyed by signature +
-	// input + output paths. Task IDs are process-local and differ across AM
-	// incarnations; structure identifies the task.
+	// input + output paths. Task IDs follow the order a driver discovers its
+	// tasks, which a resumed incarnation need not repeat; structure
+	// identifies the task.
 	recorded := make(map[string][]provenance.Event)
 	for _, ev := range events {
 		if ev.Type == provenance.TaskEnd && ev.WorkflowID == cfg.WorkflowID && ev.ExitCode == 0 && ev.Error == "" {
@@ -443,12 +448,24 @@ func Resume(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config, st
 // and consume the same files yet produce different artifacts (fan-out), and
 // matching on inputs alone would let one steal the other's recorded
 // completion, marking a task done whose outputs were never materialized.
+// Every string and both lists are prefixed with their length, so no choice
+// of paths makes two tasks share a key.
 func recoveryKey(signature string, inputs, outputs []string) string {
-	ins := append([]string(nil), inputs...)
-	sort.Strings(ins)
-	outs := append([]string(nil), outputs...)
-	sort.Strings(outs)
-	return signature + "\x00" + strings.Join(ins, "\x00") + "\x01" + strings.Join(outs, "\x00")
+	key := appendLenPrefixed(nil, signature)
+	for _, paths := range [][]string{inputs, outputs} {
+		sorted := append([]string(nil), paths...)
+		sort.Strings(sorted)
+		key = binary.AppendUvarint(key, uint64(len(sorted)))
+		for _, p := range sorted {
+			key = appendLenPrefixed(key, p)
+		}
+	}
+	return string(key)
+}
+
+// appendLenPrefixed appends s behind its length.
+func appendLenPrefixed(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 func recoveryKeyFromEvent(ev provenance.Event) string {

@@ -42,21 +42,28 @@ func spec() cluster.NodeSpec {
 	return cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200}
 }
 
+// newTask builds a one-output task numbered by the run's ID sequence.
+func newTask(ids *wf.IDSeq, name string, inputs []string, outputs []wf.FileInfo) *wf.Task {
+	return &wf.Task{ID: ids.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": outputs}, Threads: 1}
+}
+
 // chainDriver returns a static driver: prep → work ×n → merge.
 func chainDriver(t *testing.T, n int) wf.StaticDriver {
 	t.Helper()
-	prep := wf.NewTask("prep", []string{"/in/seed"}, []wf.FileInfo{{Path: "/tmp/split", SizeMB: 10}})
+	var ids wf.IDSeq
+	prep := newTask(&ids, "prep", []string{"/in/seed"}, []wf.FileInfo{{Path: "/tmp/split", SizeMB: 10}})
 	prep.CPUSeconds = 5
 	tasks := []*wf.Task{prep}
 	var mergeIn []string
 	for i := 0; i < n; i++ {
 		out := fmt.Sprintf("/tmp/part%d", i)
-		w := wf.NewTask("work", []string{"/tmp/split"}, []wf.FileInfo{{Path: out, SizeMB: 5}})
+		w := newTask(&ids, "work", []string{"/tmp/split"}, []wf.FileInfo{{Path: out, SizeMB: 5}})
 		w.CPUSeconds = 20
 		tasks = append(tasks, w)
 		mergeIn = append(mergeIn, out)
 	}
-	merge := wf.NewTask("merge", mergeIn, []wf.FileInfo{{Path: "/tmp/result", SizeMB: 1}})
+	merge := newTask(&ids, "merge", mergeIn, []wf.FileInfo{{Path: "/tmp/result", SizeMB: 1}})
 	merge.CPUSeconds = 2
 	tasks = append(tasks, merge)
 	sb := &wf.StaticBase{WFName: "chain"}
@@ -101,9 +108,10 @@ func TestRunSimpleChain(t *testing.T) {
 func TestParallelismSpeedsUp(t *testing.T) {
 	// 8 independent 40-core-second single-thread tasks.
 	mk := func() wf.StaticDriver {
+		var ids wf.IDSeq
 		var tasks []*wf.Task
 		for i := 0; i < 8; i++ {
-			w := wf.NewTask("work", nil, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 0.1}})
+			w := newTask(&ids, "work", nil, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 0.1}})
 			w.CPUSeconds = 40
 			tasks = append(tasks, w)
 		}
@@ -133,12 +141,13 @@ func TestDataAwareBeatsFCFSUnderTightNetwork(t *testing.T) {
 	run := func(mkPolicy func(*hdfs.FS) scheduler.Scheduler) float64 {
 		env := newEnv(t, 4, spec(), 40) // constrained switch
 		env.FS = hdfs.New(env.Cluster, hdfs.Config{BlockSizeMB: 10000, Replication: 1}, 7)
+		var ids wf.IDSeq
 		var tasks []*wf.Task
 		var inputs []string
 		for i := 0; i < 4; i++ {
 			in := fmt.Sprintf("/in/big%d", i)
 			env.FS.Put(in, 2000, fmt.Sprintf("node-0%d", i))
-			w := wf.NewTask("align", []string{in}, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 1}})
+			w := newTask(&ids, "align", []string{in}, []wf.FileInfo{{Path: fmt.Sprintf("/o/%d", i), SizeMB: 1}})
 			w.CPUSeconds = 10
 			tasks = append(tasks, w)
 			inputs = append(inputs, in)
@@ -268,6 +277,58 @@ func TestNodeDeathTriggersRetry(t *testing.T) {
 	}
 }
 
+// TestResumeRecoversOnlyTheRecordedTask kills a run after one of two
+// same-signature tasks completed and resumes it. The tasks' paths are chosen
+// so that joining inputs and outputs with separator bytes gives both the same
+// recovery key: the unfinished task, first in the ready set, would then be
+// recovered from the finished one's record, its own output never written.
+func TestResumeRecoversOnlyTheRecordedTask(t *testing.T) {
+	driver := func() wf.Driver {
+		var ids wf.IDSeq
+		long := newTask(&ids, "clone", []string{"/d/a"}, []wf.FileInfo{{Path: "/w/b\x01/w/c", SizeMB: 1}})
+		long.CPUSeconds = 120
+		short := newTask(&ids, "clone", []string{"/d/a\x01/w/b"}, []wf.FileInfo{{Path: "/w/c", SizeMB: 1}})
+		short.CPUSeconds = 5
+		return &wf.StaticBase{WFName: "collide", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
+			return []*wf.Task{long, short}, []string{"/d/a", "/d/a\x01/w/b"}, nil, nil
+		}}
+	}
+	env := newEnv(t, 3, spec(), 1000)
+	env.FS.Put("/d/a", 1, "")
+	env.FS.Put("/d/a\x01/w/b", 1, "")
+	cfg := Config{WorkflowID: "collide-run"}
+	am, err := Launch(env.Env, driver(), scheduler.NewFCFS(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := 1.0; am.CompletedTasks() < 1 && !am.Finished(); ts++ {
+		env.eng.RunUntil(ts)
+	}
+	if am.Finished() || am.CompletedTasks() != 1 {
+		t.Fatalf("want exactly the short task done at the kill, have %d (finished %v)", am.CompletedTasks(), am.Finished())
+	}
+	am.Kill()
+
+	am2, err := Resume(env.Env, driver(), scheduler.NewFCFS(), cfg, env.Prov.Store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.eng.Run()
+	rep, err := am2.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Recovered != 1 || len(rep.Results) != 1 {
+		t.Fatalf("recovered %d and executed %d tasks, want 1 and 1", rep.Recovered, len(rep.Results))
+	}
+	if got := rep.Results[0].Task.DeclaredPaths(); got[0] != "/w/b\x01/w/c" {
+		t.Fatalf("the resumed run executed the task writing %q; the unfinished one writes /w/b\\x01/w/c", got[0])
+	}
+	if !env.FS.Readable("/w/b\x01/w/c") {
+		t.Fatal("the unfinished task's output was never written")
+	}
+}
+
 const miniDAX = `<adag name="mini">
   <job id="A" name="first" runtime="10">
     <uses file="/in/x" link="input"/>
@@ -358,9 +419,10 @@ func TestTwoWorkflowsConcurrently(t *testing.T) {
 	// Second driver writes to distinct paths? chainDriver reuses paths —
 	// rebuild with a prefix instead.
 	_ = d2
-	prep := wf.NewTask("prep2", []string{"/in/seed"}, []wf.FileInfo{{Path: "/w2/split", SizeMB: 10}})
+	var ids wf.IDSeq
+	prep := newTask(&ids, "prep2", []string{"/in/seed"}, []wf.FileInfo{{Path: "/w2/split", SizeMB: 10}})
 	prep.CPUSeconds = 5
-	w := wf.NewTask("work2", []string{"/w2/split"}, []wf.FileInfo{{Path: "/w2/out", SizeMB: 1}})
+	w := newTask(&ids, "work2", []string{"/w2/split"}, []wf.FileInfo{{Path: "/w2/out", SizeMB: 1}})
 	w.CPUSeconds = 20
 	sb := &wf.StaticBase{WFName: "wf2"}
 	sb.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
@@ -378,6 +440,11 @@ func TestTwoWorkflowsConcurrently(t *testing.T) {
 	}
 	if !r1.Succeeded || !r2.Succeeded {
 		t.Fatal("both workflows should succeed")
+	}
+	// Both runs number their tasks from 1; the default workflow IDs, taken
+	// from the application IDs, keep their provenance apart.
+	if r1.WorkflowID == r2.WorkflowID {
+		t.Fatalf("two runs on one RM share workflow ID %q", r1.WorkflowID)
 	}
 }
 
@@ -429,9 +496,10 @@ func TestAdaptiveGreedyDeclinesSlowNodeEndToEnd(t *testing.T) {
 	env := Env{Cluster: c, FS: fsys, RM: rm, Prov: prov}
 
 	mkDriver := func(round int) wf.StaticDriver {
+		var ids wf.IDSeq
 		var tasks []*wf.Task
 		for i := 0; i < 6; i++ {
-			w := wf.NewTask("work", nil, []wf.FileInfo{{Path: fmt.Sprintf("/r%d/o%d", round, i), SizeMB: 0.1}})
+			w := newTask(&ids, "work", nil, []wf.FileInfo{{Path: fmt.Sprintf("/r%d/o%d", round, i), SizeMB: 0.1}})
 			w.CPUSeconds = 10
 			tasks = append(tasks, w)
 		}

@@ -151,10 +151,11 @@ func TestMemoSkipsDynamicOutcomes(t *testing.T) {
 func TestMemoPrefixCanonicalizesAcrossRoots(t *testing.T) {
 	tab := memo.New(0)
 	build := func(root string) (wf.StaticDriver, string) {
+		var ids wf.IDSeq
 		seed := root + "/in/seed"
-		prep := wf.NewTask("prep", []string{seed}, []wf.FileInfo{{Path: root + "/tmp/split", SizeMB: 10}})
+		prep := newTask(&ids, "prep", []string{seed}, []wf.FileInfo{{Path: root + "/tmp/split", SizeMB: 10}})
 		prep.CPUSeconds = 5
-		work := wf.NewTask("work", []string{root + "/tmp/split"}, []wf.FileInfo{{Path: root + "/tmp/part", SizeMB: 5}})
+		work := newTask(&ids, "work", []string{root + "/tmp/split"}, []wf.FileInfo{{Path: root + "/tmp/part", SizeMB: 5}})
 		work.CPUSeconds = 20
 		sb := &wf.StaticBase{WFName: "rooted"}
 		sb.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {

@@ -50,7 +50,8 @@ func TestStrictRequestReplannedWhenPinnedNodeDies(t *testing.T) {
 			}
 			var tasks []*wf.Task
 			for i := 0; i < 4; i++ {
-				task := wf.NewTask("work", nil, []wf.FileInfo{{Path: fmt.Sprintf("/out/%d", i), SizeMB: 1}})
+				task := &wf.Task{ID: int64(i + 1), Name: "work", OutputParams: []string{"out"},
+					Declared: map[string][]wf.FileInfo{"out": {{Path: fmt.Sprintf("/out/%d", i), SizeMB: 1}}}, Threads: 1}
 				task.CPUSeconds = 60
 				tasks = append(tasks, task)
 			}

@@ -12,8 +12,7 @@ import (
 // policy, runs the same simulated workflow twice in separate processes with
 // the same chaos plan and seed. Both the full stdout and the provenance
 // trace must be byte-identical — the CLI-level form of the engine's
-// determinism guarantee (task IDs are process-global counters, so identical
-// bytes require fresh processes, which is exactly what operators get).
+// determinism guarantee, in the separate processes operators get.
 func TestCLIByteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the CLI binary")

@@ -337,9 +337,10 @@ func TestManyConcurrentWorkflows(t *testing.T) {
 	var ams []*core.AM
 	for i := 0; i < 8; i++ {
 		prefix := fmt.Sprintf("/wf%d", i)
+		var ids wf.IDSeq // every workflow numbers its tasks from 1
 		var tasks []*wf.Task
 		for j := 0; j < 4; j++ {
-			task := wf.NewTask("work", nil, []wf.FileInfo{{Path: fmt.Sprintf("%s/out%d", prefix, j), SizeMB: 2}})
+			task := newTask(&ids, "work", nil, []wf.FileInfo{{Path: fmt.Sprintf("%s/out%d", prefix, j), SizeMB: 2}})
 			task.CPUSeconds = 15
 			tasks = append(tasks, task)
 		}
@@ -361,4 +362,10 @@ func TestManyConcurrentWorkflows(t *testing.T) {
 			t.Fatalf("workflow %d: %+v", i, rep)
 		}
 	}
+}
+
+// newTask builds a one-output task numbered by the run's ID sequence.
+func newTask(ids *wf.IDSeq, name string, inputs []string, outputs []wf.FileInfo) *wf.Task {
+	return &wf.Task{ID: ids.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": outputs}, Threads: 1}
 }

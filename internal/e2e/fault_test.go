@@ -148,11 +148,12 @@ func TestAMCrashResumeFromProvenance(t *testing.T) {
 func TestResumeDistinguishesSameSignatureSameInputs(t *testing.T) {
 	twins := func() wf.Driver {
 		return &wf.StaticBase{WFName: "twin-fanout", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
-			long := wf.NewTask("clone", []string{"/data/in.dat"}, []wf.FileInfo{{Path: "/wf/long.dat", SizeMB: 16}})
+			var ids wf.IDSeq
+			long := newTask(&ids, "clone", []string{"/data/in.dat"}, []wf.FileInfo{{Path: "/wf/long.dat", SizeMB: 16}})
 			long.CPUSeconds = 120
-			short := wf.NewTask("clone", []string{"/data/in.dat"}, []wf.FileInfo{{Path: "/wf/short.dat", SizeMB: 16}})
+			short := newTask(&ids, "clone", []string{"/data/in.dat"}, []wf.FileInfo{{Path: "/wf/short.dat", SizeMB: 16}})
 			short.CPUSeconds = 5
-			merge := wf.NewTask("merge", []string{"/wf/long.dat", "/wf/short.dat"}, []wf.FileInfo{{Path: "/wf/out.dat", SizeMB: 16}})
+			merge := newTask(&ids, "merge", []string{"/wf/long.dat", "/wf/short.dat"}, []wf.FileInfo{{Path: "/wf/out.dat", SizeMB: 16}})
 			merge.CPUSeconds = 5
 			return []*wf.Task{long, short, merge}, []string{"/data/in.dat"}, nil, nil
 		}}
@@ -256,8 +257,8 @@ func TestChaosHangSpeculation(t *testing.T) {
 }
 
 // TestChaosDeterminism runs the same workflow twice under the same chaos
-// plan and seed; the provenance event sequences must be identical (compared
-// without process-global task IDs, which differ between instantiations).
+// plan and seed; the provenance event sequences must be identical, event
+// and task IDs included.
 func TestChaosDeterminism(t *testing.T) {
 	run := func() []string {
 		driver, inputs := snvWorkload()
@@ -281,9 +282,8 @@ func TestChaosDeterminism(t *testing.T) {
 		events, _ := env.Prov.Store().Events()
 		var seq []string
 		for _, ev := range events {
-			// Normalize: drop IDs (task counters are process-global).
-			seq = append(seq, fmt.Sprintf("%s|%s|%s|a%d|%d|%s|%.6f|%.6f",
-				ev.Type, ev.Signature, ev.Node, ev.Attempt, ev.ExitCode, ev.Error, ev.Timestamp, ev.DurationSec))
+			seq = append(seq, fmt.Sprintf("%s|%s|%d|%s|%s|a%d|%d|%s|%.6f|%.6f",
+				ev.ID, ev.Type, ev.TaskID, ev.Signature, ev.Node, ev.Attempt, ev.ExitCode, ev.Error, ev.Timestamp, ev.DurationSec))
 		}
 		return seq
 	}

@@ -13,9 +13,9 @@ import (
 )
 
 // TestObsDeterminism runs the same workflow twice under the same chaos plan
-// and seed with full observability attached; the stable-rendered scheduler
-// decision logs and the Prometheus metric snapshots must be byte-identical
-// across runs. This is the acceptance test for the decision log as a
+// and seed with full observability attached; the scheduler decision logs,
+// task IDs included, and the Prometheus metric snapshots must be
+// byte-identical across runs. This is the acceptance test for the decision log as a
 // debugging artifact: if two same-seed runs rendered differently, diffing a
 // good run against a bad one would be meaningless.
 func TestObsDeterminism(t *testing.T) {
@@ -50,7 +50,7 @@ func TestObsDeterminism(t *testing.T) {
 		if err := o.M().WritePrometheus(&prom); err != nil {
 			t.Fatal(err)
 		}
-		return o.D().RenderStable(), prom.String()
+		return o.D().Render(), prom.String()
 	}
 
 	dec1, prom1 := run()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hiway/internal/provenance"
 	"hiway/internal/service"
 )
 
@@ -171,6 +172,43 @@ func TestServeConcurrentHTTPMatchesDeterministicReplay(t *testing.T) {
 	if len(bytes.TrimSpace(liveMS)) == 0 {
 		t.Fatal("empty multiset: the comparison proved nothing")
 	}
+
+	// A run's provenance is a function of its submission too, task IDs
+	// included: each run's own stream is byte-identical in both halves.
+	liveProv, detProv := perRunProvenance(t, live), perRunProvenance(t, det)
+	if len(liveProv) != len(detProv) {
+		t.Fatalf("live server recorded %d runs, replay %d", len(liveProv), len(detProv))
+	}
+	for id, want := range detProv {
+		if got := liveProv[id]; !bytes.Equal(got, want) {
+			t.Fatalf("run %s: live provenance diverged from the replay\nlive:\n%s\nreplay:\n%s", id, got, want)
+		}
+	}
+}
+
+// perRunProvenance flushes a drained server's provenance and splits it into
+// one JSONL trace per run. The flush orders events by (timestamp, run,
+// position), so each run's events keep their own order whatever the others
+// did.
+func perRunProvenance(t *testing.T, s *service.Server) map[string][]byte {
+	t.Helper()
+	store := provenance.NewMemStore()
+	if _, err := s.FlushProvenance(store); err != nil {
+		t.Fatal(err)
+	}
+	byRun := map[string][]provenance.Event{}
+	for _, ev := range store.View() {
+		byRun[ev.WorkflowID] = append(byRun[ev.WorkflowID], ev)
+	}
+	out := make(map[string][]byte, len(byRun))
+	for id, evs := range byRun {
+		var b bytes.Buffer
+		if err := provenance.WriteTrace(&b, evs); err != nil {
+			t.Fatal(err)
+		}
+		out[id] = b.Bytes()
+	}
+	return out
 }
 
 // TestServeHTTPStatusAndEventsOverWire exercises the read side over a real

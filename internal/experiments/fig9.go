@@ -118,6 +118,9 @@ func fig9Run(policy string, store provenance.Store, seed int64, scale, jitter fl
 		sched = scheduler.NewFCFS()
 	}
 	rep, err := core.Run(e.Env, reparse(driver), sched, core.Config{
+		// Consecutive runs record into one store, each from a fresh RM, so
+		// each names its own run.
+		WorkflowID: fmt.Sprintf("fig9-%s-%d", policy, seed),
 		// One task per worker at a time: a two-vcore container fills an
 		// m3.large, matching HEFT's one-task-per-node model.
 		ContainerVCores: 2, ContainerMemMB: 7000,

@@ -109,11 +109,8 @@ func syntheticWorkflow(cfg ScaleConfig) (wf.Driver, []workloads.Input) {
 		inputs[w] = workloads.Input{Path: p, SizeMB: cfg.FileMB}
 		initial[w] = p
 	}
-	// The ID block is reserved here, on the caller's (serial) goroutine;
-	// Build itself may later run on a shard worker, and must not draw from
-	// the process-global counter there.
-	idBase := wf.ReserveIDs(int64(layers * cfg.Width))
 	build := func() ([]*wf.Task, []string, []wf.Edge, error) {
+		var ids wf.IDSeq
 		var tasks []*wf.Task
 		out := func(l, w int) string { return fmt.Sprintf("/scale/l%03d/part-%04d", l, w) }
 		for l := 0; l < layers; l++ {
@@ -126,7 +123,7 @@ func syntheticWorkflow(cfg ScaleConfig) (wf.Driver, []workloads.Input) {
 				}
 				p := out(l, w)
 				tasks = append(tasks, &wf.Task{
-					ID:           idBase + int64(l*cfg.Width+w),
+					ID:           ids.Next(),
 					Name:         fmt.Sprintf("stage-%03d", l),
 					Command:      fmt.Sprintf("synth stage %d lane %d", l, w),
 					Inputs:       ins,
@@ -144,12 +141,11 @@ func syntheticWorkflow(cfg ScaleConfig) (wf.Driver, []workloads.Input) {
 }
 
 // scaleShard is one shard of a scale point. The workflow driver is created
-// on the serial path (reserving the shard's task-ID block there — see
-// syntheticWorkflow), while the simulation substrate is assembled inside
-// run() on the shard worker, so substrate construction and parsing are part
-// of the measured phase exactly as in a single-substrate run. After run()
-// everything but the scalar measurements is dropped, keeping the live heap
-// one-shard-sized however many shards the point has.
+// before the measured phase, while the simulation substrate is assembled
+// inside run() on the shard worker, so substrate construction and parsing
+// are part of the measured phase exactly as in a single-substrate run.
+// After run() everything but the scalar measurements is dropped, keeping
+// the live heap one-shard-sized however many shards the point has.
 type scaleShard struct {
 	cfg    ScaleConfig
 	seed   int64

@@ -451,7 +451,7 @@ func TestOnTaskCompleteUnknownTask(t *testing.T) {
 	if _, err := d.Parse(); err != nil {
 		t.Fatal(err)
 	}
-	bogus := wf.NewTask("ghost", nil, nil)
+	bogus := &wf.Task{ID: 1, Name: "ghost"} // the program issued no task 1
 	if _, err := d.OnTaskComplete(&wf.TaskResult{Task: bogus}); err == nil {
 		t.Fatal("unknown task must error")
 	}

@@ -133,14 +133,12 @@ func TestDifferentialAgainstFullPass(t *testing.T) {
 					fail("issued %d tasks, reference issued %d", len(pt), len(rt))
 				}
 				for i := range pt {
-					params := func(k, _ string) bool { return slices.Contains(pt[i].OutputParams, k) }
-					pe, re := maps.Clone(pt[i].Env), maps.Clone(rt[i].Env)
-					maps.DeleteFunc(pe, params) // declared output paths embed the task ID
-					maps.DeleteFunc(re, params)
-					if pt[i].Name != rt[i].Name || !slices.Equal(pt[i].Inputs, rt[i].Inputs) ||
-						!maps.Equal(pe, re) || !maps.Equal(pt[i].Meta, rt[i].Meta) {
+					// Each driver numbers its own tasks, so the k-th issued task
+					// carries the same ID, and the same declared paths, in both.
+					if pt[i].ID != rt[i].ID || pt[i].Name != rt[i].Name || !slices.Equal(pt[i].Inputs, rt[i].Inputs) ||
+						!maps.Equal(pt[i].Env, rt[i].Env) || !maps.Equal(pt[i].Meta, rt[i].Meta) {
 						fail("task #%d: %s %v %v, reference %s %v %v", len(issued),
-							pt[i].Name, pt[i].Inputs, pe, rt[i].Name, rt[i].Inputs, re)
+							pt[i], pt[i].Inputs, pt[i].Env, rt[i], rt[i].Inputs, rt[i].Env)
 					}
 					open = append(open, len(issued))
 					issued = append(issued, [2]*wf.Task{pt[i], rt[i]})

@@ -93,6 +93,7 @@ type Driver struct {
 	tasks map[string]*DefTask
 	funs  map[string]*DefFun
 
+	ids         wf.IDSeq // numbers the run's tasks in issue order
 	invocations map[string]*invocation
 	byTaskID    map[int64]*invocation
 	unresolved  int    // count of invocations not yet resolved (O(1) Done)
@@ -224,8 +225,8 @@ func (d *Driver) Outputs() []string {
 // evaluate evaluates the queued statements in ascending program order,
 // collecting freshly issued tasks. A statement not queued can only re-find
 // invocations that exist, so this discovers the same new tasks in the same
-// order — and draws the same wf.NextID() sequence — as evaluating the whole
-// program would. Evaluating a let queues its readers, which all come later.
+// order — so with the same task IDs — as evaluating the whole program
+// would. Evaluating a let queues its readers, which all come later.
 func (d *Driver) evaluate() ([]*wf.Task, error) {
 	d.newTasks = nil
 	for head := 0; head < len(d.queue); head++ {
@@ -465,7 +466,7 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 	if inv, ok := d.invocations[string(key)]; ok {
 		return inv
 	}
-	id := wf.NextID()
+	id := d.ids.Next()
 	task := &wf.Task{
 		ID:         id,
 		Name:       def.TaskName,

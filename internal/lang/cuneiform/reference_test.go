@@ -34,6 +34,7 @@ type refDriver struct {
 	tasks map[string]*DefTask
 	funs  map[string]*DefFun
 
+	ids         wf.IDSeq
 	invocations map[string]*refInvocation
 	byTaskID    map[int64]*refInvocation
 	unresolved  int // count of invocations not yet resolved (O(1) Done)
@@ -368,7 +369,7 @@ func (d *refDriver) invoke(def *DefTask, binding map[string][]string) *refInvoca
 	if inv, ok := d.invocations[key]; ok {
 		return inv
 	}
-	id := wf.NextID()
+	id := d.ids.Next()
 	task := &wf.Task{
 		ID:         id,
 		Name:       def.TaskName,

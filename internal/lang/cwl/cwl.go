@@ -696,6 +696,7 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 	// fixes the task-ID sequence; a stalled wave is a cycle (all sources
 	// were validated to exist above).
 	produced := map[string][]string{} // "step/out" → gathered paths, instance order
+	var ids wf.IDSeq
 	var tasks []*wf.Task
 	resolvedSteps := 0
 	done := map[string]bool{}
@@ -719,7 +720,7 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 			if !ready {
 				continue
 			}
-			ts, err := materialize(name, st, wfIns, produced)
+			ts, err := materialize(name, &ids, st, wfIns, produced)
 			if err != nil {
 				return fail("%v", err)
 			}
@@ -785,9 +786,9 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 	return tasks, initial, nil, nil
 }
 
-// materialize expands one step into tasks: one per scatter element, or a
-// single task without scatter.
-func materialize(name string, st *step, wfIns map[string]*wfInput, produced map[string][]string) ([]*wf.Task, error) {
+// materialize expands one step into tasks, numbered by ids: one per scatter
+// element, or a single task without scatter.
+func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]*wfInput, produced map[string][]string) ([]*wf.Task, error) {
 	t := st.tool
 	// Bind every tool input: step bindings win, then tool defaults.
 	type binding struct {
@@ -860,7 +861,7 @@ func materialize(name string, st *step, wfIns map[string]*wfInput, produced map[
 	var tasks []*wf.Task
 	for i := 0; i < n; i++ {
 		task := &wf.Task{
-			ID:         wf.NextID(),
+			ID:         ids.Next(),
 			Name:       t.id,
 			Command:    t.command,
 			CPUSeconds: prof.cpuSeconds,

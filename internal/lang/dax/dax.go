@@ -90,6 +90,7 @@ func build(name, src string) ([]*wf.Task, []string, []wf.Edge, error) {
 		return nil, nil, nil, fmt.Errorf("dax: workflow %s declares no jobs", name)
 	}
 
+	var ids wf.IDSeq
 	byDaxID := make(map[string]*wf.Task, len(doc.Jobs))
 	produced := make(map[string]bool)
 	consumed := make(map[string]bool)
@@ -102,7 +103,7 @@ func build(name, src string) ([]*wf.Task, []string, []wf.Edge, error) {
 			return nil, nil, nil, fmt.Errorf("dax: duplicate job id %q", j.ID)
 		}
 		t := &wf.Task{
-			ID:           wf.NextID(),
+			ID:           ids.Next(),
 			Name:         j.Name,
 			Command:      strings.TrimSpace(strings.Join([]string{j.Nspace, j.Name, strings.TrimSpace(j.Argument)}, " ")),
 			CPUSeconds:   j.Runtime,

@@ -131,6 +131,7 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 	key := func(id int, out string) string { return fmt.Sprintf("%d\x00%s", id, out) }
 
 	var initial []string
+	var ids wf.IDSeq
 	taskByStep := make(map[int]*wf.Task)
 	var tasks []*wf.Task
 
@@ -163,7 +164,7 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 				}
 			}
 			t := &wf.Task{
-				ID:           wf.NextID(),
+				ID:           ids.Next(),
 				Name:         toolName,
 				Command:      s.ToolID,
 				OutputParams: []string{"out"},

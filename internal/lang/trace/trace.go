@@ -61,10 +61,11 @@ func FromEvents(events []provenance.Event) ([]*wf.Task, []string, []wf.Edge, err
 		}
 	}
 	var tasks []*wf.Task
+	var ids wf.IDSeq
 	produced := make(map[string]bool)
 	for _, ev := range ends {
 		t := &wf.Task{
-			ID:         wf.NextID(),
+			ID:         ids.Next(),
 			Name:       ev.Signature,
 			Command:    ev.Command,
 			CPUSeconds: ev.CPUSeconds,

@@ -60,19 +60,10 @@ func (l *DecisionLog) Record(d Decision) {
 }
 
 // Render formats the log as one line per decision. The format is stable and
-// fully determined by the decision stream; task IDs are process-local, so
-// cross-process comparisons should use RenderStable instead.
+// fully determined by the decision stream; task IDs are numbered per run, so
+// two runs of the same deterministic execution render byte-identically, in
+// one process or in two.
 func (l *DecisionLog) Render() string {
-	return l.render(true)
-}
-
-// RenderStable renders without process-local task IDs, making logs from two
-// separate runs of the same deterministic execution byte-identical.
-func (l *DecisionLog) RenderStable() string {
-	return l.render(false)
-}
-
-func (l *DecisionLog) render(withIDs bool) string {
 	if l == nil {
 		return ""
 	}
@@ -82,10 +73,7 @@ func (l *DecisionLog) render(withIDs bool) string {
 	for _, d := range l.recs {
 		fmt.Fprintf(&b, "%.3f %s %s %s", d.At, d.Policy, d.Node, d.Outcome)
 		if d.Outcome == OutcomeAssign {
-			fmt.Fprintf(&b, " task=%s", d.Task)
-			if withIDs {
-				fmt.Fprintf(&b, " id=%d", d.TaskID)
-			}
+			fmt.Fprintf(&b, " task=%s id=%d", d.Task, d.TaskID)
 		}
 		fmt.Fprintf(&b, " queued=%d scanned=%d", d.Queued, d.Scanned)
 		if d.LocalFrac >= 0 {

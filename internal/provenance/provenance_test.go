@@ -17,8 +17,13 @@ import (
 	"hiway/internal/wf"
 )
 
+// testIDs numbers the tasks sampleResult builds, so their events stay
+// distinct.
+var testIDs wf.IDSeq
+
 func sampleResult(sig, node string, dur float64) *wf.TaskResult {
-	task := wf.NewTask(sig, []string{"in.dat"}, []wf.FileInfo{{Path: "out.dat", SizeMB: 10}})
+	task := &wf.Task{ID: testIDs.Next(), Name: sig, Inputs: []string{"in.dat"}, OutputParams: []string{"out"},
+		Declared: map[string][]wf.FileInfo{"out": {{Path: "out.dat", SizeMB: 10}}}}
 	task.CPUSeconds = 30
 	task.Threads = 2
 	task.MemMB = 1024

@@ -72,7 +72,7 @@ func TestSchedulersDeclineBlacklistedNodes(t *testing.T) {
 	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
 	h.ReportFailure("bad")
 
-	task := wf.NewTask("tool", nil, []wf.FileInfo{{Path: "o", SizeMB: 1}})
+	task := mkTask("tool", nil, "o")
 
 	for _, s := range []Scheduler{NewFCFS(), NewDataAware(&fakeLocality{}), NewAdaptiveGreedy(zeroEstimator{})} {
 		ha, ok := s.(HealthAware)
@@ -94,8 +94,8 @@ func TestStaticSelectDeclinesBlacklistedAndReassignMovesQueued(t *testing.T) {
 	now := 0.0
 	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
 
-	a := wf.NewTask("a", nil, []wf.FileInfo{{Path: "a.out", SizeMB: 1}})
-	b := wf.NewTask("b", []string{"a.out"}, []wf.FileInfo{{Path: "b.out", SizeMB: 1}})
+	a := mkTask("a", nil, "a.out")
+	b := mkTask("b", []string{"a.out"}, "b.out")
 	dag, err := wf.NewDAG([]*wf.Task{a, b}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestAllNodesBlacklistedSchedulerWithholdsUntilExpiry(t *testing.T) {
 
 	s := NewFCFS()
 	s.SetNodeHealth(h)
-	task := wf.NewTask("tool", nil, []wf.FileInfo{{Path: "o", SizeMB: 1}})
+	task := mkTask("tool", nil, "o")
 	s.OnTaskReady(task)
 
 	for _, n := range []string{"n1", "n2"} {

@@ -8,12 +8,17 @@ import (
 	"hiway/internal/wf"
 )
 
+// testIDs numbers the tasks these tests build; schedulers ask only that
+// the IDs they see be distinct.
+var testIDs wf.IDSeq
+
 func mkTask(name string, inputs []string, outputs ...string) *wf.Task {
 	fis := make([]wf.FileInfo, len(outputs))
 	for i, o := range outputs {
 		fis[i] = wf.FileInfo{Path: o, SizeMB: 1}
 	}
-	return wf.NewTask(name, inputs, fis)
+	return &wf.Task{ID: testIDs.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": fis}, Threads: 1}
 }
 
 // fakeLocality maps "taskInput→node" fractions. It is a CandidateOracle, as

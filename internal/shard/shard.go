@@ -15,9 +15,9 @@
 // Two rules keep that contract:
 //
 //  1. Shard functions share no mutable state. Each builds its own substrate
-//     and writes only to its own result slot. Anything derived from global
-//     counters (e.g. workflow IDs via wf.NextID) must be assigned in the
-//     serial setup phase, before workers start.
+//     and driver and writes only to its own result slot. Task IDs are per
+//     run (each driver numbers its own tasks from 1), so a shard may parse
+//     and discover tasks on its worker at any point of its run.
 //  2. Merge order is a pure function of the data: provenance events are
 //     ordered by (timestamp, shard index, within-shard position), never by
 //     completion order.
@@ -29,60 +29,28 @@ import (
 	"sync"
 
 	"hiway/internal/provenance"
-	"hiway/internal/wf"
 )
-
-// preParsed replays a Parse result captured during the serial setup phase.
-// Frontends allocate task IDs from wf's process-global counter while
-// parsing; calling Parse inside a worker goroutine would interleave those
-// allocations across shards and make the IDs — which provenance records —
-// depend on goroutine scheduling. PreParse moves the allocation before the
-// fan-out, so static workflows carry identical task IDs at any worker count.
-type preParsed struct {
-	wf.Driver
-	ready []*wf.Task
-}
-
-func (p *preParsed) Parse() ([]*wf.Task, error) { return p.ready, nil }
-
-// preParsedStatic additionally forwards the full DAG so static planners
-// (round-robin, HEFT) still recognize the driver as a wf.StaticDriver.
-type preParsedStatic struct {
-	preParsed
-	static wf.StaticDriver
-}
-
-func (p *preParsedStatic) Graph() *wf.DAG { return p.static.Graph() }
-
-// PreParse eagerly parses d — it must be called from the serial setup phase,
-// never from a shard worker — and returns a driver whose Parse replays the
-// cached ready set. Iterative frontends (Cuneiform) still allocate IDs for
-// newly discovered tasks mid-run; only workflows whose task graph is fixed
-// at parse time get the full any-worker-count ID determinism.
-func PreParse(d wf.Driver) (wf.Driver, error) {
-	ready, err := d.Parse()
-	if err != nil {
-		return nil, err
-	}
-	if sd, ok := d.(wf.StaticDriver); ok {
-		return &preParsedStatic{preParsed{Driver: d, ready: ready}, sd}, nil
-	}
-	return &preParsed{Driver: d, ready: ready}, nil
-}
 
 // Run executes fn(i) for every shard i in [0, n) on at most workers
 // concurrent goroutines (workers <= 1 means strictly serial, in shard
 // order). It always waits for all shards; if any fail, the error of the
 // lowest-indexed failing shard is returned, wrapped with its index, so the
-// reported failure does not depend on goroutine interleaving.
+// reported failure does not depend on goroutine interleaving. A lone
+// shard's error is returned as is: there is no other shard to tell it from.
 func Run(n, workers int, fn func(shard int) error) error {
 	if n <= 0 {
 		return nil
 	}
+	wrap := func(i int, err error) error {
+		if n == 1 {
+			return err
+		}
+		return fmt.Errorf("shard %d: %w", i, err)
+	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
+				return wrap(i, err)
 			}
 		}
 		return nil
@@ -120,7 +88,7 @@ func Run(n, workers int, fn func(shard int) error) error {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+			return wrap(i, err)
 		}
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"hiway/internal/provenance"
-	"hiway/internal/wf"
 )
 
 func TestRunExecutesEveryShard(t *testing.T) {
@@ -48,6 +47,17 @@ func TestRunLowestIndexedErrorWins(t *testing.T) {
 		}
 		if got := err.Error(); got != "shard 3: shard-local 3: boom" {
 			t.Fatalf("workers=%d: err=%q, want the shard-3 failure", workers, got)
+		}
+	}
+}
+
+// A lone shard's error is returned as is, so `hiway sim` with one -w reports
+// a workflow's own error text.
+func TestRunLoneShardErrorUnwrapped(t *testing.T) {
+	sentinel := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		if err := Run(1, workers, func(int) error { return sentinel }); err != sentinel {
+			t.Fatalf("workers=%d: err=%v, want the shard's own error", workers, err)
 		}
 	}
 }
@@ -173,44 +183,5 @@ func BenchmarkMergeEvents(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func TestPreParseCachesAndKeepsStaticDriver(t *testing.T) {
-	parses := 0
-	base := &wf.StaticBase{
-		WFName: "pp",
-		Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
-			parses++
-			t := wf.NewTask("only", []string{"in"}, []wf.FileInfo{{Path: "out", SizeMB: 1}})
-			return []*wf.Task{t}, []string{"in"}, nil, nil
-		},
-	}
-	d, err := PreParse(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parses != 1 {
-		t.Fatalf("PreParse parsed %d times", parses)
-	}
-	ready, err := d.Parse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parses != 1 {
-		t.Fatalf("wrapped Parse re-parsed (%d)", parses)
-	}
-	if len(ready) != 1 || ready[0].Name != "only" {
-		t.Fatalf("ready=%v", ready)
-	}
-	sd, ok := d.(wf.StaticDriver)
-	if !ok {
-		t.Fatal("PreParse dropped the StaticDriver interface")
-	}
-	if sd.Graph() == nil || len(sd.Graph().All()) != 1 {
-		t.Fatal("Graph not forwarded")
-	}
-	if d.Name() != "pp" {
-		t.Fatalf("Name=%q", d.Name())
 	}
 }

@@ -1,8 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
@@ -52,9 +53,10 @@ type usage struct{ cores, mem int }
 // rm.SetAudit and core.Config.Audit before launching. All hooks run on the
 // single-threaded simulation loop, so the auditor needs no locking.
 //
-// One auditor may span an AM kill/resume pair: task identity is per-AM
-// (process-local IDs), while container and capacity state live in the RM,
-// which survives the crash — exactly what the auditor models.
+// One auditor may span an AM kill/resume pair: task identity is per AM
+// incarnation (each numbers its tasks from 1), while container and capacity
+// state live in the RM, which survives the crash — exactly what the auditor
+// models.
 type Auditor struct {
 	rm *yarn.ResourceManager
 	fs *hdfs.FS
@@ -360,17 +362,14 @@ func (a *Auditor) FinalCheck(succeeded bool) []Violation {
 		a.report(now, InvQuiesce, "workflow ended %d times", a.wfEnds)
 	}
 	if n := len(a.live); n > 0 {
-		ids := make([]int64, 0, n)
-		for id := range a.live {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		ids := sortedKeys(a.live)
 		a.report(now, InvQuiesce, "%d containers leaked (first: %d on %s)", n, ids[0], a.live[ids[0]].NodeID)
 	}
 	if rc := a.rm.RunningContainers(); rc != 0 {
 		a.report(now, InvQuiesce, "RM reports %d containers still running after quiesce", rc)
 	}
-	for node, tot := range a.total {
+	for _, node := range sortedKeys(a.total) {
+		tot := a.total[node]
 		if a.dead[node] || a.removed[node] {
 			continue
 		}
@@ -381,9 +380,9 @@ func (a *Auditor) FinalCheck(succeeded bool) []Violation {
 		}
 	}
 	if succeeded {
-		for id, sig := range a.submitted {
+		for _, id := range sortedKeys(a.submitted) {
 			if !a.completed[id] {
-				a.report(now, InvQuiesce, "task %d (sig %s) submitted but never completed in a successful run", id, sig)
+				a.report(now, InvQuiesce, "task %d (sig %s) submitted but never completed in a successful run", id, a.submitted[id])
 			}
 		}
 	}
@@ -394,4 +393,15 @@ func (a *Auditor) FinalCheck(succeeded bool) []Violation {
 		a.report(now, InvQuiesce, "%d further violations suppressed", a.dropped)
 	}
 	return a.violations
+}
+
+// sortedKeys returns m's keys in ascending order. Reports built by ranging
+// over a map use it, so a failure reads the same on every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

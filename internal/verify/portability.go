@@ -20,15 +20,15 @@ import (
 // elastic churn), and all runs must produce the same canonical outcome.
 //
 // Comparison is by canonical lineage, not by path: frontends synthesize
-// output paths around process-local task IDs, so raw paths differ across
-// renderings and across AM incarnations. Every rendered task carries its
-// scenario index in the `idx` value parameter; a task's canonical label is
-// "name#idx", its inputs are rewritten to «producer-label» references, and
-// the multiset of (label | canonical inputs | output arity) keys — plus
-// the canonicalized final outputs — must match the spec-derived expectation
-// exactly, for every policy and for the kill/resume variant. This is the
-// lineage-equivalence idea of cross-run provenance comparison applied as a
-// CI gate.
+// output paths around task IDs, so raw paths differ across renderings and,
+// each incarnation running under its own name, across AM incarnations.
+// Every rendered task carries its scenario index in the `idx` value
+// parameter; a task's canonical label is "name#idx", its inputs are
+// rewritten to «producer-label» references, and the multiset of (label |
+// canonical inputs | output arity) keys — plus the canonicalized final
+// outputs — must match the spec-derived expectation exactly, for every
+// policy and for the kill/resume variant. This is the lineage-equivalence
+// idea of cross-run provenance comparison applied as a CI gate.
 
 // portable reports whether the scenario can be rendered in both languages:
 // every task must produce exactly one output (the `out` parameter of the
@@ -362,9 +362,13 @@ func CanonicalOutcome(results []*wf.TaskResult, outputs []string) (map[string]in
 }
 
 // portDrivers returns the per-language driver factories for the scenario's
-// renderings. Each call to a factory re-parses the source — exactly what a
-// fresh AM incarnation does — so task IDs and synthesized paths differ
-// between incarnations and only the canonical outcome is comparable.
+// renderings. Each call re-parses the source, as a fresh AM incarnation
+// does, under a workflow name of its own. Task IDs count from 1 in every
+// run, so under one name a resumed incarnation would reissue its
+// predecessor's paths and recover by them, and a Cuneiform task discovered
+// in another order can inherit the paths of a same-signature task that
+// differs only in a value parameter. A rendering's resume is therefore held
+// to full re-execution.
 func portDrivers(sc *Scenario) (cf, cwlF func() wf.Driver, err error) {
 	cfSrc, err := RenderCuneiform(sc)
 	if err != nil {
@@ -374,9 +378,13 @@ func portDrivers(sc *Scenario) (cf, cwlF func() wf.Driver, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	name := fmt.Sprintf("port-%d", sc.Seed)
-	cf = func() wf.Driver { return cuneiform.NewDriver(name, cfSrc) }
-	cwlF = func() wf.Driver { return cwl.NewDriver(name, cwlSrc, cwl.Options{}) }
+	incarnation := 0
+	name := func() string {
+		incarnation++
+		return fmt.Sprintf("port-%d-%d", sc.Seed, incarnation)
+	}
+	cf = func() wf.Driver { return cuneiform.NewDriver(name(), cfSrc) }
+	cwlF = func() wf.Driver { return cwl.NewDriver(name(), cwlSrc, cwl.Options{}) }
 	return cf, cwlF, nil
 }
 

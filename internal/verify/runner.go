@@ -370,9 +370,9 @@ func (f *family) failf(format string, args ...any) {
 
 // zeroReexecution is the resume family's coverage check on a resumed spec
 // run: recovery rebuilt exactly what had completed at the kill, and nothing
-// completed ran again. Only the spec driver's declared paths are stable
-// across incarnations; a rendering's second incarnation matches nothing in
-// provenance and legitimately re-executes the whole workflow.
+// completed ran again. Only the spec driver is held to it: a rendering's
+// second incarnation runs under a name of its own (see portDrivers), matches
+// nothing in provenance and re-executes the whole workflow.
 func (s *Scenario) zeroReexecution(r *PolicyRun) []Violation {
 	if !r.killed || !r.Succeeded {
 		return nil

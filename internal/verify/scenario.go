@@ -30,7 +30,7 @@ import (
 )
 
 // TaskSpec declares one task of a generated scenario. Specs are serializable
-// (unlike wf.Task, whose IDs are process-local), so a scenario JSON is a
+// (unlike wf.Task, whose IDs a run assigns), so a scenario JSON is a
 // complete reproducer.
 type TaskSpec struct {
 	Name       string   `json:"name"`    // signature; shared across tasks of the same kind
@@ -370,30 +370,36 @@ func (s *Scenario) recipe() *recipes.Recipe {
 	}
 }
 
-// task materializes the spec as a fresh wf.Task (IDs are process-local, so
-// every run builds its own tasks).
-func (t TaskSpec) task() *wf.Task {
+// task materializes the spec as a fresh wf.Task with the given ID (every run
+// builds its own tasks).
+func (t TaskSpec) task(id int64) *wf.Task {
 	outs := make([]wf.FileInfo, len(t.Outputs))
 	for i, p := range t.Outputs {
 		outs[i] = wf.FileInfo{Path: p, SizeMB: t.OutSizeMB}
 	}
-	task := wf.NewTask(t.Name, append([]string(nil), t.Inputs...), outs)
-	task.CPUSeconds = t.CPUSeconds
-	task.Threads = 1
-	return task
+	return &wf.Task{
+		ID:           id,
+		Name:         t.Name,
+		Inputs:       append([]string(nil), t.Inputs...),
+		OutputParams: []string{"out"},
+		Declared:     map[string][]wf.FileInfo{"out": outs},
+		CPUSeconds:   t.CPUSeconds,
+		Threads:      1,
+	}
 }
 
 // Driver builds a fresh workflow driver for the scenario. Non-iterative
 // scenarios return a static driver (so static planners can run them);
 // iterative ones return a dynamic driver that reveals the iteration chain
-// one task at a time.
+// one task at a time. Tasks are numbered in spec order, the chain after the
+// base graph.
 func (s *Scenario) Driver() wf.Driver {
 	base := &wf.StaticBase{
 		WFName: fmt.Sprintf("verify-%d-%s", s.Seed, s.Shape),
 		Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
 			tasks := make([]*wf.Task, len(s.Tasks))
 			for i, spec := range s.Tasks {
-				tasks[i] = spec.task()
+				tasks[i] = spec.task(int64(i + 1))
 			}
 			var inputs []string
 			for _, in := range s.Inputs {
@@ -405,7 +411,7 @@ func (s *Scenario) Driver() wf.Driver {
 	if !s.Iterative() {
 		return base
 	}
-	return &dynamicDriver{base: base, iters: s.IterTasks}
+	return &dynamicDriver{base: base, nbase: len(s.Tasks), iters: s.IterTasks}
 }
 
 // dynamicDriver runs the static base graph and then unfolds the iteration
@@ -414,6 +420,7 @@ func (s *Scenario) Driver() wf.Driver {
 // It deliberately does not implement wf.StaticDriver.
 type dynamicDriver struct {
 	base  *wf.StaticBase
+	nbase int // tasks in the base graph
 	iters []TaskSpec
 	next  int  // index of the next iteration task to emit
 	live  bool // an iteration task is in flight
@@ -431,7 +438,7 @@ func (d *dynamicDriver) emit() *wf.Task {
 	spec := d.iters[d.next]
 	d.next++
 	d.live = true
-	t := spec.task()
+	t := spec.task(int64(d.nbase + d.next))
 	t.Meta = map[string]string{"verify-iter": fmt.Sprint(d.next)}
 	return t
 }

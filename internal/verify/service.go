@@ -150,8 +150,8 @@ func (a *TenantAuditor) OnNodeDead(now float64, node string) {}
 // FinalCheck verifies every tenant's count returned to zero and returns the
 // full violation list.
 func (a *TenantAuditor) FinalCheck(now float64) []Violation {
-	for tenant, n := range a.use {
-		if n != 0 {
+	for _, tenant := range sortedKeys(a.use) {
+		if n := a.use[tenant]; n != 0 {
 			a.report(now, InvQuiesce, "tenant %s ended with %d containers accounted live", tenant, n)
 		}
 	}
@@ -202,8 +202,8 @@ func (h *orderRecorder) check(now float64, maxConcurrent int) []Violation {
 		out = append(out, Violation{TimeSec: h.maxRunAt, Invariant: InvAdmitOrder,
 			Detail: fmt.Sprintf("%d AMs ran concurrently, cap is %d", h.maxRun, maxConcurrent)})
 	}
-	for tenant, q := range h.queued {
-		if !reflect.DeepEqual(q, h.admitted[tenant]) {
+	for _, tenant := range sortedKeys(h.queued) {
+		if q := h.queued[tenant]; !reflect.DeepEqual(q, h.admitted[tenant]) {
 			out = append(out, Violation{TimeSec: now, Invariant: InvAdmitOrder,
 				Detail: fmt.Sprintf("tenant %s admitted %v, queue order was %v", tenant, h.admitted[tenant], q)})
 		}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -124,6 +125,50 @@ func TestAuditorDetectsReleaseSkew(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("failures do not name %s:\n  %s", InvCapacity, strings.Join(res.Failures, "\n  "))
+	}
+}
+
+// TestTamperedFailureBlockIsByteStable pins the failure block `hiway verify`
+// prints to the scenario alone. Go re-randomizes map order on every range, so
+// a report that ranges over a map reads differently from run to run; twenty
+// in-process runs catch that. The scenario is kept small so the release-skew
+// tamper leaves several nodes over capacity at quiescence while the
+// violation list stays under its cap.
+func TestTamperedFailureBlockIsByteStable(t *testing.T) {
+	sc := &Scenario{Seed: 7, Shape: "fanout", Nodes: 4, Inputs: []InputSpec{{Path: "/data/in-0.dat", SizeMB: 32}}}
+	for i, in := range []string{"/data/in-0.dat", "/wf/t000.dat", "/wf/t000.dat", "/wf/t000.dat"} {
+		sc.Tasks = append(sc.Tasks, TaskSpec{Name: "alpha", Inputs: []string{in},
+			Outputs: []string{fmt.Sprintf("/wf/t%03d.dat", i)}, OutSizeMB: 8, CPUSeconds: 30})
+	}
+	opts := Options{Tamper: skewTamper, SkipResume: true, Policies: []string{"fcfs"}}
+	first := strings.Join(CheckScenario(sc, opts).Failures, "\n")
+	if strings.Count(first, "ended with") < 2 {
+		t.Fatalf("want several nodes over capacity at quiescence, got:\n%s", first)
+	}
+	for run := 1; run < 20; run++ {
+		if got := strings.Join(CheckScenario(sc, opts).Failures, "\n"); got != first {
+			t.Fatalf("run %d printed a different failure block:\n%s\nfirst run:\n%s", run, got, first)
+		}
+	}
+
+	// The service tier's reports, over several tenants at once.
+	for run := 0; run < 20; run++ {
+		aud := NewTenantAuditor(nil)
+		rec := newOrderRecorder()
+		for i, tenant := range []string{"t-c", "t-a", "t-b"} {
+			aud.OnContainerAllocated(1, &yarn.Container{ID: int64(i + 1), NodeID: "node-01", Tenant: tenant})
+			rec.OnQueued(1, tenant, tenant+"-w000")
+			rec.OnQueued(1, tenant, tenant+"-w001")
+			rec.OnAdmitted(2, tenant, tenant+"-w001")
+			rec.OnAdmitted(2, tenant, tenant+"-w000")
+		}
+		var tenants []string
+		for _, v := range append(aud.FinalCheck(3), rec.check(3, 9)...) {
+			tenants = append(tenants, strings.Fields(v.Detail)[1])
+		}
+		if got := strings.Join(tenants, " "); got != "t-a t-b t-c t-a t-b t-c" {
+			t.Fatalf("run %d reported tenants in order %q, want each report sorted by tenant", run, got)
+		}
 	}
 }
 

@@ -6,15 +6,22 @@ import (
 	"hiway/internal/wf"
 )
 
+// newTask builds a one-output task numbered by the run's ID sequence.
+func newTask(ids *wf.IDSeq, name string, inputs []string, out wf.FileInfo) *wf.Task {
+	return &wf.Task{ID: ids.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": {out}}, Threads: 1}
+}
+
 // ExampleAnalyze inspects a small diamond-shaped workflow.
 func ExampleAnalyze() {
-	prep := wf.NewTask("prep", []string{"in.dat"}, []wf.FileInfo{{Path: "split.dat", SizeMB: 10}})
+	var ids wf.IDSeq
+	prep := newTask(&ids, "prep", []string{"in.dat"}, wf.FileInfo{Path: "split.dat", SizeMB: 10})
 	prep.CPUSeconds = 10
-	left := wf.NewTask("left", []string{"split.dat"}, []wf.FileInfo{{Path: "l.dat", SizeMB: 5}})
+	left := newTask(&ids, "left", []string{"split.dat"}, wf.FileInfo{Path: "l.dat", SizeMB: 5})
 	left.CPUSeconds = 100
-	right := wf.NewTask("right", []string{"split.dat"}, []wf.FileInfo{{Path: "r.dat", SizeMB: 5}})
+	right := newTask(&ids, "right", []string{"split.dat"}, wf.FileInfo{Path: "r.dat", SizeMB: 5})
 	right.CPUSeconds = 40
-	join := wf.NewTask("join", []string{"l.dat", "r.dat"}, []wf.FileInfo{{Path: "out.dat", SizeMB: 1}})
+	join := newTask(&ids, "join", []string{"l.dat", "r.dat"}, wf.FileInfo{Path: "out.dat", SizeMB: 1})
 	join.CPUSeconds = 5
 
 	dag, err := wf.NewDAG([]*wf.Task{prep, left, right, join}, []string{"in.dat"}, nil)
@@ -30,8 +37,9 @@ func ExampleAnalyze() {
 
 // ExampleDAG shows readiness tracking as tasks complete.
 func ExampleDAG() {
-	a := wf.NewTask("a", []string{"in"}, []wf.FileInfo{{Path: "x"}})
-	b := wf.NewTask("b", []string{"x"}, []wf.FileInfo{{Path: "y"}})
+	var ids wf.IDSeq
+	a := newTask(&ids, "a", []string{"in"}, wf.FileInfo{Path: "x"})
+	b := newTask(&ids, "b", []string{"x"}, wf.FileInfo{Path: "y"})
 	dag, err := wf.NewDAG([]*wf.Task{a, b}, []string{"in"}, nil)
 	if err != nil {
 		panic(err)

@@ -13,19 +13,24 @@ package wf
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
-var idCounter atomic.Int64
+// IDSeq numbers the tasks of one run 1, 2, 3, … in the order they are
+// built; the zero value is ready to use. Each driver owns one, so a run's
+// task IDs — and the output paths and provenance derived from them — are a
+// function of the run alone, not of what else the process parsed.
+type IDSeq struct{ last int64 }
 
-// NextID returns a process-unique task ID.
-func NextID() int64 { return idCounter.Add(1) }
+// Next returns the run's next task ID.
+func (s *IDSeq) Next() int64 {
+	s.last++
+	return s.last
+}
 
-// ReserveIDs claims a contiguous block of n process-unique task IDs and
-// returns the first. Generators that will build tasks on a worker goroutine
-// (sharded simulation) reserve their block up front on the serial path, so
-// the IDs each shard assigns do not depend on goroutine interleaving.
-func ReserveIDs(n int64) int64 { return idCounter.Add(n) - n + 1 }
+// ReserveIDs returns 1, the first ID of a block of n: task IDs are per run,
+// so there is nothing to reserve. Only bench/sim.go still calls it; the two
+// go together.
+func ReserveIDs(n int64) int64 { return 1 }
 
 // FileInfo names a produced or consumed file and its size.
 type FileInfo struct {
@@ -63,19 +68,6 @@ type Task struct {
 	// Meta carries frontend- or workload-specific annotations (e.g. the
 	// iteration counter of a k-means convergence task).
 	Meta map[string]string
-}
-
-// NewTask builds a task with a fresh ID and a single output parameter "out".
-func NewTask(name string, inputs []string, outputs []FileInfo) *Task {
-	t := &Task{
-		ID:           NextID(),
-		Name:         name,
-		Inputs:       inputs,
-		OutputParams: []string{"out"},
-		Declared:     map[string][]FileInfo{"out": outputs},
-		Threads:      1,
-	}
-	return t
 }
 
 // DeclaredOutputs returns all declared output files flattened in parameter

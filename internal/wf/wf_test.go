@@ -7,18 +7,28 @@ import (
 	"testing/quick"
 )
 
+// testIDs numbers the tasks these tests build. A DAG asks only that its
+// task IDs be distinct, which one sequence for the whole package gives.
+var testIDs IDSeq
+
 func mkTask(name string, inputs []string, outputs ...string) *Task {
 	fis := make([]FileInfo, len(outputs))
 	for i, o := range outputs {
 		fis[i] = FileInfo{Path: o, SizeMB: 1}
 	}
-	return NewTask(name, inputs, fis)
+	return &Task{ID: testIDs.Next(), Name: name, Inputs: inputs,
+		OutputParams: []string{"out"}, Declared: map[string][]FileInfo{"out": fis}, Threads: 1}
 }
 
-func TestNextIDUnique(t *testing.T) {
-	a, b := NextID(), NextID()
-	if a == b {
-		t.Fatal("IDs not unique")
+func TestIDSeqCountsFromOnePerRun(t *testing.T) {
+	var a, b IDSeq
+	for want := int64(1); want <= 3; want++ {
+		if got := a.Next(); got != want {
+			t.Fatalf("a.Next() = %d, want %d", got, want)
+		}
+	}
+	if got := b.Next(); got != 1 {
+		t.Fatalf("a second run's first ID is %d, want 1: runs share no numbering", got)
 	}
 }
 
@@ -45,7 +55,7 @@ func TestTaskValidate(t *testing.T) {
 
 func TestDeclaredOutputsOrder(t *testing.T) {
 	task := &Task{
-		ID:           NextID(),
+		ID:           1,
 		Name:         "multi",
 		OutputParams: []string{"bam", "log"},
 		Declared: map[string][]FileInfo{

@@ -140,6 +140,7 @@ func SNV(cfg SNVConfig) (wf.StaticDriver, []Input) {
 		alignedSize = cfg.FileSizeMB * 0.4 // referential compression
 	}
 
+	var ids wf.IDSeq
 	var tasks []*wf.Task
 	for s := 0; s < cfg.Samples; s++ {
 		var bams []string
@@ -152,7 +153,7 @@ func SNV(cfg SNVConfig) (wf.StaticDriver, []Input) {
 			inputs = append(inputs, reads)
 			bam := fmt.Sprintf("/work/sample%03d/part%02d.bam", s, f)
 			align := &wf.Task{
-				ID:           wf.NextID(),
+				ID:           ids.Next(),
 				Name:         "bowtie2",
 				Command:      fmt.Sprintf("bowtie2 -x /ref/hg38.idx -U %s -S %s", reads.Path, bam),
 				Inputs:       append([]string{reads.Path}, refInputs...),
@@ -177,7 +178,7 @@ func SNV(cfg SNVConfig) (wf.StaticDriver, []Input) {
 			})
 		}
 		sort := &wf.Task{
-			ID:           wf.NextID(),
+			ID:           ids.Next(),
 			Name:         "samtools-sort",
 			Command:      "samtools sort " + strings.Join(bams, " "),
 			Inputs:       bams,
@@ -193,7 +194,7 @@ func SNV(cfg SNVConfig) (wf.StaticDriver, []Input) {
 			region := regionFiles[r].Path
 			vcf := fmt.Sprintf("/work/sample%03d/variants_r%02d.vcf", s, r)
 			call := &wf.Task{
-				ID:           wf.NextID(),
+				ID:           ids.Next(),
 				Name:         "varscan",
 				Command:      fmt.Sprintf("varscan mpileup2snp %s > %s", region, vcf),
 				Inputs:       []string{region},
@@ -208,7 +209,7 @@ func SNV(cfg SNVConfig) (wf.StaticDriver, []Input) {
 		}
 		annotated := fmt.Sprintf("/out/sample%03d/annotated.vcf", s)
 		annotate := &wf.Task{
-			ID:           wf.NextID(),
+			ID:           ids.Next(),
 			Name:         "annovar",
 			Command:      fmt.Sprintf("annovar %s > %s", strings.Join(vcfs, " "), annotated),
 			Inputs:       vcfs,
@@ -292,6 +293,7 @@ func TRAPLINE(cfg TRAPLINEConfig) (wf.StaticDriver, []Input) {
 	inputs := []Input{genome}
 	lanes := cfg.LanesPerGroup * 2
 
+	var ids wf.IDSeq
 	var tasks []*wf.Task
 	var quantified []string
 	for l := 0; l < lanes; l++ {
@@ -303,7 +305,7 @@ func TRAPLINE(cfg TRAPLINEConfig) (wf.StaticDriver, []Input) {
 		inputs = append(inputs, reads)
 		hits := fmt.Sprintf("/work/lane%d/accepted_hits.bam", l)
 		tophat := &wf.Task{
-			ID:           wf.NextID(),
+			ID:           ids.Next(),
 			Name:         "tophat2",
 			Command:      fmt.Sprintf("tophat2 -o /work/lane%d /ref/mm10 %s", l, reads.Path),
 			Inputs:       []string{reads.Path, genome.Path},
@@ -316,7 +318,7 @@ func TRAPLINE(cfg TRAPLINEConfig) (wf.StaticDriver, []Input) {
 		}
 		gtf := fmt.Sprintf("/work/lane%d/transcripts.gtf", l)
 		cufflinks := &wf.Task{
-			ID:           wf.NextID(),
+			ID:           ids.Next(),
 			Name:         "cufflinks",
 			Command:      fmt.Sprintf("cufflinks -o /work/lane%d %s", l, hits),
 			Inputs:       []string{hits},
@@ -331,7 +333,7 @@ func TRAPLINE(cfg TRAPLINEConfig) (wf.StaticDriver, []Input) {
 	}
 	merged := "/work/merged.gtf"
 	merge := &wf.Task{
-		ID:           wf.NextID(),
+		ID:           ids.Next(),
 		Name:         "cuffmerge",
 		Command:      "cuffmerge " + strings.Join(quantified, " "),
 		Inputs:       append(append([]string{}, quantified...), genome.Path),
@@ -342,7 +344,7 @@ func TRAPLINE(cfg TRAPLINEConfig) (wf.StaticDriver, []Input) {
 		MemMB:        8000,
 	}
 	diff := &wf.Task{
-		ID:           wf.NextID(),
+		ID:           ids.Next(),
 		Name:         "cuffdiff",
 		Command:      "cuffdiff " + merged,
 		Inputs:       []string{merged},
