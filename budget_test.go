@@ -1,0 +1,124 @@
+package hiway_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"hiway/internal/cluster"
+	"hiway/internal/core"
+	"hiway/internal/hdfs"
+	"hiway/internal/scheduler"
+	"hiway/internal/sim"
+	"hiway/internal/wf"
+	"hiway/internal/yarn"
+)
+
+// layered builds a static graph of layers × width tasks, each consuming one
+// file of the layer before (the first layer reads "seed"): the graph of
+// internal/wf's BenchmarkDAGExecution.
+func layered(layers, width int) []*wf.Task {
+	var tasks []*wf.Task
+	var ids wf.IDSeq
+	prev := []string{"seed"}
+	for l := 0; l < layers; l++ {
+		outs := make([]string, width)
+		for w := range outs {
+			outs[w] = fmt.Sprintf("f-%d-%d", l, w)
+			tasks = append(tasks, &wf.Task{ID: ids.Next(), Name: fmt.Sprintf("t%d", l),
+				Inputs: []string{prev[w%len(prev)]}, OutputParams: []string{"out"},
+				Declared:   map[string][]wf.FileInfo{"out": {{Path: outs[w], SizeMB: 1}}},
+				CPUSeconds: 10, Threads: 1})
+		}
+		prev = outs
+	}
+	return tasks
+}
+
+// budget is one layer's allocation ceiling on a fixed workload, per task.
+type budget struct {
+	layer  string
+	tasks  int
+	allocs float64 // heap allocations per task
+	bytes  float64 // heap bytes per task
+	// prepare readies n runs of the workload and returns the function that
+	// performs the next one; only that function is measured.
+	prepare func(t *testing.T, n int) func()
+}
+
+// TestAllocationBudgets pins what each layer allocates per task on a fixed
+// workload. Allocation on a fixed input is deterministic where timing is
+// not, so the budgets hold on any machine. Each is the value measured when
+// it was set plus at most 5%; a change that lowers a layer's allocation
+// lowers its budget in the same diff.
+func TestAllocationBudgets(t *testing.T) {
+	const runs = 3
+	for _, b := range []budget{
+		{
+			// NewDAG, then every task completed as it becomes ready.
+			layer: "wf: DAG build + complete-all", tasks: 1000, allocs: 2.88, bytes: 291,
+			prepare: func(t *testing.T, n int) func() {
+				tasks := layered(10, 100)
+				return func() {
+					d, err := wf.NewDAG(tasks, []string{"seed"}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for queue := d.Ready(); len(queue) > 0; queue = queue[1:] {
+						queue = append(queue, d.Complete(queue[0])...)
+					}
+					if !d.Done() {
+						t.Fatal("DAG not done")
+					}
+				}
+			},
+		},
+		{
+			// One static workflow through the AM on a fresh 16-node substrate,
+			// FCFS, no provenance; building the substrate is not measured.
+			layer: "core: Run, static, fcfs", tasks: 1024, allocs: 38.0, bytes: 2550,
+			prepare: func(t *testing.T, n int) func() {
+				tasks := layered(8, 128)
+				envs := make([]core.Env, n)
+				for i := range envs {
+					eng := sim.NewEngine()
+					c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000, ExternalPerFlowMBps: 50}, 16,
+						cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs := hdfs.New(c, hdfs.Config{BlockSizeMB: 64, Replication: 2}, 42)
+					fs.Put("seed", 64, "")
+					envs[i] = core.Env{Cluster: c, FS: fs, RM: yarn.NewResourceManager(eng, c, yarn.Config{})}
+				}
+				next := 0
+				return func() {
+					sb := &wf.StaticBase{WFName: "layered", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
+						return tasks, []string{"seed"}, nil, nil
+					}}
+					rep, err := core.Run(envs[next], sb, scheduler.NewFCFS(), core.Config{})
+					next++
+					if err != nil || len(rep.Results) != len(tasks) {
+						t.Fatalf("run %d: %v", next, err)
+					}
+				}
+			},
+		},
+	} {
+		// One warm-up and runs measured by AllocsPerRun, runs more for bytes.
+		run := b.prepare(t, 2*runs+1)
+		allocs := testing.AllocsPerRun(runs, run) / float64(b.tasks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(b.tasks)
+		t.Logf("%-32s %6.2f allocs/task (budget %.2f)  %7.1f B/task (budget %.0f)", b.layer, allocs, b.allocs, bytes, b.bytes)
+		if allocs > b.allocs || bytes > b.bytes {
+			t.Errorf("%s: %.2f allocs and %.1f B per task, over the budget of %.2f and %.0f",
+				b.layer, allocs, bytes, b.allocs, b.bytes)
+		}
+	}
+}

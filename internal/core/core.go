@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hiway/internal/chaos"
@@ -180,10 +181,24 @@ type Report struct {
 	Memoized int
 }
 
+// taskState is everything the AM knows about one submitted task, from
+// submit to its one accepted result.
+type taskState struct {
+	t          *wf.Task
+	attempts   []*attempt // live attempts
+	nextIdx    int        // index of the task's next attempt
+	speculated bool       // a duplicate attempt was launched
+	completed  bool       // a result was accepted
+	retries    int
+	excluded   []string   // nodes the task failed on; retries avoid them
+	span       obs.SpanID // open task span; 0 once ended or when tracing is off
+	memoKey    string     // memo key derived at submit; "" when there is none
+}
+
 // attempt is one container execution of a task. A task has one live attempt
 // normally, two while a speculative duplicate races the original.
 type attempt struct {
-	t   *wf.Task
+	ts  *taskState
 	c   *yarn.Container
 	res *wf.TaskResult
 	idx int // zero-based attempt index, unique per task
@@ -210,12 +225,8 @@ type AM struct {
 	sched  scheduler.Scheduler
 	app    *yarn.Application
 
-	attempts   map[int64][]*attempt // task ID → live attempts
-	attemptSeq map[int64]int        // task ID → next attempt index
-	speculated map[int64]bool       // task ID → duplicate already launched
-	completed  map[int64]bool       // task ID → a result was accepted
-	retries    map[int64]int
-	excluded   map[int64]map[string]bool
+	tasks      map[int64]*taskState // task ID → state, from submit on
+	live       int                  // live attempts across all tasks
 	results    []*wf.TaskResult
 	containers int64
 	retriesSum int
@@ -226,7 +237,6 @@ type AM struct {
 
 	// memoization state (see memo.go)
 	memoIDs        map[string]string // produced path → canonical identity
-	memoKeys       map[int64]string  // task ID → derived memo key
 	memoized       int               // tasks spliced from the memo table
 	pendingSplices int               // hits scheduled but not yet spliced
 
@@ -239,7 +249,6 @@ type AM struct {
 	// below degrades to a nil-receiver no-op)
 	tr         *obs.Tracer
 	wfSpan     obs.SpanID
-	taskSpans  map[int64]obs.SpanID
 	attemptsC  *obs.Counter
 	completedC *obs.Counter
 	failuresC  *obs.Counter
@@ -256,19 +265,12 @@ type AM struct {
 // returns the initially ready tasks.
 func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*AM, []*wf.Task, error) {
 	am := &AM{
-		env:        env,
-		cfg:        cfg,
-		driver:     driver,
-		sched:      sched,
-		attempts:   make(map[int64][]*attempt),
-		attemptSeq: make(map[int64]int),
-		speculated: make(map[int64]bool),
-		completed:  make(map[int64]bool),
-		retries:    make(map[int64]int),
-		excluded:   make(map[int64]map[string]bool),
-		taskSpans:  make(map[int64]obs.SpanID),
-		memoIDs:    make(map[string]string),
-		memoKeys:   make(map[int64]string),
+		env:     env,
+		cfg:     cfg,
+		driver:  driver,
+		sched:   sched,
+		tasks:   make(map[int64]*taskState),
+		memoIDs: make(map[string]string),
 	}
 	am.tr = env.Obs.T()
 	m := env.Obs.M()
@@ -524,7 +526,7 @@ func (am *AM) Report() (*Report, error) {
 			return nil, fmt.Errorf("core: AM for workflow %s was killed", am.driver.Name())
 		}
 		return nil, fmt.Errorf("core: workflow %s stalled: %d attempts running, %d queued, %d requests pending, driver done=%v",
-			am.driver.Name(), am.runningAttempts(), am.sched.Queued(), am.app.PendingRequests(), am.driver.Done())
+			am.driver.Name(), am.live, am.sched.Queued(), am.app.PendingRequests(), am.driver.Done())
 	}
 	if am.report.Err != nil {
 		return am.report, am.report.Err
@@ -539,15 +541,6 @@ func (am *AM) Finished() bool { return am.finished }
 // (load models and monitors poll it during execution).
 func (am *AM) CompletedTasks() int { return len(am.results) }
 
-// runningAttempts counts live attempts across all tasks.
-func (am *AM) runningAttempts() int {
-	n := 0
-	for _, list := range am.attempts {
-		n += len(list)
-	}
-	return n
-}
-
 // Kill terminates the AM abruptly — the simulated equivalent of the AM
 // process dying mid-run. Live attempts stop, every container (workers and
 // AM) is released, and deliberately no workflow-end provenance is written:
@@ -560,27 +553,7 @@ func (am *AM) Kill() {
 	am.finished = true
 	am.killed = true
 	am.tr.Instant("fault", "am-killed", "workflow")
-	eng := am.env.Cluster.Engine
-	ids := make([]int64, 0, len(am.attempts))
-	for id := range am.attempts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, a := range am.attempts[id] {
-			a.canceled = true
-			a.done = true
-			if a.timer != nil {
-				eng.Cancel(a.timer)
-				a.timer = nil
-			}
-			if a.job != nil {
-				a.job.Cancel()
-			}
-			am.app.Release(a.c)
-		}
-		delete(am.attempts, id)
-	}
+	am.releaseLive()
 	// Task-end provenance is committed at each task boundary in the real
 	// system, so it survives an AM crash; flushing the buffered events here
 	// models exactly that durability. No workflow-end event is written.
@@ -618,27 +591,30 @@ func (am *AM) submit(t *wf.Task) {
 		am.finish(err)
 		return
 	}
-	if am.tr.Enabled() {
-		if _, ok := am.taskSpans[t.ID]; !ok {
-			am.taskSpans[t.ID] = am.tr.BeginAsync("task", t.Name, "tasks", am.wfSpan)
-		}
+	ts := am.tasks[t.ID]
+	if ts == nil {
+		ts = &taskState{t: t}
+		am.tasks[t.ID] = ts
+	}
+	if am.tr.Enabled() && ts.span == 0 {
+		ts.span = am.tr.BeginAsync("task", t.Name, "tasks", am.wfSpan)
 	}
 	if am.cfg.Audit != nil {
 		am.cfg.Audit.OnTaskSubmitted(am.env.Cluster.Engine.Now(), t)
 	}
-	if am.tryMemoHit(t) {
+	if am.tryMemoHit(ts) {
 		return
 	}
 	am.sched.OnTaskReady(t)
-	am.requestContainer(t)
+	am.requestContainer(ts)
 }
 
 // hintAvoiding picks the live node with the most free cores that is not in
 // the exclusion set — the destination hint for retried tasks.
-func (am *AM) hintAvoiding(excl map[string]bool) string {
+func (am *AM) hintAvoiding(excl []string) string {
 	best, bestCores := "", -1
 	for _, id := range am.env.RM.LiveNodes() {
-		if excl[id] {
+		if slices.Contains(excl, id) {
 			continue
 		}
 		cores, _ := am.env.RM.FreeCapacity(id)
@@ -653,15 +629,15 @@ func (am *AM) hintAvoiding(excl map[string]bool) string {
 // preferring one where the task's container currently fits — the AM node,
 // for instance, may never have room for a worker container, and a strict
 // request pinned there would wait forever.
-func (am *AM) retryTarget(excl map[string]bool) string {
+func (am *AM) retryTarget(excl []string) string {
 	res := am.containerResource()
 	// Capacity our own live attempts hold per node: it will be released
 	// when they finish, so a node busy with our work is still viable —
 	// unlike the AM node, whose deficit is permanent.
 	heldCores := map[string]int{}
 	heldMem := map[string]int{}
-	for _, list := range am.attempts {
-		for _, a := range list {
+	for _, ts := range am.tasks {
+		for _, a := range ts.attempts {
 			heldCores[a.c.NodeID] += a.c.Resource.VCores
 			heldMem[a.c.NodeID] += a.c.Resource.MemMB
 		}
@@ -669,7 +645,7 @@ func (am *AM) retryTarget(excl map[string]bool) string {
 	best, bestCores := "", -1
 	roomy, fallback := "", ""
 	for _, id := range am.env.RM.LiveNodes() {
-		if excl[id] {
+		if slices.Contains(excl, id) {
 			continue
 		}
 		if fallback == "" {
@@ -698,16 +674,16 @@ func (am *AM) retryTarget(excl map[string]bool) string {
 // failed attempts away from its excluded nodes.
 // A strict request whose pinned node dies while pending is re-planned onto
 // a surviving node and re-requested.
-func (am *AM) requestContainer(t *wf.Task) {
-	hint, strict := am.sched.Placement(t)
-	if excl := am.excluded[t.ID]; len(excl) > 0 && !strict {
-		if h := am.hintAvoiding(excl); h != "" {
+func (am *AM) requestContainer(ts *taskState) {
+	hint, strict := am.sched.Placement(ts.t)
+	if len(ts.excluded) > 0 && !strict {
+		if h := am.hintAvoiding(ts.excluded); h != "" {
 			hint = h
 		}
 	}
 	req := yarn.Request{Resource: am.containerResource(), NodeHint: hint, Strict: strict}
 	if strict {
-		req.OnUnplaceable = func(yarn.Request) { am.onUnplaceable(t) }
+		req.OnUnplaceable = func(yarn.Request) { am.onUnplaceable(ts) }
 	}
 	am.app.Request(req, am.onAnonymousContainer)
 }
@@ -715,23 +691,24 @@ func (am *AM) requestContainer(t *wf.Task) {
 // onUnplaceable re-routes a task whose strictly pinned node died while the
 // container request was pending: the static plan moves to a surviving node
 // and the request is reissued there.
-func (am *AM) onUnplaceable(t *wf.Task) {
-	if am.finished || am.completed[t.ID] {
+func (am *AM) onUnplaceable(ts *taskState) {
+	if am.finished || ts.completed {
 		return
 	}
+	t := ts.t
 	live := am.env.RM.LiveNodes()
 	if len(live) == 0 {
 		am.finish(fmt.Errorf("core: no live nodes left to place %s", t))
 		return
 	}
 	if ra, ok := am.sched.(scheduler.Reassigner); ok {
-		target := am.retryTarget(am.excluded[t.ID])
+		target := am.retryTarget(ts.excluded)
 		if target == "" {
 			target = live[0]
 		}
 		ra.Reassign(t, target)
 	}
-	am.requestContainer(t)
+	am.requestContainer(ts)
 }
 
 // onAnonymousContainer matches an allocated container to a queued task via
@@ -744,12 +721,12 @@ func (am *AM) onAnonymousContainer(c *yarn.Container) {
 	if task == nil {
 		am.app.Release(c)
 		if !am.finished && am.sched.Queued() > am.app.PendingRequests() {
-			hint := am.hintAvoiding(map[string]bool{c.NodeID: true})
+			hint := am.hintAvoiding([]string{c.NodeID})
 			am.app.Request(yarn.Request{Resource: am.containerResource(), NodeHint: hint}, am.onAnonymousContainer)
 		}
 		return
 	}
-	am.launchAttempt(task, c, false)
+	am.launchAttempt(am.tasks[task.ID], c, false)
 }
 
 // attemptDeadline computes the per-attempt deadline for a task: the
@@ -779,17 +756,18 @@ func (am *AM) fate(t *wf.Task, node string, attempt int) chaos.Fate {
 }
 
 // launchAttempt drives one container lifecycle for the task.
-func (am *AM) launchAttempt(t *wf.Task, c *yarn.Container, speculative bool) {
-	if am.finished || am.completed[t.ID] {
+func (am *AM) launchAttempt(ts *taskState, c *yarn.Container, speculative bool) {
+	if am.finished || ts.completed {
 		am.app.Release(c)
 		return
 	}
-	if am.excluded[t.ID][c.NodeID] && !speculative {
+	t := ts.t
+	if !speculative && slices.Contains(ts.excluded, c.NodeID) {
 		// The task already failed on this node; re-queue it and ask for a
 		// different container (the paper's retry-on-different-node).
 		am.sched.OnTaskReady(t)
 		am.app.Release(c)
-		am.requestContainer(t)
+		am.requestContainer(ts)
 		return
 	}
 	node := am.env.Cluster.Node(c.NodeID)
@@ -798,17 +776,18 @@ func (am *AM) launchAttempt(t *wf.Task, c *yarn.Container, speculative bool) {
 		return
 	}
 	eng := am.env.Cluster.Engine
-	idx := am.attemptSeq[t.ID]
-	am.attemptSeq[t.ID]++
+	idx := ts.nextIdx
+	ts.nextIdx++
 	a := &attempt{
-		t: t, c: c, idx: idx,
+		ts: ts, c: c, idx: idx,
 		res: &wf.TaskResult{Task: t, Node: c.NodeID, Start: eng.Now(), Attempt: idx, Speculative: speculative},
 	}
-	am.attempts[t.ID] = append(am.attempts[t.ID], a)
+	ts.attempts = append(ts.attempts, a)
+	am.live++
 	am.containers++
 	am.attemptsC.Inc()
 	if am.tr.Enabled() {
-		a.span = am.tr.Begin("attempt", t.Name, c.NodeID, am.taskSpans[t.ID])
+		a.span = am.tr.Begin("attempt", t.Name, c.NodeID, ts.span)
 		am.tr.ArgInt(a.span, "attempt", int64(idx))
 		if speculative {
 			am.tr.Arg(a.span, "speculative", "true")
@@ -935,26 +914,24 @@ func (am *AM) launchAttempt(t *wf.Task, c *yarn.Container, speculative bool) {
 // every live attempt of the task is killed and the task retries.
 func (am *AM) onAttemptTimeout(a *attempt) {
 	a.timer = nil
-	if a.dead(am) || am.completed[a.t.ID] {
+	ts := a.ts
+	if a.dead(am) || ts.completed {
 		return
 	}
 	am.timedOut++
 	am.timeoutsC.Inc()
 	am.tr.Instant("fault", "attempt-timeout", a.res.Node)
-	t := a.t
+	t := ts.t
 	if am.cfg.Health != nil {
 		am.cfg.Health.ReportFailure(a.res.Node)
 	}
-	if am.cfg.Speculate && !am.speculated[t.ID] {
-		am.speculated[t.ID] = true
+	if am.cfg.Speculate && !ts.speculated {
+		ts.speculated = true
 		am.speculative++
 		am.specC.Inc()
-		avoid := map[string]bool{a.res.Node: true}
-		for n := range am.excluded[t.ID] {
-			avoid[n] = true
-		}
+		avoid := append([]string{a.res.Node}, ts.excluded...)
 		req := yarn.Request{Resource: am.containerResource(), NodeHint: am.hintAvoiding(avoid)}
-		am.app.Request(req, func(c *yarn.Container) { am.launchAttempt(t, c, true) })
+		am.app.Request(req, func(c *yarn.Container) { am.launchAttempt(ts, c, true) })
 		// Re-arm this attempt's deadline: if the duplicate dies too (or
 		// never gets a container), the second firing takes the
 		// kill-and-retry path instead of leaving a hung attempt behind.
@@ -966,7 +943,7 @@ func (am *AM) onAttemptTimeout(a *attempt) {
 	// Kill-and-retry: cancel any sibling attempts first (a sibling is
 	// either itself past deadline or about to be superseded by the retry),
 	// then fail this attempt through the normal path.
-	for _, sib := range append([]*attempt(nil), am.attempts[t.ID]...) {
+	for _, sib := range slices.Clone(ts.attempts) {
 		if sib != a {
 			am.cancelAttempt(sib, "killed after a sibling attempt timed out")
 		}
@@ -1006,24 +983,16 @@ func (am *AM) cancelAttempt(a *attempt, reason string) {
 	am.tr.End(a.span)
 	am.provTaskEnd(a.res)
 	if am.cfg.Audit != nil {
-		am.cfg.Audit.OnAttemptEnd(eng.Now(), a.t, a.res.Node, a.idx, a.res.ExitCode, false)
+		am.cfg.Audit.OnAttemptEnd(eng.Now(), a.ts.t, a.res.Node, a.idx, a.res.ExitCode, false)
 	}
 	am.app.Release(a.c)
 }
 
 // removeAttempt drops the attempt from the task's live list.
 func (am *AM) removeAttempt(a *attempt) {
-	list := am.attempts[a.t.ID]
-	for i, x := range list {
-		if x == a {
-			list = append(list[:i:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(am.attempts, a.t.ID)
-	} else {
-		am.attempts[a.t.ID] = list
+	if i := slices.Index(a.ts.attempts, a); i >= 0 {
+		a.ts.attempts = slices.Delete(a.ts.attempts, i, i+1)
+		am.live--
 	}
 }
 
@@ -1042,58 +1011,32 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 	am.tr.ArgInt(a.span, "exit", int64(a.res.ExitCode))
 	am.tr.End(a.span)
 	am.provTaskEnd(a.res)
+	ts := a.ts
 	if am.cfg.Audit != nil {
-		accepted := ok && !am.finished && !am.completed[a.t.ID]
-		am.cfg.Audit.OnAttemptEnd(am.env.Cluster.Engine.Now(), a.t, a.res.Node, a.idx, a.res.ExitCode, accepted)
+		accepted := ok && !am.finished && !ts.completed
+		am.cfg.Audit.OnAttemptEnd(am.env.Cluster.Engine.Now(), ts.t, a.res.Node, a.idx, a.res.ExitCode, accepted)
 	}
 	if am.finished {
 		return
 	}
-	t := a.t
+	t := ts.t
 
 	if ok {
-		if am.completed[t.ID] {
+		if ts.completed {
 			return
 		}
-		am.completed[t.ID] = true
-		am.completedC.Inc()
-		if am.cfg.Audit != nil {
-			am.cfg.Audit.OnTaskCompleted(am.env.Cluster.Engine.Now(), t, a.res.Node)
-		}
-		if am.speculated[t.ID] {
+		if ts.speculated {
 			if a.res.Speculative {
 				am.specWinC.Inc()
 			} else {
 				am.specLossC.Inc()
 			}
 		}
-		if ts, open := am.taskSpans[t.ID]; open {
-			am.tr.End(ts)
-			delete(am.taskSpans, t.ID)
-		}
 		if am.cfg.Health != nil {
 			am.cfg.Health.ReportSuccess(a.res.Node)
 		}
-		// A speculative race has a loser: cancel it and release its
-		// container (no retry — the task is done).
-		for _, sib := range append([]*attempt(nil), am.attempts[t.ID]...) {
-			am.cancelAttempt(sib, "superseded: a duplicate attempt finished first")
-		}
-		am.memoCommit(a.res)
-		am.results = append(am.results, a.res)
-		next, err := am.driver.OnTaskComplete(a.res)
-		if err != nil {
-			am.finish(err)
-			return
-		}
-		for _, nt := range next {
-			am.submit(nt)
-		}
-		if am.driver.Done() {
-			am.finish(nil)
-			return
-		}
-		am.checkStalled()
+		am.memoCommit(ts, a.res)
+		am.accept(ts, a.res)
 		return
 	}
 
@@ -1102,46 +1045,76 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 	if am.cfg.Health != nil {
 		am.cfg.Health.ReportFailure(a.res.Node)
 	}
-	if len(am.attempts[t.ID]) > 0 {
+	if len(ts.attempts) > 0 {
 		// A sibling attempt is still racing; it decides the task's fate.
 		return
 	}
-	am.retries[t.ID]++
+	ts.retries++
 	am.retriesSum++
 	am.retriesC.Inc()
-	if am.retries[t.ID] > am.cfg.MaxRetries {
+	if ts.retries > am.cfg.MaxRetries {
 		am.results = append(am.results, a.res)
 		am.finish(fmt.Errorf("core: task %s failed %d times (last on %s): %s",
-			t, am.retries[t.ID], a.res.Node, a.res.Error))
+			t, ts.retries, a.res.Node, a.res.Error))
 		return
 	}
 	// Exclude the failing node and retry elsewhere. If every node is
 	// excluded, start over (the node set may be partly dead).
-	excl := am.excluded[t.ID]
-	if excl == nil {
-		excl = make(map[string]bool)
-		am.excluded[t.ID] = excl
+	if !slices.Contains(ts.excluded, a.res.Node) {
+		ts.excluded = append(ts.excluded, a.res.Node)
 	}
-	excl[a.res.Node] = true
-	if len(excl) >= len(am.env.RM.LiveNodes()) {
-		am.excluded[t.ID] = make(map[string]bool)
-		excl = am.excluded[t.ID]
+	if len(ts.excluded) >= len(am.env.RM.LiveNodes()) {
+		ts.excluded = nil
 	}
 	// Static plans pin tasks to nodes; move the pin off the failing
 	// node so the strict retry request can be satisfied.
 	if ra, ok := am.sched.(scheduler.Reassigner); ok {
-		if target := am.retryTarget(excl); target != "" {
+		if target := am.retryTarget(ts.excluded); target != "" {
 			ra.Reassign(t, target)
 		}
 	}
 	am.sched.OnTaskReady(t)
-	am.requestContainer(t)
+	am.requestContainer(ts)
+}
+
+// accept completes a task with its one accepted result, an attempt's or a
+// memo splice's: the task span ends, a speculative duplicate still racing
+// is canceled, and the driver consumes the result. What the driver returns
+// is submitted; then the workflow either finishes or is checked for a
+// stall.
+func (am *AM) accept(ts *taskState, res *wf.TaskResult) {
+	ts.completed = true
+	am.completedC.Inc()
+	if am.cfg.Audit != nil {
+		am.cfg.Audit.OnTaskCompleted(am.env.Cluster.Engine.Now(), ts.t, res.Node)
+	}
+	am.tr.End(ts.span)
+	ts.span = 0
+	// The loser of a speculative race is canceled and its container
+	// released (no retry — the task is done).
+	for _, sib := range slices.Clone(ts.attempts) {
+		am.cancelAttempt(sib, "superseded: a duplicate attempt finished first")
+	}
+	am.results = append(am.results, res)
+	next, err := am.driver.OnTaskComplete(res)
+	if err != nil {
+		am.finish(err)
+		return
+	}
+	for _, nt := range next {
+		am.submit(nt)
+	}
+	if am.driver.Done() {
+		am.finish(nil)
+		return
+	}
+	am.checkStalled()
 }
 
 // checkStalled fails the workflow if nothing is running, queued, requested,
 // or awaiting a memo splice while the driver still expects progress.
 func (am *AM) checkStalled() {
-	if len(am.attempts) == 0 && am.sched.Queued() == 0 && am.app.PendingRequests() == 0 && am.pendingSplices == 0 {
+	if am.live == 0 && am.sched.Queued() == 0 && am.app.PendingRequests() == 0 && am.pendingSplices == 0 {
 		am.finish(fmt.Errorf("core: workflow %s stalled with %d tasks finished", am.driver.Name(), len(am.results)))
 	}
 }
@@ -1175,26 +1148,7 @@ func (am *AM) finish(err error) {
 	}
 	// Release any attempts still live (e.g. a failure elsewhere aborted
 	// the workflow while attempts were in flight).
-	ids := make([]int64, 0, len(am.attempts))
-	for id := range am.attempts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, a := range am.attempts[id] {
-			a.canceled = true
-			a.done = true
-			if a.timer != nil {
-				eng.Cancel(a.timer)
-				a.timer = nil
-			}
-			if a.job != nil {
-				a.job.Cancel()
-			}
-			am.app.Release(a.c)
-		}
-		delete(am.attempts, id)
-	}
+	am.releaseLive()
 	if err == nil {
 		am.tr.Arg(am.wfSpan, "succeeded", "true")
 	} else {
@@ -1214,6 +1168,36 @@ func (am *AM) finish(err error) {
 	if am.cfg.OnTerminal != nil {
 		am.cfg.OnTerminal(am.report)
 	}
+}
+
+// releaseLive stops every live attempt and returns its container to YARN,
+// in task-ID order: the one release loop of Kill and finish.
+func (am *AM) releaseLive() {
+	var ids []int64
+	for id, ts := range am.tasks {
+		if len(ts.attempts) > 0 {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	eng := am.env.Cluster.Engine
+	for _, id := range ids {
+		ts := am.tasks[id]
+		for _, a := range ts.attempts {
+			a.canceled = true
+			a.done = true
+			if a.timer != nil {
+				eng.Cancel(a.timer)
+				a.timer = nil
+			}
+			if a.job != nil {
+				a.job.Cancel()
+			}
+			am.app.Release(a.c)
+		}
+		ts.attempts = nil
+	}
+	am.live = 0
 }
 
 func (am *AM) provWorkflowStart() {
@@ -1242,11 +1226,17 @@ func (am *AM) provTaskEnd(res *wf.TaskResult) {
 	if am.env.Prov == nil {
 		return
 	}
-	sizes := make(map[string]float64, len(res.Task.Inputs))
-	for _, in := range res.Task.Inputs {
+	_ = am.env.Prov.RecordTaskEnd(am.cfg.WorkflowID, am.driver.Name(), res, am.inputSizes(res.Task))
+}
+
+// inputSizes maps each input of t that HDFS knows to its size, for the
+// task-end event.
+func (am *AM) inputSizes(t *wf.Task) map[string]float64 {
+	sizes := make(map[string]float64, len(t.Inputs))
+	for _, in := range t.Inputs {
 		if f, ok := am.env.FS.Stat(in); ok {
 			sizes[in] = f.SizeMB
 		}
 	}
-	_ = am.env.Prov.RecordTaskEnd(am.cfg.WorkflowID, am.driver.Name(), res, sizes)
+	return sizes
 }

@@ -73,21 +73,21 @@ func (am *AM) memoKey(t *wf.Task) (string, bool) {
 // hitting tasks unwind iteratively rather than recursing through submit;
 // pendingSplices keeps checkStalled honest in the gap. The derived key is
 // remembered either way for the commit after a real execution.
-func (am *AM) tryMemoHit(t *wf.Task) bool {
+func (am *AM) tryMemoHit(ts *taskState) bool {
 	if !am.memoEnabled() {
 		return false
 	}
-	key, ok := am.memoKey(t)
+	key, ok := am.memoKey(ts.t)
 	if !ok {
 		return false
 	}
-	am.memoKeys[t.ID] = key
+	ts.memoKey = key
 	entry, ok := am.cfg.Memo.Lookup(key)
 	if !ok {
 		return false
 	}
 	am.pendingSplices++
-	am.env.Cluster.Engine.Schedule(0, func() { am.spliceMemoHit(t, key, entry) })
+	am.env.Cluster.Engine.Schedule(0, func() { am.spliceMemoHit(ts, entry) })
 	return true
 }
 
@@ -104,14 +104,15 @@ func (am *AM) registerProducedIdentities(key string, t *wf.Task, outputs map[str
 
 // spliceMemoHit completes a task from the memo table: the declared outputs
 // are registered in HDFS as externally materialized files (no simulated
-// I/O — they come from the provenance store, not a worker), a result with
-// no node and no duration is accepted, and the task-end provenance event
-// carries the memo attribution.
-func (am *AM) spliceMemoHit(t *wf.Task, key string, e memo.Entry) {
+// I/O — they come from the provenance store, not a worker), the task-end
+// provenance event carries the memo attribution, and a result with no node
+// and no duration is accepted.
+func (am *AM) spliceMemoHit(ts *taskState, e memo.Entry) {
 	am.pendingSplices--
-	if am.finished || am.completed[t.ID] {
+	if am.finished || ts.completed {
 		return
 	}
+	t := ts.t
 	now := am.env.Cluster.Engine.Now()
 	outs := make(map[string][]wf.FileInfo, len(t.OutputParams))
 	for _, param := range t.OutputParams {
@@ -126,33 +127,11 @@ func (am *AM) spliceMemoHit(t *wf.Task, key string, e memo.Entry) {
 		End:     now,
 		Outputs: outs,
 	}
-	am.completed[t.ID] = true
-	am.completedC.Inc()
 	am.memoized++
-	if am.cfg.Audit != nil {
-		am.cfg.Audit.OnTaskCompleted(now, t, "")
-	}
-	if ts, open := am.taskSpans[t.ID]; open {
-		am.tr.Arg(ts, "memo", "hit")
-		am.tr.End(ts)
-		delete(am.taskSpans, t.ID)
-	}
+	am.tr.Arg(ts.span, "memo", "hit")
 	am.provMemoHit(res, e)
-	am.results = append(am.results, res)
-	am.registerProducedIdentities(key, t, outs)
-	next, err := am.driver.OnTaskComplete(res)
-	if err != nil {
-		am.finish(err)
-		return
-	}
-	for _, nt := range next {
-		am.submit(nt)
-	}
-	if am.driver.Done() {
-		am.finish(nil)
-		return
-	}
-	am.checkStalled()
+	am.registerProducedIdentities(ts.memoKey, t, outs)
+	am.accept(ts, res)
 }
 
 // memoCommit runs after a real execution succeeded: produced files get
@@ -160,15 +139,12 @@ func (am *AM) spliceMemoHit(t *wf.Task, key string, e memo.Entry) {
 // declaration, so replaying the declaration reproduces it — an entry is
 // committed to the table. Dynamic outcomes (aggregate outputs that differ
 // from the declaration) are never memoized.
-func (am *AM) memoCommit(res *wf.TaskResult) {
-	if !am.memoEnabled() {
+func (am *AM) memoCommit(ts *taskState, res *wf.TaskResult) {
+	key := ts.memoKey
+	if !am.memoEnabled() || key == "" {
 		return
 	}
-	t := res.Task
-	key, ok := am.memoKeys[t.ID]
-	if !ok {
-		return
-	}
+	t := ts.t
 	am.registerProducedIdentities(key, t, res.Outputs)
 	if !outcomeMatchesDeclaration(t, res.Outputs) {
 		return
@@ -206,13 +182,7 @@ func (am *AM) provMemoHit(res *wf.TaskResult, e memo.Entry) {
 	if am.env.Prov == nil {
 		return
 	}
-	sizes := make(map[string]float64, len(res.Task.Inputs))
-	for _, in := range res.Task.Inputs {
-		if f, ok := am.env.FS.Stat(in); ok {
-			sizes[in] = f.SizeMB
-		}
-	}
-	ev := provenance.TaskEndEvent(am.cfg.WorkflowID, am.driver.Name(), res, sizes)
+	ev := provenance.TaskEndEvent(am.cfg.WorkflowID, am.driver.Name(), res, am.inputSizes(res.Task))
 	ev.MemoHit = true
 	ev.MemoSource = e.SourceWF
 	_ = am.env.Prov.Record(ev)

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 
 	"hiway/internal/provenance"
 	"hiway/internal/wf"
@@ -32,31 +33,43 @@ func NewDriver(name, traceText string) *Driver {
 	return d
 }
 
-// FromEvents reconstructs the task graph from task-end events. A task may
-// end more than once — a failed attempt a retry recovered, the loser of a
-// speculative race — and is replayed from its one successful end, in the
-// order of those ends. A task with no successful end is rejected, since its
-// downstream products never existed; so is one that succeeded twice.
+// FromEvents reconstructs the task graph from the task-end events of one
+// run; a log whose task ends belong to several runs (a serve flush, a
+// sharded `sim -prov`) is refused, since task IDs count from 1 in every
+// run. A task may end more than once — a failed attempt a retry recovered,
+// the loser of a speculative race — and is replayed from its one successful
+// end, in the order of those ends. A task with no successful end is
+// rejected, since its downstream products never existed; so is one that
+// succeeded twice.
 func FromEvents(events []provenance.Event) ([]*wf.Task, []string, []wf.Edge, error) {
-	type taskKey struct {
-		workflow string
-		task     int64
+	runs := map[string]bool{}
+	for _, ev := range events {
+		if ev.Type == provenance.TaskEnd {
+			runs[ev.WorkflowID] = true
+		}
 	}
-	succeeded := map[taskKey]bool{}
+	if len(runs) > 1 {
+		ids := make([]string, 0, len(runs))
+		for id := range runs {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		return nil, nil, nil, fmt.Errorf("trace: the log holds task ends of %d runs %q; replay takes a log of one run", len(ids), ids)
+	}
+	succeeded := map[int64]bool{}
 	var ends []provenance.Event
 	for _, ev := range events {
 		if ev.Type != provenance.TaskEnd || ev.ExitCode != 0 || ev.Error != "" {
 			continue
 		}
-		k := taskKey{ev.WorkflowID, ev.TaskID}
-		if succeeded[k] {
+		if succeeded[ev.TaskID] {
 			return nil, nil, nil, fmt.Errorf("trace: task %d (%s) succeeded twice in the recorded run; trace is not replayable", ev.TaskID, ev.Signature)
 		}
-		succeeded[k] = true
+		succeeded[ev.TaskID] = true
 		ends = append(ends, ev)
 	}
 	for _, ev := range events {
-		if ev.Type == provenance.TaskEnd && !succeeded[taskKey{ev.WorkflowID, ev.TaskID}] {
+		if ev.Type == provenance.TaskEnd && !succeeded[ev.TaskID] {
 			return nil, nil, nil, fmt.Errorf("trace: task %d (%s) failed in the recorded run; trace is not replayable", ev.TaskID, ev.Signature)
 		}
 	}

@@ -182,3 +182,48 @@ func TestDefaultParamAndOutputParamFallback(t *testing.T) {
 		t.Fatalf("outputs = %v", tasks[0].Declared)
 	}
 }
+
+// TestMultiRunLogRefused: task IDs count from 1 in every run, so a log of
+// several runs — a serve flush, a sharded `sim -prov` — would replay as
+// unrelated runs merged into one graph, or fail on a shared path. It is
+// refused with the run IDs named, whether or not the runs share paths.
+func TestMultiRunLogRefused(t *testing.T) {
+	for _, sharePaths := range []bool{true, false} {
+		events := recordedRun()
+		for _, ev := range recordedRun() {
+			ev.WorkflowID = "wf0"
+			if !sharePaths {
+				for i := range ev.Inputs {
+					ev.Inputs[i].Path = "b/" + ev.Inputs[i].Path
+				}
+				for i := range ev.Outputs {
+					ev.Outputs[i].Path = "b/" + ev.Outputs[i].Path
+				}
+			}
+			events = append(events, ev)
+		}
+		_, _, _, err := FromEvents(events)
+		if want := `trace: the log holds task ends of 2 runs ["wf0" "wf1"]; replay takes a log of one run`; err == nil || err.Error() != want {
+			t.Fatalf("shared paths %v: err = %v, want %q", sharePaths, err, want)
+		}
+	}
+}
+
+// TestResumedRunReplays: a run that an AM crash interrupted and Resume
+// finished is one run — one workflow ID with a workflow-resumed marker — and
+// its task that crashed before the kill replays from the resumed success.
+func TestResumedRunReplays(t *testing.T) {
+	events := recordedRun()
+	crashed := events[2]
+	crashed.ExitCode, crashed.Error = 1, "chaos: injected crash"
+	events = append(events[:2:2], crashed,
+		provenance.Event{Type: provenance.WorkflowResumed, WorkflowID: "wf1", WorkflowName: "snv"},
+		events[2], events[3])
+	tasks, initial, _, err := FromEvents(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2 || tasks[1].Name != "call" || len(initial) != 1 {
+		t.Fatalf("resumed run replays as %v from %v", tasks, initial)
+	}
+}

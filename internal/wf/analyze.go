@@ -41,10 +41,13 @@ func Analyze(d *DAG) Analysis {
 	}
 	a.InitialInputs = len(d.InitialInputs())
 
-	level := make(map[int64]int, len(d.tasks))
-	cpChain := make(map[int64]float64, len(d.tasks))
+	// level and cpChain are indexed by position in d.tasks.
+	level := make([]int, len(d.tasks))
+	cpChain := make([]float64, len(d.tasks))
 	for _, t := range d.TopoOrder() {
-		a.Edges += len(d.preds[t.ID])
+		i := d.index[t.ID]
+		preds := d.nodes[i].preds
+		a.Edges += len(preds)
 		a.Signatures[t.Name]++
 		a.TotalCPUSeconds += t.CPUSeconds
 		for _, fi := range t.DeclaredOutputs() {
@@ -55,18 +58,19 @@ func Analyze(d *DAG) Analysis {
 		}
 		lvl := 0
 		chain := 0.0
-		for _, p := range d.preds[t.ID] {
-			if level[p.ID]+1 > lvl {
-				lvl = level[p.ID] + 1
+		for _, p := range preds {
+			j := d.index[p.ID]
+			if level[j]+1 > lvl {
+				lvl = level[j] + 1
 			}
-			if cpChain[p.ID] > chain {
-				chain = cpChain[p.ID]
+			if cpChain[j] > chain {
+				chain = cpChain[j]
 			}
 		}
-		level[t.ID] = lvl
-		cpChain[t.ID] = chain + t.CPUSeconds
-		if cpChain[t.ID] > a.CriticalPathCPUSeconds {
-			a.CriticalPathCPUSeconds = cpChain[t.ID]
+		level[i] = lvl
+		cpChain[i] = chain + t.CPUSeconds
+		if cpChain[i] > a.CriticalPathCPUSeconds {
+			a.CriticalPathCPUSeconds = cpChain[i]
 		}
 	}
 	if a.Tasks > 0 {

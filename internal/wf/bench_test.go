@@ -46,7 +46,7 @@ func BenchmarkDAGExecution(b *testing.B) {
 		for len(queue) > 0 {
 			t := queue[0]
 			queue = queue[1:]
-			queue = append(queue, d.Complete(t, t.DeclaredOutputs())...)
+			queue = append(queue, d.Complete(t)...)
 		}
 		if !d.Done() {
 			b.Fatal("not done")

@@ -1,7 +1,9 @@
 package wf
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,19 +12,27 @@ import (
 // and every explicit control dependency has completed. It also exposes the
 // dependency structure that static schedulers (HEFT, round-robin) consume.
 type DAG struct {
-	tasks []*Task
-	byID  map[int64]*Task
-
-	producer map[string]*Task  // output path → producing task
-	preds    map[int64][]*Task // deduplicated predecessor lists
-	succs    map[int64][]*Task
-
-	waiting   map[int64]int // task ID → unmet dependency count
-	completed map[int64]bool
-	available map[string]bool // file paths that exist
-
-	released map[int64]bool // tasks already handed out as ready
+	tasks   []*Task
+	nodes   []node          // nodes[i] is the state of tasks[i]
+	index   map[int64]int32 // task ID → position in tasks
+	initial []string        // sorted initial inputs no task produces
+	done    int             // completed tasks
 }
+
+// node is one task's place in the graph and its progress through it.
+type node struct {
+	preds, succs []*Task // deduplicated, in insertion order
+	waiting      int     // unmet dependencies
+	state        nodeState
+}
+
+type nodeState uint8
+
+const (
+	pending  nodeState = iota // not yet handed out
+	released                  // handed out as ready
+	complete
+)
 
 // Edge is an explicit control dependency (Parent must finish before Child).
 type Edge struct {
@@ -36,176 +46,161 @@ type Edge struct {
 // cycles.
 func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
 	d := &DAG{
-		byID:      make(map[int64]*Task, len(tasks)),
-		producer:  make(map[string]*Task),
-		preds:     make(map[int64][]*Task),
-		succs:     make(map[int64][]*Task),
-		waiting:   make(map[int64]int),
-		completed: make(map[int64]bool),
-		available: make(map[string]bool),
-		released:  make(map[int64]bool),
+		tasks: append([]*Task(nil), tasks...),
+		nodes: make([]node, len(tasks)),
+		index: make(map[int64]int32, len(tasks)),
 	}
-	d.tasks = append(d.tasks, tasks...)
-	for _, t := range tasks {
+	producer := make(map[string]int32)
+	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := d.byID[t.ID]; dup {
+		if _, dup := d.index[t.ID]; dup {
 			return nil, fmt.Errorf("wf: duplicate task ID %d", t.ID)
 		}
-		d.byID[t.ID] = t
-		for _, fi := range t.DeclaredOutputs() {
-			if prev, dup := d.producer[fi.Path]; dup {
-				return nil, fmt.Errorf("wf: %s produced by both %s and %s", fi.Path, prev, t)
+		d.index[t.ID] = int32(i)
+		for _, p := range t.OutputParams {
+			for _, fi := range t.Declared[p] {
+				if prev, dup := producer[fi.Path]; dup {
+					return nil, fmt.Errorf("wf: %s produced by both %s and %s", fi.Path, tasks[prev], t)
+				}
+				producer[fi.Path] = int32(i)
 			}
-			d.producer[fi.Path] = t
 		}
 	}
+	available := make(map[string]bool, len(initialInputs))
 	for _, p := range initialInputs {
-		d.available[p] = true
+		if _, produced := producer[p]; !produced && !available[p] {
+			d.initial = append(d.initial, p)
+		}
+		available[p] = true
 	}
+	sort.Strings(d.initial)
 
-	// Infer data edges and validate that every input has a source.
-	depSet := make(map[int64]map[int64]bool)
-	addDep := func(child, parent *Task) {
-		if parent.ID == child.ID {
+	// Infer data edges and validate that every input has a source. An edge
+	// is added once: stamp[p] == mark says p is already a predecessor of the
+	// child being wired, and the mark moves on whenever the child changes.
+	stamp := make([]int32, len(tasks))
+	mark, child := int32(0), int32(-1)
+	addDep := func(c, p int32) {
+		if c != child {
+			mark, child = mark+1, c
+			for _, q := range d.nodes[c].preds {
+				stamp[d.index[q.ID]] = mark
+			}
+		}
+		if stamp[p] == mark {
 			return
 		}
-		set := depSet[child.ID]
-		if set == nil {
-			set = make(map[int64]bool)
-			depSet[child.ID] = set
-		}
-		if set[parent.ID] {
-			return
-		}
-		set[parent.ID] = true
-		d.preds[child.ID] = append(d.preds[child.ID], parent)
-		d.succs[parent.ID] = append(d.succs[parent.ID], child)
+		stamp[p] = mark
+		d.nodes[c].preds = append(d.nodes[c].preds, tasks[p])
+		d.nodes[p].succs = append(d.nodes[p].succs, tasks[c])
 	}
-	for _, t := range tasks {
+	for i, t := range tasks {
 		for _, in := range t.Inputs {
-			if d.available[in] {
+			if available[in] {
 				continue
 			}
-			p, ok := d.producer[in]
+			p, ok := producer[in]
 			if !ok {
 				return nil, fmt.Errorf("wf: %s consumes %s, which no task produces and is not an initial input", t, in)
 			}
-			if p.ID == t.ID {
+			if p == int32(i) {
 				return nil, fmt.Errorf("wf: %s consumes its own output %s", t, in)
 			}
-			addDep(t, p)
+			addDep(int32(i), p)
 		}
 	}
 	for _, e := range edges {
-		p, ok := d.byID[e.Parent]
+		p, ok := d.index[e.Parent]
 		if !ok {
 			return nil, fmt.Errorf("wf: edge references unknown parent %d", e.Parent)
 		}
-		c, ok := d.byID[e.Child]
+		c, ok := d.index[e.Child]
 		if !ok {
 			return nil, fmt.Errorf("wf: edge references unknown child %d", e.Child)
 		}
-		if p.ID == c.ID {
+		if p == c {
 			return nil, fmt.Errorf("wf: self edge on task %d", e.Parent)
 		}
 		addDep(c, p)
 	}
-	for _, t := range tasks {
-		d.waiting[t.ID] = len(d.preds[t.ID])
+	for i := range d.nodes {
+		d.nodes[i].waiting = len(d.nodes[i].preds)
 	}
-	if err := d.checkAcyclic(); err != nil {
-		return nil, err
+	if n := len(d.TopoOrder()); n != len(tasks) {
+		return nil, fmt.Errorf("wf: workflow graph contains a cycle (%d of %d tasks reachable)", n, len(tasks))
 	}
 	return d, nil
-}
-
-func (d *DAG) checkAcyclic() error {
-	indeg := make(map[int64]int, len(d.tasks))
-	for _, t := range d.tasks {
-		indeg[t.ID] = len(d.preds[t.ID])
-	}
-	var queue []*Task
-	for _, t := range d.tasks {
-		if indeg[t.ID] == 0 {
-			queue = append(queue, t)
-		}
-	}
-	visited := 0
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, s := range d.succs[t.ID] {
-			indeg[s.ID]--
-			if indeg[s.ID] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if visited != len(d.tasks) {
-		return fmt.Errorf("wf: workflow graph contains a cycle (%d of %d tasks reachable)", visited, len(d.tasks))
-	}
-	return nil
 }
 
 // All returns every task in insertion order.
 func (d *DAG) All() []*Task { return d.tasks }
 
 // Predecessors returns the tasks that must complete before t.
-func (d *DAG) Predecessors(t *Task) []*Task { return d.preds[t.ID] }
+func (d *DAG) Predecessors(t *Task) []*Task { return d.node(t).preds }
 
 // Successors returns the tasks that depend on t.
-func (d *DAG) Successors(t *Task) []*Task { return d.succs[t.ID] }
+func (d *DAG) Successors(t *Task) []*Task { return d.node(t).succs }
+
+// node returns t's node; an empty one for a task not in the graph.
+func (d *DAG) node(t *Task) *node {
+	if i, ok := d.index[t.ID]; ok {
+		return &d.nodes[i]
+	}
+	return &node{}
+}
 
 // Ready returns tasks whose dependencies are met and that have not been
 // released before, in deterministic (ID) order.
 func (d *DAG) Ready() []*Task {
 	var out []*Task
-	for _, t := range d.tasks {
-		if !d.released[t.ID] && !d.completed[t.ID] && d.waiting[t.ID] == 0 {
-			d.released[t.ID] = true
-			out = append(out, t)
+	for i := range d.nodes {
+		if n := &d.nodes[i]; n.state == pending && n.waiting == 0 {
+			n.state = released
+			out = append(out, d.tasks[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sortByID(out)
 	return out
 }
 
-// Complete marks t done (registering its outputs as available) and returns
-// the tasks that became ready as a consequence.
-func (d *DAG) Complete(t *Task, produced []FileInfo) []*Task {
-	if d.completed[t.ID] {
+// Complete marks t done and returns the tasks that became ready as a
+// consequence. Completing a task twice, or one not in the graph, releases
+// nothing.
+func (d *DAG) Complete(t *Task) []*Task {
+	i, ok := d.index[t.ID]
+	if !ok || d.nodes[i].state == complete {
 		return nil
 	}
-	d.completed[t.ID] = true
-	for _, fi := range produced {
-		d.available[fi.Path] = true
-	}
+	d.nodes[i].state = complete
+	d.done++
 	var ready []*Task
-	for _, s := range d.succs[t.ID] {
-		d.waiting[s.ID]--
-		if d.waiting[s.ID] == 0 && !d.released[s.ID] {
-			d.released[s.ID] = true
+	for _, s := range d.nodes[i].succs {
+		n := &d.nodes[d.index[s.ID]]
+		n.waiting--
+		if n.waiting == 0 && n.state == pending {
+			n.state = released
 			ready = append(ready, s)
 		}
 	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i].ID < ready[j].ID })
+	sortByID(ready)
 	return ready
 }
 
-// Done reports whether every task has completed.
-func (d *DAG) Done() bool {
-	return len(d.completed) == len(d.tasks)
+func sortByID(tasks []*Task) {
+	slices.SortFunc(tasks, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
 }
+
+// Done reports whether every task has completed.
+func (d *DAG) Done() bool { return d.done == len(d.tasks) }
 
 // Sinks returns the declared outputs of tasks with no successors — the
 // workflow's final products.
 func (d *DAG) Sinks() []string {
 	var out []string
-	for _, t := range d.tasks {
-		if len(d.succs[t.ID]) == 0 {
+	for i, t := range d.tasks {
+		if len(d.nodes[i].succs) == 0 {
 			out = append(out, t.DeclaredPaths()...)
 		}
 	}
@@ -213,41 +208,71 @@ func (d *DAG) Sinks() []string {
 	return out
 }
 
-// TopoOrder returns the tasks in a deterministic topological order
-// (Kahn's algorithm, ties broken by task ID).
+// TopoOrder returns the tasks in a deterministic topological order: Kahn's
+// algorithm, always taking the ready task with the smallest ID. Tasks on or
+// behind a cycle are left out, which is how NewDAG detects one.
 func (d *DAG) TopoOrder() []*Task {
-	indeg := make(map[int64]int, len(d.tasks))
-	var frontier []*Task
-	for _, t := range d.tasks {
-		indeg[t.ID] = len(d.preds[t.ID])
-		if indeg[t.ID] == 0 {
-			frontier = append(frontier, t)
+	indeg := make([]int, len(d.nodes))
+	h := idHeap{tasks: d.tasks}
+	for i := range d.nodes {
+		if indeg[i] = len(d.nodes[i].preds); indeg[i] == 0 {
+			h.push(int32(i))
 		}
 	}
-	var order []*Task
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i].ID < frontier[j].ID })
-		t := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, t)
-		for _, s := range d.succs[t.ID] {
-			indeg[s.ID]--
-			if indeg[s.ID] == 0 {
-				frontier = append(frontier, s)
+	order := make([]*Task, 0, len(d.tasks))
+	for len(h.pos) > 0 {
+		i := h.pop()
+		order = append(order, d.tasks[i])
+		for _, s := range d.nodes[i].succs {
+			j := d.index[s.ID]
+			if indeg[j]--; indeg[j] == 0 {
+				h.push(j)
 			}
 		}
 	}
 	return order
 }
 
-// InitialInputs returns the initially available files, sorted.
-func (d *DAG) InitialInputs() []string {
-	var out []string
-	for p := range d.available {
-		if _, produced := d.producer[p]; !produced {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
+// idHeap is a binary min-heap of task positions, ordered by task ID.
+type idHeap struct {
+	tasks []*Task
+	pos   []int32
 }
+
+func (h *idHeap) less(a, b int) bool { return h.tasks[h.pos[a]].ID < h.tasks[h.pos[b]].ID }
+
+func (h *idHeap) push(p int32) {
+	h.pos = append(h.pos, p)
+	for c := len(h.pos) - 1; c > 0; {
+		up := (c - 1) / 2
+		if !h.less(c, up) {
+			break
+		}
+		h.pos[c], h.pos[up] = h.pos[up], h.pos[c]
+		c = up
+	}
+}
+
+func (h *idHeap) pop() int32 {
+	top, last := h.pos[0], len(h.pos)-1
+	h.pos[0] = h.pos[last]
+	h.pos = h.pos[:last]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, p) {
+			break
+		}
+		h.pos[c], h.pos[p] = h.pos[p], h.pos[c]
+		p = c
+	}
+	return top
+}
+
+// InitialInputs returns the initially available files, sorted.
+func (d *DAG) InitialInputs() []string { return d.initial }

@@ -47,7 +47,7 @@ func ExampleDAG() {
 	for _, t := range dag.Ready() {
 		fmt.Println("ready:", t.Name)
 	}
-	for _, t := range dag.Complete(a, a.DeclaredOutputs()) {
+	for _, t := range dag.Complete(a) {
 		fmt.Println("unlocked:", t.Name)
 	}
 	// Output:

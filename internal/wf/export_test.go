@@ -1,4 +1,4 @@
 package wf
 
 // Remaining returns the number of tasks not yet completed.
-func (d *DAG) Remaining() int { return len(d.tasks) - len(d.completed) }
+func (d *DAG) Remaining() int { return len(d.tasks) - d.done }

@@ -43,7 +43,7 @@ func (s *StaticBase) OnTaskComplete(res *TaskResult) ([]*Task, error) {
 	if !res.Succeeded() {
 		return nil, fmt.Errorf("wf: task %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
 	}
-	return s.dag.Complete(res.Task, res.OutputFiles()), nil
+	return s.dag.Complete(res.Task), nil
 }
 
 // Done implements Driver.

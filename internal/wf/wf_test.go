@@ -128,18 +128,18 @@ func TestDAGChain(t *testing.T) {
 	if d.Ready() != nil {
 		t.Fatal("Ready must not re-release tasks")
 	}
-	next := d.Complete(a, a.DeclaredOutputs())
+	next := d.Complete(a)
 	if len(next) != 1 || next[0] != b {
 		t.Fatalf("after a: %v", next)
 	}
-	next = d.Complete(b, b.DeclaredOutputs())
+	next = d.Complete(b)
 	if len(next) != 1 || next[0] != c {
 		t.Fatalf("after b: %v", next)
 	}
 	if d.Done() {
 		t.Fatal("not done yet")
 	}
-	d.Complete(c, c.DeclaredOutputs())
+	d.Complete(c)
 	if !d.Done() || d.Remaining() != 0 {
 		t.Fatal("should be done")
 	}
@@ -159,12 +159,12 @@ func TestDAGDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Ready()
-	next := d.Complete(a, a.DeclaredOutputs())
+	next := d.Complete(a)
 	if len(next) != 2 {
 		t.Fatalf("diamond fan-out = %v", next)
 	}
-	d.Complete(b, b.DeclaredOutputs())
-	if got := d.Complete(c, c.DeclaredOutputs()); len(got) != 1 || got[0] != e {
+	d.Complete(b)
+	if got := d.Complete(c); len(got) != 1 || got[0] != e {
 		t.Fatalf("join not released correctly: %v", got)
 	}
 	if len(d.Predecessors(e)) != 2 || len(d.Successors(a)) != 2 {
@@ -183,7 +183,7 @@ func TestDAGExplicitEdges(t *testing.T) {
 	if len(ready) != 1 || ready[0] != a {
 		t.Fatalf("explicit edge ignored: %v", ready)
 	}
-	if got := d.Complete(a, nil); len(got) != 1 || got[0] != b {
+	if got := d.Complete(a); len(got) != 1 || got[0] != b {
 		t.Fatalf("child not released: %v", got)
 	}
 }
@@ -236,8 +236,8 @@ func TestDAGCompleteIdempotent(t *testing.T) {
 	b := mkTask("b", []string{"x"}, "y")
 	d, _ := NewDAG([]*Task{a, b}, nil, nil)
 	d.Ready()
-	d.Complete(a, a.DeclaredOutputs())
-	if got := d.Complete(a, a.DeclaredOutputs()); got != nil {
+	d.Complete(a)
+	if got := d.Complete(a); got != nil {
 		t.Fatalf("double complete released %v", got)
 	}
 }
@@ -325,7 +325,7 @@ func TestDAGReleaseInvariantProperty(t *testing.T) {
 				}
 			}
 			completed[task.ID] = true
-			for _, nt := range d.Complete(task, task.DeclaredOutputs()) {
+			for _, nt := range d.Complete(task) {
 				released[nt.ID]++
 				frontier = append(frontier, nt)
 			}
