@@ -8,6 +8,7 @@ import (
 	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
+	"hiway/internal/provenance"
 	"hiway/internal/scheduler"
 	"hiway/internal/sim"
 	"hiway/internal/wf"
@@ -35,15 +36,37 @@ func layered(layers, width int) []*wf.Task {
 	return tasks
 }
 
-// budget is one layer's allocation ceiling on a fixed workload, per task.
+// budget is one layer's allocation ceiling on a fixed workload, per task or
+// per event.
 type budget struct {
 	layer  string
-	tasks  int
-	allocs float64 // heap allocations per task
-	bytes  float64 // heap bytes per task
+	unit   string  // what the workload counts: "task" or "event"
+	units  int     // how many of them one run handles
+	allocs float64 // heap allocations per unit
+	bytes  float64 // heap bytes per unit
 	// prepare readies n runs of the workload and returns the function that
 	// performs the next one; only that function is measured.
 	prepare func(t *testing.T, n int) func()
+}
+
+// recordStream returns n tasks' start/end inputs for a provenance Manager:
+// eight signatures, two inputs and one output each, the last task retried.
+func recordStream(n int) ([]*wf.Task, []*wf.TaskResult, map[string]float64) {
+	tasks := make([]*wf.Task, n)
+	results := make([]*wf.TaskResult, n)
+	sizes := map[string]float64{}
+	for i := range tasks {
+		in := fmt.Sprintf("/in/%d", i%64)
+		sizes[in] = float64(1 + i%5)
+		out := fmt.Sprintf("/out/%d", i)
+		tasks[i] = &wf.Task{ID: int64(i + 1), Name: fmt.Sprintf("sig%d", i%8), Command: "run",
+			Inputs: []string{in, "/ref/index"}, OutputParams: []string{"out"}, CPUSeconds: 10, Threads: 1}
+		results[i] = &wf.TaskResult{Task: tasks[i], Node: fmt.Sprintf("node-%02d", i%16),
+			Start: float64(i), End: float64(i) + 10, ExecSec: 9,
+			Outputs: map[string][]wf.FileInfo{"out": {{Path: out, SizeMB: 2}}}}
+	}
+	results[n-1].Attempt = 1
+	return tasks, results, sizes
 }
 
 // TestAllocationBudgets pins what each layer allocates per task on a fixed
@@ -56,7 +79,7 @@ func TestAllocationBudgets(t *testing.T) {
 	for _, b := range []budget{
 		{
 			// NewDAG, then every task completed as it becomes ready.
-			layer: "wf: DAG build + complete-all", tasks: 1000, allocs: 2.88, bytes: 291,
+			layer: "wf: DAG build + complete-all", unit: "task", units: 1000, allocs: 2.88, bytes: 291,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(10, 100)
 				return func() {
@@ -76,7 +99,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
-			layer: "core: Run, static, fcfs", tasks: 1024, allocs: 38.0, bytes: 2550,
+			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 38.0, bytes: 2550,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(8, 128)
 				envs := make([]core.Env, n)
@@ -104,21 +127,48 @@ func TestAllocationBudgets(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A Manager records a start and an end event per task into a
+			// fresh MemStore and flushes: the record path, the hot index and
+			// the store's batches.
+			layer: "provenance: record + batch flush", unit: "event", units: 4096, allocs: 2.14, bytes: 540,
+			prepare: func(t *testing.T, n int) func() {
+				tasks, results, sizes := recordStream(2048)
+				return func() {
+					m, err := provenance.NewManager(provenance.NewMemStore())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, task := range tasks {
+						res := results[i]
+						if err := m.RecordTaskStart("wf-budget", "budget", task, res.Node, res.Attempt, res.Start); err != nil {
+							t.Fatal(err)
+						}
+						if err := m.RecordTaskEnd("wf-budget", "budget", res, sizes); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := m.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+		},
 	} {
 		// One warm-up and runs measured by AllocsPerRun, runs more for bytes.
 		run := b.prepare(t, 2*runs+1)
-		allocs := testing.AllocsPerRun(runs, run) / float64(b.tasks)
+		allocs := testing.AllocsPerRun(runs, run) / float64(b.units)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
 			run()
 		}
 		runtime.ReadMemStats(&after)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(b.tasks)
-		t.Logf("%-32s %6.2f allocs/task (budget %.2f)  %7.1f B/task (budget %.0f)", b.layer, allocs, b.allocs, bytes, b.bytes)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(b.units)
+		t.Logf("%-34s %6.2f allocs/%s (budget %.2f)  %7.1f B/%s (budget %.0f)", b.layer, allocs, b.unit, b.allocs, bytes, b.unit, b.bytes)
 		if allocs > b.allocs || bytes > b.bytes {
-			t.Errorf("%s: %.2f allocs and %.1f B per task, over the budget of %.2f and %.0f",
-				b.layer, allocs, bytes, b.allocs, b.bytes)
+			t.Errorf("%s: %.2f allocs and %.1f B per %s, over the budget of %.2f and %.0f",
+				b.layer, allocs, bytes, b.unit, b.allocs, b.bytes)
 		}
 	}
 }

@@ -516,12 +516,12 @@ func runSim(args []string) error {
 		// A shard records in time order, so one workflow's trace is its
 		// events as recorded. The file is created only now: -prov may name
 		// the trace -w is replaying.
-		perShard := make([][]provenance.Event, n)
+		stores := make([]*provenance.MemStore, n)
 		for i, s := range shards {
-			perShard[i] = s.store.View()
+			stores[i] = s.store
 		}
 		err := writeFile(*provPath, func(w io.Writer) error {
-			return provenance.WriteTrace(w, shard.MergeEvents(perShard))
+			return provenance.WriteTrace(w, shard.MergeEvents(stores))
 		})
 		if err != nil {
 			return err
@@ -987,15 +987,11 @@ func runServe(args []string) error {
 	fmt.Printf("serve: submitted %d  accepted %d  rejected %d  dropped %d  completed %d  failed %d  peak-running %d\n",
 		st.Submitted, st.Accepted, st.Rejected, st.Dropped, st.Completed, st.Failed, st.PeakRunning)
 	if *provPath != "" {
-		merged := provenance.NewMemStore()
-		n, err := srv.FlushProvenance(merged)
-		if err != nil {
+		merged := srv.MergedProvenance()
+		if err := writeFile(*provPath, func(w io.Writer) error { return provenance.WriteTrace(w, merged) }); err != nil {
 			return err
 		}
-		if err := writeFile(*provPath, func(w io.Writer) error { return provenance.WriteTrace(w, merged.View()) }); err != nil {
-			return err
-		}
-		fmt.Printf("prov: %s (%d events)\n", *provPath, n)
+		fmt.Printf("prov: %s (%d events)\n", *provPath, len(merged))
 	}
 	if err := writeMetrics(*metricsPath, srv.Obs()); err != nil {
 		return err
@@ -1031,10 +1027,8 @@ func runProv(args []string) error {
 			return err
 		}
 		mem := provenance.NewMemStore()
-		for _, ev := range events {
-			if err := mem.Append(ev); err != nil {
-				return err
-			}
+		if err := mem.AppendBatch(events); err != nil {
+			return err
 		}
 		store = mem
 	case *dbPath != "":

@@ -64,15 +64,19 @@ func main() {
 	if err := prov.Flush(); err != nil {
 		log.Fatal(err)
 	}
+	events, err := store.Events()
+	if err != nil {
+		log.Fatal(err)
+	}
 	trace, err := os.Create(workdir + "/trace.jsonl")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := provenance.WriteTrace(trace, store.View()); err != nil {
+	if err := provenance.WriteTrace(trace, events); err != nil {
 		log.Fatal(err)
 	}
 	if err := trace.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("provenance trace: %d events in %s/trace.jsonl\n", len(store.View()), workdir)
+	fmt.Printf("provenance trace: %d events in %s/trace.jsonl\n", len(events), workdir)
 }

@@ -189,6 +189,7 @@ type taskState struct {
 	nextIdx    int        // index of the task's next attempt
 	speculated bool       // a duplicate attempt was launched
 	completed  bool       // a result was accepted
+	queued     bool       // handed to the scheduler and not selected since
 	retries    int
 	excluded   []string   // nodes the task failed on; retries avoid them
 	span       obs.SpanID // open task span; 0 once ended or when tracing is off
@@ -605,7 +606,16 @@ func (am *AM) submit(t *wf.Task) {
 	if am.tryMemoHit(ts) {
 		return
 	}
-	am.sched.OnTaskReady(t)
+	am.enqueue(ts)
+}
+
+// enqueue hands a task to the scheduler, unless it is queued there already,
+// and requests a container for it.
+func (am *AM) enqueue(ts *taskState) {
+	if !ts.queued {
+		ts.queued = true
+		am.sched.OnTaskReady(ts.t)
+	}
 	am.requestContainer(ts)
 }
 
@@ -623,6 +633,28 @@ func (am *AM) hintAvoiding(excl []string) string {
 		}
 	}
 	return best
+}
+
+// hostsLeft reports whether some live node outside excl could ever host a
+// worker container: one whose capacity, less the AM's own container when it
+// runs there, fits it. Without one, an excluded task would wait forever.
+func (am *AM) hostsLeft(excl []string) bool {
+	res := am.containerResource()
+	amc := am.app.AMContainer
+	for _, id := range am.env.RM.LiveNodes() {
+		if slices.Contains(excl, id) {
+			continue
+		}
+		cores, mem := am.env.RM.Capacity(id)
+		if amc != nil && amc.NodeID == id {
+			cores -= amc.Resource.VCores
+			mem -= amc.Resource.MemMB
+		}
+		if cores >= res.VCores && mem >= res.MemMB {
+			return true
+		}
+	}
+	return false
 }
 
 // retryTarget picks the live node to re-pin a task onto: not excluded,
@@ -712,21 +744,47 @@ func (am *AM) onUnplaceable(ts *taskState) {
 }
 
 // onAnonymousContainer matches an allocated container to a queued task via
-// the scheduling policy. A nil selection with work still queued means the
-// policy declined this node (adaptive-greedy on a known-slow machine, any
-// policy on a blacklisted one): release the container and re-request one
-// steered elsewhere.
+// the scheduling policy. A task that already failed on the container's node
+// is passed over and goes back into the queue once the container has found
+// its task: it waits for a node it may use (the paper's
+// retry-on-different-node). A nil selection with work still queued means
+// the policy declined this node (adaptive-greedy on a known-slow machine,
+// any policy on a blacklisted one) or every queued task is excluded from
+// it: release the container and re-request one steered elsewhere — away
+// from the first passed-over task's excluded nodes when there was one.
 func (am *AM) onAnonymousContainer(c *yarn.Container) {
-	task := am.sched.Select(c.NodeID)
-	if task == nil {
+	var ts *taskState
+	var passed []*taskState
+	for ts == nil {
+		task := am.sched.Select(c.NodeID)
+		if task == nil {
+			break
+		}
+		cand := am.tasks[task.ID]
+		cand.queued = false
+		if slices.Contains(cand.excluded, c.NodeID) {
+			passed = append(passed, cand)
+		} else {
+			ts = cand
+		}
+	}
+	for _, p := range passed {
+		p.queued = true
+		am.sched.OnTaskReady(p.t)
+	}
+	if ts == nil {
 		am.app.Release(c)
 		if !am.finished && am.sched.Queued() > am.app.PendingRequests() {
-			hint := am.hintAvoiding([]string{c.NodeID})
+			avoid := []string{c.NodeID}
+			if len(passed) > 0 {
+				avoid = passed[0].excluded
+			}
+			hint := am.hintAvoiding(avoid)
 			am.app.Request(yarn.Request{Resource: am.containerResource(), NodeHint: hint}, am.onAnonymousContainer)
 		}
 		return
 	}
-	am.launchAttempt(am.tasks[task.ID], c, false)
+	am.launchAttempt(ts, c, false)
 }
 
 // attemptDeadline computes the per-attempt deadline for a task: the
@@ -762,14 +820,6 @@ func (am *AM) launchAttempt(ts *taskState, c *yarn.Container, speculative bool) 
 		return
 	}
 	t := ts.t
-	if !speculative && slices.Contains(ts.excluded, c.NodeID) {
-		// The task already failed on this node; re-queue it and ask for a
-		// different container (the paper's retry-on-different-node).
-		am.sched.OnTaskReady(t)
-		am.app.Release(c)
-		am.requestContainer(ts)
-		return
-	}
 	node := am.env.Cluster.Node(c.NodeID)
 	if node == nil {
 		am.finish(fmt.Errorf("core: container on unknown node %s", c.NodeID))
@@ -1058,12 +1108,13 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 			t, ts.retries, a.res.Node, a.res.Error))
 		return
 	}
-	// Exclude the failing node and retry elsewhere. If every node is
-	// excluded, start over (the node set may be partly dead).
+	// Exclude the failing node and retry elsewhere. If every node that
+	// could host the task is excluded, start over (the node set may be
+	// partly dead).
 	if !slices.Contains(ts.excluded, a.res.Node) {
 		ts.excluded = append(ts.excluded, a.res.Node)
 	}
-	if len(ts.excluded) >= len(am.env.RM.LiveNodes()) {
+	if !am.hostsLeft(ts.excluded) {
 		ts.excluded = nil
 	}
 	// Static plans pin tasks to nodes; move the pin off the failing
@@ -1073,8 +1124,7 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 			ra.Reassign(t, target)
 		}
 	}
-	am.sched.OnTaskReady(t)
-	am.requestContainer(ts)
+	am.enqueue(ts)
 }
 
 // accept completes a task with its one accepted result, an attempt's or a

@@ -197,7 +197,11 @@ func perRunProvenance(t *testing.T, s *service.Server) map[string][]byte {
 		t.Fatal(err)
 	}
 	byRun := map[string][]provenance.Event{}
-	for _, ev := range store.View() {
+	evs, err := store.Events()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
 		byRun[ev.WorkflowID] = append(byRun[ev.WorkflowID], ev)
 	}
 	out := make(map[string][]byte, len(byRun))

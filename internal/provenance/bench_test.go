@@ -149,3 +149,43 @@ func BenchmarkDBStore(b *testing.B) {
 		perEvent(b)
 	})
 }
+
+// BenchmarkMemStore times the in-memory store on the same 5,800 events, per
+// event: appending them in the Manager's batches of 128 (append), and one
+// pass of scanEvents over them in place (scan), what every reader of a
+// MemStore does.
+func BenchmarkMemStore(b *testing.B) {
+	evs := montageShaped(481)
+	fill := func() *MemStore {
+		st := NewMemStore()
+		for at := 0; at < len(evs); at += flushEvery {
+			if err := st.AppendBatch(evs[at:min(at+flushEvery, len(evs))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return st
+	}
+	perEvent := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if st := fill(); st.Len() != len(evs) {
+				b.Fatal(st.Len())
+			}
+		}
+		perEvent(b)
+	})
+	st := fill()
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			if err := scanEvents(st, func(ev *Event) { n++ }); err != nil || n != len(evs) {
+				b.Fatal(n, err)
+			}
+		}
+		perEvent(b)
+	})
+}

@@ -14,7 +14,7 @@
 package provenance
 
 import (
-	"fmt"
+	"strconv"
 
 	"hiway/internal/wf"
 )
@@ -96,12 +96,8 @@ type Event struct {
 // attempt of a task yields a distinct event (retries and speculative
 // duplicates suffix the ID), so failed attempts stay visible in the trace.
 func TaskEndEvent(wfID, wfName string, res *wf.TaskResult, inputSizes map[string]float64) Event {
-	id := fmt.Sprintf("%s-task-%d", wfID, res.Task.ID)
-	if res.Attempt > 0 {
-		id = fmt.Sprintf("%s-a%d", id, res.Attempt)
-	}
 	ev := Event{
-		ID:           id,
+		ID:           taskEventID(wfID, res.Task.ID, "", res.Attempt),
 		Type:         TaskEnd,
 		Timestamp:    res.End,
 		WorkflowID:   wfID,
@@ -123,13 +119,40 @@ func TaskEndEvent(wfID, wfName string, res *wf.TaskResult, inputSizes map[string
 		Threads:      res.Task.Threads,
 		MemMB:        res.Task.MemMB,
 	}
-	for _, in := range res.Task.Inputs {
-		ev.Inputs = append(ev.Inputs, FileEvent{Path: in, SizeMB: inputSizes[in]})
+	if n := len(res.Task.Inputs); n > 0 {
+		ev.Inputs = make([]FileEvent, n)
+		for i, in := range res.Task.Inputs {
+			ev.Inputs[i] = FileEvent{Path: in, SizeMB: inputSizes[in]}
+		}
 	}
+	outs := 0
 	for _, param := range res.Task.OutputParams {
-		for _, fi := range res.Outputs[param] {
-			ev.Outputs = append(ev.Outputs, FileEvent{Path: fi.Path, SizeMB: fi.SizeMB, Param: param})
+		outs += len(res.Outputs[param])
+	}
+	if outs > 0 {
+		ev.Outputs = make([]FileEvent, 0, outs)
+		for _, param := range res.Task.OutputParams {
+			for _, fi := range res.Outputs[param] {
+				ev.Outputs = append(ev.Outputs, FileEvent{Path: fi.Path, SizeMB: fi.SizeMB, Param: param})
+			}
 		}
 	}
 	return ev
+}
+
+// taskEventID returns "<wfID>-task-<task><suffix>", then "-a<attempt>" for
+// a retry or speculative duplicate (attempt > 0): the ID of one attempt's
+// task-start (suffix "-start") or task-end (suffix "") event, built in a
+// stack buffer with one allocation, the string.
+func taskEventID(wfID string, task int64, suffix string, attempt int) string {
+	var buf [64]byte
+	b := append(buf[:0], wfID...)
+	b = append(b, "-task-"...)
+	b = strconv.AppendInt(b, task, 10)
+	b = append(b, suffix...)
+	if attempt > 0 {
+		b = append(b, "-a"...)
+		b = strconv.AppendInt(b, int64(attempt), 10)
+	}
+	return string(b)
 }

@@ -252,18 +252,44 @@ func TestDeepLineageIsLinear(t *testing.T) {
 	}
 }
 
-// TestMemStoreViewIsStable pins the no-copy read: a view never sees later
-// appends and cannot be appended into the store's array.
-func TestMemStoreViewIsStable(t *testing.T) {
+// allEvents returns a copy of every event in st.
+func allEvents(tb testing.TB, st Store) []Event {
+	tb.Helper()
+	evs, err := st.Events()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return evs
+}
+
+// TestMemStoreScanIsStable pins the no-copy read: a scan taken before an
+// append never sees it, even an append made from inside the scan, and the
+// next scan from the returned position sees exactly the new events.
+func TestMemStoreScanIsStable(t *testing.T) {
 	st := NewMemStore()
 	_ = st.Append(Event{ID: "a"})
-	v := st.View()
-	_ = append(v, Event{ID: "intruder"})
-	_ = st.Append(Event{ID: "b"})
-	if len(v) != 1 || v[0].ID != "a" {
-		t.Fatalf("view changed: %+v", v)
+	var seen []string
+	next := st.Scan(0, func(pos int, evs []Event) {
+		for i := range evs {
+			seen = append(seen, evs[i].ID)
+		}
+		if st.Len() == 1 { // append once, so a scan that sees it still ends
+			_ = st.AppendBatch([]Event{{ID: "b"}, {ID: "c"}})
+		}
+	})
+	if next != 1 || len(seen) != 1 || seen[0] != "a" {
+		t.Fatalf("scan saw %v and returned %d; want [a] and 1", seen, next)
 	}
-	if got := st.View(); len(got) != 2 || got[1].ID != "b" {
-		t.Fatalf("store lost an append: %+v", got)
+	seen = seen[:0]
+	end := st.Scan(next, func(pos int, evs []Event) {
+		if pos != 1 {
+			t.Fatalf("resumed scan starts at %d, want 1", pos)
+		}
+		for i := range evs {
+			seen = append(seen, evs[i].ID)
+		}
+	})
+	if end != 3 || strings.Join(seen, ",") != "b,c" {
+		t.Fatalf("resumed scan saw %v and returned %d; want [b c] and 3", seen, end)
 	}
 }

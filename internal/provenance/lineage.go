@@ -98,7 +98,7 @@ func (q Query) String() string {
 // it, exactly as the server asks its long-lived one.
 func RunQuery(store Store, q Query) (string, error) {
 	if q.Op == OpDiff {
-		d, err := diffRuns(q.RunA, q.RunB, func(fn func(*Event)) error { return scanEvents(store, fn) })
+		d, err := DiffRuns(q.RunA, q.RunB, store)
 		if err != nil {
 			return "", err
 		}
@@ -222,22 +222,9 @@ type RunDiff struct {
 // DiffRuns compares two recorded workflow runs signature by signature —
 // "what changed between yesterday's run and today's?". Memo-hit counts per
 // side make memoization's contribution to a faster run visible in the
-// diff. It scans the given event streams in order and keeps the events of
-// the two named runs: one stream holding a whole trace, or just the two
-// runs' own streams.
-func DiffRuns(runA, runB string, streams ...[]Event) (*RunDiff, error) {
-	return diffRuns(runA, runB, func(fn func(*Event)) error {
-		for _, evs := range streams {
-			for i := range evs {
-				fn(&evs[i])
-			}
-		}
-		return nil
-	})
-}
-
-// diffRuns is DiffRuns over whatever each hands its events to fn, in order.
-func diffRuns(runA, runB string, each func(fn func(*Event)) error) (*RunDiff, error) {
+// diff. It scans the given stores in order and keeps the events of the two
+// named runs: one store holding a whole trace, or just the two runs' own.
+func DiffRuns(runA, runB string, stores ...Store) (*RunDiff, error) {
 	d := &RunDiff{RunA: runA, RunB: runB}
 	type acc struct {
 		count, memo int
@@ -276,8 +263,10 @@ func diffRuns(runA, runB string, each func(fn func(*Event)) error) (*RunDiff, er
 			}
 		}
 	}
-	if err := each(scan); err != nil {
-		return nil, err
+	for _, st := range stores {
+		if err := scanEvents(st, scan); err != nil {
+			return nil, err
+		}
 	}
 	if !seenA {
 		return nil, fmt.Errorf("provenance: run %q not in trace", runA)

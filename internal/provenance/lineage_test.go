@@ -46,7 +46,7 @@ func traceFixture(t *testing.T) *MemStore {
 }
 
 func TestLineageWalksProducersToStagedLeaves(t *testing.T) {
-	n := indexEvents(traceFixture(t).View()).Lineage("/wf2/annotated.vcf")
+	n := indexEvents(allEvents(t, traceFixture(t))).Lineage("/wf2/annotated.vcf")
 	if n.Producer == nil || n.Producer.Signature != "annotate" {
 		t.Fatalf("root producer: %+v", n.Producer)
 	}
@@ -80,7 +80,7 @@ func TestLineageCutsCycles(t *testing.T) {
 		Inputs: []FileEvent{{Path: "/b"}}, Outputs: []FileEvent{{Path: "/a"}}})
 	_ = st.Append(Event{ID: "t2", Type: TaskEnd, WorkflowID: "wf", TaskID: 2, Signature: "s2",
 		Inputs: []FileEvent{{Path: "/a"}}, Outputs: []FileEvent{{Path: "/b"}}})
-	n := indexEvents(st.View()).Lineage("/a")
+	n := indexEvents(allEvents(t, st)).Lineage("/a")
 	// /a <- s1 <- /b <- s2 <- /a (cut: leaf, no producer)
 	inner := n.Producer.Inputs[0].Producer.Inputs[0]
 	if inner.Path != "/a" || inner.Producer != nil {
@@ -89,7 +89,7 @@ func TestLineageCutsCycles(t *testing.T) {
 }
 
 func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
-	d, err := DiffRuns("wf-a", "wf-b", traceFixture(t).View())
+	d, err := DiffRuns("wf-a", "wf-b", traceFixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
 	if call.TotalSecA != 5 || call.TotalSecB != 0 {
 		t.Fatalf("call durations: %+v", call)
 	}
-	if _, err := DiffRuns("wf-a", "nope", traceFixture(t).View()); err == nil {
+	if _, err := DiffRuns("wf-a", "nope", traceFixture(t)); err == nil {
 		t.Fatal("diff against an unknown run did not error")
 	}
 	if !strings.Contains(RenderRunDiff(d), "only in wf-b: annotate") {
@@ -118,7 +118,7 @@ func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
 }
 
 func TestMemoHitsAttribution(t *testing.T) {
-	ix := indexEvents(traceFixture(t).View())
+	ix := indexEvents(allEvents(t, traceFixture(t)))
 	hits := ix.MemoHits("")
 	if len(hits) != 1 {
 		t.Fatalf("hits: %+v", hits)
@@ -217,9 +217,9 @@ func FuzzProvQuery(f *testing.F) {
 		var want string
 		switch q.Op {
 		case OpLineage:
-			want = refRenderLineage(refLineage(st.View(), q.Path))
+			want = refRenderLineage(refLineage(allEvents(t, st), q.Path))
 		case OpMemoHits:
-			want = RenderMemoHits(refMemoHits(st.View(), q.Run))
+			want = RenderMemoHits(refMemoHits(allEvents(t, st), q.Run))
 		case OpDiff:
 			return // errors on unknown runs; must only not panic
 		}

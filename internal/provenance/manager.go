@@ -131,12 +131,8 @@ func (m *Manager) RecordWorkflowEnd(wfID, wfName string, at, makespan float64, o
 // RecordTaskStart emits a task-start event for one attempt of a task.
 // Retries and speculative duplicates pass attempt > 0 and get distinct IDs.
 func (m *Manager) RecordTaskStart(wfID, wfName string, t *wf.Task, node string, attempt int, at float64) error {
-	id := fmt.Sprintf("%s-task-%d-start", wfID, t.ID)
-	if attempt > 0 {
-		id = fmt.Sprintf("%s-a%d", id, attempt)
-	}
 	return m.Record(Event{
-		ID:   id,
+		ID:   taskEventID(wfID, t.ID, "-start", attempt),
 		Type: TaskStart, Timestamp: at,
 		WorkflowID: wfID, WorkflowName: wfName,
 		TaskID: t.ID, Attempt: attempt, Signature: t.Name, Command: t.Command, Node: node,

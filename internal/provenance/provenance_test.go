@@ -248,9 +248,11 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// A growing MemStore must not re-copy its log at append's 1.25× steps (5.3×
-// the final size for a sim-wide run's 20,000 events), and a store fed one
-// batch — every small run of a server — must allocate that batch and no more.
+// A growing MemStore copies each event once, into a chunk of exactly its
+// batch: appending 20,000 events in the Manager's 128-event batches costs the
+// events plus the allocator's rounding of each chunk, never a re-copy of the
+// log, and a store fed one batch — every small run of a server — allocates
+// that batch and no more.
 func TestMemStoreGrowthCopiesLittle(t *testing.T) {
 	const total, batchLen = 20000, 128
 	const evSize = uint64(unsafe.Sizeof(Event{}))
@@ -263,20 +265,20 @@ func TestMemStoreGrowthCopiesLittle(t *testing.T) {
 			}
 		}
 	})
-	if n := len(st.View()); n != total {
+	if n := st.Len(); n != total {
 		t.Fatalf("store holds %d events, want %d", n, total)
 	}
-	if limit := total * evSize * 35 / 10; got > limit {
-		t.Fatalf("appending %d events allocated %d bytes, %.1f× the log; want at most 3.5×",
+	if limit := total * evSize * 12 / 10; got > limit {
+		t.Fatalf("appending %d events allocated %d bytes, %.2f× the log; want at most 1.2×",
 			total, got, float64(got)/float64(total*evSize))
 	}
 
 	one := NewMemStore()
 	got = allocatedBy(func() { _ = one.AppendBatch(batch[:90]) })
 	// 90 events round up to the allocator's next size class, not to a chunk.
-	if limit := 90 * evSize * 11 / 10; cap(one.events) != 90 || got > limit {
-		t.Fatalf("one 90-event batch: capacity %d, %d bytes allocated; want 90 and at most %d",
-			cap(one.events), got, limit)
+	if limit := 90 * evSize * 11 / 10; len(one.chunks) != 1 || cap(one.chunks[0]) != 90 || got > limit {
+		t.Fatalf("one 90-event batch: %d chunks, %d bytes allocated; want one 90-event chunk and at most %d",
+			len(one.chunks), got, limit)
 	}
 }
 
@@ -291,7 +293,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events := store.View()
+	events := allEvents(t, store)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, events); err != nil {
 		t.Fatal(err)
@@ -542,5 +544,67 @@ func TestTaskEndEventFields(t *testing.T) {
 	}
 	if !strings.Contains(ev.ID, "wfX") {
 		t.Fatalf("id = %q", ev.ID)
+	}
+}
+
+// TestTaskEventIDsMatchTheirFormat pins the event IDs the record path builds
+// with strconv to the fmt formats they replaced: "%s-task-%d" plus
+// "-start" for a task-start, then "%s-a%d" for an attempt above 0.
+func TestTaskEventIDsMatchTheirFormat(t *testing.T) {
+	long := strings.Repeat("w", 80) // past the stack buffer
+	for _, c := range []struct {
+		wfID    string
+		task    int64
+		attempt int
+	}{
+		{"wf1", 1, 0},
+		{"wf1", 7, 1},
+		{"hiway-snv-00", 255, 0},
+		{"hiway-snv-00", 256, 3},
+		{"hiway-snv-00", 1 << 40, 12},
+		{"100%-done %d %s", 42, 2},
+		{"", 0, 0},
+		{long, 99999, 7},
+	} {
+		start := fmt.Sprintf("%s-task-%d-start", c.wfID, c.task)
+		end := fmt.Sprintf("%s-task-%d", c.wfID, c.task)
+		if c.attempt > 0 {
+			start = fmt.Sprintf("%s-a%d", start, c.attempt)
+			end = fmt.Sprintf("%s-a%d", end, c.attempt)
+		}
+		m, _ := NewManager(NewMemStore())
+		if err := m.RecordTaskStart(c.wfID, "n", &wf.Task{ID: c.task}, "node", c.attempt, 0); err != nil {
+			t.Fatal(err)
+		}
+		res := &wf.TaskResult{Task: &wf.Task{ID: c.task}, Attempt: c.attempt}
+		evs := allEvents(t, m.Store())
+		if got := evs[0].ID; got != start {
+			t.Errorf("task-start ID %q, want %q", got, start)
+		}
+		if got := TaskEndEvent(c.wfID, "n", res, nil).ID; got != end {
+			t.Errorf("task-end ID %q, want %q", got, end)
+		}
+	}
+}
+
+// TestTaskEndEventSizesItsFiles pins that a task-end's file lists are built
+// at their final length, and stay nil when a task has no files.
+func TestTaskEndEventSizesItsFiles(t *testing.T) {
+	task := &wf.Task{ID: 1, Name: "t", Inputs: []string{"a", "b", "c"}, OutputParams: []string{"x", "y"}}
+	res := &wf.TaskResult{Task: task, Outputs: map[string][]wf.FileInfo{
+		"x": {{Path: "x1", SizeMB: 1}, {Path: "x2", SizeMB: 2}},
+		"y": {{Path: "y1", SizeMB: 3}},
+	}}
+	ev := TaskEndEvent("wf", "n", res, map[string]float64{"b": 5})
+	if len(ev.Inputs) != 3 || cap(ev.Inputs) != 3 || ev.Inputs[1] != (FileEvent{Path: "b", SizeMB: 5}) {
+		t.Fatalf("inputs %+v (cap %d)", ev.Inputs, cap(ev.Inputs))
+	}
+	want := []FileEvent{{Path: "x1", SizeMB: 1, Param: "x"}, {Path: "x2", SizeMB: 2, Param: "x"}, {Path: "y1", SizeMB: 3, Param: "y"}}
+	if !reflect.DeepEqual(ev.Outputs, want) || cap(ev.Outputs) != 3 {
+		t.Fatalf("outputs %+v (cap %d), want %+v", ev.Outputs, cap(ev.Outputs), want)
+	}
+	bare := TaskEndEvent("wf", "n", &wf.TaskResult{Task: &wf.Task{ID: 2, OutputParams: []string{"x"}}}, nil)
+	if bare.Inputs != nil || bare.Outputs != nil {
+		t.Fatalf("a task without files got %+v and %+v", bare.Inputs, bare.Outputs)
 	}
 }

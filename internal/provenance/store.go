@@ -29,78 +29,110 @@ type BatchAppender interface {
 	AppendBatch(evs []Event) error
 }
 
-// MemStore keeps events in memory. The zero value is ready to use.
+// MemStore keeps events in memory as a list of immutable chunks. Each
+// AppendBatch copies its batch once, into a new chunk of exactly the batch's
+// length, and no chunk is ever copied or written again: a growing log costs
+// its events and nothing more, and a reader needs no copy to see them. The
+// zero value is ready to use.
 type MemStore struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]Event
+	n      int // events across chunks
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
-// Append implements Store.
+// Append implements Store: a one-event batch.
 func (s *MemStore) Append(ev Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.events = append(s.events, ev)
-	return nil
+	return s.AppendBatch([]Event{ev})
 }
 
-// AppendBatch implements BatchAppender. A log that outgrows its array
-// doubles it: append's 1.25× rule for large slices re-copies a 20,000-event
-// log into five times its final size. A store fed one batch still allocates
-// exactly that batch.
+// AppendBatch implements BatchAppender. The batch is copied, so the caller
+// may reuse evs (the Manager refills one buffer).
 func (s *MemStore) AppendBatch(evs []Event) error {
+	if len(evs) == 0 {
+		return nil
+	}
+	chunk := make([]Event, len(evs))
+	copy(chunk, evs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if need := len(s.events) + len(evs); need > cap(s.events) {
-		grown := make([]Event, len(s.events), max(need, 2*cap(s.events)))
-		copy(grown, s.events)
-		s.events = grown
-	}
-	s.events = append(s.events, evs...)
+	s.chunks = append(s.chunks, chunk)
+	s.n += len(chunk)
 	return nil
 }
 
-// Events implements Store.
-func (s *MemStore) Events() ([]Event, error) {
+// snapshot returns the chunks stored so far and how many events they hold.
+// The list is clipped and its chunks are never written again, so it may be
+// read without the lock while appends go on behind it.
+func (s *MemStore) snapshot() ([][]Event, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out, nil
+	return s.chunks[:len(s.chunks):len(s.chunks)], s.n
 }
 
-// View returns the stored events without copying them. The store only ever
-// appends, so the returned slice — clipped to its length — never changes;
-// events appended later are not visible through it.
-func (s *MemStore) View() []Event {
+// Len returns how many events the store holds.
+func (s *MemStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.events[:len(s.events):len(s.events)]
+	return s.n
+}
+
+// Scan calls fn with the stored events from position from on, in append
+// order, a chunk (or a chunk's tail) at a time: evs holds the events at
+// positions pos, pos+1, …. Chunks wholly below from are skipped. Scan returns
+// the position after the last event it visited; events appended once Scan
+// has begun are not visited, so a reader that passes that position to its
+// next Scan sees every event exactly once. fn must not modify evs; what it
+// points to is never written again and may be kept.
+func (s *MemStore) Scan(from int, fn func(pos int, evs []Event)) int {
+	chunks, n := s.snapshot()
+	pos := 0
+	for _, c := range chunks {
+		if end := pos + len(c); end > from {
+			off := max(from-pos, 0)
+			fn(pos+off, c[off:])
+		}
+		pos += len(c)
+	}
+	return n
+}
+
+// Events implements Store: one fresh copy of every event.
+func (s *MemStore) Events() ([]Event, error) {
+	chunks, n := s.snapshot()
+	out := make([]Event, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out, nil
 }
 
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
 
 // scanEvents calls fn with each of store's events in append order, reading
-// the store in place where it can be: a MemStore through its view, a DBStore
+// the store in place where it can be: a MemStore chunk by chunk, a DBStore
 // record by record; any other store through Events. ev is only good for the
 // call (a DBStore decodes every event into the same value), but what it
 // points to — its strings, Inputs, Outputs — is never written again and may
 // be kept.
 func scanEvents(store Store, fn func(ev *Event)) error {
-	var evs []Event
 	switch s := store.(type) {
 	case *DBStore:
 		return s.scan(fn)
 	case *MemStore:
-		evs = s.View()
-	default:
-		var err error
-		if evs, err = store.Events(); err != nil {
-			return err
-		}
+		s.Scan(0, func(_ int, evs []Event) {
+			for i := range evs {
+				fn(&evs[i])
+			}
+		})
+		return nil
+	}
+	evs, err := store.Events()
+	if err != nil {
+		return err
 	}
 	for i := range evs {
 		fn(&evs[i])
@@ -115,7 +147,7 @@ func eventsHint(store Store) int {
 	case *DBStore:
 		return s.db.Len()
 	case *MemStore:
-		return len(s.View())
+		return s.Len()
 	}
 	return 0
 }

@@ -335,6 +335,19 @@ func (s *DataAware) OnTaskReady(t *wf.Task) {
 	s.seq++
 	e := &daEntry{t: t, seq: s.seq}
 	s.queued[t.ID] = e
+	// An entry served from a bucket stays in fifo until the head passes
+	// it; once such entries outnumber the live ones, drop them, so re-queues
+	// cannot grow fifo without bound. Live entries keep their order.
+	if len(s.fifo)-s.head > 2*len(s.queued)+64 {
+		live := s.fifo[:0]
+		for _, old := range s.fifo[s.head:] {
+			if old != nil && s.queued[old.t.ID] == old {
+				live = append(live, old)
+			}
+		}
+		clear(s.fifo[len(live):])
+		s.fifo, s.head = live, 0
+	}
 	s.fifo = append(s.fifo, e)
 	s.score(e)
 }

@@ -61,12 +61,10 @@ func (s *Server) withProvIndex(fn func(ix *provenance.Index)) {
 			terminal = true
 		default:
 		}
-		evs := r.prov.View()
-		if from := p.folded[i]; from < len(evs) {
-			p.ix.Fold(i, from, evs[from:])
-			p.folded[i] = len(evs)
-			n += len(evs) - from
-		}
+		p.folded[i] = r.prov.Scan(p.folded[i], func(pos int, evs []provenance.Event) {
+			p.ix.Fold(i, pos, evs)
+			n += len(evs)
+		})
 		if terminal && i == p.settled {
 			p.settled++
 		}
@@ -80,7 +78,7 @@ func (s *Server) withProvIndex(fn func(ix *provenance.Index)) {
 }
 
 // queryProvenance answers one parsed provenance query. Lineage and memo-hits
-// come from the index; diff reads the two named runs' own buffers (a run's
+// come from the index; diff scans the two named runs' own buffers (a run's
 // events all carry its ID, so no other buffer can contribute).
 func (s *Server) queryProvenance(q provenance.Query) (out string, err error) {
 	if q.Op != provenance.OpDiff {
@@ -91,13 +89,13 @@ func (s *Server) queryProvenance(q provenance.Query) (out string, err error) {
 	if q.RunA == q.RunB {
 		ids = ids[:1] // one buffer, scanned once
 	}
-	var streams [][]provenance.Event
+	var stores []provenance.Store
 	for _, id := range ids {
 		if r := s.runs.Load(id); r != nil {
-			streams = append(streams, r.prov.View())
+			stores = append(stores, r.prov)
 		}
 	}
-	d, err := provenance.DiffRuns(q.RunA, q.RunB, streams...)
+	d, err := provenance.DiffRuns(q.RunA, q.RunB, stores...)
 	if err != nil {
 		return "", err
 	}

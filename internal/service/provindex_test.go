@@ -93,7 +93,10 @@ func requireAgreesWithFlush(t *testing.T, s *Server, queries []string) {
 	if err := json.Unmarshal(get(t, s.Handler(), "/v1/provenance").Body.Bytes(), &pr); err != nil {
 		t.Fatal(err)
 	}
-	evs := fresh.View()
+	evs, err := fresh.Events()
+	if err != nil {
+		t.Fatal(err)
+	}
 	hits := 0
 	for i := range evs {
 		if evs[i].MemoHit {
@@ -118,7 +121,7 @@ func TestProvenanceIndexFoldsEachEventOnce(t *testing.T) {
 	held := func() int {
 		n := 0
 		for _, r := range s.admittedRuns() {
-			n += len(r.prov.View())
+			n += r.prov.Len()
 		}
 		return n
 	}
@@ -328,7 +331,7 @@ func TestFlushProvenanceBytesUnchanged(t *testing.T) {
 		b, _ := json.Marshal(tg.ev)
 		want.Write(append(b, '\n'))
 	}
-	for _, ev := range flushed(t, s).View() {
+	for _, ev := range s.MergedProvenance() {
 		b, _ := json.Marshal(ev)
 		got.Write(append(b, '\n'))
 	}

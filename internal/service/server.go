@@ -707,17 +707,23 @@ func (s *Server) admittedRuns() []*Run {
 	return s.admitted[:len(s.admitted):len(s.admitted)]
 }
 
-// FlushProvenance merges every admitted run's provenance buffer into dst
-// using internal/shard's deterministic merge discipline — events ordered by
-// (timestamp, admission index, within-run position) — so the flushed trace
-// is independent of goroutine scheduling. Call after Drained.
-func (s *Server) FlushProvenance(dst provenance.Store) (int, error) {
+// MergedProvenance merges every admitted run's provenance buffer using
+// internal/shard's deterministic merge discipline — events ordered by
+// (timestamp, admission index, within-run position) — so the merged trace is
+// independent of goroutine scheduling. Call after Drained.
+func (s *Server) MergedProvenance() []provenance.Event {
 	admitted := s.admittedRuns()
-	shards := make([][]provenance.Event, len(admitted))
+	stores := make([]*provenance.MemStore, len(admitted))
 	for i, r := range admitted {
-		shards[i] = r.prov.View()
+		stores[i] = r.prov
 	}
-	merged := shard.MergeEvents(shards)
+	return shard.MergeEvents(stores)
+}
+
+// FlushProvenance appends MergedProvenance to dst and returns how many
+// events it appended.
+func (s *Server) FlushProvenance(dst provenance.Store) (int, error) {
+	merged := s.MergedProvenance()
 	if ba, ok := dst.(provenance.BatchAppender); ok {
 		return len(merged), ba.AppendBatch(merged)
 	}

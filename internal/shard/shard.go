@@ -94,28 +94,34 @@ func Run(n, workers int, fn func(shard int) error) error {
 	return nil
 }
 
-// MergeEvents merges per-shard provenance streams into one stream ordered by
+// MergeEvents merges per-shard provenance stores into one stream ordered by
 // provenance.MergeKey: (timestamp, shard index, within-shard position). The
 // key is total, so equal-timestamp events keep shard order first and
 // shard-local order second whether or not a shard's own timestamps are
 // monotone, and the result is independent of how the shards were scheduled
-// onto workers. Only the 16-byte keys are sorted; each event is copied once,
-// into its final place.
-func MergeEvents(shards [][]provenance.Event) []provenance.Event {
+// onto workers. The stores are read in place: only 16-byte keys are sorted,
+// each pointing at its event through Pos — a position in all the stores'
+// events taken in shard order, which orders a shard's events as its own
+// positions do — and each event is copied once, into its final place.
+func MergeEvents(stores []*provenance.MemStore) []provenance.Event {
 	total := 0
-	for _, s := range shards {
-		total += len(s)
+	for _, st := range stores {
+		total += st.Len()
 	}
 	keys := make([]provenance.MergeKey, 0, total)
-	for i, s := range shards {
-		for j := range s {
-			keys = append(keys, provenance.MergeKey{Timestamp: s[j].Timestamp, Run: int32(i), Pos: int32(j)})
-		}
+	evs := make([]*provenance.Event, 0, total)
+	for i, st := range stores {
+		st.Scan(0, func(_ int, chunk []provenance.Event) {
+			for j := range chunk {
+				keys = append(keys, provenance.MergeKey{Timestamp: chunk[j].Timestamp, Run: int32(i), Pos: int32(len(evs))})
+				evs = append(evs, &chunk[j])
+			}
+		})
 	}
 	slices.SortFunc(keys, provenance.MergeKey.Compare)
-	out := make([]provenance.Event, total)
+	out := make([]provenance.Event, len(keys))
 	for i, k := range keys {
-		out[i] = shards[k.Run][k.Pos]
+		out[i] = *evs[k.Pos]
 	}
 	return out
 }

@@ -84,11 +84,11 @@ func TestMergeEventsTimestampThenShardOrder(t *testing.T) {
 	ev := func(ts float64, id string) provenance.Event {
 		return provenance.Event{ID: id, Timestamp: ts}
 	}
-	merged := MergeEvents([][]provenance.Event{
+	merged := MergeEvents(memStores([][]provenance.Event{
 		{ev(1, "a1"), ev(5, "a2"), ev(5, "a3")},
 		{ev(0, "b1"), ev(5, "b2")},
 		{ev(5, "c1"), ev(9, "c2")},
-	})
+	}, 2))
 	want := []string{"b1", "a1", "a2", "a3", "b2", "c1", "c2"}
 	if len(merged) != len(want) {
 		t.Fatalf("merged %d events, want %d", len(merged), len(want))
@@ -98,6 +98,23 @@ func TestMergeEventsTimestampThenShardOrder(t *testing.T) {
 			t.Fatalf("position %d: got %s, want %s (full: %v)", i, merged[i].ID, id, merged)
 		}
 	}
+}
+
+// memStores loads each shard's events into a store of its own, in batches of
+// at most batch events, so a shard spans several chunks.
+func memStores(shards [][]provenance.Event, batch int) []*provenance.MemStore {
+	out := make([]*provenance.MemStore, len(shards))
+	for i, evs := range shards {
+		out[i] = provenance.NewMemStore()
+		for len(evs) > 0 {
+			n := min(batch, len(evs))
+			if err := out[i].AppendBatch(evs[:n]); err != nil {
+				panic(err)
+			}
+			evs = evs[n:]
+		}
+	}
+	return out
 }
 
 // stableSortMerge is the merge MergeEvents replaced — a stable sort of the
@@ -148,7 +165,7 @@ func TestMergeEventsMatchesStableSort(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		shards := randomShards(rng, 1+rng.Intn(9), 40, seed%2 == 0)
-		got, want := MergeEvents(shards), stableSortMerge(shards)
+		got, want := MergeEvents(memStores(shards, 1+rng.Intn(16))), stableSortMerge(shards)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: merged %d events, want %d", seed, len(got), len(want))
 		}
@@ -162,7 +179,8 @@ func TestMergeEventsMatchesStableSort(t *testing.T) {
 
 // BenchmarkMergeEvents times the merge at the two shapes it runs at: a
 // sharded `hiway sim` (few long streams) and a server's drain flush (one
-// short stream per admitted run).
+// short stream per admitted run), each shard stored in the Manager's
+// 128-event batches.
 func BenchmarkMergeEvents(b *testing.B) {
 	for _, shape := range []struct{ shards, perShard int }{{8, 1000}, {700, 90}} {
 		b.Run(fmt.Sprintf("%dx%d", shape.shards, shape.perShard), func(b *testing.B) {
@@ -175,10 +193,11 @@ func BenchmarkMergeEvents(b *testing.B) {
 					shards[i] = append(shards[i], provenance.Event{Timestamp: now})
 				}
 			}
+			stores := memStores(shards, 128)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := MergeEvents(shards); len(got) != shape.shards*shape.perShard {
+				if got := MergeEvents(stores); len(got) != shape.shards*shape.perShard {
 					b.Fatalf("merged %d events", len(got))
 				}
 			}

@@ -1034,6 +1034,15 @@ func (rm *ResourceManager) FreeCapacity(nodeID string) (cores, memMB int) {
 	return nm.freeCores, nm.freeMem
 }
 
+// Capacity returns a node's total cores and memory (0,0 if dead or unknown).
+func (rm *ResourceManager) Capacity(nodeID string) (cores, memMB int) {
+	nm := rm.nms[nodeID]
+	if nm == nil || nm.dead {
+		return 0, 0
+	}
+	return nm.totalCores, nm.totalMem
+}
+
 // LiveNodes returns the IDs of nodes eligible for new allocations — not
 // killed, not draining, not removed — sorted.
 func (rm *ResourceManager) LiveNodes() []string {
