@@ -40,7 +40,7 @@ func layered(layers, width int) []*wf.Task {
 // per event.
 type budget struct {
 	layer  string
-	unit   string  // what the workload counts: "task" or "event"
+	unit   string  // what the workload counts: "task", "event" or "request"
 	units  int     // how many of them one run handles
 	allocs float64 // heap allocations per unit
 	bytes  float64 // heap bytes per unit
@@ -69,7 +69,7 @@ func recordStream(n int) ([]*wf.Task, []*wf.TaskResult, map[string]float64) {
 	return tasks, results, sizes
 }
 
-// TestAllocationBudgets pins what each layer allocates per task on a fixed
+// TestAllocationBudgets pins what each layer allocates per unit of a fixed
 // workload. Allocation on a fixed input is deterministic where timing is
 // not, so the budgets hold on any machine. Each is the value measured when
 // it was set plus at most 5%; a change that lowers a layer's allocation
@@ -79,7 +79,7 @@ func TestAllocationBudgets(t *testing.T) {
 	for _, b := range []budget{
 		{
 			// NewDAG, then every task completed as it becomes ready.
-			layer: "wf: DAG build + complete-all", unit: "task", units: 1000, allocs: 2.88, bytes: 291,
+			layer: "wf: DAG build + complete-all", unit: "task", units: 1000, allocs: 2.79, bytes: 235,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(10, 100)
 				return func() {
@@ -99,7 +99,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
-			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 38.0, bytes: 2550,
+			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 30.86, bytes: 1933,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(8, 128)
 				envs := make([]core.Env, n)
@@ -154,6 +154,96 @@ func TestAllocationBudgets(t *testing.T) {
 				}
 			},
 		},
+		{
+			// One application alone on a fair-shared RM, as every served run
+			// is on its private cluster: 512 one-core requests at once, each
+			// container held 10 s, so every round re-orders a long queue.
+			layer: "yarn: fair allocate round, one application", unit: "request", units: 512, allocs: 4.34, bytes: 307,
+			prepare: func(t *testing.T, n int) func() {
+				type rig struct {
+					eng *sim.Engine
+					rm  *yarn.ResourceManager
+				}
+				rigs := make([]rig, n)
+				for i := range rigs {
+					eng := sim.NewEngine()
+					c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 4,
+						cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rigs[i] = rig{eng, yarn.NewResourceManager(eng, c, yarn.Config{Fair: true,
+						Tenants: map[string]yarn.TenantPolicy{"acme": {Weight: 3}}})}
+				}
+				next := 0
+				return func() {
+					r := rigs[next]
+					next++
+					app, err := r.rm.SubmitApplicationFor("acme", "budget", "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					granted := 0
+					hold := func(c *yarn.Container) {
+						granted++
+						r.eng.Schedule(10, func() { app.Release(c) })
+					}
+					for i := 0; i < 512; i++ {
+						app.Request(yarn.Request{Resource: yarn.Resource{VCores: 1, MemMB: 512}}, hold)
+					}
+					r.eng.Run()
+					if granted != 512 {
+						t.Fatalf("%d of 512 requests granted", granted)
+					}
+				}
+			},
+		},
+		{
+			// The data-aware policy indexing tasks by the nodes that hold
+			// their inputs in a real namenode, then serving freed
+			// containers on rotating nodes: 1,024 tasks over 64 two-block
+			// parts and a shared four-block reference, replication 3 on 16
+			// nodes.
+			layer: "scheduler: DataAware over hdfs.FS, ready + select", unit: "task", units: 1024, allocs: 1.22, bytes: 541,
+			prepare: func(t *testing.T, n int) func() {
+				eng := sim.NewEngine()
+				c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 16,
+					cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs := hdfs.New(c, hdfs.Config{BlockSizeMB: 64, Replication: 3}, 42)
+				nodes := c.NodeIDs()
+				if _, err := fs.Put("/ref/genome", 256, ""); err != nil {
+					t.Fatal(err)
+				}
+				tasks := make([]*wf.Task, 1024)
+				for i := range tasks {
+					part := fmt.Sprintf("/in/part-%02d", i%64)
+					if i < 64 {
+						if _, err := fs.Put(part, 100, nodes[i%len(nodes)]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					tasks[i] = &wf.Task{ID: int64(i + 1), Name: "align", Inputs: []string{part, "/ref/genome"}}
+				}
+				return func() {
+					s := scheduler.NewDataAware(fs)
+					ready, selected := 0, 0
+					for selected < len(tasks) {
+						for w := 0; w < 32 && ready < len(tasks); w++ {
+							s.OnTaskReady(tasks[ready])
+							ready++
+						}
+						for k := 0; k < 16 && s.Queued() > 0; k++ {
+							if s.Select(nodes[(selected+k)%len(nodes)]) != nil {
+								selected++
+							}
+						}
+					}
+				}
+			},
+		},
 	} {
 		// One warm-up and runs measured by AllocsPerRun, runs more for bytes.
 		run := b.prepare(t, 2*runs+1)
@@ -165,7 +255,7 @@ func TestAllocationBudgets(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(b.units)
-		t.Logf("%-34s %6.2f allocs/%s (budget %.2f)  %7.1f B/%s (budget %.0f)", b.layer, allocs, b.unit, b.allocs, bytes, b.unit, b.bytes)
+		t.Logf("%-50s %6.2f allocs/%s (budget %.2f)  %7.1f B/%s (budget %.0f)", b.layer, allocs, b.unit, b.allocs, bytes, b.unit, b.bytes)
 		if allocs > b.allocs || bytes > b.bytes {
 			t.Errorf("%s: %.2f allocs and %.1f B per %s, over the budget of %.2f and %.0f",
 				b.layer, allocs, bytes, b.unit, b.allocs, b.bytes)

@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 
 	"hiway/internal/cluster"
 	"hiway/internal/core"
@@ -52,6 +53,7 @@ func main() {
 	behavior := func(t *wf.Task) wf.Outcome {
 		out := wf.DefaultOutcome(t)
 		if t.Name == "converged" {
+			out.Outputs = maps.Clone(out.Outputs) // DefaultOutcome's map is the declaration
 			iterations++
 			if iterations <= convergeAfter {
 				out.Outputs["flag"] = []wf.FileInfo{{Path: fmt.Sprintf("/data/flag-%d", t.ID), SizeMB: 0.01}}

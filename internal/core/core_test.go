@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -378,6 +379,7 @@ loop( cur: "init" );`)
 	cfg := Config{Behavior: func(task *wf.Task) wf.Outcome {
 		out := wf.DefaultOutcome(task)
 		if task.Name == "check" {
+			out.Outputs = maps.Clone(out.Outputs)
 			checks++
 			if checks <= 3 {
 				out.Outputs["flag"] = []wf.FileInfo{{Path: fmt.Sprintf("flag-%d", task.ID), SizeMB: 0.01}}

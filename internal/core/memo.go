@@ -114,23 +114,21 @@ func (am *AM) spliceMemoHit(ts *taskState, e memo.Entry) {
 	}
 	t := ts.t
 	now := am.env.Cluster.Engine.Now()
-	outs := make(map[string][]wf.FileInfo, len(t.OutputParams))
 	for _, param := range t.OutputParams {
 		for _, fi := range t.Declared[param] {
 			am.env.FS.PutExternal(fi.Path, fi.SizeMB)
-			outs[param] = append(outs[param], fi)
 		}
 	}
 	res := &wf.TaskResult{
 		Task:    t,
 		Start:   now,
 		End:     now,
-		Outputs: outs,
+		Outputs: t.Declared, // read-only, as wf.DefaultOutcome's
 	}
 	am.memoized++
 	am.tr.Arg(ts.span, "memo", "hit")
 	am.provMemoHit(res, e)
-	am.registerProducedIdentities(ts.memoKey, t, outs)
+	am.registerProducedIdentities(ts.memoKey, t, res.Outputs)
 	am.accept(ts, res)
 }
 

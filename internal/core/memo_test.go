@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"hiway/internal/memo"
@@ -109,6 +110,7 @@ func TestMemoSkipsDynamicOutcomes(t *testing.T) {
 		out := wf.DefaultOutcome(task)
 		if task.Name == "work" {
 			// An aggregate output growing an extra file at run time.
+			out.Outputs = maps.Clone(out.Outputs)
 			out.Outputs["out"] = append(out.Outputs["out"], wf.FileInfo{Path: out.Outputs["out"][0].Path + ".extra", SizeMB: 1})
 		}
 		return out

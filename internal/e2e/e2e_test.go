@@ -2,6 +2,7 @@ package e2e
 
 import (
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -224,6 +225,7 @@ loop( cur: "/data/init" );`)
 		Behavior: func(task *wf.Task) wf.Outcome {
 			out := wf.DefaultOutcome(task)
 			if task.Name == "check" {
+				out.Outputs = maps.Clone(out.Outputs)
 				checks++
 				if checks <= 2 {
 					out.Outputs["flag"] = []wf.FileInfo{{Path: fmt.Sprintf("/data/flag%d", task.ID), SizeMB: 0.01}}

@@ -3,6 +3,7 @@ package hdfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hiway/internal/cluster"
@@ -60,6 +61,7 @@ type FS struct {
 	liveCV       uint64
 	liveEpoch    uint64
 	placeScratch []string // reusable candidate buffer for placeReplicas
+	candScratch  []string // CandidateNodes' result buffer
 
 	// readFault, when set, is consulted before each Read; a non-nil error
 	// fails that read as a transient I/O error (the chaos harness's model
@@ -104,10 +106,11 @@ func (fs *FS) LocalityEpoch() uint64 { return fs.epoch }
 // the given paths — exactly the nodes where LocalFraction can be positive.
 // The data-aware scheduler uses it to bucket queued tasks by node instead
 // of scoring every queued task against every freed container. The order is
-// deterministic (path, block, replica order).
+// deterministic (path, block, replica order). The result is an FS-owned
+// buffer, valid until the next call; duplicates are found by scanning it,
+// since a task's inputs hold a handful of replicas.
 func (fs *FS) CandidateNodes(paths []string) []string {
-	var out []string
-	seen := make(map[string]bool)
+	out := fs.candScratch[:0]
 	for _, p := range paths {
 		f, ok := fs.files[p]
 		if !ok || f.External {
@@ -115,13 +118,13 @@ func (fs *FS) CandidateNodes(paths []string) []string {
 		}
 		for _, b := range f.Blocks {
 			for _, r := range b.Replicas {
-				if !seen[r] && !fs.dead[r] {
-					seen[r] = true
+				if !fs.dead[r] && !slices.Contains(out, r) {
 					out = append(out, r)
 				}
 			}
 		}
 	}
+	fs.candScratch = out
 	return out
 }
 

@@ -32,7 +32,8 @@ type LocalityOracle interface {
 // per freed container: CandidateNodes must return a superset of the nodes
 // where LocalFraction of the paths is positive, and LocalityEpoch must
 // advance whenever the locality of an existing file can change. hdfs.FS
-// implements it.
+// implements it. CandidateNodes' result may be a buffer the oracle reuses:
+// it is valid only until the next call, so callers read it and drop it.
 type CandidateOracle interface {
 	LocalityOracle
 	CandidateNodes(paths []string) []string

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -60,7 +62,8 @@ type SharedResource struct {
 	wake      *Event  // earliest-completion event, re-armed in place
 	wakeAt    float64 // time wake was last armed for, before the engine's clamp to now
 	seq       int64
-	reshares  int64 // rate recomputations, exported by the observability layer
+	reshares  int64  // rate recomputations, exported by the observability layer
+	finished  []*Job // reshare's buffer of drained jobs, detached while their callbacks run
 
 	// meters (time integrals since creation)
 	meterStart   float64
@@ -230,8 +233,11 @@ func (r *SharedResource) reshare() {
 	r.reshares++
 	now := r.eng.Now()
 
-	// Collect jobs whose work is exhausted, keeping the rest in order.
-	var finished []*Job
+	// Collect jobs whose work is exhausted, keeping the rest in order. The
+	// buffer is detached until the callbacks have run, so a callback that
+	// re-enters this resource collects into a buffer of its own.
+	finished := r.finished
+	r.finished = nil
 	kept := r.jobs[:0]
 	for _, j := range r.jobs {
 		if !j.infinite && j.remaining-j.rate*(now-j.syncT) <= workEps {
@@ -254,7 +260,7 @@ func (r *SharedResource) reshare() {
 		}
 		// Callbacks fire in submission order; finished was collected in
 		// (cap, seq) order.
-		sort.Slice(finished, func(a, b int) bool { return finished[a].seq < finished[b].seq })
+		slices.SortFunc(finished, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	}
 
 	// Max-min fair shares: ascending by cap, each job takes min(cap, equal
@@ -303,6 +309,8 @@ func (r *SharedResource) reshare() {
 			j.done()
 		}
 	}
+	clear(finished)
+	r.finished = finished[:0]
 }
 
 // effCap returns the job's effective rate cap, treating 0 as "capacity".

@@ -50,7 +50,7 @@ func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
 		nodes: make([]node, len(tasks)),
 		index: make(map[int64]int32, len(tasks)),
 	}
-	producer := make(map[string]int32)
+	producer := make(map[string]int32, len(tasks))
 	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return nil, err

@@ -12,6 +12,7 @@ package wf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -135,13 +136,10 @@ type Outcome struct {
 }
 
 // DefaultOutcome returns a successful outcome producing exactly the
-// declared outputs.
+// declared outputs. Its Outputs is the task's Declared map itself, so it is
+// read-only: a Behavior that changes what a task produces clones it first.
 func DefaultOutcome(t *Task) Outcome {
-	outs := make(map[string][]FileInfo, len(t.OutputParams))
-	for _, p := range t.OutputParams {
-		outs[p] = append([]FileInfo(nil), t.Declared[p]...)
-	}
-	return Outcome{Outputs: outs}
+	return Outcome{Outputs: t.Declared}
 }
 
 // Behavior lets a workload customize what a simulated task produces —
@@ -167,27 +165,28 @@ type TaskResult struct {
 
 	ExitCode int
 	Error    string
-	Outputs  map[string][]FileInfo
+	Outputs  map[string][]FileInfo // read-only: may be the task's Declared map
 
 	Stdout, Stderr string // captured by the local executor
 }
 
 // OutputFiles returns all produced files flattened in parameter order.
 func (r *TaskResult) OutputFiles() []FileInfo {
-	var out []FileInfo
-	for _, p := range r.Task.OutputParams {
-		out = append(out, r.Outputs[p]...)
-	}
 	// Include parameters the task did not declare (defensive).
 	var extras []string
-	declared := map[string]bool{}
-	for _, p := range r.Task.OutputParams {
-		declared[p] = true
-	}
-	for p := range r.Outputs {
-		if !declared[p] {
+	n := 0
+	for p, fis := range r.Outputs {
+		n += len(fis)
+		if !slices.Contains(r.Task.OutputParams, p) {
 			extras = append(extras, p)
 		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]FileInfo, 0, n)
+	for _, p := range r.Task.OutputParams {
+		out = append(out, r.Outputs[p]...)
 	}
 	sort.Strings(extras)
 	for _, p := range extras {

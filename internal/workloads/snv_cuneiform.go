@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"hiway/internal/lang/cuneiform"
@@ -86,6 +87,7 @@ func SNVCuneiformDriver(name string, cfg SNVConfig) (*cuneiform.Driver, []Input,
 					SizeMB: regionSizeMB,
 				}
 			}
+			out.Outputs = maps.Clone(out.Outputs) // DefaultOutcome's map is the declaration
 			out.Outputs["regions"] = files
 		}
 		return out

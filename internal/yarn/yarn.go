@@ -2,6 +2,7 @@ package yarn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -764,6 +765,16 @@ func (rm *ResourceManager) allocate() {
 // configuration every application belongs to the anonymous weight-1 tenant
 // and the order degenerates to the classic per-application round-robin.
 func fairOrder(pending []*pendingReq, tenants map[string]TenantPolicy) []*pendingReq {
+	// One application is one stream in arrival order, whatever its weight:
+	// what groupedOrder returns for it, without building its maps.
+	if !slices.ContainsFunc(pending, func(p *pendingReq) bool { return p.app != pending[0].app }) {
+		return pending
+	}
+	return groupedOrder(pending, tenants)
+}
+
+// groupedOrder is fairOrder's general case.
+func groupedOrder(pending []*pendingReq, tenants map[string]TenantPolicy) []*pendingReq {
 	// Group by tenant, then flatten each tenant into its own
 	// per-application round-robin stream.
 	perTenant := make(map[string]map[int][]*pendingReq)

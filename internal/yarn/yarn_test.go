@@ -1,6 +1,8 @@
 package yarn
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"hiway/internal/cluster"
@@ -658,5 +660,84 @@ func TestRunningContainersAccounting(t *testing.T) {
 	eng.Run()
 	if rm.RunningContainers() != 0 {
 		t.Fatalf("RunningContainers = %d, want 0 after finish", rm.RunningContainers())
+	}
+}
+
+// TestFairOrderFastPathMatchesGrouping drives fairOrder differentially
+// against its general grouping on seeded pending sets: one application or
+// several, spread over tenants of weight 0, 1 and 3 and one the tenant
+// table does not know. Where every request is one application's, fairOrder
+// must return the pending slice itself — arrival order, nothing built — and
+// that must be exactly what the grouping computes.
+func TestFairOrderFastPathMatchesGrouping(t *testing.T) {
+	tenants := map[string]TenantPolicy{"w0": {Weight: 0}, "w1": {Weight: 1}, "w3": {Weight: 3}}
+	names := []string{"w0", "w1", "w3", "unknown"}
+	rng := rand.New(rand.NewSource(7))
+	oneApp := 0
+	for seed := 0; seed < 400; seed++ {
+		apps := make([]*Application, 1+rng.Intn(4))
+		if seed%2 == 0 {
+			apps = apps[:1]
+		}
+		ids := rng.Perm(8)
+		for i := range apps {
+			apps[i] = &Application{ID: 1 + ids[i], Tenant: names[rng.Intn(len(names))]}
+		}
+		pending := make([]*pendingReq, rng.Intn(24))
+		for i := range pending {
+			pending[i] = &pendingReq{app: apps[rng.Intn(len(apps))]}
+		}
+		for _, tab := range []map[string]TenantPolicy{tenants, nil} {
+			want := groupedOrder(pending, tab)
+			got := fairOrder(pending, tab)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d (%d apps, %d requests): fairOrder and the grouping disagree", seed, len(apps), len(pending))
+			}
+			single := !slices.ContainsFunc(pending, func(p *pendingReq) bool { return p.app != pending[0].app })
+			if single && len(pending) > 0 {
+				oneApp++
+				if &got[0] != &pending[0] {
+					t.Fatalf("seed %d: one application's round was rebuilt instead of kept", seed)
+				}
+			}
+		}
+	}
+	if oneApp < 200 {
+		t.Fatalf("only %d one-application rounds exercised", oneApp)
+	}
+}
+
+// fairRound readies an RM with fair sharing on and one application holding
+// n pending requests that cannot be placed (the cluster is full), so each
+// allocate is one whole round over the queue that grants nothing and
+// leaves it as it was: the round the served runs, each alone on its
+// cluster, pay whenever a container frees.
+func fairRound(t testing.TB, n int) *ResourceManager {
+	eng := sim.NewEngine()
+	c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 1, spec4()) // the AM leaves no room for a 4-core worker
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := NewResourceManager(eng, c, Config{Fair: true, Tenants: map[string]TenantPolicy{"acme": {Weight: 3}}})
+	app, err := rm.SubmitApplicationFor("acme", "wf", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}}, func(*Container) {})
+	}
+	eng.Run()
+	if len(rm.pending) != n {
+		t.Fatalf("%d requests pending, want %d", len(rm.pending), n)
+	}
+	return rm
+}
+
+func BenchmarkFairAllocate(b *testing.B) {
+	rm := fairRound(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rm.allocate()
 	}
 }
