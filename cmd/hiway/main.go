@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -590,13 +591,9 @@ func runVerify(args []string) error {
 
 	opts := verify.Options{}
 	if *policy != "" && *policy != "all" {
-		known := make(map[string]bool, len(verify.AllPolicies))
-		for _, p := range verify.AllPolicies {
-			known[p] = true
-		}
 		for _, p := range strings.Split(*policy, ",") {
-			if !known[p] {
-				return fmt.Errorf("unknown policy %q (have %s)", p, strings.Join(verify.AllPolicies, ", "))
+			if !slices.Contains(scheduler.Policies, p) {
+				return fmt.Errorf("unknown policy %q (have %s)", p, strings.Join(scheduler.Policies, ", "))
 			}
 			opts.Policies = append(opts.Policies, p)
 		}
@@ -694,7 +691,7 @@ func runVerify(args []string) error {
 	}
 	n := len(opts.Policies)
 	if n == 0 {
-		n = len(verify.AllPolicies)
+		n = len(scheduler.Policies)
 	}
 	fmt.Printf("verified %d seeds x %d policies (+resume variant): all invariants hold\n", *seeds, n)
 	return nil

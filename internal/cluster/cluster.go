@@ -106,11 +106,8 @@ type Cluster struct {
 	cfg   Config
 	nodes []*Node
 	byID  map[string]*Node
-	next  int // next auto-assigned node index for AddNode("")
-
-	version    uint64   // membership version, bumped on AddNode/RemoveNode
-	idsCache   []string // NodeIDs result, rebuilt when idsVersion falls behind
-	idsVersion uint64
+	next  int      // next auto-assigned node index for AddNode("")
+	ids   []string // NodeIDs result; nil after a membership change
 }
 
 // New builds a cluster with the given node specs. Node IDs are
@@ -196,7 +193,7 @@ func (c *Cluster) AddNode(id string, spec NodeSpec) (*Node, error) {
 	copy(c.nodes[i+1:], c.nodes[i:])
 	c.nodes[i] = n
 	c.byID[id] = n
-	c.version++
+	c.ids = nil
 	return n, nil
 }
 
@@ -215,7 +212,7 @@ func (c *Cluster) RemoveNode(id string) error {
 			break
 		}
 	}
-	c.version++
+	c.ids = nil
 	return nil
 }
 
@@ -247,24 +244,19 @@ func Uniform(eng *sim.Engine, cfg Config, n int, spec NodeSpec) (*Cluster, error
 // Nodes returns the nodes in ID order.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// NodeIDs returns all node IDs in order. The slice is cached and rebuilt
-// only when membership changes; callers must treat it as read-only.
+// NodeIDs returns all node IDs in order. Calls between two membership
+// changes share one slice, which callers must treat as read-only; a
+// membership change makes the next call build a new one, so a slice once
+// returned never changes.
 func (c *Cluster) NodeIDs() []string {
-	if c.idsCache == nil || c.idsVersion != c.version {
-		ids := c.idsCache[:0]
-		for _, n := range c.nodes {
-			ids = append(ids, n.ID)
+	if c.ids == nil {
+		c.ids = make([]string, len(c.nodes))
+		for i, n := range c.nodes {
+			c.ids[i] = n.ID
 		}
-		c.idsCache = ids
-		c.idsVersion = c.version
 	}
-	return c.idsCache
+	return c.ids
 }
-
-// Version returns the membership version, bumped on every AddNode and
-// RemoveNode. Downstream caches (hdfs live-node sets, scheduler indexes)
-// key their invalidation on it.
-func (c *Cluster) Version() uint64 { return c.version }
 
 // Node looks a node up by ID, or nil.
 func (c *Cluster) Node(id string) *Node { return c.byID[id] }

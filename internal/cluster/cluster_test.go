@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hiway/internal/sim"
@@ -25,6 +26,46 @@ func TestNewValidatesSpecs(t *testing.T) {
 	}
 	if _, err := New(eng, Config{SwitchMBps: 0}, []NodeSpec{M3Large()}); err == nil {
 		t.Fatal("expected error for zero switch bandwidth")
+	}
+}
+
+// TestNodeIDsSurviveMembershipChange pins that a NodeIDs slice is never
+// rewritten: a membership change makes the next call build a new slice and
+// leaves the ones already handed out as they were.
+func TestNodeIDsSurviveMembershipChange(t *testing.T) {
+	c, err := Uniform(sim.NewEngine(), testCfg(), 4, M3Large())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.NodeIDs()
+	want := []string{"node-00", "node-01", "node-02", "node-03"}
+	if !slices.Equal(before, want) {
+		t.Fatalf("NodeIDs = %v, want %v", before, want)
+	}
+	if err := c.RemoveNode("node-01"); err != nil {
+		t.Fatal(err)
+	}
+	afterRemove := c.NodeIDs()
+	if w := []string{"node-00", "node-02", "node-03"}; !slices.Equal(afterRemove, w) {
+		t.Fatalf("NodeIDs after RemoveNode = %v, want %v", afterRemove, w)
+	}
+	if !slices.Equal(before, want) {
+		t.Fatalf("slice taken before RemoveNode reads %v afterwards, want %v", before, want)
+	}
+	if _, err := c.AddNode("node-01", M3Large()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode("", M3Large()); err != nil {
+		t.Fatal(err)
+	}
+	if w := []string{"node-00", "node-02", "node-03"}; !slices.Equal(afterRemove, w) {
+		t.Fatalf("slice taken before AddNode reads %v afterwards, want %v", afterRemove, w)
+	}
+	if !slices.Equal(before, want) {
+		t.Fatalf("first slice reads %v after AddNode, want %v", before, want)
+	}
+	if w := []string{"node-00", "node-01", "node-02", "node-03", "node-04"}; !slices.Equal(c.NodeIDs(), w) {
+		t.Fatalf("NodeIDs after AddNode = %v, want %v", c.NodeIDs(), w)
 	}
 }
 

@@ -51,15 +51,7 @@ type FS struct {
 	excluded map[string]bool // non-datanode (master) nodes
 	epoch    uint64          // bumped whenever existing files' locality can change
 
-	// liveNodes cache: every dead/excluded mutation bumps epoch and every
-	// membership change bumps the cluster version, so the pair keys
-	// invalidation exactly. liveOwned is the FS-owned backing buffer; the
-	// cache may instead alias the cluster's read-only NodeIDs slice.
-	liveCache    []string
-	liveOwned    []string
-	liveValid    bool
-	liveCV       uint64
-	liveEpoch    uint64
+	liveOwned    []string // liveNodes' result buffer while a node is dead or excluded
 	placeScratch []string // reusable candidate buffer for placeReplicas
 	candScratch  []string // CandidateNodes' result buffer
 
@@ -230,28 +222,21 @@ func (fs *FS) placeReplicas(writerNode string) []string {
 }
 
 // liveNodes returns the IDs of nodes that can hold new replicas, in ID
-// order. The result is cached between liveness/membership changes and must
-// be treated as read-only.
+// order. With every node live it is the cluster's read-only NodeIDs slice;
+// otherwise it is an FS-owned buffer, valid until the next call.
 func (fs *FS) liveNodes() []string {
-	cv := fs.cluster.Version()
-	if fs.liveValid && fs.liveCV == cv && fs.liveEpoch == fs.epoch {
-		return fs.liveCache
-	}
 	ids := fs.cluster.NodeIDs()
 	if len(fs.dead) == 0 && len(fs.excluded) == 0 {
-		fs.liveCache = ids // alias the cluster's cache; both are read-only
-	} else {
-		out := fs.liveOwned[:0]
-		for _, id := range ids {
-			if !fs.dead[id] && !fs.excluded[id] {
-				out = append(out, id)
-			}
-		}
-		fs.liveOwned = out
-		fs.liveCache = out
+		return ids
 	}
-	fs.liveValid, fs.liveCV, fs.liveEpoch = true, cv, fs.epoch
-	return fs.liveCache
+	out := fs.liveOwned[:0]
+	for _, id := range ids {
+		if !fs.dead[id] && !fs.excluded[id] {
+			out = append(out, id)
+		}
+	}
+	fs.liveOwned = out
+	return out
 }
 
 // KillNode marks a node as crashed: its replicas become unreadable and it

@@ -12,7 +12,7 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func newTestCluster(t *testing.T, n int) (*sim.Engine, *cluster.Cluster) {
+func newTestCluster(t testing.TB, n int) (*sim.Engine, *cluster.Cluster) {
 	t.Helper()
 	eng := sim.NewEngine()
 	spec := cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 100, NetMBps: 100}

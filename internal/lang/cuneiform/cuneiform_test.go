@@ -486,8 +486,20 @@ func TestLargeFanOut(t *testing.T) {
 	}
 }
 
+// TestSanitize pins that output paths sit under the workflow name made
+// path-safe, in the layout the CWL frontend shares (wf.OutputPath).
 func TestSanitize(t *testing.T) {
-	if got := sanitize("My Workflow/1.0"); got != "My_Workflow_1_0" {
-		t.Fatalf("sanitize = %q", got)
+	d := NewDriver("My Workflow/1.0", `
+deftask a( out : inp ) in bash *{ tool-a $inp > $out }*
+a( inp: "seed.txt" );`)
+	ready, err := d.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ready) != 1 {
+		t.Fatalf("ready = %v", ready)
+	}
+	if got, want := ready[0].Env["out"], "My_Workflow_1_0/a_1/out"; got != want {
+		t.Fatalf("output path = %q, want %q", got, want)
 	}
 }

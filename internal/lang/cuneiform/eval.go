@@ -511,7 +511,7 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 		if size <= 0 {
 			size = 1
 		}
-		path := fmt.Sprintf("%s/%s_%d/%s", sanitize(d.name), def.TaskName, id, od.Name)
+		path := wf.OutputPath(d.name, def.TaskName, id, od.Name)
 		task.Declared[od.Name] = []wf.FileInfo{{Path: path, SizeMB: size}}
 		task.Env[od.Name] = path
 	}
@@ -526,15 +526,4 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 // appendStr appends s behind its length.
 func appendStr(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }

@@ -409,7 +409,7 @@ func (d *refDriver) invoke(def *DefTask, binding map[string][]string) *refInvoca
 		if size <= 0 {
 			size = 1
 		}
-		path := fmt.Sprintf("%s/%s_%d/%s", sanitize(d.name), def.TaskName, id, od.Name)
+		path := wf.OutputPath(d.name, def.TaskName, id, od.Name)
 		task.Declared[od.Name] = []wf.FileInfo{{Path: path, SizeMB: size}}
 		task.Env[od.Name] = path
 	}

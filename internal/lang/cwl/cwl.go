@@ -909,11 +909,12 @@ func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]*wfInput
 					count = c
 				}
 			}
+			base := wf.OutputPath(name, t.id, task.ID, o.id)
 			var fis []wf.FileInfo
 			for j := 0; j < count; j++ {
-				path := fmt.Sprintf("%s/%s_%d/%s", sanitize(name), t.id, task.ID, o.id)
+				path := base
 				if o.typ.array {
-					path = fmt.Sprintf("%s/%s_%d/%s_%02d", sanitize(name), t.id, task.ID, o.id, j)
+					path = fmt.Sprintf("%s_%02d", base, j)
 				}
 				fis = append(fis, wf.FileInfo{Path: path, SizeMB: size})
 			}
@@ -929,17 +930,4 @@ func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]*wfInput
 		tasks = append(tasks, task)
 	}
 	return tasks, nil
-}
-
-// sanitize maps a workflow name to a path-safe directory component, exactly
-// like the Cuneiform frontend (shared scheme ⇒ comparable provenance).
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }

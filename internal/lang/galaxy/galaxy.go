@@ -175,7 +175,7 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 				return nil, nil, nil, fmt.Errorf("galaxy: tool step %d (%s) declares no outputs", s.ID, toolName)
 			}
 			for _, o := range s.Outputs {
-				p := fmt.Sprintf("galaxy/%s/step%d_%s.%s", sanitize(name), s.ID, o.Name, orDefault(o.Type, "dat"))
+				p := fmt.Sprintf("galaxy/%s/step%d_%s.%s", wf.SafeName(name), s.ID, o.Name, orDefault(o.Type, "dat"))
 				outPath[key(s.ID, o.Name)] = p
 				t.Declared["out"] = append(t.Declared["out"], wf.FileInfo{Path: p})
 			}
@@ -237,15 +237,4 @@ func orDefault(s, def string) string {
 		return def
 	}
 	return s
-}
-
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }

@@ -14,7 +14,7 @@ type history map[string]*sigRecord
 type sigRecord struct {
 	byNode map[string]float64 // node → latest duration, any outcome
 	sum    float64            // Σ byNode values, so the mean is O(1)
-	ver    uint64             // advances with every observe
+	ver    uint64             // advances with every observe; only EstimateVersion reads it
 	durationRing
 }
 

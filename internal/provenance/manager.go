@@ -206,8 +206,8 @@ func (m *Manager) MeanRuntime(signature string) (float64, bool) {
 }
 
 // EstimateVersion returns a counter that advances with every new runtime
-// observation for the signature. Schedulers memoize estimate-derived values
-// (scheduler.EstimateVersioner) and invalidate when it moves.
+// observation for the signature (scheduler.EstimateVersioner). No policy
+// reads it; the benchmark's estimator wrapper still forwards it.
 func (m *Manager) EstimateVersion(signature string) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -34,13 +34,6 @@ func (b *agBucket) pop() *wf.Task {
 	return e.t
 }
 
-// agAdv is a memoized advantage for one (signature, node) pair, valid while
-// the estimator's version for the signature is unchanged.
-type agAdv struct {
-	adv float64
-	ver uint64
-}
-
 // AdaptiveGreedy is a dynamic, provenance-driven policy of the kind §3.4
 // announces as follow-up work to the static HEFT: when YARN allocates a
 // container, it picks — among all queued tasks — the one whose runtime
@@ -55,17 +48,13 @@ type agAdv struct {
 //
 // The advantage of a task on a node depends only on its signature, so the
 // queue is bucketed by signature: Select compares one candidate per
-// distinct signature (the earliest queued) instead of scanning every task,
-// and the advantage per (signature, node) is memoized, invalidated when
-// the estimator reports a new observation for the signature.
+// distinct signature (the earliest queued) instead of scanning every task.
 type AdaptiveGreedy struct {
 	healthGate
 	obsSink
 	est  Estimator
-	ver  EstimateVersioner // nil → no memoization
-	pred HitPredictor      // nil → memo-blind declines
+	pred HitPredictor // nil → memo-blind declines
 	sigs map[string]*agBucket
-	adv  map[string]map[string]agAdv // signature → node → memo
 	n    int
 	seq  int64
 
@@ -82,17 +71,12 @@ type AdaptiveGreedy struct {
 
 // NewAdaptiveGreedy returns the policy backed by the estimator.
 func NewAdaptiveGreedy(est Estimator) *AdaptiveGreedy {
-	s := &AdaptiveGreedy{
+	return &AdaptiveGreedy{
 		est:           est,
 		sigs:          make(map[string]*agBucket),
-		adv:           make(map[string]map[string]agAdv),
 		declineBudget: 64,
 		declineFactor: 3,
 	}
-	if v, ok := est.(EstimateVersioner); ok {
-		s.ver = v
-	}
-	return s
 }
 
 // Name implements Scheduler.
@@ -194,27 +178,9 @@ func (s *AdaptiveGreedy) shouldDecline(t *wf.Task, node string) bool {
 	return last > threshold
 }
 
-// advantage returns mean(sig) − last(sig, node), memoized per
-// (signature, node) when the estimator exposes observation versions.
+// advantage returns mean(sig) − last(sig, node): two constant-time
+// estimator reads.
 func (s *AdaptiveGreedy) advantage(sig, node string) float64 {
-	if s.ver == nil {
-		return s.computeAdvantage(sig, node)
-	}
-	ver := s.ver.EstimateVersion(sig)
-	byNode := s.adv[sig]
-	if m, ok := byNode[node]; ok && m.ver == ver {
-		return m.adv
-	}
-	adv := s.computeAdvantage(sig, node)
-	if byNode == nil {
-		byNode = make(map[string]agAdv)
-		s.adv[sig] = byNode
-	}
-	byNode[node] = agAdv{adv: adv, ver: ver}
-	return adv
-}
-
-func (s *AdaptiveGreedy) computeAdvantage(sig, node string) float64 {
 	mean, ok := s.est.MeanRuntime(sig)
 	if !ok {
 		return 0 // nothing known about the signature: neutral

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hiway/internal/provenance"
 	"hiway/internal/wf"
 )
 
@@ -86,16 +87,24 @@ func benchTasks(n, s int) []*wf.Task {
 	return tasks
 }
 
+// placement is one task churn handed a container, and the container's node.
+type placement struct {
+	t    *wf.Task
+	node string
+}
+
 // churn drives a policy through a large-cluster schedule: tasks become ready
 // in waves and every Select mimics a freed container on a rotating node —
-// the per-container hot path of the Workflow Scheduler.
-func churn(b *testing.B, mk func() Scheduler, tasks []*wf.Task, nodes int) {
+// the per-container hot path of the Workflow Scheduler. done, when not nil,
+// is told of every task a wave placed before the next wave starts.
+func churn(b *testing.B, mk func() Scheduler, tasks []*wf.Task, nodes int, done func(t *wf.Task, node string)) {
 	b.Helper()
 	b.ReportAllocs()
 	nodeIDs := make([]string, nodes)
 	for i := range nodeIDs {
 		nodeIDs[i] = fmt.Sprintf("node-%03d", i)
 	}
+	placed := make([]placement, 0, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := mk()
@@ -108,9 +117,17 @@ func churn(b *testing.B, mk func() Scheduler, tasks []*wf.Task, nodes int) {
 				next++
 			}
 			// Containers free up on rotating nodes; each picks a task.
+			placed = placed[:0]
 			for c := 0; c < 16 && s.Queued() > 0; c++ {
-				if t := s.Select(nodeIDs[(selected+c)%nodes]); t != nil {
+				node := nodeIDs[(selected+c)%nodes]
+				if t := s.Select(node); t != nil {
+					placed = append(placed, placement{t, node})
 					selected++
+				}
+			}
+			if done != nil {
+				for _, p := range placed {
+					done(p.t, p.node)
 				}
 			}
 		}
@@ -119,7 +136,7 @@ func churn(b *testing.B, mk func() Scheduler, tasks []*wf.Task, nodes int) {
 
 func BenchmarkFCFSChurn(b *testing.B) {
 	tasks := benchTasks(10000, 8)
-	churn(b, func() Scheduler { return NewFCFS() }, tasks, 256)
+	churn(b, func() Scheduler { return NewFCFS() }, tasks, 256, nil)
 }
 
 func benchNodeIDs(n int) []string {
@@ -133,10 +150,32 @@ func benchNodeIDs(n int) []string {
 func BenchmarkDataAwareChurn(b *testing.B) {
 	tasks := benchTasks(4000, 8)
 	oracle := &benchOracle{nodes: benchNodeIDs(256)}
-	churn(b, func() Scheduler { return NewDataAware(oracle) }, tasks, 256)
+	churn(b, func() Scheduler { return NewDataAware(oracle) }, tasks, 256, nil)
 }
 
 func BenchmarkAdaptiveGreedyChurn(b *testing.B) {
 	tasks := benchTasks(4000, 8)
-	churn(b, func() Scheduler { return NewAdaptiveGreedy(benchEstimator{}) }, tasks, 256)
+	churn(b, func() Scheduler { return NewAdaptiveGreedy(benchEstimator{}) }, tasks, 256, nil)
+}
+
+// BenchmarkAdaptiveGreedyManagerChurn is BenchmarkAdaptiveGreedyChurn over
+// a real provenance.Manager: every task a wave placed records its end
+// before the next wave, so the estimates move while the queue drains, as
+// they do under a running AM.
+func BenchmarkAdaptiveGreedyManagerChurn(b *testing.B) {
+	tasks := benchTasks(4000, 8)
+	var mgr *provenance.Manager
+	churn(b, func() Scheduler {
+		var err error
+		if mgr, err = provenance.NewManager(provenance.NewMemStore()); err != nil {
+			b.Fatal(err)
+		}
+		return NewAdaptiveGreedy(mgr)
+	}, tasks, 256, func(t *wf.Task, node string) {
+		ev := provenance.Event{Type: provenance.TaskEnd, Signature: t.Name, Node: node,
+			DurationSec: float64((len(t.Name)*7+int(node[len(node)-1])*13+int(t.ID))%50 + 1)}
+		if err := mgr.Record(ev); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

@@ -40,10 +40,10 @@ type CandidateOracle interface {
 	LocalityEpoch() uint64
 }
 
-// EstimateVersioner is the optional extension of Estimator that lets
-// schedulers memoize estimate-derived values: Version(signature) advances
-// whenever a new observation for the signature arrives.
-// provenance.Manager implements it.
+// EstimateVersioner is an optional extension of Estimator:
+// EstimateVersion(signature) advances whenever a new observation for the
+// signature arrives. provenance.Manager implements it. No policy reads it;
+// it stays only because the benchmark's estimator wrapper keeps it.
 type EstimateVersioner interface {
 	EstimateVersion(signature string) uint64
 }
@@ -109,6 +109,12 @@ const (
 	PolicyHEFT           = "heft"
 	PolicyAdaptiveGreedy = "adaptive"
 )
+
+// Policies lists every policy by its name, in the order the verifier's
+// differential matrix runs them. New also takes "greedy" and "" for FCFS;
+// those aliases are not listed, so callers that validate against this list
+// refuse them.
+var Policies = []string{PolicyFCFS, PolicyDataAware, PolicyRoundRobin, PolicyHEFT, PolicyAdaptiveGreedy}
 
 // New builds a scheduler by policy name. The data-aware policy requires a
 // locality oracle that is a CandidateOracle; HEFT and adaptive-greedy require

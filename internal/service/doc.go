@@ -36,8 +36,9 @@
 // own goroutine against its own engine, cluster, HDFS namespace, and YARN
 // allocator (a discrete-event simulation is serial within one virtual
 // clock, so sharing one across goroutines is impossible anyway). Shared
-// state is confined to the mutex-guarded admission gate and a lock-striped
-// run registry, which keeps status polling off the submission path. Because
+// state is confined to the mutex-guarded admission gate and a run registry
+// (a sync.Map: each run is stored once and then only read, so status
+// polling never waits on the submission path). Because
 // each run's substrate is seeded from its run ID, a run's outcome is a pure
 // function of its submission — so a live concurrent server and the
 // virtual-clock deterministic replay (ServerConfig.Deterministic plus

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,15 +35,6 @@ const (
 	// EventFinished fires once, when the run reaches a terminal state.
 	EventFinished = "finished"
 )
-
-// knownPolicies are the scheduling policy names a submission may request.
-var knownPolicies = map[string]bool{
-	scheduler.PolicyFCFS:           true,
-	scheduler.PolicyDataAware:      true,
-	scheduler.PolicyRoundRobin:     true,
-	scheduler.PolicyHEFT:           true,
-	scheduler.PolicyAdaptiveGreedy: true,
-}
 
 // ServerConfig tunes the network front-end.
 type ServerConfig struct {
@@ -240,7 +232,7 @@ const rejectHistoryPerQueueSlot = 16
 // internal/shard, which is what makes goroutine-per-AM execution race-free
 // without locking the YARN allocator or HDFS namespace: no two goroutines
 // ever share them. Cross-goroutine state is confined to the mutex-guarded
-// admission gate and the lock-striped run registry.
+// admission gate and the run registry, a sync.Map written once per run.
 type Server struct {
 	cfg      ServerConfig
 	profiles []TenantProfile
@@ -263,7 +255,7 @@ type Server struct {
 	draining      bool
 	drainedClosed bool
 
-	runs      *runRegistry
+	runs      runRegistry
 	prov      *provIndex // what GET /v1/provenance answers from
 	drainedCh chan struct{}
 	wg        sync.WaitGroup
@@ -288,7 +280,7 @@ type Server struct {
 // profiles, which submit over HTTP only.
 func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 	cfg.setDefaults()
-	if !knownPolicies[cfg.Policy] {
+	if !slices.Contains(scheduler.Policies, cfg.Policy) {
 		return nil, fmt.Errorf("service: unknown policy %q", cfg.Policy)
 	}
 	if err := validateProfiles(profiles, cfg.Deterministic); err != nil {
@@ -303,7 +295,6 @@ func NewServer(cfg ServerConfig, profiles []TenantProfile) (*Server, error) {
 		gate:      newFifoGate[*runJob](cfg.MaxConcurrent, cfg.MaxQueue),
 		inflight:  make(map[string]int),
 		rejects:   make(map[string]*rejectRecord),
-		runs:      newRunRegistry(),
 		drainedCh: make(chan struct{}),
 	}
 	for i := range profiles {
@@ -394,7 +385,7 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 	if apiErr := req.validate(s.tenants); apiErr != nil {
 		return apiErr.code, ErrorResponse{Error: apiErr.msg}
 	}
-	if req.Policy != "" && !knownPolicies[req.Policy] {
+	if req.Policy != "" && !slices.Contains(scheduler.Policies, req.Policy) {
 		return http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown policy %q", req.Policy)}
 	}
 	driver, inputs, err := req.buildDriver()

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,6 +95,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		{"unknown lang", `{"tenant":"alpha","name":"w1","source":"x","lang":"perl"}`, http.StatusBadRequest},
 		{"unknown workload kind", `{"tenant":"alpha","name":"w1","workload":{"kind":"mapreduce"}}`, http.StatusBadRequest},
 		{"unknown policy", `{"tenant":"alpha","name":"w1","policy":"random","workload":{"kind":"snv"}}`, http.StatusBadRequest},
+		{"fcfs alias only the engine takes", `{"tenant":"alpha","name":"w1","policy":"greedy","workload":{"kind":"snv"}}`, http.StatusBadRequest},
 		{"bad input spec", `{"tenant":"alpha","name":"w1","workload":{"kind":"snv"},"inputs":[{"path":"","sizeMB":0}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -560,8 +563,10 @@ func TestRunDeterministicRequiresDeterministicServer(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Policy: "random"}, serveProfiles()); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, p := range []string{"random", "greedy"} {
+		if _, err := NewServer(ServerConfig{Policy: p}, serveProfiles()); err == nil {
+			t.Fatalf("unknown policy %q accepted", p)
+		}
 	}
 	if _, err := NewServer(ServerConfig{}, nil); err == nil {
 		t.Fatal("empty profiles accepted")
@@ -577,30 +582,111 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-func TestRunRegistryStriping(t *testing.T) {
-	reg := newRunRegistry()
-	ids := make([]string, 0, 64)
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("tenant-%02d-w%03d", i%7, i)
-		ids = append(ids, id)
+// TestRunRegistry pins the registry's contract while 8 goroutines store
+// and load at once (run it under -race): Store refuses an ID already taken
+// — by an earlier store or by a racing one — Load finds every stored run,
+// and All returns each run exactly once.
+func TestRunRegistry(t *testing.T) {
+	var reg runRegistry
+	const workers, perWorker = 8, 64
+	for i := 0; i < perWorker; i++ {
+		id := fmt.Sprintf("early-w%03d", i)
 		if !reg.Store(id, &Run{ID: id}) {
-			t.Fatalf("fresh id %q reported duplicate", id)
+			t.Fatalf("fresh id %q reported taken", id)
 		}
 	}
-	for _, id := range ids {
-		if got := reg.Load(id); got == nil || got.ID != id {
-			t.Fatalf("Load(%q) = %v", id, got)
-		}
+	var wg sync.WaitGroup
+	var raceWins atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := fmt.Sprintf("tenant-%d-w%03d", w, i)
+				if !reg.Store(id, &Run{ID: id}) {
+					t.Errorf("fresh id %q reported taken", id)
+				}
+				if reg.Store(id, &Run{ID: id}) {
+					t.Errorf("second store of %q succeeded", id)
+				}
+				early := fmt.Sprintf("early-w%03d", i)
+				if reg.Store(early, &Run{ID: early}) {
+					t.Errorf("store of %q, taken before the workers started, succeeded", early)
+				}
+				// All workers race to take the same ID; one may win.
+				contended := fmt.Sprintf("contended-w%03d", i)
+				if reg.Store(contended, &Run{ID: contended}) {
+					raceWins.Add(1)
+				}
+				for _, want := range []string{id, early, contended} {
+					if got := reg.Load(want); got == nil || got.ID != want {
+						t.Errorf("Load(%q) = %v", want, got)
+					}
+				}
+				_ = reg.All()
+			}
+		}(w)
 	}
-	if reg.Store(ids[0], &Run{ID: ids[0]}) {
-		t.Fatal("duplicate store succeeded")
+	wg.Wait()
+	if raceWins.Load() != perWorker {
+		t.Fatalf("%d racing stores won, want exactly one per contended ID (%d)", raceWins.Load(), perWorker)
 	}
 	if reg.Load("missing") != nil {
 		t.Fatal("missing id resolved")
 	}
-	if got := len(reg.All()); got != 64 {
-		t.Fatalf("All() returned %d runs, want 64", got)
+	seen := map[string]bool{}
+	for _, r := range reg.All() {
+		if seen[r.ID] {
+			t.Fatalf("All() returned %q twice", r.ID)
+		}
+		seen[r.ID] = true
 	}
+	if want := (workers + 2) * perWorker; len(seen) != want {
+		t.Fatalf("All() returned %d runs, want %d", len(seen), want)
+	}
+}
+
+// BenchmarkRunRegistry measures status lookups — RunParallel loads of runs
+// already registered — while another goroutine keeps registering new runs,
+// the registry's traffic under a submission burst.
+func BenchmarkRunRegistry(b *testing.B) {
+	var reg runRegistry
+	ids := make([]string, 1024)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("tenant-%d-w%04d", i%7, i)
+		reg.Store(ids[i], &Run{ID: ids[i]})
+	}
+	late := make([]string, 1<<15)
+	for i := range late {
+		late[i] = fmt.Sprintf("late-w%05d", i)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, id := range late {
+			select {
+			case <-stop:
+				return
+			default:
+				reg.Store(id, &Run{ID: id})
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if reg.Load(ids[i%len(ids)]) == nil {
+				b.Error("registered run not found")
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
 }
 
 func TestServerFlushProvenanceMergesAllRuns(t *testing.T) {

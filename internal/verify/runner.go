@@ -15,17 +15,6 @@ import (
 	"hiway/internal/wf"
 )
 
-// AllPolicies is the default differential matrix: every scheduling policy
-// the engine supports. Static policies are skipped automatically for
-// iterative scenarios (§3.4).
-var AllPolicies = []string{
-	scheduler.PolicyFCFS,
-	scheduler.PolicyDataAware,
-	scheduler.PolicyRoundRobin,
-	scheduler.PolicyHEFT,
-	scheduler.PolicyAdaptiveGreedy,
-}
-
 // staticPolicies cannot drive workflows that unfold at run time.
 var staticPolicies = map[string]bool{
 	scheduler.PolicyRoundRobin: true,
@@ -34,7 +23,9 @@ var staticPolicies = map[string]bool{
 
 // Options tunes a verification run.
 type Options struct {
-	// Policies selects the differential matrix; nil means AllPolicies.
+	// Policies selects the differential matrix; nil means every policy in
+	// scheduler.Policies. Static policies are skipped automatically for
+	// iterative scenarios (§3.4).
 	Policies []string
 	// Tamper, if set, runs against each freshly materialized environment
 	// before the workflow launches — the hook tests use to inject deliberate
@@ -56,7 +47,7 @@ func (o Options) policies() []string {
 	if len(o.Policies) > 0 {
 		return o.Policies
 	}
-	return AllPolicies
+	return scheduler.Policies
 }
 
 // PolicyRun is the audited outcome of one scenario execution.

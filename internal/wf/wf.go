@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // IDSeq numbers the tasks of one run 1, 2, 3, … in the order they are
@@ -32,6 +33,27 @@ func (s *IDSeq) Next() int64 {
 // so there is nothing to reserve. Only bench/sim.go still calls it; the two
 // go together.
 func ReserveIDs(n int64) int64 { return 1 }
+
+// SafeName maps a workflow name to a path-safe directory component: every
+// rune outside [A-Za-z0-9_-] becomes '_'. Every frontend names its output
+// directories with it.
+func SafeName(name string) string {
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
+			return r
+		default:
+			return '_'
+		}
+	}, name)
+}
+
+// OutputPath is the path of a task's declared output in the layout the
+// Cuneiform and CWL frontends share, <SafeName(workflow)>/<task>_<id>/<param>,
+// so one workflow written in either language leaves comparable provenance.
+func OutputPath(workflow, task string, id int64, param string) string {
+	return fmt.Sprintf("%s/%s_%d/%s", SafeName(workflow), task, id, param)
+}
 
 // FileInfo names a produced or consumed file and its size.
 type FileInfo struct {

@@ -404,3 +404,18 @@ func TestStaticBaseErrors(t *testing.T) {
 		t.Fatal("OnTaskComplete before Parse must error")
 	}
 }
+
+func TestOutputPath(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"My Workflow/1.0", "My_Workflow_1_0"},
+		{"snv-calling_v2", "snv-calling_v2"},
+		{"é", "_"},
+	} {
+		if got := SafeName(c.name); got != c.want {
+			t.Errorf("SafeName(%q) = %q, want %q", c.name, got, c.want)
+		}
+	}
+	if got, want := OutputPath("My Workflow", "align", 7, "bam"), "My_Workflow/align_7/bam"; got != want {
+		t.Errorf("OutputPath = %q, want %q", got, want)
+	}
+}
