@@ -99,7 +99,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
-			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 30.86, bytes: 1933,
+			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 29.00, bytes: 1903,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(8, 128)
 				envs := make([]core.Env, n)
@@ -194,6 +194,62 @@ func TestAllocationBudgets(t *testing.T) {
 					r.eng.Run()
 					if granted != 512 {
 						t.Fatalf("%d of 512 requests granted", granted)
+					}
+				}
+			},
+		},
+		{
+			// A task's data path on sim-wide's 256 nodes: each task writes
+			// one single-block output from a rotating writer and reads two
+			// staged inputs onto it, replication 3, the engine run to the
+			// end; staging the inputs is not measured.
+			layer: "hdfs: Write + Read, 256 nodes", unit: "task", units: 1024, allocs: 14.81, bytes: 1045,
+			prepare: func(t *testing.T, n int) func() {
+				type rig struct {
+					eng *sim.Engine
+					fs  *hdfs.FS
+				}
+				rigs := make([]rig, n)
+				var nodes []string
+				for i := range rigs {
+					eng := sim.NewEngine()
+					c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 256,
+						cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fs := hdfs.New(c, hdfs.Config{BlockSizeMB: 128, Replication: 3}, 42)
+					for p := 0; p < 64; p++ {
+						if _, err := fs.Put(fmt.Sprintf("/in/%02d", p), 8, ""); err != nil {
+							t.Fatal(err)
+						}
+					}
+					rigs[i] = rig{eng, fs}
+					nodes = c.NodeIDs()
+				}
+				outs := make([]string, 1024)
+				ins := make([][]string, 1024)
+				for i := range outs {
+					outs[i] = fmt.Sprintf("/out/%04d", i)
+					ins[i] = []string{fmt.Sprintf("/in/%02d", i%64), fmt.Sprintf("/in/%02d", (i*7+3)%64)}
+				}
+				next, failed := 0, 0
+				done := func(err error) {
+					if err != nil {
+						failed++
+					}
+				}
+				return func() {
+					r := rigs[next]
+					next++
+					for i := range outs {
+						node := nodes[i%len(nodes)]
+						r.fs.Write(node, outs[i], 8, done)
+						r.fs.Read(node, ins[i], done)
+					}
+					r.eng.Run()
+					if failed > 0 || !r.fs.Exists(outs[len(outs)-1]) {
+						t.Fatalf("run %d: %d reads or writes failed", next, failed)
 					}
 				}
 			},

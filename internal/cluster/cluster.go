@@ -12,8 +12,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"hiway/internal/obs"
 	"hiway/internal/sim"
@@ -186,9 +189,10 @@ func (c *Cluster) AddNode(id string, spec NodeSpec) (*Node, error) {
 	for h := 0; h < spec.IOHogs; h++ {
 		n.Disk.SubmitBackground(spec.DiskMBps)
 	}
-	// Keep c.nodes sorted by ID so Nodes/NodeIDs iteration order is a pure
-	// function of membership, independent of join order.
-	i := sort.Search(len(c.nodes), func(i int) bool { return c.nodes[i].ID >= id })
+	// Keep c.nodes in CompareIDs order, the order New assigns, so
+	// Nodes/NodeIDs iteration order is a pure function of membership,
+	// independent of join order.
+	i, _ := slices.BinarySearchFunc(c.nodes, id, func(n *Node, id string) int { return CompareIDs(n.ID, id) })
 	c.nodes = append(c.nodes, nil)
 	copy(c.nodes[i+1:], c.nodes[i:])
 	c.nodes[i] = n
@@ -241,13 +245,23 @@ func Uniform(eng *sim.Engine, cfg Config, n int, spec NodeSpec) (*Cluster, error
 	return New(eng, cfg, specs)
 }
 
-// Nodes returns the nodes in ID order.
+// CompareIDs orders node IDs the way New names them: a shorter ID first,
+// then bytewise, so "node-99" precedes "node-100". Nodes and NodeIDs are
+// always in this order.
+func CompareIDs(a, b string) int {
+	if len(a) != len(b) {
+		return cmp.Compare(len(a), len(b))
+	}
+	return strings.Compare(a, b)
+}
+
+// Nodes returns the nodes in ID order (see CompareIDs).
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// NodeIDs returns all node IDs in order. Calls between two membership
-// changes share one slice, which callers must treat as read-only; a
-// membership change makes the next call build a new one, so a slice once
-// returned never changes.
+// NodeIDs returns all node IDs in ID order (see CompareIDs). Calls between
+// two membership changes share one slice, which callers must treat as
+// read-only; a membership change makes the next call build a new one, so a
+// slice once returned never changes.
 func (c *Cluster) NodeIDs() []string {
 	if c.ids == nil {
 		c.ids = make([]string, len(c.nodes))

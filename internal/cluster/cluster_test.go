@@ -69,6 +69,41 @@ func TestNodeIDsSurviveMembershipChange(t *testing.T) {
 	}
 }
 
+// TestNodeOrderPastHundredNodesIgnoresJoinHistory pins that membership alone
+// fixes node order on a cluster past "node-99" (Table 2's 128 workers plus
+// two masters): a node that leaves and rejoins, and a node auto-named after
+// the last one, land where New would have put them.
+func TestNodeOrderPastHundredNodesIgnoresJoinHistory(t *testing.T) {
+	newCluster := func(n int) *Cluster {
+		c, err := Uniform(sim.NewEngine(), testCfg(), n, M3Large())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c := newCluster(130)
+	want := slices.Clone(c.NodeIDs())
+	if err := c.RemoveNode("node-120"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddNode("node-120", M3Large()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.NodeIDs(); !slices.Equal(got, want) {
+		t.Fatalf("after node-120 rejoins: index %d, want 120", slices.Index(got, "node-120"))
+	}
+	n, err := c.AddNode("", M3Large())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := newCluster(131).NodeIDs(); !slices.Equal(c.NodeIDs(), want) {
+		t.Fatalf("auto-named %s at index %d of %d, want the last", n.ID, slices.Index(c.NodeIDs(), n.ID), len(want))
+	}
+	if !slices.IsSortedFunc(c.NodeIDs(), CompareIDs) {
+		t.Fatal("NodeIDs not in CompareIDs order")
+	}
+}
+
 func TestNodeIDsAndLookup(t *testing.T) {
 	eng := sim.NewEngine()
 	c, err := Uniform(eng, testCfg(), 3, M3Large())

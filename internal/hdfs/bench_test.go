@@ -25,3 +25,28 @@ func BenchmarkPutExcluded(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPutWide puts files on sim-wide's 256 live nodes, the shape of
+// the benchmark's hdfs.put_us probe: one 8 MB file (one block, replication
+// 3) per op, every other one written from a rotating writer, which keeps
+// the first replica.
+func BenchmarkPutWide(b *testing.B) {
+	_, c := newTestCluster(b, 256)
+	fs := New(c, Config{BlockSizeMB: 64, Replication: 3}, 1)
+	nodes := c.NodeIDs()
+	paths := make([]string, 1024)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/out/part-%04d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writer := ""
+		if i%2 == 0 {
+			writer = nodes[i/2%len(nodes)]
+		}
+		if _, err := fs.Put(paths[i%len(paths)], 8, writer); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

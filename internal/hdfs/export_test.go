@@ -1,7 +1,7 @@
 package hdfs
 
 // Test-only views of namenode state. Production code reads locality through
-// LocalMB/LocalFraction/CandidateNodes and moves bytes through Read, which
+// LocalFraction/CandidateNodes and moves bytes through Read, which
 // classifies blocks exactly as Plan does.
 
 // Config returns the effective configuration.

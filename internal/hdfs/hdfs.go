@@ -51,9 +51,9 @@ type FS struct {
 	excluded map[string]bool // non-datanode (master) nodes
 	epoch    uint64          // bumped whenever existing files' locality can change
 
-	liveOwned    []string // liveNodes' result buffer while a node is dead or excluded
-	placeScratch []string // reusable candidate buffer for placeReplicas
-	candScratch  []string // CandidateNodes' result buffer
+	liveOwned   []string // liveNodes' result buffer while a node is dead or excluded
+	perm        []int32  // draw's permutation buffer
+	candScratch []string // CandidateNodes' result buffer
 
 	// readFault, when set, is consulted before each Read; a non-nil error
 	// fails that read as a transient I/O error (the chaos harness's model
@@ -194,31 +194,54 @@ func (fs *FS) PutExternal(path string, sizeMB float64) *File {
 }
 
 // placeReplicas picks replica nodes: first on the writer (if live), the
-// rest on distinct random live nodes. The candidate buffer is reused
-// across calls; the full shuffle is kept (rather than a partial draw) so
-// the placement rng stream matches the original implementation exactly.
+// rest on distinct random live nodes. The candidates are the live nodes
+// other than the writer, in ID order; they are never copied out: a drawn
+// candidate index at or past the writer's position in live is shifted by
+// one. draw consumes the rng exactly as a full shuffle of the candidates
+// would, so placements depend only on the seed and the membership history.
 func (fs *FS) placeReplicas(writerNode string) []string {
 	live := fs.liveNodes()
 	reps := make([]string, 0, fs.cfg.Replication)
+	skip, n := len(live), len(live) // skip: the writer's index in live, if it is there
 	if writerNode != "" && !fs.dead[writerNode] && !fs.excluded[writerNode] {
 		reps = append(reps, writerNode)
-	}
-	cands := fs.placeScratch[:0]
-	for _, id := range live {
-		if len(reps) > 0 && id == reps[0] {
-			continue
+		if i, ok := slices.BinarySearchFunc(live, writerNode, cluster.CompareIDs); ok {
+			skip, n = i, n-1
 		}
-		cands = append(cands, id)
 	}
-	fs.placeScratch = cands
-	fs.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	for _, id := range cands {
-		if len(reps) >= fs.cfg.Replication {
-			break
+	for _, k := range fs.draw(n, min(n, fs.cfg.Replication-len(reps))) {
+		if int(k) >= skip {
+			k++
 		}
-		reps = append(reps, id)
+		reps = append(reps, live[k])
 	}
 	return reps
+}
+
+// draw returns the first k positions of the permutation of 0..n-1 that
+// fs.rng.Shuffle(n, swap) would produce, and consumes exactly the rng
+// values Shuffle consumes: Fisher–Yates from n-1 down, each j drawn by
+// math/rand's int31n (Lemire's multiply-and-reject on one Uint32). Only
+// int32 indices move. The result is an FS-owned buffer, valid until the
+// next call.
+func (fs *FS) draw(n, k int) []int32 {
+	perm := fs.perm[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, int32(i))
+	}
+	for i := n - 1; i > 0; i-- {
+		bound := uint32(i + 1)
+		prod := uint64(fs.rng.Uint32()) * uint64(bound)
+		if low := uint32(prod); low < bound {
+			for thresh := -bound % bound; low < thresh; low = uint32(prod) {
+				prod = uint64(fs.rng.Uint32()) * uint64(bound)
+			}
+		}
+		j := prod >> 32
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	fs.perm = perm
+	return perm[:k]
 }
 
 // liveNodes returns the IDs of nodes that can hold new replicas, in ID
@@ -314,36 +337,31 @@ func (fs *FS) liveReplica(b Block, prefer string) string {
 	return ""
 }
 
-// LocalMB returns how many of the file's megabytes have a live replica on
-// the given node. External files are never local.
-func (fs *FS) LocalMB(path, nodeID string) float64 {
-	f, ok := fs.files[path]
-	if !ok || f.External || fs.dead[nodeID] {
-		return 0
-	}
-	var local float64
-	for _, b := range f.Blocks {
-		for _, r := range b.Replicas {
-			if r == nodeID {
-				local += b.SizeMB
-				break
-			}
-		}
-	}
-	return local
-}
-
 // LocalFraction returns locally available MB / total MB over a set of
 // paths from the perspective of one node — the quantity Hi-WAY's
-// data-aware scheduler maximizes. Missing files contribute zero local
-// bytes; an empty or zero-size input set yields 0.
+// data-aware scheduler maximizes. A file's local MB are the sizes of its
+// blocks with a replica on the node; external files and dead nodes hold
+// none. Missing files contribute zero local bytes; an empty or zero-size
+// input set yields 0.
 func (fs *FS) LocalFraction(paths []string, nodeID string) float64 {
 	var local, total float64
+	dead := fs.dead[nodeID]
 	for _, p := range paths {
-		if f, ok := fs.files[p]; ok {
-			total += f.SizeMB
-			local += fs.LocalMB(p, nodeID)
+		f, ok := fs.files[p]
+		if !ok {
+			continue
 		}
+		total += f.SizeMB
+		if f.External || dead {
+			continue
+		}
+		var fileLocal float64 // added to local whole, which fixes the scores' rounding
+		for _, b := range f.Blocks {
+			if slices.Contains(b.Replicas, nodeID) {
+				fileLocal += b.SizeMB
+			}
+		}
+		local += fileLocal
 	}
 	if total <= 0 {
 		return 0
@@ -403,13 +421,8 @@ func (fs *FS) Rereplicate(done func(copies int)) {
 					cands = append(cands, id)
 				}
 			}
-			fs.rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			for counted < target && len(cands) > 0 {
-				dst := cands[0]
-				cands = cands[1:]
-				holders[dst] = true
-				counted++
-				jobs = append(jobs, job{b: b, src: src, dst: dst, sizeMB: b.SizeMB})
+			for _, k := range fs.draw(len(cands), min(len(cands), max(target-counted, 0))) {
+				jobs = append(jobs, job{b: b, src: src, dst: cands[k], sizeMB: b.SizeMB})
 			}
 		}
 	}
@@ -458,37 +471,9 @@ func (fs *FS) Read(nodeID string, paths []string, done func(error)) {
 		fs.cluster.Engine.Schedule(0, func() { done(fmt.Errorf("hdfs: unknown node %q", nodeID)) })
 		return
 	}
-	// Gather per-source remote bytes so each (src→dst) pair is one flow.
-	remote := make(map[string]float64)
-	var localMB, externalMB float64
-	var firstErr error
-	for _, p := range paths {
-		f, ok := fs.files[p]
-		if !ok {
-			firstErr = fmt.Errorf("hdfs: file not found: %s", p)
-			break
-		}
-		if f.External {
-			externalMB += f.SizeMB
-			continue
-		}
-		for _, b := range f.Blocks {
-			src := fs.liveReplica(b, nodeID)
-			switch src {
-			case "":
-				firstErr = fmt.Errorf("hdfs: no live replica for a block of %s", p)
-			case nodeID:
-				localMB += b.SizeMB
-			default:
-				remote[src] += b.SizeMB
-			}
-		}
-		if firstErr != nil {
-			break
-		}
-	}
-	if firstErr != nil {
-		err := firstErr
+	var buf [8]peerMB
+	remote, localMB, externalMB, err := fs.readFlows(buf[:0], nodeID, paths)
+	if err != nil {
 		fs.cluster.Engine.Schedule(0, func() { done(err) })
 		return
 	}
@@ -516,15 +501,74 @@ func (fs *FS) Read(nodeID string, paths []string, done func(error)) {
 	if externalMB > 0 {
 		fs.cluster.FetchExternal(node, externalMB, finish)
 	}
-	// Deterministic iteration order over sources.
-	srcs := make([]string, 0, len(remote))
-	for s := range remote {
-		srcs = append(srcs, s)
+	for _, s := range remote {
+		fs.cluster.Transfer(fs.cluster.Node(s.node), node, s.mb, finish)
 	}
-	sort.Strings(srcs)
-	for _, s := range srcs {
-		fs.cluster.Transfer(fs.cluster.Node(s), node, remote[s], finish)
+}
+
+// readFlows plans a Read of paths onto nodeID: the MB of blocks with a live
+// replica on the node, the MB of external files, and one flow per remote
+// source, appended to remote with the MB of its blocks added in path and
+// block order.
+func (fs *FS) readFlows(remote []peerMB, nodeID string, paths []string) (_ []peerMB, localMB, externalMB float64, err error) {
+	for _, p := range paths {
+		f, ok := fs.files[p]
+		if !ok {
+			return nil, 0, 0, fmt.Errorf("hdfs: file not found: %s", p)
+		}
+		if f.External {
+			externalMB += f.SizeMB
+			continue
+		}
+		for _, b := range f.Blocks {
+			switch src := fs.liveReplica(b, nodeID); src {
+			case "":
+				err = fmt.Errorf("hdfs: no live replica for a block of %s", p)
+			case nodeID:
+				localMB += b.SizeMB
+			default:
+				remote = addPeerMB(remote, src, b.SizeMB)
+			}
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
 	}
+	return remote, localMB, externalMB, nil
+}
+
+// writeFlows plans the replication of a file written from nodeID: one flow
+// per other replica holder, appended to peers with the MB of its blocks
+// added in block order.
+func writeFlows(peers []peerMB, f *File, nodeID string) []peerMB {
+	for _, b := range f.Blocks {
+		for _, r := range b.Replicas {
+			if r != nodeID {
+				peers = addPeerMB(peers, r, b.SizeMB)
+			}
+		}
+	}
+	return peers
+}
+
+// peerMB is the bytes one flow carries between a node and one peer.
+type peerMB struct {
+	node string
+	mb   float64
+}
+
+// addPeerMB adds mb to node's entry of peers, which is kept in bytewise
+// node order, so Read and Write start their flows in that order. A call
+// has a handful of peers, so the entry is found by a linear scan.
+func addPeerMB(peers []peerMB, node string, mb float64) []peerMB {
+	i := 0
+	for ; i < len(peers) && peers[i].node < node; i++ {
+	}
+	if i < len(peers) && peers[i].node == node {
+		peers[i].mb += mb
+		return peers
+	}
+	return slices.Insert(peers, i, peerMB{node, mb})
 }
 
 // Write simulates creating a file of sizeMB from the node: a local disk
@@ -555,15 +599,8 @@ func (fs *FS) Write(nodeID, path string, sizeMB float64, done func(error)) {
 		fs.cluster.Engine.Schedule(0, register)
 		return
 	}
-	// Sum per-peer replica bytes over all blocks.
-	perPeer := make(map[string]float64)
-	for _, b := range f.Blocks {
-		for _, r := range b.Replicas {
-			if r != nodeID {
-				perPeer[r] += b.SizeMB
-			}
-		}
-	}
+	var buf [8]peerMB
+	perPeer := writeFlows(buf[:0], f, nodeID)
 	pending := 1 + len(perPeer)
 	finish := func() {
 		pending--
@@ -572,12 +609,7 @@ func (fs *FS) Write(nodeID, path string, sizeMB float64, done func(error)) {
 		}
 	}
 	fs.cluster.WriteLocal(node, sizeMB, finish)
-	peers := make([]string, 0, len(perPeer))
-	for p := range perPeer {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	for _, p := range peers {
-		fs.cluster.Transfer(node, fs.cluster.Node(p), perPeer[p], finish)
+	for _, p := range perPeer {
+		fs.cluster.Transfer(node, fs.cluster.Node(p.node), p.mb, finish)
 	}
 }

@@ -12,6 +12,16 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// localMB is how many of one file's megabytes have a live replica on the
+// node, read through LocalFraction.
+func localMB(fs *FS, path, nodeID string) float64 {
+	f, ok := fs.Stat(path)
+	if !ok {
+		return 0
+	}
+	return fs.LocalFraction([]string{path}, nodeID) * f.SizeMB
+}
+
 func newTestCluster(t testing.TB, n int) (*sim.Engine, *cluster.Cluster) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -105,10 +115,10 @@ func TestLocalMBAndFraction(t *testing.T) {
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 1}, 1)
 	fs.Put("/a", 100, "node-00")
 	fs.Put("/b", 300, "node-01")
-	if got := fs.LocalMB("/a", "node-00"); !almost(got, 100, 1e-9) {
+	if got := localMB(fs, "/a", "node-00"); !almost(got, 100, 1e-9) {
 		t.Fatalf("LocalMB = %g, want 100", got)
 	}
-	if got := fs.LocalMB("/a", "node-01"); got != 0 {
+	if got := localMB(fs, "/a", "node-01"); got != 0 {
 		t.Fatalf("LocalMB on other node = %g", got)
 	}
 	paths := []string{"/a", "/b"}
@@ -262,7 +272,7 @@ func TestWriteRegistersMetadataMatchingTraffic(t *testing.T) {
 	if !almost(doneAt, 1, 0.5) {
 		t.Fatalf("write completed at %g, want ~1", doneAt)
 	}
-	if got := fs.LocalMB("/out", "node-00"); !almost(got, 100, 1e-9) {
+	if got := localMB(fs, "/out", "node-00"); !almost(got, 100, 1e-9) {
 		t.Fatalf("writer-local MB = %g", got)
 	}
 }
@@ -306,7 +316,7 @@ func TestKillNodeFailover(t *testing.T) {
 	if !fs.Readable("/a") {
 		t.Fatal("file should survive one node crash with replication 2")
 	}
-	if fs.LocalMB("/a", "node-00") != 0 {
+	if localMB(fs, "/a", "node-00") != 0 {
 		t.Fatal("dead node must not report local bytes")
 	}
 	plan := fs.Plan([]string{"/a"}, second)
@@ -372,8 +382,8 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 	var copies int
 	fs.Rereplicate(func(n int) { copies = n })
 	eng.Run()
-	if copies == 0 {
-		t.Fatal("no copies made")
+	if copies != under { // one holder died, so each such block lacks one replica
+		t.Fatalf("%d copies made for %d under-replicated blocks", copies, under)
 	}
 	if n := fs.UnderReplicated(); n != 0 {
 		t.Fatalf("still %d under-replicated blocks after recovery", n)
@@ -388,8 +398,8 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 					live++
 				}
 			}
-			if live < 3 {
-				t.Fatalf("block of %s has %d live replicas", p, live)
+			if live != 3 {
+				t.Fatalf("block of %s has %d live replicas, want 3", p, live)
 			}
 		}
 	}
@@ -586,7 +596,7 @@ func TestPutInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Property: LocalMB never exceeds file size, and summing LocalMB over all
+// Property: a file's local MB never exceed its size, and summing them over all
 // nodes equals size × replication (each replica counted once).
 func TestLocalMBProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -600,7 +610,7 @@ func TestLocalMBProperty(t *testing.T) {
 		file, _ := fs.Put("/f", size, "")
 		var total float64
 		for _, id := range c.NodeIDs() {
-			lm := fs.LocalMB("/f", id)
+			lm := localMB(fs, "/f", id)
 			if lm > size+1e-9 {
 				return false
 			}

@@ -53,11 +53,15 @@ func (m *liveModel) place(fs *FS, writer string) []string {
 // RemoveNode, KillNode, DecommissionNode and ForgetNode, and after every
 // step compares liveNodes with a from-scratch filter of cluster.Nodes() and
 // placeReplicas with a placement drawn from a model rng on the same seed —
-// so the placement rng stream is compared too.
+// so the placement rng stream is compared too. Seeds past 60 start from 90–300
+// nodes, so IDs past "node-99" join, leave and rejoin.
 func TestLiveNodesMatchesFromScratchFilter(t *testing.T) {
-	for seed := int64(1); seed <= 60; seed++ {
+	for seed := int64(1); seed <= 75; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(8)
+		if seed > 60 {
+			n = 90 + rng.Intn(211)
+		}
 		_, c := newTestCluster(t, n)
 		cfg := Config{Replication: 1 + rng.Intn(3)}
 		if rng.Intn(3) == 0 {

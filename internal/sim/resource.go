@@ -19,6 +19,7 @@ type Job struct {
 	syncT     float64 // virtual time remaining refers to
 	cap       float64 // maximum rate this job can absorb; 0 means unlimited
 	rate      float64 // current allocated rate
+	eta       float64 // projected finish, syncT + remaining/rate; +Inf while it never finishes
 	done      func()
 	active    bool
 	infinite  bool   // background load (hogs): never completes
@@ -111,7 +112,7 @@ func (r *SharedResource) Submit(work, rateCap float64, done func()) *Job {
 		return j
 	}
 	r.advance()
-	j := &Job{res: r, remaining: work, syncT: r.eng.Now(), cap: rateCap, done: done, active: true, seq: r.seq}
+	j := &Job{res: r, remaining: work, syncT: r.eng.Now(), cap: rateCap, done: done, active: true, seq: r.seq, eta: math.Inf(1)}
 	r.insert(j)
 	r.reshare()
 	return j
@@ -126,7 +127,7 @@ func (r *SharedResource) SubmitBackground(rateCap float64) *Job {
 	}
 	r.advance()
 	r.seq++
-	j := &Job{res: r, remaining: math.Inf(1), syncT: r.eng.Now(), cap: rateCap, active: true, infinite: true, seq: r.seq}
+	j := &Job{res: r, remaining: math.Inf(1), syncT: r.eng.Now(), cap: rateCap, active: true, infinite: true, seq: r.seq, eta: math.Inf(1)}
 	r.insert(j)
 	r.reshare()
 	return j
@@ -238,19 +239,20 @@ func (r *SharedResource) reshare() {
 	// re-enters this resource collects into a buffer of its own.
 	finished := r.finished
 	r.finished = nil
-	kept := r.jobs[:0]
-	for _, j := range r.jobs {
+	kept := 0
+	for i, j := range r.jobs {
 		if !j.infinite && j.remaining-j.rate*(now-j.syncT) <= workEps {
 			finished = append(finished, j)
 			continue
 		}
-		kept = append(kept, j)
+		if kept != i {
+			r.jobs[kept] = j
+		}
+		kept++
 	}
 	if len(finished) > 0 {
-		for i := len(kept); i < len(r.jobs); i++ {
-			r.jobs[i] = nil
-		}
-		r.jobs = kept
+		clear(r.jobs[kept:])
+		r.jobs = r.jobs[:kept]
 		for _, j := range finished {
 			r.capSum -= j.effCap(r.capacity)
 			j.remaining = 0
@@ -266,8 +268,9 @@ func (r *SharedResource) reshare() {
 	// Max-min fair shares: ascending by cap, each job takes min(cap, equal
 	// split of what remains); surplus flows to later, less constrained jobs.
 	// Jobs whose rate actually changes are synced first so prior progress is
-	// accrued at the old rate. The earliest projected completion falls out
-	// of the same pass.
+	// accrued at the old rate, and get a new projected finish. That is the
+	// only place syncT and remaining move, so a job whose rate holds keeps
+	// its eta bit for bit, and the earliest completion is the least eta.
 	n := len(r.jobs)
 	left := r.capacity
 	total := 0.0
@@ -281,13 +284,15 @@ func (r *SharedResource) reshare() {
 		if rate != j.rate {
 			r.sync(j, now)
 			j.rate = rate
+			j.eta = math.Inf(1)
+			if !j.infinite && rate > 0 {
+				j.eta = j.syncT + j.remaining/rate
+			}
 		}
 		left -= rate
 		total += rate
-		if !j.infinite && rate > 0 {
-			if t := j.syncT + j.remaining/rate; t < soonest {
-				soonest = t
-			}
+		if j.eta < soonest {
+			soonest = j.eta
 		}
 	}
 	r.totalRate = total

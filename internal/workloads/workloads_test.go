@@ -123,7 +123,7 @@ func TestStagePlacesInputs(t *testing.T) {
 	if !f.External {
 		t.Fatal("external flag lost")
 	}
-	if fs.LocalMB("/c", "node-02") != 1 {
+	if fs.LocalFraction([]string{"/c"}, "node-02") != 1 {
 		t.Fatal("node placement ignored")
 	}
 	if err := Stage(fs, []Input{{Path: "/bad", SizeMB: -1}}); err == nil {
