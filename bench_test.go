@@ -1,6 +1,6 @@
 // Package hiway's top-level benchmarks regenerate each table and figure of
 // the paper's evaluation (§4). One benchmark iteration executes the whole
-// experiment at reduced repetition counts; run cmd/hiway-bench for the
+// experiment at reduced repetition counts; run `hiway paper` for the
 // full-size versions and the rendered tables.
 package hiway_test
 

@@ -79,7 +79,7 @@ func TestAllocationBudgets(t *testing.T) {
 	for _, b := range []budget{
 		{
 			// NewDAG, then every task completed as it becomes ready.
-			layer: "wf: DAG build + complete-all", unit: "task", units: 1000, allocs: 2.79, bytes: 235,
+			layer: "wf: DAG build + complete-all", unit: "task", units: 1000, allocs: 2.78, bytes: 196,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(10, 100)
 				return func() {
@@ -99,7 +99,7 @@ func TestAllocationBudgets(t *testing.T) {
 		{
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
-			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 29.00, bytes: 1903,
+			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 28.99, bytes: 1819,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(8, 128)
 				envs := make([]core.Env, n)
@@ -260,7 +260,7 @@ func TestAllocationBudgets(t *testing.T) {
 			// containers on rotating nodes: 1,024 tasks over 64 two-block
 			// parts and a shared four-block reference, replication 3 on 16
 			// nodes.
-			layer: "scheduler: DataAware over hdfs.FS, ready + select", unit: "task", units: 1024, allocs: 1.22, bytes: 541,
+			layer: "scheduler: DataAware over hdfs.FS, ready + select", unit: "task", units: 1024, allocs: 1.22, bytes: 533,
 			prepare: func(t *testing.T, n int) func() {
 				eng := sim.NewEngine()
 				c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 16,

@@ -92,6 +92,8 @@ func main() {
 		err = runElastic(os.Args[2:])
 	case "serve":
 		err = runServe(os.Args[2:])
+	case "paper":
+		err = runPaper(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -173,6 +175,11 @@ func usage() {
       handlers instead of listening; -memo shares one cross-tenant memo
       table and exposes GET /v1/provenance for lineage, cross-run diff,
       and memo-hit attribution queries (SERVICE.md)
+
+  hiway paper [-exp table1|fig4|table2|fig5|fig6|fig8|fig9|all] [-quick]
+      regenerate the tables and figures of the paper's evaluation (§4) on
+      the simulated substrate as text tables; -quick shrinks repetition
+      counts so the full set finishes in seconds
 
 Supported languages: cuneiform (.cf), dax (.dax/.xml), galaxy (.ga), cwl (.cwl), trace (.jsonl)
 Scheduling policies: fcfs, dataaware (default), roundrobin, heft, adaptive
@@ -1098,6 +1105,80 @@ func runProv(args []string) error {
 }
 
 // runInspect analyzes a static workflow without executing it.
+// paperExperiments are the -exp names of `hiway paper`, besides "all".
+var paperExperiments = []string{"table1", "fig4", "table2", "fig5", "fig6", "fig8", "fig9"}
+
+// runPaper regenerates the evaluation's tables and figures. Without -quick
+// the experiments run at the paper's sizes (e.g. Fig. 9's 80 repetitions
+// of 21 workflow executions).
+func runPaper(args []string) error {
+	fs := flag.NewFlagSet("paper", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(paperExperiments, ", ")+", all")
+	quick := fs.Bool("quick", false, "run reduced repetition counts")
+	fs.Parse(args)
+	selected := strings.ToLower(*exp)
+	if selected != "all" && !slices.Contains(paperExperiments, selected) {
+		return fmt.Errorf("unknown experiment %q (want %s or all)", *exp, strings.Join(paperExperiments, ", "))
+	}
+	want := func(name string) bool { return selected == "all" || selected == name }
+	emit := func(text string) { fmt.Print(text, "\n\n") }
+
+	if want("table1") {
+		emit(experiments.RenderTable1())
+	}
+	if want("fig4") {
+		opt := experiments.Fig4Options{}
+		if *quick {
+			opt.Runs = 1
+		}
+		res, err := experiments.Fig4(opt)
+		if err != nil {
+			return err
+		}
+		emit(res.Render())
+	}
+	if want("table2") || want("fig5") || want("fig6") {
+		opt := experiments.Table2Options{}
+		if *quick {
+			opt.Runs = 1
+			opt.Workers = []int{1, 2, 4, 8, 16, 32, 64, 128}
+		}
+		res, err := experiments.Table2(opt)
+		if err != nil {
+			return err
+		}
+		if want("table2") || want("fig5") {
+			emit(res.Render())
+		}
+		if want("fig6") {
+			emit(res.RenderFig6())
+		}
+	}
+	if want("fig8") {
+		opt := experiments.Fig8Options{}
+		if *quick {
+			opt.Runs = 2
+		}
+		res, err := experiments.Fig8(opt)
+		if err != nil {
+			return err
+		}
+		emit(res.Render())
+	}
+	if want("fig9") {
+		opt := experiments.Fig9Options{}
+		if *quick {
+			opt.Reps = 10
+		}
+		res, err := experiments.Fig9(opt)
+		if err != nil {
+			return err
+		}
+		emit(res.Render())
+	}
+	return nil
+}
+
 func runInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	wfPath := fs.String("w", "", "workflow file (required)")

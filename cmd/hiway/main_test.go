@@ -679,3 +679,29 @@ func TestSimShardDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPaper runs `hiway paper -exp table1` and checks it prints Table 1;
+// an unknown experiment fails before anything runs.
+func TestRunPaper(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = runPaper([]string{"-exp", "table1"})
+	os.Stdout = stdout
+	w.Close()
+	text, readErr := io.ReadAll(r)
+	if err != nil || readErr != nil {
+		t.Fatal(err, readErr)
+	}
+	for _, want := range []string{"Table 1", "Cuneiform", "HEFT", "Montage"} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("paper -exp table1 output lacks %q:\n%s", want, text)
+		}
+	}
+	if err := runPaper([]string{"-exp", "fig7"}); err == nil || !strings.Contains(err.Error(), `unknown experiment "fig7"`) {
+		t.Fatalf("paper -exp fig7 = %v, want an unknown-experiment error", err)
+	}
+}

@@ -91,7 +91,7 @@ func cliFlags(t *testing.T) map[string]map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subFor := map[string]string{"runSim": "sim", "runLocal": "local", "runProv": "prov", "runInspect": "inspect", "runVerify": "verify", "runLoad": "load", "runElastic": "elastic", "runServe": "serve"}
+	subFor := map[string]string{"runSim": "sim", "runLocal": "local", "runProv": "prov", "runInspect": "inspect", "runVerify": "verify", "runLoad": "load", "runElastic": "elastic", "runServe": "serve", "runPaper": "paper"}
 	out := map[string]map[string]bool{}
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)

@@ -226,8 +226,8 @@ type AM struct {
 	sched  scheduler.Scheduler
 	app    *yarn.Application
 
-	tasks      map[int64]*taskState // task ID → state, from submit on
-	live       int                  // live attempts across all tasks
+	tasks      []*taskState // tasks[id-1] is the task's state, from submit on
+	live       int          // live attempts across all tasks
 	results    []*wf.TaskResult
 	containers int64
 	retriesSum int
@@ -270,7 +270,6 @@ func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*A
 		cfg:     cfg,
 		driver:  driver,
 		sched:   sched,
-		tasks:   make(map[int64]*taskState),
 		memoIDs: make(map[string]string),
 	}
 	am.tr = env.Obs.T()
@@ -592,10 +591,13 @@ func (am *AM) submit(t *wf.Task) {
 		am.finish(err)
 		return
 	}
-	ts := am.tasks[t.ID]
+	for int64(len(am.tasks)) < t.ID {
+		am.tasks = append(am.tasks, nil)
+	}
+	ts := am.tasks[t.ID-1]
 	if ts == nil {
 		ts = &taskState{t: t}
-		am.tasks[t.ID] = ts
+		am.tasks[t.ID-1] = ts
 	}
 	if am.tr.Enabled() && ts.span == 0 {
 		ts.span = am.tr.BeginAsync("task", t.Name, "tasks", am.wfSpan)
@@ -669,6 +671,9 @@ func (am *AM) retryTarget(excl []string) string {
 	heldCores := map[string]int{}
 	heldMem := map[string]int{}
 	for _, ts := range am.tasks {
+		if ts == nil {
+			continue
+		}
 		for _, a := range ts.attempts {
 			heldCores[a.c.NodeID] += a.c.Resource.VCores
 			heldMem[a.c.NodeID] += a.c.Resource.MemMB
@@ -760,7 +765,7 @@ func (am *AM) onAnonymousContainer(c *yarn.Container) {
 		if task == nil {
 			break
 		}
-		cand := am.tasks[task.ID]
+		cand := am.tasks[task.ID-1]
 		cand.queued = false
 		if slices.Contains(cand.excluded, c.NodeID) {
 			passed = append(passed, cand)
@@ -1223,16 +1228,11 @@ func (am *AM) finish(err error) {
 // releaseLive stops every live attempt and returns its container to YARN,
 // in task-ID order: the one release loop of Kill and finish.
 func (am *AM) releaseLive() {
-	var ids []int64
-	for id, ts := range am.tasks {
-		if len(ts.attempts) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
 	eng := am.env.Cluster.Engine
-	for _, id := range ids {
-		ts := am.tasks[id]
+	for _, ts := range am.tasks {
+		if ts == nil {
+			continue
+		}
 		for _, a := range ts.attempts {
 			a.canceled = true
 			a.done = true

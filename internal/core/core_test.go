@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -637,5 +638,75 @@ func TestReportNamesAStall(t *testing.T) {
 				t.Fatalf("report error %v, want it to contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// releaseLog records the order in which the RM sees containers released.
+type releaseLog struct{ released []int64 }
+
+func (r *releaseLog) OnContainerAllocated(float64, *yarn.Container) {}
+func (r *releaseLog) OnContainerReleased(_ float64, c *yarn.Container, _ bool) {
+	r.released = append(r.released, c.ID)
+}
+func (r *releaseLog) OnContainerLost(float64, *yarn.Container) {}
+func (r *releaseLog) OnNodeDead(float64, string)               {}
+
+// submitOrder hands the AM a static driver's initially ready tasks in a
+// fixed order of its own instead of ID order.
+type submitOrder struct {
+	*wf.StaticBase
+	order []int
+}
+
+func (d submitOrder) Parse() ([]*wf.Task, error) {
+	ready, err := d.StaticBase.Parse()
+	out := make([]*wf.Task, len(d.order))
+	for i, k := range d.order {
+		out[i] = ready[k]
+	}
+	return out, err
+}
+
+// TestKillReleasesLiveAttemptsInTaskIDOrder submits four independent tasks
+// in the order 3, 1, 4, 2, so their containers are allocated in that order,
+// and kills the AM while all four run: the workers go back to YARN in task
+// ID order, then the AM's own container.
+func TestKillReleasesLiveAttemptsInTaskIDOrder(t *testing.T) {
+	var ids wf.IDSeq
+	var tasks []*wf.Task
+	for i := 0; i < 4; i++ {
+		task := newTask(&ids, "long", nil, []wf.FileInfo{{Path: fmt.Sprintf("/out/%d", i), SizeMB: 1}})
+		task.CPUSeconds = 100
+		tasks = append(tasks, task)
+	}
+	driver := submitOrder{&wf.StaticBase{WFName: "kill-order", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
+		return tasks, nil, nil, nil
+	}}, []int{2, 0, 3, 1}}
+	env := newEnv(t, 4, spec(), 1000)
+	log := &releaseLog{}
+	env.RM.SetAudit(log)
+	am, err := Launch(env.Env, driver, scheduler.NewFCFS(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.eng.RunUntil(5)
+	var want, started []int64
+	for _, task := range tasks {
+		ts := am.tasks[task.ID-1]
+		if len(ts.attempts) != 1 {
+			t.Fatalf("%s has %d live attempts at the kill, want 1", task, len(ts.attempts))
+		}
+		want = append(want, ts.attempts[0].c.ID)
+	}
+	for _, k := range driver.order {
+		started = append(started, want[k])
+	}
+	if !slices.IsSorted(started) || slices.IsSorted(want) {
+		t.Fatalf("containers %v by task ID, want them allocated in submission order 3, 1, 4, 2", want)
+	}
+	am.Kill()
+	want = append(want, am.app.AMContainer.ID)
+	if !slices.Equal(log.released, want) {
+		t.Fatalf("Kill released containers %v, want %v: task-ID order, then the AM", log.released, want)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"hiway/internal/memo"
@@ -160,15 +161,8 @@ func (am *AM) memoCommit(ts *taskState, res *wf.TaskResult) {
 // under which a memo hit can splice the declaration in place of execution.
 func outcomeMatchesDeclaration(t *wf.Task, outputs map[string][]wf.FileInfo) bool {
 	for _, param := range t.OutputParams {
-		decl := t.Declared[param]
-		got := outputs[param]
-		if len(decl) != len(got) {
+		if !slices.Equal(t.Declared[param], outputs[param]) {
 			return false
-		}
-		for i := range decl {
-			if decl[i] != got[i] {
-				return false
-			}
 		}
 	}
 	return len(outputs) <= len(t.OutputParams)

@@ -29,7 +29,7 @@ type exclusionAudit struct {
 func (x *exclusionAudit) OnTaskSubmitted(float64, *wf.Task) {}
 func (x *exclusionAudit) OnAttemptStart(_ float64, task *wf.Task, node string, _ int) {
 	x.attempts++
-	ts := x.am.tasks[task.ID]
+	ts := x.am.tasks[task.ID-1]
 	if a := ts.attempts[len(ts.attempts)-1]; !a.res.Speculative && slices.Contains(ts.excluded, node) {
 		x.t.Errorf("%s started attempt %d on %s, a node it is excluded from (%v)", task, a.idx, node, ts.excluded)
 	}

@@ -7,7 +7,7 @@ import (
 
 // The tests assert the *shapes* the paper reports, on scaled-down
 // configurations so the suite stays fast; the full-size experiments run in
-// cmd/hiway-bench and the benchmarks.
+// `hiway paper` and the benchmarks.
 
 func TestFig4Shape(t *testing.T) {
 	res, err := Fig4(Fig4Options{Runs: 1, Containers: []int{72, 144, 576}})

@@ -451,10 +451,13 @@ func TestOnTaskCompleteUnknownTask(t *testing.T) {
 	if _, err := d.Parse(); err != nil {
 		t.Fatal(err)
 	}
-	bogus := &wf.Task{ID: 1, Name: "ghost"} // the program issued no task 1
-	if _, err := d.OnTaskComplete(&wf.TaskResult{Task: bogus}); err == nil {
-		t.Fatal("unknown task must error")
+	for _, id := range []int64{1, 0, -1} { // the program issued no task at all
+		bogus := &wf.Task{ID: id, Name: "ghost"}
+		if _, err := d.OnTaskComplete(&wf.TaskResult{Task: bogus}); err == nil {
+			t.Fatalf("result for unknown task %d must error", id)
+		}
 	}
+	bogus := &wf.Task{ID: 1, Name: "ghost"}
 	d2 := NewDriver("y", `"t";`)
 	if _, err := d2.OnTaskComplete(&wf.TaskResult{Task: bogus}); err == nil {
 		t.Fatal("OnTaskComplete before Parse must error")

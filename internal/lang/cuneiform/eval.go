@@ -95,10 +95,10 @@ type Driver struct {
 
 	ids         wf.IDSeq // numbers the run's tasks in issue order
 	invocations map[string]*invocation
-	byTaskID    map[int64]*invocation
-	unresolved  int    // count of invocations not yet resolved (O(1) Done)
-	keyBuf      []byte // reused by invoke, so re-finding an invocation allocates nothing
-	lookups     int    // invocation-table lookups so far (read by the linearity test)
+	byTaskID    []*invocation // byTaskID[id-1] is the invocation task id stands for
+	unresolved  int           // count of invocations not yet resolved (O(1) Done)
+	keyBuf      []byte        // reused by invoke, so re-finding an invocation allocates nothing
+	lookups     int           // invocation-table lookups so far (read by the linearity test)
 
 	slots   []slot
 	queue   []int // statements to evaluate, ascending
@@ -118,7 +118,6 @@ func NewDriver(name, src string) *Driver {
 		tasks:       make(map[string]*DefTask),
 		funs:        make(map[string]*DefFun),
 		invocations: make(map[string]*invocation),
-		byTaskID:    make(map[int64]*invocation),
 	}
 }
 
@@ -177,10 +176,10 @@ func (d *Driver) OnTaskComplete(res *wf.TaskResult) ([]*wf.Task, error) {
 	if !d.parsed {
 		return nil, fmt.Errorf("cuneiform: OnTaskComplete before Parse")
 	}
-	inv, ok := d.byTaskID[res.Task.ID]
-	if !ok {
-		return nil, fmt.Errorf("cuneiform: result for unknown task %d", res.Task.ID)
+	if id := res.Task.ID; id < 1 || id > int64(len(d.byTaskID)) {
+		return nil, fmt.Errorf("cuneiform: result for unknown task %d", id)
 	}
+	inv := d.byTaskID[res.Task.ID-1]
 	if !res.Succeeded() {
 		return nil, fmt.Errorf("cuneiform: task %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
 	}
@@ -517,7 +516,7 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 	}
 	inv := &invocation{def: def}
 	d.invocations[string(key)] = inv
-	d.byTaskID[id] = inv
+	d.byTaskID = append(d.byTaskID, inv) // ids issues 1, 2, …: inv lands at id-1
 	d.unresolved++
 	d.newTasks = append(d.newTasks, task)
 	return inv

@@ -3,14 +3,15 @@ package scheduler
 import "testing"
 
 func TestAdaptiveGreedyPrefersRelativelyFastNode(t *testing.T) {
+	var fx fixture
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		// "heavy" is fast on n1 relative to its mean; "light" indifferent.
 		"heavy": {"n1": 10, "n2": 200},
 		"light": {"n1": 20, "n2": 20},
 	}}
 	s := NewAdaptiveGreedy(est)
-	light := mkTask("light", nil, "o1")
-	heavy := mkTask("heavy", nil, "o2")
+	light := fx.mkTask("light", nil, "o1")
+	heavy := fx.mkTask("heavy", nil, "o2")
 	s.OnTaskReady(light)
 	s.OnTaskReady(heavy)
 	// A container on n1 should run heavy there (advantage 105−10=95 over
@@ -27,13 +28,14 @@ func TestAdaptiveGreedyPrefersRelativelyFastNode(t *testing.T) {
 }
 
 func TestAdaptiveGreedyAvoidsKnownSlowAssignment(t *testing.T) {
+	var fx fixture
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		"a": {"slow": 500, "fast": 10},
 		"b": {"slow": 50, "fast": 40},
 	}}
 	s := NewAdaptiveGreedy(est)
-	ta := mkTask("a", nil, "oa")
-	tb := mkTask("b", nil, "ob")
+	ta := fx.mkTask("a", nil, "oa")
+	tb := fx.mkTask("b", nil, "ob")
 	s.OnTaskReady(ta)
 	s.OnTaskReady(tb)
 	// On "slow": a's advantage = 255−500 = −245; b's = 45−50 = −5 ⇒ b.
@@ -43,12 +45,13 @@ func TestAdaptiveGreedyAvoidsKnownSlowAssignment(t *testing.T) {
 }
 
 func TestAdaptiveGreedyExploresUnknownNodes(t *testing.T) {
+	var fx fixture
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		"a": {"n1": 100}, // never seen on n2
 	}}
 	s := NewAdaptiveGreedy(est)
-	ta := mkTask("a", nil, "oa")
-	tb := mkTask("fresh", nil, "ob") // signature with no data at all
+	ta := fx.mkTask("a", nil, "oa")
+	tb := fx.mkTask("fresh", nil, "ob") // signature with no data at all
 	s.OnTaskReady(ta)
 	s.OnTaskReady(tb)
 	// On unexplored n2, task a has advantage 100−0 = 100 (explore!),
@@ -59,11 +62,12 @@ func TestAdaptiveGreedyExploresUnknownNodes(t *testing.T) {
 }
 
 func TestAdaptiveGreedyEmptyAndDynamics(t *testing.T) {
+	var fx fixture
 	s := NewAdaptiveGreedy(&fakeEstimator{})
 	if s.Select("n") != nil {
 		t.Fatal("empty queue must return nil")
 	}
-	if hint, strict := s.Placement(mkTask("x", nil, "o")); hint != "" || strict {
+	if hint, strict := s.Placement(fx.mkTask("x", nil, "o")); hint != "" || strict {
 		t.Fatal("adaptive-greedy is dynamic, no pinning")
 	}
 	if s.Name() != "adaptive-greedy" {
@@ -98,11 +102,12 @@ func TestHEFTEstimateModes(t *testing.T) {
 }
 
 func TestAdaptiveGreedyDeclinesKnownSlowNode(t *testing.T) {
+	var fx fixture
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		"w": {"good": 10, "awful": 500}, // awful is 50x the good node
 	}}
 	s := NewAdaptiveGreedy(est)
-	task := mkTask("w", nil, "o")
+	task := fx.mkTask("w", nil, "o")
 	s.OnTaskReady(task)
 	// mean = 255; est on awful = 500 > 3×255? No (765) — not declined.
 	if got := s.Select("awful"); got != task {
@@ -128,12 +133,13 @@ func TestAdaptiveGreedyDeclinesKnownSlowNode(t *testing.T) {
 }
 
 func TestAdaptiveGreedyDeclineBudgetExhausts(t *testing.T) {
+	var fx fixture
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		"w": {"a": 10, "b": 12, "c": 9, "awful": 500},
 	}}
 	s := NewAdaptiveGreedy(est)
 	s.declineBudget = 2
-	task := mkTask("w", nil, "o")
+	task := fx.mkTask("w", nil, "o")
 	s.OnTaskReady(task)
 	if s.Select("awful") != nil || s.Select("awful") != nil {
 		t.Fatal("first two offers should be declined")
@@ -150,10 +156,11 @@ type fakePredictor struct{ p map[string]float64 }
 func (f *fakePredictor) HitProbability(sig string) float64 { return f.p[sig] }
 
 func TestAdaptiveGreedyHitPredictorSuppressesDeclines(t *testing.T) {
+	var fx fixture
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
 		"w": {"a": 10, "b": 12, "c": 9, "awful": 500},
 	}}
-	task := mkTask("w", nil, "o")
+	task := fx.mkTask("w", nil, "o")
 	// Baseline: mean 132.75, 500 > 3×132.75 ⇒ the slow node is declined.
 	s := NewAdaptiveGreedy(est)
 	s.OnTaskReady(task)

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -178,4 +179,32 @@ func BenchmarkAdaptiveGreedyManagerChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkHEFTPlan plans a 1,500-task layered graph onto 12 nodes with
+// mixed estimates (a third of the signature/node pairs untried).
+func BenchmarkHEFTPlan(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	dag := layeredDAG(b, rng, 30, 50)
+	var ns []string
+	for i := 0; i < 12; i++ {
+		ns = append(ns, fmt.Sprintf("node-%02d", i))
+	}
+	est := &fakeEstimator{runtimes: map[string]map[string]float64{}}
+	for sig := 0; sig < 5; sig++ {
+		byNode := map[string]float64{}
+		for _, n := range ns {
+			if rng.Intn(3) > 0 {
+				byNode[n] = float64(1 + rng.Intn(40))
+			}
+		}
+		est.runtimes[fmt.Sprintf("sig%d", sig)] = byNode
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := NewHEFT(est).Plan(dag, nodes(ns...)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

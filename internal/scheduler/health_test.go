@@ -68,11 +68,12 @@ func TestNodeHealthTrackerSuccessResetsStreak(t *testing.T) {
 }
 
 func TestSchedulersDeclineBlacklistedNodes(t *testing.T) {
+	var fx fixture
 	now := 0.0
 	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
 	h.ReportFailure("bad")
 
-	task := mkTask("tool", nil, "o")
+	task := fx.mkTask("tool", nil, "o")
 
 	for _, s := range []Scheduler{NewFCFS(), NewDataAware(&fakeLocality{}), NewAdaptiveGreedy(zeroEstimator{})} {
 		ha, ok := s.(HealthAware)
@@ -91,11 +92,12 @@ func TestSchedulersDeclineBlacklistedNodes(t *testing.T) {
 }
 
 func TestStaticSelectDeclinesBlacklistedAndReassignMovesQueued(t *testing.T) {
+	var fx fixture
 	now := 0.0
 	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
 
-	a := mkTask("a", nil, "a.out")
-	b := mkTask("b", []string{"a.out"}, "b.out")
+	a := fx.mkTask("a", nil, "a.out")
+	b := fx.mkTask("b", []string{"a.out"}, "b.out")
 	dag, err := wf.NewDAG([]*wf.Task{a, b}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +256,7 @@ func TestNodeHealthTrackerEdgeCases(t *testing.T) {
 // to expire starts receiving work again — no task is ever handed to a
 // blacklisted node, and no task is lost while waiting.
 func TestAllNodesBlacklistedSchedulerWithholdsUntilExpiry(t *testing.T) {
+	var fx fixture
 	now := 0.0
 	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
 	h.ReportFailure("n1")
@@ -261,7 +264,7 @@ func TestAllNodesBlacklistedSchedulerWithholdsUntilExpiry(t *testing.T) {
 
 	s := NewFCFS()
 	s.SetNodeHealth(h)
-	task := mkTask("tool", nil, "o")
+	task := fx.mkTask("tool", nil, "o")
 	s.OnTaskReady(task)
 
 	for _, n := range []string{"n1", "n2"} {

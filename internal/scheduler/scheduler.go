@@ -286,7 +286,7 @@ func (s *FCFS) Queued() int { return len(s.queue) - s.head }
 
 // daEntry is one live enqueueing of a task in the DataAware index. A task
 // re-queued after a failure gets a fresh entry; superseded entries are
-// detected by pointer identity against the live map and dropped lazily.
+// detected by pointer identity against the live table and dropped lazily.
 type daEntry struct {
 	t   *wf.Task
 	seq int64
@@ -315,9 +315,10 @@ type DataAware struct {
 	obsSink
 	locality CandidateOracle
 
-	queued  map[int64]*daEntry // task ID → live entry
-	fifo    []*daEntry         // arrival order (zero-locality fallback)
-	head    int                // first possibly-live fifo slot
+	queued  []*daEntry // queued[id-1] is the task's live entry, or nil
+	live    int        // non-nil queued entries
+	fifo    []*daEntry // arrival order (zero-locality fallback)
+	head    int        // first possibly-live fifo slot
 	buckets map[string][]daScored
 	epoch   uint64
 	seq     int64
@@ -327,7 +328,6 @@ type DataAware struct {
 func NewDataAware(locality CandidateOracle) *DataAware {
 	return &DataAware{
 		locality: locality,
-		queued:   make(map[int64]*daEntry),
 		buckets:  make(map[string][]daScored),
 		epoch:    locality.LocalityEpoch(),
 	}
@@ -341,14 +341,20 @@ func (s *DataAware) OnTaskReady(t *wf.Task) {
 	s.maybeInvalidate()
 	s.seq++
 	e := &daEntry{t: t, seq: s.seq}
-	s.queued[t.ID] = e
+	for int64(len(s.queued)) < t.ID {
+		s.queued = append(s.queued, nil)
+	}
+	if s.queued[t.ID-1] == nil {
+		s.live++
+	}
+	s.queued[t.ID-1] = e // supersedes an entry queued before
 	// An entry served from a bucket stays in fifo until the head passes
 	// it; once such entries outnumber the live ones, drop them, so re-queues
 	// cannot grow fifo without bound. Live entries keep their order.
-	if len(s.fifo)-s.head > 2*len(s.queued)+64 {
+	if len(s.fifo)-s.head > 2*s.live+64 {
 		live := s.fifo[:0]
 		for _, old := range s.fifo[s.head:] {
-			if old != nil && s.queued[old.t.ID] == old {
+			if old != nil && s.queued[old.t.ID-1] == old {
 				live = append(live, old)
 			}
 		}
@@ -379,7 +385,7 @@ func (s *DataAware) maybeInvalidate() {
 	s.epoch = ep
 	s.buckets = make(map[string][]daScored)
 	for i := s.head; i < len(s.fifo); i++ {
-		if e := s.fifo[i]; e != nil && s.queued[e.t.ID] == e {
+		if e := s.fifo[i]; e != nil && s.queued[e.t.ID-1] == e {
 			s.score(e)
 		}
 	}
@@ -392,14 +398,14 @@ func (s *DataAware) Placement(*wf.Task) (string, bool) { return "", false }
 // Select implements Scheduler.
 func (s *DataAware) Select(node string) *wf.Task {
 	s.maybeInvalidate()
-	if len(s.queued) == 0 {
+	if s.live == 0 {
 		return nil
 	}
 	if !s.nodeOK(node) {
-		s.noteDecline(PolicyDataAware, node, obs.OutcomeBlacklist, len(s.queued), 0)
+		s.noteDecline(PolicyDataAware, node, obs.OutcomeBlacklist, s.live, 0)
 		return nil
 	}
-	queuedBefore := len(s.queued)
+	queuedBefore := s.live
 	// Best positive-locality candidate from this node's bucket, compacting
 	// stale entries in place as we scan. Ties go to the earliest arrival.
 	var best *daEntry
@@ -408,7 +414,7 @@ func (s *DataAware) Select(node string) *wf.Task {
 	b := s.buckets[node]
 	w := 0
 	for _, sc := range b {
-		if s.queued[sc.e.t.ID] != sc.e {
+		if s.queued[sc.e.t.ID-1] != sc.e {
 			continue // selected or superseded since scoring
 		}
 		b[w] = sc
@@ -432,7 +438,7 @@ func (s *DataAware) Select(node string) *wf.Task {
 			s.fifo[s.head] = nil
 			s.head++
 			scanned++
-			if e != nil && s.queued[e.t.ID] == e {
+			if e != nil && s.queued[e.t.ID-1] == e {
 				best = e
 				break
 			}
@@ -445,10 +451,11 @@ func (s *DataAware) Select(node string) *wf.Task {
 			return nil
 		}
 	}
-	delete(s.queued, best.t.ID)
+	s.queued[best.t.ID-1] = nil
+	s.live--
 	s.noteAssign(PolicyDataAware, node, best.t, queuedBefore, scanned, bestFrac)
 	return best.t
 }
 
 // Queued implements Scheduler.
-func (s *DataAware) Queued() int { return len(s.queued) }
+func (s *DataAware) Queued() int { return s.live }

@@ -8,16 +8,16 @@ import (
 	"hiway/internal/wf"
 )
 
-// testIDs numbers the tasks these tests build; schedulers ask only that
-// the IDs they see be distinct.
-var testIDs wf.IDSeq
+// fixture numbers one test's tasks 1, 2, … in the order they are made, as
+// a driver's wf.IDSeq does: a run's task IDs are 1…n.
+type fixture struct{ ids wf.IDSeq }
 
-func mkTask(name string, inputs []string, outputs ...string) *wf.Task {
+func (f *fixture) mkTask(name string, inputs []string, outputs ...string) *wf.Task {
 	fis := make([]wf.FileInfo, len(outputs))
 	for i, o := range outputs {
 		fis[i] = wf.FileInfo{Path: o, SizeMB: 1}
 	}
-	return &wf.Task{ID: testIDs.Next(), Name: name, Inputs: inputs,
+	return &wf.Task{ID: f.ids.Next(), Name: name, Inputs: inputs,
 		OutputParams: []string{"out"}, Declared: map[string][]wf.FileInfo{"out": fis}, Threads: 1}
 }
 
@@ -124,8 +124,9 @@ func TestNewFactory(t *testing.T) {
 }
 
 func TestFCFSOrder(t *testing.T) {
+	var fx fixture
 	s := NewFCFS()
-	a, b := mkTask("a", nil, "x"), mkTask("b", nil, "y")
+	a, b := fx.mkTask("a", nil, "x"), fx.mkTask("b", nil, "y")
 	s.OnTaskReady(a)
 	s.OnTaskReady(b)
 	if s.Queued() != 2 {
@@ -146,13 +147,14 @@ func TestFCFSOrder(t *testing.T) {
 }
 
 func TestDataAwarePicksMostLocalTask(t *testing.T) {
+	var fx fixture
 	loc := &fakeLocality{frac: map[string]map[string]float64{
 		"f1": {"node-00": 1.0, "node-01": 0.0},
 		"f2": {"node-00": 0.0, "node-01": 1.0},
 	}}
 	s := NewDataAware(loc)
-	t1 := mkTask("t1", []string{"f1"}, "o1")
-	t2 := mkTask("t2", []string{"f2"}, "o2")
+	t1 := fx.mkTask("t1", []string{"f1"}, "o1")
+	t2 := fx.mkTask("t2", []string{"f2"}, "o2")
 	s.OnTaskReady(t1)
 	s.OnTaskReady(t2)
 	// A container on node-01 should run t2 (its data is local there) even
@@ -166,10 +168,11 @@ func TestDataAwarePicksMostLocalTask(t *testing.T) {
 }
 
 func TestDataAwareTieFallsBackToFIFO(t *testing.T) {
+	var fx fixture
 	loc := &fakeLocality{frac: map[string]map[string]float64{}}
 	s := NewDataAware(loc)
-	t1 := mkTask("t1", []string{"f1"}, "o1")
-	t2 := mkTask("t2", []string{"f2"}, "o2")
+	t1 := fx.mkTask("t1", []string{"f1"}, "o1")
+	t2 := fx.mkTask("t2", []string{"f2"}, "o2")
 	s.OnTaskReady(t1)
 	s.OnTaskReady(t2)
 	if got := s.Select("n"); got != t1 {
@@ -177,18 +180,50 @@ func TestDataAwareTieFallsBackToFIFO(t *testing.T) {
 	}
 }
 
+// A task queued again while still queued keeps one live entry, at its new
+// arrival position; an entry a bucket served is not served again by the
+// arrival-order fallback.
+func TestDataAwareRequeueSupersedes(t *testing.T) {
+	var fx fixture
+	loc := &fakeLocality{frac: map[string]map[string]float64{"f1": {"node-00": 1.0}}}
+	s := NewDataAware(loc)
+	t1 := fx.mkTask("t1", []string{"f1"}, "o1")
+	t2 := fx.mkTask("t2", []string{"f2"}, "o2")
+	t3 := fx.mkTask("t3", []string{"f3"}, "o3")
+	s.OnTaskReady(t2)
+	s.OnTaskReady(t3)
+	s.OnTaskReady(t2) // t2 now arrives after t3
+	if s.Queued() != 2 {
+		t.Fatalf("Queued = %d after a re-queue, want 2", s.Queued())
+	}
+	if got := s.Select("node-01"); got != t3 {
+		t.Fatalf("node-01 got %v, want t3: t2's first entry was superseded", got)
+	}
+	s.OnTaskReady(t1)
+	if got := s.Select("node-00"); got != t1 {
+		t.Fatalf("node-00 got %v, want t1: its input is local there", got)
+	}
+	if got := s.Select("node-01"); got != t2 {
+		t.Fatalf("node-01 got %v, want t2", got)
+	}
+	if got := s.Select("node-01"); got != nil || s.Queued() != 0 {
+		t.Fatalf("drained scheduler handed out %v with %d queued", got, s.Queued())
+	}
+}
+
 // Locality changes under queued tasks (a node dies, a file is re-replicated):
 // the oracle's epoch moves, the buckets are re-scored, and the choice follows
 // the new locality instead of the one the tasks were queued under.
 func TestDataAwareRescoresWhenTheEpochMoves(t *testing.T) {
+	var fx fixture
 	loc := &fakeLocality{frac: map[string]map[string]float64{
 		"f1": {"node-00": 1.0},
 		"f2": {"node-01": 1.0},
 	}}
 	s := NewDataAware(loc)
-	t1 := mkTask("t1", []string{"f1"}, "o1")
-	t2 := mkTask("t2", []string{"f2"}, "o2")
-	t3 := mkTask("t3", []string{"f3"}, "o3")
+	t1 := fx.mkTask("t1", []string{"f1"}, "o1")
+	t2 := fx.mkTask("t2", []string{"f2"}, "o2")
+	t3 := fx.mkTask("t3", []string{"f3"}, "o3")
 	for _, task := range []*wf.Task{t1, t2, t3} {
 		s.OnTaskReady(task)
 	}
@@ -214,9 +249,10 @@ func TestDataAwareRescoresWhenTheEpochMoves(t *testing.T) {
 }
 
 func TestRoundRobinSpreadsEvenly(t *testing.T) {
+	var fx fixture
 	var tasks []*wf.Task
 	for i := 0; i < 9; i++ {
-		tasks = append(tasks, mkTask(fmt.Sprintf("t%d", i), nil, fmt.Sprintf("o%d", i)))
+		tasks = append(tasks, fx.mkTask(fmt.Sprintf("t%d", i), nil, fmt.Sprintf("o%d", i)))
 	}
 	dag, err := wf.NewDAG(tasks, nil, nil)
 	if err != nil {
@@ -255,7 +291,8 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 }
 
 func TestRoundRobinPlanErrors(t *testing.T) {
-	dag, _ := wf.NewDAG([]*wf.Task{mkTask("a", nil, "o")}, nil, nil)
+	var fx fixture
+	dag, _ := wf.NewDAG([]*wf.Task{fx.mkTask("a", nil, "o")}, nil, nil)
 	s := NewRoundRobin()
 	if err := s.Plan(dag, nil); err == nil {
 		t.Fatal("plan with no nodes must fail")
@@ -271,10 +308,11 @@ func TestRoundRobinPlanErrors(t *testing.T) {
 // chainDAG builds a: t0 → t1 → t2 pipeline plus a parallel branch.
 func heftDAG(t *testing.T) (*wf.DAG, []*wf.Task) {
 	t.Helper()
-	t0 := mkTask("prep", nil, "d0")
-	t1 := mkTask("heavy", []string{"d0"}, "d1")
-	t2 := mkTask("light", []string{"d0"}, "d2")
-	t3 := mkTask("final", []string{"d1", "d2"}, "d3")
+	var fx fixture
+	t0 := fx.mkTask("prep", nil, "d0")
+	t1 := fx.mkTask("heavy", []string{"d0"}, "d1")
+	t2 := fx.mkTask("light", []string{"d0"}, "d2")
+	t3 := fx.mkTask("final", []string{"d1", "d2"}, "d3")
 	dag, err := wf.NewDAG([]*wf.Task{t0, t1, t2, t3}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -330,12 +368,13 @@ func TestHEFTCriticalTaskFirst(t *testing.T) {
 }
 
 func TestHEFTZeroEstimatesSpreadForExploration(t *testing.T) {
+	var fx fixture
 	// No provenance at all: everything estimates zero; ties must spread
 	// tasks across nodes rather than piling onto one.
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{}}
 	var tasks []*wf.Task
 	for i := 0; i < 8; i++ {
-		tasks = append(tasks, mkTask(fmt.Sprintf("t%d", i), nil, fmt.Sprintf("o%d", i)))
+		tasks = append(tasks, fx.mkTask(fmt.Sprintf("t%d", i), nil, fmt.Sprintf("o%d", i)))
 	}
 	dag, _ := wf.NewDAG(tasks, nil, nil)
 	s := NewHEFT(est)
@@ -355,6 +394,7 @@ func TestHEFTZeroEstimatesSpreadForExploration(t *testing.T) {
 }
 
 func TestHEFTPartialKnowledgeAvoidsKnownSlowNode(t *testing.T) {
+	var fx fixture
 	// Node n1 is known to be very slow for "work"; n0 known fast; n2
 	// unobserved (estimate 0 → attractive, exploration).
 	est := &fakeEstimator{runtimes: map[string]map[string]float64{
@@ -362,7 +402,7 @@ func TestHEFTPartialKnowledgeAvoidsKnownSlowNode(t *testing.T) {
 	}}
 	var tasks []*wf.Task
 	for i := 0; i < 4; i++ {
-		tasks = append(tasks, mkTask("work", nil, fmt.Sprintf("o%d", i)))
+		tasks = append(tasks, fx.mkTask("work", nil, fmt.Sprintf("o%d", i)))
 	}
 	dag, _ := wf.NewDAG(tasks, nil, nil)
 	s := NewHEFT(est)
@@ -401,9 +441,14 @@ func TestHEFTInsertionFillsGaps(t *testing.T) {
 }
 
 func TestStaticUnplannedTaskFallsBackToDynamic(t *testing.T) {
+	var fx fixture
 	s := NewRoundRobin()
-	stray := mkTask("stray", nil, "o")
+	stray := fx.mkTask("stray", nil, "o")
 	if node, strict := s.Placement(stray); node != "" || strict {
 		t.Fatal("unplanned task must not be pinned")
+	}
+	s.Reassign(stray, "n1")
+	if node, strict := s.Placement(stray); node != "n1" || !strict {
+		t.Fatalf("re-pinned unplanned task placed on %q (strict %v), want n1", node, strict)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hiway/internal/obs"
@@ -16,19 +17,32 @@ import (
 type staticBase struct {
 	healthGate
 	obsSink
-	policy     string
-	assignment map[int64]string // task ID → node
-	order      map[int64]int    // task ID → dispatch priority (lower first)
-	ready      map[string][]*wf.Task
-	queued     int
-	planned    bool
+	policy  string
+	plan    []pin // plan[id-1] is the task's pin
+	ready   map[string][]*wf.Task
+	queued  int
+	planned bool
+}
+
+// pin is one task's place in a static plan.
+type pin struct {
+	node  string
+	order int // dispatch priority (lower first)
 }
 
 func (s *staticBase) Name() string { return s.policy }
 
+// pinOf returns t's pin, and the zero pin for a task outside the plan.
+func (s *staticBase) pinOf(t *wf.Task) pin {
+	if i := t.ID - 1; i >= 0 && i < int64(len(s.plan)) {
+		return s.plan[i]
+	}
+	return pin{}
+}
+
 // OnTaskReady implements Scheduler.
 func (s *staticBase) OnTaskReady(t *wf.Task) {
-	node := s.assignment[t.ID]
+	node := s.pinOf(t).node
 	s.ready[node] = s.insertByOrder(s.ready[node], t)
 	s.queued++
 }
@@ -37,8 +51,8 @@ func (s *staticBase) OnTaskReady(t *wf.Task) {
 // plus shift, instead of re-sorting the queue on every insertion). Equal
 // priorities keep insertion order, like the stable sort they replace.
 func (s *staticBase) insertByOrder(q []*wf.Task, t *wf.Task) []*wf.Task {
-	pos := s.order[t.ID]
-	i := sort.Search(len(q), func(k int) bool { return s.order[q[k].ID] > pos })
+	pos := s.pinOf(t).order
+	i := sort.Search(len(q), func(k int) bool { return s.pinOf(q[k]).order > pos })
 	q = append(q, nil)
 	copy(q[i+1:], q[i:])
 	q[i] = t
@@ -47,11 +61,8 @@ func (s *staticBase) insertByOrder(q []*wf.Task, t *wf.Task) []*wf.Task {
 
 // Placement implements Scheduler: static policies enforce their plan.
 func (s *staticBase) Placement(t *wf.Task) (string, bool) {
-	node, ok := s.assignment[t.ID]
-	if !ok {
-		return "", false
-	}
-	return node, true
+	node := s.pinOf(t).node
+	return node, node != ""
 }
 
 // Select implements Scheduler: only tasks planned for this node qualify.
@@ -82,9 +93,12 @@ func (s *staticBase) Queued() int { return s.queued }
 // a pinned node dies with the task still queued. A queued task moves to the
 // new node's ready list so it cannot starve under a dead node.
 func (s *staticBase) Reassign(t *wf.Task, node string) {
-	old, ok := s.assignment[t.ID]
-	s.assignment[t.ID] = node
-	if !ok || old == node {
+	old := s.pinOf(t).node
+	for int64(len(s.plan)) < t.ID { // a task outside the plan
+		s.plan = append(s.plan, pin{})
+	}
+	s.plan[t.ID-1].node = node
+	if old == "" || old == node {
 		return
 	}
 	q := s.ready[old]
@@ -101,8 +115,6 @@ func (s *staticBase) Reassign(t *wf.Task, node string) {
 
 func (s *staticBase) init(policy string) {
 	s.policy = policy
-	s.assignment = make(map[int64]string)
-	s.order = make(map[int64]int)
 	s.ready = make(map[string][]*wf.Task)
 }
 
@@ -128,11 +140,10 @@ func (s *RoundRobin) Plan(dag *wf.DAG, nodes []NodeInfo) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("scheduler: no nodes to plan onto")
 	}
+	s.plan, s.planned = make([]pin, len(dag.All())), true
 	for i, t := range dag.TopoOrder() {
-		s.assignment[t.ID] = nodes[i%len(nodes)].ID
-		s.order[t.ID] = i
+		s.plan[t.ID-1] = pin{nodes[i%len(nodes)].ID, i}
 	}
-	s.planned = true
 	return nil
 }
 
@@ -184,6 +195,7 @@ func (s *HEFT) Plan(dag *wf.DAG, nodes []NodeInfo) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("scheduler: no nodes to plan onto")
 	}
+	s.plan, s.planned = make([]pin, len(dag.All())), true
 	if s.rng != nil {
 		nodes = append([]NodeInfo(nil), nodes...)
 		s.rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
@@ -192,7 +204,7 @@ func (s *HEFT) Plan(dag *wf.DAG, nodes []NodeInfo) error {
 	// Upward ranks over mean estimates, computed in reverse topological
 	// order so successors are ranked before their predecessors.
 	topo := dag.TopoOrder()
-	rank := make(map[int64]float64, len(topo))
+	rank := make([]float64, len(topo)) // rank[id-1]
 	for i := len(topo) - 1; i >= 0; i-- {
 		t := topo[i]
 		w := 0.0
@@ -202,62 +214,47 @@ func (s *HEFT) Plan(dag *wf.DAG, nodes []NodeInfo) error {
 		w /= float64(len(nodes))
 		maxSucc := 0.0
 		for _, succ := range dag.Successors(t) {
-			if r := rank[succ.ID]; r > maxSucc {
+			if r := rank[succ.ID-1]; r > maxSucc {
 				maxSucc = r
 			}
 		}
-		rank[t.ID] = w + maxSucc
+		rank[t.ID-1] = w + maxSucc
 	}
 
-	// Decreasing rank; ties broken by topological position for
-	// determinism (and sanity when all estimates are zero).
-	topoPos := make(map[int64]int, len(topo))
-	for i, t := range topo {
-		topoPos[t.ID] = i
-	}
-	byRank := append([]*wf.Task(nil), topo...)
-	sort.SliceStable(byRank, func(i, j int) bool {
-		ri, rj := rank[byRank[i].ID], rank[byRank[j].ID]
-		if ri != rj {
-			return ri > rj
-		}
-		return topoPos[byRank[i].ID] < topoPos[byRank[j].ID]
-	})
+	// Decreasing rank; the stable sort keeps equal ranks in topological
+	// order, for determinism (and sanity when all estimates are zero).
+	byRank := slices.Clone(topo)
+	sort.SliceStable(byRank, func(i, j int) bool { return rank[byRank[i].ID-1] > rank[byRank[j].ID-1] })
 
-	// Insertion-based earliest-finish-time assignment.
-	busy := make(map[string][]slot, len(nodes))
-	aft := make(map[int64]float64, len(topo)) // actual finish time in the plan
-	assignedCount := make(map[string]int, len(nodes))
+	// Insertion-based earliest-finish-time assignment. busy and
+	// assignedCount are indexed by position in nodes.
+	busy := make([][]slot, len(nodes))
+	aft := make([]float64, len(topo)) // aft[id-1]: actual finish time in the plan
+	assignedCount := make([]int, len(nodes))
 
 	for pos, t := range byRank {
 		ready := 0.0
 		for _, p := range dag.Predecessors(t) {
-			if aft[p.ID] > ready {
-				ready = aft[p.ID]
-			}
+			ready = max(ready, aft[p.ID-1])
 		}
-		bestNode := ""
-		bestEFT := math.Inf(1)
-		bestStart := 0.0
-		for _, n := range nodes {
-			w := s.estimate(t.Name, n.ID)
-			start := earliestSlot(busy[n.ID], ready, w)
+		best, bestEFT, bestStart := 0, math.Inf(1), 0.0
+		for n := range nodes {
+			w := s.estimate(t.Name, nodes[n].ID)
+			start := earliestSlot(busy[n], ready, w)
 			eft := start + w
 			// Strictly-better EFT wins; on ties prefer the node with
 			// fewer assignments so zero-estimate plans spread out and
 			// explore (the paper's default-zero strategy).
 			if eft < bestEFT-1e-12 ||
-				(math.Abs(eft-bestEFT) <= 1e-12 && assignedCount[n.ID] < assignedCount[bestNode]) {
-				bestNode, bestEFT, bestStart = n.ID, eft, start
+				(math.Abs(eft-bestEFT) <= 1e-12 && assignedCount[n] < assignedCount[best]) {
+				best, bestEFT, bestStart = n, eft, start
 			}
 		}
-		busy[bestNode] = insertSlot(busy[bestNode], slot{bestStart, bestEFT})
-		aft[t.ID] = bestEFT
-		assignedCount[bestNode]++
-		s.assignment[t.ID] = bestNode
-		s.order[t.ID] = pos
+		busy[best] = insertSlot(busy[best], slot{bestStart, bestEFT})
+		aft[t.ID-1] = bestEFT
+		assignedCount[best]++
+		s.plan[t.ID-1] = pin{nodes[best].ID, pos}
 	}
-	s.planned = true
 	return nil
 }
 

@@ -390,7 +390,8 @@ func (s *Service) admit(w *pendingWF) error {
 	if err != nil {
 		return err
 	}
-	w.acct.Tasks = len(driver.Graph().All())
+	tasks, _, _, _ := driver.Build() // the generator's list, which cannot fail; Launch builds the DAG
+	w.acct.Tasks = len(tasks)
 	cfg := core.Config{
 		WorkflowID: w.id,
 		Tenant:     w.tenant,

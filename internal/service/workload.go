@@ -64,9 +64,9 @@ func (w *WorkloadSpec) validate() error {
 // Server build their workloads here, which is what makes a deterministic
 // replay and a live HTTP run produce identical DAGs for the same
 // (tenant, name, spec) triple.
-func buildSpecWorkflow(tenant, name string, spec WorkloadSpec) (wf.StaticDriver, []workloads.Input, error) {
+func buildSpecWorkflow(tenant, name string, spec WorkloadSpec) (*wf.StaticBase, []workloads.Input, error) {
 	spec.setDefaults()
-	var driver wf.StaticDriver
+	var driver *wf.StaticBase
 	var inputs []workloads.Input
 	switch spec.Kind {
 	case WorkloadSNV:
@@ -92,21 +92,17 @@ func buildSpecWorkflow(tenant, name string, spec WorkloadSpec) (wf.StaticDriver,
 	default:
 		return nil, nil, fmt.Errorf("service: unknown workload kind %q", spec.Kind)
 	}
-	prefix := fmt.Sprintf("/svc/%s/%s", tenant, name)
-	if err := rebase(driver, inputs, prefix); err != nil {
-		return nil, nil, err
-	}
+	// A generator's Build hands back the task list it made and cannot fail;
+	// rebasing that list leaves the AM's Parse to build the one DAG.
+	tasks, _, _, _ := driver.Build()
+	rebase(tasks, inputs, fmt.Sprintf("/svc/%s/%s", tenant, name))
 	return driver, inputs, nil
 }
 
 // rebase prefixes every task input, declared output, and staged input path
-// with the per-instance prefix. It parses the driver once to reach the task
-// graph; the AM's own Parse rebuilds the DAG over the rebased tasks.
-func rebase(d wf.StaticDriver, inputs []workloads.Input, prefix string) error {
-	if _, err := d.Parse(); err != nil {
-		return fmt.Errorf("service: parsing workflow for rebase: %w", err)
-	}
-	for _, t := range d.Graph().All() {
+// with the per-instance prefix.
+func rebase(tasks []*wf.Task, inputs []workloads.Input, prefix string) {
+	for _, t := range tasks {
 		for i, in := range t.Inputs {
 			t.Inputs[i] = prefix + in
 		}
@@ -119,5 +115,4 @@ func rebase(d wf.StaticDriver, inputs []workloads.Input, prefix string) error {
 	for i := range inputs {
 		inputs[i].Path = prefix + inputs[i].Path
 	}
-	return nil
 }

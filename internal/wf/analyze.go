@@ -41,11 +41,11 @@ func Analyze(d *DAG) Analysis {
 	}
 	a.InitialInputs = len(d.InitialInputs())
 
-	// level and cpChain are indexed by position in d.tasks.
+	// level and cpChain are indexed by ID−1.
 	level := make([]int, len(d.tasks))
 	cpChain := make([]float64, len(d.tasks))
 	for _, t := range d.TopoOrder() {
-		i := d.index[t.ID]
+		i := t.ID - 1
 		preds := d.nodes[i].preds
 		a.Edges += len(preds)
 		a.Signatures[t.Name]++
@@ -59,7 +59,7 @@ func Analyze(d *DAG) Analysis {
 		lvl := 0
 		chain := 0.0
 		for _, p := range preds {
-			j := d.index[p.ID]
+			j := p.ID - 1
 			if level[j]+1 > lvl {
 				lvl = level[j] + 1
 			}

@@ -14,14 +14,15 @@ import (
 //	     ↘ light ↗
 func analyzeFixture(t *testing.T) *DAG {
 	t.Helper()
-	prep := mkTask("prep", []string{"in"}, "x")
+	var fx fixture
+	prep := fx.mkTask("prep", []string{"in"}, "x")
 	prep.CPUSeconds = 10
-	heavy := mkTask("heavy", []string{"x"}, "y1")
+	heavy := fx.mkTask("heavy", []string{"x"}, "y1")
 	heavy.CPUSeconds = 100
 	heavy.MemMB = 4096
-	light := mkTask("light", []string{"x"}, "y2")
+	light := fx.mkTask("light", []string{"x"}, "y2")
 	light.CPUSeconds = 5
-	final := mkTask("final", []string{"y1", "y2"}, "z")
+	final := fx.mkTask("final", []string{"y1", "y2"}, "z")
 	final.CPUSeconds = 20
 	d, err := NewDAG([]*Task{prep, heavy, light, final}, []string{"in"}, nil)
 	if err != nil {
@@ -87,9 +88,10 @@ func TestAnalyzeEmptyDAG(t *testing.T) {
 }
 
 func TestAnalyzeWideFanOut(t *testing.T) {
+	var fx fixture
 	var tasks []*Task
 	for i := 0; i < 20; i++ {
-		task := mkTask("w", nil, "o"+string(rune('a'+i)))
+		task := fx.mkTask("w", nil, "o"+string(rune('a'+i)))
 		task.CPUSeconds = 1
 		tasks = append(tasks, task)
 	}
@@ -108,6 +110,7 @@ func TestAnalyzeWideFanOut(t *testing.T) {
 // the total CPU demand.
 func TestAnalyzeInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
+		var fx fixture
 		rng := rand.New(rand.NewSource(seed))
 		layers := rng.Intn(5) + 1
 		var tasks []*Task
@@ -117,7 +120,7 @@ func TestAnalyzeInvariantsProperty(t *testing.T) {
 			var outs []string
 			for w := 0; w < width; w++ {
 				out := fmt.Sprintf("o-%d-%d", l, w)
-				task := mkTask("t", []string{prev[rng.Intn(len(prev))]}, out)
+				task := fx.mkTask("t", []string{prev[rng.Intn(len(prev))]}, out)
 				task.CPUSeconds = rng.Float64() * 50
 				tasks = append(tasks, task)
 				outs = append(outs, out)

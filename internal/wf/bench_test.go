@@ -8,6 +8,7 @@ import (
 // layeredTasks builds a DAG of depth layers with width tasks each, every
 // task consuming one file from the previous layer.
 func layeredTasks(layers, width int) ([]*Task, []string) {
+	var fx fixture
 	var tasks []*Task
 	var prev []string
 	inputs := []string{"seed"}
@@ -16,7 +17,7 @@ func layeredTasks(layers, width int) ([]*Task, []string) {
 		var outs []string
 		for w := 0; w < width; w++ {
 			out := fmt.Sprintf("f-%d-%d", l, w)
-			tasks = append(tasks, mkTask("t", []string{prev[w%len(prev)]}, out))
+			tasks = append(tasks, fx.mkTask("t", []string{prev[w%len(prev)]}, out))
 			outs = append(outs, out)
 		}
 		prev = outs

@@ -11,12 +11,13 @@ import (
 // every input file exists (initially staged or produced by a predecessor)
 // and every explicit control dependency has completed. It also exposes the
 // dependency structure that static schedulers (HEFT, round-robin) consume.
+// A graph of n tasks holds IDs 1…n, and task k sits at position k−1, so
+// every per-task table is a slice indexed by ID−1.
 type DAG struct {
 	tasks   []*Task
-	nodes   []node          // nodes[i] is the state of tasks[i]
-	index   map[int64]int32 // task ID → position in tasks
-	initial []string        // sorted initial inputs no task produces
-	done    int             // completed tasks
+	nodes   []node   // nodes[i] is the state of tasks[i]
+	initial []string // sorted initial inputs no task produces
+	done    int      // completed tasks
 }
 
 // node is one task's place in the graph and its progress through it.
@@ -41,30 +42,33 @@ type Edge struct {
 
 // NewDAG builds a DAG over the tasks. initialInputs are files that exist
 // before execution starts. Explicit edges supplement the data dependencies
-// inferred from matching output→input paths. Construction fails on
-// duplicate producers, unknown edge endpoints, inputs nobody provides, or
-// cycles.
+// inferred from matching output→input paths. Construction fails on task IDs
+// outside 1…len(tasks) or repeated, duplicate producers, unknown edge
+// endpoints, inputs nobody provides, or cycles.
 func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
 	d := &DAG{
-		tasks: append([]*Task(nil), tasks...),
+		tasks: make([]*Task, len(tasks)),
 		nodes: make([]node, len(tasks)),
-		index: make(map[int64]int32, len(tasks)),
 	}
 	producer := make(map[string]int32, len(tasks))
-	for i, t := range tasks {
+	for _, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := d.index[t.ID]; dup {
+		i, ok := d.pos(t.ID)
+		if !ok {
+			return nil, fmt.Errorf("wf: task ID %d outside 1..%d", t.ID, len(tasks))
+		}
+		if d.tasks[i] != nil {
 			return nil, fmt.Errorf("wf: duplicate task ID %d", t.ID)
 		}
-		d.index[t.ID] = int32(i)
+		d.tasks[i] = t
 		for _, p := range t.OutputParams {
 			for _, fi := range t.Declared[p] {
 				if prev, dup := producer[fi.Path]; dup {
-					return nil, fmt.Errorf("wf: %s produced by both %s and %s", fi.Path, tasks[prev], t)
+					return nil, fmt.Errorf("wf: %s produced by both %s and %s", fi.Path, d.tasks[prev], t)
 				}
-				producer[fi.Path] = int32(i)
+				producer[fi.Path] = i
 			}
 		}
 	}
@@ -77,26 +81,28 @@ func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
 	}
 	sort.Strings(d.initial)
 
-	// Infer data edges and validate that every input has a source. An edge
-	// is added once: stamp[p] == mark says p is already a predecessor of the
-	// child being wired, and the mark moves on whenever the child changes.
+	// Infer data edges, in the order the tasks were given, and validate
+	// that every input has a source. An edge is added once: stamp[p] == mark
+	// says p is already a predecessor of the child being wired, and the mark
+	// moves on whenever the child changes.
 	stamp := make([]int32, len(tasks))
 	mark, child := int32(0), int32(-1)
 	addDep := func(c, p int32) {
 		if c != child {
 			mark, child = mark+1, c
 			for _, q := range d.nodes[c].preds {
-				stamp[d.index[q.ID]] = mark
+				stamp[q.ID-1] = mark
 			}
 		}
 		if stamp[p] == mark {
 			return
 		}
 		stamp[p] = mark
-		d.nodes[c].preds = append(d.nodes[c].preds, tasks[p])
-		d.nodes[p].succs = append(d.nodes[p].succs, tasks[c])
+		d.nodes[c].preds = append(d.nodes[c].preds, d.tasks[p])
+		d.nodes[p].succs = append(d.nodes[p].succs, d.tasks[c])
 	}
-	for i, t := range tasks {
+	for _, t := range tasks {
+		c := int32(t.ID - 1)
 		for _, in := range t.Inputs {
 			if available[in] {
 				continue
@@ -105,18 +111,18 @@ func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
 			if !ok {
 				return nil, fmt.Errorf("wf: %s consumes %s, which no task produces and is not an initial input", t, in)
 			}
-			if p == int32(i) {
+			if p == c {
 				return nil, fmt.Errorf("wf: %s consumes its own output %s", t, in)
 			}
-			addDep(int32(i), p)
+			addDep(c, p)
 		}
 	}
 	for _, e := range edges {
-		p, ok := d.index[e.Parent]
+		p, ok := d.pos(e.Parent)
 		if !ok {
 			return nil, fmt.Errorf("wf: edge references unknown parent %d", e.Parent)
 		}
-		c, ok := d.index[e.Child]
+		c, ok := d.pos(e.Child)
 		if !ok {
 			return nil, fmt.Errorf("wf: edge references unknown child %d", e.Child)
 		}
@@ -134,7 +140,11 @@ func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
 	return d, nil
 }
 
-// All returns every task in insertion order.
+// pos returns the position of the task with the given ID, and false for an
+// ID outside 1…n.
+func (d *DAG) pos(id int64) (int32, bool) { return int32(id - 1), id >= 1 && id <= int64(len(d.tasks)) }
+
+// All returns every task in ID order.
 func (d *DAG) All() []*Task { return d.tasks }
 
 // Predecessors returns the tasks that must complete before t.
@@ -145,14 +155,14 @@ func (d *DAG) Successors(t *Task) []*Task { return d.node(t).succs }
 
 // node returns t's node; an empty one for a task not in the graph.
 func (d *DAG) node(t *Task) *node {
-	if i, ok := d.index[t.ID]; ok {
+	if i, ok := d.pos(t.ID); ok {
 		return &d.nodes[i]
 	}
 	return &node{}
 }
 
 // Ready returns tasks whose dependencies are met and that have not been
-// released before, in deterministic (ID) order.
+// released before, in ID order.
 func (d *DAG) Ready() []*Task {
 	var out []*Task
 	for i := range d.nodes {
@@ -161,7 +171,6 @@ func (d *DAG) Ready() []*Task {
 			out = append(out, d.tasks[i])
 		}
 	}
-	sortByID(out)
 	return out
 }
 
@@ -169,7 +178,7 @@ func (d *DAG) Ready() []*Task {
 // consequence. Completing a task twice, or one not in the graph, releases
 // nothing.
 func (d *DAG) Complete(t *Task) []*Task {
-	i, ok := d.index[t.ID]
+	i, ok := d.pos(t.ID)
 	if !ok || d.nodes[i].state == complete {
 		return nil
 	}
@@ -177,19 +186,15 @@ func (d *DAG) Complete(t *Task) []*Task {
 	d.done++
 	var ready []*Task
 	for _, s := range d.nodes[i].succs {
-		n := &d.nodes[d.index[s.ID]]
+		n := &d.nodes[s.ID-1]
 		n.waiting--
 		if n.waiting == 0 && n.state == pending {
 			n.state = released
 			ready = append(ready, s)
 		}
 	}
-	sortByID(ready)
+	slices.SortFunc(ready, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
 	return ready
-}
-
-func sortByID(tasks []*Task) {
-	slices.SortFunc(tasks, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // Done reports whether every task has completed.
@@ -213,62 +218,59 @@ func (d *DAG) Sinks() []string {
 // behind a cycle are left out, which is how NewDAG detects one.
 func (d *DAG) TopoOrder() []*Task {
 	indeg := make([]int, len(d.nodes))
-	h := idHeap{tasks: d.tasks}
+	var h posHeap
 	for i := range d.nodes {
 		if indeg[i] = len(d.nodes[i].preds); indeg[i] == 0 {
 			h.push(int32(i))
 		}
 	}
 	order := make([]*Task, 0, len(d.tasks))
-	for len(h.pos) > 0 {
+	for len(h) > 0 {
 		i := h.pop()
 		order = append(order, d.tasks[i])
 		for _, s := range d.nodes[i].succs {
-			j := d.index[s.ID]
+			j := s.ID - 1
 			if indeg[j]--; indeg[j] == 0 {
-				h.push(j)
+				h.push(int32(j))
 			}
 		}
 	}
 	return order
 }
 
-// idHeap is a binary min-heap of task positions, ordered by task ID.
-type idHeap struct {
-	tasks []*Task
-	pos   []int32
-}
+// posHeap is a binary min-heap of task positions, and so of task IDs.
+type posHeap []int32
 
-func (h *idHeap) less(a, b int) bool { return h.tasks[h.pos[a]].ID < h.tasks[h.pos[b]].ID }
-
-func (h *idHeap) push(p int32) {
-	h.pos = append(h.pos, p)
-	for c := len(h.pos) - 1; c > 0; {
+func (h *posHeap) push(p int32) {
+	*h = append(*h, p)
+	q := *h
+	for c := len(q) - 1; c > 0; {
 		up := (c - 1) / 2
-		if !h.less(c, up) {
+		if q[c] >= q[up] {
 			break
 		}
-		h.pos[c], h.pos[up] = h.pos[up], h.pos[c]
+		q[c], q[up] = q[up], q[c]
 		c = up
 	}
 }
 
-func (h *idHeap) pop() int32 {
-	top, last := h.pos[0], len(h.pos)-1
-	h.pos[0] = h.pos[last]
-	h.pos = h.pos[:last]
+func (h *posHeap) pop() int32 {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	*h = q[:last]
 	for p := 0; ; {
 		c := 2*p + 1
 		if c >= last {
 			break
 		}
-		if c+1 < last && h.less(c+1, c) {
+		if c+1 < last && q[c+1] < q[c] {
 			c++
 		}
-		if !h.less(c, p) {
+		if q[c] >= q[p] {
 			break
 		}
-		h.pos[c], h.pos[p] = h.pos[p], h.pos[c]
+		q[c], q[p] = q[p], q[c]
 		p = c
 	}
 	return top

@@ -49,6 +49,9 @@ func newRefDAG(tasks []*Task, initialInputs []string, edges []Edge) (*refDAG, er
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
+		if t.ID > int64(len(tasks)) {
+			return nil, fmt.Errorf("wf: task ID %d outside 1..%d", t.ID, len(tasks))
+		}
 		if _, dup := d.byID[t.ID]; dup {
 			return nil, fmt.Errorf("wf: duplicate task ID %d", t.ID)
 		}
@@ -313,11 +316,12 @@ func refAnalyze(d *refDAG) Analysis {
 // that repeat data edges or each other, and initial inputs that some task
 // also produces. About one graph in three then gets one fault: a missing
 // producer, a cycle, a self edge, an unknown endpoint, a duplicate ID or
-// producer, or a task that consumes its own output. IDs are distinct but
-// not in insertion order.
+// producer, a task that consumes its own output, or an ID of 0, below 0 or
+// above n. IDs run 1…n but not in insertion order, so a producer may hold a
+// higher ID than its consumer.
 func randomGraph(rng *rand.Rand) ([]*Task, []string, []Edge) {
 	n := 2 + rng.Intn(40)
-	ids := rng.Perm(3 * n)
+	ids := rng.Perm(n)
 	tasks := make([]*Task, n)
 	for i := range tasks {
 		tasks[i] = &Task{ID: int64(ids[i] + 1), Name: fmt.Sprintf("s%d", rng.Intn(4)),
@@ -362,7 +366,7 @@ func randomGraph(rng *rand.Rand) ([]*Task, []string, []Edge) {
 		initial = append(initial, out(rng.Intn(n)))
 	}
 	a, b := rng.Intn(n), rng.Intn(n)
-	switch rng.Intn(21) {
+	switch rng.Intn(24) {
 	case 0:
 		tasks[a].Inputs = append(tasks[a].Inputs, "ghost")
 	case 1: // a two-task cycle
@@ -383,81 +387,104 @@ func randomGraph(rng *rand.Rand) ([]*Task, []string, []Edge) {
 		}
 	case 7:
 		tasks[a].Inputs = append(tasks[a].Inputs, out(a))
+	case 8:
+		tasks[a].ID = 0
+	case 9:
+		tasks[a].ID = -tasks[a].ID
+	case 10:
+		tasks[a].ID = int64(n + 1 + rng.Intn(3))
 	}
 	return tasks, initial, edges
 }
 
 // TestDAGMatchesReference drives DAG and refDAG over 200 seeded random
-// graphs: both must refuse the same graphs with the same text, agree on
+// graphs, each handed over in its generated order and in two shuffled
+// orders: both must refuse the same graphs with the same text, agree on
 // structure, and, under three completion orders per graph, release the
 // same tasks in the same order.
 func TestDAGMatchesReference(t *testing.T) {
 	built, refused := 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tasks, initial, edges := randomGraph(rng)
-		d, err := NewDAG(tasks, initial, edges)
-		ref, refErr := newRefDAG(tasks, initial, edges)
-		if fmt.Sprint(err) != fmt.Sprint(refErr) {
-			t.Fatalf("seed %d: NewDAG error %v, reference %v", seed, err, refErr)
-		}
-		if err != nil {
-			refused++
-			continue
-		}
-		built++
-		sameTasks := func(what string, got, want []*Task) {
-			t.Helper()
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d: %s = %v, reference %v", seed, what, got, want)
+		generated, initial, edges := randomGraph(rng)
+		for shuffle := 0; shuffle < 3; shuffle++ {
+			tasks := slices.Clone(generated)
+			if shuffle > 0 {
+				rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
 			}
-		}
-		for _, task := range tasks {
-			sameTasks("Predecessors", d.Predecessors(task), ref.Predecessors(task))
-			sameTasks("Successors", d.Successors(task), ref.Successors(task))
-		}
-		sameTasks("TopoOrder", d.TopoOrder(), ref.TopoOrder())
-		if !slices.Equal(d.InitialInputs(), ref.InitialInputs()) || !slices.Equal(d.Sinks(), ref.Sinks()) {
-			t.Fatalf("seed %d: inputs %v sinks %v, reference %v %v", seed, d.InitialInputs(), d.Sinks(), ref.InitialInputs(), ref.Sinks())
-		}
-		if got, want := Analyze(d), refAnalyze(ref); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Analyze = %+v, reference %+v", seed, got, want)
-		}
-		for order := 0; order < 3; order++ {
-			d, _ := NewDAG(tasks, initial, edges)
-			ref, _ := newRefDAG(tasks, initial, edges)
-			frontier := d.Ready()
-			sameTasks("Ready", frontier, ref.Ready())
-			for len(frontier) > 0 {
-				i := 0 // order 0 completes the oldest ready task first
-				switch order {
-				case 1:
-					i = len(frontier) - 1
-				case 2:
-					i = rng.Intn(len(frontier))
-				}
-				task := frontier[i]
-				frontier = append(frontier[:i], frontier[i+1:]...)
-				next := d.Complete(task)
-				sameTasks("Complete", next, ref.Complete(task, task.DeclaredOutputs()))
-				frontier = append(frontier, next...)
-				if rng.Intn(4) == 0 {
-					sameTasks("Complete again", d.Complete(task), ref.Complete(task, task.DeclaredOutputs()))
-					sameTasks("Ready mid-run", d.Ready(), ref.Ready())
-				}
-				if d.Done() != ref.Done() {
-					t.Fatalf("seed %d: Done = %v, reference %v", seed, d.Done(), ref.Done())
-				}
-			}
-			if !d.Done() || !ref.Done() {
-				t.Fatalf("seed %d order %d: frontier drained before every task completed", seed, order)
-			}
-			if !slices.Equal(d.InitialInputs(), ref.InitialInputs()) {
-				t.Fatalf("seed %d: after the run, inputs %v, reference %v", seed, d.InitialInputs(), ref.InitialInputs())
+			if matchReference(t, rng, fmt.Sprintf("seed %d shuffle %d", seed, shuffle), tasks, initial, edges) {
+				built++
+			} else {
+				refused++
 			}
 		}
 	}
-	if built < 100 || refused < 40 {
+	if built < 250 || refused < 150 {
 		t.Fatalf("%d graphs built, %d refused: the generator lost its mix", built, refused)
 	}
+}
+
+// matchReference builds DAG and refDAG over one input order and compares
+// them; it reports whether the graph was built.
+func matchReference(t *testing.T, rng *rand.Rand, name string, tasks []*Task, initial []string, edges []Edge) bool {
+	t.Helper()
+	d, err := NewDAG(tasks, initial, edges)
+	ref, refErr := newRefDAG(tasks, initial, edges)
+	if fmt.Sprint(err) != fmt.Sprint(refErr) {
+		t.Fatalf("%s: NewDAG error %v, reference %v", name, err, refErr)
+	}
+	if err != nil {
+		return false
+	}
+	sameTasks := func(what string, got, want []*Task) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %s = %v, reference %v", name, what, got, want)
+		}
+	}
+	for _, task := range tasks {
+		sameTasks("Predecessors", d.Predecessors(task), ref.Predecessors(task))
+		sameTasks("Successors", d.Successors(task), ref.Successors(task))
+	}
+	sameTasks("TopoOrder", d.TopoOrder(), ref.TopoOrder())
+	if !slices.Equal(d.InitialInputs(), ref.InitialInputs()) || !slices.Equal(d.Sinks(), ref.Sinks()) {
+		t.Fatalf("%s: inputs %v sinks %v, reference %v %v", name, d.InitialInputs(), d.Sinks(), ref.InitialInputs(), ref.Sinks())
+	}
+	if got, want := Analyze(d), refAnalyze(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Analyze = %+v, reference %+v", name, got, want)
+	}
+	for order := 0; order < 3; order++ {
+		d, _ := NewDAG(tasks, initial, edges)
+		ref, _ := newRefDAG(tasks, initial, edges)
+		frontier := d.Ready()
+		sameTasks("Ready", frontier, ref.Ready())
+		for len(frontier) > 0 {
+			i := 0 // order 0 completes the oldest ready task first
+			switch order {
+			case 1:
+				i = len(frontier) - 1
+			case 2:
+				i = rng.Intn(len(frontier))
+			}
+			task := frontier[i]
+			frontier = append(frontier[:i], frontier[i+1:]...)
+			next := d.Complete(task)
+			sameTasks("Complete", next, ref.Complete(task, task.DeclaredOutputs()))
+			frontier = append(frontier, next...)
+			if rng.Intn(4) == 0 {
+				sameTasks("Complete again", d.Complete(task), ref.Complete(task, task.DeclaredOutputs()))
+				sameTasks("Ready mid-run", d.Ready(), ref.Ready())
+			}
+			if d.Done() != ref.Done() {
+				t.Fatalf("%s: Done = %v, reference %v", name, d.Done(), ref.Done())
+			}
+		}
+		if !d.Done() || !ref.Done() {
+			t.Fatalf("%s order %d: frontier drained before every task completed", name, order)
+		}
+		if !slices.Equal(d.InitialInputs(), ref.InitialInputs()) {
+			t.Fatalf("%s: after the run, inputs %v, reference %v", name, d.InitialInputs(), ref.InitialInputs())
+		}
+	}
+	return true
 }

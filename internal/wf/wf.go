@@ -118,6 +118,9 @@ func (t *Task) Validate() error {
 	if t.Name == "" {
 		return fmt.Errorf("wf: task %d has no name", t.ID)
 	}
+	if t.ID < 1 {
+		return fmt.Errorf("wf: task %s has ID %d; a run's task IDs count from 1", t.Name, t.ID)
+	}
 	if t.CPUSeconds < 0 {
 		return fmt.Errorf("wf: task %s has negative CPU time", t.Name)
 	}

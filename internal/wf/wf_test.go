@@ -8,16 +8,16 @@ import (
 	"testing/quick"
 )
 
-// testIDs numbers the tasks these tests build. A DAG asks only that its
-// task IDs be distinct, which one sequence for the whole package gives.
-var testIDs IDSeq
+// fixture numbers one test graph's tasks 1, 2, … in the order they are
+// made, as a driver's IDSeq does: a DAG of n tasks holds IDs 1…n.
+type fixture struct{ ids IDSeq }
 
-func mkTask(name string, inputs []string, outputs ...string) *Task {
+func (f *fixture) mkTask(name string, inputs []string, outputs ...string) *Task {
 	fis := make([]FileInfo, len(outputs))
 	for i, o := range outputs {
 		fis[i] = FileInfo{Path: o, SizeMB: 1}
 	}
-	return &Task{ID: testIDs.Next(), Name: name, Inputs: inputs,
+	return &Task{ID: f.ids.Next(), Name: name, Inputs: inputs,
 		OutputParams: []string{"out"}, Declared: map[string][]FileInfo{"out": fis}, Threads: 1}
 }
 
@@ -34,16 +34,17 @@ func TestIDSeqCountsFromOnePerRun(t *testing.T) {
 }
 
 func TestTaskValidate(t *testing.T) {
-	good := mkTask("a", []string{"in"}, "out")
+	var fx fixture
+	good := fx.mkTask("a", []string{"in"}, "out")
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid task rejected: %v", err)
 	}
 	for _, bad := range []*Task{
 		{ID: 1},
-		mkTask("neg", nil, "o"),
-		mkTask("selfloop", []string{"x"}, "x"),
-		mkTask("emptyin", []string{""}, "o"),
-		mkTask("emptyout", nil, ""),
+		fx.mkTask("neg", nil, "o"),
+		fx.mkTask("selfloop", []string{"x"}, "x"),
+		fx.mkTask("emptyin", []string{""}, "o"),
+		fx.mkTask("emptyout", nil, ""),
 	} {
 		if bad.Name == "neg" {
 			bad.CPUSeconds = -1
@@ -51,6 +52,46 @@ func TestTaskValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("invalid task %q accepted", bad.Name)
 		}
+	}
+}
+
+// TestNewDAGRejectsIDsOutsideOneToN: a graph of n tasks holds IDs 1…n,
+// each once, in any order; Task.Validate refuses an ID below 1 on its own.
+func TestNewDAGRejectsIDsOutsideOneToN(t *testing.T) {
+	if err := (&Task{ID: 0, Name: "a"}).Validate(); err == nil || !strings.Contains(err.Error(), "count from 1") {
+		t.Fatalf("Validate of ID 0 = %v, want a count-from-1 error", err)
+	}
+	for _, tc := range []struct {
+		name string
+		id   int64 // the third task's ID
+		want string
+	}{
+		{"zero", 0, "has ID 0; a run's task IDs count from 1"},
+		{"negative", -3, "has ID -3; a run's task IDs count from 1"},
+		{"above n", 4, "task ID 4 outside 1..3"},
+		{"repeated", 1, "duplicate task ID 1"},
+		{"in range, out of order", 3, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fx fixture
+			a := fx.mkTask("a", nil, "x")
+			b := fx.mkTask("b", []string{"x"}, "y")
+			c := fx.mkTask("c", []string{"y"}, "z")
+			c.ID = tc.id
+			d, err := NewDAG([]*Task{c, a, b}, nil, nil)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("NewDAG: %v", err)
+				}
+				if got := d.All(); got[0] != a || got[1] != b || got[2] != c {
+					t.Fatalf("All() = %v, want ID order", got)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewDAG = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -74,7 +115,8 @@ func TestDeclaredOutputsOrder(t *testing.T) {
 }
 
 func TestDefaultOutcome(t *testing.T) {
-	task := mkTask("a", nil, "o1", "o2")
+	var fx fixture
+	task := fx.mkTask("a", nil, "o1", "o2")
 	oc := DefaultOutcome(task)
 	if oc.ExitCode != 0 || len(oc.Outputs["out"]) != 2 {
 		t.Fatalf("outcome = %+v", oc)
@@ -91,7 +133,8 @@ func TestDefaultOutcome(t *testing.T) {
 }
 
 func TestResultOutputFilesIncludesExtras(t *testing.T) {
-	task := mkTask("a", nil, "o")
+	var fx fixture
+	task := fx.mkTask("a", nil, "o")
 	res := &TaskResult{
 		Task: task,
 		Outputs: map[string][]FileInfo{
@@ -119,9 +162,10 @@ func TestResultSucceeded(t *testing.T) {
 
 // Chain: a -> b -> c via files.
 func TestDAGChain(t *testing.T) {
-	a := mkTask("a", []string{"in"}, "x")
-	b := mkTask("b", []string{"x"}, "y")
-	c := mkTask("c", []string{"y"}, "z")
+	var fx fixture
+	a := fx.mkTask("a", []string{"in"}, "x")
+	b := fx.mkTask("b", []string{"x"}, "y")
+	c := fx.mkTask("c", []string{"y"}, "z")
 	d, err := NewDAG([]*Task{a, b, c}, []string{"in"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +199,11 @@ func TestDAGChain(t *testing.T) {
 }
 
 func TestDAGDiamond(t *testing.T) {
-	a := mkTask("a", []string{"in"}, "x")
-	b := mkTask("b", []string{"x"}, "y1")
-	c := mkTask("c", []string{"x"}, "y2")
-	e := mkTask("e", []string{"y1", "y2"}, "z")
+	var fx fixture
+	a := fx.mkTask("a", []string{"in"}, "x")
+	b := fx.mkTask("b", []string{"x"}, "y1")
+	c := fx.mkTask("c", []string{"x"}, "y2")
+	e := fx.mkTask("e", []string{"y1", "y2"}, "z")
 	d, err := NewDAG([]*Task{a, b, c, e}, []string{"in"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +223,9 @@ func TestDAGDiamond(t *testing.T) {
 }
 
 func TestDAGExplicitEdges(t *testing.T) {
-	a := mkTask("a", nil, "x")
-	b := mkTask("b", nil, "y") // no data dep on a
+	var fx fixture
+	a := fx.mkTask("a", nil, "x")
+	b := fx.mkTask("b", nil, "y") // no data dep on a
 	d, err := NewDAG([]*Task{a, b}, nil, []Edge{{Parent: a.ID, Child: b.ID}})
 	if err != nil {
 		t.Fatal(err)
@@ -194,16 +240,18 @@ func TestDAGExplicitEdges(t *testing.T) {
 }
 
 func TestDAGRejectsCycle(t *testing.T) {
-	a := mkTask("a", []string{"z"}, "x")
-	b := mkTask("b", []string{"x"}, "z")
+	var fx fixture
+	a := fx.mkTask("a", []string{"z"}, "x")
+	b := fx.mkTask("b", []string{"x"}, "z")
 	if _, err := NewDAG([]*Task{a, b}, nil, nil); err == nil {
 		t.Fatal("cycle not detected")
 	}
 }
 
 func TestDAGRejectsExplicitCycle(t *testing.T) {
-	a := mkTask("a", nil, "x")
-	b := mkTask("b", nil, "y")
+	var fx fixture
+	a := fx.mkTask("a", nil, "x")
+	b := fx.mkTask("b", nil, "y")
 	edges := []Edge{{Parent: a.ID, Child: b.ID}, {Parent: b.ID, Child: a.ID}}
 	if _, err := NewDAG([]*Task{a, b}, nil, edges); err == nil {
 		t.Fatal("explicit cycle not detected")
@@ -211,7 +259,8 @@ func TestDAGRejectsExplicitCycle(t *testing.T) {
 }
 
 func TestDAGRejectsMissingProducer(t *testing.T) {
-	a := mkTask("a", []string{"ghost"}, "x")
+	var fx fixture
+	a := fx.mkTask("a", []string{"ghost"}, "x")
 	_, err := NewDAG([]*Task{a}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("missing producer not reported: %v", err)
@@ -219,15 +268,17 @@ func TestDAGRejectsMissingProducer(t *testing.T) {
 }
 
 func TestDAGRejectsDuplicateProducer(t *testing.T) {
-	a := mkTask("a", nil, "x")
-	b := mkTask("b", nil, "x")
+	var fx fixture
+	a := fx.mkTask("a", nil, "x")
+	b := fx.mkTask("b", nil, "x")
 	if _, err := NewDAG([]*Task{a, b}, nil, nil); err == nil {
 		t.Fatal("duplicate producer not detected")
 	}
 }
 
 func TestDAGRejectsUnknownEdgeEndpoint(t *testing.T) {
-	a := mkTask("a", nil, "x")
+	var fx fixture
+	a := fx.mkTask("a", nil, "x")
 	if _, err := NewDAG([]*Task{a}, nil, []Edge{{Parent: a.ID, Child: 9999}}); err == nil {
 		t.Fatal("unknown edge endpoint not detected")
 	}
@@ -237,8 +288,9 @@ func TestDAGRejectsUnknownEdgeEndpoint(t *testing.T) {
 }
 
 func TestDAGCompleteIdempotent(t *testing.T) {
-	a := mkTask("a", nil, "x")
-	b := mkTask("b", []string{"x"}, "y")
+	var fx fixture
+	a := fx.mkTask("a", nil, "x")
+	b := fx.mkTask("b", []string{"x"}, "y")
 	d, _ := NewDAG([]*Task{a, b}, nil, nil)
 	d.Ready()
 	d.Complete(a)
@@ -248,10 +300,11 @@ func TestDAGCompleteIdempotent(t *testing.T) {
 }
 
 func TestDAGTopoOrder(t *testing.T) {
-	a := mkTask("a", []string{"in"}, "x")
-	b := mkTask("b", []string{"x"}, "y")
-	c := mkTask("c", []string{"x"}, "w")
-	e := mkTask("e", []string{"y", "w"}, "z")
+	var fx fixture
+	a := fx.mkTask("a", []string{"in"}, "x")
+	b := fx.mkTask("b", []string{"x"}, "y")
+	c := fx.mkTask("c", []string{"x"}, "w")
+	e := fx.mkTask("e", []string{"y", "w"}, "z")
 	d, _ := NewDAG([]*Task{a, b, c, e}, []string{"in"}, nil)
 	order := d.TopoOrder()
 	pos := map[int64]int{}
@@ -271,7 +324,8 @@ func TestDAGTopoOrder(t *testing.T) {
 }
 
 func TestDAGInitialInputs(t *testing.T) {
-	a := mkTask("a", []string{"in1", "in2"}, "x")
+	var fx fixture
+	a := fx.mkTask("a", []string{"in1", "in2"}, "x")
 	d, _ := NewDAG([]*Task{a}, []string{"in1", "in2"}, nil)
 	got := d.InitialInputs()
 	if len(got) != 2 || got[0] != "in1" || got[1] != "in2" {
@@ -284,6 +338,7 @@ func TestDAGInitialInputs(t *testing.T) {
 // (ii) releases every task exactly once.
 func TestDAGReleaseInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
+		var fx fixture
 		rng := rand.New(rand.NewSource(seed))
 		layers := rng.Intn(4) + 1
 		var tasks []*Task
@@ -302,7 +357,7 @@ func TestDAGReleaseInvariantProperty(t *testing.T) {
 					ins = append(ins, avail[idx])
 				}
 				out := strings.Join([]string{"f", string(rune('a' + l)), string(rune('0' + w))}, "-")
-				tasks = append(tasks, mkTask("t", ins, out))
+				tasks = append(tasks, fx.mkTask("t", ins, out))
 				outs = append(outs, out)
 			}
 			avail = append(avail, outs...)
@@ -351,8 +406,9 @@ func TestDAGReleaseInvariantProperty(t *testing.T) {
 }
 
 func TestStaticBaseDriver(t *testing.T) {
-	a := mkTask("a", []string{"in"}, "x")
-	b := mkTask("b", []string{"x"}, "y")
+	var fx fixture
+	a := fx.mkTask("a", []string{"in"}, "x")
+	b := fx.mkTask("b", []string{"x"}, "y")
 	s := &StaticBase{
 		WFName: "test",
 		Build: func() ([]*Task, []string, []Edge, error) {
@@ -387,12 +443,13 @@ func TestStaticBaseDriver(t *testing.T) {
 }
 
 func TestStaticBaseErrors(t *testing.T) {
+	var fx fixture
 	s := &StaticBase{WFName: "empty"}
 	if _, err := s.Parse(); err == nil {
 		t.Fatal("missing Build must error")
 	}
 	s2 := &StaticBase{WFName: "x", Build: func() ([]*Task, []string, []Edge, error) {
-		return []*Task{mkTask("a", []string{"ghost"}, "o")}, nil, nil, nil
+		return []*Task{fx.mkTask("a", []string{"ghost"}, "o")}, nil, nil, nil
 	}}
 	if _, err := s2.Parse(); err == nil {
 		t.Fatal("bad graph must error")

@@ -123,8 +123,9 @@ func (c *SNVConfig) setDefaults() {
 
 // SNV builds the variant-calling workflow: per read file, a Bowtie 2
 // alignment against the reference; per sample, a SAMtools sort/merge, a
-// VarScan variant call, and an ANNOVAR annotation.
-func SNV(cfg SNVConfig) (wf.StaticDriver, []Input) {
+// VarScan variant call, and an ANNOVAR annotation. The driver's Build hands
+// back the task list it was built from, not a copy.
+func SNV(cfg SNVConfig) (*wf.StaticBase, []Input) {
 	cfg.setDefaults()
 	ref := Input{Path: "/ref/hg38.idx", SizeMB: 3500}
 	var inputs []Input
@@ -286,8 +287,8 @@ func (c *TRAPLINEConfig) setDefaults() {
 // TRAPLINE builds the RNA-seq comparison workflow: per lane TopHat 2 and
 // Cufflinks, then one Cuffmerge join and one Cuffdiff comparing the two
 // groups. TopHat 2 is the multithreaded, intermediate-heavy step the paper
-// singles out.
-func TRAPLINE(cfg TRAPLINEConfig) (wf.StaticDriver, []Input) {
+// singles out. As with SNV, Build hands back the task list itself.
+func TRAPLINE(cfg TRAPLINEConfig) (*wf.StaticBase, []Input) {
 	cfg.setDefaults()
 	genome := Input{Path: "/ref/mm10.fa", SizeMB: 2800}
 	inputs := []Input{genome}
