@@ -172,7 +172,7 @@ func TestAllocationBudgets(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rigs[i] = rig{eng, yarn.NewResourceManager(eng, c, yarn.Config{Fair: true,
+					rigs[i] = rig{eng, yarn.NewResourceManager(eng, c, yarn.Config{
 						Tenants: map[string]yarn.TenantPolicy{"acme": {Weight: 3}}})}
 				}
 				next := 0
@@ -194,6 +194,53 @@ func TestAllocationBudgets(t *testing.T) {
 					r.eng.Run()
 					if granted != 512 {
 						t.Fatalf("%d of 512 requests granted", granted)
+					}
+				}
+			},
+		},
+		{
+			// Three tenants (weights 3, 1 and 0) of two applications each on
+			// one RM, as hiway load runs them: 64 one-core requests per
+			// application at once, each container held 10 s, so every round
+			// interleaves six queues.
+			layer: "yarn: fair allocate round, 3 tenants × 2 applications", unit: "request", units: 384, allocs: 4.70, bytes: 458,
+			prepare: func(t *testing.T, n int) func() {
+				type rig struct {
+					eng *sim.Engine
+					rm  *yarn.ResourceManager
+				}
+				rigs := make([]rig, n)
+				for i := range rigs {
+					eng := sim.NewEngine()
+					c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 4,
+						cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rigs[i] = rig{eng, yarn.NewResourceManager(eng, c, yarn.Config{AMResource: yarn.Resource{MemMB: 256},
+						Tenants: map[string]yarn.TenantPolicy{"acme": {Weight: 3}, "bulk": {Weight: 1}, "idle": {Weight: 0}}})}
+				}
+				next := 0
+				return func() {
+					r := rigs[next]
+					next++
+					granted := 0
+					for _, tn := range []string{"acme", "acme", "bulk", "bulk", "idle", "idle"} {
+						app, err := r.rm.SubmitApplicationFor(tn, "budget", "")
+						if err != nil {
+							t.Fatal(err)
+						}
+						hold := func(c *yarn.Container) {
+							granted++
+							r.eng.Schedule(10, func() { app.Release(c) })
+						}
+						for i := 0; i < 64; i++ {
+							app.Request(yarn.Request{Resource: yarn.Resource{VCores: 1, MemMB: 512}}, hold)
+						}
+					}
+					r.eng.Run()
+					if granted != 384 {
+						t.Fatalf("%d of 384 requests granted", granted)
 					}
 				}
 			},

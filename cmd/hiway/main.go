@@ -1104,7 +1104,6 @@ func runProv(args []string) error {
 	return nil
 }
 
-// runInspect analyzes a static workflow without executing it.
 // paperExperiments are the -exp names of `hiway paper`, besides "all".
 var paperExperiments = []string{"table1", "fig4", "table2", "fig5", "fig6", "fig8", "fig9"}
 
@@ -1179,6 +1178,7 @@ func runPaper(args []string) error {
 	return nil
 }
 
+// runInspect analyzes a static workflow without executing it.
 func runInspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	wfPath := fs.String("w", "", "workflow file (required)")

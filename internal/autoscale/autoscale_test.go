@@ -82,8 +82,8 @@ func chainDriver(n int) wf.StaticDriver {
 	return sb
 }
 
-// membershipLog is a yarn.MembershipAuditHook — the RM's one membership
-// observer, the mechanism hiway verify's auditor uses — that records every
+// membershipLog is a yarn.AuditHook — the RM's one observer, the mechanism
+// hiway verify's auditor uses — that records every
 // join, drain and leave as "<time>:<node>:<event>".
 type membershipLog struct{ events []string }
 

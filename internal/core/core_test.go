@@ -650,6 +650,9 @@ func (r *releaseLog) OnContainerReleased(_ float64, c *yarn.Container, _ bool) {
 }
 func (r *releaseLog) OnContainerLost(float64, *yarn.Container) {}
 func (r *releaseLog) OnNodeDead(float64, string)               {}
+func (r *releaseLog) OnNodeJoined(float64, string, int, int)   {}
+func (r *releaseLog) OnNodeDraining(float64, string)           {}
+func (r *releaseLog) OnNodeRemoved(float64, string)            {}
 
 // submitOrder hands the AM a static driver's initially ready tasks in a
 // fixed order of its own instead of ID order.

@@ -2,9 +2,9 @@
 // execution infrastructures and workflow input data — the stand-in for the
 // paper's Chef recipes orchestrated via Karamel (§3.6). A recipe captures
 // everything needed to reproduce an experiment: the cluster (node groups,
-// switch), the Hadoop configuration (HDFS block size/replication, YARN
-// heartbeat, AM container size), and the input data to stage. Materialize
-// turns a recipe into a ready-to-run environment.
+// switch), the Hadoop configuration (HDFS block size/replication, YARN AM
+// container size and tenant policies), and the input data to stage.
+// Materialize turns a recipe into a ready-to-run environment.
 package recipes
 
 import (

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sort"
 	"strings"
@@ -744,44 +745,6 @@ func (s *Server) Multiset() []byte {
 	return []byte(strings.Join(lines, "\n") + "\n")
 }
 
-// responseRecorder is the minimal in-process http.ResponseWriter the
-// deterministic replay drives the real handlers with.
-type responseRecorder struct {
-	code int
-	hdr  http.Header
-	body bytes.Buffer
-}
-
-// Header implements http.ResponseWriter.
-func (r *responseRecorder) Header() http.Header {
-	if r.hdr == nil {
-		r.hdr = make(http.Header)
-	}
-	return r.hdr
-}
-
-// WriteHeader implements http.ResponseWriter, keeping the first status.
-func (r *responseRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-}
-
-// Write implements http.ResponseWriter, buffering the body.
-func (r *responseRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.body.Write(b)
-}
-
-func (r *responseRecorder) status() int {
-	if r.code == 0 {
-		return http.StatusOK
-	}
-	return r.code
-}
-
 // RunDeterministic drives a deterministic server through a full seeded
 // traffic run on the virtual clock: SeededSubmissions(seed, profiles,
 // durationSec) arrive through the real HTTP handlers over an in-process
@@ -810,9 +773,9 @@ func (s *Server) RunDeterministic(seed int64, durationSec float64) error {
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
-			rec := &responseRecorder{}
+			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
-			if rec.status() == http.StatusTooManyRequests {
+			if rec.Code == http.StatusTooManyRequests {
 				if attempt < s.cfg.RetryLimit {
 					eng.Schedule(s.cfg.RetryAfterSec, attemptAt(ts, attempt+1))
 				} else {

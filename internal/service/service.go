@@ -91,8 +91,8 @@ func TenantPolicies(profiles []TenantProfile) map[string]yarn.TenantPolicy {
 // TierRecipe is the service tier's substrate, shared by the load harnesses
 // and every run the network server executes: nodes workers of 8 vcores and
 // 16 GB, a switch of 100 MB/s per node for switchNodes nodes (a fleet that
-// grows toward switchNodes keeps one switch), and Fair YARN with a
-// memory-only 256 MB AM under the tenants' weights and quotas.
+// grows toward switchNodes keeps one switch), and YARN with a memory-only
+// 256 MB AM under the tenants' weights and quotas.
 func TierRecipe(name string, nodes, switchNodes int, tenants map[string]yarn.TenantPolicy, seed int64) *recipes.Recipe {
 	return &recipes.Recipe{
 		Name: name,
@@ -101,7 +101,6 @@ func TierRecipe(name string, nodes, switchNodes int, tenants map[string]yarn.Ten
 		}}},
 		SwitchMBps: 100 * float64(switchNodes),
 		YARN: yarn.Config{
-			Fair:       true,
 			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
 			Tenants:    tenants,
 		},
@@ -241,9 +240,8 @@ type Service struct {
 }
 
 // New validates the profiles and builds the service over the environment.
-// The environment should come from TierRecipe (or another recipe with Fair
-// sharing and TenantPolicies(profiles)) for the quotas and weights to take
-// effect.
+// The environment should come from TierRecipe (or another recipe with
+// TenantPolicies(profiles)) for the quotas and weights to take effect.
 func New(eng *sim.Engine, env core.Env, cfg Config, profiles []TenantProfile) (*Service, error) {
 	cfg.setDefaults()
 	if err := validateProfiles(profiles, true); err != nil {

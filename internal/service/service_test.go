@@ -26,7 +26,6 @@ func buildTestEnv(t *testing.T, nodes int, profiles []TenantProfile) (*sim.Engin
 		}},
 		SwitchMBps: 1000,
 		YARN: yarn.Config{
-			Fair:       true,
 			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
 			Tenants:    TenantPolicies(profiles),
 		},

@@ -32,32 +32,17 @@ import (
 )
 
 // Run executes fn(i) for every shard i in [0, n) on at most workers
-// concurrent goroutines (workers <= 1 means strictly serial, in shard
-// order). It always waits for all shards; if any fail, the error of the
-// lowest-indexed failing shard is returned, wrapped with its index, so the
-// reported failure does not depend on goroutine interleaving. A lone
-// shard's error is returned as is: there is no other shard to tell it from.
+// concurrent goroutines (workers <= 1 means one, which runs the shards in
+// order). It always waits for all shards, and a panicking shard fails with
+// "panic: …"; if any fail, the error of the lowest-indexed failing shard is
+// returned, wrapped with its index, so the reported failure does not depend
+// on goroutine interleaving. A lone shard's error is returned as is: there
+// is no other shard to tell it from.
 func Run(n, workers int, fn func(shard int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	wrap := func(i int, err error) error {
-		if n == 1 {
-			return err
-		}
-		return fmt.Errorf("shard %d: %w", i, err)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return wrap(i, err)
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(max(workers, 1), n)
 	errs := make([]error, n)
 	var next int
 	var mu sync.Mutex
@@ -87,9 +72,13 @@ func Run(n, workers int, fn func(shard int) error) error {
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err != nil {
-			return wrap(i, err)
+		if err == nil {
+			continue
 		}
+		if n == 1 {
+			return err
+		}
+		return fmt.Errorf("shard %d: %w", i, err)
 	}
 	return nil
 }

@@ -63,14 +63,39 @@ func TestRunLoneShardErrorUnwrapped(t *testing.T) {
 }
 
 func TestRunRecoversPanics(t *testing.T) {
-	err := Run(4, 4, func(i int) error {
-		if i == 2 {
-			panic("shard exploded")
+	for _, workers := range []int{1, 4} {
+		err := Run(4, workers, func(i int) error {
+			if i == 2 {
+				panic("shard exploded")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "shard 2: panic: shard exploded" {
+			t.Fatalf("workers=%d: err=%v", workers, err)
 		}
-		return nil
-	})
-	if err == nil || err.Error() != "shard 2: panic: shard exploded" {
-		t.Fatalf("err=%v", err)
+	}
+}
+
+// A failing shard stops no other shard, at any worker count: the first
+// shard's failure still leaves every later shard run.
+func TestRunWaitsForEveryShardAfterAFailure(t *testing.T) {
+	for _, workers := range []int{0, 1, 4} {
+		var ran [6]atomic.Bool
+		err := Run(len(ran), workers, func(i int) error {
+			ran[i].Store(true)
+			if i == 0 {
+				return errors.New("boom")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "shard 0: boom" {
+			t.Fatalf("workers=%d: err=%v", workers, err)
+		}
+		for i := range ran {
+			if !ran[i].Load() {
+				t.Fatalf("workers=%d: shard %d never ran after shard 0 failed", workers, i)
+			}
+		}
 	}
 }
 

@@ -80,12 +80,11 @@ type Auditor struct {
 	violations []Violation
 }
 
-// The auditor must satisfy both hook interfaces, plus the membership
-// extension so elastic scenarios are audited through node churn.
+// The auditor must satisfy both hook interfaces; the RM's membership
+// events audit elastic scenarios through node churn.
 var (
-	_ yarn.AuditHook           = (*Auditor)(nil)
-	_ yarn.MembershipAuditHook = (*Auditor)(nil)
-	_ core.AuditSink           = (*Auditor)(nil)
+	_ yarn.AuditHook = (*Auditor)(nil)
+	_ core.AuditSink = (*Auditor)(nil)
 )
 
 // NewAuditor builds an auditor over the environment's cluster, RM, and HDFS.
@@ -253,7 +252,7 @@ func (a *Auditor) OnNodeDead(now float64, node string) {
 	a.dead[node] = true
 }
 
-// OnNodeJoined implements yarn.MembershipAuditHook: the node's capacity
+// OnNodeJoined implements yarn.AuditHook: the node's capacity
 // enters the audited total, and a fresh incarnation starts with a clean
 // slate — rejoining under a previously used ID is legitimate only after the
 // old incarnation died or was removed.
@@ -269,7 +268,7 @@ func (a *Auditor) OnNodeJoined(now float64, node string, vcores, memMB int) {
 	delete(a.draining, node)
 }
 
-// OnNodeDraining implements yarn.MembershipAuditHook: from this instant any
+// OnNodeDraining implements yarn.AuditHook: from this instant any
 // allocation on the node is a membership-safety violation.
 func (a *Auditor) OnNodeDraining(now float64, node string) {
 	a.mono(now)
@@ -279,7 +278,7 @@ func (a *Auditor) OnNodeDraining(now float64, node string) {
 	a.draining[node] = true
 }
 
-// OnNodeRemoved implements yarn.MembershipAuditHook. Running containers were
+// OnNodeRemoved implements yarn.AuditHook. Running containers were
 // already reported lost by the time this fires, so the node's remaining
 // accounting must be empty; its capacity leaves the audited total.
 func (a *Auditor) OnNodeRemoved(now float64, node string) {

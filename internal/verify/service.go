@@ -147,6 +147,15 @@ func (a *TenantAuditor) OnContainerLost(now float64, c *yarn.Container) {
 // OnNodeDead implements yarn.AuditHook.
 func (a *TenantAuditor) OnNodeDead(now float64, node string) {}
 
+// OnNodeJoined implements yarn.AuditHook.
+func (a *TenantAuditor) OnNodeJoined(now float64, node string, vcores, memMB int) {}
+
+// OnNodeDraining implements yarn.AuditHook.
+func (a *TenantAuditor) OnNodeDraining(now float64, node string) {}
+
+// OnNodeRemoved implements yarn.AuditHook.
+func (a *TenantAuditor) OnNodeRemoved(now float64, node string) {}
+
 // FinalCheck verifies every tenant's count returned to zero and returns the
 // full violation list.
 func (a *TenantAuditor) FinalCheck(now float64) []Violation {
@@ -213,13 +222,11 @@ func (h *orderRecorder) check(now float64, maxConcurrent int) []Violation {
 
 // materializeService builds the substrate for the service-tier run: the
 // scenario's own cluster and replication-2 HDFS (so the generated
-// single-node kills never destroy the only copy of a block), with fair
-// scheduling, the tenant policies and a 256 MB zero-vcore AM container in
-// the RM, and no staged inputs — each service workflow stages its own.
+// single-node kills never destroy the only copy of a block), with the
+// tenant policies and a 256 MB zero-vcore AM container in the RM, and no staged inputs — each service workflow stages its own.
 func (s *Scenario) materializeService(profiles []service.TenantProfile) (*sim.Engine, core.Env, error) {
 	r := s.recipe()
 	r.YARN = yarn.Config{
-		Fair:       true,
 		AMResource: yarn.Resource{VCores: 0, MemMB: 256},
 		Tenants:    service.TenantPolicies(profiles),
 	}

@@ -9,6 +9,12 @@
 // counterpart protocol it talks to. One application is submitted per
 // workflow, mirroring the paper's one-AM-per-workflow design (§3.1).
 //
+// Each application queues its own requests, and every allocation round
+// serves them in one fair order: weighted tenants in name order, each
+// tenant's applications round-robin in ID order. With one application that
+// order is its arrival order, so its queue is the round. The nodes live in
+// one table sorted by ID, and a container points at its node.
+//
 // When observability is enabled (RM.SetObs), the ResourceManager emits a
 // container span per allocation on the hosting node's track and maintains
 // the hiway_yarn_* metric family: request/allocation/loss counters,

@@ -10,4 +10,4 @@ func (rm *ResourceManager) TenantContainers(tenant string) int {
 // RegisteredNodes returns how many nodes the RM currently tracks, including
 // dead and draining ones — the quantity the bounded-state regression test
 // asserts on.
-func (rm *ResourceManager) RegisteredNodes() int { return len(rm.nms) }
+func (rm *ResourceManager) RegisteredNodes() int { return len(rm.nodes) }

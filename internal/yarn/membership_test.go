@@ -3,6 +3,8 @@ package yarn
 import (
 	"fmt"
 	"testing"
+
+	"hiway/internal/obs"
 )
 
 func TestAddNodeJoinsAndAllocates(t *testing.T) {
@@ -172,12 +174,15 @@ func TestRejoinAfterRemoveAndAfterKill(t *testing.T) {
 	if cores, _ := rm.FreeCapacity("node-01"); cores != 4 {
 		t.Fatalf("second rejoin capacity = %d, want 4", cores)
 	}
+	if n := rm.RegisteredNodes(); n != 2 {
+		t.Fatalf("registered after two rejoins = %d, want 2", n)
+	}
 	eng.Run()
 }
 
 // TestChurnKeepsStateBounded is the regression test for the node-removal
-// satellite: joining and leaving 1k nodes must not leak per-node entries in
-// the RM's index maps.
+// satellite: joining and leaving 1k nodes must not leak entries in the RM's
+// node table.
 func TestChurnKeepsStateBounded(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{})
 	const churn = 1000
@@ -193,12 +198,6 @@ func TestChurnKeepsStateBounded(t *testing.T) {
 	eng.Run()
 	if got := rm.RegisteredNodes(); got != 2 {
 		t.Fatalf("registered after churn = %d, want 2", got)
-	}
-	if got := len(rm.order); got != 2 {
-		t.Fatalf("order after churn = %d entries, want 2", got)
-	}
-	if got := len(rm.nodeAllocCs); got != 0 {
-		t.Fatalf("nodeAllocCs after churn = %d entries, want 0 (obs off)", got)
 	}
 	// Cost accounting must survive churn with zero busy usage.
 	rep := rm.CostReport()
@@ -275,5 +274,37 @@ func TestDrainReroutesStrictPending(t *testing.T) {
 	eng.Run()
 	if withdrawn != 1 {
 		t.Fatalf("OnUnplaceable fired %d times, want 1", withdrawn)
+	}
+}
+
+// TestNodeAllocationCountersFollowMembership pins the per-node counters of
+// the metrics snapshot: a node registered before SetObs, one that joins
+// after it and a rejoin over a killed node each count the containers placed
+// on them, and the rejoin continues its ID's counter.
+func TestNodeAllocationCountersFollowMembership(t *testing.T) {
+	eng, rm := newRM(t, 1, spec4(), Config{})
+	o := obs.New(eng.Now)
+	rm.SetObs(o)
+	count := func(node string) int64 {
+		return o.M().CounterL("hiway_yarn_node_containers_total", "containers allocated per node", "node", node).Value()
+	}
+	if err := rm.AddNode("node-01", 4, 4096, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"node-00", "node-01"} {
+		if _, err := rm.SubmitApplication("wf", node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rm.KillNode("node-01")
+	if err := rm.AddNode("node-01", 4, 4096, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rm.SubmitApplication("wf", "node-01"); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if a, b := count("node-00"), count("node-01"); a != 1 || b != 2 {
+		t.Fatalf("node counters = %d, %d, want 1, 2", a, b)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"hiway/internal/cluster"
 	"hiway/internal/obs"
@@ -42,6 +43,7 @@ type Container struct {
 	// hosting node dies while the container is allocated.
 	OnLost func()
 
+	nm       *nodeManager // the hosting node's incarnation
 	released bool
 	allocAt  float64    // allocation time, for per-tenant cost attribution
 	span     obs.SpanID // container span (allocate → release), 0 when obs is off
@@ -63,28 +65,21 @@ type Request struct {
 	OnUnplaceable func(req Request)
 }
 
+// heartbeatSec is the allocation latency: requests are matched to free
+// capacity one heartbeat after arrival/release, as in YARN's
+// heartbeat-driven allocation.
+const heartbeatSec = 0.25
+
 // Config tunes the ResourceManager.
 type Config struct {
-	// HeartbeatSec is the allocation latency: requests are matched to free
-	// capacity one heartbeat after arrival/release, as in YARN's
-	// heartbeat-driven allocation. Default 0.25s.
-	HeartbeatSec float64
 	// AMResource is the container size used for application masters.
 	// Default 1 vcore, 1024 MB. VCores may be zero: the AM is a thin
 	// process whose vcore reservation need not block task containers
 	// (YARN does not enforce vcores by default).
 	AMResource Resource
-	// Fair switches YARN's internal scheduler (§3.4 distinguishes it from
-	// Hi-WAY's workflow scheduler) from FIFO to fair sharing: allocation
-	// rounds serve one request per application in turn, so a workflow
-	// with many queued requests cannot starve a smaller one. With Tenants
-	// configured, fair sharing additionally weights the order across
-	// tenants (see TenantPolicy).
-	Fair bool
 	// Tenants configures per-tenant fair-share weights and hard quota caps
 	// for the multi-tenant service tier. Tenants absent from the map get
-	// weight 1 and no cap. Quota caps are enforced regardless of Fair;
-	// tenant-weighted ordering applies only when Fair is set.
+	// weight 1 and no cap.
 	Tenants map[string]TenantPolicy
 }
 
@@ -104,9 +99,6 @@ type TenantPolicy struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.HeartbeatSec <= 0 {
-		c.HeartbeatSec = 0.25
-	}
 	if c.AMResource.VCores <= 0 && c.AMResource.MemMB <= 0 {
 		c.AMResource = Resource{VCores: 1, MemMB: 1024}
 	}
@@ -121,9 +113,11 @@ type nodeManager struct {
 	dead       bool
 	spot       bool // spot instance: cheaper node-seconds, reclaimable by chaos
 	draining   bool // graceful decommission in progress: no new allocations
+	gone       bool // out of the node table: removed, or replaced by a rejoin
 	running    map[int64]*Container
-	bucket     int // free-cores index bucket, -1 while unallocatable
-	bucketPos  int // position within that bucket, for O(1) swap-removal
+	bucket     int          // free-cores index bucket, -1 while unallocatable
+	bucketPos  int          // position within that bucket, for O(1) swap-removal
+	allocC     *obs.Counter // containers allocated here, nil when obs is off
 
 	// cost accounting: piecewise integral of allocated (busy) cores.
 	joinedAt    float64
@@ -136,11 +130,11 @@ type nodeManager struct {
 }
 
 type pendingReq struct {
-	app   *Application
-	req   Request
-	onOK  func(*Container)
-	at    float64 // request arrival time, for allocation-latency metrics
-	taken bool    // satisfied this allocation round (transient)
+	app  *Application // nil once granted: the request has left its queue
+	req  Request
+	hint *nodeManager // the node req.NodeHint named when last looked up
+	onOK func(*Container)
+	at   float64 // request arrival time, for allocation-latency metrics
 }
 
 // AuditHook observes the RM's container lifecycle at the exact points
@@ -161,13 +155,6 @@ type AuditHook interface {
 	// OnNodeDead fires once when a node is killed, before its containers
 	// are reported lost.
 	OnNodeDead(now float64, node string)
-}
-
-// MembershipAuditHook extends AuditHook for auditors that also want to
-// observe node membership changes (elastic clusters). The RM invokes it via
-// type assertion on the installed AuditHook, so plain AuditHook
-// implementations keep working unchanged.
-type MembershipAuditHook interface {
 	// OnNodeJoined fires when a node joins mid-run, after its capacity is
 	// registered but before any allocation can land on it.
 	OnNodeJoined(now float64, node string, vcores, memMB int)
@@ -184,10 +171,12 @@ type ResourceManager struct {
 	eng *sim.Engine
 	cfg Config
 
-	nms     map[string]*nodeManager
-	order   []string // node IDs in deterministic order
-	pending []*pendingReq
-	apps    map[int]*Application
+	// nodes is the node table, sorted by ID in byte order: dead and
+	// draining nodes stay until RemoveNode.
+	nodes []*nodeManager
+	// apps holds the unfinished applications in ID order; each queues its
+	// own requests.
+	apps []*Application
 
 	// freeIdx buckets allocatable (alive, non-draining) nodes by free core
 	// count, so pickNode finds the most-free node in O(1) instead of
@@ -232,14 +221,13 @@ type ResourceManager struct {
 	preempted int   // running containers preempted by node removal
 
 	// observability (nil handles when disabled — all no-ops)
-	obs         *obs.Obs
-	requestsC   *obs.Counter
-	allocatedC  *obs.Counter
-	lostC       *obs.Counter
-	killedC     *obs.Counter
-	preemptedC  *obs.Counter
-	allocLatH   *obs.Histogram
-	nodeAllocCs map[string]*obs.Counter // per-node allocation counters
+	obs        *obs.Obs
+	requestsC  *obs.Counter
+	allocatedC *obs.Counter
+	lostC      *obs.Counter
+	killedC    *obs.Counter
+	preemptedC *obs.Counter
+	allocLatH  *obs.Histogram
 }
 
 // SetObs attaches the observability layer: container spans on per-node
@@ -256,11 +244,14 @@ func (rm *ResourceManager) SetObs(o *obs.Obs) {
 	rm.allocLatH = m.Histogram("hiway_yarn_allocation_latency_seconds",
 		"virtual seconds from container request to allocation",
 		[]float64{0.25, 0.5, 1, 2, 5, 10, 30, 60, 120})
-	rm.nodeAllocCs = make(map[string]*obs.Counter, len(rm.order))
-	for _, id := range rm.order {
-		rm.nodeAllocCs[id] = m.CounterL("hiway_yarn_node_containers_total",
-			"containers allocated per node", "node", id)
+	for _, nm := range rm.nodes {
+		nm.allocC = rm.nodeCounter(nm.id)
 	}
+}
+
+// nodeCounter returns the node's allocation counter (nil when obs is off).
+func (rm *ResourceManager) nodeCounter(id string) *obs.Counter {
+	return rm.obs.M().CounterL("hiway_yarn_node_containers_total", "containers allocated per node", "node", id)
 }
 
 // SetAudit installs an invariant auditor over the RM's container lifecycle.
@@ -279,8 +270,6 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, cfg Config) *Resour
 	rm := &ResourceManager{
 		eng:        eng,
 		cfg:        cfg,
-		nms:        make(map[string]*nodeManager),
-		apps:       make(map[int]*Application),
 		tenantUse:  make(map[string]int),
 		tenantCost: make(map[string]*TenantCost),
 	}
@@ -297,12 +286,25 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, cfg Config) *Resour
 			busyMark:   now,
 			bucket:     -1,
 		}
-		rm.nms[n.ID] = nm
-		rm.order = append(rm.order, n.ID)
+		rm.nodes = append(rm.nodes, nm)
 		rm.idxSync(nm)
 	}
-	sort.Strings(rm.order)
+	slices.SortFunc(rm.nodes, func(a, b *nodeManager) int { return strings.Compare(a.id, b.id) })
 	return rm
+}
+
+// find returns the node table position of a node ID and whether a node
+// with that ID is registered there.
+func (rm *ResourceManager) find(id string) (int, bool) {
+	return slices.BinarySearchFunc(rm.nodes, id, func(nm *nodeManager, id string) int { return strings.Compare(nm.id, id) })
+}
+
+// node returns the registered node with the ID, or nil.
+func (rm *ResourceManager) node(id string) *nodeManager {
+	if i, ok := rm.find(id); ok {
+		return rm.nodes[i]
+	}
+	return nil
 }
 
 // accrueBusy brings a node's busy-core integral up to now. It must run
@@ -360,13 +362,9 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 	if vcores <= 0 || memMB <= 0 {
 		return fmt.Errorf("yarn: node %s needs positive capacity, got %d vcores / %d MB", nodeID, vcores, memMB)
 	}
-	if old := rm.nms[nodeID]; old != nil {
-		if !old.dead {
-			return fmt.Errorf("yarn: node %s already registered", nodeID)
-		}
-		// Dead incarnation: its cost was finalized at kill time; replace it.
-		delete(rm.nms, nodeID)
-		rm.dropFromOrder(nodeID)
+	i, found := rm.find(nodeID)
+	if found && !rm.nodes[i].dead {
+		return fmt.Errorf("yarn: node %s already registered", nodeID)
 	}
 	now := rm.eng.Now()
 	nm := &nodeManager{
@@ -380,22 +378,19 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 		joinedAt:   now,
 		busyMark:   now,
 		bucket:     -1,
+		allocC:     rm.nodeCounter(nodeID),
 	}
-	rm.nms[nodeID] = nm
+	if found {
+		// Dead incarnation: its cost was finalized at kill time; replace it.
+		rm.nodes[i].gone = true
+		rm.nodes[i] = nm
+	} else {
+		rm.nodes = slices.Insert(rm.nodes, i, nm)
+	}
 	rm.idxSync(nm)
-	i := sort.SearchStrings(rm.order, nodeID)
-	rm.order = append(rm.order, "")
-	copy(rm.order[i+1:], rm.order[i:])
-	rm.order[i] = nodeID
-	if rm.obs != nil && rm.nodeAllocCs != nil {
-		if _, ok := rm.nodeAllocCs[nodeID]; !ok {
-			rm.nodeAllocCs[nodeID] = rm.obs.M().CounterL("hiway_yarn_node_containers_total",
-				"containers allocated per node", "node", nodeID)
-		}
-	}
 	rm.obs.T().Instant("membership", "node-joined", nodeID)
-	if mh, ok := rm.audit.(MembershipAuditHook); ok {
-		mh.OnNodeJoined(now, nodeID, vcores, memMB)
+	if rm.audit != nil {
+		rm.audit.OnNodeJoined(now, nodeID, vcores, memMB)
 	}
 	rm.kick()
 	return nil
@@ -410,7 +405,7 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 // until the caller removes it; pending strict requests pinned to it are
 // re-routed just as for a node failure.
 func (rm *ResourceManager) DrainNode(nodeID string, deadlineSec float64, onDone func(node string, graceful bool)) error {
-	nm := rm.nms[nodeID]
+	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
 		return fmt.Errorf("yarn: cannot drain unknown or dead node %s", nodeID)
 	}
@@ -424,15 +419,15 @@ func (rm *ResourceManager) DrainNode(nodeID string, deadlineSec float64, onDone 
 	gen := nm.drainGen
 	now := rm.eng.Now()
 	rm.obs.T().Instant("membership", "node-draining", nodeID)
-	if mh, ok := rm.audit.(MembershipAuditHook); ok {
-		mh.OnNodeDraining(now, nodeID)
+	if rm.audit != nil {
+		rm.audit.OnNodeDraining(now, nodeID)
 	}
 	rm.rerouteStrict(nodeID)
 	if len(nm.running) == 0 {
 		rm.completeDrain(nm, true)
 	} else if deadlineSec > 0 {
 		rm.eng.Schedule(deadlineSec, func() {
-			if rm.nms[nodeID] != nm || nm.dead || !nm.draining || nm.drainGen != gen || nm.drainDone == nil {
+			if nm.gone || nm.dead || !nm.draining || nm.drainGen != gen || nm.drainDone == nil {
 				return
 			}
 			rm.preemptRunning(nm)
@@ -503,60 +498,53 @@ func (rm *ResourceManager) loseRunning(nm *nodeManager, count *obs.Counter, arg 
 // were already lost at kill time). All per-node index state is deleted so
 // long elastic runs stay bounded.
 func (rm *ResourceManager) RemoveNode(nodeID string) error {
-	nm := rm.nms[nodeID]
-	if nm == nil {
+	i, ok := rm.find(nodeID)
+	if !ok {
 		return fmt.Errorf("yarn: cannot remove unknown node %s", nodeID)
 	}
+	nm := rm.nodes[i]
 	if !nm.dead {
-
 		rm.preemptRunning(nm)
 		rm.accrueBusy(nm)
 		rm.finalizeNodeCost(nm)
 		nm.drainDone = nil // a pending drain callback is superseded by removal
 	}
 	rm.idxRemove(nm)
-	delete(rm.nms, nodeID)
-	rm.dropFromOrder(nodeID)
-	delete(rm.nodeAllocCs, nodeID)
+	nm.gone = true
+	rm.nodes = slices.Delete(rm.nodes, i, i+1)
 	rm.rerouteStrict(nodeID)
 	now := rm.eng.Now()
 	rm.obs.T().Instant("membership", "node-removed", nodeID)
-	if mh, ok := rm.audit.(MembershipAuditHook); ok {
-		mh.OnNodeRemoved(now, nodeID)
+	if rm.audit != nil {
+		rm.audit.OnNodeRemoved(now, nodeID)
 	}
 	rm.kick()
 	return nil
 }
 
-func (rm *ResourceManager) dropFromOrder(nodeID string) {
-	for i, id := range rm.order {
-		if id == nodeID {
-			rm.order = append(rm.order[:i], rm.order[i+1:]...)
-			return
-		}
-	}
-}
-
 // rerouteStrict re-routes pending strict requests pinned to a node that can
 // no longer host them — withdrawn through OnUnplaceable when set, relaxed to
-// run anywhere otherwise.
+// run anywhere otherwise. Applications are walked in ID order, each queue in
+// arrival order.
 func (rm *ResourceManager) rerouteStrict(nodeID string) {
-	kept := rm.pending[:0]
-	for _, p := range rm.pending {
-		if !p.req.Strict || p.req.NodeHint != nodeID {
+	for _, a := range rm.apps {
+		kept := a.pending[:0]
+		for _, p := range a.pending {
+			if !p.req.Strict || p.req.NodeHint != nodeID {
+				kept = append(kept, p)
+				continue
+			}
+			if cb := p.req.OnUnplaceable; cb != nil {
+				req := p.req
+				rm.eng.Schedule(0, func() { cb(req) })
+				continue // withdrawn; the owner re-requests
+			}
+			p.req.Strict = false
+			p.req.NodeHint = ""
 			kept = append(kept, p)
-			continue
 		}
-		if cb := p.req.OnUnplaceable; cb != nil {
-			req := p.req
-			rm.eng.Schedule(0, func() { cb(req) })
-			continue // withdrawn; the owner re-requests
-		}
-		p.req.Strict = false
-		p.req.NodeHint = ""
-		kept = append(kept, p)
+		a.pending = kept
 	}
-	rm.pending = kept
 }
 
 // Application is one submitted app (one Hi-WAY AM per workflow).
@@ -570,6 +558,7 @@ type Application struct {
 	// AMContainer hosts the application master itself.
 	AMContainer *Container
 	finished    bool
+	pending     []*pendingReq // queued, unallocated requests in arrival order
 }
 
 // SubmitApplication registers an untenanted application and synchronously
@@ -588,7 +577,7 @@ func (rm *ResourceManager) SubmitApplicationFor(tenant, name, amNode string) (*A
 	app := &Application{rm: rm, ID: rm.nextApp, Name: name, Tenant: tenant}
 	var nm *nodeManager
 	if amNode != "" {
-		cand := rm.nms[amNode]
+		cand := rm.node(amNode)
 		if cand == nil || cand.dead || cand.draining {
 			return nil, fmt.Errorf("yarn: AM node %q unavailable", amNode)
 		}
@@ -597,13 +586,13 @@ func (rm *ResourceManager) SubmitApplicationFor(tenant, name, amNode string) (*A
 		}
 		nm = cand
 	} else {
-		nm = rm.pickNode(rm.cfg.AMResource, "", false)
+		nm = rm.pickNode(rm.cfg.AMResource, nil, false)
 		if nm == nil {
 			return nil, fmt.Errorf("yarn: no capacity for AM container %v", rm.cfg.AMResource)
 		}
 	}
 	app.AMContainer = rm.allocateOn(nm, app, rm.cfg.AMResource, true)
-	rm.apps[app.ID] = app
+	rm.apps = append(rm.apps, app)
 	return app, nil
 }
 
@@ -622,21 +611,13 @@ func (a *Application) Request(req Request, onAllocated func(*Container)) {
 	a.rm.requestsC.Inc()
 	p := a.rm.newPendingReq()
 	*p = pendingReq{app: a, req: req, onOK: onAllocated, at: a.rm.eng.Now()}
-	a.rm.pending = append(a.rm.pending, p)
+	a.pending = append(a.pending, p)
 	a.rm.kick()
 }
 
 // PendingRequests returns the number of queued, unallocated requests for
 // this application.
-func (a *Application) PendingRequests() int {
-	n := 0
-	for _, p := range a.rm.pending {
-		if p.app == a {
-			n++
-		}
-	}
-	return n
-}
+func (a *Application) PendingRequests() int { return len(a.pending) }
 
 // Release returns a container's resources to its node and triggers a new
 // allocation round. Releasing twice is a no-op.
@@ -653,23 +634,20 @@ func (a *Application) Release(c *Container) {
 	c.released = true
 	a.rm.obs.T().End(c.span)
 	a.rm.creditTenant(c)
-	nm := a.rm.nms[c.NodeID]
-	if nm != nil {
-		delete(nm.running, c.ID)
-		if !nm.dead {
-			a.rm.accrueBusy(nm)
-			a.rm.chargeTenant(c, nm.spot)
-			nm.freeCores += c.Resource.VCores + a.rm.releaseSkew
-			nm.freeMem += c.Resource.MemMB
-			a.rm.idxSync(nm)
-		}
-	}
+	// The node is alive: a kill or a removal marks its containers released.
+	nm := c.nm
+	delete(nm.running, c.ID)
+	a.rm.accrueBusy(nm)
+	a.rm.chargeTenant(c, nm.spot)
+	nm.freeCores += c.Resource.VCores + a.rm.releaseSkew
+	nm.freeMem += c.Resource.MemMB
+	a.rm.idxSync(nm)
 	// The audit hook fires after accounting so a capacity cross-check at
 	// this instant sees the post-release state.
 	if a.rm.audit != nil {
 		a.rm.audit.OnContainerReleased(a.rm.eng.Now(), c, false)
 	}
-	if nm != nil && nm.draining && !nm.dead && len(nm.running) == 0 {
+	if nm.draining && len(nm.running) == 0 {
 		a.rm.completeDrain(nm, true)
 	}
 	a.rm.kick()
@@ -681,15 +659,9 @@ func (a *Application) Finish() {
 		return
 	}
 	a.finished = true
-	kept := a.rm.pending[:0]
-	for _, p := range a.rm.pending {
-		if p.app != a {
-			kept = append(kept, p)
-		}
-	}
-	a.rm.pending = kept
+	a.pending = nil
+	a.rm.apps = slices.DeleteFunc(a.rm.apps, func(b *Application) bool { return b == a })
 	a.Release(a.AMContainer)
-	delete(a.rm.apps, a.ID)
 }
 
 // kick schedules an allocation round one heartbeat from now (coalesced).
@@ -698,28 +670,24 @@ func (rm *ResourceManager) kick() {
 		return
 	}
 	rm.allocPending = true
-	rm.eng.Schedule(rm.cfg.HeartbeatSec, func() {
+	rm.eng.Schedule(heartbeatSec, func() {
 		rm.allocPending = false
 		rm.allocate()
 	})
 }
 
-// allocate matches pending requests to free capacity — in FIFO order, or
-// (tenant-weighted) round-robin across applications when fair sharing is
-// configured. Requests of tenants at their quota cap are passed over and
-// stay pending; releasing one of the tenant's containers re-kicks the round.
+// allocate matches pending requests to free capacity in the round's fair
+// order (see roundOrder). Requests of tenants at their quota cap are passed
+// over and stay pending; releasing one of the tenant's containers re-kicks
+// the round.
 func (rm *ResourceManager) allocate() {
-	order := rm.pending
-	if rm.cfg.Fair {
-		order = fairOrder(rm.pending, rm.cfg.Tenants)
-	}
 	satisfied := rm.satScratch[:0]
 	containers := rm.ctrScratch[:0]
-	for _, p := range order {
+	for _, p := range rm.roundOrder() {
 		if rm.tenantAtCap(p.app.Tenant) {
 			continue
 		}
-		nm := rm.pickNode(p.req.Resource, p.req.NodeHint, p.req.Strict)
+		nm := rm.pickNode(p.req.Resource, rm.hinted(p), p.req.Strict)
 		if nm == nil {
 			continue
 		}
@@ -727,20 +695,20 @@ func (rm *ResourceManager) allocate() {
 		lat := rm.eng.Now() - p.at
 		rm.allocLatH.Observe(lat)
 		rm.allocLatEWMA = 0.8*rm.allocLatEWMA + 0.2*lat
-		p.taken = true
+		p.app = nil
 		satisfied = append(satisfied, p)
 		containers = append(containers, c)
 	}
-	kept := rm.pending[:0]
-	for _, p := range rm.pending {
-		if !p.taken {
-			kept = append(kept, p)
+	for _, a := range rm.apps {
+		kept := a.pending[:0]
+		for _, p := range a.pending {
+			if p.app != nil {
+				kept = append(kept, p)
+			}
 		}
+		clear(a.pending[len(kept):])
+		a.pending = kept
 	}
-	for i := len(kept); i < len(rm.pending); i++ {
-		rm.pending[i] = nil
-	}
-	rm.pending = kept
 	// Callbacks after queue surgery so they can request more containers.
 	for i, p := range satisfied {
 		if p.onOK != nil {
@@ -756,96 +724,106 @@ func (rm *ResourceManager) allocate() {
 	rm.ctrScratch = containers[:0]
 }
 
-// fairOrder orders pending requests for one allocation round. Within a
+// roundOrder orders the pending requests for one allocation round. Within a
 // tenant, requests interleave round-robin across applications (apps ordered
 // by ID, requests within an app in arrival order). Across tenants, each
 // round serves up to Weight requests per positively weighted tenant
 // (tenants in name order); zero-weight (background) tenants follow after
-// every weighted tenant's requests, one per round. Without tenant
-// configuration every application belongs to the anonymous weight-1 tenant
-// and the order degenerates to the classic per-application round-robin.
-func fairOrder(pending []*pendingReq, tenants map[string]TenantPolicy) []*pendingReq {
-	// One application is one stream in arrival order, whatever its weight:
-	// what groupedOrder returns for it, without building its maps.
-	if !slices.ContainsFunc(pending, func(p *pendingReq) bool { return p.app != pending[0].app }) {
-		return pending
+// every weighted tenant's requests, one per round. Untenanted applications
+// share the anonymous weight-1 tenant, so without tenants the order is the
+// classic per-application round-robin.
+func (rm *ResourceManager) roundOrder() []*pendingReq {
+	var last *Application
+	queued, total := 0, 0
+	for _, a := range rm.apps {
+		if len(a.pending) > 0 {
+			last = a
+			queued++
+			total += len(a.pending)
+		}
 	}
-	return groupedOrder(pending, tenants)
-}
-
-// groupedOrder is fairOrder's general case.
-func groupedOrder(pending []*pendingReq, tenants map[string]TenantPolicy) []*pendingReq {
-	// Group by tenant, then flatten each tenant into its own
-	// per-application round-robin stream.
-	perTenant := make(map[string]map[int][]*pendingReq)
-	var names []string
-	for _, p := range pending {
-		tn := p.app.Tenant
-		apps, ok := perTenant[tn]
-		if !ok {
-			apps = make(map[int][]*pendingReq)
-			perTenant[tn] = apps
-			names = append(names, tn)
+	if queued <= 1 {
+		// One application is one stream in arrival order, whatever its
+		// weight: its own queue is the round.
+		if last == nil {
+			return nil
 		}
-		apps[p.app.ID] = append(apps[p.app.ID], p)
+		return last.pending
 	}
-	sort.Strings(names)
-	streams := make(map[string][]*pendingReq, len(names))
-	for tn, apps := range perTenant {
-		ids := make([]int, 0, len(apps))
-		total := 0
-		for id, q := range apps {
-			ids = append(ids, id)
-			total += len(q)
+	// rm.apps is in ID order, so a stable sort by tenant leaves each
+	// tenant's applications in ID order.
+	apps := slices.Clone(rm.apps)
+	slices.SortStableFunc(apps, func(a, b *Application) int { return strings.Compare(a.Tenant, b.Tenant) })
+	streams := make([]tenantStream, 0, len(apps))
+	for i := 0; i < len(apps); {
+		j := i + 1
+		for j < len(apps) && apps[j].Tenant == apps[i].Tenant {
+			j++
 		}
-		sort.Ints(ids)
-		s := make([]*pendingReq, 0, total)
-		for round := 0; len(s) < total; round++ {
-			for _, id := range ids {
-				if q := apps[id]; round < len(q) {
-					s = append(s, q[round])
-				}
-			}
+		s := tenantStream{apps: apps[i:j], weight: rm.weight(apps[i].Tenant)}
+		for _, a := range s.apps {
+			s.left += len(a.pending)
 		}
-		streams[tn] = s
+		streams = append(streams, s)
+		i = j
 	}
-	weight := func(tn string) int {
-		pol, ok := tenants[tn]
-		if !ok {
-			return 1
-		}
-		if pol.Weight < 0 {
-			return 0
-		}
-		return pol.Weight
-	}
-	out := make([]*pendingReq, 0, len(pending))
-	idx := make(map[string]int, len(names))
+	out := make([]*pendingReq, 0, total)
 	// Weighted tenants: up to Weight requests per tenant per round.
-	for {
-		progressed := false
-		for _, tn := range names {
-			w := weight(tn)
-			for k := 0; k < w && idx[tn] < len(streams[tn]); k++ {
-				out = append(out, streams[tn][idx[tn]])
-				idx[tn]++
+	for progressed := true; progressed; {
+		progressed = false
+		for k := range streams {
+			s := &streams[k]
+			for n := 0; n < s.weight && s.left > 0; n++ {
+				out = append(out, s.take())
 				progressed = true
 			}
 		}
-		if !progressed {
-			break
-		}
 	}
 	// Background (zero-weight) tenants: whatever remains, one per round.
-	for len(out) < len(pending) {
-		for _, tn := range names {
-			if idx[tn] < len(streams[tn]) {
-				out = append(out, streams[tn][idx[tn]])
-				idx[tn]++
+	for len(out) < total {
+		for k := range streams {
+			if s := &streams[k]; s.left > 0 {
+				out = append(out, s.take())
 			}
 		}
 	}
 	return out
+}
+
+// weight is a tenant's fair-share weight, 1 for a tenant Config.Tenants
+// does not name. A negative weight takes nothing per round, as 0 does.
+func (rm *ResourceManager) weight(tenant string) int {
+	pol, ok := rm.cfg.Tenants[tenant]
+	if !ok {
+		return 1
+	}
+	return pol.Weight
+}
+
+// tenantStream is one tenant's requests in round-robin order: every
+// application's first request in ID order, then every second one, and so on.
+type tenantStream struct {
+	apps   []*Application // the tenant's applications, in ID order
+	weight int
+	left   int // requests not yet taken
+	round  int // the queue position take reads
+	next   int // the application take reads next
+}
+
+// take returns the stream's next request; left must be positive.
+func (s *tenantStream) take() *pendingReq {
+	for {
+		if s.next == len(s.apps) {
+			s.next = 0
+			s.round++
+		}
+		a := s.apps[s.next]
+		s.next++
+		if s.round < len(a.pending) {
+			s.left--
+			return a.pending[s.round]
+		}
+	}
 }
 
 // tenantAtCap reports whether the tenant's worker-container quota is
@@ -932,24 +910,31 @@ func (rm *ResourceManager) growIdx(maxCores int) {
 	}
 }
 
+// hinted returns the registered node a request's hint names, or nil. The
+// node stays on the request until it leaves the table, so a request waiting
+// through many rounds looks its hint up once per incarnation.
+func (rm *ResourceManager) hinted(p *pendingReq) *nodeManager {
+	if p.req.NodeHint == "" {
+		return nil
+	}
+	if p.hint == nil || p.hint.gone {
+		p.hint = rm.node(p.req.NodeHint)
+	}
+	return p.hint
+}
+
 // pickNode chooses a node for the resource. With strict placement only the
 // hinted node qualifies. Otherwise the hint is preferred if it fits, then
 // the node with the most free cores (ties: more free memory, then ID). The
 // bucketed index narrows the search to the highest non-empty free-cores
 // bucket; scanning that one bucket for the (freeMem, ID) winner keeps the
 // choice identical to the old full scan over every node.
-func (rm *ResourceManager) pickNode(res Resource, hint string, strict bool) *nodeManager {
-	if strict {
-		nm := rm.nms[hint]
-		if nm != nil && !nm.dead && !nm.draining && res.Fits(nm.freeCores, nm.freeMem) {
-			return nm
-		}
-		return nil
+func (rm *ResourceManager) pickNode(res Resource, hint *nodeManager, strict bool) *nodeManager {
+	if hint != nil && !hint.dead && !hint.draining && res.Fits(hint.freeCores, hint.freeMem) {
+		return hint
 	}
-	if hint != "" {
-		if nm := rm.nms[hint]; nm != nil && !nm.dead && !nm.draining && res.Fits(nm.freeCores, nm.freeMem) {
-			return nm
-		}
+	if strict {
+		return nil
 	}
 	for k := len(rm.freeIdx) - 1; k >= res.VCores; k-- {
 		var best *nodeManager
@@ -976,13 +961,13 @@ func (rm *ResourceManager) allocateOn(nm *nodeManager, app *Application, res Res
 	rm.idxSync(nm)
 	rm.nextContainer++
 	rm.Allocated++
-	c := &Container{ID: rm.nextContainer, NodeID: nm.id, Resource: res, AppID: app.ID, Tenant: app.Tenant, AM: am, allocAt: rm.eng.Now()}
+	c := &Container{ID: rm.nextContainer, NodeID: nm.id, Resource: res, AppID: app.ID, Tenant: app.Tenant, AM: am, nm: nm, allocAt: rm.eng.Now()}
 	if !am && app.Tenant != "" {
 		rm.tenantUse[app.Tenant]++
 	}
 	nm.running[c.ID] = c
 	rm.allocatedC.Inc()
-	rm.nodeAllocCs[nm.id].Inc()
+	nm.allocC.Inc()
 	if tr := rm.obs.T(); tr.Enabled() {
 		c.span = tr.Begin("container", "c"+strconv.FormatInt(c.ID, 10), nm.id, 0)
 		tr.ArgInt(c.span, "vcores", int64(res.VCores))
@@ -999,7 +984,7 @@ func (rm *ResourceManager) allocateOn(nm *nodeManager, app *Application, res Res
 // re-routed — withdrawn through their OnUnplaceable callback when set,
 // relaxed to run anywhere otherwise — so they cannot silently starve.
 func (rm *ResourceManager) KillNode(nodeID string) {
-	nm := rm.nms[nodeID]
+	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
 		return
 	}
@@ -1029,8 +1014,8 @@ func (rm *ResourceManager) KillNode(nodeID string) {
 // tests assert returns to zero after workflows finish.
 func (rm *ResourceManager) RunningContainers() int {
 	n := 0
-	for _, id := range rm.order {
-		n += len(rm.nms[id].running)
+	for _, nm := range rm.nodes {
+		n += len(nm.running)
 	}
 	return n
 }
@@ -1038,7 +1023,7 @@ func (rm *ResourceManager) RunningContainers() int {
 // FreeCapacity returns the free cores and memory on a node (0,0 if dead or
 // unknown).
 func (rm *ResourceManager) FreeCapacity(nodeID string) (cores, memMB int) {
-	nm := rm.nms[nodeID]
+	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
 		return 0, 0
 	}
@@ -1047,7 +1032,7 @@ func (rm *ResourceManager) FreeCapacity(nodeID string) (cores, memMB int) {
 
 // Capacity returns a node's total cores and memory (0,0 if dead or unknown).
 func (rm *ResourceManager) Capacity(nodeID string) (cores, memMB int) {
-	nm := rm.nms[nodeID]
+	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
 		return 0, 0
 	}
@@ -1057,11 +1042,10 @@ func (rm *ResourceManager) Capacity(nodeID string) (cores, memMB int) {
 // LiveNodes returns the IDs of nodes eligible for new allocations — not
 // killed, not draining, not removed — sorted.
 func (rm *ResourceManager) LiveNodes() []string {
-	out := make([]string, 0, len(rm.order))
-	for _, id := range rm.order {
-		nm := rm.nms[id]
+	out := make([]string, 0, len(rm.nodes))
+	for _, nm := range rm.nodes {
 		if !nm.dead && !nm.draining {
-			out = append(out, id)
+			out = append(out, nm.id)
 		}
 	}
 	return out
@@ -1070,11 +1054,10 @@ func (rm *ResourceManager) LiveNodes() []string {
 // SpotNodes returns the IDs of live spot nodes that are not yet draining —
 // the candidate set for a spot-market preemption notice — sorted.
 func (rm *ResourceManager) SpotNodes() []string {
-	out := make([]string, 0, len(rm.order))
-	for _, id := range rm.order {
-		nm := rm.nms[id]
+	out := make([]string, 0, len(rm.nodes))
+	for _, nm := range rm.nodes {
 		if nm.spot && !nm.dead && !nm.draining {
-			out = append(out, id)
+			out = append(out, nm.id)
 		}
 	}
 	return out
@@ -1082,14 +1065,14 @@ func (rm *ResourceManager) SpotNodes() []string {
 
 // IsDraining reports whether the node is mid graceful decommission.
 func (rm *ResourceManager) IsDraining(nodeID string) bool {
-	nm := rm.nms[nodeID]
+	nm := rm.node(nodeID)
 	return nm != nil && nm.draining && !nm.dead
 }
 
 // NodeRunning returns the number of containers currently running on the
 // node (0 for unknown or dead nodes).
 func (rm *ResourceManager) NodeRunning(nodeID string) int {
-	nm := rm.nms[nodeID]
+	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
 		return 0
 	}
@@ -1098,7 +1081,13 @@ func (rm *ResourceManager) NodeRunning(nodeID string) int {
 
 // QueuedRequests returns the RM-wide count of pending, unallocated container
 // requests — an autoscaling pressure signal.
-func (rm *ResourceManager) QueuedRequests() int { return len(rm.pending) }
+func (rm *ResourceManager) QueuedRequests() int {
+	n := 0
+	for _, a := range rm.apps {
+		n += len(a.pending)
+	}
+	return n
+}
 
 // Preempted returns how many running containers were preempted by node
 // removal (spot reclaim or drain-deadline expiry) over the RM's lifetime.
@@ -1155,8 +1144,7 @@ func (rm *ResourceManager) CostReport() CostReport {
 	for tn, tc := range rm.tenantCost {
 		rep.Tenants[tn] = *tc
 	}
-	for _, id := range rm.order {
-		nm := rm.nms[id]
+	for _, nm := range rm.nodes {
 		if nm.dead {
 			continue // finalized at kill time
 		}

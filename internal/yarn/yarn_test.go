@@ -3,6 +3,7 @@ package yarn
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"hiway/internal/cluster"
@@ -83,7 +84,7 @@ func TestZeroVCoreAM(t *testing.T) {
 }
 
 func TestRequestAllocatesAfterHeartbeat(t *testing.T) {
-	eng, rm := newRM(t, 2, spec4(), Config{HeartbeatSec: 0.5})
+	eng, rm := newRM(t, 2, spec4(), Config{})
 	app, _ := rm.SubmitApplication("wf", "")
 	var got *Container
 	var at float64
@@ -95,8 +96,8 @@ func TestRequestAllocatesAfterHeartbeat(t *testing.T) {
 	if got == nil {
 		t.Fatal("container not allocated")
 	}
-	if at < 0.5 {
-		t.Fatalf("allocated at %g, want >= heartbeat 0.5", at)
+	if at < heartbeatSec {
+		t.Fatalf("allocated at %g, want >= heartbeat %g", at, heartbeatSec)
 	}
 }
 
@@ -286,28 +287,39 @@ func TestManyContainersAcrossNodes(t *testing.T) {
 
 func TestFairSharingInterleavesApps(t *testing.T) {
 	// One node with 4 free cores after two AMs; app1 floods the queue
-	// before app2 submits a single request. FIFO starves app2; fair
-	// sharing serves it in the first round.
-	run := func(fair bool) (app2Got bool) {
-		eng, rm := newRM(t, 1, cluster.NodeSpec{VCores: 6, MemMB: 8192, CPUFactor: 1, DiskMBps: 1, NetMBps: 1},
-			Config{Fair: fair})
-		app1, _ := rm.SubmitApplication("big", "")
-		app2, _ := rm.SubmitApplication("small", "")
-		res := Resource{VCores: 1, MemMB: 512}
-		for i := 0; i < 8; i++ {
-			app1.Request(Request{Resource: res}, func(c *Container) {})
-		}
-		app2.Request(Request{Resource: res}, func(*Container) { app2Got = true })
-		// One allocation round: 4 containers fit (6 cores - 2 AMs).
-		eng.RunUntil(0.3)
-		return app2Got
+	// before app2 submits a single request. Fair sharing serves app2 in
+	// the first round.
+	eng, rm := newRM(t, 1, cluster.NodeSpec{VCores: 6, MemMB: 8192, CPUFactor: 1, DiskMBps: 1, NetMBps: 1}, Config{})
+	app1, _ := rm.SubmitApplication("big", "")
+	app2, _ := rm.SubmitApplication("small", "")
+	res := Resource{VCores: 1, MemMB: 512}
+	for i := 0; i < 8; i++ {
+		app1.Request(Request{Resource: res}, func(c *Container) {})
 	}
-	if run(false) {
-		t.Fatal("FIFO should serve app1's earlier requests first")
-	}
-	if !run(true) {
+	app2Got := false
+	app2.Request(Request{Resource: res}, func(*Container) { app2Got = true })
+	// One allocation round: 4 containers fit (6 cores - 2 AMs).
+	eng.RunUntil(0.3)
+	if !app2Got {
 		t.Fatal("fair sharing should serve app2 within the first round")
 	}
+}
+
+// roundOf queues each request, in arrival order, on the first application
+// given with its ID and returns an RM's order for one allocation round over
+// those applications.
+func roundOf(pending []*pendingReq, tenants map[string]TenantPolicy) []*pendingReq {
+	rm := &ResourceManager{cfg: Config{Tenants: tenants}}
+	for _, p := range pending {
+		i := slices.IndexFunc(rm.apps, func(a *Application) bool { return a.ID == p.app.ID })
+		if i < 0 {
+			i = len(rm.apps)
+			rm.apps = append(rm.apps, p.app)
+		}
+		rm.apps[i].pending = append(rm.apps[i].pending, p)
+	}
+	slices.SortFunc(rm.apps, func(a, b *Application) int { return a.ID - b.ID })
+	return rm.roundOrder()
 }
 
 func TestFairOrderRoundRobin(t *testing.T) {
@@ -315,7 +327,7 @@ func TestFairOrderRoundRobin(t *testing.T) {
 	a2 := &Application{ID: 2}
 	mk := func(app *Application) *pendingReq { return &pendingReq{app: app} }
 	pending := []*pendingReq{mk(a1), mk(a1), mk(a1), mk(a2), mk(a2)}
-	got := fairOrder(pending, nil)
+	got := roundOf(pending, nil)
 	wantApps := []int{1, 2, 1, 2, 1}
 	if len(got) != 5 {
 		t.Fatalf("len = %d", len(got))
@@ -387,7 +399,7 @@ func TestFairOrderTenantTable(t *testing.T) {
 			for _, a := range tc.reqs {
 				pending = append(pending, &pendingReq{app: a})
 			}
-			got := fairOrder(pending, tc.tenants)
+			got := roundOf(pending, tc.tenants)
 			if len(got) != len(tc.want) {
 				t.Fatalf("len = %d, want %d", len(got), len(tc.want))
 			}
@@ -410,7 +422,6 @@ func TestFairOrderTenantTable(t *testing.T) {
 // as soon as a slot frees.
 func TestTenantQuotaCap(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{
-		Fair:    true,
 		Tenants: map[string]TenantPolicy{"capped": {Weight: 1, MaxContainers: 2}},
 	})
 	appc, err := rm.SubmitApplicationFor("capped", "wf", "")
@@ -447,7 +458,6 @@ func TestTenantQuotaCap(t *testing.T) {
 // tenant's requests still flow around the stalled ones.
 func TestTenantQuotaAllExhaustedFallback(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{
-		Fair: true,
 		Tenants: map[string]TenantPolicy{
 			"a": {Weight: 1, MaxContainers: 1},
 			"b": {Weight: 1, MaxContainers: 1},
@@ -493,7 +503,7 @@ func TestTenantQuotaAllExhaustedFallback(t *testing.T) {
 // frees its resources without disturbing the sibling tenant.
 func TestFairAllocationAppFinishMidRound(t *testing.T) {
 	eng, rm := newRM(t, 1, cluster.NodeSpec{VCores: 6, MemMB: 8192, CPUFactor: 1, DiskMBps: 1, NetMBps: 1},
-		Config{Fair: true, Tenants: map[string]TenantPolicy{"a": {Weight: 1}, "b": {Weight: 1}}})
+		Config{Tenants: map[string]TenantPolicy{"a": {Weight: 1}, "b": {Weight: 1}}})
 	app1, err := rm.SubmitApplicationFor("a", "wa", "")
 	if err != nil {
 		t.Fatal(err)
@@ -663,78 +673,374 @@ func TestRunningContainersAccounting(t *testing.T) {
 	}
 }
 
-// TestFairOrderFastPathMatchesGrouping drives fairOrder differentially
-// against its general grouping on seeded pending sets: one application or
-// several, spread over tenants of weight 0, 1 and 3 and one the tenant
-// table does not know. Where every request is one application's, fairOrder
-// must return the pending slice itself — arrival order, nothing built — and
-// that must be exactly what the grouping computes.
-func TestFairOrderFastPathMatchesGrouping(t *testing.T) {
-	tenants := map[string]TenantPolicy{"w0": {Weight: 0}, "w1": {Weight: 1}, "w3": {Weight: 3}}
-	names := []string{"w0", "w1", "w3", "unknown"}
-	rng := rand.New(rand.NewSource(7))
-	oneApp := 0
-	for seed := 0; seed < 400; seed++ {
-		apps := make([]*Application, 1+rng.Intn(4))
-		if seed%2 == 0 {
-			apps = apps[:1]
+// groupedOrder is the reference for roundOrder: the order computed from one
+// RM-wide list of pending requests in arrival order, grouped per round
+// through a map of per-tenant maps.
+func groupedOrder(pending []*pendingReq, tenants map[string]TenantPolicy) []*pendingReq {
+	// Group by tenant, then flatten each tenant into its own
+	// per-application round-robin stream.
+	perTenant := make(map[string]map[int][]*pendingReq)
+	var names []string
+	for _, p := range pending {
+		tn := p.app.Tenant
+		apps, ok := perTenant[tn]
+		if !ok {
+			apps = make(map[int][]*pendingReq)
+			perTenant[tn] = apps
+			names = append(names, tn)
 		}
-		ids := rng.Perm(8)
-		for i := range apps {
-			apps[i] = &Application{ID: 1 + ids[i], Tenant: names[rng.Intn(len(names))]}
+		apps[p.app.ID] = append(apps[p.app.ID], p)
+	}
+	sort.Strings(names)
+	streams := make(map[string][]*pendingReq, len(names))
+	for tn, apps := range perTenant {
+		ids := make([]int, 0, len(apps))
+		total := 0
+		for id, q := range apps {
+			ids = append(ids, id)
+			total += len(q)
 		}
-		pending := make([]*pendingReq, rng.Intn(24))
-		for i := range pending {
-			pending[i] = &pendingReq{app: apps[rng.Intn(len(apps))]}
-		}
-		for _, tab := range []map[string]TenantPolicy{tenants, nil} {
-			want := groupedOrder(pending, tab)
-			got := fairOrder(pending, tab)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d (%d apps, %d requests): fairOrder and the grouping disagree", seed, len(apps), len(pending))
-			}
-			single := !slices.ContainsFunc(pending, func(p *pendingReq) bool { return p.app != pending[0].app })
-			if single && len(pending) > 0 {
-				oneApp++
-				if &got[0] != &pending[0] {
-					t.Fatalf("seed %d: one application's round was rebuilt instead of kept", seed)
+		sort.Ints(ids)
+		s := make([]*pendingReq, 0, total)
+		for round := 0; len(s) < total; round++ {
+			for _, id := range ids {
+				if q := apps[id]; round < len(q) {
+					s = append(s, q[round])
 				}
 			}
 		}
+		streams[tn] = s
 	}
-	if oneApp < 200 {
-		t.Fatalf("only %d one-application rounds exercised", oneApp)
+	weight := func(tn string) int {
+		pol, ok := tenants[tn]
+		if !ok {
+			return 1
+		}
+		if pol.Weight < 0 {
+			return 0
+		}
+		return pol.Weight
+	}
+	out := make([]*pendingReq, 0, len(pending))
+	idx := make(map[string]int, len(names))
+	// Weighted tenants: up to Weight requests per tenant per round.
+	for {
+		progressed := false
+		for _, tn := range names {
+			w := weight(tn)
+			for k := 0; k < w && idx[tn] < len(streams[tn]); k++ {
+				out = append(out, streams[tn][idx[tn]])
+				idx[tn]++
+				progressed = true
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	// Background (zero-weight) tenants: whatever remains, one per round.
+	for len(out) < len(pending) {
+		for _, tn := range names {
+			if idx[tn] < len(streams[tn]) {
+				out = append(out, streams[tn][idx[tn]])
+				idx[tn]++
+			}
+		}
+	}
+	return out
+}
+
+// TestRoundOrderMatchesFlatGrouping drives roundOrder differentially against
+// the flat-list reference on seeded rounds: one to five applications with
+// increasing, gapped IDs, spread over tenants of weight 0 (two of them), 1
+// and 3 and one the tenant table does not know, with and without the
+// table. Every tenth round has 13 to 20 applications, enough for the sort
+// by tenant to be more than an insertion sort. Requests arrive interleaved
+// across applications, and an application may have none queued. Where one
+// application holds every request, roundOrder must return that
+// application's own queue, nothing built.
+func TestRoundOrderMatchesFlatGrouping(t *testing.T) {
+	tenants := map[string]TenantPolicy{"v0": {Weight: 0}, "w0": {Weight: 0}, "w1": {Weight: 1}, "w3": {Weight: 3}}
+	names := []string{"v0", "w0", "w1", "w3", "unknown"}
+	rng := rand.New(rand.NewSource(7))
+	oneApp, multi := 0, 0
+	for seed := 0; seed < 400; seed++ {
+		apps := make([]*Application, 1+rng.Intn(5))
+		if seed%10 == 9 {
+			apps = make([]*Application, 13+rng.Intn(8))
+		}
+		id := 0
+		for i := range apps {
+			id += 1 + rng.Intn(3)
+			apps[i] = &Application{ID: id, Tenant: names[rng.Intn(len(names))]}
+		}
+		arrivals := make([]int, rng.Intn(6*len(apps)))
+		for i := range arrivals {
+			arrivals[i] = rng.Intn(len(apps))
+		}
+		for _, tab := range []map[string]TenantPolicy{tenants, nil} {
+			rm := &ResourceManager{cfg: Config{Tenants: tab}, apps: apps}
+			var flat []*pendingReq
+			for _, a := range apps {
+				a.pending = nil
+			}
+			for _, k := range arrivals {
+				p := &pendingReq{app: apps[k]}
+				flat = append(flat, p)
+				apps[k].pending = append(apps[k].pending, p)
+			}
+			got := rm.roundOrder()
+			if want := groupedOrder(flat, tab); !slices.Equal(got, want) {
+				t.Fatalf("seed %d (%d apps, %d requests): roundOrder and the flat grouping disagree", seed, len(apps), len(flat))
+			}
+			switch queued := slices.IndexFunc(apps, func(a *Application) bool { return len(a.pending) == len(flat) }); {
+			case len(flat) == 0:
+			case queued >= 0:
+				oneApp++
+				if &got[0] != &apps[queued].pending[0] {
+					t.Fatalf("seed %d: one application's round was rebuilt instead of read in place", seed)
+				}
+			default:
+				multi++
+			}
+		}
+	}
+	if oneApp < 150 || multi < 300 {
+		t.Fatalf("only %d one-application and %d multi-application rounds exercised", oneApp, multi)
 	}
 }
 
-// fairRound readies an RM with fair sharing on and one application holding
-// n pending requests that cannot be placed (the cluster is full), so each
-// allocate is one whole round over the queue that grants nothing and
-// leaves it as it was: the round the served runs, each alone on its
-// cluster, pay whenever a container frees.
-func fairRound(t testing.TB, n int) *ResourceManager {
+// auditLog counts the containers the audit hook saw allocated and not yet
+// released or lost.
+type auditLog struct{ running int }
+
+func (l *auditLog) OnContainerAllocated(float64, *Container) { l.running++ }
+func (l *auditLog) OnContainerReleased(_ float64, _ *Container, double bool) {
+	if !double {
+		l.running--
+	}
+}
+func (l *auditLog) OnContainerLost(float64, *Container)    { l.running-- }
+func (l *auditLog) OnNodeDead(float64, string)             {}
+func (l *auditLog) OnNodeJoined(float64, string, int, int) {}
+func (l *auditLog) OnNodeDraining(float64, string)         {}
+func (l *auditLog) OnNodeRemoved(float64, string)          {}
+
+// openReq is the test's own record of one request: the node a strict
+// request is pinned to ("" when relaxed), whether it is withdrawn rather
+// than relaxed when that node goes, and whether it is closed (granted,
+// withdrawn or dropped by Finish).
+type openReq struct {
+	app      *Application
+	pin      string
+	withdraw bool
+	closed   bool
+}
+
+// TestMultiApplicationRunMatchesLedger runs seeded traffic from four
+// applications of three tenants (weights 3, 3, 1 and 0) with plain,
+// hinted, strict and withdrawable strict requests, through a mid-run
+// Finish, a node kill, a drain and its removal, a new node sorting between
+// two others, a rejoin over the killed node, which hints may name while it
+// is down, and the removal of a live node. After every event it checks
+// the RM against the test's own ledger: each application's
+// PendingRequests and the RM's QueuedRequests against a brute-force count,
+// the applications the RM holds against the unfinished ones, LiveNodes
+// against the sorted membership, and RunningContainers against the audit
+// hook's allocation log. At the end every request was granted,
+// withdrawn or dropped.
+func TestMultiApplicationRunMatchesLedger(t *testing.T) {
+	withdrawn := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eng, rm := newRM(t, 5, spec4(), Config{AMResource: Resource{MemMB: 256},
+			Tenants: map[string]TenantPolicy{"a": {Weight: 3}, "b": {Weight: 1}, "bg": {Weight: 0}}})
+		log := &auditLog{}
+		rm.SetAudit(log)
+		live := []string{"node-00", "node-01", "node-02", "node-03", "node-04"}
+		var apps []*Application
+		finished := map[*Application]bool{}
+		for _, tn := range []string{"a", "a", "b", "bg"} {
+			app, err := rm.SubmitApplicationFor(tn, "wf-"+tn, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			apps = append(apps, app)
+		}
+		var reqs []*openReq
+		request := func(app *Application) {
+			if finished[app] {
+				return
+			}
+			r := &openReq{app: app}
+			req := Request{Resource: Resource{VCores: 1 + rng.Intn(2), MemMB: 512}}
+			// A hint names a live node or the killed node-03, which
+			// rejoins under its ID.
+			hints := live
+			if eng.Now() >= 5 && eng.Now() < 14 {
+				hints = append(slices.Clone(live), "node-03")
+			}
+			switch kind := rng.Intn(4); kind {
+			case 1:
+				req.NodeHint = hints[rng.Intn(len(hints))]
+			case 2, 3:
+				r.pin = hints[rng.Intn(len(hints))]
+				r.withdraw = kind == 3
+				req.NodeHint, req.Strict = r.pin, true
+				if r.withdraw {
+					req.OnUnplaceable = func(Request) {
+						if !r.closed {
+							t.Fatalf("seed %d: a request the ledger holds open was withdrawn", seed)
+						}
+					}
+				}
+			}
+			reqs = append(reqs, r)
+			app.Request(req, func(c *Container) {
+				if r.closed || (r.pin != "" && c.NodeID != r.pin) {
+					t.Fatalf("seed %d: request pinned to %q granted on %s (closed %v)", seed, r.pin, c.NodeID, r.closed)
+				}
+				r.closed = true
+				eng.Schedule(2+10*rng.Float64(), func() { app.Release(c) })
+			})
+		}
+		// gone models a node leaving the allocatable set: strict requests
+		// pinned to it are withdrawn or relaxed.
+		gone := func(node string) {
+			live = slices.DeleteFunc(live, func(id string) bool { return id == node })
+			for _, r := range reqs {
+				if !r.closed && r.pin == node {
+					if r.withdraw {
+						r.closed = true
+						withdrawn++
+					} else {
+						r.pin = ""
+					}
+				}
+			}
+		}
+		join := func(node string) {
+			if err := rm.AddNode(node, 4, 4096, false); err != nil {
+				t.Fatal(err)
+			}
+			i, _ := slices.BinarySearch(live, node)
+			live = slices.Insert(live, i, node)
+		}
+		for _, app := range apps {
+			for k := 0; k < 20; k++ {
+				eng.At(20*rng.Float64(), func() { request(app) })
+			}
+		}
+		eng.At(5, func() { rm.KillNode("node-03"); gone("node-03") })
+		eng.At(8, func() {
+			apps[1].Finish()
+			finished[apps[1]] = true
+			for _, r := range reqs {
+				if r.app == apps[1] {
+					r.closed = true
+				}
+			}
+		})
+		eng.At(10, func() {
+			if err := rm.DrainNode("node-01", 3, func(node string, _ bool) {
+				if err := rm.RemoveNode(node); err != nil {
+					t.Fatal(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			gone("node-01")
+		})
+		eng.At(12, func() { join("node-02a") })
+		eng.At(14, func() { join("node-03") })
+		eng.At(16, func() {
+			if err := rm.RemoveNode("node-04"); err != nil {
+				t.Fatal(err)
+			}
+			gone("node-04")
+		})
+		check := func() {
+			queued := 0
+			for i, app := range apps {
+				want := 0
+				for _, r := range reqs {
+					if r.app == app && !r.closed {
+						want++
+					}
+				}
+				if got := app.PendingRequests(); got != want {
+					t.Fatalf("seed %d at %g: app %d has %d pending requests, the ledger %d", seed, eng.Now(), i, got, want)
+				}
+				queued += want
+			}
+			if got := rm.QueuedRequests(); got != queued {
+				t.Fatalf("seed %d at %g: QueuedRequests = %d, the ledger %d", seed, eng.Now(), got, queued)
+			}
+			if got := len(rm.apps); got != len(apps)-len(finished) {
+				t.Fatalf("seed %d at %g: the RM holds %d applications, %d are unfinished", seed, eng.Now(), got, len(apps)-len(finished))
+			}
+			if got := rm.LiveNodes(); !slices.Equal(got, live) {
+				t.Fatalf("seed %d at %g: LiveNodes = %v, want %v", seed, eng.Now(), got, live)
+			}
+			if got := rm.RunningContainers(); got != log.running {
+				t.Fatalf("seed %d at %g: RunningContainers = %d, the allocation log %d", seed, eng.Now(), got, log.running)
+			}
+		}
+		for check(); eng.Step(); {
+			check()
+		}
+		if n := rm.QueuedRequests(); n != 0 {
+			t.Fatalf("seed %d: %d requests still queued at the end", seed, n)
+		}
+	}
+	if withdrawn == 0 {
+		t.Fatal("no strict request was withdrawn")
+	}
+}
+
+// stalledRound readies an RM with one application per tenant named, each
+// holding perApp pending requests that cannot be placed (the AMs leave no
+// room for a 4-core worker), so each allocate is one whole round over the
+// queues that grants nothing and leaves them as they were: the round the
+// served runs, each alone on its cluster, pay whenever a container frees.
+func stalledRound(t testing.TB, perApp int, tenants ...string) *ResourceManager {
 	eng := sim.NewEngine()
-	c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 1, spec4()) // the AM leaves no room for a 4-core worker
+	c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 1, spec4())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := NewResourceManager(eng, c, Config{Fair: true, Tenants: map[string]TenantPolicy{"acme": {Weight: 3}}})
-	app, err := rm.SubmitApplicationFor("acme", "wf", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}}, func(*Container) {})
+	rm := NewResourceManager(eng, c, Config{AMResource: Resource{MemMB: 256},
+		Tenants: map[string]TenantPolicy{"acme": {Weight: 3}, "bulk": {Weight: 1}, "idle": {Weight: 0}}})
+	for _, tn := range tenants {
+		app, err := rm.SubmitApplicationFor(tn, "wf", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perApp; i++ {
+			app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}}, func(*Container) {})
+		}
 	}
 	eng.Run()
-	if len(rm.pending) != n {
-		t.Fatalf("%d requests pending, want %d", len(rm.pending), n)
+	if n := rm.QueuedRequests(); n != perApp*len(tenants) {
+		t.Fatalf("%d requests pending, want %d", n, perApp*len(tenants))
 	}
 	return rm
 }
 
 func BenchmarkFairAllocate(b *testing.B) {
-	rm := fairRound(b, 64)
+	rm := stalledRound(b, 64, "acme")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rm.allocate()
+	}
+}
+
+// BenchmarkFairAllocateTenants is one round over three tenants of two
+// applications each: the general order, built from the applications' own
+// queues.
+func BenchmarkFairAllocateTenants(b *testing.B) {
+	rm := stalledRound(b, 11, "acme", "acme", "bulk", "bulk", "idle", "idle")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
