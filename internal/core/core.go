@@ -708,9 +708,9 @@ func (am *AM) retryTarget(excl []string) string {
 
 // requestContainer asks YARN for a container to run t on: a node hint the
 // policy pins it to (strictly for static plans), or one steering a task with
-// failed attempts away from its excluded nodes.
-// A strict request whose pinned node dies while pending is re-planned onto
-// a surviving node and re-requested.
+// failed attempts away from its excluded nodes. A strict request whose
+// pinned node is gone, whether before or after the request, is withdrawn
+// by the RM, re-pinned and requested again.
 func (am *AM) requestContainer(ts *taskState) {
 	hint, strict := am.sched.Placement(ts.t)
 	if len(ts.excluded) > 0 && !strict {
@@ -718,34 +718,41 @@ func (am *AM) requestContainer(ts *taskState) {
 			hint = h
 		}
 	}
-	req := yarn.Request{Resource: am.containerResource(), NodeHint: hint, Strict: strict}
+	req := yarn.Request{Resource: am.containerResource(), NodeHint: hint}
 	if strict {
 		req.OnUnplaceable = func(yarn.Request) { am.onUnplaceable(ts) }
 	}
 	am.app.Request(req, am.onAnonymousContainer)
 }
 
-// onUnplaceable re-routes a task whose strictly pinned node died while the
-// container request was pending: the static plan moves to a surviving node
+// onUnplaceable re-routes a task whose strict request the RM withdrew
+// because its pinned node is gone: the static plan moves it to a live node
 // and the request is reissued there.
 func (am *AM) onUnplaceable(ts *taskState) {
 	if am.finished || ts.completed {
 		return
 	}
-	t := ts.t
-	live := am.env.RM.LiveNodes()
-	if len(live) == 0 {
-		am.finish(fmt.Errorf("core: no live nodes left to place %s", t))
+	if len(am.env.RM.LiveNodes()) == 0 {
+		am.finish(fmt.Errorf("core: no live nodes left to place %s", ts.t))
 		return
 	}
-	if ra, ok := am.sched.(scheduler.Reassigner); ok {
-		target := am.retryTarget(ts.excluded)
-		if target == "" {
-			target = live[0]
-		}
-		ra.Reassign(t, target)
-	}
+	am.repin(ts)
 	am.requestContainer(ts)
+}
+
+// repin moves a static plan's pin for ts to the node retryTarget picks.
+// When no node outside the task's exclusions could host it, the
+// exclusions reset first (the node set may be partly dead). Dynamic
+// policies pin nothing, so for them only the reset applies.
+func (am *AM) repin(ts *taskState) {
+	if !am.hostsLeft(ts.excluded) {
+		ts.excluded = nil
+	}
+	if ra, ok := am.sched.(scheduler.Reassigner); ok {
+		if target := am.retryTarget(ts.excluded); target != "" {
+			ra.Reassign(ts.t, target)
+		}
+	}
 }
 
 // onAnonymousContainer matches an allocated container to a queued task via
@@ -1113,22 +1120,11 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 			t, ts.retries, a.res.Node, a.res.Error))
 		return
 	}
-	// Exclude the failing node and retry elsewhere. If every node that
-	// could host the task is excluded, start over (the node set may be
-	// partly dead).
+	// Exclude the failing node and retry elsewhere (§3.1).
 	if !slices.Contains(ts.excluded, a.res.Node) {
 		ts.excluded = append(ts.excluded, a.res.Node)
 	}
-	if !am.hostsLeft(ts.excluded) {
-		ts.excluded = nil
-	}
-	// Static plans pin tasks to nodes; move the pin off the failing
-	// node so the strict retry request can be satisfied.
-	if ra, ok := am.sched.(scheduler.Reassigner); ok {
-		if target := am.retryTarget(ts.excluded); target != "" {
-			ra.Reassign(t, target)
-		}
-	}
+	am.repin(ts)
 	am.enqueue(ts)
 }
 

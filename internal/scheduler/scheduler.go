@@ -82,7 +82,9 @@ type StaticPlanner interface {
 }
 
 // Reassigner is implemented by static policies whose plan can be amended
-// when a task must be retried on a different node after a failure.
+// one task at a time. The AM re-pins a task through it when the task failed
+// on its node and must be retried on a different one (§3.1), and when the
+// RM withdrew the task's strict request because its node is gone.
 type Reassigner interface {
 	Reassign(t *wf.Task, node string)
 }

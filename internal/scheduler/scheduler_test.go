@@ -439,16 +439,3 @@ func TestHEFTInsertionFillsGaps(t *testing.T) {
 		t.Fatalf("insertSlot order: %v", b2)
 	}
 }
-
-func TestStaticUnplannedTaskFallsBackToDynamic(t *testing.T) {
-	var fx fixture
-	s := NewRoundRobin()
-	stray := fx.mkTask("stray", nil, "o")
-	if node, strict := s.Placement(stray); node != "" || strict {
-		t.Fatal("unplanned task must not be pinned")
-	}
-	s.Reassign(stray, "n1")
-	if node, strict := s.Placement(stray); node != "n1" || !strict {
-		t.Fatalf("re-pinned unplanned task placed on %q (strict %v), want n1", node, strict)
-	}
-}

@@ -32,13 +32,9 @@ type pin struct {
 
 func (s *staticBase) Name() string { return s.policy }
 
-// pinOf returns t's pin, and the zero pin for a task outside the plan.
-func (s *staticBase) pinOf(t *wf.Task) pin {
-	if i := t.ID - 1; i >= 0 && i < int64(len(s.plan)) {
-		return s.plan[i]
-	}
-	return pin{}
-}
+// pinOf returns t's pin. The AM plans the whole graph before the first
+// task is ready, and a DAG's task IDs are 1…n, so every task has one.
+func (s *staticBase) pinOf(t *wf.Task) pin { return s.plan[t.ID-1] }
 
 // OnTaskReady implements Scheduler.
 func (s *staticBase) OnTaskReady(t *wf.Task) {
@@ -60,10 +56,7 @@ func (s *staticBase) insertByOrder(q []*wf.Task, t *wf.Task) []*wf.Task {
 }
 
 // Placement implements Scheduler: static policies enforce their plan.
-func (s *staticBase) Placement(t *wf.Task) (string, bool) {
-	node := s.pinOf(t).node
-	return node, node != ""
-}
+func (s *staticBase) Placement(t *wf.Task) (string, bool) { return s.pinOf(t).node, true }
 
 // Select implements Scheduler: only tasks planned for this node qualify.
 func (s *staticBase) Select(node string) *wf.Task {
@@ -88,17 +81,15 @@ func (s *staticBase) Select(node string) *wf.Task {
 // Queued implements Scheduler.
 func (s *staticBase) Queued() int { return s.queued }
 
-// Reassign re-pins a task to a different node — used by the AM when a task
-// failed on its planned node and must be retried elsewhere (§3.1), and when
-// a pinned node dies with the task still queued. A queued task moves to the
-// new node's ready list so it cannot starve under a dead node.
+// Reassign implements Reassigner: it re-pins one task and keeps the rest of
+// the plan. The AM calls it from one path, when a task failed on its node
+// (§3.1) or the RM withdrew its strict request because the node is gone.
+// A queued task moves to the new node's ready list so it cannot starve
+// under a dead node.
 func (s *staticBase) Reassign(t *wf.Task, node string) {
 	old := s.pinOf(t).node
-	for int64(len(s.plan)) < t.ID { // a task outside the plan
-		s.plan = append(s.plan, pin{})
-	}
 	s.plan[t.ID-1].node = node
-	if old == "" || old == node {
+	if old == node {
 		return
 	}
 	q := s.ready[old]

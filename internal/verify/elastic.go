@@ -31,22 +31,6 @@ type ElasticSpec struct {
 	Events           []ElasticEvent `json:"events"`
 }
 
-// Disruptive reports whether the plan removes capacity mid-run (a drain or
-// spot reclaim). Like a chaos node kill, that breaks static up-front plans,
-// so disruptive scenarios are checked under dynamic policies only. Safe on a
-// nil spec.
-func (e *ElasticSpec) Disruptive() bool {
-	if e == nil {
-		return false
-	}
-	for _, ev := range e.Events {
-		if ev.Kind == "drain" || ev.Kind == "spot" {
-			return true
-		}
-	}
-	return false
-}
-
 // genElastic attaches a membership plan to roughly a quarter of all
 // scenarios. It draws from the rng strictly after genChaos and genService,
 // so seeds generated before the elastic family existed keep their exact task

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,15 +14,15 @@ import (
 // quarter of all seeds should carry a plan; at least one found plan must be
 // disruptive (drain or spot reclaim) so the preemption path is exercised.
 func TestElasticScenariosGeneratedAndPass(t *testing.T) {
-	found, disruptive := 0, 0
+	found, removing := 0, 0
 	for seed := int64(1); seed <= 80 && found < 5; seed++ {
 		sc := Generate(seed)
 		if sc.Elastic == nil {
 			continue
 		}
 		found++
-		if sc.Elastic.Disruptive() {
-			disruptive++
+		if disruptive(sc.Elastic) {
+			removing++
 		}
 		if len(sc.Elastic.Events) == 0 {
 			t.Fatalf("seed %d: elastic plan with no events", seed)
@@ -40,28 +41,47 @@ func TestElasticScenariosGeneratedAndPass(t *testing.T) {
 	if found == 0 {
 		t.Fatal("80 seeds never generated an elastic scenario")
 	}
-	if disruptive == 0 {
+	if removing == 0 {
 		t.Error("no found elastic plan was disruptive (drain/spot never generated)")
 	}
 }
 
-// TestDisruptiveElasticSkipsStaticPolicies pins the runner rule: a plan that
-// drains capacity away mid-run is checked under dynamic policies only, like
-// a chaos node kill.
-func TestDisruptiveElasticSkipsStaticPolicies(t *testing.T) {
-	var sc *Scenario
-	for seed := int64(1); ; seed++ {
-		if sc = Generate(seed); sc.Elastic.Disruptive() && !sc.Iterative() {
-			break
+// disruptive reports whether an elastic plan removes capacity mid-run (a
+// drain or a spot reclaim). Safe on a nil plan.
+func disruptive(e *ElasticSpec) bool {
+	return e != nil && slices.ContainsFunc(e.Events, func(ev ElasticEvent) bool { return ev.Kind == "drain" || ev.Kind == "spot" })
+}
+
+// TestStaticPoliciesRunUnderMembershipChange pins the runner rule: static
+// plans are audited under membership change like every other policy. The
+// first non-iterative seed whose elastic plan drains or reclaims a node,
+// and seed 45, whose chaos plan kills node-01 at 65 s, must run both static
+// policies and pass. Seed 45 is the gate's own case of a strict request
+// made after its node died: a task planned on node-01 becomes ready only
+// after the kill.
+func TestStaticPoliciesRunUnderMembershipChange(t *testing.T) {
+	var drain *Scenario
+	for seed := int64(1); drain == nil; seed++ {
+		if sc := Generate(seed); disruptive(sc.Elastic) && !sc.Iterative() {
+			drain = sc
 		}
 	}
-	res := CheckScenario(sc, Options{})
-	if !res.OK() {
-		t.Fatalf("disruptive elastic seed %d failed:\n  %s", sc.Seed, strings.Join(res.Failures, "\n  "))
-	}
-	for _, run := range res.Runs {
-		if staticPolicies[run.Policy] {
-			t.Fatalf("static policy %s ran a disruptive elastic scenario", run.Policy)
+	for _, sc := range []*Scenario{drain, Generate(45)} {
+		if sc.Iterative() || !disruptive(sc.Elastic) && !sc.KillsNode() {
+			t.Fatalf("seed %d changes no membership or is iterative:\n%s", sc.Seed, sc.Marshal())
+		}
+		res := CheckScenario(sc, Options{})
+		if !res.OK() {
+			t.Fatalf("seed %d failed:\n  %s", sc.Seed, strings.Join(res.Failures, "\n  "))
+		}
+		ran := map[string]bool{}
+		for _, run := range res.Runs {
+			ran[run.Policy] = true
+		}
+		for p := range staticPolicies {
+			if !ran[p] {
+				t.Fatalf("seed %d: static policy %s did not run", sc.Seed, p)
+			}
 		}
 	}
 }

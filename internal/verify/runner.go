@@ -15,7 +15,10 @@ import (
 	"hiway/internal/wf"
 )
 
-// staticPolicies cannot drive workflows that unfold at run time.
+// staticPolicies plan the whole workflow up front (§3.4), so they cannot
+// drive workflows that unfold at run time. Node kills, drains and spot
+// reclaims they do run under: the AM re-pins what the plan put on a node
+// that left.
 var staticPolicies = map[string]bool{
 	scheduler.PolicyRoundRobin: true,
 	scheduler.PolicyHEFT:       true,
@@ -216,13 +219,13 @@ type runSpec struct {
 }
 
 // policySpecs is one plain run of driver per requested policy. Static
-// planners are left out when the workflow unfolds at run time (§3.4) or a
-// node the chaos plan kills or the elastic plan drains would take part of
-// their up-front plan with it.
+// planners are left out only when the workflow unfolds at run time (§3.4);
+// they run under every chaos and elastic plan, node kills, drains and spot
+// reclaims included.
 func (s *Scenario) policySpecs(policies []string, driver func() wf.Driver, lang string, static bool) []runSpec {
 	var specs []runSpec
 	for _, p := range policies {
-		if staticPolicies[p] && (!static || s.KillsNode() || s.Elastic.Disruptive()) {
+		if staticPolicies[p] && !static {
 			continue
 		}
 		specs = append(specs, runSpec{name: p, lang: lang, driver: driver, policy: p})

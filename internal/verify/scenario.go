@@ -103,10 +103,9 @@ type Scenario struct {
 // planners cannot schedule.
 func (s *Scenario) Iterative() bool { return len(s.IterTasks) > 0 }
 
-// KillsNode reports whether the chaos plan destroys a cluster node. A static
-// plan pins tasks to nodes up front and cannot reroute around a node that
-// dies mid-run, so such scenarios — like iterative ones — are checked under
-// dynamic policies only.
+// KillsNode reports whether the chaos plan destroys a cluster node. The
+// elastic family then plans no drain or spot reclaim of its own, so that
+// replication-2 HDFS never loses both copies of a block.
 func (s *Scenario) KillsNode() bool { return strings.Contains(s.Chaos, "kill=") }
 
 // TotalTasks is the number of tasks a successful run must complete.

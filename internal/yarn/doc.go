@@ -15,6 +15,14 @@
 // order is its arrival order, so its queue is the round. The nodes live in
 // one table sorted by ID, and a container points at its node.
 //
+// A request is strict exactly when it carries OnUnplaceable. Strict
+// placement is one rule in the round: before the quota check, a strict
+// request whose hinted node is out of the table, dead or draining is
+// withdrawn with the round's grants, and its OnUnplaceable runs among the
+// grant callbacks in round order. So a request made after its node left is
+// withdrawn like one pending when the node left, at most one heartbeat
+// later.
+//
 // When observability is enabled (RM.SetObs), the ResourceManager emits a
 // container span per allocation on the hosting node's track and maintains
 // the hiway_yarn_* metric family: request/allocation/loss counters,

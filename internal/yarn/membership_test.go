@@ -37,7 +37,7 @@ func TestDrainNodeStopsAllocationsAndCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c *Container
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true}, func(got *Container) { c = got })
+	app.Request(pinned("node-01", Resource{VCores: 1, MemMB: 512}), func(got *Container) { c = got })
 	eng.Run()
 	if c == nil || c.NodeID != "node-01" {
 		t.Fatalf("container = %+v, want on node-01", c)
@@ -81,7 +81,7 @@ func TestDrainDeadlineExpiryPreempts(t *testing.T) {
 	}
 	var c *Container
 	lost := 0
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true}, func(got *Container) {
+	app.Request(pinned("node-01", Resource{VCores: 1, MemMB: 512}), func(got *Container) {
 		c = got
 		c.OnLost = func() { lost++ }
 	})
@@ -127,7 +127,7 @@ func TestRemoveNodePreemptsAndCleansState(t *testing.T) {
 	}
 	var c *Container
 	lost := 0
-	app.Request(Request{Resource: Resource{VCores: 2, MemMB: 1024}, NodeHint: "node-02", Strict: true}, func(got *Container) {
+	app.Request(pinned("node-02", Resource{VCores: 2, MemMB: 1024}), func(got *Container) {
 		c = got
 		c.OnLost = func() { lost++ }
 	})
@@ -219,8 +219,8 @@ func TestCostConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c1, c2 *Container
-	app.Request(Request{Resource: Resource{VCores: 2, MemMB: 1024}, NodeHint: "node-01", Strict: true}, func(c *Container) { c1 = c })
-	app.Request(Request{Resource: Resource{VCores: 2, MemMB: 1024}, NodeHint: "spot-00", Strict: true}, func(c *Container) { c2 = c })
+	app.Request(pinned("node-01", Resource{VCores: 2, MemMB: 1024}), func(c *Container) { c1 = c })
+	app.Request(pinned("spot-00", Resource{VCores: 2, MemMB: 1024}), func(c *Container) { c2 = c })
 	eng.Run()
 	if c1 == nil || c2 == nil {
 		t.Fatal("containers not allocated")
@@ -259,13 +259,13 @@ func TestDrainReroutesStrictPending(t *testing.T) {
 	}
 	// Fill node-01 so the strict request stays pending.
 	var filler *Container
-	app.Request(Request{Resource: Resource{VCores: 4, MemMB: 3072}, NodeHint: "node-01", Strict: true}, func(c *Container) { filler = c })
+	app.Request(pinned("node-01", Resource{VCores: 4, MemMB: 3072}), func(c *Container) { filler = c })
 	eng.Run()
 	if filler == nil {
 		t.Fatal("filler not placed")
 	}
 	withdrawn := 0
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true,
+	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01",
 		OnUnplaceable: func(Request) { withdrawn++ }}, nil)
 	eng.Run()
 	if err := rm.DrainNode("node-01", 1000, func(string, bool) {}); err != nil {

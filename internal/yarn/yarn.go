@@ -52,16 +52,16 @@ type Container struct {
 // Request asks the ResourceManager for one container.
 type Request struct {
 	Resource Resource
-	// NodeHint names a preferred node. With Strict, the request waits for
-	// capacity on exactly that node (static schedulers); otherwise the
-	// hint is best-effort and any node may be chosen (relaxed locality).
+	// NodeHint names a preferred node. For a strict request it is the only
+	// node the request may run on; otherwise the hint is best-effort and
+	// any node may be chosen (relaxed locality).
 	NodeHint string
-	Strict   bool
-	// OnUnplaceable fires (once, asynchronously) when a strict request's
-	// pinned node dies while the request is still pending: the request is
-	// withdrawn and the owner decides where to go next (typically re-plan
-	// and re-request). Without it, the dead-pinned request is relaxed to
-	// run anywhere rather than silently starving.
+	// OnUnplaceable makes the request strict (static schedulers). The
+	// request waits for capacity on exactly NodeHint, and the first
+	// allocation round that finds that node out of the node table, dead or
+	// draining withdraws it and calls OnUnplaceable, whether the node left
+	// before or after the request was made. The owner decides where to go
+	// next (typically re-plan and re-request).
 	OnUnplaceable func(req Request)
 }
 
@@ -212,9 +212,9 @@ type ResourceManager struct {
 
 	// allocation-round scratch and the pendingReq free list; request
 	// records recycle once their allocation callback has run.
-	satScratch []*pendingReq
-	ctrScratch []*Container
-	reqFree    []*pendingReq
+	doneScratch []*pendingReq
+	ctrScratch  []*Container
+	reqFree     []*pendingReq
 
 	// statistics
 	Allocated int64 // total containers ever allocated (incl. AMs)
@@ -402,8 +402,8 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 // fires (asynchronously, once) with graceful reporting whether the node
 // emptied in time. On deadline expiry the remaining containers are preempted
 // exactly like a spot reclaim. The node itself stays registered (draining)
-// until the caller removes it; pending strict requests pinned to it are
-// re-routed just as for a node failure.
+// until the caller removes it; strict requests pinned to it are withdrawn
+// at the next allocation round.
 func (rm *ResourceManager) DrainNode(nodeID string, deadlineSec float64, onDone func(node string, graceful bool)) error {
 	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
@@ -422,7 +422,6 @@ func (rm *ResourceManager) DrainNode(nodeID string, deadlineSec float64, onDone 
 	if rm.audit != nil {
 		rm.audit.OnNodeDraining(now, nodeID)
 	}
-	rm.rerouteStrict(nodeID)
 	if len(nm.running) == 0 {
 		rm.completeDrain(nm, true)
 	} else if deadlineSec > 0 {
@@ -512,7 +511,6 @@ func (rm *ResourceManager) RemoveNode(nodeID string) error {
 	rm.idxRemove(nm)
 	nm.gone = true
 	rm.nodes = slices.Delete(rm.nodes, i, i+1)
-	rm.rerouteStrict(nodeID)
 	now := rm.eng.Now()
 	rm.obs.T().Instant("membership", "node-removed", nodeID)
 	if rm.audit != nil {
@@ -520,31 +518,6 @@ func (rm *ResourceManager) RemoveNode(nodeID string) error {
 	}
 	rm.kick()
 	return nil
-}
-
-// rerouteStrict re-routes pending strict requests pinned to a node that can
-// no longer host them — withdrawn through OnUnplaceable when set, relaxed to
-// run anywhere otherwise. Applications are walked in ID order, each queue in
-// arrival order.
-func (rm *ResourceManager) rerouteStrict(nodeID string) {
-	for _, a := range rm.apps {
-		kept := a.pending[:0]
-		for _, p := range a.pending {
-			if !p.req.Strict || p.req.NodeHint != nodeID {
-				kept = append(kept, p)
-				continue
-			}
-			if cb := p.req.OnUnplaceable; cb != nil {
-				req := p.req
-				rm.eng.Schedule(0, func() { cb(req) })
-				continue // withdrawn; the owner re-requests
-			}
-			p.req.Strict = false
-			p.req.NodeHint = ""
-			kept = append(kept, p)
-		}
-		a.pending = kept
-	}
 }
 
 // Application is one submitted app (one Hi-WAY AM per workflow).
@@ -677,17 +650,26 @@ func (rm *ResourceManager) kick() {
 }
 
 // allocate matches pending requests to free capacity in the round's fair
-// order (see roundOrder). Requests of tenants at their quota cap are passed
-// over and stay pending; releasing one of the tenant's containers re-kicks
-// the round.
+// order (see roundOrder). A strict request whose node is out of the table,
+// dead or draining is withdrawn. Requests of tenants at their quota cap are
+// passed over and stay pending; releasing one of the tenant's containers
+// re-kicks the round.
 func (rm *ResourceManager) allocate() {
-	satisfied := rm.satScratch[:0]
-	containers := rm.ctrScratch[:0]
+	done := rm.doneScratch[:0]      // granted or withdrawn, in round order
+	containers := rm.ctrScratch[:0] // done[i]'s grant, nil when withdrawn
 	for _, p := range rm.roundOrder() {
+		hint := rm.hinted(p)
+		strict := p.req.OnUnplaceable != nil
+		if strict && (hint == nil || hint.dead || hint.draining) {
+			p.app = nil
+			done = append(done, p)
+			containers = append(containers, nil)
+			continue
+		}
 		if rm.tenantAtCap(p.app.Tenant) {
 			continue
 		}
-		nm := rm.pickNode(p.req.Resource, rm.hinted(p), p.req.Strict)
+		nm := rm.pickNode(p.req.Resource, hint, strict)
 		if nm == nil {
 			continue
 		}
@@ -696,7 +678,7 @@ func (rm *ResourceManager) allocate() {
 		rm.allocLatH.Observe(lat)
 		rm.allocLatEWMA = 0.8*rm.allocLatEWMA + 0.2*lat
 		p.app = nil
-		satisfied = append(satisfied, p)
+		done = append(done, p)
 		containers = append(containers, c)
 	}
 	for _, a := range rm.apps {
@@ -710,17 +692,20 @@ func (rm *ResourceManager) allocate() {
 		a.pending = kept
 	}
 	// Callbacks after queue surgery so they can request more containers.
-	for i, p := range satisfied {
-		if p.onOK != nil {
-			p.onOK(containers[i])
+	for i, p := range done {
+		switch c := containers[i]; {
+		case c == nil:
+			p.req.OnUnplaceable(p.req)
+		case p.onOK != nil:
+			p.onOK(c)
 		}
 		// The request record is unreferenced once its callback ran; recycle.
 		*p = pendingReq{}
 		rm.reqFree = append(rm.reqFree, p)
-		satisfied[i] = nil
+		done[i] = nil
 		containers[i] = nil
 	}
-	rm.satScratch = satisfied[:0]
+	rm.doneScratch = done[:0]
 	rm.ctrScratch = containers[:0]
 }
 
@@ -980,9 +965,8 @@ func (rm *ResourceManager) allocateOn(nm *nodeManager, app *Application, res Res
 }
 
 // KillNode fails a node: running containers are lost (OnLost fires), no new
-// containers are placed there, and pending strict requests pinned to it are
-// re-routed — withdrawn through their OnUnplaceable callback when set,
-// relaxed to run anywhere otherwise — so they cannot silently starve.
+// containers are placed there, and strict requests pinned to it are
+// withdrawn at the next allocation round.
 func (rm *ResourceManager) KillNode(nodeID string) {
 	nm := rm.node(nodeID)
 	if nm == nil || nm.dead {
@@ -1004,8 +988,6 @@ func (rm *ResourceManager) KillNode(nodeID string) {
 	}
 	rm.obs.T().Instant("fault", "node-killed", nodeID)
 	rm.loseRunning(nm, rm.lostC, "lost")
-	// Re-route pending strict requests pinned to the dead node.
-	rm.rerouteStrict(nodeID)
 	rm.kick()
 }
 

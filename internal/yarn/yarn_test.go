@@ -24,6 +24,12 @@ func spec4() cluster.NodeSpec {
 	return cluster.NodeSpec{VCores: 4, MemMB: 4096, CPUFactor: 1, DiskMBps: 100, NetMBps: 100}
 }
 
+// pinned is a strict request for res on node whose withdrawal the test
+// does not watch.
+func pinned(node string, res Resource) Request {
+	return Request{Resource: res, NodeHint: node, OnUnplaceable: func(Request) {}}
+}
+
 func TestSubmitApplicationAllocatesAM(t *testing.T) {
 	_, rm := newRM(t, 2, spec4(), Config{})
 	app, err := rm.SubmitApplication("wf", "")
@@ -141,14 +147,14 @@ func TestStrictPlacementWaitsForNode(t *testing.T) {
 	app, _ := rm.SubmitApplication("wf", "node-00")
 	// Fill node-01 completely.
 	var filler *Container
-	app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 4, MemMB: 4096}),
 		func(c *Container) { filler = c })
 	eng.RunUntil(5)
 	if filler == nil || filler.NodeID != "node-01" {
 		t.Fatalf("filler = %+v", filler)
 	}
 	var strictC *Container
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 1, MemMB: 512}),
 		func(c *Container) { strictC = c })
 	eng.RunUntil(10)
 	if strictC != nil {
@@ -165,7 +171,7 @@ func TestRelaxedHintFallsBack(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{})
 	app, _ := rm.SubmitApplication("wf", "node-00")
 	var filler *Container
-	app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 4, MemMB: 4096}),
 		func(c *Container) { filler = c })
 	eng.RunUntil(5)
 	var got *Container
@@ -218,7 +224,7 @@ func TestKillNodeNotifiesAndReallocates(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{})
 	app, _ := rm.SubmitApplication("wf", "node-00")
 	var c *Container
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 1, MemMB: 512}),
 		func(x *Container) { c = x })
 	eng.Run()
 	lost := false
@@ -565,41 +571,11 @@ func TestRequestFromAllocationCallback(t *testing.T) {
 	}
 }
 
-func TestKillNodeRelaxesPendingStrictRequests(t *testing.T) {
-	// A strict request pinned to a node that dies while the request is
-	// pending must not starve: without OnUnplaceable it is relaxed and
-	// placed on a surviving node.
-	eng, rm := newRM(t, 2, spec4(), Config{})
-	app, _ := rm.SubmitApplication("wf", "node-00")
-	var filler *Container
-	app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}, NodeHint: "node-01", Strict: true},
-		func(c *Container) { filler = c })
-	eng.RunUntil(5)
-	if filler == nil {
-		t.Fatal("filler not allocated")
-	}
-	var got *Container
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true},
-		func(c *Container) { got = c })
-	eng.RunUntil(10)
-	if got != nil {
-		t.Fatalf("strict request satisfied early on %s", got.NodeID)
-	}
-	rm.KillNode("node-01")
-	eng.Run()
-	if got == nil {
-		t.Fatal("strict request starved after its pinned node died")
-	}
-	if got.NodeID != "node-00" {
-		t.Fatalf("relaxed request landed on %s, want surviving node-00", got.NodeID)
-	}
-}
-
 func TestKillNodeWithdrawsStrictRequestsViaOnUnplaceable(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{})
 	app, _ := rm.SubmitApplication("wf", "node-00")
 	var filler *Container
-	app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 4, MemMB: 4096}),
 		func(c *Container) { filler = c })
 	eng.RunUntil(5)
 	if filler == nil {
@@ -608,7 +584,7 @@ func TestKillNodeWithdrawsStrictRequestsViaOnUnplaceable(t *testing.T) {
 	allocated := false
 	var withdrawn []Request
 	app.Request(Request{
-		Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true,
+		Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01",
 		OnUnplaceable: func(req Request) { withdrawn = append(withdrawn, req) },
 	}, func(*Container) { allocated = true })
 	eng.RunUntil(10)
@@ -620,11 +596,57 @@ func TestKillNodeWithdrawsStrictRequestsViaOnUnplaceable(t *testing.T) {
 	if len(withdrawn) != 1 {
 		t.Fatalf("OnUnplaceable fired %d times, want 1", len(withdrawn))
 	}
-	if withdrawn[0].NodeHint != "node-01" || !withdrawn[0].Strict {
+	if withdrawn[0].NodeHint != "node-01" {
 		t.Fatalf("withdrawn request = %+v", withdrawn[0])
 	}
 	if app.PendingRequests() != 0 {
 		t.Fatalf("pending = %d, want 0 after withdrawal", app.PendingRequests())
+	}
+}
+
+// TestStrictRequestOnGoneNodeIsWithdrawn makes a strict request after its
+// node was killed, drained or removed. Nothing re-reads it at that moment,
+// so the allocation round one heartbeat later must withdraw it; it never
+// allocates. The application's tenant is at its quota cap, which must not
+// hold the withdrawal back.
+func TestStrictRequestOnGoneNodeIsWithdrawn(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		leave func(rm *ResourceManager) error
+	}{
+		{"killed", func(rm *ResourceManager) error { rm.KillNode("node-01"); return nil }},
+		{"drained", func(rm *ResourceManager) error { return rm.DrainNode("node-01", 0, func(string, bool) {}) }},
+		{"removed", func(rm *ResourceManager) error { return rm.RemoveNode("node-01") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, rm := newRM(t, 2, spec4(), Config{Tenants: map[string]TenantPolicy{"t": {Weight: 1, MaxContainers: 1}}})
+			app, _ := rm.SubmitApplicationFor("t", "wf", "node-00")
+			app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-00"}, func(*Container) {})
+			if err := tc.leave(rm); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if rm.TenantContainers("t") != 1 {
+				t.Fatalf("tenant holds %d containers, want its cap of 1", rm.TenantContainers("t"))
+			}
+			at := eng.Now()
+			allocated := false
+			var withdrawnAt []float64
+			app.Request(Request{
+				Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01",
+				OnUnplaceable: func(Request) { withdrawnAt = append(withdrawnAt, eng.Now()) },
+			}, func(*Container) { allocated = true })
+			eng.Run()
+			if allocated {
+				t.Fatal("a request pinned to a gone node allocated")
+			}
+			if len(withdrawnAt) != 1 || withdrawnAt[0] != at+heartbeatSec {
+				t.Fatalf("withdrawn at %v, want once at %g", withdrawnAt, at+heartbeatSec)
+			}
+			if n := app.PendingRequests(); n != 0 {
+				t.Fatalf("pending = %d, want 0 after withdrawal", n)
+			}
+		})
 	}
 }
 
@@ -634,11 +656,11 @@ func TestKillNodeLeavesOtherStrictRequestsPinned(t *testing.T) {
 	eng, rm := newRM(t, 3, spec4(), Config{})
 	app, _ := rm.SubmitApplication("wf", "node-00")
 	var filler *Container
-	app.Request(Request{Resource: Resource{VCores: 4, MemMB: 4096}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 4, MemMB: 4096}),
 		func(c *Container) { filler = c })
 	eng.RunUntil(5)
 	var got *Container
-	app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-01", Strict: true},
+	app.Request(pinned("node-01", Resource{VCores: 1, MemMB: 512}),
 		func(c *Container) { got = c })
 	eng.RunUntil(10)
 	rm.KillNode("node-02")
@@ -826,31 +848,32 @@ func (l *auditLog) OnNodeJoined(float64, string, int, int) {}
 func (l *auditLog) OnNodeDraining(float64, string)         {}
 func (l *auditLog) OnNodeRemoved(float64, string)          {}
 
-// openReq is the test's own record of one request: the node a strict
-// request is pinned to ("" when relaxed), whether it is withdrawn rather
-// than relaxed when that node goes, and whether it is closed (granted,
-// withdrawn or dropped by Finish).
+// openReq is the test's own record of one request: when it was made, the
+// node a strict request is pinned to ("" for any other), and whether it is
+// closed (granted, withdrawn or dropped by Finish).
 type openReq struct {
-	app      *Application
-	pin      string
-	withdraw bool
-	closed   bool
+	app    *Application
+	at     float64
+	pin    string
+	closed bool
 }
 
 // TestMultiApplicationRunMatchesLedger runs seeded traffic from four
-// applications of three tenants (weights 3, 3, 1 and 0) with plain,
-// hinted, strict and withdrawable strict requests, through a mid-run
-// Finish, a node kill, a drain and its removal, a new node sorting between
-// two others, a rejoin over the killed node, which hints may name while it
-// is down, and the removal of a live node. After every event it checks
-// the RM against the test's own ledger: each application's
-// PendingRequests and the RM's QueuedRequests against a brute-force count,
-// the applications the RM holds against the unfinished ones, LiveNodes
-// against the sorted membership, and RunningContainers against the audit
-// hook's allocation log. At the end every request was granted,
-// withdrawn or dropped.
+// applications of three tenants (weights 3, 3, 1 and 0) with plain, hinted
+// and strict requests, through a mid-run Finish, a node kill, a drain and
+// its removal, a new node sorting between two others, a rejoin over the
+// killed node, which hints may name while it is down, and the removal of a
+// live node. After every event it checks the RM against the test's own
+// ledger: each application's PendingRequests and the RM's QueuedRequests
+// against a brute-force count, the applications the RM holds against the
+// unfinished ones, LiveNodes against the sorted membership, and
+// RunningContainers against the audit hook's allocation log. A strict
+// request closes when it is withdrawn, which must happen while its node is
+// out of the membership and at most one heartbeat after the later of the
+// request and the node's leaving, also for a request made after its node
+// left. At the end every request was granted, withdrawn or dropped.
 func TestMultiApplicationRunMatchesLedger(t *testing.T) {
-	withdrawn := 0
+	withdrawn, late := 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		eng, rm := newRM(t, 5, spec4(), Config{AMResource: Resource{MemMB: 256},
@@ -858,6 +881,7 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 		log := &auditLog{}
 		rm.SetAudit(log)
 		live := []string{"node-00", "node-01", "node-02", "node-03", "node-04"}
+		left := map[string]float64{} // when each node out of live left it
 		var apps []*Application
 		finished := map[*Application]bool{}
 		for _, tn := range []string{"a", "a", "b", "bg"} {
@@ -872,7 +896,7 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 			if finished[app] {
 				return
 			}
-			r := &openReq{app: app}
+			r := &openReq{app: app, at: eng.Now()}
 			req := Request{Resource: Resource{VCores: 1 + rng.Intn(2), MemMB: 512}}
 			// A hint names a live node or the killed node-03, which
 			// rejoins under its ID.
@@ -883,15 +907,17 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 			switch kind := rng.Intn(4); kind {
 			case 1:
 				req.NodeHint = hints[rng.Intn(len(hints))]
-			case 2, 3:
+			case 2, 3: // half the requests are strict
 				r.pin = hints[rng.Intn(len(hints))]
-				r.withdraw = kind == 3
-				req.NodeHint, req.Strict = r.pin, true
-				if r.withdraw {
-					req.OnUnplaceable = func(Request) {
-						if !r.closed {
-							t.Fatalf("seed %d: a request the ledger holds open was withdrawn", seed)
-						}
+				req.NodeHint = r.pin
+				req.OnUnplaceable = func(Request) {
+					if r.closed || slices.Contains(live, r.pin) {
+						t.Fatalf("seed %d at %g: request pinned to %s withdrawn (closed %v, live %v)", seed, eng.Now(), r.pin, r.closed, live)
+					}
+					r.closed = true
+					withdrawn++
+					if r.at >= left[r.pin] {
+						late++
 					}
 				}
 			}
@@ -904,20 +930,10 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 				eng.Schedule(2+10*rng.Float64(), func() { app.Release(c) })
 			})
 		}
-		// gone models a node leaving the allocatable set: strict requests
-		// pinned to it are withdrawn or relaxed.
+		// gone models a node leaving the allocatable set.
 		gone := func(node string) {
 			live = slices.DeleteFunc(live, func(id string) bool { return id == node })
-			for _, r := range reqs {
-				if !r.closed && r.pin == node {
-					if r.withdraw {
-						r.closed = true
-						withdrawn++
-					} else {
-						r.pin = ""
-					}
-				}
-			}
+			left[node] = eng.Now()
 		}
 		join := func(node string) {
 			if err := rm.AddNode(node, 4, 4096, false); err != nil {
@@ -925,6 +941,7 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 			}
 			i, _ := slices.BinarySearch(live, node)
 			live = slices.Insert(live, i, node)
+			delete(left, node)
 		}
 		for _, app := range apps {
 			for k := 0; k < 20; k++ {
@@ -985,6 +1002,11 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 			if got := rm.RunningContainers(); got != log.running {
 				t.Fatalf("seed %d at %g: RunningContainers = %d, the allocation log %d", seed, eng.Now(), got, log.running)
 			}
+			for _, r := range reqs {
+				if since, out := left[r.pin]; r.pin != "" && !r.closed && out && eng.Now() > max(r.at, since)+heartbeatSec {
+					t.Fatalf("seed %d at %g: request made at %g still pinned to %s, gone since %g", seed, eng.Now(), r.at, r.pin, since)
+				}
+			}
 		}
 		for check(); eng.Step(); {
 			check()
@@ -993,8 +1015,8 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 			t.Fatalf("seed %d: %d requests still queued at the end", seed, n)
 		}
 	}
-	if withdrawn == 0 {
-		t.Fatal("no strict request was withdrawn")
+	if withdrawn == late || late == 0 {
+		t.Fatalf("%d strict requests withdrawn, %d of them made after their node left: want both kinds", withdrawn, late)
 	}
 }
 
