@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -66,6 +67,7 @@ import (
 	"hiway/internal/sim"
 	"hiway/internal/verify"
 	"hiway/internal/wf"
+	"hiway/internal/workloads"
 	"hiway/internal/yarn"
 )
 
@@ -283,26 +285,35 @@ type simShard struct {
 	rep *core.Report
 }
 
-func (s *simShard) run() error {
+// launch starts the shard's AM and, when observability is on, its periodic
+// counter samples on the virtual clock.
+func (s *simShard) launch() (*core.AM, error) {
 	am, err := core.Launch(s.env, s.driver, s.sched, s.cfg)
+	if err != nil || s.o == nil || am.Finished() {
+		return am, err
+	}
+	// The tick re-arms only while the workflow runs and another event is
+	// pending. A tick that is the engine's only event would keep a stalled
+	// run alive forever, and the stall would never be reported.
+	tr := s.o.T()
+	var tick func()
+	tick = func() {
+		if am.Finished() || s.eng.Pending() == 0 {
+			return
+		}
+		tr.Sample("sim", "event_queue_depth", float64(s.eng.Pending()))
+		tr.Sample("yarn", "running_containers", float64(s.env.RM.RunningContainers()))
+		tr.Sample("sched", "queued_tasks", float64(s.sched.Queued()))
+		s.eng.Schedule(1, tick)
+	}
+	s.eng.Schedule(1, tick)
+	return am, nil
+}
+
+func (s *simShard) run() error {
+	am, err := s.launch()
 	if err != nil {
 		return err
-	}
-	if s.o != nil && !am.Finished() {
-		// Periodic counter samples on the virtual clock. The tick re-arms
-		// only while the workflow runs, so it never keeps the engine alive.
-		tr := s.o.T()
-		var tick func()
-		tick = func() {
-			if am.Finished() {
-				return
-			}
-			tr.Sample("sim", "event_queue_depth", float64(s.eng.Pending()))
-			tr.Sample("yarn", "running_containers", float64(s.env.RM.RunningContainers()))
-			tr.Sample("sched", "queued_tasks", float64(s.sched.Queued()))
-			s.eng.Schedule(1, tick)
-		}
-		s.eng.Schedule(1, tick)
 	}
 	s.eng.Run()
 	rep, err := am.Report()
@@ -365,6 +376,23 @@ func runSim(args []string) error {
 	if err != nil {
 		return err
 	}
+	staged := make([]workloads.Input, len(inputs))
+	for i, in := range inputs {
+		path, szStr, ok := strings.Cut(in, "=")
+		if !ok {
+			return fmt.Errorf("bad -input %q (want path=sizeMB)", in)
+		}
+		sz, err := strconv.ParseFloat(szStr, 64)
+		if err != nil {
+			return fmt.Errorf("bad -input size %q: %v", szStr, err)
+		}
+		if math.IsNaN(sz) || math.IsInf(sz, 0) {
+			// HDFS would lay out an infinite file block by block until
+			// memory ran out, and a NaN-sized one with no blocks.
+			return fmt.Errorf("bad -input size %q: not a finite number", szStr)
+		}
+		staged[i] = workloads.Input{Path: path, SizeMB: sz}
+	}
 
 	// --- Setup, in -w flag order: each shard gets its own driver and
 	// substrate. A driver numbers its tasks from 1, so a shard's run is a
@@ -383,6 +411,7 @@ func runSim(args []string) error {
 			HDFS:       hdfs.Config{},
 			YARN:       yarn.Config{},
 			Seed:       1,
+			Inputs:     staged,
 		}
 		eng, env, err := r.Materialize()
 		if err != nil {
@@ -403,19 +432,6 @@ func runSim(args []string) error {
 			s.env.RM.SetObs(s.o)
 			s.env.Prov.SetObs(s.o)
 		}
-		for _, in := range inputs {
-			path, szStr, ok := strings.Cut(in, "=")
-			if !ok {
-				return fmt.Errorf("bad -input %q (want path=sizeMB)", in)
-			}
-			sz, err := strconv.ParseFloat(szStr, 64)
-			if err != nil {
-				return fmt.Errorf("bad -input size %q: %v", szStr, err)
-			}
-			if _, err := s.env.FS.Put(path, sz, ""); err != nil {
-				return err
-			}
-		}
 		if s.sched, err = scheduler.New(*policy, scheduler.Deps{Locality: s.env.FS, Estimator: s.env.Prov, Obs: s.o}); err != nil {
 			return err
 		}
@@ -433,7 +449,7 @@ func runSim(args []string) error {
 			s.cfg.Chaos = plan
 			// Under injected faults, track node health so repeatedly failing
 			// nodes get blacklisted like they would in production.
-			s.cfg.Health = scheduler.NewNodeHealthTracker(eng.Now, 3, 60)
+			s.cfg.Health = scheduler.NewNodeHealthTracker(eng.Now)
 			fmt.Fprintln(&s.out, "chaos:", plan)
 		}
 		// The shard index keys the workflow ID, so the same workflow at the

@@ -16,9 +16,14 @@ import (
 	"strings"
 	"testing"
 
+	"hiway/internal/chaos"
+	"hiway/internal/cluster"
+	"hiway/internal/core"
 	"hiway/internal/lang"
+	"hiway/internal/obs"
 	"hiway/internal/provdb"
 	"hiway/internal/provenance"
+	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/service"
 )
@@ -213,11 +218,66 @@ upper( inp: "words.txt" );`
 	if err := runSim([]string{"-w", wfPath, "-input", "bad"}); err == nil {
 		t.Fatal("malformed -input accepted")
 	}
-	if err := runSim([]string{"-w", wfPath, "-input", "x=notanumber"}); err == nil {
-		t.Fatal("malformed -input size accepted")
+	for _, size := range []string{"notanumber", "Inf", "-Inf", "NaN"} {
+		if err := runSim([]string{"-w", wfPath, "-input", "x=" + size}); err == nil {
+			t.Fatalf("-input size %s accepted", size)
+		}
 	}
 	if err := runSim([]string{"-w", wfPath, "-policy", "mystery", "-input", "words.txt=5"}); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+}
+
+// TestStalledSimUnderObservabilityEnds hangs one attempt of a three-task
+// workflow, with no deadlines, on a shard that records observability. The
+// counter-sample tick must not keep the engine alive: the engine quiesces
+// and the AM reports the stall, as it does without observability. The
+// engine is stepped under a bound, so a tick that re-arms forever fails the
+// test instead of hanging it.
+func TestStalledSimUnderObservabilityEnds(t *testing.T) {
+	wfPath := filepath.Join(t.TempDir(), "chaos.cf")
+	src := `deftask gen( out : ~x ) @cpu 30 in bash *{ synthesize }*
+deftask join( out : a b ) @cpu 10 in bash *{ combine }*
+join( a: gen( x: "1" ) b: gen( x: "2" ) );`
+	if err := os.WriteFile(wfPath, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	driver, _, err := buildDriver(wfPath, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &recipes.Recipe{Name: "stall", Groups: []recipes.NodeGroup{{Count: 4, Spec: cluster.M3Large()}},
+		SwitchMBps: 2000, Seed: 1}
+	eng, env, err := r.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New(eng.Now)
+	env.Obs = o
+	env.RM.SetObs(o)
+	plan, err := chaos.Parse("hang=gen@0:1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Arm(eng, env.RM, env.FS, env.Cluster)
+	sched, err := scheduler.New(scheduler.PolicyDataAware, scheduler.Deps{Locality: env.FS, Estimator: env.Prov, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &simShard{driver: driver, eng: eng, env: env, sched: sched, cfg: core.Config{Chaos: plan}, o: o}
+	am, err := s.launch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 10000 // the run itself takes a few dozen events
+	for steps := 0; eng.Step(); steps++ {
+		if steps == bound {
+			t.Fatalf("%d events still pending after %d steps, at t=%gs: the stalled run never ends",
+				eng.Pending(), bound, eng.Now())
+		}
+	}
+	if _, err := am.Report(); err == nil || !strings.Contains(err.Error(), "stalled") {
+		t.Fatalf("report error = %v, want the stall", err)
 	}
 }
 

@@ -145,10 +145,9 @@ func TestControllerScalesUpAndDownWithHysteresis(t *testing.T) {
 	e := newEnv(t, 2)
 	m := e.manager(t, ManagerConfig{})
 	backlog := 6
-	ctl := NewController(e.eng, m, &Reactive{PerNode: 1}, func() Signals {
+	ctl := NewController(e.eng, m, &Reactive{}, func() Signals {
 		return Signals{QueueDepth: backlog}
-	}, ControllerConfig{IntervalSec: 10, CooldownSec: 15, UpAfter: 2, DownAfter: 2,
-		MinNodes: 2, MaxNodes: 8, SpotScaleOut: true, HorizonSec: 400})
+	}, ControllerConfig{MinNodes: 2, MaxNodes: 8, HorizonSec: 600})
 	ctl.Start()
 	e.eng.RunUntil(100)
 	if got := m.Size(); got != 6 {
@@ -174,14 +173,13 @@ func TestControllerCooldownDampsOscillation(t *testing.T) {
 	e := newEnv(t, 2)
 	m := e.manager(t, ManagerConfig{})
 	flip := false
-	ctl := NewController(e.eng, m, &Reactive{PerNode: 1}, func() Signals {
+	ctl := NewController(e.eng, m, &Reactive{}, func() Signals {
 		flip = !flip
 		if flip {
 			return Signals{QueueDepth: 8}
 		}
 		return Signals{QueueDepth: 1}
-	}, ControllerConfig{IntervalSec: 10, CooldownSec: 120, UpAfter: 2, DownAfter: 2,
-		MinNodes: 2, MaxNodes: 8, HorizonSec: 600})
+	}, ControllerConfig{MinNodes: 2, MaxNodes: 8, HorizonSec: 1800})
 	ctl.Start()
 	e.eng.Run()
 	actions := ctl.ScaleUps + ctl.ScaleDowns
@@ -191,14 +189,69 @@ func TestControllerCooldownDampsOscillation(t *testing.T) {
 	if actions != 0 {
 		t.Fatalf("oscillating signal caused %d scale actions, want 0", actions)
 	}
-	if ctl.Evals < 50 {
+	if ctl.Evals < 60 {
 		t.Fatalf("evals = %d, want the full horizon's worth", ctl.Evals)
 	}
 }
 
+// scripted is a Policy that wants want[i] nodes at its i-th evaluation.
+type scripted struct {
+	want []int
+	i    int
+}
+
+func (p *scripted) Desired(now float64, s Signals, current int) int {
+	p.i++
+	return p.want[p.i-1]
+}
+
+// TestControllerTuning pins the control loop's constants: evaluations every
+// 30 s, a scale-up after 2 agreeing evaluations, a scale-down after 4, and
+// no action within 90 s of the last one. Each case scripts the desired size
+// per evaluation on a two-node cluster and lists the membership transitions
+// the controller caused, as "<time>:<node>:<event>".
+func TestControllerTuning(t *testing.T) {
+	cases := []struct {
+		name string
+		want []int
+		log  string
+	}{
+		{"up after two agreeing evaluations", []int{3, 3},
+			"[60:node-02:join]"},
+		{"a level evaluation resets the up streak", []int{3, 2, 3, 3},
+			"[120:node-02:join]"},
+		{"no second action within 90 s", []int{3, 3, 4, 4, 4},
+			"[60:node-02:join 150:node-03:join]"},
+		{"down after four agreeing evaluations", []int{1, 1, 1, 1},
+			"[120:node-01:drain 120:node-01:leave]"},
+		{"three agreeing evaluations do not scale down", []int{1, 1, 1, 2, 1, 1, 1},
+			"[]"},
+		{"down after up waits out four evaluations", []int{3, 3, 2, 2, 2, 2},
+			"[60:node-02:join 180:node-02:drain 180:node-02:leave]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, 2)
+			var log membershipLog
+			e.rm.SetAudit(&log)
+			m := e.manager(t, ManagerConfig{Protected: []string{"node-00"}})
+			ctl := NewController(e.eng, m, &scripted{want: tc.want}, func() Signals { return Signals{} },
+				ControllerConfig{HorizonSec: float64(30 * len(tc.want))})
+			ctl.Start()
+			e.eng.Run()
+			if got := fmt.Sprint(log.events); got != tc.log {
+				t.Fatalf("transitions = %s, want %s", got, tc.log)
+			}
+			if ctl.Evals != len(tc.want) {
+				t.Fatalf("evals = %d, want one per 30 s of horizon (%d)", ctl.Evals, len(tc.want))
+			}
+		})
+	}
+}
+
 func TestPredictiveLeadsBuildingBurst(t *testing.T) {
-	p := &Predictive{PerNode: 1, Alpha: 0.5, LeadEvals: 3}
-	r := &Reactive{PerNode: 1}
+	p := &Predictive{}
+	r := &Reactive{}
 	var pd, rd int
 	for i, backlog := range []int{0, 2, 4, 6, 8} {
 		s := Signals{QueueDepth: backlog}
@@ -214,7 +267,7 @@ func TestSpotChaosIsDeterministic(t *testing.T) {
 	run := func() (notices, leaves int, order []string) {
 		e := newEnv(t, 2)
 		m := e.manager(t, ManagerConfig{Protected: []string{"node-00"}, SpotNoticeSec: 30})
-		m.AddNodes(4, true)
+		m.AddNodes(4)
 		var log membershipLog
 		e.rm.SetAudit(&log)
 		plan := chaos.NewPlan(7)
@@ -314,7 +367,7 @@ func TestMembershipEdgeCases(t *testing.T) {
 			// A node is blacklisted, leaves, and rejoins under the same ID:
 			// the new incarnation must start with a clean health record.
 			e := newEnv(t, 3)
-			health := scheduler.NewNodeHealthTracker(e.eng.Now, 3, 600)
+			health := scheduler.NewNodeHealthTracker(e.eng.Now)
 			m := e.manager(t, ManagerConfig{Health: health, Protected: []string{"node-00"}})
 			for i := 0; i < 3; i++ {
 				health.ReportFailure("node-02")
@@ -326,6 +379,9 @@ func TestMembershipEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.eng.Run()
+			if e.eng.Now() >= 60 {
+				t.Fatalf("drain ended at %gs, after the 60 s penalty: expiry, not the leave, would clear it", e.eng.Now())
+			}
 			if !health.Healthy("node-02") {
 				t.Fatal("node-02 still blacklisted after it left")
 			}
@@ -342,7 +398,7 @@ func TestMembershipEdgeCases(t *testing.T) {
 			// deadline preempts, and retries fall back to the blacklisted
 			// node once its penalty lapses (backoff re-admission).
 			e := newEnv(t, 3)
-			health := scheduler.NewNodeHealthTracker(e.eng.Now, 3, 30)
+			health := scheduler.NewNodeHealthTracker(e.eng.Now)
 			m := e.manager(t, ManagerConfig{DrainDeadlineSec: 10, Protected: []string{"node-00"}, Health: health})
 			for i := 0; i < 3; i++ {
 				health.ReportFailure("node-01")

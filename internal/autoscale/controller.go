@@ -5,26 +5,24 @@ import (
 	"hiway/internal/sim"
 )
 
-// ControllerConfig tunes the autoscaling control loop.
+// The control loop's tuning. Every caller ran the autoscaler at these
+// values, so they are constants rather than settings.
+const (
+	intervalSec = 30 // evaluation period
+	cooldownSec = 90 // minimum gap between two scale actions
+	// Consecutive agreeing evaluations before scaling up and down. Down is
+	// more conservative so a brief lull does not shed capacity a burst
+	// still needs.
+	upAfter   = 2
+	downAfter = 4
+)
+
+// ControllerConfig bounds the autoscaling control loop.
 type ControllerConfig struct {
-	// IntervalSec is the evaluation period. Default 30s.
-	IntervalSec float64
-	// CooldownSec is the minimum gap between two scale actions. Default 90s.
-	CooldownSec float64
-	// UpAfter is how many consecutive evaluations must want a larger
-	// cluster before scaling up. Default 2.
-	UpAfter int
-	// DownAfter is how many consecutive evaluations must want a smaller
-	// cluster before scaling down — more conservative than UpAfter so a
-	// brief lull does not shed capacity a burst still needs. Default 4.
-	DownAfter int
 	// MinNodes and MaxNodes clamp the desired size. MinNodes defaults to 1;
 	// MaxNodes defaults to unbounded.
 	MinNodes int
 	MaxNodes int
-	// SpotScaleOut makes scale-ups join spot nodes (cheap, reclaimable)
-	// instead of on-demand ones.
-	SpotScaleOut bool
 	// HorizonSec stops the loop after this virtual time, letting the
 	// engine quiesce. Required: a controller without a horizon would tick
 	// forever.
@@ -61,24 +59,13 @@ type Controller struct {
 }
 
 // NewController builds a control loop over the manager. sig is consulted
-// once per evaluation.
+// once per evaluation. Scale-ups join spot nodes: they are the cheap,
+// reclaimable capacity a burst is served from.
 func NewController(eng *sim.Engine, m *Manager, pol Policy, sig func() Signals, cfg ControllerConfig) *Controller {
-	if cfg.IntervalSec <= 0 {
-		cfg.IntervalSec = 30
-	}
-	if cfg.CooldownSec <= 0 {
-		cfg.CooldownSec = 90
-	}
-	if cfg.UpAfter <= 0 {
-		cfg.UpAfter = 2
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 4
-	}
 	if cfg.MinNodes <= 0 {
 		cfg.MinNodes = 1
 	}
-	return &Controller{eng: eng, m: m, pol: pol, sig: sig, cfg: cfg, lastAction: -cfg.CooldownSec}
+	return &Controller{eng: eng, m: m, pol: pol, sig: sig, cfg: cfg, lastAction: -cooldownSec}
 }
 
 // SetObs attaches the hiway_autoscale_* metrics. A nil o (the default)
@@ -95,7 +82,7 @@ func (c *Controller) SetObs(o *obs.Obs) {
 // Start schedules the first evaluation one interval from now. The loop
 // re-arms itself until HorizonSec passes or Done reports true.
 func (c *Controller) Start() {
-	c.eng.Schedule(c.cfg.IntervalSec, c.tick)
+	c.eng.Schedule(intervalSec, c.tick)
 }
 
 func (c *Controller) tick() {
@@ -103,8 +90,8 @@ func (c *Controller) tick() {
 		return
 	}
 	c.evaluate()
-	if c.eng.Now()+c.cfg.IntervalSec <= c.cfg.HorizonSec {
-		c.eng.Schedule(c.cfg.IntervalSec, c.tick)
+	if c.eng.Now()+intervalSec <= c.cfg.HorizonSec {
+		c.eng.Schedule(intervalSec, c.tick)
 	}
 }
 
@@ -133,11 +120,11 @@ func (c *Controller) evaluate() {
 		c.downStreak = 0
 		return
 	}
-	if now-c.lastAction < c.cfg.CooldownSec {
+	if now-c.lastAction < cooldownSec {
 		return
 	}
-	if des > cur && c.upStreak >= c.cfg.UpAfter {
-		c.m.AddNodes(des-cur, c.cfg.SpotScaleOut)
+	if des > cur && c.upStreak >= upAfter {
+		c.m.AddNodes(des - cur)
 		c.ScaleUps++
 		c.upsC.Inc()
 		if c.lastDir == -1 {
@@ -147,7 +134,7 @@ func (c *Controller) evaluate() {
 		c.lastDir = 1
 		c.lastAction = now
 		c.upStreak = 0
-	} else if des < cur && c.downStreak >= c.cfg.DownAfter {
+	} else if des < cur && c.downStreak >= downAfter {
 		c.m.RemoveNodes(cur - des)
 		c.ScaleDowns++
 		c.downsC.Inc()

@@ -38,8 +38,6 @@ type ManagerConfig struct {
 	// Protected nodes are never drained or reclaimed — typically the node
 	// hosting application masters.
 	Protected []string
-	// Rereplicate restores HDFS replication after a node leaves.
-	Rereplicate bool
 	// Health, when set, forgets departed nodes so blacklist state cannot
 	// leak or outlive a node's incarnation.
 	Health *scheduler.NodeHealthTracker
@@ -64,8 +62,9 @@ type Manager struct {
 	Joins, Leaves, Notices int
 }
 
-// NewManager builds a membership manager. fs may be nil for runs without a
-// filesystem.
+// NewManager builds a membership manager. A departing node's HDFS blocks
+// are re-replicated onto the staying nodes; fs may be nil for runs without
+// a filesystem.
 func NewManager(eng *sim.Engine, cl *cluster.Cluster, rm *yarn.ResourceManager, fs *hdfs.FS, cfg ManagerConfig) *Manager {
 	if cfg.DrainDeadlineSec <= 0 {
 		cfg.DrainDeadlineSec = 120
@@ -126,11 +125,11 @@ func (m *Manager) Join(id string, spot bool) (string, error) {
 	return n.ID, nil
 }
 
-// AddNodes joins n nodes of the configured class and returns their ids.
-func (m *Manager) AddNodes(n int, spot bool) []string {
+// AddNodes joins n spot nodes and returns their ids.
+func (m *Manager) AddNodes(n int) []string {
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		id, err := m.Join("", spot)
+		id, err := m.Join("", true)
 		if err != nil {
 			break
 		}
@@ -204,7 +203,7 @@ func (m *Manager) Drain(id string) error {
 // concurrent drains could take away both replicas of a block before either
 // drain finishes.
 func (m *Manager) evacuate(id string) {
-	if m.fs == nil || !m.cfg.Rereplicate {
+	if m.fs == nil {
 		return
 	}
 	m.fs.DecommissionNode(id)
@@ -225,9 +224,7 @@ func (m *Manager) finalizeLeave(node string) {
 	if m.fs != nil {
 		m.fs.KillNode(node)
 		m.fs.ForgetNode(node)
-		if m.cfg.Rereplicate {
-			m.fs.Rereplicate(func(int) {})
-		}
+		m.fs.Rereplicate(func(int) {})
 	}
 	m.cl.RemoveNode(node)
 	if m.cfg.Health != nil {

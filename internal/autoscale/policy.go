@@ -42,50 +42,41 @@ type Static struct {
 // Desired implements Policy.
 func (p *Static) Desired(now float64, s Signals, current int) int { return p.Nodes }
 
-// Reactive sizes the cluster proportionally to the current backlog, with an
-// allocation-latency escape hatch: when containers wait too long for
-// capacity, it asks for one more node than it has regardless of backlog.
-type Reactive struct {
-	// PerNode is how many concurrent workflows one node is expected to
-	// carry. Default 1.
-	PerNode float64
-	// LatencyHighSec triggers the +1 escalation. Default 5s.
-	LatencyHighSec float64
+// The elastic policies' tuning. Every caller built them through NewPolicy
+// at these values, so they are constants rather than settings. Both size
+// the cluster at one node per concurrent workflow, the unit the service
+// tier admits.
+const (
+	latencyHighSec = 5   // allocation latency that triggers escalate
+	alpha          = 0.4 // Predictive's EWMA smoothing factor
+	leadEvals      = 3   // evaluations ahead Predictive forecasts
+)
+
+// escalate applies the allocation-latency escape hatch: when containers
+// wait too long for capacity, the policy asks for one more node than it
+// has, whatever the backlog says.
+func escalate(desired int, s Signals, current int) int {
+	if s.AllocLatencySec > latencyHighSec && s.PendingRequests > 0 && desired <= current {
+		return current + 1
+	}
+	return desired
 }
+
+// Reactive sizes the cluster to the current backlog, with the
+// allocation-latency escape hatch.
+type Reactive struct{}
 
 // Desired implements Policy.
 func (p *Reactive) Desired(now float64, s Signals, current int) int {
-	perNode := p.PerNode
-	if perNode <= 0 {
-		perNode = 1
-	}
-	latHigh := p.LatencyHighSec
-	if latHigh <= 0 {
-		latHigh = 5
-	}
-	desired := int(math.Ceil(float64(s.Backlog()) / perNode))
-	if s.AllocLatencySec > latHigh && s.PendingRequests > 0 && desired <= current {
-		desired = current + 1
-	}
-	return desired
+	return escalate(s.Backlog(), s, current)
 }
 
 // Predictive extrapolates demand: it tracks an exponentially weighted
 // moving average of the backlog and its per-evaluation trend, and sizes the
 // cluster for the forecast a few evaluations ahead — so capacity arrives
 // before a building burst peaks, at the price of overshooting on spikes
-// that immediately recede.
+// that immediately recede. It shares Reactive's escape hatch.
 type Predictive struct {
-	// PerNode is how many concurrent workflows one node is expected to
-	// carry. Default 1.
-	PerNode float64
-	// Alpha is the EWMA smoothing factor in (0,1]. Default 0.4.
-	Alpha float64
-	// LeadEvals is how many evaluations ahead to forecast. Default 3.
-	LeadEvals int
-	// LatencyHighSec triggers the +1 escalation, as in Reactive. Default 5s.
-	LatencyHighSec float64
-
 	initialized bool
 	ewma        float64
 	trend       float64
@@ -93,22 +84,6 @@ type Predictive struct {
 
 // Desired implements Policy.
 func (p *Predictive) Desired(now float64, s Signals, current int) int {
-	perNode := p.PerNode
-	if perNode <= 0 {
-		perNode = 1
-	}
-	alpha := p.Alpha
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.4
-	}
-	lead := p.LeadEvals
-	if lead <= 0 {
-		lead = 3
-	}
-	latHigh := p.LatencyHighSec
-	if latHigh <= 0 {
-		latHigh = 5
-	}
 	demand := float64(s.Backlog())
 	if !p.initialized {
 		p.initialized = true
@@ -118,20 +93,15 @@ func (p *Predictive) Desired(now float64, s Signals, current int) int {
 		p.ewma = alpha*demand + (1-alpha)*p.ewma
 		p.trend = alpha*(p.ewma-prev) + (1-alpha)*p.trend
 	}
-	forecast := p.ewma + float64(lead)*p.trend
+	forecast := p.ewma + leadEvals*p.trend
 	if forecast < 0 {
 		forecast = 0
 	}
-	desired := int(math.Ceil(forecast / perNode))
-	if s.AllocLatencySec > latHigh && s.PendingRequests > 0 && desired <= current {
-		desired = current + 1
-	}
-	return desired
+	return escalate(int(math.Ceil(forecast)), s, current)
 }
 
-// NewPolicy builds a policy by name ("static", "reactive", "predictive")
-// with default tuning; staticNodes sizes the static policy. Unknown names
-// return nil.
+// NewPolicy builds a policy by name ("static", "reactive", "predictive");
+// staticNodes sizes the static policy. Unknown names return nil.
 func NewPolicy(name string, staticNodes int) Policy {
 	switch name {
 	case "static":

@@ -11,7 +11,6 @@ package cloudman
 
 import (
 	"fmt"
-	"sort"
 
 	"hiway/internal/cluster"
 	"hiway/internal/sim"
@@ -26,9 +25,6 @@ type Config struct {
 	// VolumeMBps is the shared EBS volume's aggregate throughput.
 	// Default 120 (a ~1 Gb/s-attached volume).
 	VolumeMBps float64
-	// TasksPerNode bounds concurrent tasks per node. The paper configured
-	// Slurm to run a single task per worker to avoid OOM; default 1.
-	TasksPerNode int
 	// InputSizesMB supplies the sizes of the workflow's initial inputs.
 	InputSizesMB map[string]float64
 	// Behavior computes simulated task outcomes (default: declared).
@@ -52,9 +48,6 @@ func Run(cl *cluster.Cluster, driver wf.StaticDriver, cfg Config) (*Report, erro
 	if cfg.VolumeMBps <= 0 {
 		cfg.VolumeMBps = 120
 	}
-	if cfg.TasksPerNode <= 0 {
-		cfg.TasksPerNode = 1
-	}
 	if cfg.Behavior == nil {
 		cfg.Behavior = wf.DefaultOutcome
 	}
@@ -68,13 +61,10 @@ func Run(cl *cluster.Cluster, driver wf.StaticDriver, cfg Config) (*Report, erro
 		cfg:    cfg,
 		driver: driver,
 		volume: sim.NewSharedResource(cl.Engine, "ebs-volume", cfg.VolumeMBps),
-		slots:  make(map[string]int, cl.Size()),
+		busy:   make(map[string]bool, cl.Size()),
 		sizes:  make(map[string]float64, len(cfg.InputSizesMB)),
 		queue:  append([]*wf.Task(nil), ready...),
 		start:  cl.Engine.Now(),
-	}
-	for _, n := range cl.Nodes() {
-		e.slots[n.ID] = cfg.TasksPerNode
 	}
 	for p, s := range cfg.InputSizesMB {
 		e.sizes[p] = s
@@ -96,7 +86,7 @@ type engine struct {
 	driver wf.StaticDriver
 	volume *sim.SharedResource
 
-	slots   map[string]int
+	busy    map[string]bool    // nodes running their one task
 	sizes   map[string]float64 // path → MB on the shared volume
 	queue   []*wf.Task
 	running int
@@ -105,7 +95,9 @@ type engine struct {
 	report  *Report
 }
 
-// dispatch assigns queued tasks FCFS to nodes with a free Slurm slot.
+// dispatch assigns queued tasks FCFS to idle nodes. Each node runs one task
+// at a time: the paper configured Slurm that way to avoid running out of
+// memory.
 func (e *engine) dispatch() {
 	if e.report != nil {
 		return
@@ -117,29 +109,19 @@ func (e *engine) dispatch() {
 		}
 		t := e.queue[0]
 		e.queue = e.queue[1:]
-		e.slots[node.ID]--
+		e.busy[node.ID] = true
 		e.run(t, node)
 	}
 }
 
-// freeNode returns the node with a free slot (most free slots first).
+// freeNode returns the first idle node in ID order, or nil.
 func (e *engine) freeNode() *cluster.Node {
-	ids := make([]string, 0, len(e.slots))
-	for id := range e.slots {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var best string
-	bestFree := 0
-	for _, id := range ids {
-		if e.slots[id] > bestFree {
-			best, bestFree = id, e.slots[id]
+	for _, n := range e.cl.Nodes() {
+		if !e.busy[n.ID] {
+			return n
 		}
 	}
-	if best == "" {
-		return nil
-	}
-	return e.cl.Node(best)
+	return nil
 }
 
 // run executes a task: all file traffic crosses the shared volume, capped
@@ -193,7 +175,7 @@ func (e *engine) run(t *wf.Task, node *cluster.Node) {
 
 func (e *engine) onDone(t *wf.Task, node *cluster.Node, res *wf.TaskResult) {
 	e.running--
-	e.slots[node.ID]++
+	e.busy[node.ID] = false
 	e.results = append(e.results, res)
 	next, err := e.driver.OnTaskComplete(res)
 	if err != nil {

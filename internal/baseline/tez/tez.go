@@ -14,13 +14,15 @@ import (
 	"hiway/internal/yarn"
 )
 
+// Every pooled container has one core and 1 GB, the size the Hi-WAY side of
+// Fig. 4 runs its tasks in.
+const containerVCores, containerMemMB = 1, 1024
+
 // Config tunes the engine.
 type Config struct {
 	// Containers is the size of the reused container pool (the x-axis of
 	// Fig. 4). Default: one per cluster node.
-	Containers      int
-	ContainerVCores int // default 1
-	ContainerMemMB  int // default 1024
+	Containers int
 	// Behavior computes simulated task outcomes (default: declared).
 	Behavior wf.Behavior
 }
@@ -30,12 +32,6 @@ type Config struct {
 func Run(env core.Env, driver wf.StaticDriver, cfg Config) (*core.Report, error) {
 	if cfg.Containers <= 0 {
 		cfg.Containers = env.Cluster.Size()
-	}
-	if cfg.ContainerVCores <= 0 {
-		cfg.ContainerVCores = 1
-	}
-	if cfg.ContainerMemMB <= 0 {
-		cfg.ContainerMemMB = 1024
 	}
 	if cfg.Behavior == nil {
 		cfg.Behavior = wf.DefaultOutcome
@@ -58,7 +54,7 @@ func Run(env core.Env, driver wf.StaticDriver, cfg Config) (*core.Report, error)
 	}
 	// Acquire the long-lived container pool once; each container becomes
 	// a worker that repeatedly pulls tasks (Tez's container reuse).
-	res := yarn.Resource{VCores: cfg.ContainerVCores, MemMB: cfg.ContainerMemMB}
+	res := yarn.Resource{VCores: containerVCores, MemMB: containerMemMB}
 	for i := 0; i < cfg.Containers; i++ {
 		app.Request(yarn.Request{Resource: res}, func(c *yarn.Container) {
 			e.pool = append(e.pool, c)

@@ -85,7 +85,7 @@ func TestExcludedTaskWaitsForAnotherNode(t *testing.T) {
 		audit := &exclusionAudit{t: t}
 		cfg := Config{
 			TaskTimeoutFloorSec: 45, TimeoutSlack: 3, Speculate: true,
-			Chaos: plan, Health: scheduler.NewNodeHealthTracker(eng.Now, 3, 60), Audit: audit,
+			Chaos: plan, Health: scheduler.NewNodeHealthTracker(eng.Now), Audit: audit,
 		}
 		am, err := Launch(Env{Cluster: cl, FS: fs, RM: rm, Prov: prov}, cwl.NewDriver("snv", string(src), cwl.Options{}), scheduler.NewDataAware(fs), cfg)
 		if err != nil {

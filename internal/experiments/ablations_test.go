@@ -381,7 +381,7 @@ func faultToleranceRun(policy string, crashRate float64, speculate bool, seed in
 	cfg := core.Config{
 		ContainerVCores: 2, ContainerMemMB: 4096,
 		Chaos:               plan,
-		Health:              scheduler.NewNodeHealthTracker(e.eng.Now, 3, 60),
+		Health:              scheduler.NewNodeHealthTracker(e.eng.Now),
 		TaskTimeoutFloorSec: 90,
 		TimeoutSlack:        3,
 		Speculate:           speculate,

@@ -160,7 +160,6 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 				Spec:          l.spec,
 				SpotNoticeSec: cfg.SpotNoticeSec,
 				Protected:     []string{"node-00"},
-				Rereplicate:   true,
 			})
 			mgr.SetObs(l.obs)
 			svc, window := l.svc, l.cfg.DurationSec
@@ -172,10 +171,9 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 					AllocLatencySec: rm.AllocLatencyEWMA(),
 				}
 			}, autoscale.ControllerConfig{
-				MinNodes:     minNodes,
-				MaxNodes:     maxNodes,
-				SpotScaleOut: true,
-				HorizonSec:   window * 4,
+				MinNodes:   minNodes,
+				MaxNodes:   maxNodes,
+				HorizonSec: window * 4,
 				Done: func() bool {
 					return l.eng.Now() > window && svc.QueueDepth() == 0 && svc.Running() == 0
 				},

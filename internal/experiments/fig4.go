@@ -105,9 +105,7 @@ func Fig4(opt Fig4Options) (*Fig4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep2, err := tez.Run(e2.Env, driver2, tez.Config{
-				Containers: containers, ContainerVCores: 1, ContainerMemMB: 1024,
-			})
+			rep2, err := tez.Run(e2.Env, driver2, tez.Config{Containers: containers})
 			if err != nil {
 				return nil, fmt.Errorf("fig4: tez @%d containers: %w", containers, err)
 			}

@@ -150,7 +150,6 @@ func fig8CloudMan(nodes int, seed int64, jitter float64, volumeMBps float64) (fl
 	jitterTasks(driver, rand.New(rand.NewSource(seed)), jitter)
 	rep, err := cloudman.Run(e.Cluster, reparse(driver), cloudman.Config{
 		VolumeMBps:   volumeMBps,
-		TasksPerNode: 1,
 		InputSizesMB: workloads.InputSizes(inputs),
 	})
 	if err != nil {

@@ -29,14 +29,11 @@ type Config struct {
 	// Workers is the number of tasks run in parallel (default: NumCPU,
 	// capped at 8).
 	Workers int
-	// Shell interprets task commands (default: bash, falling back to sh).
-	Shell string
 	// Timeout bounds one task's execution (0 = unbounded).
 	Timeout time.Duration
-	// Prov, if set, receives workflow/task events with wall-clock times.
+	// Prov, if set, receives workflow/task events with wall-clock times,
+	// under the workflow ID local-<driver name>-<process ID>.
 	Prov *provenance.Manager
-	// WorkflowID for provenance; derived from the driver name if empty.
-	WorkflowID string
 }
 
 // Report summarizes a local run.
@@ -64,28 +61,26 @@ func Run(driver wf.Driver, cfg Config) (*Report, error) {
 			cfg.Workers = 8
 		}
 	}
-	if cfg.Shell == "" {
-		if _, err := exec.LookPath("bash"); err == nil {
-			cfg.Shell = "bash"
-		} else {
-			cfg.Shell = "sh"
-		}
-	}
-	if cfg.WorkflowID == "" {
-		cfg.WorkflowID = fmt.Sprintf("local-%s-%d", driver.Name(), os.Getpid())
-	}
 	dataDir := filepath.Join(cfg.WorkDir, "data")
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("localexec: creating data dir: %w", err)
 	}
 
-	r := &runner{cfg: cfg, driver: driver, dataDir: dataDir, start: time.Now()}
+	// Task commands run in bash, or in sh where bash is missing.
+	shell := "bash"
+	if _, err := exec.LookPath(shell); err != nil {
+		shell = "sh"
+	}
+	id := fmt.Sprintf("local-%s-%d", driver.Name(), os.Getpid())
+	r := &runner{cfg: cfg, driver: driver, id: id, shell: shell, dataDir: dataDir, start: time.Now()}
 	return r.run()
 }
 
 type runner struct {
 	cfg     Config
 	driver  wf.Driver
+	id      string // the workflow ID in reports and provenance
+	shell   string
 	dataDir string
 	start   time.Time
 }
@@ -94,13 +89,13 @@ func (r *runner) now() float64 { return time.Since(r.start).Seconds() }
 
 func (r *runner) provStart() {
 	if r.cfg.Prov != nil {
-		_ = r.cfg.Prov.RecordWorkflowStart(r.cfg.WorkflowID, r.driver.Name(), r.now())
+		_ = r.cfg.Prov.RecordWorkflowStart(r.id, r.driver.Name(), r.now())
 	}
 }
 
 func (r *runner) provEnd(ok bool) {
 	if r.cfg.Prov != nil {
-		_ = r.cfg.Prov.RecordWorkflowEnd(r.cfg.WorkflowID, r.driver.Name(), r.now(), r.now(), ok)
+		_ = r.cfg.Prov.RecordWorkflowEnd(r.id, r.driver.Name(), r.now(), r.now(), ok)
 	}
 }
 
@@ -114,14 +109,14 @@ func (r *runner) provTask(res *wf.TaskResult) {
 			sizes[in] = float64(st.Size()) / (1024 * 1024)
 		}
 	}
-	_ = r.cfg.Prov.RecordTaskEnd(r.cfg.WorkflowID, r.driver.Name(), res, sizes)
+	_ = r.cfg.Prov.RecordTaskEnd(r.id, r.driver.Name(), res, sizes)
 }
 
 // run is the dispatcher loop: ready tasks go to a bounded worker pool;
 // completions feed the driver, which may discover more tasks.
 func (r *runner) run() (*Report, error) {
 	report := &Report{
-		WorkflowID:   r.cfg.WorkflowID,
+		WorkflowID:   r.id,
 		WorkflowName: r.driver.Name(),
 		DataDir:      r.dataDir,
 	}
@@ -215,7 +210,7 @@ func (r *runner) execute(t *wf.Task) *wf.TaskResult {
 			ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
 		}
 		defer cancel()
-		cmd := exec.CommandContext(ctx, r.cfg.Shell, "-c", t.Command)
+		cmd := exec.CommandContext(ctx, r.shell, "-c", t.Command)
 		// Kill the whole process group on timeout so background
 		// grandchildren die with the shell; WaitDelay is the backstop for
 		// anything that still holds the output pipes.

@@ -16,18 +16,23 @@ type HealthAware interface {
 	SetNodeHealth(h NodeHealth)
 }
 
-// NodeHealthTracker is the default NodeHealth: consecutive failures or
-// timeouts on a node blacklist it for a penalty window; each expiry leaves
-// the node on probation, where a single further failure re-blacklists it
-// with a doubled penalty (backoff-style re-admission), and a success fully
-// rehabilitates it. Time is whatever clock the constructor is given — the
-// simulator passes its virtual clock.
+// The tracker's tuning. Every caller ran it at these values, so they are
+// constants rather than settings.
+const (
+	healthThreshold  = 3  // consecutive failures that blacklist a node
+	healthPenaltySec = 60 // first blacklist window; doubles per failed re-admission
+)
+
+// NodeHealthTracker is the default NodeHealth: healthThreshold consecutive
+// failures or timeouts on a node blacklist it for healthPenaltySec; each
+// expiry leaves the node on probation, where a single further failure
+// re-blacklists it with a doubled penalty (backoff-style re-admission), and
+// a success fully rehabilitates it. Time is whatever clock the constructor
+// is given — the simulator passes its virtual clock.
 type NodeHealthTracker struct {
-	mu        sync.Mutex
-	now       func() float64
-	threshold int     // consecutive failures that trigger a blacklist
-	baseSec   float64 // first penalty window length
-	nodes     map[string]*nodeState
+	mu    sync.Mutex
+	now   func() float64
+	nodes map[string]*nodeState
 }
 
 type nodeState struct {
@@ -36,21 +41,9 @@ type nodeState struct {
 	until       float64 // blacklisted until this time; 0 = not blacklisted
 }
 
-// NewNodeHealthTracker builds a tracker over the given clock. threshold <= 0
-// defaults to 3 consecutive failures; basePenaltySec <= 0 defaults to 60s.
-func NewNodeHealthTracker(now func() float64, threshold int, basePenaltySec float64) *NodeHealthTracker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if basePenaltySec <= 0 {
-		basePenaltySec = 60
-	}
-	return &NodeHealthTracker{
-		now:       now,
-		threshold: threshold,
-		baseSec:   basePenaltySec,
-		nodes:     make(map[string]*nodeState),
-	}
+// NewNodeHealthTracker builds a tracker over the given clock.
+func NewNodeHealthTracker(now func() float64) *NodeHealthTracker {
+	return &NodeHealthTracker{now: now, nodes: make(map[string]*nodeState)}
 }
 
 // Healthy implements NodeHealth.
@@ -89,9 +82,9 @@ func (h *NodeHealthTracker) ReportFailure(node string) {
 		st.penaltySec *= 2
 		st.until = h.now() + st.penaltySec
 		st.consecutive = 0
-	case st.consecutive >= h.threshold && h.now() >= st.until:
+	case st.consecutive >= healthThreshold && h.now() >= st.until:
 		if st.penaltySec == 0 {
-			st.penaltySec = h.baseSec
+			st.penaltySec = healthPenaltySec
 		}
 		st.until = h.now() + st.penaltySec
 		st.consecutive = 0

@@ -8,7 +8,7 @@ import (
 
 func TestNodeHealthTrackerBlacklistAndProbation(t *testing.T) {
 	now := 0.0
-	h := NewNodeHealthTracker(func() float64 { return now }, 3, 60)
+	h := NewNodeHealthTracker(func() float64 { return now })
 
 	if !h.Healthy("n1") {
 		t.Fatal("unknown node must be healthy")
@@ -56,7 +56,7 @@ func TestNodeHealthTrackerBlacklistAndProbation(t *testing.T) {
 
 func TestNodeHealthTrackerSuccessResetsStreak(t *testing.T) {
 	now := 0.0
-	h := NewNodeHealthTracker(func() float64 { return now }, 3, 60)
+	h := NewNodeHealthTracker(func() float64 { return now })
 	h.ReportFailure("n1")
 	h.ReportFailure("n1")
 	h.ReportSuccess("n1")
@@ -70,8 +70,8 @@ func TestNodeHealthTrackerSuccessResetsStreak(t *testing.T) {
 func TestSchedulersDeclineBlacklistedNodes(t *testing.T) {
 	var fx fixture
 	now := 0.0
-	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
-	h.ReportFailure("bad")
+	h := NewNodeHealthTracker(func() float64 { return now })
+	blacklist(h, "bad")
 
 	task := fx.mkTask("tool", nil, "o")
 
@@ -94,7 +94,7 @@ func TestSchedulersDeclineBlacklistedNodes(t *testing.T) {
 func TestStaticSelectDeclinesBlacklistedAndReassignMovesQueued(t *testing.T) {
 	var fx fixture
 	now := 0.0
-	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
+	h := NewNodeHealthTracker(func() float64 { return now })
 
 	a := fx.mkTask("a", nil, "a.out")
 	b := fx.mkTask("b", []string{"a.out"}, "b.out")
@@ -110,7 +110,7 @@ func TestStaticSelectDeclinesBlacklistedAndReassignMovesQueued(t *testing.T) {
 	s.SetNodeHealth(h)
 	s.OnTaskReady(a) // planned on n1
 
-	h.ReportFailure("n1")
+	blacklist(h, "n1")
 	if got := s.Select("n1"); got != nil {
 		t.Fatal("static Select handed a task to a blacklisted node")
 	}
@@ -127,9 +127,11 @@ func TestStaticSelectDeclinesBlacklistedAndReassignMovesQueued(t *testing.T) {
 	}
 }
 
-// TestNodeHealthTrackerEdgeCases pins the tracker's boundary behavior as a
-// table: each case drives a fresh tracker through a scripted sequence of
-// failures, successes, and clock jumps, then asserts the health verdict.
+// TestNodeHealthTrackerEdgeCases pins the tracker's constants and boundary
+// behavior as a table: a node is blacklisted after 3 consecutive failures
+// for 60 s, and each failure on re-admission doubles the window. Each case
+// drives a fresh tracker through a scripted sequence of failures,
+// successes, and clock jumps, then asserts the health verdict.
 func TestNodeHealthTrackerEdgeCases(t *testing.T) {
 	type step struct {
 		at      float64 // clock value before the action
@@ -144,6 +146,50 @@ func TestNodeHealthTrackerEdgeCases(t *testing.T) {
 		unhealthy   []string
 		blacklisted []string // expected Blacklisted() at `at`
 	}{
+		{
+			name:    "two consecutive failures do not blacklist",
+			steps:   []step{{at: 0, fail: "n1"}, {at: 5, fail: "n1"}},
+			at:      5,
+			healthy: []string{"n1"},
+		},
+		{
+			name:        "the third consecutive failure blacklists",
+			steps:       []step{{at: 0, fail: "n1"}, {at: 5, fail: "n1"}, {at: 10, fail: "n1"}},
+			at:          10,
+			unhealthy:   []string{"n1"},
+			blacklisted: []string{"n1"},
+		},
+		{
+			name: "a re-admission failure doubles the window",
+			// Blacklisted [0, 60); the failure at 60 blacklists [60, 180).
+			steps: []step{
+				{at: 0, fail: "n1"}, {at: 0, fail: "n1"}, {at: 0, fail: "n1"},
+				{at: 60, fail: "n1"},
+			},
+			at:          179.999,
+			unhealthy:   []string{"n1"},
+			blacklisted: []string{"n1"},
+		},
+		{
+			name: "the doubled window ends on time",
+			steps: []step{
+				{at: 0, fail: "n1"}, {at: 0, fail: "n1"}, {at: 0, fail: "n1"},
+				{at: 60, fail: "n1"},
+			},
+			at:      180,
+			healthy: []string{"n1"},
+		},
+		{
+			name: "a second re-admission failure doubles it again",
+			// [0, 60), then [60, 180), then [180, 420).
+			steps: []step{
+				{at: 0, fail: "n1"}, {at: 0, fail: "n1"}, {at: 0, fail: "n1"},
+				{at: 60, fail: "n1"}, {at: 180, fail: "n1"},
+			},
+			at:          419.999,
+			unhealthy:   []string{"n1"},
+			blacklisted: []string{"n1"},
+		},
 		{
 			name: "expiry at the exact deadline re-admits",
 			// Blacklisted at t=10 for 60s: the window is [10, 70), so the
@@ -216,7 +262,7 @@ func TestNodeHealthTrackerEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			now := 0.0
-			h := NewNodeHealthTracker(func() float64 { return now }, 3, 60)
+			h := NewNodeHealthTracker(func() float64 { return now })
 			for _, s := range tc.steps {
 				now = s.at
 				if s.fail != "" {
@@ -258,9 +304,9 @@ func TestNodeHealthTrackerEdgeCases(t *testing.T) {
 func TestAllNodesBlacklistedSchedulerWithholdsUntilExpiry(t *testing.T) {
 	var fx fixture
 	now := 0.0
-	h := NewNodeHealthTracker(func() float64 { return now }, 1, 60)
-	h.ReportFailure("n1")
-	h.ReportFailure("n2")
+	h := NewNodeHealthTracker(func() float64 { return now })
+	blacklist(h, "n1")
+	blacklist(h, "n2")
 
 	s := NewFCFS()
 	s.SetNodeHealth(h)
@@ -278,6 +324,13 @@ func TestAllNodesBlacklistedSchedulerWithholdsUntilExpiry(t *testing.T) {
 	now = 60 // n1 and n2 expire together; either may serve now
 	if got := s.Select("n1"); got != task {
 		t.Fatalf("Select(n1) = %v after expiry, want the queued task", got)
+	}
+}
+
+// blacklist reports the run of consecutive failures that blacklists node.
+func blacklist(h *NodeHealthTracker, node string) {
+	for i := 0; i < healthThreshold; i++ {
+		h.ReportFailure(node)
 	}
 }
 

@@ -179,7 +179,7 @@ func (s *Scenario) buildRun(policy string, tamper func(core.Env), tab *memo.Tabl
 		}
 		plan.Arm(eng, env.RM, env.FS, env.Cluster)
 		cfg.Chaos = plan
-		health = scheduler.NewNodeHealthTracker(eng.Now, 3, 60)
+		health = scheduler.NewNodeHealthTracker(eng.Now)
 		cfg.Health = health
 	}
 	if s.Elastic != nil {
@@ -188,7 +188,6 @@ func (s *Scenario) buildRun(policy string, tamper func(core.Env), tab *memo.Tabl
 			DrainDeadlineSec: s.Elastic.DrainDeadlineSec,
 			SpotNoticeSec:    s.Elastic.SpotNoticeSec,
 			Protected:        []string{"node-00"},
-			Rereplicate:      true,
 			Health:           health,
 		})
 		s.Elastic.arm(eng, mgr)
