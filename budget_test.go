@@ -8,10 +8,12 @@ import (
 	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
+	"hiway/internal/lang/cwl"
 	"hiway/internal/provenance"
 	"hiway/internal/scheduler"
 	"hiway/internal/sim"
 	"hiway/internal/wf"
+	"hiway/internal/workloads"
 	"hiway/internal/yarn"
 )
 
@@ -343,6 +345,25 @@ func TestAllocationBudgets(t *testing.T) {
 								selected++
 							}
 						}
+					}
+				}
+			},
+		},
+		{
+			// One build of sim-paper's CWL document for SNV calling, 48
+			// samples × 24 read files × 16 call regions (~204 KB): decoding
+			// and compiling its 2,016 tasks, without the DAG.
+			layer: "lang/cwl: build sim-paper's SNV document", unit: "task", units: 2016, allocs: 22.63, bytes: 2525,
+			prepare: func(t *testing.T, n int) func() {
+				src, _ := workloads.SNVCWL(workloads.SNVConfig{
+					Samples: 48, FilesPerSample: 24, FileSizeMB: 340, CallSplitRegions: 16,
+					AlignCPUSeconds: 600, SortCPUSeconds: 400, CallCPUSeconds: 800, AnnotateCPUSeconds: 600,
+					RefLocal: true,
+				})
+				d := cwl.NewDriver("snv-cwl", src, cwl.Options{})
+				return func() {
+					if tasks, _, _, err := d.Build(); err != nil || len(tasks) != 2016 {
+						t.Fatalf("%d tasks, error %v", len(tasks), err)
 					}
 				}
 			},

@@ -228,6 +228,31 @@ upper( inp: "words.txt" );`
 	}
 }
 
+// TestSimRefusesFilesOverTheBlockBound: a staged input or a task output
+// over hdfs.MaxBlocksPerFile ends the run with an error that names the
+// bound, instead of laying out billions of blocks.
+func TestSimRefusesFilesOverTheBlockBound(t *testing.T) {
+	dir := t.TempDir()
+	demo := filepath.Join(dir, "demo.cf")
+	if err := os.WriteFile(demo, []byte("deftask gen( out : x ) @cpu 1 in bash *{ synthesize }*\ngen( x: \"seed.txt\" );\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := runSim([]string{"-w", demo, "-input", "seed.txt=1e12"})
+	if err == nil || !strings.Contains(err.Error(), "over 65536 blocks") {
+		t.Fatalf("a 1e12 MB input: %v", err)
+	}
+	big := filepath.Join(dir, "big.cwl")
+	if err := os.WriteFile(big, []byte(`{"cwlVersion": "v1.2", "class": "CommandLineTool", "id": "huge",
+	  "hints": [{"class": "hiway:Profile", "cpuSeconds": 10, "outSizeMB": {"out": 1e15}}],
+	  "inputs": [], "outputs": [{"id": "out", "type": "File"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runSim([]string{"-w", big})
+	if err == nil || !strings.Contains(err.Error(), "failed 4 times") || !strings.Contains(err.Error(), "over 65536 blocks") {
+		t.Fatalf("a CWL output of 1e15 MB: %v", err)
+	}
+}
+
 // TestStalledSimUnderObservabilityEnds hangs one attempt of a three-task
 // workflow, with no deadlines, on a shard that records observability. The
 // counter-sample tick must not keep the engine alive: the engine quiesces

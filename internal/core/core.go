@@ -245,6 +245,10 @@ type AM struct {
 	finished bool
 	killed   bool
 	report   *Report
+	// static: the driver's tasks are the nodes of a DAG, which validated
+	// each of them when it was built; submit validates only the tasks of
+	// an iterative driver, made as the run goes.
+	static bool
 
 	// observability (all handles nil when Env.Obs is unset — every call
 	// below degrades to a nil-receiver no-op)
@@ -308,6 +312,9 @@ func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*A
 	if err != nil {
 		app.Finish()
 		return nil, nil, err
+	}
+	if static, ok := driver.(wf.StaticDriver); ok {
+		am.static = static.Graph() != nil
 	}
 	if planner, ok := sched.(scheduler.StaticPlanner); ok {
 		static, ok := driver.(wf.StaticDriver)
@@ -587,9 +594,11 @@ func (am *AM) submit(t *wf.Task) {
 	if am.finished {
 		return
 	}
-	if err := t.Validate(); err != nil {
-		am.finish(err)
-		return
+	if !am.static {
+		if err := t.Validate(); err != nil {
+			am.finish(err)
+			return
+		}
 	}
 	for int64(len(am.tasks)) < t.ID {
 		am.tasks = append(am.tasks, nil)

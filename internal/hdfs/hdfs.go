@@ -1,7 +1,9 @@
 package hdfs
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -16,6 +18,26 @@ type Config struct {
 	// ExcludeNodes never receive replicas — master nodes running only the
 	// NameNode/ResourceManager, as in the paper's EC2 experiments.
 	ExcludeNodes []string `json:"excludeNodes,omitempty"`
+}
+
+// MaxBlocksPerFile bounds a file's block layout, so that a huge size or a
+// tiny block size is refused instead of running the process out of memory
+// in block metadata. The largest file the repository's examples, workloads
+// and experiments stage is /ref/hg38.idx, 3,500 MB in 128 MB blocks: 28
+// blocks.
+const MaxBlocksPerFile = 1 << 16
+
+// CheckSize refuses a file of sizeMB that c would lay out in more than
+// MaxBlocksPerFile blocks, or whose size is negative or not a number.
+func (c Config) CheckSize(sizeMB float64) error {
+	c.setDefaults()
+	if sizeMB < 0 {
+		return errors.New("negative size")
+	}
+	if blocks := math.Ceil(sizeMB / c.BlockSizeMB); !(blocks <= MaxBlocksPerFile) {
+		return fmt.Errorf("%g MB is over %d blocks of %g MB", sizeMB, MaxBlocksPerFile, c.BlockSizeMB)
+	}
+	return nil
 }
 
 func (c *Config) setDefaults() {
@@ -166,8 +188,8 @@ func (fs *FS) register(path string, f *File) {
 // buildFile lays out blocks and replica placement without registering the
 // file, so Write can simulate exactly the traffic the final metadata shows.
 func (fs *FS) buildFile(path string, sizeMB float64, writerNode string) (*File, error) {
-	if sizeMB < 0 {
-		return nil, fmt.Errorf("hdfs: negative size for %q", path)
+	if err := fs.cfg.CheckSize(sizeMB); err != nil {
+		return nil, fmt.Errorf("hdfs: %v for %q", err, path)
 	}
 	if writerNode != "" && fs.cluster.Node(writerNode) == nil {
 		return nil, fmt.Errorf("hdfs: unknown writer node %q", writerNode)
@@ -578,10 +600,6 @@ func (fs *FS) Write(nodeID, path string, sizeMB float64, done func(error)) {
 	node := fs.cluster.Node(nodeID)
 	if node == nil {
 		fs.cluster.Engine.Schedule(0, func() { done(fmt.Errorf("hdfs: unknown node %q", nodeID)) })
-		return
-	}
-	if sizeMB < 0 {
-		fs.cluster.Engine.Schedule(0, func() { done(fmt.Errorf("hdfs: negative size for %q", path)) })
 		return
 	}
 	// Lay the file out now so the simulated replication traffic matches

@@ -110,6 +110,36 @@ func TestPutRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// TestBlockBound: a file over MaxBlocksPerFile blocks is refused by Put
+// and by Write before any block is laid out, whether its size is huge or
+// its block size tiny; a file of exactly the bound is laid out.
+func TestBlockBound(t *testing.T) {
+	eng, c := newTestCluster(t, 3)
+	for _, tc := range []struct {
+		blockMB, sizeMB float64
+		ok              bool
+	}{
+		{128, 1e12, false},
+		{128, math.Inf(1), false},
+		{128, math.NaN(), false},
+		{1e-9, 1, false},
+		{1, MaxBlocksPerFile + 0.5, false},
+		{1, MaxBlocksPerFile, true},
+		{128, 3500, true},
+	} {
+		fs := New(c, Config{BlockSizeMB: tc.blockMB, Replication: 1}, 1)
+		if _, err := fs.Put("/p", tc.sizeMB, ""); (err == nil) != tc.ok {
+			t.Errorf("Put of %g MB in %g MB blocks: error %v, want ok=%v", tc.sizeMB, tc.blockMB, err, tc.ok)
+		}
+		var werr error
+		fs.Write("node-01", "/w", tc.sizeMB, func(err error) { werr = err })
+		eng.Run()
+		if (werr == nil) != tc.ok || fs.Exists("/w") != tc.ok {
+			t.Errorf("Write of %g MB in %g MB blocks: error %v, want ok=%v", tc.sizeMB, tc.blockMB, werr, tc.ok)
+		}
+	}
+}
+
 func TestLocalMBAndFraction(t *testing.T) {
 	_, c := newTestCluster(t, 5)
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 1}, 1)

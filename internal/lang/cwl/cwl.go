@@ -27,9 +27,12 @@
 package cwl
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"hiway/internal/wf"
@@ -72,215 +75,49 @@ func NewDriver(name, src string, opts Options) *Driver {
 	return d
 }
 
-// rawObj is one decoded JSON object with undecoded field values.
-type rawObj map[string]json.RawMessage
-
-// namedRaw is one entry of a listing field: its id plus its object.
-type namedRaw struct {
-	id  string
-	obj rawObj
+// build decodes the document and compiles it into tasks.
+func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, error) {
+	d, err := decode(name, src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return compile(name, d, opts)
 }
 
-// listing decodes a CWL listing field in either array form (objects with
-// an "id" field, document order) or map form (id → object, sorted by id).
-func listing(raw json.RawMessage, what string) ([]namedRaw, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	var arr []rawObj
-	if err := json.Unmarshal(raw, &arr); err == nil {
-		out := make([]namedRaw, 0, len(arr))
-		for i, obj := range arr {
-			id, err := strField(obj, "id")
-			if err != nil || id == "" {
-				return nil, fmt.Errorf("cwl: %s entry %d has no id", what, i)
-			}
-			out = append(out, namedRaw{id: id, obj: obj})
-		}
-		return out, nil
-	}
-	var m map[string]rawObj
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("cwl: %s must be an array of objects or a map: %v", what, err)
-	}
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]namedRaw, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, namedRaw{id: id, obj: m[id]})
-	}
-	return out, nil
+// document is a CWL document after decoding: every JSON value the frontend
+// reads has been read, and nothing is resolved across processes yet.
+type document struct {
+	tools    []*tool   // CommandLineTools in document order
+	workflow *workflow // nil for a bare CommandLineTool
 }
 
-// strField decodes a string-valued field, returning "" when absent.
-func strField(obj rawObj, key string) (string, error) {
-	raw, ok := obj[key]
-	if !ok {
-		return "", nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return "", fmt.Errorf("field %q is not a string", key)
-	}
-	return s, nil
+// workflow is a document's one Workflow process.
+type workflow struct {
+	inputs, outputs []port
+	steps           []*step
 }
 
-// strList decodes a field that is either one string or an array of strings.
-func strList(raw json.RawMessage) ([]string, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		return []string{s}, nil
-	}
-	var ss []string
-	if err := json.Unmarshal(raw, &ss); err != nil {
-		return nil, fmt.Errorf("want a string or an array of strings")
-	}
-	return ss, nil
+// port is a workflow input or output or a step's input: its type (workflow
+// inputs), the sources it names (the others), and its default, which is
+// read by type only once used: unless a binding overrides a workflow
+// input's, and once a step's tool is known.
+type port struct {
+	id      string
+	typ     portType
+	sources []string
+	def     any
+	hasDef  bool
 }
 
 // portType is the declared type of a tool or workflow port.
-type portType struct {
-	file  bool // File vs string
-	array bool
-}
-
-// parseType decodes a CWL type: "File", "string", "File[]", "string[]", or
-// the object form {"type": "array", "items": …}.
-func parseType(raw json.RawMessage) (portType, error) {
-	if len(raw) == 0 {
-		return portType{}, fmt.Errorf("missing type")
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err == nil {
-		array := strings.HasSuffix(s, "[]")
-		s = strings.TrimSuffix(s, "[]")
-		switch s {
-		case "File":
-			return portType{file: true, array: array}, nil
-		case "string":
-			return portType{file: false, array: array}, nil
-		default:
-			return portType{}, fmt.Errorf("unsupported type %q (want File, string, File[], string[])", s)
-		}
-	}
-	var obj struct {
-		Type  string          `json:"type"`
-		Items json.RawMessage `json:"items"`
-	}
-	if err := json.Unmarshal(raw, &obj); err != nil || obj.Type != "array" {
-		return portType{}, fmt.Errorf("unsupported type (want a type name or an array type object)")
-	}
-	item, err := parseType(obj.Items)
-	if err != nil {
-		return portType{}, fmt.Errorf("array items: %v", err)
-	}
-	if item.array {
-		return portType{}, fmt.Errorf("nested array types are not supported")
-	}
-	item.array = true
-	return item, nil
-}
+type portType struct{ file, array bool } // file: File vs string
 
 // profile is the resource model attached to a tool via requirements/hints.
 type profile struct {
-	cpuSeconds float64
-	threads    int
-	memMB      int
-	outSizeMB  map[string]float64
-	outCount   map[string]int
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// parseReqs folds requirements and hints (array form, or map class→object)
-// into the profile. Unknown classes are ignored, as CWL hints demand.
-func parseReqs(p *profile, raw json.RawMessage) error {
-	if len(raw) == 0 {
-		return nil
-	}
-	var entries []rawObj
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		var m map[string]rawObj
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("requirements must be an array or a map")
-		}
-		classes := make([]string, 0, len(m))
-		for c := range m {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, c := range classes {
-			obj := rawObj{}
-			for k, v := range m[c] {
-				obj[k] = v
-			}
-			obj["class"], _ = json.Marshal(c)
-			entries = append(entries, obj)
-		}
-	}
-	for _, e := range entries {
-		class, _ := strField(e, "class")
-		switch class {
-		case "ResourceRequirement":
-			var rr struct {
-				CoresMin float64 `json:"coresMin"`
-				RamMin   float64 `json:"ramMin"`
-			}
-			b, _ := json.Marshal(e)
-			if err := json.Unmarshal(b, &rr); err != nil {
-				return fmt.Errorf("ResourceRequirement: %v", err)
-			}
-			if rr.CoresMin > 0 {
-				p.threads = clampInt(int(rr.CoresMin), 1, maxThreads)
-			}
-			if rr.RamMin > 0 {
-				p.memMB = clampInt(int(rr.RamMin), 1, maxMemMB)
-			}
-		case "hiway:Profile":
-			var hp struct {
-				CPUSeconds float64            `json:"cpuSeconds"`
-				OutSizeMB  map[string]float64 `json:"outSizeMB"`
-				OutCount   map[string]int     `json:"outCount"`
-			}
-			b, _ := json.Marshal(e)
-			if err := json.Unmarshal(b, &hp); err != nil {
-				return fmt.Errorf("hiway:Profile: %v", err)
-			}
-			if hp.CPUSeconds > 0 {
-				p.cpuSeconds = hp.CPUSeconds
-			}
-			for id, sz := range hp.OutSizeMB {
-				if p.outSizeMB == nil {
-					p.outSizeMB = map[string]float64{}
-				}
-				if sz <= 0 {
-					sz = 1
-				}
-				p.outSizeMB[id] = sz
-			}
-			for id, n := range hp.OutCount {
-				if p.outCount == nil {
-					p.outCount = map[string]int{}
-				}
-				p.outCount[id] = clampInt(n, 1, maxOutCount)
-			}
-		}
-	}
-	return nil
+	cpuSeconds     float64
+	threads, memMB int
+	outSizeMB      map[string]float64
+	outCount       map[string]int
 }
 
 // toolPort is one declared input or output of a CommandLineTool.
@@ -288,166 +125,492 @@ type toolPort struct {
 	id             string
 	typ            portType
 	secondaryFiles []string
-	def            []string // tool-level default for string inputs
-	hasDefault     bool
+	def            binding // tool-level default
 }
 
 // tool is one parsed CommandLineTool.
 type tool struct {
-	id      string
-	command string
-	inputs  []toolPort
-	outputs []toolPort
-	prof    profile
-}
-
-func parseTool(obj rawObj) (*tool, error) {
-	id, _ := strField(obj, "id")
-	id = strings.TrimPrefix(id, "#")
-	if id == "" {
-		return nil, fmt.Errorf("cwl: CommandLineTool has no id")
-	}
-	t := &tool{id: id}
-	base, err := strList(obj["baseCommand"])
-	if err != nil {
-		return nil, fmt.Errorf("cwl: tool %q baseCommand: %v", id, err)
-	}
-	args, err := strList(obj["arguments"])
-	if err != nil {
-		return nil, fmt.Errorf("cwl: tool %q arguments: %v", id, err)
-	}
-	t.command = strings.Join(append(base, args...), " ")
-	if err := parseReqs(&t.prof, obj["requirements"]); err != nil {
-		return nil, fmt.Errorf("cwl: tool %q: %v", id, err)
-	}
-	if err := parseReqs(&t.prof, obj["hints"]); err != nil {
-		return nil, fmt.Errorf("cwl: tool %q: %v", id, err)
-	}
-	ins, err := listing(obj["inputs"], "tool "+id+" inputs")
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, in := range ins {
-		typ, err := parseType(in.obj["type"])
-		if err != nil {
-			return nil, fmt.Errorf("cwl: tool %q input %q: %v", id, in.id, err)
-		}
-		if seen[in.id] {
-			return nil, fmt.Errorf("cwl: tool %q declares input %q twice", id, in.id)
-		}
-		seen[in.id] = true
-		port := toolPort{id: in.id, typ: typ}
-		if port.secondaryFiles, err = strList(in.obj["secondaryFiles"]); err != nil {
-			return nil, fmt.Errorf("cwl: tool %q input %q secondaryFiles: %v", id, in.id, err)
-		}
-		if raw, ok := in.obj["default"]; ok {
-			vals, err := defaultValues(raw, typ)
-			if err != nil {
-				return nil, fmt.Errorf("cwl: tool %q input %q default: %v", id, in.id, err)
-			}
-			port.def, port.hasDefault = vals, true
-		}
-		t.inputs = append(t.inputs, port)
-	}
-	outs, err := listing(obj["outputs"], "tool "+id+" outputs")
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) == 0 {
-		return nil, fmt.Errorf("cwl: tool %q declares no outputs", id)
-	}
-	for _, o := range outs {
-		typ, err := parseType(o.obj["type"])
-		if err != nil {
-			return nil, fmt.Errorf("cwl: tool %q output %q: %v", id, o.id, err)
-		}
-		if !typ.file {
-			return nil, fmt.Errorf("cwl: tool %q output %q must be File or File[]", id, o.id)
-		}
-		if seen[o.id] {
-			return nil, fmt.Errorf("cwl: tool %q declares %q twice", id, o.id)
-		}
-		seen[o.id] = true
-		t.outputs = append(t.outputs, toolPort{id: o.id, typ: typ})
-	}
-	return t, nil
-}
-
-// defaultValues decodes a default for a port: a string, a File object, or
-// an array of either, according to the declared type.
-func defaultValues(raw json.RawMessage, typ portType) ([]string, error) {
-	one := func(raw json.RawMessage) (string, error) {
-		if !typ.file {
-			var s string
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return "", fmt.Errorf("want a string")
-			}
-			return s, nil
-		}
-		var f struct {
-			Class    string `json:"class"`
-			Location string `json:"location"`
-			Path     string `json:"path"`
-		}
-		if err := json.Unmarshal(raw, &f); err != nil || f.Class != "File" {
-			return "", fmt.Errorf("want a File object {\"class\": \"File\", \"location\": …}")
-		}
-		p := f.Location
-		if p == "" {
-			p = f.Path
-		}
-		if p == "" {
-			return "", fmt.Errorf("File default has no location")
-		}
-		return p, nil
-	}
-	if !typ.array {
-		v, err := one(raw)
-		if err != nil {
-			return nil, err
-		}
-		return []string{v}, nil
-	}
-	var arr []json.RawMessage
-	if err := json.Unmarshal(raw, &arr); err != nil {
-		return nil, fmt.Errorf("want an array")
-	}
-	out := make([]string, 0, len(arr))
-	for _, e := range arr {
-		v, err := one(e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// stepIn is one bound input of a workflow step.
-type stepIn struct {
-	id      string
-	sources []string
-	def     json.RawMessage
+	id, command     string
+	inputs, outputs []toolPort
+	prof            profile
 }
 
 // step is one workflow step before materialization.
 type step struct {
-	id      string
-	runRef  string
-	tool    *tool // inline run
-	scatter []string
-	ins     []stepIn
-	outs    []string
-	prof    profile // step-level resource overrides
+	id, runRef    string
+	tool          *tool // inline run
+	scatter, outs []string
+	ins           []port
+	prof          profile // step-level resource overrides
 }
 
-// wfInput is one declared workflow input with its resolved value.
-type wfInput struct {
-	id   string
-	typ  portType
+// binding is the values bound to a port, and whether it is bound at all.
+type binding struct {
 	vals []string
 	set  bool
+}
+
+// object is a decoded JSON object.
+type object = map[string]any
+
+// decode reads src in one pass of encoding/json — numbers kept as their
+// literals, so each is parsed only where a field reads it — and walks the
+// result into a document.
+func decode(name, src string) (*document, error) {
+	dec := json.NewDecoder(strings.NewReader(src))
+	dec.UseNumber()
+	var v any
+	err := dec.Decode(&v)
+	top, ok := v.(object)
+	if err == nil && (!ok && v != nil || strings.TrimLeft(src[dec.InputOffset():], " \t\r\n") != "") {
+		err = errors.New("want one JSON object")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cwl: parsing %s: %v", name, err)
+	}
+	if ver, _ := str(top["cwlVersion"]); ver == "" {
+		return nil, fmt.Errorf("cwl: %s: missing cwlVersion", name)
+	}
+	procs := []any{top}
+	if g, ok := top["$graph"]; ok {
+		if procs, ok = objects(g); !ok {
+			return nil, errors.New("cwl: $graph must be an array of process objects")
+		}
+	}
+	r, d := &reader{}, &document{}
+	for _, p := range procs {
+		switch class, _ := str(p.(object)["class"]); class {
+		case "CommandLineTool":
+			d.tools = append(d.tools, r.tool(p.(object), ""))
+		case "Workflow":
+			if d.workflow != nil {
+				return nil, errors.New("cwl: document contains more than one Workflow")
+			}
+			d.workflow = r.workflow(p.(object))
+		default:
+			return nil, fmt.Errorf("cwl: unsupported process class %q", class)
+		}
+	}
+	return d, r.err
+}
+
+// str reads a JSON string; null reads as "", as encoding/json leaves a
+// string it decodes null into.
+func str(v any) (string, bool) {
+	s, ok := v.(string)
+	return s, ok || v == nil
+}
+
+// objects reads an array whose elements are objects or null (read as empty
+// objects); null is an empty array.
+func objects(v any) ([]any, bool) {
+	arr, ok := v.([]any)
+	for i, e := range arr {
+		if e == nil {
+			arr[i] = object(nil)
+		} else if _, isObj := e.(object); !isObj {
+			return nil, false
+		}
+	}
+	return arr, ok || v == nil
+}
+
+// reader walks a decoded document. It keeps the first error it meets and
+// reads on over zero values, so a caller checks err once per process. The
+// error says where the reader was: in a process (kind "tool", "step" or
+// "workflow", and its id) and, unless portKind is "", at one of its ports.
+type reader struct {
+	err                      error
+	kind, id, portKind, port string
+}
+
+// failf records the first error, prefixed with where the reader is.
+func (r *reader) failf(format string, args ...any) {
+	where := []any{r.kind, r.id, r.portKind, r.port}
+	if r.err == nil && r.portKind == "" {
+		r.err = fmt.Errorf("cwl: %s %q"+format, append(where[:2], args...)...)
+	} else if r.err == nil {
+		r.err = fmt.Errorf("cwl: %s %q %s %q"+format, append(where, args...)...)
+	}
+}
+
+// strList reads a field that is one string or an array of strings; an
+// absent field is nil.
+func (r *reader) strList(o object, key string) []string {
+	v, present := o[key]
+	if s, isStr := str(v); isStr && present {
+		return []string{s}
+	} else if !present {
+		return nil
+	}
+	arr, ok := v.([]any)
+	out := make([]string, len(arr))
+	for i := 0; ok && i < len(arr); i++ {
+		out[i], ok = str(arr[i])
+	}
+	if !ok {
+		r.failf(" %s: want a string or an array of strings", key)
+	}
+	return out
+}
+
+// entry is one entry of a listing field: its id plus its object.
+type entry struct {
+	id  string
+	obj object
+}
+
+// listing reads a CWL listing field in either array form (objects with an
+// "id" field, document order) or map form (id → object, sorted by id). It
+// moves the reader off any port.
+func (r *reader) listing(o object, key string) []entry {
+	r.portKind = ""
+	if arr, ok := objects(o[key]); ok {
+		out := make([]entry, len(arr))
+		for i, e := range arr {
+			out[i].obj = e.(object)
+			if out[i].id, ok = str(out[i].obj["id"]); !ok || out[i].id == "" {
+				r.failf(" %s entry %d has no id", key, i)
+				return nil
+			}
+		}
+		return out
+	}
+	m, ok := o[key].(object)
+	out := make([]entry, 0, len(m))
+	for id, e := range m {
+		obj, isObj := e.(object)
+		ok = ok && (isObj || e == nil)
+		out = append(out, entry{id, obj})
+	}
+	if !ok {
+		r.failf(" %s must be an array of objects or a map", key)
+		return nil
+	}
+	slices.SortFunc(out, func(a, b entry) int { return strings.Compare(a.id, b.id) })
+	return out
+}
+
+// typ reads the type of the port the reader is at.
+func (r *reader) typ(o object) portType {
+	v, ok := o["type"]
+	t, err := readType(v, ok)
+	if err != nil {
+		r.failf(": %v", err)
+	}
+	return t
+}
+
+// folded calls f with the value of each key of o that equals name up to
+// case, in sorted key order: encoding/json fills a struct field from every
+// such key, and meets them in this order in an object encoded from a map,
+// as the reference decoder encodes each requirement.
+func folded(o object, name string, f func(any)) {
+	var buf [4]string
+	keys := buf[:0]
+	for k := range o {
+		if strings.EqualFold(k, name) {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		f(o[k])
+	}
+}
+
+// foldStr reads the string field name of o as encoding/json decodes it into
+// a struct: a null leaves the field as it was, any other non-string fails.
+func foldStr(o object, name string) (s string, ok bool) {
+	ok = true
+	folded(o, name, func(v any) {
+		if vs, isStr := v.(string); isStr {
+			s = vs
+		} else if v != nil {
+			ok = false
+		}
+	})
+	return s, ok
+}
+
+// number parses a JSON number literal as encoding/json decodes it into an
+// int or a float64; null is zero.
+func number[T int | float64](v any) (n T, err error) {
+	lit, isNum := v.(json.Number)
+	if !isNum && v != nil {
+		return n, fmt.Errorf("want a number, not %v", v)
+	}
+	switch p := any(&n).(type) {
+	case *int:
+		*p, err = strconv.Atoi(cmp.Or(string(lit), "0"))
+	case *float64:
+		*p, err = strconv.ParseFloat(cmp.Or(string(lit), "0"), 64)
+	}
+	return n, err
+}
+
+// foldNum reads the float64 field name of o (see foldStr).
+func foldNum(o object, name string) (n float64, err error) {
+	folded(o, name, func(v any) {
+		if v != nil && err == nil {
+			n, err = number[float64](v)
+		}
+	})
+	return n, err
+}
+
+// foldMap reads the map field name of o as encoding/json decodes it into a
+// struct: a null empties the map and each object adds its entries.
+func foldMap[T int | float64](o object, name string) (m map[string]T, err error) {
+	folded(o, name, func(v any) {
+		src, isObj := v.(object)
+		if v == nil {
+			m = nil
+		} else if !isObj {
+			err = fmt.Errorf("%s: want an object", name)
+		} else if m == nil {
+			m = make(map[string]T, len(src))
+		}
+		for k, x := range src {
+			n, e := number[T](x)
+			m[k], err = n, cmp.Or(err, e)
+		}
+	})
+	return m, err
+}
+
+// reqs folds a process's requirements and hints into p: each field is an
+// array of objects naming their class, or a map from class to object.
+// Unknown classes are ignored, as CWL hints demand.
+func (r *reader) reqs(p *profile, o object) {
+	for _, key := range [2]string{"requirements", "hints"} {
+		var reqs []entry
+		if arr, ok := objects(o[key]); ok {
+			for _, e := range arr {
+				class, _ := str(e.(object)["class"])
+				reqs = append(reqs, entry{class, e.(object)})
+			}
+		} else if _, isMap := o[key].(object); isMap {
+			reqs = r.listing(o, key) // a map key is the class, whatever the object says
+		} else {
+			r.failf(": %s must be an array or a map", key)
+		}
+		for _, e := range reqs {
+			if err := p.add(e.id, e.obj); err != nil {
+				r.failf(": %s: %v", e.id, err)
+			}
+		}
+	}
+}
+
+// add folds one requirement or hint of the given class into p.
+func (p *profile) add(class string, o object) error {
+	switch class {
+	case "ResourceRequirement":
+		cores, err := foldNum(o, "coresMin")
+		ram, err2 := foldNum(o, "ramMin")
+		if cores > 0 {
+			p.threads = min(max(int(cores), 1), maxThreads)
+		}
+		if ram > 0 {
+			p.memMB = min(max(int(ram), 1), maxMemMB)
+		}
+		return cmp.Or(err, err2)
+	case "hiway:Profile":
+		cpu, err := foldNum(o, "cpuSeconds")
+		sizes, err2 := foldMap[float64](o, "outSizeMB")
+		counts, err3 := foldMap[int](o, "outCount")
+		if cpu > 0 {
+			p.cpuSeconds = cpu
+		}
+		for id, sz := range sizes {
+			if p.outSizeMB == nil {
+				p.outSizeMB = map[string]float64{}
+			}
+			p.outSizeMB[id] = sz
+			if sz <= 0 {
+				p.outSizeMB[id] = 1
+			}
+		}
+		for id, n := range counts {
+			if p.outCount == nil {
+				p.outCount = map[string]int{}
+			}
+			p.outCount[id] = min(max(n, 1), maxOutCount)
+		}
+		return cmp.Or(err, err2, err3)
+	}
+	return nil
+}
+
+// readType reads a CWL type: "File", "string", "File[]", "string[]", or the
+// object form {"type": "array", "items": …}.
+func readType(v any, present bool) (portType, error) {
+	if !present {
+		return portType{}, errors.New("missing type")
+	}
+	if s, ok := str(v); ok {
+		array := strings.HasSuffix(s, "[]")
+		if s = strings.TrimSuffix(s, "[]"); s != "File" && s != "string" {
+			return portType{}, fmt.Errorf("unsupported type %q (want File, string, File[], string[])", s)
+		}
+		return portType{file: s == "File", array: array}, nil
+	}
+	o, isObj := v.(object)
+	if typ, ok := foldStr(o, "type"); !isObj || !ok || typ != "array" {
+		return portType{}, errors.New("unsupported type (want a type name or an array type object)")
+	}
+	var items any
+	hasItems := false
+	folded(o, "items", func(v any) { items, hasItems = v, true })
+	item, err := readType(items, hasItems)
+	if err != nil {
+		return portType{}, fmt.Errorf("array items: %v", err)
+	}
+	if item.array {
+		return portType{}, errors.New("nested array types are not supported")
+	}
+	item.array = true
+	return item, nil
+}
+
+// readDefault reads a default as a port of type typ takes it: a string, a
+// File object (its location, else its path), or an array of either.
+func readDefault(v any, typ portType) ([]string, error) {
+	arr, isArr := v.([]any)
+	if !typ.array {
+		arr = []any{v}
+	} else if !isArr && v != nil {
+		return nil, errors.New("want an array")
+	}
+	out := make([]string, len(arr))
+	for i, e := range arr {
+		o, isObj := e.(object)
+		class, ok1 := foldStr(o, "class")
+		loc, ok2 := foldStr(o, "location")
+		path, ok3 := foldStr(o, "path")
+		s, ok := str(e)
+		switch {
+		case !typ.file && !ok:
+			return nil, errors.New("want a string")
+		case !typ.file:
+			out[i] = s
+		case !isObj || !ok1 || !ok2 || !ok3 || class != "File":
+			return nil, errors.New(`want a File object {"class": "File", "location": …}`)
+		case cmp.Or(loc, path) == "":
+			return nil, errors.New("File default has no location")
+		default:
+			out[i] = cmp.Or(loc, path)
+		}
+	}
+	return out, nil
+}
+
+// tool reads one CommandLineTool; id stands in for an absent "id".
+func (r *reader) tool(o object, id string) *tool {
+	if v, ok := o["id"]; ok || id == "" {
+		id, _ = str(v)
+	}
+	if id = strings.TrimPrefix(id, "#"); id == "" {
+		r.err = cmp.Or(r.err, errors.New("cwl: CommandLineTool has no id"))
+		return nil
+	}
+	r.kind, r.id, r.portKind = "tool", id, ""
+	t := &tool{id: id, command: strings.Join(append(r.strList(o, "baseCommand"), r.strList(o, "arguments")...), " ")}
+	r.reqs(&t.prof, o)
+	seen := map[string]bool{}
+	for _, in := range r.listing(o, "inputs") {
+		r.portKind, r.port = "input", in.id
+		tp := toolPort{id: in.id, typ: r.typ(in.obj), secondaryFiles: r.strList(in.obj, "secondaryFiles")}
+		if seen[in.id] {
+			r.failf(" declared twice")
+		}
+		seen[in.id] = true
+		if v, ok := in.obj["default"]; ok {
+			vals, err := readDefault(v, tp.typ)
+			if err != nil {
+				r.failf(" default: %v", err)
+			}
+			tp.def = binding{vals, true}
+		}
+		t.inputs = append(t.inputs, tp)
+	}
+	outs := r.listing(o, "outputs")
+	if len(outs) == 0 {
+		r.failf(" declares no outputs")
+	}
+	for _, out := range outs {
+		r.portKind, r.port = "output", out.id
+		tp := toolPort{id: out.id, typ: r.typ(out.obj)}
+		if !tp.typ.file {
+			r.failf(" must be File or File[]")
+		}
+		if seen[out.id] {
+			r.failf(" declared twice")
+		}
+		seen[out.id] = true
+		t.outputs = append(t.outputs, tp)
+	}
+	return t
+}
+
+// workflow reads the Workflow process: its inputs, outputs and steps.
+func (r *reader) workflow(o object) *workflow {
+	r.kind = "workflow"
+	r.id, _ = str(o["id"])
+	w := &workflow{}
+	for _, in := range r.listing(o, "inputs") {
+		r.portKind, r.port = "input", in.id
+		wi := port{id: in.id, typ: r.typ(in.obj)}
+		wi.def, wi.hasDef = in.obj["default"]
+		w.inputs = append(w.inputs, wi)
+	}
+	for _, out := range r.listing(o, "outputs") {
+		r.portKind, r.port = "output", out.id
+		w.outputs = append(w.outputs, port{id: out.id, sources: r.strList(out.obj, "outputSource")})
+	}
+	for _, e := range r.listing(o, "steps") {
+		w.steps = append(w.steps, r.step(e))
+	}
+	return w
+}
+
+// step reads one workflow step.
+func (r *reader) step(e entry) *step {
+	r.kind, r.id, r.portKind = "step", e.id, ""
+	st := &step{id: e.id, scatter: r.strList(e.obj, "scatter"), outs: r.strList(e.obj, "out")}
+	if _, ok := e.obj["scatter"]; ok && len(st.scatter) == 0 {
+		r.failf(" has an empty scatter")
+	} else if len(st.scatter) > 1 {
+		r.failf(" scatters over %d ports; only single-port scatter is supported", len(st.scatter))
+	}
+	r.reqs(&st.prof, e.obj)
+	for _, b := range r.listing(e.obj, "in") {
+		r.portKind, r.port = "input", b.id
+		si := port{id: b.id, sources: r.strList(b.obj, "source")}
+		si.def, si.hasDef = b.obj["default"]
+		st.ins = append(st.ins, si)
+	}
+	r.portKind = "" // back at the step: run is its own field
+	run, ok := e.obj["run"]
+	ref, isRef := str(run)
+	inline, isInline := run.(object)
+	switch {
+	case !ok:
+		r.failf(" has no run")
+	case isRef:
+		st.runRef = strings.TrimPrefix(ref, "#")
+	case !isInline:
+		r.failf(": run must be a reference or an inline tool")
+	default:
+		st.tool = r.tool(inline, e.id)
+	}
+	return st
+}
+
+// portIndex returns the position of the port named id, or -1.
+func portIndex(ports []toolPort, id string) int {
+	return slices.IndexFunc(ports, func(p toolPort) bool { return p.id == id })
 }
 
 // secondaryPath applies a CWL secondaryFiles pattern to a primary path:
@@ -462,196 +625,62 @@ func secondaryPath(primary, pattern string) string {
 	return primary + pattern
 }
 
-// build parses the document and compiles it into tasks. Dependencies are
-// carried by file paths: each step's outputs get synthesized paths
-// (<workflow>/<tool>_<taskID>/<outID>, mirroring the Cuneiform frontend)
-// that downstream steps bind as inputs, and wf.NewDAG recovers the edges.
-func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, error) {
+// compile resolves a document's references and materializes its tasks.
+// Dependencies are carried by file paths: each step's outputs get
+// synthesized paths (<workflow>/<tool>_<taskID>/<outID>, mirroring the
+// Cuneiform frontend) that downstream steps bind as inputs, and wf.NewDAG
+// recovers the edges.
+func compile(name string, d *document, opts Options) ([]*wf.Task, []string, []wf.Edge, error) {
 	fail := func(format string, args ...any) ([]*wf.Task, []string, []wf.Edge, error) {
 		return nil, nil, nil, fmt.Errorf(format, args...)
 	}
-	var doc rawObj
-	if err := json.Unmarshal([]byte(src), &doc); err != nil {
-		return fail("cwl: parsing %s: %v", name, err)
-	}
-	if ver, _ := strField(doc, "cwlVersion"); ver == "" {
-		return fail("cwl: %s: missing cwlVersion", name)
-	}
-
-	// Collect the process objects: the workflow plus the tool registry.
-	tools := map[string]*tool{}
-	var wfObj rawObj
-	addProcess := func(obj rawObj) error {
-		class, _ := strField(obj, "class")
-		switch class {
-		case "CommandLineTool":
-			t, err := parseTool(obj)
-			if err != nil {
-				return err
-			}
-			if _, dup := tools[t.id]; dup {
-				return fmt.Errorf("cwl: tool %q defined twice", t.id)
-			}
-			tools[t.id] = t
-			return nil
-		case "Workflow":
-			if wfObj != nil {
-				return fmt.Errorf("cwl: document contains more than one Workflow")
-			}
-			wfObj = obj
-			return nil
-		default:
-			return fmt.Errorf("cwl: unsupported process class %q", class)
+	tools := make(map[string]*tool, len(d.tools))
+	for _, t := range d.tools {
+		if tools[t.id] != nil {
+			return fail("cwl: tool %q defined twice", t.id)
 		}
+		tools[t.id] = t
 	}
-	if graphRaw, ok := doc["$graph"]; ok {
-		var graph []rawObj
-		if err := json.Unmarshal(graphRaw, &graph); err != nil {
-			return fail("cwl: $graph must be an array of process objects")
-		}
-		for _, obj := range graph {
-			if err := addProcess(obj); err != nil {
-				return fail("%v", err)
-			}
-		}
-	} else {
-		if err := addProcess(doc); err != nil {
-			return fail("%v", err)
-		}
-	}
-
 	// A bare CommandLineTool runs as a single-step workflow over its own
 	// defaults, so `hiway sim -w tool.cwl` works on a tool document.
-	if wfObj == nil {
-		if len(tools) != 1 {
-			return fail("cwl: %s has no Workflow (and is not a single CommandLineTool)", name)
-		}
-		for id := range tools {
-			wfObj = rawObj{
-				"steps": json.RawMessage(fmt.Sprintf(`[{"id": %q, "run": %q, "out": %s}]`,
-					"main", "#"+id, "[]")),
-			}
-		}
+	w := d.workflow
+	if w == nil && len(d.tools) != 1 {
+		return fail("cwl: %s has no Workflow (and is not a single CommandLineTool)", name)
+	} else if w == nil {
+		w = &workflow{steps: []*step{{id: "main", runRef: d.tools[0].id}}}
 	}
 
 	// Workflow inputs: bindings override defaults.
-	insRaw, err := listing(wfObj["inputs"], "workflow inputs")
-	if err != nil {
-		return fail("%v", err)
-	}
-	wfIns := map[string]*wfInput{}
-	for _, in := range insRaw {
+	wfIns := make(map[string]binding, len(w.inputs))
+	for _, in := range w.inputs {
 		if _, dup := wfIns[in.id]; dup {
 			return fail("cwl: workflow declares input %q twice", in.id)
 		}
-		typ, err := parseType(in.obj["type"])
-		if err != nil {
-			return fail("cwl: workflow input %q: %v", in.id, err)
-		}
-		wi := &wfInput{id: in.id, typ: typ}
+		vals, err := readDefault(in.def, in.typ)
+		b := binding{vals, in.hasDef}
 		if bound, ok := opts.Inputs[in.id]; ok {
-			wi.vals, wi.set = []string{bound}, true
-		} else if raw, ok := in.obj["default"]; ok {
-			if wi.vals, err = defaultValues(raw, typ); err != nil {
-				return fail("cwl: workflow input %q default: %v", in.id, err)
-			}
-			wi.set = true
+			b = binding{[]string{bound}, true}
+		} else if in.hasDef && err != nil {
+			return fail("cwl: workflow input %q default: %v", in.id, err)
 		}
-		wfIns[in.id] = wi
+		wfIns[in.id] = b
 	}
 
-	// Steps, with upfront source validation so the wave loop below can
-	// attribute any stall to a genuine cycle.
-	stepsRaw, err := listing(wfObj["steps"], "workflow steps")
-	if err != nil {
-		return fail("%v", err)
-	}
-	if len(stepsRaw) == 0 {
+	// Resolve each step's tool and validate ports and sources upfront, so
+	// the wave loop below can attribute any stall to a genuine cycle.
+	if len(w.steps) == 0 {
 		return fail("cwl: workflow %s declares no steps", name)
 	}
-	steps := make([]*step, 0, len(stepsRaw))
-	byID := map[string]*step{}
+	byID := make(map[string]*step, len(w.steps))
 	stepOut := map[string]bool{} // "step/out" declared
-	for _, sr := range stepsRaw {
-		if _, dup := byID[sr.id]; dup {
-			return fail("cwl: duplicate step id %q", sr.id)
+	for _, st := range w.steps {
+		if byID[st.id] != nil {
+			return fail("cwl: duplicate step id %q", st.id)
 		}
-		st := &step{id: sr.id}
-		if runRaw, ok := sr.obj["run"]; ok {
-			var ref string
-			if err := json.Unmarshal(runRaw, &ref); err == nil {
-				st.runRef = strings.TrimPrefix(ref, "#")
-			} else {
-				var inline rawObj
-				if err := json.Unmarshal(runRaw, &inline); err != nil {
-					return fail("cwl: step %q: run must be a reference or an inline tool", sr.id)
-				}
-				if _, ok := inline["id"]; !ok {
-					inline["id"], _ = json.Marshal(sr.id)
-				}
-				if st.tool, err = parseTool(inline); err != nil {
-					return fail("cwl: step %q inline run: %v", sr.id, err)
-				}
-			}
-		} else {
-			return fail("cwl: step %q has no run", sr.id)
-		}
-		if scatterRaw, ok := sr.obj["scatter"]; ok {
-			if st.scatter, err = strList(scatterRaw); err != nil {
-				return fail("cwl: step %q scatter: %v", sr.id, err)
-			}
-			if len(st.scatter) == 0 {
-				return fail("cwl: step %q has an empty scatter", sr.id)
-			}
-			if len(st.scatter) > 1 {
-				return fail("cwl: step %q scatters over %d ports; only single-port scatter is supported", sr.id, len(st.scatter))
-			}
-		}
-		inList, err := listing(sr.obj["in"], "step "+sr.id+" in")
-		if err != nil {
-			return fail("%v", err)
-		}
-		seenIn := map[string]bool{}
-		for _, b := range inList {
-			if seenIn[b.id] {
-				return fail("cwl: step %q binds input %q twice", sr.id, b.id)
-			}
-			seenIn[b.id] = true
-			si := stepIn{id: b.id, def: b.obj["default"]}
-			if si.sources, err = strList(b.obj["source"]); err != nil {
-				return fail("cwl: step %q input %q source: %v", sr.id, b.id, err)
-			}
-			st.ins = append(st.ins, si)
-		}
-		if st.outs, err = strList(sr.obj["out"]); err != nil {
-			return fail("cwl: step %q out: %v", sr.id, err)
-		}
-		if err := parseReqs(&st.prof, sr.obj["requirements"]); err != nil {
-			return fail("cwl: step %q: %v", sr.id, err)
-		}
-		if err := parseReqs(&st.prof, sr.obj["hints"]); err != nil {
-			return fail("cwl: step %q: %v", sr.id, err)
-		}
-		byID[sr.id] = st
-		steps = append(steps, st)
-	}
-
-	// Resolve each step's tool and validate ports and sources.
-	for _, st := range steps {
-		if st.tool == nil {
-			t, ok := tools[st.runRef]
-			if !ok {
+		if byID[st.id] = st; st.tool == nil {
+			if st.tool = tools[st.runRef]; st.tool == nil {
 				return fail("cwl: step %q runs unknown tool %q", st.id, st.runRef)
 			}
-			st.tool = t
-		}
-		toolIn := map[string]*toolPort{}
-		for i := range st.tool.inputs {
-			toolIn[st.tool.inputs[i].id] = &st.tool.inputs[i]
-		}
-		toolOut := map[string]bool{}
-		for _, o := range st.tool.outputs {
-			toolOut[o.id] = true
 		}
 		if len(st.outs) == 0 {
 			for _, o := range st.tool.outputs {
@@ -659,33 +688,34 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 			}
 		}
 		for _, o := range st.outs {
-			if !toolOut[o] {
+			if portIndex(st.tool.outputs, o) < 0 {
 				return fail("cwl: step %q lists output %q, which tool %q does not declare", st.id, o, st.tool.id)
 			}
 			stepOut[st.id+"/"+o] = true
 		}
-		for _, b := range st.ins {
-			if _, ok := toolIn[b.id]; !ok {
+		for i, b := range st.ins {
+			if portIndex(st.tool.inputs, b.id) < 0 {
 				return fail("cwl: step %q binds %q, which tool %q does not declare", st.id, b.id, st.tool.id)
+			}
+			if slices.ContainsFunc(st.ins[:i], func(x port) bool { return x.id == b.id }) {
+				return fail("cwl: step %q binds input %q twice", st.id, b.id)
 			}
 		}
 		for _, p := range st.scatter {
-			if _, ok := toolIn[p]; !ok {
+			if portIndex(st.tool.inputs, p) < 0 {
 				return fail("cwl: step %q scatters over %q, which tool %q does not declare", st.id, p, st.tool.id)
 			}
 		}
 	}
-	for _, st := range steps {
+	for _, st := range w.steps {
 		for _, b := range st.ins {
 			for _, src := range b.sources {
 				if _, ok := wfIns[src]; ok {
 					continue
 				}
-				sid, _, ok := strings.Cut(src, "/")
-				if !ok || byID[sid] == nil {
+				if sid, _, ok := strings.Cut(src, "/"); !ok || byID[sid] == nil {
 					return fail("cwl: step %q input %q references unknown source %q", st.id, b.id, src)
-				}
-				if !stepOut[src] {
+				} else if !stepOut[src] {
 					return fail("cwl: step %q input %q references %q, which step %q does not produce", st.id, b.id, src, sid)
 				}
 			}
@@ -698,66 +728,45 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 	produced := map[string][]string{} // "step/out" → gathered paths, instance order
 	var ids wf.IDSeq
 	var tasks []*wf.Task
-	resolvedSteps := 0
-	done := map[string]bool{}
-	for resolvedSteps < len(steps) {
-		progress := false
-		for _, st := range steps {
-			if done[st.id] {
-				continue
-			}
+	for pending := w.steps; len(pending) > 0; {
+		var waiting []*step
+		for _, st := range pending {
 			ready := true
 			for _, b := range st.ins {
 				for _, src := range b.sources {
-					if _, ok := wfIns[src]; ok {
-						continue
-					}
-					if _, ok := produced[src]; !ok {
-						ready = false
-					}
+					_, isInput := wfIns[src]
+					_, isProduced := produced[src]
+					ready = ready && (isInput || isProduced)
 				}
 			}
 			if !ready {
+				waiting = append(waiting, st)
 				continue
 			}
 			ts, err := materialize(name, &ids, st, wfIns, produced)
 			if err != nil {
 				return fail("%v", err)
 			}
-			tasks = append(tasks, ts...)
-			if len(tasks) > maxTasks {
+			if tasks = append(tasks, ts...); len(tasks) > maxTasks {
 				return fail("cwl: workflow %s expands to more than %d tasks", name, maxTasks)
 			}
-			done[st.id] = true
-			resolvedSteps++
-			progress = true
 		}
-		if !progress {
-			var stuck []string
-			for _, st := range steps {
-				if !done[st.id] {
-					stuck = append(stuck, st.id)
-				}
+		if len(waiting) == len(pending) {
+			stuck := make([]string, len(waiting))
+			for i, st := range waiting {
+				stuck[i] = st.id
 			}
 			return fail("cwl: cyclic step references among %v", stuck)
 		}
+		pending = waiting
 	}
 
 	// Validate workflow outputs' sources; the DAG's sinks are the outputs.
-	outsRaw, err := listing(wfObj["outputs"], "workflow outputs")
-	if err != nil {
-		return fail("%v", err)
-	}
-	for _, o := range outsRaw {
-		srcs, err := strList(o.obj["outputSource"])
-		if err != nil {
-			return fail("cwl: workflow output %q outputSource: %v", o.id, err)
-		}
-		for _, src := range srcs {
-			if _, ok := produced[src]; !ok {
-				if _, ok := wfIns[src]; !ok {
-					return fail("cwl: workflow output %q references unknown source %q", o.id, src)
-				}
+	for _, o := range w.outputs {
+		for _, src := range o.sources {
+			_, isInput := wfIns[src]
+			if _, ok := produced[src]; !ok && !isInput {
+				return fail("cwl: workflow output %q references unknown source %q", o.id, src)
 			}
 		}
 	}
@@ -765,19 +774,16 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 	// Initial inputs: every consumed path no task produces (workflow input
 	// values plus their secondaryFiles expansions), in first-seen order —
 	// the caller stages them before launch.
-	producedPath := map[string]bool{}
-	for _, t := range tasks {
-		for _, fis := range t.Declared {
-			for _, fi := range fis {
-				producedPath[fi.Path] = true
-			}
+	seen := make(map[string]bool, 2*len(tasks))
+	for _, paths := range produced {
+		for _, p := range paths {
+			seen[p] = true
 		}
 	}
 	var initial []string
-	seen := map[string]bool{}
 	for _, t := range tasks {
 		for _, p := range t.Inputs {
-			if !producedPath[p] && !seen[p] {
+			if !seen[p] {
 				seen[p] = true
 				initial = append(initial, p)
 			}
@@ -788,146 +794,139 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 
 // materialize expands one step into tasks, numbered by ids: one per scatter
 // element, or a single task without scatter.
-func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]*wfInput, produced map[string][]string) ([]*wf.Task, error) {
+func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]binding, produced map[string][]string) ([]*wf.Task, error) {
 	t := st.tool
 	// Bind every tool input: step bindings win, then tool defaults.
-	type binding struct {
-		vals []string
-		set  bool
-	}
-	bound := map[string]binding{}
+	bound := make([]binding, len(t.inputs))
 	for _, b := range st.ins {
-		var vals []string
+		k := portIndex(t.inputs, b.id)
 		for _, src := range b.sources {
-			if wi, ok := wfIns[src]; ok {
-				if !wi.set {
-					return nil, fmt.Errorf("cwl: workflow input %q (used by step %q) has no default and no binding", src, st.id)
-				}
-				vals = append(vals, wi.vals...)
-				continue
+			got, isInput := wfIns[src]
+			if isInput && !got.set {
+				return nil, fmt.Errorf("cwl: workflow input %q (used by step %q) has no default and no binding", src, st.id)
+			} else if !isInput {
+				got.vals = produced[src]
 			}
-			vals = append(vals, produced[src]...)
+			bound[k].vals = append(bound[k].vals, got.vals...)
 		}
-		if len(b.sources) == 0 {
-			var port *toolPort
-			for i := range t.inputs {
-				if t.inputs[i].id == b.id {
-					port = &t.inputs[i]
-				}
-			}
-			if len(b.def) == 0 {
-				return nil, fmt.Errorf("cwl: step %q input %q has neither source nor default", st.id, b.id)
-			}
-			var err error
-			if vals, err = defaultValues(b.def, port.typ); err != nil {
-				return nil, fmt.Errorf("cwl: step %q input %q default: %v", st.id, b.id, err)
-			}
+		var err error
+		if len(b.sources) == 0 && !b.hasDef {
+			return nil, fmt.Errorf("cwl: step %q input %q has neither source nor default", st.id, b.id)
+		} else if len(b.sources) == 0 {
+			bound[k].vals, err = readDefault(b.def, t.inputs[k].typ)
 		}
-		bound[b.id] = binding{vals: vals, set: true}
+		if err != nil {
+			return nil, fmt.Errorf("cwl: step %q input %q default: %v", st.id, b.id, err)
+		}
+		bound[k].set = true
 	}
-	for _, in := range t.inputs {
-		if bound[in.id].set {
-			continue
-		}
-		if in.hasDefault {
-			bound[in.id] = binding{vals: in.def, set: true}
-			continue
-		}
-		return nil, fmt.Errorf("cwl: step %q does not bind tool input %q (and it has no default)", st.id, in.id)
-	}
-
-	// Scatter width.
-	n := 1
-	scatterPort := ""
-	if len(st.scatter) == 1 {
-		scatterPort = st.scatter[0]
-		n = len(bound[scatterPort].vals)
-		if n == 0 {
-			return nil, fmt.Errorf("cwl: step %q scatters over empty input %q", st.id, scatterPort)
-		}
-	}
-
+	// Step-level overrides are positive when set.
 	prof := t.prof
-	if st.prof.cpuSeconds > 0 {
-		prof.cpuSeconds = st.prof.cpuSeconds
+	prof.cpuSeconds = cmp.Or(st.prof.cpuSeconds, prof.cpuSeconds)
+	prof.threads = cmp.Or(st.prof.threads, prof.threads)
+	prof.memMB = cmp.Or(st.prof.memMB, prof.memMB)
+
+	// Fill in tool defaults and size the step: its scatter width n, and at
+	// most nPaths input paths and nMeta Meta entries per task.
+	scatter, n, nPaths, nMeta := -1, 1, 0, 3
+	if len(st.scatter) == 1 {
+		scatter = portIndex(t.inputs, st.scatter[0])
 	}
-	if st.prof.threads > 0 {
-		prof.threads = st.prof.threads
-	}
-	if st.prof.memMB > 0 {
-		prof.memMB = st.prof.memMB
+	for k, in := range t.inputs {
+		if !bound[k].set {
+			bound[k] = in.def
+		}
+		vals := bound[k].vals
+		switch {
+		case !bound[k].set:
+			return nil, fmt.Errorf("cwl: step %q does not bind tool input %q (and it has no default)", st.id, in.id)
+		case k == scatter && len(vals) == 0:
+			return nil, fmt.Errorf("cwl: step %q scatters over empty input %q", st.id, in.id)
+		case k == scatter:
+			n, vals = len(vals), vals[:1]
+		case !in.typ.array && len(vals) != 1:
+			return nil, fmt.Errorf("cwl: step %q input %q is not an array but receives %d values", st.id, in.id, len(vals))
+		}
+		if in.typ.file {
+			nPaths += len(vals) * (1 + len(in.secondaryFiles))
+		} else {
+			nMeta++
+		}
 	}
 
-	var tasks []*wf.Task
-	for i := 0; i < n; i++ {
+	outPaths := make([][]string, len(t.outputs))
+	tasks := make([]*wf.Task, n)
+	for i := range tasks {
 		task := &wf.Task{
-			ID:         ids.Next(),
-			Name:       t.id,
-			Command:    t.command,
-			CPUSeconds: prof.cpuSeconds,
-			Threads:    max(1, prof.threads),
-			MemMB:      prof.memMB,
-			Declared:   make(map[string][]wf.FileInfo),
-			Env:        make(map[string]string),
-			Meta:       map[string]string{"lang": "cwl", "cwlStep": st.id, "workflow": name},
+			ID:           ids.Next(),
+			Name:         t.id,
+			Command:      t.command,
+			CPUSeconds:   prof.cpuSeconds,
+			Threads:      max(1, prof.threads),
+			MemMB:        prof.memMB,
+			Inputs:       make([]string, 0, nPaths),
+			OutputParams: make([]string, len(t.outputs)),
+			Declared:     make(map[string][]wf.FileInfo, len(t.outputs)),
+			Env:          make(map[string]string, len(t.inputs)+len(t.outputs)),
+			Meta:         make(map[string]string, nMeta),
 		}
-		seen := map[string]bool{}
-		for _, in := range t.inputs {
-			vals := bound[in.id].vals
-			if in.id == scatterPort {
+		task.Meta["lang"], task.Meta["cwlStep"], task.Meta["workflow"] = "cwl", st.id, name
+		// Inputs are deduplicated by scanning while a task has few.
+		var seen map[string]bool
+		if nPaths > 16 {
+			seen = make(map[string]bool, nPaths)
+		}
+		for k, in := range t.inputs {
+			vals := bound[k].vals
+			if k == scatter {
 				vals = vals[i : i+1]
-			} else if !in.typ.array && len(vals) != 1 {
-				return nil, fmt.Errorf("cwl: step %q input %q is not an array but receives %d values", st.id, in.id, len(vals))
 			}
-			task.Env[in.id] = strings.Join(vals, " ")
-			if !in.typ.file {
-				task.Meta["value:"+in.id] = strings.Join(vals, " ")
+			if task.Env[in.id] = strings.Join(vals, " "); !in.typ.file {
+				task.Meta["value:"+in.id] = task.Env[in.id]
 				continue
 			}
 			for _, v := range vals {
-				paths := []string{v}
-				for _, pat := range in.secondaryFiles {
-					paths = append(paths, secondaryPath(v, pat))
-				}
-				for _, p := range paths {
-					if !seen[p] {
-						seen[p] = true
-						task.Inputs = append(task.Inputs, p)
+				for s := -1; s < len(in.secondaryFiles); s++ {
+					p := v
+					if s >= 0 {
+						p = secondaryPath(v, in.secondaryFiles[s])
 					}
+					if seen[p] || seen == nil && slices.Contains(task.Inputs, p) {
+						continue
+					} else if seen != nil {
+						seen[p] = true
+					}
+					task.Inputs = append(task.Inputs, p)
 				}
 			}
 		}
-		for _, o := range t.outputs {
-			task.OutputParams = append(task.OutputParams, o.id)
-			size := prof.outSizeMB[o.id]
+		for k, o := range t.outputs {
+			task.OutputParams[k] = o.id
+			size, count := prof.outSizeMB[o.id], 1
 			if size <= 0 {
 				size = 1
 			}
-			count := 1
-			if o.typ.array {
-				if c, ok := prof.outCount[o.id]; ok {
-					count = c
-				}
+			if c, ok := prof.outCount[o.id]; ok && o.typ.array {
+				count = c
 			}
 			base := wf.OutputPath(name, t.id, task.ID, o.id)
-			var fis []wf.FileInfo
-			for j := 0; j < count; j++ {
-				path := base
-				if o.typ.array {
-					path = fmt.Sprintf("%s_%02d", base, j)
+			fis := make([]wf.FileInfo, count)
+			for j := range fis {
+				fis[j] = wf.FileInfo{Path: base, SizeMB: size}
+				if o.typ.array && j < 10 {
+					fis[j].Path = base + "_0" + strconv.Itoa(j)
+				} else if o.typ.array {
+					fis[j].Path = base + "_" + strconv.Itoa(j)
 				}
-				fis = append(fis, wf.FileInfo{Path: path, SizeMB: size})
+				outPaths[k] = append(outPaths[k], fis[j].Path)
 			}
 			task.Declared[o.id] = fis
-			paths := make([]string, len(fis))
-			for j, fi := range fis {
-				paths[j] = fi.Path
-			}
-			task.Env[o.id] = strings.Join(paths, " ")
-			key := st.id + "/" + o.id
-			produced[key] = append(produced[key], paths...)
+			task.Env[o.id] = strings.Join(outPaths[k][len(outPaths[k])-count:], " ")
 		}
-		tasks = append(tasks, task)
+		tasks[i] = task
+	}
+	for k, o := range t.outputs {
+		produced[st.id+"/"+o.id] = outPaths[k]
 	}
 	return tasks, nil
 }

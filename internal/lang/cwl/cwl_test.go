@@ -224,158 +224,161 @@ func doc(steps, tools string) string {
 	   "outputs": [{"id": "out", "type": "File"}]}` + tools + `]}`
 }
 
-func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string // substring of the error
-	}{
-		{
-			"empty scatter list",
-			doc(`{"id": "s", "run": "#t", "scatter": [],
+// parseErrorCases are documents build must refuse, each with a substring
+// of its error.
+var parseErrorCases = []struct {
+	name string
+	src  string
+	want string // substring of the error
+}{
+	{
+		"empty scatter list",
+		doc(`{"id": "s", "run": "#t", "scatter": [],
 			      "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`, ""),
-			"empty scatter",
-		},
-		{
-			"scatter over empty input",
-			doc(`{"id": "s", "run": "#t", "scatter": "in",
+		"empty scatter",
+	},
+	{
+		"scatter over empty input",
+		doc(`{"id": "s", "run": "#t", "scatter": "in",
 			      "in": [{"id": "in", "source": "list"}], "out": ["out"]}`, ""),
-			"scatters over empty input",
-		},
-		{
-			"cyclic steps",
-			doc(`{"id": "a", "run": "#t", "in": [{"id": "in", "source": "b/out"}], "out": ["out"]},
+		"scatters over empty input",
+	},
+	{
+		"cyclic steps",
+		doc(`{"id": "a", "run": "#t", "in": [{"id": "in", "source": "b/out"}], "out": ["out"]},
 			     {"id": "b", "run": "#t", "in": [{"id": "in", "source": "a/out"}], "out": ["out"]}`, ""),
-			"cyclic step references",
-		},
-		{
-			"duplicate step ids",
-			doc(`{"id": "s", "run": "#t", "in": [{"id": "in", "source": "seed"}], "out": ["out"]},
+		"cyclic step references",
+	},
+	{
+		"duplicate step ids",
+		doc(`{"id": "s", "run": "#t", "in": [{"id": "in", "source": "seed"}], "out": ["out"]},
 			     {"id": "s", "run": "#t", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`, ""),
-			"duplicate step id",
-		},
-		{
-			"unknown tool",
-			doc(`{"id": "s", "run": "#nope", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`, ""),
-			"unknown tool",
-		},
-		{
-			"unknown source",
-			doc(`{"id": "s", "run": "#t", "in": [{"id": "in", "source": "ghost"}], "out": ["out"]}`, ""),
-			"unknown source",
-		},
-		{
-			"unbound tool input",
-			doc(`{"id": "s", "run": "#t", "in": [], "out": ["out"]}`, ""),
-			"does not bind tool input",
-		},
-		{
-			"missing workflow input value",
-			`{"cwlVersion": "v1.2", "$graph": [
+		"duplicate step id",
+	},
+	{
+		"unknown tool",
+		doc(`{"id": "s", "run": "#nope", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`, ""),
+		"unknown tool",
+	},
+	{
+		"unknown source",
+		doc(`{"id": "s", "run": "#t", "in": [{"id": "in", "source": "ghost"}], "out": ["out"]}`, ""),
+		"unknown source",
+	},
+	{
+		"unbound tool input",
+		doc(`{"id": "s", "run": "#t", "in": [], "out": ["out"]}`, ""),
+		"does not bind tool input",
+	},
+	{
+		"missing workflow input value",
+		`{"cwlVersion": "v1.2", "$graph": [
 			  {"class": "Workflow", "id": "w",
 			   "inputs": [{"id": "seed", "type": "File"}], "outputs": [],
 			   "steps": [{"id": "s", "run": "#t", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}]},
 			  {"class": "CommandLineTool", "id": "t", "baseCommand": "go",
 			   "inputs": [{"id": "in", "type": "File"}],
 			   "outputs": [{"id": "out", "type": "File"}]}]}`,
-			"no default and no binding",
-		},
-		{
-			"missing cwlVersion",
-			`{"class": "CommandLineTool", "id": "t", "baseCommand": "go",
+		"no default and no binding",
+	},
+	{
+		"missing cwlVersion",
+		`{"class": "CommandLineTool", "id": "t", "baseCommand": "go",
 			  "inputs": [], "outputs": [{"id": "out", "type": "File"}]}`,
-			"missing cwlVersion",
-		},
-		{
-			"unsupported type",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"missing cwlVersion",
+	},
+	{
+		"unsupported type",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": "Directory"}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"unsupported type",
-		},
-		{
-			"tool without outputs",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": []}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"unsupported type",
+	},
+	{
+		"tool without outputs",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": []}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": "File"}], "outputs": []}`),
-			"declares no outputs",
-		},
-		{
-			"scalar port fed an array",
-			doc(`{"id": "a", "run": "#t", "scatter": "in",
+		"declares no outputs",
+	},
+	{
+		"scalar port fed an array",
+		doc(`{"id": "a", "run": "#t", "scatter": "in",
 			      "in": [{"id": "in", "source": "seed"}], "out": ["out"]},
 			     {"id": "b", "run": "#t", "in": [{"id": "in", "source": ["seed", "seed"]}], "out": ["out"]}`, ""),
-			"is not an array but receives 2 values",
-		},
-		{
-			"nested array type",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"is not an array but receives 2 values",
+	},
+	{
+		"nested array type",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": {"type": "array", "items": "File[]"}}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"nested array types",
-		},
-		{
-			"non-array type object",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"nested array types",
+	},
+	{
+		"non-array type object",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": {"type": "record"}}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"unsupported type",
-		},
-		{
-			"unsupported array items",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"unsupported type",
+	},
+	{
+		"unsupported array items",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": {"type": "array", "items": "int"}}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"array items",
-		},
-		{
-			"requirements neither array nor map",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"array items",
+	},
+	{
+		"requirements neither array nor map",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "source": "seed"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "requirements": 5,
 				    "inputs": [{"id": "in", "type": "File"}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"requirements must be an array or a map",
-		},
-		{
-			"File default is not a File object",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "default": "/d/raw"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"requirements must be an array or a map",
+	},
+	{
+		"File default is not a File object",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "default": "/d/raw"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": "File"}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"want a File object",
-		},
-		{
-			"File default without a location",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "default": {"class": "File"}}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"want a File object",
+	},
+	{
+		"File default without a location",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "in", "default": {"class": "File"}}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": "File"}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"File default has no location",
-		},
-		{
-			"string default is not a string",
-			doc(`{"id": "s", "run": "#u",
+		"File default has no location",
+	},
+	{
+		"string default is not a string",
+		doc(`{"id": "s", "run": "#u",
 			      "in": [{"id": "in", "source": "seed"}, {"id": "n", "default": 5}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "in", "type": "File"}, {"id": "n", "type": "string"}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"want a string",
-		},
-		{
-			"array default is not an array",
-			doc(`{"id": "s", "run": "#u", "in": [{"id": "xs", "default": "/d/one"}], "out": ["out"]}`,
-				`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
+		"want a string",
+	},
+	{
+		"array default is not an array",
+		doc(`{"id": "s", "run": "#u", "in": [{"id": "xs", "default": "/d/one"}], "out": ["out"]}`,
+			`, {"class": "CommandLineTool", "id": "u", "baseCommand": "go",
 				    "inputs": [{"id": "xs", "type": "File[]"}],
 				    "outputs": [{"id": "out", "type": "File"}]}`),
-			"want an array",
-		},
-	}
-	for _, c := range cases {
+		"want an array",
+	},
+}
+
+func TestParseErrors(t *testing.T) {
+	for _, c := range parseErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, _, _, err := build("w", c.src, Options{})
 			if err == nil {
@@ -480,5 +483,57 @@ func TestObjectTypesAndMapRequirements(t *testing.T) {
 	// The workflow name is sanitized into the synthesized output path.
 	if !strings.HasPrefix(out[0].Path, "my_wf_/") {
 		t.Fatalf("path = %q", out[0].Path)
+	}
+}
+
+// TestRepeatedKeys pins how decode reads an object that repeats a key: from
+// the decoded map, where the last repeat wins and case variants of a field
+// apply in sorted key order. The reference applied repeats to a struct
+// field in document order, so for File objects and type objects it could
+// read otherwise; requirement objects, which it re-encoded from a map, it
+// read the same way.
+func TestRepeatedKeys(t *testing.T) {
+	tool := func(def, reqs string) string {
+		return `{"cwlVersion": "v1.2", "class": "CommandLineTool", "id": "t",
+		  "requirements": [` + reqs + `],
+		  "inputs": [{"id": "in", "type": "File", "default": ` + def + `}],
+		  "outputs": [{"id": "out", "type": "File"}]}`
+	}
+	// "Location" sorts before "location", so "location" is read last.
+	src := tool(`{"class": "File", "location": "/b", "Location": "/a"}`, "")
+	tasks, _, _, err := build("r", src, Options{})
+	if err != nil || tasks[0].Inputs[0] != "/b" {
+		t.Fatalf("case variants: %v, %v", tasks, err)
+	}
+	if ref, _, _, err := referenceBuild("r", src, Options{}); err != nil || ref[0].Inputs[0] != "/a" {
+		t.Fatalf("the reference read case variants in document order: %v, %v", ref, err)
+	}
+	// A repeated key keeps its last value, null included.
+	src = tool(`{"class": "File", "location": "/a", "location": null}`, "")
+	if _, _, _, err := build("r", src, Options{}); err == nil || !strings.Contains(err.Error(), "no location") {
+		t.Fatalf("a null repeat: %v", err)
+	}
+	if _, _, _, err := referenceBuild("r", src, Options{}); err != nil {
+		t.Fatalf("the reference kept the earlier value: %v", err)
+	}
+	// Requirements read the same both ways: "CORESMIN" before "coresMin".
+	src = tool(`{"class": "File", "location": "/a"}`, `{"class": "ResourceRequirement", "coresMin": 2, "CORESMIN": 6}`)
+	tasks, _, _, err = build("r", src, Options{})
+	ref, _, _, refErr := referenceBuild("r", src, Options{})
+	if err != nil || refErr != nil || tasks[0].Threads != 2 || ref[0].Threads != 2 {
+		t.Fatalf("repeated requirement fields: %v (%v), reference %v (%v)", tasks, err, ref, refErr)
+	}
+}
+
+// TestBareToolIDAnyCharacter: a bare CommandLineTool whose id holds a
+// control character runs. The one-step workflow around it used to be
+// rendered as JSON text with Go quoting, which writes such a character as
+// an escape JSON does not have, and the document was refused.
+func TestBareToolIDAnyCharacter(t *testing.T) {
+	src := `{"cwlVersion": "v1.2", "class": "CommandLineTool", "id": "a\u0001b\u007f",
+	  "outputs": [{"id": "out", "type": "File"}]}`
+	tasks, _, _, err := build("bare", src, Options{})
+	if err != nil || len(tasks) != 1 || tasks[0].Name != "a\x01b\x7f" {
+		t.Fatalf("tasks %v, error %v", tasks, err)
 	}
 }

@@ -172,6 +172,9 @@ func (r *SubmitRequest) validate(tenants map[string]*TenantProfile) *apiError {
 		if in.Path == "" || in.SizeMB <= 0 {
 			return errf(http.StatusBadRequest, "input %q needs a path and a positive sizeMB", in.Path)
 		}
+		if err := tierHDFS.CheckSize(in.SizeMB); err != nil {
+			return errf(http.StatusBadRequest, "input %q: %v", in.Path, err)
+		}
 	}
 	return nil
 }

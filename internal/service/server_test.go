@@ -97,6 +97,9 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		{"unknown policy", `{"tenant":"alpha","name":"w1","policy":"random","workload":{"kind":"snv"}}`, http.StatusBadRequest},
 		{"fcfs alias only the engine takes", `{"tenant":"alpha","name":"w1","policy":"greedy","workload":{"kind":"snv"}}`, http.StatusBadRequest},
 		{"bad input spec", `{"tenant":"alpha","name":"w1","workload":{"kind":"snv"},"inputs":[{"path":"","sizeMB":0}]}`, http.StatusBadRequest},
+		// 1e12 MB is ~7.8e9 blocks of the tier's 128 MB: over hdfs.MaxBlocksPerFile.
+		{"input over the block bound", `{"tenant":"alpha","name":"w1","workload":{"kind":"snv"},"inputs":[{"path":"/big","sizeMB":1e12}]}`, http.StatusBadRequest},
+		{"workload files over the block bound", `{"tenant":"alpha","name":"w1","workload":{"kind":"snv","fileSizeMB":1e12}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest(http.MethodPost, "/v1/workflows", strings.NewReader(tc.body))

@@ -7,6 +7,7 @@ import (
 	"hiway/internal/chaos"
 	"hiway/internal/cluster"
 	"hiway/internal/core"
+	"hiway/internal/hdfs"
 	"hiway/internal/memo"
 	"hiway/internal/obs"
 	"hiway/internal/recipes"
@@ -88,11 +89,16 @@ func TenantPolicies(profiles []TenantProfile) map[string]yarn.TenantPolicy {
 	return out
 }
 
+// tierHDFS is the service tier's HDFS layout: the defaults, 128 MB blocks
+// with 3 replicas. Submission validation bounds input sizes by it.
+var tierHDFS = hdfs.Config{}
+
 // TierRecipe is the service tier's substrate, shared by the load harnesses
 // and every run the network server executes: nodes workers of 8 vcores and
 // 16 GB, a switch of 100 MB/s per node for switchNodes nodes (a fleet that
-// grows toward switchNodes keeps one switch), and YARN with a memory-only
-// 256 MB AM under the tenants' weights and quotas.
+// grows toward switchNodes keeps one switch), HDFS's default layout
+// (tierHDFS), and YARN with a memory-only 256 MB AM under the tenants'
+// weights and quotas.
 func TierRecipe(name string, nodes, switchNodes int, tenants map[string]yarn.TenantPolicy, seed int64) *recipes.Recipe {
 	return &recipes.Recipe{
 		Name: name,
@@ -100,6 +106,7 @@ func TierRecipe(name string, nodes, switchNodes int, tenants map[string]yarn.Ten
 			VCores: 8, MemMB: 16384, CPUFactor: 1, DiskMBps: 200, NetMBps: 200,
 		}}},
 		SwitchMBps: 100 * float64(switchNodes),
+		HDFS:       tierHDFS,
 		YARN: yarn.Config{
 			AMResource: yarn.Resource{VCores: 0, MemMB: 256},
 			Tenants:    tenants,

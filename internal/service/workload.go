@@ -52,10 +52,13 @@ func (w *WorkloadSpec) setDefaults() {
 func (w *WorkloadSpec) validate() error {
 	switch w.Kind {
 	case WorkloadSNV, WorkloadTRAPLINE:
-		return nil
 	default:
 		return fmt.Errorf("unknown workload kind %q", w.Kind)
 	}
+	if err := tierHDFS.CheckSize(w.FileSizeMB); err != nil {
+		return fmt.Errorf("fileSizeMB: %v", err)
+	}
+	return nil
 }
 
 // buildSpecWorkflow instantiates one generator-backed workflow for a named

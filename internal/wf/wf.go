@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -52,7 +53,7 @@ func SafeName(name string) string {
 // Cuneiform and CWL frontends share, <SafeName(workflow)>/<task>_<id>/<param>,
 // so one workflow written in either language leaves comparable provenance.
 func OutputPath(workflow, task string, id int64, param string) string {
-	return fmt.Sprintf("%s/%s_%d/%s", SafeName(workflow), task, id, param)
+	return SafeName(workflow) + "/" + task + "_" + strconv.FormatInt(id, 10) + "/" + param
 }
 
 // FileInfo names a produced or consumed file and its size.
@@ -124,19 +125,27 @@ func (t *Task) Validate() error {
 	if t.CPUSeconds < 0 {
 		return fmt.Errorf("wf: task %s has negative CPU time", t.Name)
 	}
-	seen := map[string]bool{}
+	// A task with few inputs is checked against each output by a scan,
+	// without allocating; one with many indexes them, so the check stays
+	// linear.
+	var inputs map[string]bool
+	if len(t.Inputs) > 16 {
+		inputs = make(map[string]bool, len(t.Inputs))
+	}
 	for _, in := range t.Inputs {
 		if in == "" {
 			return fmt.Errorf("wf: task %s has an empty input path", t.Name)
 		}
-		seen[in] = true
+		if inputs != nil {
+			inputs[in] = true
+		}
 	}
 	for _, p := range t.OutputParams {
 		for _, fi := range t.Declared[p] {
 			if fi.Path == "" {
 				return fmt.Errorf("wf: task %s output param %s has an empty path", t.Name, p)
 			}
-			if seen[fi.Path] {
+			if inputs[fi.Path] || inputs == nil && slices.Contains(t.Inputs, fi.Path) {
 				return fmt.Errorf("wf: task %s produces its own input %s", t.Name, fi.Path)
 			}
 		}

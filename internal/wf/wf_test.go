@@ -1,6 +1,7 @@
 package wf
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -52,6 +53,21 @@ func TestTaskValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("invalid task %q accepted", bad.Name)
 		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = good.Validate() }); n != 0 {
+		t.Errorf("validating a task with one input allocates %v times", n)
+	}
+	// Past 16 inputs the inputs are indexed: an output among 100 inputs
+	// is still found.
+	var ins []string
+	for i := 0; i < 100; i++ {
+		ins = append(ins, fmt.Sprintf("in%d", i))
+	}
+	if err := fx.mkTask("wide", ins, "in57").Validate(); err == nil || !strings.Contains(err.Error(), "its own input in57") {
+		t.Errorf("a task with 100 inputs that produces one of them: %v", err)
+	}
+	if err := fx.mkTask("wide", ins, "out").Validate(); err != nil {
+		t.Errorf("a task with 100 inputs: %v", err)
 	}
 }
 
