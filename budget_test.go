@@ -9,6 +9,7 @@ import (
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
 	"hiway/internal/lang/cwl"
+	"hiway/internal/lang/dax"
 	"hiway/internal/provenance"
 	"hiway/internal/scheduler"
 	"hiway/internal/sim"
@@ -181,7 +182,7 @@ func TestAllocationBudgets(t *testing.T) {
 				return func() {
 					r := rigs[next]
 					next++
-					app, err := r.rm.SubmitApplicationFor("acme", "budget", "")
+					app, err := r.rm.SubmitApplicationFor("acme", "")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -228,7 +229,7 @@ func TestAllocationBudgets(t *testing.T) {
 					next++
 					granted := 0
 					for _, tn := range []string{"acme", "acme", "bulk", "bulk", "idle", "idle"} {
-						app, err := r.rm.SubmitApplicationFor(tn, "budget", "")
+						app, err := r.rm.SubmitApplicationFor(tn, "")
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -353,7 +354,7 @@ func TestAllocationBudgets(t *testing.T) {
 			// One build of sim-paper's CWL document for SNV calling, 48
 			// samples × 24 read files × 16 call regions (~204 KB): decoding
 			// and compiling its 2,016 tasks, without the DAG.
-			layer: "lang/cwl: build sim-paper's SNV document", unit: "task", units: 2016, allocs: 22.63, bytes: 2525,
+			layer: "lang/cwl: build sim-paper's SNV document", unit: "task", units: 2016, allocs: 20.56, bytes: 2155,
 			prepare: func(t *testing.T, n int) func() {
 				src, _ := workloads.SNVCWL(workloads.SNVConfig{
 					Samples: 48, FilesPerSample: 24, FileSizeMB: 340, CallSplitRegions: 16,
@@ -363,6 +364,20 @@ func TestAllocationBudgets(t *testing.T) {
 				d := cwl.NewDriver("snv-cwl", src, cwl.Options{})
 				return func() {
 					if tasks, _, _, err := d.Build(); err != nil || len(tasks) != 2016 {
+						t.Fatalf("%d tasks, error %v", len(tasks), err)
+					}
+				}
+			},
+		},
+		{
+			// One build of sim-paper's Montage DAX at degree 3.0 (1,449
+			// tasks): reading the document and making its tasks, without
+			// the DAG.
+			layer: "lang/dax: build sim-paper's Montage document", unit: "task", units: 1449, allocs: 15.37, bytes: 1942,
+			prepare: func(t *testing.T, n int) func() {
+				d := dax.NewDriver("montage", workloads.MontageDAX(workloads.MontageConfig{Degree: 3.0}))
+				return func() {
+					if tasks, _, _, err := d.Build(); err != nil || len(tasks) != 1449 {
 						t.Fatalf("%d tasks, error %v", len(tasks), err)
 					}
 				}

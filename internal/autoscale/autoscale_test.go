@@ -49,7 +49,7 @@ func (e *env) manager(t *testing.T, cfg ManagerConfig) *Manager {
 	if cfg.Spec.VCores == 0 {
 		cfg.Spec = testSpec()
 	}
-	return NewManager(e.eng, e.cl, e.rm, e.fs, cfg)
+	return NewManager(e.cl, e.rm, e.fs, cfg)
 }
 
 // newTask builds a one-output task numbered by the run's ID sequence.
@@ -172,8 +172,9 @@ func TestControllerScalesUpAndDownWithHysteresis(t *testing.T) {
 func TestControllerCooldownDampsOscillation(t *testing.T) {
 	e := newEnv(t, 2)
 	m := e.manager(t, ManagerConfig{})
-	flip := false
+	flip, evals := false, 0
 	ctl := NewController(e.eng, m, &Reactive{}, func() Signals {
+		evals++
 		flip = !flip
 		if flip {
 			return Signals{QueueDepth: 8}
@@ -189,8 +190,8 @@ func TestControllerCooldownDampsOscillation(t *testing.T) {
 	if actions != 0 {
 		t.Fatalf("oscillating signal caused %d scale actions, want 0", actions)
 	}
-	if ctl.Evals < 60 {
-		t.Fatalf("evals = %d, want the full horizon's worth", ctl.Evals)
+	if evals < 60 {
+		t.Fatalf("evals = %d, want the full horizon's worth", evals)
 	}
 }
 
@@ -235,15 +236,16 @@ func TestControllerTuning(t *testing.T) {
 			var log membershipLog
 			e.rm.SetAudit(&log)
 			m := e.manager(t, ManagerConfig{Protected: []string{"node-00"}})
-			ctl := NewController(e.eng, m, &scripted{want: tc.want}, func() Signals { return Signals{} },
+			evals := 0
+			ctl := NewController(e.eng, m, &scripted{want: tc.want}, func() Signals { evals++; return Signals{} },
 				ControllerConfig{HorizonSec: float64(30 * len(tc.want))})
 			ctl.Start()
 			e.eng.Run()
 			if got := fmt.Sprint(log.events); got != tc.log {
 				t.Fatalf("transitions = %s, want %s", got, tc.log)
 			}
-			if ctl.Evals != len(tc.want) {
-				t.Fatalf("evals = %d, want one per 30 s of horizon (%d)", ctl.Evals, len(tc.want))
+			if evals != len(tc.want) {
+				t.Fatalf("evals = %d, want one per 30 s of horizon (%d)", evals, len(tc.want))
 			}
 		})
 	}

@@ -49,7 +49,7 @@ type Controller struct {
 	downStreak int
 
 	// lifetime statistics, readable after a run
-	ScaleUps, ScaleDowns, Flaps, Evals int
+	ScaleUps, ScaleDowns, Flaps int
 
 	desiredG *obs.Gauge
 	actualG  *obs.Gauge
@@ -96,7 +96,6 @@ func (c *Controller) tick() {
 }
 
 func (c *Controller) evaluate() {
-	c.Evals++
 	now := c.eng.Now()
 	cur := c.m.Size()
 	des := c.pol.Desired(now, c.sig(), cur)

@@ -21,7 +21,6 @@ import (
 	"hiway/internal/hdfs"
 	"hiway/internal/obs"
 	"hiway/internal/scheduler"
-	"hiway/internal/sim"
 	"hiway/internal/yarn"
 )
 
@@ -46,7 +45,6 @@ type ManagerConfig struct {
 // Manager performs node membership transitions consistently across the
 // cluster, RM, and filesystem layers. It implements chaos.NodeReclaimer.
 type Manager struct {
-	eng *sim.Engine
 	cl  *cluster.Cluster
 	rm  *yarn.ResourceManager
 	fs  *hdfs.FS
@@ -65,7 +63,7 @@ type Manager struct {
 // NewManager builds a membership manager. A departing node's HDFS blocks
 // are re-replicated onto the staying nodes; fs may be nil for runs without
 // a filesystem.
-func NewManager(eng *sim.Engine, cl *cluster.Cluster, rm *yarn.ResourceManager, fs *hdfs.FS, cfg ManagerConfig) *Manager {
+func NewManager(cl *cluster.Cluster, rm *yarn.ResourceManager, fs *hdfs.FS, cfg ManagerConfig) *Manager {
 	if cfg.DrainDeadlineSec <= 0 {
 		cfg.DrainDeadlineSec = 120
 	}
@@ -73,7 +71,6 @@ func NewManager(eng *sim.Engine, cl *cluster.Cluster, rm *yarn.ResourceManager, 
 		cfg.SpotNoticeSec = 120
 	}
 	m := &Manager{
-		eng:       eng,
 		cl:        cl,
 		rm:        rm,
 		fs:        fs,

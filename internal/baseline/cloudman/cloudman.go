@@ -33,11 +33,8 @@ type Config struct {
 
 // Report summarizes a CloudMan run.
 type Report struct {
-	WorkflowName string
-	MakespanSec  float64
-	Succeeded    bool
-	Err          error
-	Results      []*wf.TaskResult
+	MakespanSec float64
+	Err         error
 }
 
 // Run executes the static workflow on the cluster.
@@ -90,7 +87,6 @@ type engine struct {
 	sizes   map[string]float64 // path → MB on the shared volume
 	queue   []*wf.Task
 	running int
-	results []*wf.TaskResult
 	start   float64
 	report  *Report
 }
@@ -176,7 +172,6 @@ func (e *engine) run(t *wf.Task, node *cluster.Node) {
 func (e *engine) onDone(t *wf.Task, node *cluster.Node, res *wf.TaskResult) {
 	e.running--
 	e.busy[node.ID] = false
-	e.results = append(e.results, res)
 	next, err := e.driver.OnTaskComplete(res)
 	if err != nil {
 		e.finish(err)
@@ -197,11 +192,5 @@ func (e *engine) finish(err error) {
 	if e.report != nil {
 		return
 	}
-	e.report = &Report{
-		WorkflowName: e.driver.Name(),
-		MakespanSec:  e.cl.Engine.Now() - e.start,
-		Succeeded:    err == nil,
-		Err:          err,
-		Results:      e.results,
-	}
+	e.report = &Report{MakespanSec: e.cl.Engine.Now() - e.start, Err: err}
 }

@@ -205,7 +205,6 @@ func (e *engine) finish(err error) {
 	}
 	eng := e.env.Cluster.Engine
 	e.report = &core.Report{
-		WorkflowID:   "tez-" + e.driver.Name(),
 		WorkflowName: e.driver.Name(),
 		Scheduler:    "tez-fifo",
 		Start:        e.start,

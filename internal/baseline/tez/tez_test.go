@@ -7,6 +7,7 @@ import (
 	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
+	"hiway/internal/obs"
 	"hiway/internal/sim"
 	"hiway/internal/wf"
 	"hiway/internal/yarn"
@@ -57,15 +58,17 @@ func TestTezRunsDAGToCompletion(t *testing.T) {
 }
 
 func TestTezContainerReuse(t *testing.T) {
-	env, _ := newEnv(t, 2, 1000)
+	env, eng := newEnv(t, 2, 1000)
+	o := obs.New(eng.Now)
+	env.RM.SetObs(o)
 	env.FS.Put("/in/x", 1, "")
 	rep, err := Run(env, fanDriver(8, []string{"/in/x"}), Config{Containers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only 2 containers were ever allocated for 8 tasks (plus the AM).
-	if env.RM.Allocated != 3 {
-		t.Fatalf("allocated = %d, want 3 (reuse!)", env.RM.Allocated)
+	if n := o.M().Counter("hiway_yarn_containers_allocated_total", "").Value(); n != 3 {
+		t.Fatalf("allocated = %d, want 3 (reuse!)", n)
 	}
 	_ = rep
 }

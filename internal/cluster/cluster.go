@@ -319,26 +319,21 @@ func (c *Cluster) FetchExternal(dst *Node, sizeMB float64, done func()) *sim.Job
 // NodeMetrics is a utilization snapshot for one node, mirroring the
 // uptime/iostat/ifstat measurements of the paper's Fig. 6.
 type NodeMetrics struct {
-	NodeID     string
-	CPULoad    float64 // average runnable demand in cores (uptime-style)
-	CPUUtil    float64 // fraction of CPU capacity in use
-	DiskUtil   float64 // iostat-style device busy fraction
-	NetMBps    float64 // average NIC throughput (external/volume traffic)
-	SwitchMBps float64 // cluster-wide switch throughput (same for all nodes)
+	NodeID   string
+	CPULoad  float64 // average runnable demand in cores (uptime-style)
+	DiskUtil float64 // iostat-style device busy fraction
+	NetMBps  float64 // average NIC throughput (external/volume traffic)
 }
 
 // Metrics returns a utilization snapshot for every node, sorted by ID.
 func (c *Cluster) Metrics() []NodeMetrics {
-	sw := c.Switch.Throughput()
 	out := make([]NodeMetrics, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		out = append(out, NodeMetrics{
-			NodeID:     n.ID,
-			CPULoad:    n.CPU.Load() / n.Spec.CPUFactor,
-			CPUUtil:    n.CPU.Utilization(),
-			DiskUtil:   n.Disk.BusyFraction(),
-			NetMBps:    n.NIC.Throughput(),
-			SwitchMBps: sw,
+			NodeID:   n.ID,
+			CPULoad:  n.CPU.Load() / n.Spec.CPUFactor,
+			DiskUtil: n.Disk.BusyFraction(),
+			NetMBps:  n.NIC.Throughput(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })

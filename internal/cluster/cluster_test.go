@@ -246,7 +246,7 @@ func TestTransferSameNodeUsesDisk(t *testing.T) {
 	if !almost(done, 1, 1e-9) {
 		t.Fatalf("local transfer at %g, want 1 (disk-bound)", done)
 	}
-	if c.Switch.Utilization() != 0 {
+	if c.Switch.Throughput() != 0 {
 		t.Fatal("local transfer must not touch the switch")
 	}
 }
@@ -260,7 +260,7 @@ func TestFetchExternalBypassesSwitch(t *testing.T) {
 	if !almost(done, 10, 1e-9) {
 		t.Fatalf("external fetch at %g, want 10 (50 MB/s per flow)", done)
 	}
-	if c.Switch.Utilization() != 0 {
+	if c.Switch.Throughput() != 0 {
 		t.Fatal("external fetch must not touch the switch")
 	}
 }

@@ -157,7 +157,6 @@ func (c *Config) setDefaults() {
 
 // Report summarizes a finished workflow execution.
 type Report struct {
-	WorkflowID   string
 	WorkflowName string
 	Scheduler    string
 
@@ -294,7 +293,7 @@ func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*A
 			}
 		}
 	}
-	app, err := env.RM.SubmitApplicationFor(cfg.Tenant, cfg.WorkflowID, cfg.AMNode)
+	app, err := env.RM.SubmitApplicationFor(cfg.Tenant, cfg.AMNode)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: submitting AM: %w", err)
 	}
@@ -577,7 +576,7 @@ func (am *AM) plannableNodes() []scheduler.NodeInfo {
 	for _, id := range am.env.RM.LiveNodes() {
 		cores, mem := am.env.RM.FreeCapacity(id)
 		if cores >= am.cfg.ContainerVCores && mem >= am.cfg.ContainerMemMB {
-			out = append(out, scheduler.NodeInfo{ID: id, VCores: cores, MemMB: mem})
+			out = append(out, scheduler.NodeInfo{ID: id})
 		}
 	}
 	return out
@@ -1187,7 +1186,6 @@ func (am *AM) finish(err error) {
 	am.finished = true
 	eng := am.env.Cluster.Engine
 	am.report = &Report{
-		WorkflowID:   am.cfg.WorkflowID,
 		WorkflowName: am.driver.Name(),
 		Scheduler:    am.sched.Name(),
 		Start:        am.start,

@@ -446,8 +446,8 @@ func TestTwoWorkflowsConcurrently(t *testing.T) {
 	}
 	// Both runs number their tasks from 1; the default workflow IDs, taken
 	// from the application IDs, keep their provenance apart.
-	if r1.WorkflowID == r2.WorkflowID {
-		t.Fatalf("two runs on one RM share workflow ID %q", r1.WorkflowID)
+	if am1.cfg.WorkflowID == am2.cfg.WorkflowID {
+		t.Fatalf("two runs on one RM share workflow ID %q", am1.cfg.WorkflowID)
 	}
 }
 

@@ -156,7 +156,7 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 		amNode:      "node-00", // AMs stay on the protected node
 		arm: func(l *loadEnv) {
 			rm = l.RM
-			mgr = autoscale.NewManager(l.eng, l.Cluster, l.RM, l.FS, autoscale.ManagerConfig{
+			mgr = autoscale.NewManager(l.Cluster, l.RM, l.FS, autoscale.ManagerConfig{
 				Spec:          l.spec,
 				SpotNoticeSec: cfg.SpotNoticeSec,
 				Protected:     []string{"node-00"},

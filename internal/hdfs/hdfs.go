@@ -57,7 +57,6 @@ type Block struct {
 
 // File is namenode metadata for one file.
 type File struct {
-	Path     string
 	SizeMB   float64
 	External bool // lives in the external source (S3), not on cluster disks
 	Blocks   []Block
@@ -194,7 +193,7 @@ func (fs *FS) buildFile(path string, sizeMB float64, writerNode string) (*File, 
 	if writerNode != "" && fs.cluster.Node(writerNode) == nil {
 		return nil, fmt.Errorf("hdfs: unknown writer node %q", writerNode)
 	}
-	f := &File{Path: path, SizeMB: sizeMB}
+	f := &File{SizeMB: sizeMB}
 	for off := 0.0; off < sizeMB || (sizeMB == 0 && off == 0); off += fs.cfg.BlockSizeMB {
 		sz := fs.cfg.BlockSizeMB
 		if off+sz > sizeMB {
@@ -210,7 +209,7 @@ func (fs *FS) buildFile(path string, sizeMB float64, writerNode string) (*File, 
 
 // PutExternal registers a file that lives in the external source (S3).
 func (fs *FS) PutExternal(path string, sizeMB float64) *File {
-	f := &File{Path: path, SizeMB: sizeMB, External: true}
+	f := &File{SizeMB: sizeMB, External: true}
 	fs.register(path, f)
 	return f
 }

@@ -193,7 +193,7 @@ func TestReadLocalOnlyUsesDisk(t *testing.T) {
 	if !almost(doneAt, 1, 1e-9) {
 		t.Fatalf("local read at %g, want 1", doneAt)
 	}
-	if c.Switch.Utilization() != 0 {
+	if c.Switch.Throughput() != 0 {
 		t.Fatal("local read must not touch the switch")
 	}
 }
@@ -213,7 +213,7 @@ func TestReadRemoteUsesSwitch(t *testing.T) {
 	if !almost(doneAt, 2, 1e-9) {
 		t.Fatalf("remote read at %g, want 2", doneAt)
 	}
-	if c.Switch.Utilization() == 0 {
+	if c.Switch.Throughput() == 0 {
 		t.Fatal("remote read should cross the switch")
 	}
 }
@@ -233,7 +233,7 @@ func TestReadExternalUsesNIC(t *testing.T) {
 	if !almost(doneAt, 2, 1e-9) {
 		t.Fatalf("external read at %g, want 2", doneAt)
 	}
-	if c.Switch.Utilization() != 0 {
+	if c.Switch.Throughput() != 0 {
 		t.Fatal("external read must not cross the switch")
 	}
 }

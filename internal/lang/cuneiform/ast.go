@@ -28,16 +28,14 @@ type TaskAttrs struct {
 	OutSizeMB  map[string]float64 // @size out n: produced size per output
 }
 
-// DefTask defines a black-box task: named outputs, named parameters, the
-// foreign language, and the raw body.
+// DefTask defines a black-box task: named outputs, named parameters and the
+// raw body. The foreign language after `in` is parsed but not kept.
 type DefTask struct {
 	TaskName string
 	Outputs  []ParamDecl
 	Params   []ParamDecl
-	Lang     string
 	Body     string
 	Attrs    TaskAttrs
-	Line     int
 
 	// Set by the parser so the evaluator matches an application's arguments
 	// to Params without building lookup tables per application.
@@ -51,20 +49,17 @@ type DefFun struct {
 	FunName string
 	Params  []string
 	Body    Expr
-	Line    int
 }
 
 // Let binds a name to an expression's value.
 type Let struct {
 	Ident string
 	X     Expr
-	Line  int
 }
 
 // Target is a top-level query expression; its value is a workflow output.
 type Target struct {
-	X    Expr
-	Line int
+	X Expr
 }
 
 func (*DefTask) stmt() {}
@@ -119,7 +114,6 @@ type Apply struct {
 // Cuneiform's Boolean convention.
 type If struct {
 	Cond, Then, Else Expr
-	Line             int
 }
 
 func (*Str) expr()    {}

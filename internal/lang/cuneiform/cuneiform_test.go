@@ -98,7 +98,7 @@ deftask align( bam sai : fastq <refs> ~threads ) @cpu 120.5 @threads 4 @mem 2048
 		t.Fatal(err)
 	}
 	dt := prog.Stmts[0].(*DefTask)
-	if dt.TaskName != "align" || dt.Lang != "bash" || dt.Body != "bowtie2" {
+	if dt.TaskName != "align" || dt.Body != "bowtie2" {
 		t.Fatalf("deftask = %+v", dt)
 	}
 	if len(dt.Outputs) != 2 || dt.Outputs[0].Name != "bam" || dt.Outputs[1].Name != "sai" {

@@ -475,7 +475,6 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 		MemMB:      def.Attrs.MemMB,
 		Declared:   make(map[string][]wf.FileInfo),
 		Env:        make(map[string]string),
-		Meta:       map[string]string{"lang": def.Lang, "workflow": d.name},
 	}
 	// Inputs: file parameters only, deduplicated in declaration order.
 	seen := map[string]bool{}
@@ -488,7 +487,6 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 		}
 		task.Env[pd.Name] = strings.Join(vals, " ")
 		if pd.Value {
-			task.Meta["value:"+pd.Name] = strings.Join(vals, " ")
 			continue
 		}
 		for _, v := range vals {
@@ -503,7 +501,6 @@ func (d *Driver) invoke(def *DefTask, args []value, idx []int) *invocation {
 		if od.Aggregate {
 			// Produced file count is decided at run time by the task.
 			task.Declared[od.Name] = nil
-			task.Meta["aggregate:"+od.Name] = "true"
 			continue
 		}
 		size := def.Attrs.OutSizeMB[od.Name]

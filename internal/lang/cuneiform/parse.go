@@ -91,7 +91,6 @@ func (p *parser) stmt() (Stmt, error) {
 	case p.atKeyword("let"):
 		return p.let()
 	default:
-		line := p.cur().line
 		x, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -99,7 +98,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if _, err := p.expect(tokSemi, "';' after target expression"); err != nil {
 			return nil, err
 		}
-		return &Target{X: x, Line: line}, nil
+		return &Target{X: x}, nil
 	}
 }
 
@@ -133,7 +132,6 @@ func (p *parser) paramDecl() (ParamDecl, error) {
 }
 
 func (p *parser) deftask() (Stmt, error) {
-	line := p.cur().line
 	p.advance() // deftask
 	name, err := p.ident("task name")
 	if err != nil {
@@ -142,7 +140,7 @@ func (p *parser) deftask() (Stmt, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	dt := &DefTask{TaskName: name.text, Line: line}
+	dt := &DefTask{TaskName: name.text}
 	dt.Attrs.OutSizeMB = map[string]float64{}
 	// Outputs until ':'.
 	for !p.at(tokColon) {
@@ -223,11 +221,9 @@ func (p *parser) deftask() (Stmt, error) {
 	if err := p.expectKeyword("in"); err != nil {
 		return nil, err
 	}
-	lang, err := p.ident("foreign language name")
-	if err != nil {
+	if _, err := p.ident("foreign language name"); err != nil {
 		return nil, err
 	}
-	dt.Lang = lang.text
 	body, err := p.expect(tokBody, "task body '*{ ... }*'")
 	if err != nil {
 		return nil, err
@@ -244,7 +240,6 @@ func (p *parser) deftask() (Stmt, error) {
 }
 
 func (p *parser) defun() (Stmt, error) {
-	line := p.cur().line
 	p.advance() // defun
 	name, err := p.ident("function name")
 	if err != nil {
@@ -253,7 +248,7 @@ func (p *parser) defun() (Stmt, error) {
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
-	df := &DefFun{FunName: name.text, Line: line}
+	df := &DefFun{FunName: name.text}
 	seen := map[string]bool{}
 	for !p.at(tokRParen) {
 		id, err := p.ident("function parameter")
@@ -282,7 +277,6 @@ func (p *parser) defun() (Stmt, error) {
 }
 
 func (p *parser) let() (Stmt, error) {
-	line := p.cur().line
 	p.advance() // let
 	name, err := p.ident("binding name")
 	if err != nil {
@@ -298,7 +292,7 @@ func (p *parser) let() (Stmt, error) {
 	if _, err := p.expect(tokSemi, "';'"); err != nil {
 		return nil, err
 	}
-	return &Let{Ident: name.text, X: x, Line: line}, nil
+	return &Let{Ident: name.text, X: x}, nil
 }
 
 // expr parses one or more atoms; juxtaposition concatenates lists.
@@ -428,7 +422,6 @@ func (p *parser) argExpr() (Expr, error) {
 }
 
 func (p *parser) cond() (Expr, error) {
-	line := p.cur().line
 	p.advance() // if
 	cond, err := p.expr()
 	if err != nil {
@@ -451,5 +444,5 @@ func (p *parser) cond() (Expr, error) {
 	if err := p.expectKeyword("end"); err != nil {
 		return nil, err
 	}
-	return &If{Cond: cond, Then: then, Else: els, Line: line}, nil
+	return &If{Cond: cond, Then: then, Else: els}, nil
 }

@@ -379,7 +379,6 @@ func (d *refDriver) invoke(def *DefTask, binding map[string][]string) *refInvoca
 		MemMB:      def.Attrs.MemMB,
 		Declared:   make(map[string][]wf.FileInfo),
 		Env:        make(map[string]string),
-		Meta:       map[string]string{"lang": def.Lang, "workflow": d.name},
 	}
 	// Inputs: file parameters only, deduplicated in declaration order.
 	seen := map[string]bool{}
@@ -387,7 +386,6 @@ func (d *refDriver) invoke(def *DefTask, binding map[string][]string) *refInvoca
 		vals := binding[pd.Name]
 		task.Env[pd.Name] = strings.Join(vals, " ")
 		if pd.Value {
-			task.Meta["value:"+pd.Name] = strings.Join(vals, " ")
 			continue
 		}
 		for _, v := range vals {
@@ -402,7 +400,6 @@ func (d *refDriver) invoke(def *DefTask, binding map[string][]string) *refInvoca
 		if od.Aggregate {
 			// Produced file count is decided at run time by the task.
 			task.Declared[od.Name] = nil
-			task.Meta["aggregate:"+od.Name] = "true"
 			continue
 		}
 		size := def.Attrs.OutSizeMB[od.Name]

@@ -62,12 +62,11 @@ type Options struct {
 // run-time unfolding.
 type Driver struct {
 	wf.StaticBase
-	opts Options
 }
 
 // NewDriver returns a static driver for the CWL document src.
 func NewDriver(name, src string, opts Options) *Driver {
-	d := &Driver{opts: opts}
+	d := &Driver{}
 	d.WFName = name
 	d.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
 		return build(name, src, opts)
@@ -827,8 +826,8 @@ func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]binding,
 	prof.memMB = cmp.Or(st.prof.memMB, prof.memMB)
 
 	// Fill in tool defaults and size the step: its scatter width n, and at
-	// most nPaths input paths and nMeta Meta entries per task.
-	scatter, n, nPaths, nMeta := -1, 1, 0, 3
+	// most nPaths input paths per task.
+	scatter, n, nPaths := -1, 1, 0
 	if len(st.scatter) == 1 {
 		scatter = portIndex(t.inputs, st.scatter[0])
 	}
@@ -849,8 +848,6 @@ func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]binding,
 		}
 		if in.typ.file {
 			nPaths += len(vals) * (1 + len(in.secondaryFiles))
-		} else {
-			nMeta++
 		}
 	}
 
@@ -868,9 +865,7 @@ func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]binding,
 			OutputParams: make([]string, len(t.outputs)),
 			Declared:     make(map[string][]wf.FileInfo, len(t.outputs)),
 			Env:          make(map[string]string, len(t.inputs)+len(t.outputs)),
-			Meta:         make(map[string]string, nMeta),
 		}
-		task.Meta["lang"], task.Meta["cwlStep"], task.Meta["workflow"] = "cwl", st.id, name
 		// Inputs are deduplicated by scanning while a task has few.
 		var seen map[string]bool
 		if nPaths > 16 {
@@ -882,7 +877,6 @@ func materialize(name string, ids *wf.IDSeq, st *step, wfIns map[string]binding,
 				vals = vals[i : i+1]
 			}
 			if task.Env[in.id] = strings.Join(vals, " "); !in.typ.file {
-				task.Meta["value:"+in.id] = task.Env[in.id]
 				continue
 			}
 			for _, v := range vals {

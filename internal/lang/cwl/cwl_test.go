@@ -125,8 +125,8 @@ func TestParseSampleWorkflow(t *testing.T) {
 			t.Errorf("aligner input[%d] = %q, want %q", i, al.Inputs[i], p)
 		}
 	}
-	if al.Env["tag"] != "batch7" || al.Meta["value:tag"] != "batch7" {
-		t.Errorf("string input not threaded: env=%q meta=%q", al.Env["tag"], al.Meta["value:tag"])
+	if al.Env["tag"] != "batch7" {
+		t.Errorf("string input not threaded: env=%q", al.Env["tag"])
 	}
 	if got := al.Declared["bam"]; len(got) != 1 || got[0].SizeMB != 700 {
 		t.Errorf("aligner output = %+v", got)

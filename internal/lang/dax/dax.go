@@ -111,7 +111,6 @@ func build(name, src string) ([]*wf.Task, []string, []wf.Edge, error) {
 			MemMB:        j.MemMB,
 			OutputParams: []string{"out"},
 			Declared:     map[string][]wf.FileInfo{},
-			Meta:         map[string]string{"daxID": j.ID, "workflow": name},
 		}
 		for _, u := range j.Uses {
 			if u.File == "" {

@@ -54,8 +54,6 @@ type Options struct {
 	// first declared input name, falling back to "input_<id>") to a
 	// concrete file path. Every input step must be bound.
 	Inputs map[string]string
-	// InputSizesMB optionally gives the size of each bound input path.
-	InputSizesMB map[string]float64
 	// Profiles supplies resource models by tool id (exact match, or the
 	// tool id's last '/celled' component for Toolshed-style ids).
 	Profiles map[string]wf.Profile
@@ -169,7 +167,6 @@ func build(name, src string, opts Options) ([]*wf.Task, []string, []wf.Edge, err
 				Command:      s.ToolID,
 				OutputParams: []string{"out"},
 				Declared:     map[string][]wf.FileInfo{},
-				Meta:         map[string]string{"galaxyStep": fmt.Sprint(s.ID), "workflow": name},
 			}
 			if len(s.Outputs) == 0 {
 				return nil, nil, nil, fmt.Errorf("galaxy: tool step %d (%s) declares no outputs", s.ID, toolName)

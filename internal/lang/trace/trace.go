@@ -85,10 +85,6 @@ func FromEvents(events []provenance.Event) ([]*wf.Task, []string, []wf.Edge, err
 			Threads:    ev.Threads,
 			MemMB:      ev.MemMB,
 			Declared:   map[string][]wf.FileInfo{},
-			Meta: map[string]string{
-				"replayOf":     fmt.Sprint(ev.TaskID),
-				"recordedNode": ev.Node,
-			},
 		}
 		if t.Threads == 0 {
 			t.Threads = 1

@@ -38,14 +38,10 @@ type Config struct {
 
 // Report summarizes a local run.
 type Report struct {
-	WorkflowID   string
 	WorkflowName string
 	MakespanSec  float64
-	Succeeded    bool
-	Err          error
 	Results      []*wf.TaskResult
 	Outputs      []string // absolute paths under the data directory
-	DataDir      string
 }
 
 const maxCaptureBytes = 64 * 1024
@@ -115,15 +111,9 @@ func (r *runner) provTask(res *wf.TaskResult) {
 // run is the dispatcher loop: ready tasks go to a bounded worker pool;
 // completions feed the driver, which may discover more tasks.
 func (r *runner) run() (*Report, error) {
-	report := &Report{
-		WorkflowID:   r.id,
-		WorkflowName: r.driver.Name(),
-		DataDir:      r.dataDir,
-	}
+	report := &Report{WorkflowName: r.driver.Name()}
 	r.provStart()
 	finishErr := func(err error) (*Report, error) {
-		report.Err = err
-		report.Succeeded = err == nil
 		report.MakespanSec = r.now()
 		r.provEnd(err == nil)
 		if err == nil {

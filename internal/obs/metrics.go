@@ -94,7 +94,6 @@ type family struct {
 	counters         map[string]*Counter
 	gauges           map[string]*Gauge
 	hists            map[string]*Histogram
-	bounds           []float64 // histogram bucket bounds
 }
 
 // Registry holds named metrics and renders them as Prometheus text. All
@@ -110,11 +109,11 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help, kind, label string, bounds []float64) *family {
+func (r *Registry) family(name, help, kind, label string) *family {
 	f := r.families[name]
 	if f == nil {
 		f = &family{
-			name: name, help: help, kind: kind, label: label, bounds: bounds,
+			name: name, help: help, kind: kind, label: label,
 			counters: make(map[string]*Counter),
 			gauges:   make(map[string]*Gauge),
 			hists:    make(map[string]*Histogram),
@@ -138,7 +137,7 @@ func (r *Registry) CounterL(name, help, label, value string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, "counter", label, nil)
+	f := r.family(name, help, "counter", label)
 	c := f.counters[value]
 	if c == nil {
 		c = &Counter{}
@@ -159,7 +158,7 @@ func (r *Registry) GaugeL(name, help, label, value string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, "gauge", label, nil)
+	f := r.family(name, help, "gauge", label)
 	g := f.gauges[value]
 	if g == nil {
 		g = &Gauge{}
@@ -176,7 +175,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, "histogram", "", bounds)
+	f := r.family(name, help, "histogram", "")
 	h := f.hists[""]
 	if h == nil {
 		h = &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]int64, len(bounds)+1)}

@@ -62,14 +62,13 @@ type fileRec struct {
 // inputs aliases the event's own slice, which stores never modify (and
 // scanEvents never reuses).
 type stepRec struct {
-	at          MergeKey
-	signature   string
-	workflowID  string
-	taskID      int64
-	durationSec float64
-	memoHit     bool
-	memoSource  string
-	inputs      []FileEvent
+	at         MergeKey
+	signature  string
+	workflowID string
+	taskID     int64
+	memoHit    bool
+	memoSource string
+	inputs     []FileEvent
 }
 
 type memoHit struct {
@@ -137,14 +136,13 @@ func (ix *Index) fold(at MergeKey, ev *Event) {
 			if step < 0 {
 				step = int32(len(ix.steps))
 				ix.steps = append(ix.steps, stepRec{
-					at:          at,
-					signature:   ev.Signature,
-					workflowID:  ev.WorkflowID,
-					taskID:      ev.TaskID,
-					durationSec: ev.DurationSec,
-					memoHit:     ev.MemoHit,
-					memoSource:  ev.MemoSource,
-					inputs:      ev.Inputs,
+					at:         at,
+					signature:  ev.Signature,
+					workflowID: ev.WorkflowID,
+					taskID:     ev.TaskID,
+					memoHit:    ev.MemoHit,
+					memoSource: ev.MemoSource,
+					inputs:     ev.Inputs,
 				})
 			}
 			r.step = step
@@ -212,13 +210,12 @@ func (ix *Index) Lineage(path string) *LineageNode {
 		built[p] = nil
 		st := &ix.steps[r.step]
 		step := &LineageStep{
-			Signature:   st.signature,
-			WorkflowID:  st.workflowID,
-			TaskID:      st.taskID,
-			DurationSec: st.durationSec,
-			MemoHit:     st.memoHit,
-			MemoSource:  st.memoSource,
-			Inputs:      make([]*LineageNode, 0, len(st.inputs)),
+			Signature:  st.signature,
+			WorkflowID: st.workflowID,
+			TaskID:     st.taskID,
+			MemoHit:    st.memoHit,
+			MemoSource: st.memoSource,
+			Inputs:     make([]*LineageNode, 0, len(st.inputs)),
 		}
 		for _, in := range st.inputs {
 			step.Inputs = append(step.Inputs, walk(in.Path))

@@ -137,13 +137,12 @@ type LineageNode struct {
 // carry memo attribution through the tree: a spliced completion's lineage
 // names the run whose execution actually produced the bytes.
 type LineageStep struct {
-	Signature   string
-	WorkflowID  string
-	TaskID      int64
-	DurationSec float64
-	MemoHit     bool
-	MemoSource  string
-	Inputs      []*LineageNode
+	Signature  string
+	WorkflowID string
+	TaskID     int64
+	MemoHit    bool
+	MemoSource string
+	Inputs     []*LineageNode
 }
 
 // RenderLineage formats a lineage derivation as indented text. A produced

@@ -68,12 +68,11 @@ func refLineage(events []Event, path string) *LineageNode {
 		onPath[p] = true
 		defer delete(onPath, p)
 		step := &LineageStep{
-			Signature:   ev.Signature,
-			WorkflowID:  ev.WorkflowID,
-			TaskID:      ev.TaskID,
-			DurationSec: ev.DurationSec,
-			MemoHit:     ev.MemoHit,
-			MemoSource:  ev.MemoSource,
+			Signature:  ev.Signature,
+			WorkflowID: ev.WorkflowID,
+			TaskID:     ev.TaskID,
+			MemoHit:    ev.MemoHit,
+			MemoSource: ev.MemoSource,
 		}
 		for _, in := range ev.Inputs {
 			step.Inputs = append(step.Inputs, walk(in.Path, onPath))

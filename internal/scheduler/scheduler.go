@@ -7,11 +7,9 @@ import (
 	"hiway/internal/wf"
 )
 
-// NodeInfo describes one compute node to static planners.
+// NodeInfo names one compute node a static planner may place tasks on.
 type NodeInfo struct {
-	ID     string
-	VCores int
-	MemMB  int
+	ID string
 }
 
 // Estimator answers runtime-estimate queries; provenance.Manager implements

@@ -88,7 +88,7 @@ func (f *fakeEstimator) MeanRuntime(sig string) (float64, bool) {
 func nodes(ids ...string) []NodeInfo {
 	out := make([]NodeInfo, len(ids))
 	for i, id := range ids {
-		out[i] = NodeInfo{ID: id, VCores: 2, MemMB: 4096}
+		out[i] = NodeInfo{ID: id}
 	}
 	return out
 }

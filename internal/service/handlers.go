@@ -24,21 +24,19 @@ type Route struct {
 	Method string
 	// Pattern is the Go 1.22 ServeMux pattern.
 	Pattern string
-	// Summary is a one-line description.
-	Summary string
 }
 
 // Routes returns the server's full endpoint table.
 func Routes() []Route {
 	return []Route{
-		{Method: "POST", Pattern: "/v1/workflows", Summary: "submit a workflow (cuneiform, dax, galaxy, trace, or a built-in workload)"},
-		{Method: "GET", Pattern: "/v1/workflows", Summary: "list all runs with their states"},
-		{Method: "GET", Pattern: "/v1/workflows/{id}", Summary: "status of one run"},
-		{Method: "GET", Pattern: "/v1/workflows/{id}/events", Summary: "live run event stream (Server-Sent Events)"},
-		{Method: "GET", Pattern: "/v1/provenance", Summary: "query the merged provenance trace (?q=lineage|diff|memo-hits)"},
-		{Method: "POST", Pattern: "/v1/drain", Summary: "stop admission and drain in-flight runs"},
-		{Method: "GET", Pattern: "/metrics", Summary: "Prometheus text exposition of the server registry"},
-		{Method: "GET", Pattern: "/healthz", Summary: "liveness probe"},
+		{Method: "POST", Pattern: "/v1/workflows"},
+		{Method: "GET", Pattern: "/v1/workflows"},
+		{Method: "GET", Pattern: "/v1/workflows/{id}"},
+		{Method: "GET", Pattern: "/v1/workflows/{id}/events"},
+		{Method: "GET", Pattern: "/v1/provenance"},
+		{Method: "POST", Pattern: "/v1/drain"},
+		{Method: "GET", Pattern: "/metrics"},
+		{Method: "GET", Pattern: "/healthz"},
 	}
 }
 

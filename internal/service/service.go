@@ -205,8 +205,7 @@ type Account struct {
 	Rejections int  // rejected submission attempts
 	Admitted   bool // reached an AM launch
 	Succeeded  bool
-	Dropped    bool   // rejected past RetryLimit, never queued
-	Err        string // terminal error, if any
+	Dropped    bool // rejected past RetryLimit, never queued
 }
 
 // pendingWF is a queued workflow awaiting admission.
@@ -359,7 +358,7 @@ func (s *Service) pump() {
 		if !ok {
 			break
 		}
-		if err := s.admit(w); err != nil {
+		if s.admit(w) != nil {
 			if s.gate.Running() > 1 {
 				// Resources will free when a running AM finishes; put the
 				// head back and wait.
@@ -368,7 +367,7 @@ func (s *Service) pump() {
 			}
 			// Nothing running and still unlaunchable: terminal failure.
 			s.gate.Finish()
-			s.terminate(w, false, err)
+			s.terminate(w, false)
 		}
 	}
 	s.depthG.Set(float64(s.gate.Depth()))
@@ -436,16 +435,12 @@ func (s *Service) onTerminal(w *pendingWF, rep *core.Report) {
 	s.markAdmitted(w) // a workflow with no work terminates inside Launch
 	s.gate.Finish()
 	w.acct.Memoized = rep.Memoized
-	var err error
-	if rep.Err != nil {
-		err = rep.Err
-	}
-	s.terminate(w, rep.Succeeded, err)
+	s.terminate(w, rep.Succeeded)
 	s.pump()
 }
 
 // terminate finalizes one workflow's account and metrics.
-func (s *Service) terminate(w *pendingWF, succeeded bool, err error) {
+func (s *Service) terminate(w *pendingWF, succeeded bool) {
 	now := s.eng.Now()
 	w.acct.EndAt = now
 	w.acct.Succeeded = succeeded
@@ -454,9 +449,6 @@ func (s *Service) terminate(w *pendingWF, succeeded bool, err error) {
 	}
 	w.acct.E2ESec = now - w.acct.SubmitAt
 	s.e2eH.Observe(w.acct.E2ESec)
-	if err != nil {
-		w.acct.Err = err.Error()
-	}
 	if succeeded {
 		s.completedC.Inc()
 	} else {

@@ -320,12 +320,12 @@ func TestServiceCrossTenantMemoization(t *testing.T) {
 	if stOff.MemoizedTasks != 0 || stOff.MemoHits != 0 {
 		t.Fatalf("memo-off run recorded memo work: %+v", stOff)
 	}
-	perTenant := 0
-	for _, ts := range stOn.Tenants {
-		perTenant += ts.MemoizedTasks
+	perWorkflow := 0
+	for _, a := range accounts {
+		perWorkflow += a.Memoized
 	}
-	if perTenant != stOn.MemoizedTasks {
-		t.Fatalf("tenant attribution %d != total %d", perTenant, stOn.MemoizedTasks)
+	if perWorkflow != stOn.MemoizedTasks {
+		t.Fatalf("workflow attribution %d != total %d", perWorkflow, stOn.MemoizedTasks)
 	}
 	// The first admitted workflow runs cold; at least one later one splices
 	// its full task set.
@@ -350,11 +350,15 @@ func TestServiceMemoOptOut(t *testing.T) {
 	profiles := twoTenants()
 	profiles[1].MemoOptOut = true
 	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8, Memo: memo.New(0)}
-	_, st := runOnce(t, cfg, profiles)
-	if st.Tenants["labs"].MemoizedTasks != 0 {
-		t.Fatalf("opted-out tenant memoized %d tasks", st.Tenants["labs"].MemoizedTasks)
+	accounts, _ := runOnce(t, cfg, profiles)
+	memoized := map[string]int{}
+	for _, a := range accounts {
+		memoized[a.Tenant] += a.Memoized
 	}
-	if st.Tenants["acme"].MemoizedTasks == 0 {
+	if memoized["labs"] != 0 {
+		t.Fatalf("opted-out tenant memoized %d tasks", memoized["labs"])
+	}
+	if memoized["acme"] == 0 {
 		t.Fatal("participating tenant never hit the shared table")
 	}
 }

@@ -14,18 +14,9 @@ type TenantStats struct {
 	Rejections int // rejected submission attempts
 	Dropped    int // never ran: rejections exhausted the retry budget
 
-	// MemoizedTasks counts tasks the tenant's workflows spliced from the
-	// cluster memo table instead of executing.
-	MemoizedTasks int
-
 	QueueWaitP50Sec float64
 	QueueWaitP99Sec float64
 	E2EP99Sec       float64
-
-	// Cost attribution: the tenant's container usage in core-seconds,
-	// split by the class of node the containers ran on.
-	OnDemandCoreSec float64
-	SpotCoreSec     float64
 }
 
 // Stats summarizes a drained service run: the per-workflow accounts rolled
@@ -109,7 +100,6 @@ func (s *Service) Stats() *Stats {
 			continue
 		}
 		st.MemoizedTasks += a.Memoized
-		ts.MemoizedTasks += a.Memoized
 		if a.Admitted {
 			st.Admitted++
 			ts.Admitted++
@@ -157,12 +147,6 @@ func (s *Service) Stats() *Stats {
 	st.OnDemandNodeSec = cost.OnDemandNodeSec
 	st.SpotNodeSec = cost.SpotNodeSec
 	st.CostUnits = cost.CostUnits()
-	for name, ts := range st.Tenants {
-		if tc, ok := cost.Tenants[name]; ok {
-			ts.OnDemandCoreSec = tc.OnDemandCoreSec
-			ts.SpotCoreSec = tc.SpotCoreSec
-		}
-	}
 	return st
 }
 

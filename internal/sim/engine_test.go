@@ -469,7 +469,7 @@ func TestSharedResourceMeters(t *testing.T) {
 	r.Submit(100, 50, nil) // runs 2s at 50/s
 	e.Run()
 	e.RunUntil(4) // 2s busy, 2s idle
-	if u := r.Utilization(); !almostEqual(u, 0.25, 1e-9) {
+	if u := r.Throughput() / 100; !almostEqual(u, 0.25, 1e-9) {
 		t.Fatalf("utilization = %g, want 0.25", u)
 	}
 	if b := r.BusyFraction(); !almostEqual(b, 0.5, 1e-9) {
@@ -641,9 +641,9 @@ func TestSharedResourceMetersUnderCancelChurn(t *testing.T) {
 		if !almostEqual(r.rateIntegral, processed, tol) {
 			return false
 		}
-		// Utilization is the same integral normalized by capacity×elapsed.
+		// Throughput is the same integral normalized by elapsed time.
 		if el := e.Now() - r.meterStart; el > 0 {
-			if !almostEqual(r.Utilization(), processed/(cap*el), tol) {
+			if !almostEqual(r.Throughput()/cap, processed/(cap*el), tol) {
 				return false
 			}
 		}

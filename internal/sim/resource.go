@@ -326,17 +326,6 @@ func (j *Job) effCap(capacity float64) float64 {
 	return j.cap
 }
 
-// Utilization returns the average fraction of capacity in use since the
-// resource was created (∫rates / (capacity · elapsed)).
-func (r *SharedResource) Utilization() float64 {
-	r.advance()
-	dur := r.eng.Now() - r.meterStart
-	if dur <= 0 {
-		return 0
-	}
-	return r.rateIntegral / (r.capacity * dur)
-}
-
 // Load returns the average demand on the resource in capacity units — the
 // analogue of the Unix load average the paper reports for worker CPUs
 // (e.g. ~2.0 on a two-core node under full multithreaded load).

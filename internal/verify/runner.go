@@ -183,7 +183,7 @@ func (s *Scenario) buildRun(policy string, tamper func(core.Env), tab *memo.Tabl
 		cfg.Health = health
 	}
 	if s.Elastic != nil {
-		mgr := autoscale.NewManager(eng, env.Cluster, env.RM, env.FS, autoscale.ManagerConfig{
+		mgr := autoscale.NewManager(env.Cluster, env.RM, env.FS, autoscale.ManagerConfig{
 			Spec:             cluster.M3Large(),
 			DrainDeadlineSec: s.Elastic.DrainDeadlineSec,
 			SpotNoticeSec:    s.Elastic.SpotNoticeSec,

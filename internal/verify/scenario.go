@@ -437,15 +437,13 @@ func (d *dynamicDriver) emit() *wf.Task {
 	spec := d.iters[d.next]
 	d.next++
 	d.live = true
-	t := spec.task(int64(d.nbase + d.next))
-	t.Meta = map[string]string{"verify-iter": fmt.Sprint(d.next)}
-	return t
+	return spec.task(int64(d.nbase + d.next))
 }
 
 // OnTaskComplete implements wf.Driver: base results feed the static DAG;
 // once the base graph drains, the iteration chain unfolds.
 func (d *dynamicDriver) OnTaskComplete(res *wf.TaskResult) ([]*wf.Task, error) {
-	if res.Task.Meta["verify-iter"] != "" {
+	if res.Task.ID > int64(d.nbase) { // an iteration task
 		if !res.Succeeded() {
 			return nil, fmt.Errorf("verify: iteration task failed (exit %d): %s", res.ExitCode, res.Error)
 		}

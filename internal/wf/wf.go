@@ -88,10 +88,6 @@ type Task struct {
 	// values, output parameter → produced paths). The local executor
 	// exports them to the task's process environment.
 	Env map[string]string
-
-	// Meta carries frontend- or workload-specific annotations (e.g. the
-	// iteration counter of a k-means convergence task).
-	Meta map[string]string
 }
 
 // DeclaredOutputs returns all declared output files flattened in parameter

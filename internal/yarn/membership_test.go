@@ -214,7 +214,7 @@ func TestCostConservation(t *testing.T) {
 	if err := rm.AddNode("spot-00", 4, 4096, true); err != nil {
 		t.Fatal(err)
 	}
-	app, err := rm.SubmitApplicationFor("a", "wf", "node-00")
+	app, err := rm.SubmitApplicationFor("a", "node-00")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ type Container struct {
 	ID       int64
 	NodeID   string
 	Resource Resource
-	AppID    int
 	// Tenant is the owning application's tenant ("" for untenanted apps).
 	Tenant string
 	// AM marks the application-master container; AM containers are exempt
@@ -216,9 +215,7 @@ type ResourceManager struct {
 	ctrScratch  []*Container
 	reqFree     []*pendingReq
 
-	// statistics
-	Allocated int64 // total containers ever allocated (incl. AMs)
-	preempted int   // running containers preempted by node removal
+	preempted int // running containers preempted by node removal
 
 	// observability (nil handles when disabled — all no-ops)
 	obs        *obs.Obs
@@ -522,9 +519,8 @@ func (rm *ResourceManager) RemoveNode(nodeID string) error {
 
 // Application is one submitted app (one Hi-WAY AM per workflow).
 type Application struct {
-	rm   *ResourceManager
-	ID   int
-	Name string
+	rm *ResourceManager
+	ID int
 	// Tenant is the submitting tenant ("" for untenanted apps); worker
 	// containers of the application count against the tenant's quota.
 	Tenant string
@@ -536,18 +532,19 @@ type Application struct {
 
 // SubmitApplication registers an untenanted application and synchronously
 // allocates its AM container on the emptiest node (or a specific node if
-// amNode is non-empty). It fails if no node can host the AM.
-func (rm *ResourceManager) SubmitApplication(name, amNode string) (*Application, error) {
-	return rm.SubmitApplicationFor("", name, amNode)
+// amNode is non-empty). It fails if no node can host the AM. The name is
+// not kept: nothing reads an application by it.
+func (rm *ResourceManager) SubmitApplication(_, amNode string) (*Application, error) {
+	return rm.SubmitApplicationFor("", amNode)
 }
 
 // SubmitApplicationFor registers an application on behalf of a tenant. The
 // tenant's policy in Config.Tenants (if any) governs the fair-share weight
 // and quota cap of the application's worker containers; the AM container
 // itself is exempt from the quota.
-func (rm *ResourceManager) SubmitApplicationFor(tenant, name, amNode string) (*Application, error) {
+func (rm *ResourceManager) SubmitApplicationFor(tenant, amNode string) (*Application, error) {
 	rm.nextApp++
-	app := &Application{rm: rm, ID: rm.nextApp, Name: name, Tenant: tenant}
+	app := &Application{rm: rm, ID: rm.nextApp, Tenant: tenant}
 	var nm *nodeManager
 	if amNode != "" {
 		cand := rm.node(amNode)
@@ -945,8 +942,7 @@ func (rm *ResourceManager) allocateOn(nm *nodeManager, app *Application, res Res
 	nm.freeMem -= res.MemMB
 	rm.idxSync(nm)
 	rm.nextContainer++
-	rm.Allocated++
-	c := &Container{ID: rm.nextContainer, NodeID: nm.id, Resource: res, AppID: app.ID, Tenant: app.Tenant, AM: am, nm: nm, allocAt: rm.eng.Now()}
+	c := &Container{ID: rm.nextContainer, NodeID: nm.id, Resource: res, Tenant: app.Tenant, AM: am, nm: nm, allocAt: rm.eng.Now()}
 	if !am && app.Tenant != "" {
 		rm.tenantUse[app.Tenant]++
 	}

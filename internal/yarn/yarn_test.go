@@ -286,8 +286,8 @@ func TestManyContainersAcrossNodes(t *testing.T) {
 	if len(nodes) != 4 {
 		t.Fatalf("containers should spread over all nodes: %v", nodes)
 	}
-	if rm.Allocated != 16 { // incl. AM
-		t.Fatalf("Allocated = %d, want 16", rm.Allocated)
+	if rm.nextContainer != 16 { // incl. AM
+		t.Fatalf("allocated %d containers in all, want 16", rm.nextContainer)
 	}
 }
 
@@ -430,7 +430,7 @@ func TestTenantQuotaCap(t *testing.T) {
 	eng, rm := newRM(t, 2, spec4(), Config{
 		Tenants: map[string]TenantPolicy{"capped": {Weight: 1, MaxContainers: 2}},
 	})
-	appc, err := rm.SubmitApplicationFor("capped", "wf", "")
+	appc, err := rm.SubmitApplicationFor("capped", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +469,11 @@ func TestTenantQuotaAllExhaustedFallback(t *testing.T) {
 			"b": {Weight: 1, MaxContainers: 1},
 		},
 	})
-	appa, err := rm.SubmitApplicationFor("a", "wa", "")
+	appa, err := rm.SubmitApplicationFor("a", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	appb, err := rm.SubmitApplicationFor("b", "wb", "")
+	appb, err := rm.SubmitApplicationFor("b", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestTenantQuotaAllExhaustedFallback(t *testing.T) {
 		t.Fatalf("pending = %d, want 4 kept while both tenants at cap", n)
 	}
 	// A third, uncapped tenant is not blocked by the exhausted ones.
-	appc, err := rm.SubmitApplicationFor("c", "wc", "")
+	appc, err := rm.SubmitApplicationFor("c", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,11 +510,11 @@ func TestTenantQuotaAllExhaustedFallback(t *testing.T) {
 func TestFairAllocationAppFinishMidRound(t *testing.T) {
 	eng, rm := newRM(t, 1, cluster.NodeSpec{VCores: 6, MemMB: 8192, CPUFactor: 1, DiskMBps: 1, NetMBps: 1},
 		Config{Tenants: map[string]TenantPolicy{"a": {Weight: 1}, "b": {Weight: 1}}})
-	app1, err := rm.SubmitApplicationFor("a", "wa", "")
+	app1, err := rm.SubmitApplicationFor("a", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	app2, err := rm.SubmitApplicationFor("b", "wb", "")
+	app2, err := rm.SubmitApplicationFor("b", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestStrictRequestOnGoneNodeIsWithdrawn(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, rm := newRM(t, 2, spec4(), Config{Tenants: map[string]TenantPolicy{"t": {Weight: 1, MaxContainers: 1}}})
-			app, _ := rm.SubmitApplicationFor("t", "wf", "node-00")
+			app, _ := rm.SubmitApplicationFor("t", "node-00")
 			app.Request(Request{Resource: Resource{VCores: 1, MemMB: 512}, NodeHint: "node-00"}, func(*Container) {})
 			if err := tc.leave(rm); err != nil {
 				t.Fatal(err)
@@ -885,7 +885,7 @@ func TestMultiApplicationRunMatchesLedger(t *testing.T) {
 		var apps []*Application
 		finished := map[*Application]bool{}
 		for _, tn := range []string{"a", "a", "b", "bg"} {
-			app, err := rm.SubmitApplicationFor(tn, "wf-"+tn, "")
+			app, err := rm.SubmitApplicationFor(tn, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1034,7 +1034,7 @@ func stalledRound(t testing.TB, perApp int, tenants ...string) *ResourceManager 
 	rm := NewResourceManager(eng, c, Config{AMResource: Resource{MemMB: 256},
 		Tenants: map[string]TenantPolicy{"acme": {Weight: 3}, "bulk": {Weight: 1}, "idle": {Weight: 0}}})
 	for _, tn := range tenants {
-		app, err := rm.SubmitApplicationFor(tn, "wf", "")
+		app, err := rm.SubmitApplicationFor(tn, "")
 		if err != nil {
 			t.Fatal(err)
 		}

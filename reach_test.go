@@ -19,8 +19,9 @@ import (
 
 // reachAllowlist is the committed list of exported identifiers under
 // internal/ that no production file references but an out-of-package test
-// or CI step needs. It may only shrink: an entry that becomes reached or no
-// longer exists fails TestReach.
+// or CI step needs, and of struct fields no production file reads but a test
+// does. It may only shrink: an entry that becomes reached or read, or no
+// longer exists, fails TestReach.
 const reachAllowlist = "reach_allowlist.txt"
 
 // goPackage is one directory of the module: its import path, its parsed
@@ -248,8 +249,11 @@ func declaredExports(fset *token.FileSet, pkgs map[string]*goPackage) map[types.
 }
 
 func origin(obj types.Object) types.Object {
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.Origin()
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
 	return obj
 }
@@ -436,12 +440,204 @@ func readAllowlist(t *testing.T) map[string]string {
 	return out
 }
 
+// field is one struct field declared in a production file under internal/
+// or cmd/: its name as the allowlist writes it (package, owning type,
+// field), where it is declared, where production code writes it, and
+// whether production code reads it.
+type field struct {
+	name   string
+	pos    token.Position
+	writes []token.Position
+	read   bool
+}
+
+// declaredFields lists the fields of every struct type declared in a
+// production file under internal/ or cmd/, except fields with a tag
+// (reflection reads them), embedded fields and blank fields. A struct type
+// is named by its type declaration, by the field whose type it is, or, for
+// an anonymous struct elsewhere, by the function it appears in.
+func declaredFields(fset *token.FileSet, pkgs map[string]*goPackage) map[*types.Var]*field {
+	out := map[*types.Var]*field{}
+	for _, dir := range sortedKeys(pkgs) {
+		p := pkgs[dir]
+		rel := filepath.ToSlash(dir)
+		if r, ok := strings.CutPrefix(rel, "internal/"); ok {
+			rel = r
+		} else if !strings.HasPrefix(rel, "cmd/") {
+			continue
+		}
+		for _, f := range p.files {
+			owner := map[ast.Expr]string{}
+			for _, decl := range f.Decls {
+				scope := "_"
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					scope = fn.Name.Name
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.TypeSpec:
+						owner[n.Type] = n.Name.Name
+					case *ast.StructType:
+						name, ok := owner[n]
+						if !ok {
+							name = scope
+						}
+						for _, fl := range n.Fields.List {
+							for _, id := range fl.Names {
+								owner[structOf(fl.Type)] = name + "." + id.Name
+								if fl.Tag != nil || id.Name == "_" {
+									continue
+								}
+								v := p.info.Defs[id].(*types.Var)
+								out[v] = &field{name: rel + "." + name + "." + id.Name, pos: fset.Position(id.Pos())}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return out
+}
+
+// structOf unwraps pointer, slice, array and map-value types down to the
+// struct type literal they hold, if any.
+func structOf(e ast.Expr) ast.Expr {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.ArrayType:
+			e = t.Elt
+		case *ast.MapType:
+			e = t.Value
+		default:
+			return e
+		}
+	}
+}
+
+// markFieldUses records, for every production use of a declared field,
+// whether it reads the field. A use is a write, not a read, when it is a
+// composite-literal key, the left side of an assignment or inc/dec, a store
+// into an element (x.f[k] = v), or the first argument of a self-append
+// (x.f = append(x.f, ...)).
+func markFieldUses(fset *token.FileSet, pkgs map[string]*goPackage, fields map[*types.Var]*field) {
+	for _, dir := range sortedKeys(pkgs) {
+		p := pkgs[dir]
+		writes := map[token.Pos]bool{}
+		store := func(e ast.Expr) {
+			e = ast.Unparen(e)
+			if ix, ok := e.(*ast.IndexExpr); ok {
+				e = ast.Unparen(ix.X)
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				writes[sel.Sel.Pos()] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id.Pos()] = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					store(n.X)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						store(lhs)
+					}
+					if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+						break
+					}
+					call, ok := n.Rhs[0].(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						break
+					}
+					if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && fn.Name == "append" {
+						_, builtin := p.info.Uses[fn].(*types.Builtin)
+						if builtin && types.ExprString(call.Args[0]) == types.ExprString(n.Lhs[0]) {
+							store(call.Args[0])
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() {
+				continue
+			}
+			fl := fields[v.Origin()]
+			switch {
+			case fl == nil:
+			case writes[id.Pos()]:
+				fl.writes = append(fl.writes, fset.Position(id.Pos()))
+			default:
+				fl.read = true
+			}
+		}
+	}
+}
+
+// checkFields is TestReach's field rule: every declared field must be read
+// by some production file of the module, or be allowlisted with the test
+// that reads it. It reports each unread field with its write sites and each
+// allowlisted field that is now read, logs the other allowlisted fields
+// with their reasons (CI's reach report prints them as test debt), and
+// returns the names of the declared fields.
+func checkFields(t *testing.T, fset *token.FileSet, pkgs map[string]*goPackage, allow map[string]string) map[string]bool {
+	t.Helper()
+	fields := declaredFields(fset, pkgs)
+	markFieldUses(fset, pkgs, fields)
+	names := map[string]bool{}
+	var unread []*field
+	for _, fl := range fields {
+		names[fl.name] = true
+		switch why := allow[fl.name]; {
+		case why == "" && !fl.read:
+			unread = append(unread, fl)
+		case why != "" && fl.read:
+			t.Errorf("%s: field %s is now read by production code; delete its line", reachAllowlist, fl.name)
+		case why != "":
+			t.Logf("allowlisted field %s: %s", fl.name, why)
+		}
+	}
+	sort.Slice(unread, func(i, j int) bool { return unread[i].name < unread[j].name })
+	for _, fl := range unread {
+		sort.Slice(fl.writes, func(i, j int) bool {
+			a, b := fl.writes[i], fl.writes[j]
+			return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
+		})
+		if len(fl.writes) == 0 {
+			t.Errorf("%s: field %s is never read or written by production code", fl.pos, fl.name)
+			continue
+		}
+		sites := make([]string, len(fl.writes))
+		for i, w := range fl.writes {
+			sites[i] = w.String()
+		}
+		t.Errorf("%s: field %s is never read by production code; written at %s", fl.pos, fl.name, strings.Join(sites, ", "))
+	}
+	return names
+}
+
 // TestReach is the reachability rule as a gate: every exported identifier
 // declared in a production file under internal/ must be referenced by some
 // production file of the module (cmd/, bench/, examples/ or internal/).
 // Same-package test use never justifies an export — unexport it or move it to
 // export_test.go; an out-of-package test or CI step that needs one lists it
-// in reach_allowlist.txt, which may only shrink.
+// in reach_allowlist.txt, which may only shrink. The same holds for struct
+// fields declared under internal/ and cmd/: each must be read by some
+// production file (checkFields), and the test that reads an allowlisted one
+// may be in its own package.
 func TestReach(t *testing.T) {
 	fset := token.NewFileSet()
 	std := importer.Default()
@@ -462,11 +658,12 @@ func TestReach(t *testing.T) {
 			unreached = append(unreached, e)
 		}
 	}
+	fields := checkFields(t, fset, pkgs, allow)
 	for _, name := range sortedKeys(allow) {
 		switch e := byName[name]; {
-		case e == nil:
+		case e == nil && !fields[name]:
 			t.Errorf("%s: %s no longer exists; delete its line", reachAllowlist, name)
-		case reached[e.obj]:
+		case e != nil && reached[e.obj]:
 			t.Errorf("%s: %s is now referenced by production code; delete its line", reachAllowlist, name)
 		}
 	}
