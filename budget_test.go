@@ -52,6 +52,43 @@ type budget struct {
 	prepare func(t *testing.T, n int) func()
 }
 
+// staticRuns readies n runs of layered(8, 128) through the AM, FCFS, each on
+// a fresh 16-node substrate and, with prov, recording into a Manager over a
+// fresh MemStore.
+func staticRuns(prov bool) func(t *testing.T, n int) func() {
+	return func(t *testing.T, n int) func() {
+		tasks := layered(8, 128)
+		envs := make([]core.Env, n)
+		for i := range envs {
+			eng := sim.NewEngine()
+			c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000, ExternalPerFlowMBps: 50}, 16,
+				cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := hdfs.New(c, hdfs.Config{BlockSizeMB: 64, Replication: 2}, 42)
+			fs.Put("seed", 64, "")
+			envs[i] = core.Env{Cluster: c, FS: fs, RM: yarn.NewResourceManager(eng, c, yarn.Config{})}
+			if prov {
+				if envs[i].Prov, err = provenance.NewManager(provenance.NewMemStore()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		next := 0
+		return func() {
+			sb := &wf.StaticBase{WFName: "layered", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
+				return tasks, []string{"seed"}, nil, nil
+			}}
+			rep, err := core.Run(envs[next], sb, scheduler.NewFCFS(), core.Config{})
+			next++
+			if err != nil || len(rep.Results) != len(tasks) {
+				t.Fatalf("run %d: %v", next, err)
+			}
+		}
+	}
+}
+
 // recordStream returns n tasks' start/end inputs for a provenance Manager:
 // eight signatures, two inputs and one output each, the last task retried.
 func recordStream(n int) ([]*wf.Task, []*wf.TaskResult, map[string]float64) {
@@ -103,38 +140,20 @@ func TestAllocationBudgets(t *testing.T) {
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
 			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 28.99, bytes: 1819,
-			prepare: func(t *testing.T, n int) func() {
-				tasks := layered(8, 128)
-				envs := make([]core.Env, n)
-				for i := range envs {
-					eng := sim.NewEngine()
-					c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000, ExternalPerFlowMBps: 50}, 16,
-						cluster.NodeSpec{VCores: 4, MemMB: 8192, CPUFactor: 1, DiskMBps: 200, NetMBps: 200})
-					if err != nil {
-						t.Fatal(err)
-					}
-					fs := hdfs.New(c, hdfs.Config{BlockSizeMB: 64, Replication: 2}, 42)
-					fs.Put("seed", 64, "")
-					envs[i] = core.Env{Cluster: c, FS: fs, RM: yarn.NewResourceManager(eng, c, yarn.Config{})}
-				}
-				next := 0
-				return func() {
-					sb := &wf.StaticBase{WFName: "layered", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
-						return tasks, []string{"seed"}, nil, nil
-					}}
-					rep, err := core.Run(envs[next], sb, scheduler.NewFCFS(), core.Config{})
-					next++
-					if err != nil || len(rep.Results) != len(tasks) {
-						t.Fatalf("run %d: %v", next, err)
-					}
-				}
-			},
+			prepare: staticRuns(false),
+		},
+		{
+			// The same, recording into a provenance Manager over a fresh
+			// MemStore: what a task's start and end events cost the AM.
+			layer: "core: Run, static, fcfs, provenance", unit: "task", units: 1024, allocs: 31.24, bytes: 2702,
+			prepare: staticRuns(true),
 		},
 		{
 			// A Manager records a start and an end event per task into a
 			// fresh MemStore and flushes: the record path, the hot index and
-			// the store's batches.
-			layer: "provenance: record + batch flush", unit: "event", units: 4096, allocs: 2.14, bytes: 540,
+			// the store's batches. Each task end is sized in place, as core
+			// and localexec size theirs.
+			layer: "provenance: record + batch flush", unit: "event", units: 4096, allocs: 1.09, bytes: 444,
 			prepare: func(t *testing.T, n int) func() {
 				tasks, results, sizes := recordStream(2048)
 				return func() {
@@ -147,7 +166,11 @@ func TestAllocationBudgets(t *testing.T) {
 						if err := m.RecordTaskStart("wf-budget", "budget", task, res.Node, res.Attempt, res.Start); err != nil {
 							t.Fatal(err)
 						}
-						if err := m.RecordTaskEnd("wf-budget", "budget", res, sizes); err != nil {
+						ev := provenance.TaskEndEvent("wf-budget", "budget", res)
+						for j := range ev.Inputs {
+							ev.Inputs[j].SizeMB = sizes[ev.Inputs[j].Path]
+						}
+						if err := m.Record(ev); err != nil {
 							t.Fatal(err)
 						}
 					}

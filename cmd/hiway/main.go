@@ -281,8 +281,9 @@ type simShard struct {
 	store  *provenance.MemStore // the shard's provenance, for -prov
 	gantt  bool
 
-	out bytes.Buffer
-	rep *core.Report
+	out      bytes.Buffer
+	launched bool         // the AM launched: the run has artifacts, even if it failed
+	rep      *core.Report // nil unless the run ended (succeeded or failed)
 }
 
 // launch starts the shard's AM and, when observability is on, its periodic
@@ -310,18 +311,25 @@ func (s *simShard) launch() (*core.AM, error) {
 	return am, nil
 }
 
+// run launches and simulates the shard. A run that fails or stalls keeps
+// what it recorded, for the artifacts, and returns its error after.
 func (s *simShard) run() error {
 	am, err := s.launch()
 	if err != nil {
 		return err
 	}
+	s.launched = true
 	s.eng.Run()
-	rep, err := am.Report()
-	if err != nil {
-		return err
-	}
 	if s.o != nil {
 		s.env.Cluster.RecordMetrics(s.o.M())
+	}
+	rep, err := am.Report()
+	s.rep = rep
+	if ferr := s.env.Prov.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return err
 	}
 	fmt.Fprintln(&s.out, rep.Summary())
 	for _, out := range rep.Outputs {
@@ -330,8 +338,7 @@ func (s *simShard) run() error {
 	if s.gantt {
 		fmt.Fprint(&s.out, rep.Gantt(100))
 	}
-	s.rep = rep
-	return s.env.Prov.Flush()
+	return nil
 }
 
 // shardFile derives the per-shard variant of an output path: the path itself
@@ -472,9 +479,15 @@ func runSim(args []string) error {
 	}
 
 	// --- Parallel phase: one engine and one driver per shard, nothing
-	// shared, so the outputs are identical at any -shard-workers.
-	if err := shard.Run(n, *shardWorkers, func(i int) error { return shards[i].run() }); err != nil {
-		return err
+	// shared, so the outputs are identical at any -shard-workers. A shard
+	// that failed to launch fails the invocation before anything is
+	// written; one that launched and then failed or stalled still gets its
+	// artifacts, and the error is returned after them.
+	runErr := shard.Run(n, *shardWorkers, func(i int) error { return shards[i].run() })
+	for _, s := range shards {
+		if !s.launched {
+			return runErr
+		}
 	}
 
 	// --- Deterministic output phase, in shard order throughout.
@@ -493,6 +506,9 @@ func runSim(args []string) error {
 	}
 	if *timelinePath != "" {
 		for i, s := range shards {
+			if s.rep == nil {
+				continue // stalled: no report, no timeline
+			}
 			p := shardFile(*timelinePath, i, n)
 			if err := os.WriteFile(p, []byte(s.rep.TimelineCSV()), 0o644); err != nil {
 				return err
@@ -552,7 +568,7 @@ func runSim(args []string) error {
 		}
 		fmt.Println("provenance trace:", *provPath)
 	}
-	return nil
+	return runErr
 }
 
 // writeFile creates path, replacing whatever was there, and fills it with

@@ -421,6 +421,110 @@ func TestLoadAndElasticTails(t *testing.T) {
 	}
 }
 
+// TestFailedSimWritesItsArtifacts: a run that fails still writes every
+// artifact asked for, then returns its error. Its trace holds every failed
+// attempt's task end and a workflow-end without succeeded. A setup error
+// writes nothing.
+func TestFailedSimWritesItsArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	demo := filepath.Join("..", "..", "examples", "demo.cf")
+	err := runSim([]string{"-w", demo, "-input", "seed.txt=64", "-chaos", "crashrate=0.5", "-chaos-seed", "1",
+		"-prov", at("f.jsonl"), "-trace", at("f.json"), "-metrics", at("f.prom"), "-decisions", at("f.log"), "-timeline", at("f.csv")})
+	if err == nil || err.Error() != "core: task 1 (gen) failed 4 times (last on node-04): injected fault" {
+		t.Fatalf("error %v, want the retry exhaustion", err)
+	}
+	for _, name := range []string{"f.json", "f.prom", "f.log", "f.csv"} {
+		if st, err := os.Stat(at(name)); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: %v, want a non-empty file", name, err)
+		}
+	}
+	raw, err := os.ReadFile(at("f.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := provenance.ParseTrace(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, ev := range evs {
+		if ev.Type == provenance.TaskEnd && ev.Error != "" {
+			failed++
+		}
+	}
+	if last := evs[len(evs)-1]; failed != 4 || last.Type != provenance.WorkflowEnd || last.Succeeded {
+		t.Fatalf("%d failed task ends and a last event %+v; want 4 and a failed workflow-end", failed, last)
+	}
+	if err := runSim([]string{"-w", at("missing.cf"), "-prov", at("m.jsonl")}); err == nil {
+		t.Fatal("a missing workflow ran")
+	}
+	if _, err := os.Stat(at("m.jsonl")); !os.IsNotExist(err) {
+		t.Fatalf("a setup error wrote its trace: %v", err)
+	}
+}
+
+// TestZeroIsTakenAsGiven: -retry-limit 0 drops every rejected submission
+// without a retry, where 1 retries it once, under `load` and under `serve
+// -deterministic`; and -chaos-seed 0 is a seed of its own, not another
+// spelling of 1.
+func TestZeroIsTakenAsGiven(t *testing.T) {
+	dir := t.TempDir()
+	metrics := func(run func([]string) error, args ...string) map[string]float64 {
+		t.Helper()
+		path := filepath.Join(dir, "m.prom")
+		if err := run(append(args, "-metrics", path)); err != nil {
+			t.Fatal(err)
+		}
+		return promTotals(t, path)
+	}
+	for _, c := range []struct {
+		run               func([]string) error
+		args              []string
+		rejected, dropped string
+	}{
+		{runLoad, []string{"-duration", "600", "-rate", "4"}, "hiway_svc_rejections_total", "hiway_svc_dropped_total"},
+		{runServe, []string{"-deterministic", "-rate", "2", "-max-queue", "2", "-max-concurrent", "2"},
+			"hiway_serve_rejected_total", "hiway_serve_dropped_total"},
+	} {
+		for limit, retried := range []bool{false, true} {
+			m := metrics(c.run, append(c.args, "-retry-limit", fmt.Sprint(limit))...)
+			rejected, dropped := m[c.rejected], m[c.dropped]
+			if dropped == 0 || (rejected > dropped) != retried {
+				t.Fatalf("%v -retry-limit %d: %g rejections, %g dropped; want retries %v", c.args, limit, rejected, dropped, retried)
+			}
+		}
+	}
+	chaos := []string{"-duration", "600", "-chaos", "crashrate=0.3", "-chaos-seed"}
+	if zero, one := metrics(runLoad, append(chaos, "0")...), metrics(runLoad, append(chaos, "1")...); reflect.DeepEqual(zero, one) {
+		t.Fatalf("-chaos-seed 0 ran as -chaos-seed 1: %v", zero)
+	}
+}
+
+// promTotals sums each metric family of a Prometheus text snapshot over its
+// labels.
+func promTotals(t *testing.T, path string) map[string]float64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ = strings.Cut(name, "{")
+		var v float64
+		if _, err := fmt.Sscan(value, &v); err != nil {
+			t.Fatalf("%s: %q: %v", path, line, err)
+		}
+		totals[name] += v
+	}
+	return totals
+}
+
 // completedTasks reads a provenance trace and returns its successful task
 // ends as a sorted "signature → outputs" multiset, plus the number of
 // unsuccessful ends.

@@ -148,7 +148,7 @@ func (e *engine) run(t *wf.Task, node *cluster.Node) {
 			res.Error = outcome.Error
 			res.Outputs = outcome.Outputs
 			if !res.Succeeded() {
-				e.finish(fmt.Errorf("cloudman: task %s failed (exit %d): %s", t, res.ExitCode, res.Error))
+				e.finish(fmt.Errorf("cloudman: %s failed (exit %d): %s", t, res.ExitCode, res.Error))
 				return
 			}
 			var outMB float64

@@ -126,7 +126,7 @@ func (e *engine) run(t *wf.Task, c *yarn.Container) {
 			return
 		}
 		if err != nil {
-			e.finish(fmt.Errorf("tez: task %s stage-in: %w", t, err))
+			e.finish(fmt.Errorf("tez: %s stage-in: %w", t, err))
 			return
 		}
 		res.StageInSec = eng.Now() - stageInStart
@@ -145,7 +145,7 @@ func (e *engine) run(t *wf.Task, c *yarn.Container) {
 			res.Error = outcome.Error
 			res.Outputs = outcome.Outputs
 			if !res.Succeeded() {
-				e.finish(fmt.Errorf("tez: task %s failed (exit %d): %s", t, res.ExitCode, res.Error))
+				e.finish(fmt.Errorf("tez: %s failed (exit %d): %s", t, res.ExitCode, res.Error))
 				return
 			}
 			files := res.OutputFiles()
@@ -166,7 +166,7 @@ func (e *engine) run(t *wf.Task, c *yarn.Container) {
 						return
 					}
 					if err != nil {
-						e.finish(fmt.Errorf("tez: task %s stage-out: %w", t, err))
+						e.finish(fmt.Errorf("tez: %s stage-out: %w", t, err))
 						return
 					}
 					pending--

@@ -1124,7 +1124,7 @@ func (am *AM) onAttemptFinished(a *attempt, ok bool) {
 	am.retriesC.Inc()
 	if ts.retries > am.cfg.MaxRetries {
 		am.results = append(am.results, a.res)
-		am.finish(fmt.Errorf("core: task %s failed %d times (last on %s): %s",
+		am.finish(fmt.Errorf("core: %s failed %d times (last on %s): %s",
 			t, ts.retries, a.res.Node, a.res.Error))
 		return
 	}
@@ -1279,17 +1279,17 @@ func (am *AM) provTaskEnd(res *wf.TaskResult) {
 	if am.env.Prov == nil {
 		return
 	}
-	_ = am.env.Prov.RecordTaskEnd(am.cfg.WorkflowID, am.driver.Name(), res, am.inputSizes(res.Task))
+	_ = am.env.Prov.Record(am.taskEndEvent(res))
 }
 
-// inputSizes maps each input of t that HDFS knows to its size, for the
-// task-end event.
-func (am *AM) inputSizes(t *wf.Task) map[string]float64 {
-	sizes := make(map[string]float64, len(t.Inputs))
-	for _, in := range t.Inputs {
-		if f, ok := am.env.FS.Stat(in); ok {
-			sizes[in] = f.SizeMB
+// taskEndEvent builds res's task-end event, each input sized as HDFS knows
+// it (0 if it does not).
+func (am *AM) taskEndEvent(res *wf.TaskResult) provenance.Event {
+	ev := provenance.TaskEndEvent(am.cfg.WorkflowID, am.driver.Name(), res)
+	for i := range ev.Inputs {
+		if f, ok := am.env.FS.Stat(ev.Inputs[i].Path); ok {
+			ev.Inputs[i].SizeMB = f.SizeMB
 		}
 	}
-	return sizes
+	return ev
 }

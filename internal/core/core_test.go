@@ -553,16 +553,20 @@ func TestAMOnPinnedNode(t *testing.T) {
 func TestRetryExhaustionRecordsEveryAttempt(t *testing.T) {
 	env := newEnv(t, 2, spec(), 1000)
 	env.FS.Put("/in/seed", 1, "")
+	var lastNode string
 	cfg := Config{
 		MaxRetries: 2,
-		Chaos:      crashWhen(func(task *wf.Task, node string, attempt int) bool { return task.Name == "work" }),
+		Chaos: crashWhen(func(task *wf.Task, node string, attempt int) bool {
+			lastNode = node
+			return task.Name == "work"
+		}),
 	}
 	rep, err := Run(env.Env, chainDriver(t, 1), scheduler.NewFCFS(), cfg)
 	if err == nil || rep.Succeeded {
 		t.Fatalf("workflow should fail: %+v", rep)
 	}
-	if !strings.Contains(err.Error(), "failed 3 times") {
-		t.Fatalf("error should name the attempt count, got: %v", err)
+	if want := "core: task 2 (work) failed 3 times (last on " + lastNode + "): injected fault"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 
 	events, _ := env.Prov.Store().Events()
@@ -584,10 +588,10 @@ func TestRetryExhaustionRecordsEveryAttempt(t *testing.T) {
 			if ev.Error == "" {
 				t.Fatalf("failed attempt recorded without error: %+v", ev)
 			}
-			if ids[ev.ID] {
-				t.Fatalf("duplicate provenance ID %s across attempts", ev.ID)
+			if ids[ev.ID()] {
+				t.Fatalf("duplicate provenance ID %s across attempts", ev.ID())
 			}
-			ids[ev.ID] = true
+			ids[ev.ID()] = true
 			attempts[ev.Attempt] = true
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"hiway/internal/memo"
-	"hiway/internal/provenance"
 	"hiway/internal/wf"
 )
 
@@ -174,7 +173,7 @@ func (am *AM) provMemoHit(res *wf.TaskResult, e memo.Entry) {
 	if am.env.Prov == nil {
 		return
 	}
-	ev := provenance.TaskEndEvent(am.cfg.WorkflowID, am.driver.Name(), res, am.inputSizes(res.Task))
+	ev := am.taskEndEvent(res)
 	ev.MemoHit = true
 	ev.MemoSource = e.SourceWF
 	_ = am.env.Prov.Record(ev)

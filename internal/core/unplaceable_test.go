@@ -42,7 +42,7 @@ func TestStrictRequestReplannedWhenPinnedNodeDies(t *testing.T) {
 			replanned := 0
 			for _, task := range pinned {
 				if res := resultOf(t, rep, task); res.Node == "node-01" {
-					t.Fatalf("task %s pinned to node-01 completed there", task)
+					t.Fatalf("%s pinned to node-01 completed there", task)
 				} else if res.Attempt == 0 {
 					replanned++ // re-planned while pending: it never failed
 				}
@@ -136,6 +136,6 @@ func resultOf(t *testing.T, rep *core.Report, task *wf.Task) *wf.TaskResult {
 			return res
 		}
 	}
-	t.Fatalf("task %s did not complete", task)
+	t.Fatalf("%s did not complete", task)
 	return nil
 }

@@ -283,7 +283,7 @@ func TestChaosDeterminism(t *testing.T) {
 		var seq []string
 		for _, ev := range events {
 			seq = append(seq, fmt.Sprintf("%s|%s|%d|%s|%s|a%d|%d|%s|%.6f|%.6f",
-				ev.ID, ev.Type, ev.TaskID, ev.Signature, ev.Node, ev.Attempt, ev.ExitCode, ev.Error, ev.Timestamp, ev.DurationSec))
+				ev.ID(), ev.Type, ev.TaskID, ev.Signature, ev.Node, ev.Attempt, ev.ExitCode, ev.Error, ev.Timestamp, ev.DurationSec))
 		}
 		return seq
 	}

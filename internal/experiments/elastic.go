@@ -148,6 +148,7 @@ func ElasticLoad(cfg ElasticLoadConfig) (*ElasticRun, error) {
 		RateX:         cfg.RateX,
 		MaxConcurrent: cfg.MaxConcurrent,
 		MaxQueue:      cfg.MaxQueue,
+		RetryLimit:    1,
 		WithObs:       cfg.WithObs,
 	}, loadVariant{
 		name:        "elastic-load",

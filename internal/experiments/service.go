@@ -23,7 +23,8 @@ type ServiceLoadConfig struct {
 	RateX       float64 // arrival-rate multiplier; default 1
 
 	// Admission control and the simulated clients' retries; zero values
-	// take service.Config's defaults.
+	// take service.Config's defaults, except RetryLimit, where 0 means no
+	// retry.
 	MaxConcurrent int     // admitted-AM cap
 	MaxQueue      int     // backpressure threshold
 	RetryAfterSec float64 // client retry delay after rejection
@@ -31,7 +32,7 @@ type ServiceLoadConfig struct {
 	Policy        string  // per-workflow scheduling policy
 
 	ChaosSpec string // optional chaos plan (chaos.Parse DSL)
-	ChaosSeed int64  // seed for chaos rate draws; default 1
+	ChaosSeed int64  // seed for chaos rate draws, taken as given (0 is a seed)
 
 	// Memo shares one cluster-wide memo table across all workflows of the
 	// run: repeated submissions of a tenant's pipeline splice completed
@@ -50,9 +51,6 @@ func (c *ServiceLoadConfig) setDefaults() {
 	}
 	if c.RateX <= 0 {
 		c.RateX = 1
-	}
-	if c.ChaosSeed == 0 {
-		c.ChaosSeed = 1
 	}
 }
 
@@ -324,7 +322,7 @@ func ServiceSweepConfigs(full bool) []ServiceLoadConfig {
 	}
 	cfgs := make([]ServiceLoadConfig, 0, len(rates))
 	for _, rx := range rates {
-		cfgs = append(cfgs, ServiceLoadConfig{Seed: 1, RateX: rx})
+		cfgs = append(cfgs, ServiceLoadConfig{Seed: 1, RateX: rx, RetryLimit: 1})
 	}
 	return cfgs
 }

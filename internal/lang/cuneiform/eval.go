@@ -181,7 +181,7 @@ func (d *Driver) OnTaskComplete(res *wf.TaskResult) ([]*wf.Task, error) {
 	}
 	inv := d.byTaskID[res.Task.ID-1]
 	if !res.Succeeded() {
-		return nil, fmt.Errorf("cuneiform: task %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
+		return nil, fmt.Errorf("cuneiform: %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
 	}
 	if inv.resolved {
 		return nil, nil

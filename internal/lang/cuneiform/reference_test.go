@@ -99,7 +99,7 @@ func (d *refDriver) OnTaskComplete(res *wf.TaskResult) ([]*wf.Task, error) {
 		return nil, fmt.Errorf("cuneiform: result for unknown task %d", res.Task.ID)
 	}
 	if !res.Succeeded() {
-		return nil, fmt.Errorf("cuneiform: task %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
+		return nil, fmt.Errorf("cuneiform: %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
 	}
 	if !inv.resolved {
 		d.unresolved--

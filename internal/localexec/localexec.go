@@ -99,13 +99,13 @@ func (r *runner) provTask(res *wf.TaskResult) {
 	if r.cfg.Prov == nil {
 		return
 	}
-	sizes := make(map[string]float64, len(res.Task.Inputs))
-	for _, in := range res.Task.Inputs {
-		if st, err := os.Stat(filepath.Join(r.dataDir, filepath.FromSlash(in))); err == nil {
-			sizes[in] = float64(st.Size()) / (1024 * 1024)
+	ev := provenance.TaskEndEvent(r.id, r.driver.Name(), res)
+	for i := range ev.Inputs {
+		if st, err := os.Stat(filepath.Join(r.dataDir, filepath.FromSlash(ev.Inputs[i].Path))); err == nil {
+			ev.Inputs[i].SizeMB = float64(st.Size()) / (1024 * 1024)
 		}
 	}
-	_ = r.cfg.Prov.RecordTaskEnd(r.id, r.driver.Name(), res, sizes)
+	_ = r.cfg.Prov.Record(ev)
 }
 
 // run is the dispatcher loop: ready tasks go to a bounded worker pool;

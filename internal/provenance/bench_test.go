@@ -24,14 +24,14 @@ func montageShaped(tiles int) []Event {
 			now += 0.2517647058823529
 			node := fmt.Sprintf("node-%02d", 1+id%11)
 			evs = append(evs, Event{
-				ID: fmt.Sprintf("%s-task-%d-start", run, id), Type: TaskStart, Timestamp: now,
+				Type: TaskStart, Timestamp: now,
 				WorkflowID: run, WorkflowName: run, TaskID: id, Signature: sig, Command: sig, Node: node,
 			})
 			exec := 0.27 + 0.09*float64(id%13)
 			in, out := 0.0058823529411711*float64(1+id%70), 0.0023529411764684*float64(1+id%170)
 			now += in + exec + out
 			evs = append(evs, Event{
-				ID: fmt.Sprintf("%s-task-%d", run, id), Type: TaskEnd, Timestamp: now,
+				Type: TaskEnd, Timestamp: now,
 				WorkflowID: run, WorkflowName: run, TaskID: id, Signature: sig, Command: sig, Node: node,
 				DurationSec: in + exec + out, StageInSec: in, ExecSec: exec, StageOutSec: out,
 				CPUSeconds: exec, Threads: 1, MemMB: memMB, Inputs: inputs, Outputs: outputs,
@@ -44,7 +44,7 @@ func montageShaped(tiles int) []Event {
 			f.Param = "out"
 			return []FileEvent{f}
 		}
-		evs = append(evs, Event{ID: run + "-start", Type: WorkflowStart, WorkflowID: run, WorkflowName: run})
+		evs = append(evs, Event{Type: WorkflowStart, WorkflowID: run, WorkflowName: run})
 		var fits, corrected []FileEvent
 		for i := 0; i < tiles; i++ {
 			task("mProject", 1024, []FileEvent{file("raw/tile%02d.fits", i, 18), {Path: "region.hdr", SizeMB: 0.1}},
@@ -69,7 +69,7 @@ func montageShaped(tiles int) []Event {
 			produced(FileEvent{Path: "mosaic.fits", SizeMB: 160}))
 		task("mShrink", 1024, []FileEvent{{Path: "mosaic.fits", SizeMB: 160}}, produced(FileEvent{Path: "mosaic_small.fits", SizeMB: 12}))
 		task("mJPEG", 512, []FileEvent{{Path: "mosaic_small.fits", SizeMB: 12}}, produced(FileEvent{Path: "mosaic.jpg", SizeMB: 2}))
-		evs = append(evs, Event{ID: run + "-end", Type: WorkflowEnd, Timestamp: now, WorkflowID: run, WorkflowName: run,
+		evs = append(evs, Event{Type: WorkflowEnd, Timestamp: now, WorkflowID: run, WorkflowName: run,
 			DurationSec: now, Succeeded: true})
 	}
 	return evs

@@ -13,7 +13,7 @@ import (
 // encoding/json's reflection was most of what a query over a DBStore cost.
 //
 // A record is the version byte, then the type code (an unknown type is code
-// 0 followed by the type as a string), then every field of Event in
+// 0 followed by the type as a string), then every other field of Event in
 // declaration order:
 //
 //	string       uvarint length, bytes
@@ -24,9 +24,9 @@ import (
 //
 // The two bools travel together, in Succeeded's place. A field added to Event
 // or FileEvent needs a new version; TestEventCodecRoundTrip fills both by
-// reflection and fails until the codec carries it.
+// reflection and fails until the codec carries it. Version 1 also held the ID.
 
-const eventVersion = 1
+const eventVersion = 2
 
 // eventTypes maps type codes to types; code 0 spells the type out.
 var eventTypes = [...]EventType{1: WorkflowStart, 2: WorkflowEnd, 3: TaskStart, 4: TaskEnd, 5: WorkflowResumed}
@@ -53,7 +53,6 @@ func appendEvent(b []byte, ev *Event) []byte {
 	if code == 0 {
 		b = appendString(b, string(ev.Type))
 	}
-	b = appendString(b, ev.ID)
 	b = appendFloat(b, ev.Timestamp)
 	b = appendString(b, ev.WorkflowID)
 	b = appendString(b, ev.WorkflowName)
@@ -130,7 +129,6 @@ func decodeEvent(b []byte, ev *Event) error {
 	default:
 		return fmt.Errorf("unknown event type code %d", code)
 	}
-	ev.ID = r.string()
 	ev.Timestamp = r.float()
 	ev.WorkflowID = r.string()
 	ev.WorkflowName = r.string()

@@ -114,7 +114,7 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		}
 		// Into a reused buffer and out into a dirty value, as DBStore does it.
 		buf = appendEvent(buf[:0], &ev)
-		got := Event{ID: "stale", Inputs: []FileEvent{{Path: "stale"}}, Succeeded: true, Recovered: 9}
+		got := Event{Signature: "stale", Inputs: []FileEvent{{Path: "stale"}}, Succeeded: true, Recovered: 9}
 		if err := decodeEvent(buf, &got); err != nil {
 			t.Fatalf("event %d: %v\n%+v", i, err, ev)
 		}
@@ -142,12 +142,12 @@ func TestEventCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeEventRejectsWhatItCannotTrust(t *testing.T) {
-	good := appendEvent(nil, &Event{ID: "e", Type: TaskEnd, Inputs: []FileEvent{{Path: "/in"}}, MemoSource: "src"})
+	good := appendEvent(nil, &Event{Type: TaskEnd, Inputs: []FileEvent{{Path: "/in"}}, MemoSource: "src"})
 	var ev Event
 	if err := decodeEvent(good, &ev); err != nil {
 		t.Fatal(err)
 	}
-	js, _ := json.Marshal(Event{ID: "e", Type: TaskEnd})
+	js, _ := json.Marshal(Event{Type: TaskEnd})
 	// A record that stops right after claiming a 2^62-byte type string.
 	huge := []byte{eventVersion, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x3f}
 	for name, tc := range map[string]struct {
@@ -156,7 +156,7 @@ func TestDecodeEventRejectsWhatItCannotTrust(t *testing.T) {
 	}{
 		"empty":          {nil, "too short"},
 		"json":           {js, "unknown record version 0x7b"},
-		"future version": {append([]byte{eventVersion + 1}, good[1:]...), "unknown record version 0x02"},
+		"future version": {append([]byte{eventVersion + 1}, good[1:]...), "unknown record version 0x03"},
 		"type code":      {append([]byte{eventVersion, 99}, good[2:]...), "unknown event type code 99"},
 		"trailing":       {append(append([]byte(nil), good...), 0), "trailing bytes"},
 		"flag bits":      {append(append([]byte(nil), good[:len(good)-6]...), 0x84, 0, 0), "unknown flag bits"},

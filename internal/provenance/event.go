@@ -14,6 +14,7 @@
 package provenance
 
 import (
+	"fmt"
 	"strconv"
 
 	"hiway/internal/wf"
@@ -44,7 +45,6 @@ type FileEvent struct {
 
 // Event is one provenance record. Fields are populated according to Type.
 type Event struct {
-	ID           string    `json:"id"`
 	Type         EventType `json:"type"`
 	Timestamp    float64   `json:"timestamp"`
 	WorkflowID   string    `json:"workflowId"`
@@ -92,12 +92,35 @@ type Event struct {
 	MemoSource string `json:"memoSource,omitempty"`
 }
 
-// TaskEndEvent builds the task-end event for a completed task result. Each
-// attempt of a task yields a distinct event (retries and speculative
-// duplicates suffix the ID), so failed attempts stay visible in the trace.
-func TaskEndEvent(wfID, wfName string, res *wf.TaskResult, inputSizes map[string]float64) Event {
+// ID derives the event's unique identifier from its run, type, task, attempt
+// and, for a resume, timestamp: <wf>-start, <wf>-end, <wf>-resume-<ts %g>, and
+// <wf>-task-<n>[-start], then -a<k> for attempt k > 0. Traces carry it as "id".
+func (ev *Event) ID() string {
+	switch ev.Type {
+	case TaskStart, TaskEnd:
+		id := ev.WorkflowID + "-task-" + strconv.FormatInt(ev.TaskID, 10)
+		if ev.Type == TaskStart {
+			id += "-start"
+		}
+		if ev.Attempt > 0 {
+			id += "-a" + strconv.Itoa(ev.Attempt)
+		}
+		return id
+	case WorkflowResumed:
+		return fmt.Sprintf("%s-resume-%g", ev.WorkflowID, ev.Timestamp)
+	case WorkflowStart:
+		return ev.WorkflowID + "-start"
+	case WorkflowEnd:
+		return ev.WorkflowID + "-end"
+	}
+	return ev.WorkflowID + "-" + string(ev.Type)
+}
+
+// TaskEndEvent builds the task-end event for a completed task result, one per
+// attempt, so failed attempts stay visible in the trace. Inputs are unsized:
+// the caller, which knows where they live, sets each SizeMB in place.
+func TaskEndEvent(wfID, wfName string, res *wf.TaskResult) Event {
 	ev := Event{
-		ID:           taskEventID(wfID, res.Task.ID, "", res.Attempt),
 		Type:         TaskEnd,
 		Timestamp:    res.End,
 		WorkflowID:   wfID,
@@ -122,7 +145,7 @@ func TaskEndEvent(wfID, wfName string, res *wf.TaskResult, inputSizes map[string
 	if n := len(res.Task.Inputs); n > 0 {
 		ev.Inputs = make([]FileEvent, n)
 		for i, in := range res.Task.Inputs {
-			ev.Inputs[i] = FileEvent{Path: in, SizeMB: inputSizes[in]}
+			ev.Inputs[i] = FileEvent{Path: in}
 		}
 	}
 	outs := 0
@@ -138,21 +161,4 @@ func TaskEndEvent(wfID, wfName string, res *wf.TaskResult, inputSizes map[string
 		}
 	}
 	return ev
-}
-
-// taskEventID returns "<wfID>-task-<task><suffix>", then "-a<attempt>" for
-// a retry or speculative duplicate (attempt > 0): the ID of one attempt's
-// task-start (suffix "-start") or task-end (suffix "") event, built in a
-// stack buffer with one allocation, the string.
-func taskEventID(wfID string, task int64, suffix string, attempt int) string {
-	var buf [64]byte
-	b := append(buf[:0], wfID...)
-	b = append(b, "-task-"...)
-	b = strconv.AppendInt(b, task, 10)
-	b = append(b, suffix...)
-	if attempt > 0 {
-		b = append(b, "-a"...)
-		b = strconv.AppendInt(b, int64(attempt), 10)
-	}
-	return string(b)
 }

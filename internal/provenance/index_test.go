@@ -47,7 +47,7 @@ func genRuns(seed int64) (runs [][]Event, paths []string) {
 			}
 			return now
 		}
-		evs := []Event{{ID: id + "-start", Type: WorkflowStart, Timestamp: tick(), WorkflowID: id}}
+		evs := []Event{{Type: WorkflowStart, Timestamp: tick(), WorkflowID: id}}
 		for task, n := int64(1), 3+rng.Intn(10); task <= int64(n); task++ {
 			l := 1 + rng.Intn(layers-1)
 			ev := Event{
@@ -67,21 +67,19 @@ func genRuns(seed int64) (runs [][]Event, paths []string) {
 					ev.MemoSource = fmt.Sprintf("run-%d", rng.Intn(nRuns))
 				}
 			}
-			evs = append(evs, Event{ID: fmt.Sprintf("%s-task-%d-start", id, task), Type: TaskStart,
+			evs = append(evs, Event{Type: TaskStart,
 				Timestamp: tick(), WorkflowID: id, TaskID: task, Signature: ev.Signature})
 			if rng.Intn(5) == 0 {
 				// A failed first attempt, then the retry that produces the files.
 				failed := ev
-				failed.ID = fmt.Sprintf("%s-task-%d", id, task)
 				failed.Timestamp, failed.ExitCode, failed.Outputs, failed.MemoHit = tick(), 1, nil, false
 				evs = append(evs, failed)
 				ev.Attempt = 1
 			}
-			ev.ID = fmt.Sprintf("%s-task-%d-a%d", id, task, ev.Attempt)
 			ev.Timestamp = tick()
 			evs = append(evs, ev)
 		}
-		evs = append(evs, Event{ID: id + "-end", Type: WorkflowEnd, Timestamp: tick(), WorkflowID: id,
+		evs = append(evs, Event{Type: WorkflowEnd, Timestamp: tick(), WorkflowID: id,
 			DurationSec: now, Succeeded: true})
 		runs = append(runs, evs)
 	}
@@ -267,14 +265,14 @@ func allEvents(tb testing.TB, st Store) []Event {
 // next scan from the returned position sees exactly the new events.
 func TestMemStoreScanIsStable(t *testing.T) {
 	st := NewMemStore()
-	_ = st.Append(Event{ID: "a"})
+	_ = st.Append(Event{Signature: "a"})
 	var seen []string
 	next := st.Scan(0, func(pos int, evs []Event) {
 		for i := range evs {
-			seen = append(seen, evs[i].ID)
+			seen = append(seen, evs[i].Signature)
 		}
 		if st.Len() == 1 { // append once, so a scan that sees it still ends
-			_ = st.AppendBatch([]Event{{ID: "b"}, {ID: "c"}})
+			_ = st.AppendBatch([]Event{{Signature: "b"}, {Signature: "c"}})
 		}
 	})
 	if next != 1 || len(seen) != 1 || seen[0] != "a" {
@@ -286,7 +284,7 @@ func TestMemStoreScanIsStable(t *testing.T) {
 			t.Fatalf("resumed scan starts at %d, want 1", pos)
 		}
 		for i := range evs {
-			seen = append(seen, evs[i].ID)
+			seen = append(seen, evs[i].Signature)
 		}
 	})
 	if end != 3 || strings.Join(seen, ",") != "b,c" {

@@ -12,30 +12,30 @@ func traceFixture(t *testing.T) *MemStore {
 	t.Helper()
 	st := NewMemStore()
 	evs := []Event{
-		{ID: "wf-a-start", Type: WorkflowStart, WorkflowID: "wf-a"},
-		{ID: "wf-a-task-1", Type: TaskEnd, WorkflowID: "wf-a", TaskID: 1,
+		{Type: WorkflowStart, WorkflowID: "wf-a"},
+		{Type: TaskEnd, WorkflowID: "wf-a", TaskID: 1,
 			Signature: "align", Node: "n0", DurationSec: 10, CPUSeconds: 40,
 			Inputs:  []FileEvent{{Path: "/data/sample.fq", SizeMB: 512}},
 			Outputs: []FileEvent{{Path: "/wf/aligned.bam", SizeMB: 256}}},
-		{ID: "wf-a-task-2", Type: TaskEnd, WorkflowID: "wf-a", TaskID: 2,
+		{Type: TaskEnd, WorkflowID: "wf-a", TaskID: 2,
 			Signature: "call", Node: "n1", DurationSec: 5, CPUSeconds: 20,
 			Inputs:  []FileEvent{{Path: "/wf/aligned.bam", SizeMB: 256}},
 			Outputs: []FileEvent{{Path: "/wf/calls.vcf", SizeMB: 32}}},
-		{ID: "wf-a-end", Type: WorkflowEnd, WorkflowID: "wf-a", DurationSec: 15, Succeeded: true},
-		{ID: "wf-b-start", Type: WorkflowStart, WorkflowID: "wf-b"},
-		{ID: "wf-b-task-1", Type: TaskEnd, WorkflowID: "wf-b", TaskID: 1,
+		{Type: WorkflowEnd, WorkflowID: "wf-a", DurationSec: 15, Succeeded: true},
+		{Type: WorkflowStart, WorkflowID: "wf-b"},
+		{Type: TaskEnd, WorkflowID: "wf-b", TaskID: 1,
 			Signature: "align", Node: "n0", DurationSec: 9, CPUSeconds: 40,
 			Inputs:  []FileEvent{{Path: "/data/sample.fq", SizeMB: 512}},
 			Outputs: []FileEvent{{Path: "/wf2/aligned.bam", SizeMB: 256}}},
-		{ID: "wf-b-task-2", Type: TaskEnd, WorkflowID: "wf-b", TaskID: 2,
+		{Type: TaskEnd, WorkflowID: "wf-b", TaskID: 2,
 			Signature: "call", MemoHit: true, MemoSource: "wf-a", CPUSeconds: 20,
 			Inputs:  []FileEvent{{Path: "/wf2/aligned.bam", SizeMB: 256}},
 			Outputs: []FileEvent{{Path: "/wf2/calls.vcf", SizeMB: 32}}},
-		{ID: "wf-b-task-3", Type: TaskEnd, WorkflowID: "wf-b", TaskID: 3,
+		{Type: TaskEnd, WorkflowID: "wf-b", TaskID: 3,
 			Signature: "annotate", Node: "n1", DurationSec: 2, CPUSeconds: 4,
 			Inputs:  []FileEvent{{Path: "/wf2/calls.vcf", SizeMB: 32}},
 			Outputs: []FileEvent{{Path: "/wf2/annotated.vcf", SizeMB: 33}}},
-		{ID: "wf-b-end", Type: WorkflowEnd, WorkflowID: "wf-b", DurationSec: 11, Succeeded: true},
+		{Type: WorkflowEnd, WorkflowID: "wf-b", DurationSec: 11, Succeeded: true},
 	}
 	for _, ev := range evs {
 		if err := st.Append(ev); err != nil {
@@ -76,9 +76,9 @@ func TestLineageWalksProducersToStagedLeaves(t *testing.T) {
 func TestLineageCutsCycles(t *testing.T) {
 	st := NewMemStore()
 	// Malformed trace: a and b produce each other.
-	_ = st.Append(Event{ID: "t1", Type: TaskEnd, WorkflowID: "wf", TaskID: 1, Signature: "s1",
+	_ = st.Append(Event{Type: TaskEnd, WorkflowID: "wf", TaskID: 1, Signature: "s1",
 		Inputs: []FileEvent{{Path: "/b"}}, Outputs: []FileEvent{{Path: "/a"}}})
-	_ = st.Append(Event{ID: "t2", Type: TaskEnd, WorkflowID: "wf", TaskID: 2, Signature: "s2",
+	_ = st.Append(Event{Type: TaskEnd, WorkflowID: "wf", TaskID: 2, Signature: "s2",
 		Inputs: []FileEvent{{Path: "/a"}}, Outputs: []FileEvent{{Path: "/b"}}})
 	n := indexEvents(allEvents(t, st)).Lineage("/a")
 	// /a <- s1 <- /b <- s2 <- /a (cut: leaf, no producer)

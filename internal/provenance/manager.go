@@ -114,7 +114,7 @@ func (m *Manager) flushLocked() error {
 // RecordWorkflowStart emits a workflow-start event.
 func (m *Manager) RecordWorkflowStart(wfID, wfName string, at float64) error {
 	return m.Record(Event{
-		ID: wfID + "-start", Type: WorkflowStart, Timestamp: at,
+		Type: WorkflowStart, Timestamp: at,
 		WorkflowID: wfID, WorkflowName: wfName,
 	})
 }
@@ -122,17 +122,16 @@ func (m *Manager) RecordWorkflowStart(wfID, wfName string, at float64) error {
 // RecordWorkflowEnd emits a workflow-end event with the total makespan.
 func (m *Manager) RecordWorkflowEnd(wfID, wfName string, at, makespan float64, ok bool) error {
 	return m.Record(Event{
-		ID: wfID + "-end", Type: WorkflowEnd, Timestamp: at,
+		Type: WorkflowEnd, Timestamp: at,
 		WorkflowID: wfID, WorkflowName: wfName,
 		DurationSec: makespan, Succeeded: ok,
 	})
 }
 
 // RecordTaskStart emits a task-start event for one attempt of a task.
-// Retries and speculative duplicates pass attempt > 0 and get distinct IDs.
+// Retries and speculative duplicates pass attempt > 0, so their IDs differ.
 func (m *Manager) RecordTaskStart(wfID, wfName string, t *wf.Task, node string, attempt int, at float64) error {
 	return m.Record(Event{
-		ID:   taskEventID(wfID, t.ID, "-start", attempt),
 		Type: TaskStart, Timestamp: at,
 		WorkflowID: wfID, WorkflowName: wfName,
 		TaskID: t.ID, Attempt: attempt, Signature: t.Name, Command: t.Command, Node: node,
@@ -144,15 +143,9 @@ func (m *Manager) RecordTaskStart(wfID, wfName string, t *wf.Task, node string, 
 // tasks instead of re-running them.
 func (m *Manager) RecordWorkflowResume(wfID, wfName string, at float64, recovered int) error {
 	return m.Record(Event{
-		ID: fmt.Sprintf("%s-resume-%g", wfID, at), Type: WorkflowResumed, Timestamp: at,
+		Type: WorkflowResumed, Timestamp: at,
 		WorkflowID: wfID, WorkflowName: wfName, Recovered: recovered,
 	})
-}
-
-// RecordTaskEnd emits the task-end event (with file-level records) for a
-// completed result.
-func (m *Manager) RecordTaskEnd(wfID, wfName string, res *wf.TaskResult, inputSizes map[string]float64) error {
-	return m.Record(TaskEndEvent(wfID, wfName, res, inputSizes))
 }
 
 // index updates the hot index from one event.

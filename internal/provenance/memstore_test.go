@@ -76,7 +76,7 @@ func runMemProgram(tb testing.TB, data []byte) {
 // the merge's tie-breaks are exercised.
 func (p *memProgram) event(s int) provenance.Event {
 	p.seq++
-	return provenance.Event{ID: fmt.Sprintf("s%d-e%d", s, p.seq), TaskID: int64(p.seq), Timestamp: float64(p.seq % 7)}
+	return provenance.Event{Signature: fmt.Sprintf("s%d-e%d", s, p.seq), TaskID: int64(p.seq), Timestamp: float64(p.seq % 7)}
 }
 
 func (p *memProgram) appendBatch(s, n int) {
@@ -91,12 +91,12 @@ func (p *memProgram) appendBatch(s, n int) {
 	// The caller owns its batch again: scribbling on it must not reach the
 	// store.
 	for i := range p.buf {
-		p.buf[i] = provenance.Event{ID: "scribbled"}
+		p.buf[i] = provenance.Event{Signature: "scribbled"}
 	}
 }
 
 func same(a, b *provenance.Event) bool {
-	return a.ID == b.ID && a.TaskID == b.TaskID && a.Timestamp == b.Timestamp
+	return a.Signature == b.Signature && a.TaskID == b.TaskID && a.Timestamp == b.Timestamp
 }
 
 // check requires store s to hold exactly its model, in order.
@@ -157,7 +157,7 @@ func (p *memProgram) checkEvents(s int) {
 		if !same(&got[i], &p.models[s][i]) {
 			p.tb.Fatalf("store %d: Events()[%d] = %+v", s, i, got[i])
 		}
-		got[i].ID = "scribbled"
+		got[i].Signature = "scribbled"
 	}
 }
 

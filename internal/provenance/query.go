@@ -82,34 +82,31 @@ type WorkflowSummary struct {
 	Succeeded    bool
 }
 
-// SummarizeWorkflows lists all recorded workflow runs in trace order.
+// SummarizeWorkflows lists all recorded workflow runs in trace order. A run's
+// Tasks counts the distinct tasks that ended in it, however many attempts
+// each took.
 func SummarizeWorkflows(store Store) ([]WorkflowSummary, error) {
-	order := []string{}
-	byID := map[string]*WorkflowSummary{}
+	out := []WorkflowSummary{}
+	at := map[string]int{}               // run → its summary's index in out
+	ended := map[string]map[int64]bool{} // run → the tasks that ended in it
 	err := scanEvents(store, func(ev *Event) {
-		switch ev.Type {
-		case WorkflowStart:
-			if _, ok := byID[ev.WorkflowID]; !ok {
-				byID[ev.WorkflowID] = &WorkflowSummary{WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName}
-				order = append(order, ev.WorkflowID)
-			}
-		case TaskEnd:
-			if w := byID[ev.WorkflowID]; w != nil {
-				w.Tasks++
-			}
-		case WorkflowEnd:
-			if w := byID[ev.WorkflowID]; w != nil {
-				w.MakespanSec = ev.DurationSec
-				w.Succeeded = ev.Succeeded
-			}
+		i, ok := at[ev.WorkflowID]
+		switch {
+		case ev.Type == WorkflowStart && !ok:
+			at[ev.WorkflowID] = len(out)
+			ended[ev.WorkflowID] = map[int64]bool{}
+			out = append(out, WorkflowSummary{WorkflowID: ev.WorkflowID, WorkflowName: ev.WorkflowName})
+		case ev.Type == TaskEnd && ok:
+			ended[ev.WorkflowID][ev.TaskID] = true
+		case ev.Type == WorkflowEnd && ok:
+			out[i].MakespanSec, out[i].Succeeded = ev.DurationSec, ev.Succeeded
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WorkflowSummary, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
+	for i := range out {
+		out[i].Tasks = len(ended[out[i].WorkflowID])
 	}
 	return out, nil
 }

@@ -10,13 +10,13 @@ func queryFixture(t *testing.T) Store {
 	store := NewMemStore()
 	events := []Event{
 		{Type: WorkflowStart, WorkflowID: "w1", WorkflowName: "snv"},
-		{Type: TaskEnd, WorkflowID: "w1", Signature: "align", Node: "n1", DurationSec: 100},
-		{Type: TaskEnd, WorkflowID: "w1", Signature: "align", Node: "n2", DurationSec: 300},
-		{Type: TaskEnd, WorkflowID: "w1", Signature: "call", Node: "n1", DurationSec: 50, ExitCode: 1},
-		{Type: TaskEnd, WorkflowID: "w1", Signature: "call", Node: "n1", DurationSec: 60},
+		{Type: TaskEnd, WorkflowID: "w1", TaskID: 1, Signature: "align", Node: "n1", DurationSec: 100},
+		{Type: TaskEnd, WorkflowID: "w1", TaskID: 2, Signature: "align", Node: "n2", DurationSec: 300},
+		{Type: TaskEnd, WorkflowID: "w1", TaskID: 3, Signature: "call", Node: "n1", DurationSec: 50, ExitCode: 1},
+		{Type: TaskEnd, WorkflowID: "w1", TaskID: 3, Attempt: 1, Signature: "call", Node: "n1", DurationSec: 60},
 		{Type: WorkflowEnd, WorkflowID: "w1", DurationSec: 500, Succeeded: true},
 		{Type: WorkflowStart, WorkflowID: "w2", WorkflowName: "snv"},
-		{Type: TaskEnd, WorkflowID: "w2", Signature: "align", Node: "n1", DurationSec: 110},
+		{Type: TaskEnd, WorkflowID: "w2", TaskID: 1, Signature: "align", Node: "n1", DurationSec: 110},
 		{Type: WorkflowEnd, WorkflowID: "w2", DurationSec: 130, Succeeded: false},
 	}
 	for _, ev := range events {
@@ -61,10 +61,11 @@ func TestSummarizeWorkflows(t *testing.T) {
 	if len(sums) != 2 {
 		t.Fatalf("workflows = %d", len(sums))
 	}
-	if sums[0].WorkflowID != "w1" || sums[0].Tasks != 4 || !sums[0].Succeeded || sums[0].MakespanSec != 500 {
+	// w1's failed call and its retry are one task.
+	if sums[0].WorkflowID != "w1" || sums[0].Tasks != 3 || !sums[0].Succeeded || sums[0].MakespanSec != 500 {
 		t.Fatalf("w1 = %+v", sums[0])
 	}
-	if sums[1].WorkflowID != "w2" || sums[1].Succeeded {
+	if sums[1].WorkflowID != "w2" || sums[1].Tasks != 1 || sums[1].Succeeded {
 		t.Fatalf("w2 = %+v", sums[1])
 	}
 }

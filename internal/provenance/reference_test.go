@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -166,4 +167,28 @@ func refCounts(events []Event) (n, memoHits int) {
 		}
 	}
 	return len(events), memoHits
+}
+
+// The event IDs the record path built and stored in every event before
+// Event.ID derived them: RecordWorkflowStart and RecordWorkflowEnd appended a
+// suffix, RecordWorkflowResume formatted the timestamp with %g, and
+// RecordTaskStart and TaskEndEvent called taskEventID.
+
+func refWorkflowID(wfID, suffix string) string { return wfID + suffix }
+
+func refResumeID(wfID string, at float64) string { return fmt.Sprintf("%s-resume-%g", wfID, at) }
+
+// refTaskEventID returns "<wfID>-task-<task><suffix>", then "-a<attempt>" for
+// a retry or speculative duplicate (attempt > 0).
+func refTaskEventID(wfID string, task int64, suffix string, attempt int) string {
+	var buf [64]byte
+	b := append(buf[:0], wfID...)
+	b = append(b, "-task-"...)
+	b = strconv.AppendInt(b, task, 10)
+	b = append(b, suffix...)
+	if attempt > 0 {
+		b = append(b, "-a"...)
+		b = strconv.AppendInt(b, int64(attempt), 10)
+	}
+	return string(b)
 }

@@ -154,16 +154,23 @@ func eventsHint(store Store) int {
 
 // WriteTrace writes evs to w as a JSONL trace, one JSON object per line — the
 // format the paper stores in HDFS, ParseTrace reads back and package
-// lang/trace re-executes.
+// lang/trace re-executes. Each line starts with the event's derived ID, which
+// ParseTrace ignores.
 func WriteTrace(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
+		if err := enc.Encode(traceLine{evs[i].ID(), &evs[i]}); err != nil {
 			return fmt.Errorf("provenance: writing trace: %w", err)
 		}
 	}
 	return bw.Flush()
+}
+
+// traceLine is how a trace line encodes an event: its ID, then its fields.
+type traceLine struct {
+	ID string `json:"id"`
+	*Event
 }
 
 // ParseTrace decodes a JSONL trace text into events, skipping blank lines.

@@ -26,9 +26,9 @@ func syntheticRun(name string, tasks int) (*Run, []provenance.Event) {
 	for k := 1; k <= tasks; k++ {
 		sig := fmt.Sprintf("stage%d", k%4)
 		evs = append(evs,
-			provenance.Event{ID: fmt.Sprintf("%s-task-%d-start", id, k), Type: provenance.TaskStart,
+			provenance.Event{Type: provenance.TaskStart,
 				Timestamp: float64(k), WorkflowID: id, TaskID: int64(k), Signature: sig},
-			provenance.Event{ID: fmt.Sprintf("%s-task-%d", id, k), Type: provenance.TaskEnd,
+			provenance.Event{Type: provenance.TaskEnd,
 				Timestamp: float64(k) + 0.5, WorkflowID: id, TaskID: int64(k), Signature: sig, DurationSec: 0.5,
 				MemoHit: k%5 == 0, MemoSource: "alpha-seed", CPUSeconds: 2,
 				Inputs:  []provenance.FileEvent{{Path: fmt.Sprintf("%s/f%d", root, k-1), SizeMB: 8}},

@@ -53,7 +53,8 @@ type ServerConfig struct {
 	// (and the deterministic replay's client retry delay). Default 5.
 	RetryAfterSec float64
 	// RetryLimit is how many times the deterministic replay's simulated
-	// client retries a rejected submission before dropping it. Default 1.
+	// client retries a rejected submission before dropping it; 0 (or less)
+	// drops it at its first rejection.
 	RetryLimit int
 	// Deterministic switches the server onto a virtual clock with serial
 	// run execution, driven by RunDeterministic through the same HTTP
@@ -88,11 +89,6 @@ func (c *ServerConfig) setDefaults() {
 	}
 	if c.RetryAfterSec <= 0 {
 		c.RetryAfterSec = 5
-	}
-	if c.RetryLimit < 0 {
-		c.RetryLimit = 0
-	} else if c.RetryLimit == 0 {
-		c.RetryLimit = 1
 	}
 }
 

@@ -132,7 +132,7 @@ type Config struct {
 	// simulated client re-submits after this delay. Default 30.
 	RetryAfterSec float64
 	// RetryLimit is how many times a rejected submission retries before it
-	// is dropped. Default 1.
+	// is dropped; 0 (or less) drops it at its first rejection.
 	RetryLimit int
 	// Policy is the per-workflow scheduling policy (default fcfs).
 	Policy string
@@ -162,11 +162,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RetryAfterSec <= 0 {
 		c.RetryAfterSec = 30
-	}
-	if c.RetryLimit < 0 {
-		c.RetryLimit = 0
-	} else if c.RetryLimit == 0 {
-		c.RetryLimit = 1
 	}
 	if c.Policy == "" {
 		c.Policy = scheduler.PolicyFCFS

@@ -62,7 +62,7 @@ func runOnce(t *testing.T, cfg Config, profiles []TenantProfile) ([]*Account, *S
 }
 
 func TestServiceDeterministicAcrossRuns(t *testing.T) {
-	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8}
+	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8, RetryLimit: 1}
 	acc1, st1 := runOnce(t, cfg, twoTenants())
 	acc2, st2 := runOnce(t, cfg, twoTenants())
 	if len(acc1) == 0 {
@@ -156,7 +156,7 @@ func (h *recordingHook) OnFinished(now float64, tenant, id string, ok bool) { h.
 func TestAdmissionCapAndIntraTenantOrder(t *testing.T) {
 	profiles := twoTenants()
 	hook := newRecordingHook()
-	cfg := Config{Seed: 11, DurationSec: 400, MaxConcurrent: 2, MaxQueue: 32, Hook: hook}
+	cfg := Config{Seed: 11, DurationSec: 400, MaxConcurrent: 2, MaxQueue: 32, RetryLimit: 1, Hook: hook}
 	_, st := runOnce(t, cfg, profiles)
 	if st.Admitted == 0 {
 		t.Fatal("nothing admitted")
@@ -188,7 +188,7 @@ func TestAMCapacityRequeueAdmitsOnce(t *testing.T) {
 	}
 	env.Obs = obs.New(eng.Now)
 	hook := newRecordingHook()
-	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 32, AMNode: "node-00", Hook: hook}
+	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 32, RetryLimit: 1, AMNode: "node-00", Hook: hook}
 	svc, err := New(eng, env, cfg, profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestServiceUnderChaosIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{
-			Seed: 3, DurationSec: 300, MaxConcurrent: 2, MaxQueue: 8,
+			Seed: 3, DurationSec: 300, MaxConcurrent: 2, MaxQueue: 8, RetryLimit: 1,
 			Chaos: plan,
 		}
 		return runOnce(t, cfg, profiles)
@@ -242,7 +242,7 @@ func TestTraplineWorkloadKind(t *testing.T) {
 		Name: "rna", RatePerSec: 0.01,
 		Workload: WorkloadSpec{Kind: WorkloadTRAPLINE, FileSizeMB: 32, CPUSeconds: 20},
 	}}
-	cfg := Config{Seed: 5, DurationSec: 150, MaxConcurrent: 2, MaxQueue: 8}
+	cfg := Config{Seed: 5, DurationSec: 150, MaxConcurrent: 2, MaxQueue: 8, RetryLimit: 1}
 	_, st := runOnce(t, cfg, profiles)
 	if st.Succeeded == 0 {
 		t.Fatal("trapline workflows did not complete")
@@ -300,7 +300,7 @@ func TestQuantile(t *testing.T) {
 // after the first execution the shared table serves every later admission —
 // across tenant boundaries — and the roll-up attributes the splices.
 func TestServiceCrossTenantMemoization(t *testing.T) {
-	base := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8}
+	base := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8, RetryLimit: 1}
 	_, stOff := runOnce(t, base, twoTenants())
 
 	on := base
@@ -349,7 +349,7 @@ func TestServiceCrossTenantMemoization(t *testing.T) {
 func TestServiceMemoOptOut(t *testing.T) {
 	profiles := twoTenants()
 	profiles[1].MemoOptOut = true
-	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8, Memo: memo.New(0)}
+	cfg := Config{Seed: 42, DurationSec: 400, MaxConcurrent: 3, MaxQueue: 8, RetryLimit: 1, Memo: memo.New(0)}
 	accounts, _ := runOnce(t, cfg, profiles)
 	memoized := map[string]int{}
 	for _, a := range accounts {

@@ -107,7 +107,7 @@ func TestRunZeroShards(t *testing.T) {
 
 func TestMergeEventsTimestampThenShardOrder(t *testing.T) {
 	ev := func(ts float64, id string) provenance.Event {
-		return provenance.Event{ID: id, Timestamp: ts}
+		return provenance.Event{Signature: id, Timestamp: ts}
 	}
 	merged := MergeEvents(memStores([][]provenance.Event{
 		{ev(1, "a1"), ev(5, "a2"), ev(5, "a3")},
@@ -119,8 +119,8 @@ func TestMergeEventsTimestampThenShardOrder(t *testing.T) {
 		t.Fatalf("merged %d events, want %d", len(merged), len(want))
 	}
 	for i, id := range want {
-		if merged[i].ID != id {
-			t.Fatalf("position %d: got %s, want %s (full: %v)", i, merged[i].ID, id, merged)
+		if merged[i].Signature != id {
+			t.Fatalf("position %d: got %s, want %s (full: %v)", i, merged[i].Signature, id, merged)
 		}
 	}
 }
@@ -180,7 +180,7 @@ func randomShards(rng *rand.Rand, shards, perShard int, monotone bool) [][]prove
 			} else {
 				now = float64(rng.Intn(8))
 			}
-			out[i] = append(out[i], provenance.Event{ID: fmt.Sprintf("s%d-%d", i, j), Timestamp: now})
+			out[i] = append(out[i], provenance.Event{Signature: fmt.Sprintf("s%d-%d", i, j), Timestamp: now})
 		}
 	}
 	return out
@@ -195,8 +195,8 @@ func TestMergeEventsMatchesStableSort(t *testing.T) {
 			t.Fatalf("seed %d: merged %d events, want %d", seed, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("seed %d, position %d: got %s, want %s", seed, i, got[i].ID, want[i].ID)
+			if got[i].Signature != want[i].Signature {
+				t.Fatalf("seed %d, position %d: got %s, want %s", seed, i, got[i].Signature, want[i].Signature)
 			}
 		}
 	}

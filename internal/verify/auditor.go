@@ -7,6 +7,7 @@ import (
 
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
+	"hiway/internal/provenance"
 	"hiway/internal/wf"
 	"hiway/internal/yarn"
 )
@@ -38,6 +39,10 @@ const (
 	// InvCost: per-tenant core-second accounting sums to the cluster's
 	// busy-core integral, separately per node class (on-demand vs. spot).
 	InvCost = "cost-conservation"
+	// InvProvOrder: the events recorded under one workflow ID never go back
+	// in time, so each run's stream is sorted as recorded and per-run
+	// streams can be merged without sorting them again.
+	InvProvOrder = "provenance-order"
 )
 
 // maxViolations bounds how many violations one run records; a broken
@@ -138,6 +143,29 @@ func (a *Auditor) report(now float64, invariant, format string, args ...any) {
 		return
 	}
 	a.violations = append(a.violations, Violation{TimeSec: now, Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
+}
+
+// provenanceOrder audits what a run recorded: under each workflow ID, no
+// event is stamped earlier than one recorded before it. A workflow reports
+// its first step back only.
+func provenanceOrder(prov *provenance.Manager) []Violation {
+	evs, err := prov.Store().Events()
+	if err != nil {
+		return []Violation{{Invariant: InvProvOrder, Detail: fmt.Sprintf("reading provenance: %v", err)}}
+	}
+	var out []Violation
+	last := map[string]float64{}
+	broken := map[string]bool{}
+	for i := range evs {
+		ev := &evs[i]
+		if prev, ok := last[ev.WorkflowID]; ok && ev.Timestamp < prev && !broken[ev.WorkflowID] {
+			broken[ev.WorkflowID] = true
+			out = append(out, Violation{TimeSec: ev.Timestamp, Invariant: InvProvOrder,
+				Detail: fmt.Sprintf("%s at t=%.3f recorded after t=%.3f", ev.ID(), ev.Timestamp, prev)})
+		}
+		last[ev.WorkflowID] = max(last[ev.WorkflowID], ev.Timestamp)
+	}
+	return out
 }
 
 func (a *Auditor) mono(now float64) {

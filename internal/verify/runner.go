@@ -274,12 +274,13 @@ func (s *Scenario) execute(spec runSpec, tamper func(core.Env)) PolicyRun {
 	if err != nil {
 		run.Err = err.Error()
 		if spec.killAt == 0 {
-			run.Violations = ctx.aud.Violations()
+			run.Violations = append(ctx.aud.Violations(), provenanceOrder(ctx.env.Prov)...)
 		}
 		return run
 	}
 	run.Recovered = rep.Recovered
 	run.capture(rep, ctx.aud)
+	run.Violations = append(run.Violations, provenanceOrder(ctx.env.Prov)...)
 	run.endSec = ctx.eng.Now()
 	return run
 }

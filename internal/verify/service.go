@@ -290,6 +290,7 @@ func runService(sc *Scenario, tamper func(core.Env)) PolicyRun {
 			Detail: fmt.Sprintf("service never drained: %d queued, %d running at quiesce", d, r)})
 	}
 	run.Violations = append(run.Violations, costViolations(env.RM.CostReport(), now)...)
+	run.Violations = append(run.Violations, provenanceOrder(env.Prov)...)
 	st := svc.Stats()
 	if st.Submitted != st.Admitted+st.Dropped {
 		run.Violations = append(run.Violations, Violation{TimeSec: now, Invariant: InvQuiesce,

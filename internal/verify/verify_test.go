@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hiway/internal/core"
+	"hiway/internal/provenance"
 	"hiway/internal/yarn"
 )
 
@@ -125,6 +126,21 @@ func TestAuditorDetectsReleaseSkew(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("failures do not name %s:\n  %s", InvCapacity, strings.Join(res.Failures, "\n  "))
+	}
+}
+
+// TestAuditorDetectsProvenanceOutOfOrder: an event stamped late and recorded
+// under the run's workflow ID before it launches puts every event the run
+// records behind it in time, which the provenance-order audit must name.
+func TestAuditorDetectsProvenanceOutOfOrder(t *testing.T) {
+	sc := Generate(1)
+	late := func(env core.Env) {
+		_ = env.Prov.Record(provenance.Event{Type: provenance.WorkflowStart,
+			WorkflowID: fmt.Sprintf("verify-%d-fcfs", sc.Seed), Timestamp: 1e6})
+	}
+	res := CheckScenario(sc, Options{Tamper: late, SkipResume: true, Policies: []string{"fcfs"}})
+	if got := strings.Join(res.Failures, "\n  "); !strings.Contains(got, "policy fcfs: t=0.000 "+InvProvOrder+": verify-1-fcfs-start at t=0.000 recorded after t=1000000.000") {
+		t.Fatalf("failures do not name %s:\n  %s", InvProvOrder, got)
 	}
 }
 

@@ -41,7 +41,7 @@ func (s *StaticBase) OnTaskComplete(res *TaskResult) ([]*Task, error) {
 		return nil, fmt.Errorf("wf: OnTaskComplete before Parse")
 	}
 	if !res.Succeeded() {
-		return nil, fmt.Errorf("wf: task %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
+		return nil, fmt.Errorf("wf: %s failed (exit %d): %s", res.Task, res.ExitCode, res.Error)
 	}
 	return s.dag.Complete(res.Task), nil
 }
