@@ -3,16 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io"
+	"maps"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -28,19 +27,99 @@ import (
 	"hiway/internal/service"
 )
 
-// TestMain doubles as a helper process: when HIWAY_SIM_HELPER is set, the
-// test binary runs `sim` with the \x1f-separated arguments instead of the
-// test suite, so the shard-determinism test can capture a whole run's
-// stdout.
-func TestMain(m *testing.M) {
-	if spec := os.Getenv("HIWAY_SIM_HELPER"); spec != "" {
-		if err := runSim(strings.Split(spec, "\x1f")); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
+// hiway runs the CLI in-process on args and returns its exit code, stdout
+// and stderr.
+func hiway(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// mustRun runs the CLI in-process, fails the test unless it exits 0, and
+// returns its stdout.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	code, stdout, stderr := hiway(args...)
+	if code != 0 {
+		t.Fatalf("hiway %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
 	}
-	os.Exit(m.Run())
+	return stdout
+}
+
+// mustFail runs the CLI in-process, fails the test unless it exits 1, and
+// returns its stderr.
+func mustFail(t *testing.T, args ...string) string {
+	t.Helper()
+	code, _, stderr := hiway(args...)
+	if code != 1 {
+		t.Fatalf("hiway %s: exit %d, want 1\n%s", strings.Join(args, " "), code, stderr)
+	}
+	return stderr
+}
+
+// demo is the README's diamond workflow.
+var demo = filepath.Join("..", "..", "examples", "demo.cf")
+
+// TestRunExitCodes pins run's exit codes: 2 for a usage error, 0 for help,
+// 1 for a failed run. Each writes its text to stderr and nothing to stdout.
+func TestRunExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr []string
+	}{
+		{nil, 2, []string{"hiway — scientific workflow execution engine", "\n  hiway sim "}},
+		{[]string{"nope"}, 2, []string{"hiway: unknown command \"nope\"\n", "\n  hiway sim "}},
+		{[]string{"sim", "-bogus"}, 2, []string{"flag provided but not defined: -bogus\nUsage of sim:\n"}},
+		{[]string{"sim", "-h"}, 0, []string{"Usage of sim:\n"}},
+		{[]string{"sim"}, 1, []string{"hiway: missing -w workflow file\n"}},
+		{[]string{"help"}, 0, []string{"\n  hiway serve "}},
+	} {
+		code, stdout, stderr := hiway(tc.args...)
+		if code != tc.code || stdout != "" {
+			t.Errorf("hiway %q: exit %d, stdout %q; want exit %d and no stdout", tc.args, code, stdout, tc.code)
+		}
+		for _, want := range tc.stderr {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("hiway %q: stderr lacks %q:\n%s", tc.args, want, stderr)
+			}
+		}
+	}
+}
+
+// TestRefusedFlagValues: a flag value its config would silently replace
+// with a default, or a policy the service tier does not know, is a usage
+// error that names the flag, and nothing runs.
+func TestRefusedFlagValues(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"load", "-policy", "bogus"}, "-policy"},
+		{[]string{"serve", "-deterministic", "-policy", "bogus"}, "-policy"},
+		{[]string{"sim", "-w", demo, "-input", "seed.txt=64", "-policy", "bogus"}, "-policy"},
+		{[]string{"load", "-nodes", "0"}, "-nodes"},
+		{[]string{"load", "-rate", "-1"}, "-rate"},
+		{[]string{"load", "-max-concurrent", "0"}, "-max-concurrent"},
+		{[]string{"load", "-retry-after", "0"}, "-retry-after"},
+		{[]string{"serve", "-deterministic", "-nodes", "0"}, "-nodes"},
+		{[]string{"serve", "-deterministic", "-max-concurrent", "0"}, "-max-concurrent"},
+		{[]string{"elastic", "-autoscale", "reactive", "-min-nodes", "5", "-max-nodes", "2"}, "-max-nodes"},
+		{[]string{"verify", "-seeds", "-3"}, "-seeds"},
+		{[]string{"load", "-policy", "greedy"}, "-policy"},
+		{[]string{"load", "-max-queue", "0"}, "-max-queue"},
+		{[]string{"serve", "-deterministic", "-duration", "0"}, "-duration"},
+		{[]string{"elastic", "-spot-every", "0"}, "-spot-every"},
+		{[]string{"sim", "-w", demo, "-input", "seed.txt=64", "-nodes", "0"}, "-nodes"},
+		{[]string{"sim", "-w", demo, "-input", "seed.txt=64", "-timeout-slack", "0"}, "-timeout-slack"},
+		{[]string{"sim", "-w", demo, "-input", "seed.txt=64", "-shard-workers", "0"}, "-shard-workers"},
+	} {
+		code, stdout, stderr := hiway(tc.args...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "for flag "+tc.flag+":") ||
+			!strings.Contains(stderr, "Usage of "+tc.args[0]+":") {
+			t.Errorf("hiway %q: exit %d, stdout %q, stderr %q; want exit 2 naming %s", tc.args, code, stdout, stderr, tc.flag)
+		}
+	}
 }
 
 func TestDetectLang(t *testing.T) {
@@ -115,53 +194,51 @@ func TestParseTenantProfiles(t *testing.T) {
 	}
 }
 
-// TestUsageNamesEverySubcommand reads the subcommands main dispatches on
-// from its switch and requires the usage text to document each one.
-func TestUsageNamesEverySubcommand(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestHelpNamesEveryCommandAndFlag requires `hiway help` to give every
+// command of the table a synopsis, and each synopsis to name exactly the
+// flags that command's flag set defines.
+func TestHelpNamesEveryCommandAndFlag(t *testing.T) {
+	code, stdout, help := hiway("help")
+	if code != 0 || stdout != "" {
+		t.Fatalf("help: exit %d, stdout %q", code, stdout)
 	}
-	var cmds []string
-	for _, decl := range f.Decls {
-		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "main" {
-			ast.Inspect(fn, func(n ast.Node) bool {
-				if cc, ok := n.(*ast.CaseClause); ok {
-					for _, e := range cc.List {
-						if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-							cmds = append(cmds, strings.Trim(lit.Value, `"`))
-						}
-					}
-				}
-				return true
-			})
+	synopses := helpSynopses(help)
+	if len(synopses) != len(commands) {
+		t.Errorf("help has %d synopses, the table %d commands:\n%s", len(synopses), len(commands), help)
+	}
+	for _, c := range commands {
+		fs := &flagSet{FlagSet: flag.NewFlagSet(c.name, flag.ContinueOnError)}
+		c.flags(fs)
+		want := map[string]bool{}
+		fs.VisitAll(func(f *flag.Flag) { want[f.Name] = true })
+		if got, ok := synopses[c.name]; !ok || !maps.Equal(got, want) {
+			t.Errorf("`hiway %s` synopsis names flags %v; its flag set defines %v", c.name, got, want)
 		}
 	}
-	if len(cmds) < 8 {
-		t.Fatalf("found only %d dispatched subcommands: %v", len(cmds), cmds)
-	}
+}
 
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr := os.Stderr
-	os.Stderr = w
-	usage()
-	os.Stderr = stderr
-	w.Close()
-	text, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cmd := range cmds {
-		if strings.HasPrefix(cmd, "-") || cmd == "help" {
+// synopsisFlag matches a flag named in a synopsis: -name after a space, "["
+// or "(" or "|".
+var synopsisFlag = regexp.MustCompile(`(?:^|[\s\[(|])-([a-z][a-z0-9-]*)`)
+
+// helpSynopses reads the flags each `  hiway NAME` synopsis of a help text
+// names, on its first line and on the continuation lines that open with "[".
+func helpSynopses(help string) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	var flags map[string]bool
+	for _, line := range strings.Split(help, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  hiway "); ok {
+			flags = map[string]bool{}
+			out[strings.Fields(rest)[0]] = flags
+		} else if flags == nil || !strings.HasPrefix(strings.TrimSpace(line), "[") {
+			flags = nil
 			continue
 		}
-		if !strings.Contains(string(text), "  hiway "+cmd+" ") {
-			t.Errorf("usage does not document `hiway %s`", cmd)
+		for _, m := range synopsisFlag.FindAllStringSubmatch(line, -1) {
+			flags[m[1]] = true
 		}
 	}
+	return out
 }
 
 func TestBuildDriverLanguages(t *testing.T) {
@@ -203,28 +280,14 @@ upper( inp: "words.txt" );`
 		t.Fatal(err)
 	}
 	tracePath := filepath.Join(dir, "run.jsonl")
-	err := runSim([]string{"-w", wfPath, "-nodes", "2", "-input", "words.txt=5", "-prov", tracePath})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "sim", "-w", wfPath, "-nodes", "2", "-input", "words.txt=5", "-prov", tracePath)
 	// The written trace replays.
-	if err := runSim([]string{"-w", tracePath, "-lang", "trace", "-input", "words.txt=5"}); err != nil {
-		t.Fatalf("trace replay: %v", err)
-	}
+	mustRun(t, "sim", "-w", tracePath, "-lang", "trace", "-input", "words.txt=5")
 	// Error paths.
-	if err := runSim([]string{}); err == nil {
-		t.Fatal("missing -w accepted")
-	}
-	if err := runSim([]string{"-w", wfPath, "-input", "bad"}); err == nil {
-		t.Fatal("malformed -input accepted")
-	}
+	mustFail(t, "sim")
+	mustFail(t, "sim", "-w", wfPath, "-input", "bad")
 	for _, size := range []string{"notanumber", "Inf", "-Inf", "NaN"} {
-		if err := runSim([]string{"-w", wfPath, "-input", "x=" + size}); err == nil {
-			t.Fatalf("-input size %s accepted", size)
-		}
-	}
-	if err := runSim([]string{"-w", wfPath, "-policy", "mystery", "-input", "words.txt=5"}); err == nil {
-		t.Fatal("unknown policy accepted")
+		mustFail(t, "sim", "-w", wfPath, "-input", "x="+size)
 	}
 }
 
@@ -237,9 +300,8 @@ func TestSimRefusesFilesOverTheBlockBound(t *testing.T) {
 	if err := os.WriteFile(demo, []byte("deftask gen( out : x ) @cpu 1 in bash *{ synthesize }*\ngen( x: \"seed.txt\" );\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := runSim([]string{"-w", demo, "-input", "seed.txt=1e12"})
-	if err == nil || !strings.Contains(err.Error(), "over 65536 blocks") {
-		t.Fatalf("a 1e12 MB input: %v", err)
+	if stderr := mustFail(t, "sim", "-w", demo, "-input", "seed.txt=1e12"); !strings.Contains(stderr, "over 65536 blocks") {
+		t.Fatalf("a 1e12 MB input: %s", stderr)
 	}
 	big := filepath.Join(dir, "big.cwl")
 	if err := os.WriteFile(big, []byte(`{"cwlVersion": "v1.2", "class": "CommandLineTool", "id": "huge",
@@ -247,9 +309,8 @@ func TestSimRefusesFilesOverTheBlockBound(t *testing.T) {
 	  "inputs": [], "outputs": [{"id": "out", "type": "File"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = runSim([]string{"-w", big})
-	if err == nil || !strings.Contains(err.Error(), "failed 4 times") || !strings.Contains(err.Error(), "over 65536 blocks") {
-		t.Fatalf("a CWL output of 1e15 MB: %v", err)
+	if stderr := mustFail(t, "sim", "-w", big); !strings.Contains(stderr, "failed 4 times") || !strings.Contains(stderr, "over 65536 blocks") {
+		t.Fatalf("a CWL output of 1e15 MB: %s", stderr)
 	}
 }
 
@@ -318,17 +379,12 @@ func TestRunSimReplaysRecoveredTraces(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			recorded, replayed := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "r.jsonl")
-			args := []string{"-w", filepath.Join("..", "..", "examples", "demo.cf"), "-input", "seed.txt=64", "-prov", recorded}
-			if err := runSim(append(args, faults...)); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, append([]string{"sim", "-w", demo, "-input", "seed.txt=64", "-prov", recorded}, faults...)...)
 			want, failedEnds := completedTasks(t, recorded)
 			if failedEnds == 0 {
 				t.Fatalf("the recorded run ended no attempt unsuccessfully; %v injects nothing", faults)
 			}
-			if err := runSim([]string{"-w", recorded, "-input", "seed.txt=64", "-prov", replayed}); err != nil {
-				t.Fatalf("replay: %v", err)
-			}
+			mustRun(t, "sim", "-w", recorded, "-input", "seed.txt=64", "-prov", replayed)
 			if got, _ := completedTasks(t, replayed); !reflect.DeepEqual(got, want) {
 				t.Fatalf("replay completed %v, the recorded run %v", got, want)
 			}
@@ -345,11 +401,8 @@ func TestSimProvWritesAFreshTrace(t *testing.T) {
 	dir := t.TempDir()
 	sim := func(args ...string) {
 		t.Helper()
-		if err := runSim(args); err != nil {
-			t.Fatalf("sim %v: %v", args, err)
-		}
+		mustRun(t, append([]string{"sim"}, args...)...)
 	}
-	demo := filepath.Join("..", "..", "examples", "demo.cf")
 	trace, once := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "once.jsonl")
 	sim("-w", demo, "-input", "seed.txt=64", "-prov", once)
 	sim("-w", demo, "-input", "seed.txt=64", "-prov", trace)
@@ -365,9 +418,7 @@ func TestSimProvWritesAFreshTrace(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("two runs into one -prov path left %d bytes; one run writes %d", len(got), len(want))
 	}
-	if err := runSim([]string{"-w", trace, "-input", "seed.txt=64"}); err != nil {
-		t.Fatalf("replaying the trace: %v", err)
-	}
+	sim("-w", trace, "-input", "seed.txt=64")
 	sim("-w", trace, "-input", "seed.txt=64", "-prov", trace)
 	if done, _ := completedTasks(t, trace); len(done) != 3 {
 		t.Fatalf("replaying a trace into its own path recorded %v, want the 3 demo tasks", done)
@@ -387,33 +438,24 @@ func TestLoadAndElasticTails(t *testing.T) {
 		}
 		return b
 	}
-	for _, c := range []struct {
-		run  func([]string) error
-		args []string
-	}{
-		{runLoad, []string{"-duration", "300"}},
-		{runElastic, []string{"-duration", "300", "-autoscale", "reactive"}},
+	for _, args := range [][]string{
+		{"load", "-duration", "300"},
+		{"elastic", "-duration", "300", "-autoscale", "reactive"},
 	} {
 		prom := filepath.Join(dir, "m.prom")
-		if err := c.run(append(c.args, "-metrics", prom)); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, append(args, "-metrics", prom)...)
 		once := read(prom)
-		if err := c.run(append(c.args, "-metrics", prom)); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, append(args, "-metrics", prom)...)
 		if again := read(prom); !bytes.Equal(again, once) || !bytes.Contains(once, []byte("hiway_svc_admitted_total")) {
-			t.Fatalf("%v: a second -metrics run left %d bytes, the first wrote %d", c.args, len(again), len(once))
+			t.Fatalf("%v: a second -metrics run left %d bytes, the first wrote %d", args, len(again), len(once))
 		}
 	}
 	for _, c := range []struct {
-		run    func([]string) error
+		cmd    string
 		points int
-	}{{runLoad, 3}, {runElastic, 6}} {
+	}{{"load", 3}, {"elastic", 6}} {
 		ladder := filepath.Join(dir, "ladder.json")
-		if err := c.run([]string{"-ladder", "-json", ladder}); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, c.cmd, "-ladder", "-json", ladder)
 		var doc struct{ Points []json.RawMessage }
 		if err := json.Unmarshal(read(ladder), &doc); err != nil || len(doc.Points) != c.points {
 			t.Fatalf("ladder JSON: %d points, %v; want %d", len(doc.Points), err, c.points)
@@ -428,11 +470,10 @@ func TestLoadAndElasticTails(t *testing.T) {
 func TestFailedSimWritesItsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	at := func(name string) string { return filepath.Join(dir, name) }
-	demo := filepath.Join("..", "..", "examples", "demo.cf")
-	err := runSim([]string{"-w", demo, "-input", "seed.txt=64", "-chaos", "crashrate=0.5", "-chaos-seed", "1",
-		"-prov", at("f.jsonl"), "-trace", at("f.json"), "-metrics", at("f.prom"), "-decisions", at("f.log"), "-timeline", at("f.csv")})
-	if err == nil || err.Error() != "core: task 1 (gen) failed 4 times (last on node-04): injected fault" {
-		t.Fatalf("error %v, want the retry exhaustion", err)
+	stderr := mustFail(t, "sim", "-w", demo, "-input", "seed.txt=64", "-chaos", "crashrate=0.5", "-chaos-seed", "1",
+		"-prov", at("f.jsonl"), "-trace", at("f.json"), "-metrics", at("f.prom"), "-decisions", at("f.log"), "-timeline", at("f.csv"))
+	if stderr != "hiway: core: task 1 (gen) failed 4 times (last on node-04): injected fault\n" {
+		t.Fatalf("stderr %q, want the retry exhaustion", stderr)
 	}
 	for _, name := range []string{"f.json", "f.prom", "f.log", "f.csv"} {
 		if st, err := os.Stat(at(name)); err != nil || st.Size() == 0 {
@@ -456,11 +497,44 @@ func TestFailedSimWritesItsArtifacts(t *testing.T) {
 	if last := evs[len(evs)-1]; failed != 4 || last.Type != provenance.WorkflowEnd || last.Succeeded {
 		t.Fatalf("%d failed task ends and a last event %+v; want 4 and a failed workflow-end", failed, last)
 	}
-	if err := runSim([]string{"-w", at("missing.cf"), "-prov", at("m.jsonl")}); err == nil {
-		t.Fatal("a missing workflow ran")
-	}
+	mustFail(t, "sim", "-w", at("missing.cf"), "-prov", at("m.jsonl"))
 	if _, err := os.Stat(at("m.jsonl")); !os.IsNotExist(err) {
 		t.Fatalf("a setup error wrote its trace: %v", err)
+	}
+}
+
+// TestStalledSimEndsItsRecord: a run that stalls (a hung attempt and no
+// deadlines) exits 1 naming the stall, and its trace ends the run with one
+// failed workflow-end, so `hiway prov` reads its makespan instead of 0.0s.
+func TestStalledSimEndsItsRecord(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "s.jsonl")
+	stderr := mustFail(t, "sim", "-w", demo, "-input", "seed.txt=64", "-chaos", "hang=gen@0:1", "-prov", trace)
+	if !strings.Contains(stderr, "stalled: 1 attempts running, 0 queued, 0 requests pending") {
+		t.Fatalf("stderr %q, want the stall", stderr)
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := provenance.ParseTrace(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := 0
+	for _, ev := range evs {
+		if ev.Type == provenance.WorkflowEnd {
+			ends++
+		}
+	}
+	if last := evs[len(evs)-1]; ends != 1 || last.Type != provenance.WorkflowEnd || last.Succeeded {
+		t.Fatalf("%d workflow-ends, last event %+v; want one, failed, last", ends, last)
+	}
+	m := regexp.MustCompile(`hiway-demo-00 +demo +1 tasks +([0-9.]+)s  FAILED`).FindStringSubmatch(mustRun(t, "prov", "-trace", trace))
+	if m == nil {
+		t.Fatal("prov lists no failed hiway-demo-00 run")
+	}
+	if makespan, _ := strconv.ParseFloat(m[1], 64); makespan <= 0 {
+		t.Fatalf("prov reads a makespan of %gs for the stalled run", makespan)
 	}
 }
 
@@ -470,33 +544,30 @@ func TestFailedSimWritesItsArtifacts(t *testing.T) {
 // spelling of 1.
 func TestZeroIsTakenAsGiven(t *testing.T) {
 	dir := t.TempDir()
-	metrics := func(run func([]string) error, args ...string) map[string]float64 {
+	metrics := func(args ...string) map[string]float64 {
 		t.Helper()
 		path := filepath.Join(dir, "m.prom")
-		if err := run(append(args, "-metrics", path)); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, append(args, "-metrics", path)...)
 		return promTotals(t, path)
 	}
 	for _, c := range []struct {
-		run               func([]string) error
 		args              []string
 		rejected, dropped string
 	}{
-		{runLoad, []string{"-duration", "600", "-rate", "4"}, "hiway_svc_rejections_total", "hiway_svc_dropped_total"},
-		{runServe, []string{"-deterministic", "-rate", "2", "-max-queue", "2", "-max-concurrent", "2"},
+		{[]string{"load", "-duration", "600", "-rate", "4"}, "hiway_svc_rejections_total", "hiway_svc_dropped_total"},
+		{[]string{"serve", "-deterministic", "-rate", "2", "-max-queue", "2", "-max-concurrent", "2"},
 			"hiway_serve_rejected_total", "hiway_serve_dropped_total"},
 	} {
 		for limit, retried := range []bool{false, true} {
-			m := metrics(c.run, append(c.args, "-retry-limit", fmt.Sprint(limit))...)
+			m := metrics(append(c.args, "-retry-limit", fmt.Sprint(limit))...)
 			rejected, dropped := m[c.rejected], m[c.dropped]
 			if dropped == 0 || (rejected > dropped) != retried {
 				t.Fatalf("%v -retry-limit %d: %g rejections, %g dropped; want retries %v", c.args, limit, rejected, dropped, retried)
 			}
 		}
 	}
-	chaos := []string{"-duration", "600", "-chaos", "crashrate=0.3", "-chaos-seed"}
-	if zero, one := metrics(runLoad, append(chaos, "0")...), metrics(runLoad, append(chaos, "1")...); reflect.DeepEqual(zero, one) {
+	chaos := []string{"load", "-duration", "600", "-chaos", "crashrate=0.3", "-chaos-seed"}
+	if zero, one := metrics(append(chaos, "0")...), metrics(append(chaos, "1")...); reflect.DeepEqual(zero, one) {
 		t.Fatalf("-chaos-seed 0 ran as -chaos-seed 1: %v", zero)
 	}
 }
@@ -573,11 +644,8 @@ upper( inp: "words.txt" );`
 	tracePath := filepath.Join(dir, "run.json")
 	metricsPath := filepath.Join(dir, "run.prom")
 	decisionsPath := filepath.Join(dir, "decisions.log")
-	err := runSim([]string{"-w", wfPath, "-nodes", "2", "-input", "words.txt=5",
-		"-trace", tracePath, "-metrics", metricsPath, "-decisions", decisionsPath})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "sim", "-w", wfPath, "-nodes", "2", "-input", "words.txt=5",
+		"-trace", tracePath, "-metrics", metricsPath, "-decisions", decisionsPath)
 
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -637,18 +705,16 @@ func TestRunInspect(t *testing.T) {
 	if err := os.WriteFile(daxPath, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runInspect([]string{"-w", daxPath}); err != nil {
-		t.Fatal(err)
+	if out := mustRun(t, "inspect", "-w", daxPath); !strings.HasPrefix(out, "workflow wf\n") {
+		t.Fatalf("inspect printed %q", out)
 	}
 	// Iterative languages cannot be inspected statically.
 	cfPath := filepath.Join(dir, "wf.cf")
 	os.WriteFile(cfPath, []byte(`deftask t( out : ~x ) in bash *{ true }*`+"\n"+`t( x: "1" );`), 0o644)
-	if err := runInspect([]string{"-w", cfPath}); err == nil {
-		t.Fatal("inspecting a Cuneiform workflow must fail")
+	if stderr := mustFail(t, "inspect", "-w", cfPath); !strings.Contains(stderr, "cuneiform workflows unfold at run time") {
+		t.Fatalf("inspecting a Cuneiform workflow: %s", stderr)
 	}
-	if err := runInspect([]string{}); err == nil {
-		t.Fatal("missing -w accepted")
-	}
+	mustFail(t, "inspect")
 }
 
 func TestRunSimGanttAndTimeline(t *testing.T) {
@@ -660,10 +726,7 @@ upper( inp: "words.txt" );`
 		t.Fatal(err)
 	}
 	timeline := filepath.Join(dir, "t.csv")
-	err := runSim([]string{"-w", wfPath, "-input", "words.txt=5", "-gantt", "-timeline", timeline})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "sim", "-w", wfPath, "-input", "words.txt=5", "-gantt", "-timeline", timeline)
 	data, err := os.ReadFile(timeline)
 	if err != nil {
 		t.Fatal(err)
@@ -682,9 +745,7 @@ hello( name: "world" );`
 		t.Fatal(err)
 	}
 	work := filepath.Join(dir, "work")
-	if err := runLocal([]string{"-w", wfPath, "-workdir", work}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "local", "-w", wfPath, "-workdir", work)
 	matches, _ := filepath.Glob(filepath.Join(work, "data", "demo", "hello_*", "out"))
 	if len(matches) != 1 {
 		t.Fatalf("output files = %v", matches)
@@ -693,9 +754,7 @@ hello( name: "world" );`
 	if string(data) != "hi world\n" {
 		t.Fatalf("output = %q", data)
 	}
-	if err := runLocal([]string{}); err == nil {
-		t.Fatal("missing -w accepted")
-	}
+	mustFail(t, "local")
 }
 
 func TestRunProv(t *testing.T) {
@@ -707,22 +766,12 @@ t( x: "1" );`
 		t.Fatal(err)
 	}
 	tracePath := filepath.Join(dir, "run.jsonl")
-	if err := runSim([]string{"-w", wfPath, "-prov", tracePath}); err != nil {
-		t.Fatal(err)
-	}
-	if err := runProv([]string{"-trace", tracePath}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "sim", "-w", wfPath, "-prov", tracePath)
+	mustRun(t, "prov", "-trace", tracePath)
 	// Error paths.
-	if err := runProv([]string{}); err == nil {
-		t.Fatal("missing source accepted")
-	}
-	if err := runProv([]string{"-trace", tracePath, "-db", "x"}); err == nil {
-		t.Fatal("both sources accepted")
-	}
-	if err := runProv([]string{"-trace", filepath.Join(dir, "ghost.jsonl")}); err == nil {
-		t.Fatal("missing trace accepted")
-	}
+	mustFail(t, "prov")
+	mustFail(t, "prov", "-trace", tracePath, "-db", "x")
+	mustFail(t, "prov", "-trace", filepath.Join(dir, "ghost.jsonl"))
 	// provdb-backed path.
 	dbPath := filepath.Join(dir, "prov.db")
 	db, err := provdb.Open(dbPath)
@@ -734,22 +783,18 @@ t( x: "1" );`
 	store.Append(provenance.Event{Type: provenance.TaskEnd, WorkflowID: "w", Signature: "s", Node: "n1", DurationSec: 3})
 	store.Append(provenance.Event{Type: provenance.WorkflowEnd, WorkflowID: "w", DurationSec: 4, Succeeded: true})
 	store.Close()
-	if err := runProv([]string{"-db", dbPath}); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "prov", "-db", dbPath)
 	// -db reads: a file that is not a provdb log is refused and left as it
 	// was, and a path that is not there stays not there.
 	trace, _ := os.ReadFile(tracePath)
-	if err := runProv([]string{"-db", tracePath}); err == nil || !strings.Contains(err.Error(), "is not a provdb log") {
-		t.Fatalf("-db on a JSONL trace: %v, want it refused as not a provdb log", err)
+	if stderr := mustFail(t, "prov", "-db", tracePath); !strings.Contains(stderr, "is not a provdb log") {
+		t.Fatalf("-db on a JSONL trace: %s, want it refused as not a provdb log", stderr)
 	}
 	if after, _ := os.ReadFile(tracePath); !bytes.Equal(after, trace) || len(trace) == 0 {
 		t.Fatalf("-db changed the trace it was given: %d → %d bytes", len(trace), len(after))
 	}
 	ghost := filepath.Join(dir, "ghost.db")
-	if err := runProv([]string{"-db", ghost}); err == nil {
-		t.Fatal("-db on a missing file accepted")
-	}
+	mustFail(t, "prov", "-db", ghost)
 	if _, err := os.Stat(ghost); !os.IsNotExist(err) {
 		t.Fatalf("-db on a missing file left something there: %v", err)
 	}
@@ -759,9 +804,8 @@ t( x: "1" );`
 // every scheduling policy, a multi-workflow `hiway sim` must produce
 // byte-identical stdout, merged provenance trace, and metrics snapshot
 // whether the shards run serially (-shard-workers 1) or on parallel workers.
-// Each run is a child process (see TestMain) whose stdout the test captures;
-// output paths are normalized before comparison since the runs write to
-// different directories.
+// Each run goes through run in-process; output paths are normalized before
+// comparison since the runs write to different directories.
 func TestSimShardDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -771,22 +815,15 @@ func TestSimShardDeterminism(t *testing.T) {
 		}
 		return p
 	}
-	type run struct{ stdout, prov, metrics []byte }
-	sim := func(name string, args ...string) run {
+	type result struct{ stdout, prov, metrics []byte }
+	sim := func(name string, args ...string) result {
 		sub := filepath.Join(dir, name)
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		provPath := filepath.Join(sub, "run.jsonl")
 		promPath := filepath.Join(sub, "run.prom")
-		args = append(args, "-prov", provPath, "-metrics", promPath)
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(), "HIWAY_SIM_HELPER="+strings.Join(args, "\x1f"))
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s: %v\n%s", name, err, stderr.String())
-		}
+		stdout := mustRun(t, append(append([]string{"sim"}, args...), "-prov", provPath, "-metrics", promPath)...)
 		prov, err := os.ReadFile(provPath)
 		if err != nil {
 			t.Fatal(err)
@@ -795,10 +832,10 @@ func TestSimShardDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := bytes.ReplaceAll(stdout.Bytes(), []byte(sub), []byte("@OUT@"))
-		return run{stdout: out, prov: prov, metrics: metrics}
+		out := strings.ReplaceAll(stdout, sub, "@OUT@")
+		return result{stdout: []byte(out), prov: prov, metrics: metrics}
 	}
-	same := func(what string, a, b run) {
+	same := func(what string, a, b result) {
 		if !bytes.Equal(a.stdout, b.stdout) {
 			t.Errorf("%s: stdout differs between serial and parallel shards:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				what, a.stdout, b.stdout)
@@ -843,7 +880,7 @@ func TestSimShardDeterminism(t *testing.T) {
 		scheduler.PolicyHEFT, scheduler.PolicyAdaptiveGreedy,
 	}
 	for _, pol := range policies {
-		var runs []run
+		var runs []result
 		for _, workers := range []string{"1", "4"} {
 			runs = append(runs, sim(pol+"-w"+workers,
 				"-w", wfA, "-w", wfB, "-shard-workers", workers, "-nodes", "4", "-policy", pol))
@@ -872,25 +909,13 @@ func TestSimShardDeterminism(t *testing.T) {
 // TestRunPaper runs `hiway paper -exp table1` and checks it prints Table 1;
 // an unknown experiment fails before anything runs.
 func TestRunPaper(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = w
-	err = runPaper([]string{"-exp", "table1"})
-	os.Stdout = stdout
-	w.Close()
-	text, readErr := io.ReadAll(r)
-	if err != nil || readErr != nil {
-		t.Fatal(err, readErr)
-	}
+	text := mustRun(t, "paper", "-exp", "table1")
 	for _, want := range []string{"Table 1", "Cuneiform", "HEFT", "Montage"} {
-		if !strings.Contains(string(text), want) {
+		if !strings.Contains(text, want) {
 			t.Errorf("paper -exp table1 output lacks %q:\n%s", want, text)
 		}
 	}
-	if err := runPaper([]string{"-exp", "fig7"}); err == nil || !strings.Contains(err.Error(), `unknown experiment "fig7"`) {
-		t.Fatalf("paper -exp fig7 = %v, want an unknown-experiment error", err)
+	if stderr := mustFail(t, "paper", "-exp", "fig7"); !strings.Contains(stderr, `unknown experiment "fig7"`) {
+		t.Fatalf("paper -exp fig7: %s, want an unknown-experiment error", stderr)
 	}
 }

@@ -1,14 +1,17 @@
 package hiway_test
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"hiway/internal/service"
@@ -80,63 +83,59 @@ func TestMarkdownGoSnippetsParse(t *testing.T) {
 	}
 }
 
-// cliFlags parses cmd/hiway/main.go and returns the flag names each run*
-// function registers, keyed by subcommand (runSim → "sim", …). Parsing the
-// real source keeps the docs check honest: a flag renamed in the CLI fails
-// the docs test until the docs follow.
+// cliHelp is the text of `hiway help`, built and run once per test binary.
+var cliHelp = sync.OnceValues(func() (string, error) {
+	dir, err := os.MkdirTemp("", "hiway-help")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(dir)
+	bin := filepath.Join(dir, "hiway")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/hiway").CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build ./cmd/hiway: %v\n%s", err, out)
+	}
+	var help bytes.Buffer
+	cmd := exec.Command(bin, "help")
+	cmd.Stderr = &help
+	if err := cmd.Run(); err != nil {
+		return "", fmt.Errorf("hiway help: %v", err)
+	}
+	return help.String(), nil
+})
+
+// cliFlags reads each subcommand's flags from the synopses `hiway help`
+// prints, which the CLI generates from the flag sets themselves. Reading the
+// real CLI keeps the docs check honest: a flag renamed in the CLI fails the
+// docs test until the docs follow.
 func cliFlags(t *testing.T) map[string]map[string]bool {
 	t.Helper()
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, filepath.Join("cmd", "hiway", "main.go"), nil, 0)
+	help, err := cliHelp()
 	if err != nil {
 		t.Fatal(err)
 	}
-	subFor := map[string]string{"runSim": "sim", "runLocal": "local", "runProv": "prov", "runInspect": "inspect", "runVerify": "verify", "runLoad": "load", "runElastic": "elastic", "runServe": "serve", "runPaper": "paper"}
+	// A synopsis is a "  hiway NAME [-flag ...]" line and the continuation
+	// lines that open with "[".
 	out := map[string]map[string]bool{}
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok {
+	var flags map[string]bool
+	for _, line := range strings.Split(help, "\n") {
+		if rest, ok := strings.CutPrefix(line, "  hiway "); ok {
+			flags = map[string]bool{}
+			out[strings.Fields(rest)[0]] = flags
+		} else if flags == nil || !strings.HasPrefix(strings.TrimSpace(line), "[") {
+			flags = nil
 			continue
 		}
-		sub, ok := subFor[fn.Name.Name]
-		if !ok {
-			continue
+		for _, m := range synopsisFlag.FindAllStringSubmatch(line, -1) {
+			flags[m[1]] = true
 		}
-		flags := map[string]bool{}
-		ast.Inspect(fn, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			var nameArg ast.Expr
-			switch sel.Sel.Name {
-			case "String", "Bool", "Int", "Int64", "Float64":
-				if len(call.Args) >= 1 {
-					nameArg = call.Args[0]
-				}
-			case "Var":
-				if len(call.Args) >= 2 {
-					nameArg = call.Args[1]
-				}
-			}
-			if lit, ok := nameArg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				flags[strings.Trim(lit.Value, `"`)] = true
-			}
-			return true
-		})
-		out[sub] = flags
 	}
-	for fn, sub := range subFor {
-		if len(out[sub]) == 0 {
-			t.Fatalf("found no flag registrations in %s", fn)
-		}
+	if len(out) < 9 {
+		t.Fatalf("hiway help lists %d subcommands:\n%s", len(out), help)
 	}
 	return out
 }
+
+var synopsisFlag = regexp.MustCompile(`\[-([a-z][a-z0-9-]*)`)
 
 var flagToken = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
 

@@ -524,15 +524,18 @@ func synthesizeResult(t *wf.Task, ev provenance.Event) *wf.TaskResult {
 	return res
 }
 
-// Report returns the execution report; an error if the workflow has not
-// terminated (the engine quiesced with work outstanding — a deadlock).
+// Report returns the execution report, and the run's error if it failed. A
+// killed AM has no report. One the engine left unfinished stalled (it
+// quiesced with work outstanding — a deadlock): Report finishes it with the
+// stall error, so its record ends, like a failed run's, with a workflow-end.
 func (am *AM) Report() (*Report, error) {
 	if am.report == nil {
 		if am.killed {
 			return nil, fmt.Errorf("core: AM for workflow %s was killed", am.driver.Name())
 		}
-		return nil, fmt.Errorf("core: workflow %s stalled: %d attempts running, %d queued, %d requests pending, driver done=%v",
-			am.driver.Name(), am.live, am.sched.Queued(), am.app.PendingRequests(), am.driver.Done())
+		// finish releases the live attempts: count them first.
+		am.finish(fmt.Errorf("core: workflow %s stalled: %d attempts running, %d queued, %d requests pending, driver done=%v",
+			am.driver.Name(), am.live, am.sched.Queued(), am.app.PendingRequests(), am.driver.Done()))
 	}
 	if am.report.Err != nil {
 		return am.report, am.report.Err

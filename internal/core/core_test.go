@@ -615,7 +615,8 @@ func TestRetryExhaustionRecordsEveryAttempt(t *testing.T) {
 // scheduler queue and the pending container requests, so a deadlock
 // explains itself. A hang with timeouts off leaves one attempt running; a
 // container no node can hold leaves its task queued and its request
-// pending.
+// pending. The stall ends the run: its record closes with one failed
+// workflow-end at the quiesce time, and a second Report gives the same error.
 func TestReportNamesAStall(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -638,8 +639,26 @@ func TestReportNamesAStall(t *testing.T) {
 			if am.Finished() {
 				t.Fatal("the workflow finished; want a stall")
 			}
-			if _, err := am.Report(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			quiesced := env.eng.Now()
+			rep, err := am.Report()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("report error %v, want it to contain %q", err, tc.want)
+			}
+			if !am.Finished() || rep == nil || rep.Succeeded || rep.End != quiesced {
+				t.Fatalf("after the stall: finished %v, report %+v; want a failed report ending at t=%g", am.Finished(), rep, quiesced)
+			}
+			if _, again := am.Report(); again == nil || again.Error() != err.Error() {
+				t.Fatalf("second report error %v, want %v", again, err)
+			}
+			events, _ := env.Prov.Store().Events()
+			var ends []provenance.Event
+			for _, ev := range events {
+				if ev.Type == provenance.WorkflowEnd {
+					ends = append(ends, ev)
+				}
+			}
+			if len(ends) != 1 || ends[0].Succeeded || ends[0].Timestamp != quiesced {
+				t.Fatalf("workflow-end events %+v; want one, failed, at t=%g", ends, quiesced)
 			}
 		})
 	}
