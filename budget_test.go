@@ -276,14 +276,14 @@ func TestAllocationBudgets(t *testing.T) {
 			// one single-block output from a rotating writer and reads two
 			// staged inputs onto it, replication 3, the engine run to the
 			// end; staging the inputs is not measured.
-			layer: "hdfs: Write + Read, 256 nodes", unit: "task", units: 1024, allocs: 14.81, bytes: 1045,
+			layer: "hdfs: Write + Read, 256 nodes", unit: "task", units: 1024, allocs: 13.79, bytes: 988,
 			prepare: func(t *testing.T, n int) func() {
 				type rig struct {
-					eng *sim.Engine
-					fs  *hdfs.FS
+					eng   *sim.Engine
+					fs    *hdfs.FS
+					nodes []*cluster.Node
 				}
 				rigs := make([]rig, n)
-				var nodes []string
 				for i := range rigs {
 					eng := sim.NewEngine()
 					c, err := cluster.Uniform(eng, cluster.Config{SwitchMBps: 1000}, 256,
@@ -297,8 +297,7 @@ func TestAllocationBudgets(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					rigs[i] = rig{eng, fs}
-					nodes = c.NodeIDs()
+					rigs[i] = rig{eng, fs, c.Nodes()}
 				}
 				outs := make([]string, 1024)
 				ins := make([][]string, 1024)
@@ -316,7 +315,7 @@ func TestAllocationBudgets(t *testing.T) {
 					r := rigs[next]
 					next++
 					for i := range outs {
-						node := nodes[i%len(nodes)]
+						node := r.nodes[i%len(r.nodes)]
 						r.fs.Write(node, outs[i], 8, done)
 						r.fs.Read(node, ins[i], done)
 					}
@@ -342,7 +341,10 @@ func TestAllocationBudgets(t *testing.T) {
 					t.Fatal(err)
 				}
 				fs := hdfs.New(c, hdfs.Config{BlockSizeMB: 64, Replication: 3}, 42)
-				nodes := c.NodeIDs()
+				var nodes []string
+				for _, n := range c.Nodes() {
+					nodes = append(nodes, n.ID)
+				}
 				if _, err := fs.Put("/ref/genome", 256, ""); err != nil {
 					t.Fatal(err)
 				}

@@ -647,6 +647,17 @@ func runVerify(fs *flagSet) action {
 	start := fs.Int64("start", 1, "first seed of the batch")
 	// A policy matrix, unlike the one policy of the cluster's -policy.
 	policy := fs.String("policy", "all", "policy matrix: 'all' or a comma-separated subset")
+	fs.check(func() error {
+		if *policy == "" || *policy == "all" {
+			return nil
+		}
+		for _, p := range strings.Split(*policy, ",") {
+			if !slices.Contains(scheduler.Policies, p) {
+				return fmt.Errorf("invalid value %q for flag -policy: want all or a comma-separated subset of %s", *policy, strings.Join(scheduler.Policies, ", "))
+			}
+		}
+		return nil
+	})
 	reproPath := fs.String("repro", "", "re-check a reproducer scenario JSON instead of generating a batch")
 	outPath := fs.String("out", "", "write the minimized failing reproducer JSON to this file")
 	verbose := fs.Bool("v", false, "print every seed's per-policy outcome, not just failures")
@@ -656,12 +667,7 @@ func runVerify(fs *flagSet) action {
 	return func(stdout, _ io.Writer) error {
 		opts := verify.Options{}
 		if *policy != "" && *policy != "all" {
-			for _, p := range strings.Split(*policy, ",") {
-				if !slices.Contains(scheduler.Policies, p) {
-					return fmt.Errorf("unknown policy %q (have %s)", p, strings.Join(scheduler.Policies, ", "))
-				}
-				opts.Policies = append(opts.Policies, p)
-			}
+			opts.Policies = strings.Split(*policy, ",")
 		}
 		check := func(sc *verify.Scenario) *verify.Result {
 			sc.Portability = sc.Portability || *portability
@@ -838,9 +844,11 @@ func runLoad(fs *flagSet) action {
 		}
 
 		cfg.WithObs = *metricsPath != ""
-		run, err := experiments.ServiceLoad(cfg)
-		if err != nil {
-			return err
+		// A run in which a workflow stalled still reports and writes its
+		// metrics; its error comes after them.
+		run, runErr := experiments.ServiceLoad(cfg)
+		if run == nil {
+			return runErr
 		}
 		fmt.Fprintf(stdout, "service load: seed %d, %d nodes, %.0fs window, rate x%g, policy %s\n",
 			cfg.Seed, cfg.Nodes, cfg.DurationSec, cfg.RateX, cfg.Policy)
@@ -851,7 +859,10 @@ func runLoad(fs *flagSet) action {
 			fmt.Fprintln(stdout, "memo: cross-tenant table enabled")
 		}
 		fmt.Fprint(stdout, run.Render())
-		return writeOutput(stdout, "metrics:", *metricsPath, run.Obs.M().WritePrometheus)
+		if err := writeOutput(stdout, "metrics:", *metricsPath, run.Obs.M().WritePrometheus); err != nil {
+			return err
+		}
+		return runErr
 	}
 }
 

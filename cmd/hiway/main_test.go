@@ -106,6 +106,8 @@ func TestRefusedFlagValues(t *testing.T) {
 		{[]string{"serve", "-deterministic", "-max-concurrent", "0"}, "-max-concurrent"},
 		{[]string{"elastic", "-autoscale", "reactive", "-min-nodes", "5", "-max-nodes", "2"}, "-max-nodes"},
 		{[]string{"verify", "-seeds", "-3"}, "-seeds"},
+		{[]string{"verify", "-policy", "bogus", "-seeds", "1"}, "-policy"},
+		{[]string{"verify", "-policy", "fcfs,bogus", "-seeds", "1"}, "-policy"},
 		{[]string{"load", "-policy", "greedy"}, "-policy"},
 		{[]string{"load", "-max-queue", "0"}, "-max-queue"},
 		{[]string{"serve", "-deterministic", "-duration", "0"}, "-duration"},
@@ -460,6 +462,24 @@ func TestLoadAndElasticTails(t *testing.T) {
 		if err := json.Unmarshal(read(ladder), &doc); err != nil || len(doc.Points) != c.points {
 			t.Fatalf("ladder JSON: %d points, %v; want %d", len(doc.Points), err, c.points)
 		}
+	}
+}
+
+// TestStalledLoadWritesItsMetrics: a load run in which a workflow stalls —
+// its first bowtie2 attempt hangs and no timeout recovers it — still prints
+// its report and writes -metrics, then exits 1 naming the stall.
+func TestStalledLoadWritesItsMetrics(t *testing.T) {
+	prom := filepath.Join(t.TempDir(), "hang.prom")
+	code, stdout, stderr := hiway("load", "-duration", "300", "-chaos", "hang=bowtie2@0:1", "-metrics", prom)
+	if code != 1 || !strings.Contains(stderr, "stalled") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming the stall", code, stderr)
+	}
+	if !strings.Contains(stdout, "failed 1") || !strings.Contains(stdout, "metrics: "+prom) {
+		t.Fatalf("stdout lacks the report or the metrics line:\n%s", stdout)
+	}
+	b, err := os.ReadFile(prom)
+	if err != nil || !bytes.Contains(b, []byte("hiway_svc_failed_total 1")) {
+		t.Fatalf("metrics %q (%v): want hiway_svc_failed_total 1", b, err)
 	}
 }
 

@@ -116,12 +116,12 @@ func (e *engine) wake() {
 // compute, stage-out to HDFS.
 func (e *engine) run(t *wf.Task, c *yarn.Container) {
 	eng := e.env.Cluster.Engine
-	node := e.env.Cluster.Node(c.NodeID)
+	node := e.env.Cluster.NodeAt(c.Slot)
 	e.running++
 	res := &wf.TaskResult{Task: t, Node: c.NodeID, Start: eng.Now()}
 
 	stageInStart := eng.Now()
-	e.env.FS.Read(c.NodeID, t.Inputs, func(err error) {
+	e.env.FS.Read(node, t.Inputs, func(err error) {
 		if e.report != nil {
 			return
 		}
@@ -161,7 +161,7 @@ func (e *engine) run(t *wf.Task, c *yarn.Container) {
 				return
 			}
 			for _, fi := range files {
-				e.env.FS.Write(c.NodeID, fi.Path, fi.SizeMB, func(err error) {
+				e.env.FS.Write(node, fi.Path, fi.SizeMB, func(err error) {
 					if e.report != nil {
 						return
 					}

@@ -73,7 +73,12 @@ func XeonE52620() NodeSpec {
 
 // Node is a simulated compute node.
 type Node struct {
-	ID   string
+	ID string
+	// Slot is the node's index in its cluster's slot table (see NodeAt),
+	// given when it joins and never given again within the cluster's life:
+	// a node that leaves and rejoins under its old ID gets a new slot.
+	// Layers below the scheduler seam key their per-node state by it.
+	Slot int32
 	Spec NodeSpec
 
 	CPU  *sim.SharedResource // capacity: vcores·factor, units: reference core-seconds/s
@@ -107,10 +112,19 @@ type Cluster struct {
 	Switch *sim.SharedResource
 
 	cfg   Config
-	nodes []*Node
+	nodes []*Node // the members, in CompareIDs order
+	slots []*Node // by Slot; nil once that node left
 	byID  map[string]*Node
-	next  int      // next auto-assigned node index for AddNode("")
-	ids   []string // NodeIDs result; nil after a membership change
+	next  int // next auto-assigned node index for AddNode("")
+
+	// The members' two orders as views over slots, built together on first
+	// use after a membership change (order is nil until then): order holds
+	// their slots in CompareIDs order, and by slot, idx is a member's
+	// position in it and byteRank its position in bytewise ID order (-1
+	// for a slot whose node left).
+	order    []int32
+	idx      []int32
+	byteRank []int32
 }
 
 // New builds a cluster with the given node specs. Node IDs are
@@ -130,27 +144,13 @@ func New(eng *sim.Engine, cfg Config, specs []NodeSpec) (*Cluster, error) {
 		Switch: sim.NewSharedResource(eng, "switch", cfg.SwitchMBps),
 		cfg:    cfg,
 		byID:   make(map[string]*Node, len(specs)),
+		slots:  make([]*Node, 0, len(specs)),
 	}
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("node %d: %w", i, err)
 		}
-		id := fmt.Sprintf("node-%02d", i)
-		n := &Node{
-			ID:   id,
-			Spec: s,
-			CPU:  sim.NewSharedResource(eng, id+"/cpu", float64(s.VCores)*s.CPUFactor),
-			Disk: sim.NewSharedResource(eng, id+"/disk", s.DiskMBps),
-			NIC:  sim.NewSharedResource(eng, id+"/nic", s.NetMBps),
-		}
-		for h := 0; h < s.CPUHogs; h++ {
-			n.CPU.SubmitBackground(1 * s.CPUFactor)
-		}
-		for h := 0; h < s.IOHogs; h++ {
-			n.Disk.SubmitBackground(s.DiskMBps)
-		}
-		c.nodes = append(c.nodes, n)
-		c.byID[id] = n
+		c.nodes = append(c.nodes, c.join(fmt.Sprintf("node-%02d", i), s))
 	}
 	c.next = len(specs)
 	return c, nil
@@ -176,8 +176,23 @@ func (c *Cluster) AddNode(id string, spec NodeSpec) (*Node, error) {
 	} else if c.byID[id] != nil {
 		return nil, fmt.Errorf("cluster: node %s already a member", id)
 	}
+	n := c.join(id, spec)
+	// Keep c.nodes in CompareIDs order, the order New assigns, so
+	// Nodes/Slots iteration order is a pure function of membership,
+	// independent of join order.
+	i, _ := slices.BinarySearchFunc(c.nodes, id, func(n *Node, id string) int { return CompareIDs(n.ID, id) })
+	c.nodes = slices.Insert(c.nodes, i, n)
+	c.order = nil
+	return n, nil
+}
+
+// join builds a node with fresh (idle) resources under the next slot and
+// enters it in the slot table and the ID map; the caller places it in
+// c.nodes.
+func (c *Cluster) join(id string, spec NodeSpec) *Node {
 	n := &Node{
 		ID:   id,
+		Slot: int32(len(c.slots)),
 		Spec: spec,
 		CPU:  sim.NewSharedResource(c.Engine, id+"/cpu", float64(spec.VCores)*spec.CPUFactor),
 		Disk: sim.NewSharedResource(c.Engine, id+"/disk", spec.DiskMBps),
@@ -189,34 +204,24 @@ func (c *Cluster) AddNode(id string, spec NodeSpec) (*Node, error) {
 	for h := 0; h < spec.IOHogs; h++ {
 		n.Disk.SubmitBackground(spec.DiskMBps)
 	}
-	// Keep c.nodes in CompareIDs order, the order New assigns, so
-	// Nodes/NodeIDs iteration order is a pure function of membership,
-	// independent of join order.
-	i, _ := slices.BinarySearchFunc(c.nodes, id, func(n *Node, id string) int { return CompareIDs(n.ID, id) })
-	c.nodes = append(c.nodes, nil)
-	copy(c.nodes[i+1:], c.nodes[i:])
-	c.nodes[i] = n
+	c.slots = append(c.slots, n)
 	c.byID[id] = n
-	c.ids = nil
-	return n, nil
+	return n
 }
 
 // RemoveNode drops a node from the cluster. The caller is responsible for
 // draining or killing its workload first (yarn) and for marking its replicas
 // dead (hdfs); removal here only deletes the membership entry so future
-// NodeIDs/Node lookups no longer see it. Returns an error for unknown ids.
+// Nodes/Node lookups no longer see it. Returns an error for unknown ids.
 func (c *Cluster) RemoveNode(id string) error {
-	if c.byID[id] == nil {
+	n := c.byID[id]
+	if n == nil {
 		return fmt.Errorf("cluster: node %s not a member", id)
 	}
 	delete(c.byID, id)
-	for i, m := range c.nodes {
-		if m.ID == id {
-			c.nodes = append(c.nodes[:i], c.nodes[i+1:]...)
-			break
-		}
-	}
-	c.ids = nil
+	c.slots[n.Slot] = nil
+	c.nodes = slices.DeleteFunc(c.nodes, func(m *Node) bool { return m == n })
+	c.order = nil
 	return nil
 }
 
@@ -246,7 +251,7 @@ func Uniform(eng *sim.Engine, cfg Config, n int, spec NodeSpec) (*Cluster, error
 }
 
 // CompareIDs orders node IDs the way New names them: a shorter ID first,
-// then bytewise, so "node-99" precedes "node-100". Nodes and NodeIDs are
+// then bytewise, so "node-99" precedes "node-100". Nodes and Slots are
 // always in this order.
 func CompareIDs(a, b string) int {
 	if len(a) != len(b) {
@@ -258,22 +263,65 @@ func CompareIDs(a, b string) int {
 // Nodes returns the nodes in ID order (see CompareIDs).
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// NodeIDs returns all node IDs in ID order (see CompareIDs). Calls between
-// two membership changes share one slice, which callers must treat as
-// read-only; a membership change makes the next call build a new one, so a
-// slice once returned never changes.
-func (c *Cluster) NodeIDs() []string {
-	if c.ids == nil {
-		c.ids = make([]string, len(c.nodes))
-		for i, n := range c.nodes {
-			c.ids[i] = n.ID
-		}
-	}
-	return c.ids
-}
-
 // Node looks a node up by ID, or nil.
 func (c *Cluster) Node(id string) *Node { return c.byID[id] }
+
+// NodeAt returns the member in a slot, or nil when the slot's node left or
+// the slot was never given.
+func (c *Cluster) NodeAt(slot int32) *Node {
+	if slot < 0 || int(slot) >= len(c.slots) {
+		return nil
+	}
+	return c.slots[slot]
+}
+
+// Slots returns the members' slots in ID order (see CompareIDs). Calls
+// between two membership changes share one slice, which callers must treat
+// as read-only; a membership change makes the next call build a new one, so
+// a slice once returned never changes.
+func (c *Cluster) Slots() []int32 {
+	c.view()
+	return c.order
+}
+
+// Index returns the position of the slot's node in Nodes() (CompareIDs
+// order), or -1 when the slot's node left. The slot must be one the
+// cluster gave.
+func (c *Cluster) Index(slot int32) int32 {
+	c.view()
+	return c.idx[slot]
+}
+
+// ByteRank returns the position of the slot's node among the members'
+// IDs in bytewise order, or -1 when the slot's node left. The slot must be
+// one the cluster gave. Past "node-99" it differs from Index: "node-100"
+// sorts before "node-99".
+func (c *Cluster) ByteRank(slot int32) int32 {
+	c.view()
+	return c.byteRank[slot]
+}
+
+// view builds order, idx and byteRank after a membership change.
+func (c *Cluster) view() {
+	if c.order != nil {
+		return
+	}
+	order := make([]int32, len(c.nodes))
+	c.idx, c.byteRank = make([]int32, len(c.slots)), make([]int32, len(c.slots))
+	for s := range c.slots {
+		c.idx[s], c.byteRank[s] = -1, -1
+	}
+	for i, n := range c.nodes {
+		order[i] = n.Slot
+		c.idx[n.Slot] = int32(i)
+	}
+	byName := slices.Clone(order)
+	slices.SortFunc(byName, func(a, b int32) int { return strings.Compare(c.slots[a].ID, c.slots[b].ID) })
+	for r, s := range byName {
+		c.byteRank[s] = int32(r)
+	}
+	c.order = order
+}
 
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.nodes) }

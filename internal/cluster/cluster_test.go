@@ -29,43 +29,65 @@ func TestNewValidatesSpecs(t *testing.T) {
 	}
 }
 
-// TestNodeIDsSurviveMembershipChange pins that a NodeIDs slice is never
+// ids lists the members' IDs in Nodes order.
+func ids(c *Cluster) []string {
+	out := make([]string, 0, c.Size())
+	for _, n := range c.Nodes() {
+		out = append(out, n.ID)
+	}
+	return out
+}
+
+// TestSlotsSurviveMembershipChange pins that a Slots slice is never
 // rewritten: a membership change makes the next call build a new slice and
-// leaves the ones already handed out as they were.
-func TestNodeIDsSurviveMembershipChange(t *testing.T) {
+// leaves the ones already handed out as they were. A slot is never given
+// twice: a node that rejoins under its old ID takes the next one, and the
+// old slot stays empty.
+func TestSlotsSurviveMembershipChange(t *testing.T) {
 	c, err := Uniform(sim.NewEngine(), testCfg(), 4, M3Large())
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c.NodeIDs()
-	want := []string{"node-00", "node-01", "node-02", "node-03"}
+	before := c.Slots()
+	want := []int32{0, 1, 2, 3}
 	if !slices.Equal(before, want) {
-		t.Fatalf("NodeIDs = %v, want %v", before, want)
+		t.Fatalf("Slots = %v, want %v", before, want)
 	}
 	if err := c.RemoveNode("node-01"); err != nil {
 		t.Fatal(err)
 	}
-	afterRemove := c.NodeIDs()
-	if w := []string{"node-00", "node-02", "node-03"}; !slices.Equal(afterRemove, w) {
-		t.Fatalf("NodeIDs after RemoveNode = %v, want %v", afterRemove, w)
+	afterRemove := c.Slots()
+	if w := []int32{0, 2, 3}; !slices.Equal(afterRemove, w) {
+		t.Fatalf("Slots after RemoveNode = %v, want %v", afterRemove, w)
 	}
 	if !slices.Equal(before, want) {
 		t.Fatalf("slice taken before RemoveNode reads %v afterwards, want %v", before, want)
 	}
-	if _, err := c.AddNode("node-01", M3Large()); err != nil {
+	if c.NodeAt(1) != nil || c.Index(1) != -1 || c.ByteRank(1) != -1 {
+		t.Fatal("the departed node's slot still resolves")
+	}
+	back, err := c.AddNode("node-01", M3Large())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddNode("", M3Large()); err != nil {
+	fresh, err := c.AddNode("", M3Large())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w := []string{"node-00", "node-02", "node-03"}; !slices.Equal(afterRemove, w) {
+	if back.Slot != 4 || fresh.Slot != 5 || c.NodeAt(1) != nil || c.NodeAt(4) != back {
+		t.Fatalf("rejoined node-01 in slot %d, %s in slot %d; want 4 and 5, slot 1 empty", back.Slot, fresh.ID, fresh.Slot)
+	}
+	if w := []int32{0, 2, 3}; !slices.Equal(afterRemove, w) {
 		t.Fatalf("slice taken before AddNode reads %v afterwards, want %v", afterRemove, w)
 	}
 	if !slices.Equal(before, want) {
 		t.Fatalf("first slice reads %v after AddNode, want %v", before, want)
 	}
-	if w := []string{"node-00", "node-01", "node-02", "node-03", "node-04"}; !slices.Equal(c.NodeIDs(), w) {
-		t.Fatalf("NodeIDs after AddNode = %v, want %v", c.NodeIDs(), w)
+	if w := []int32{0, 4, 2, 3, 5}; !slices.Equal(c.Slots(), w) {
+		t.Fatalf("Slots after AddNode = %v, want %v", c.Slots(), w)
+	}
+	if w := []string{"node-00", "node-01", "node-02", "node-03", "node-04"}; !slices.Equal(ids(c), w) {
+		t.Fatalf("IDs after AddNode = %v, want %v", ids(c), w)
 	}
 }
 
@@ -82,25 +104,35 @@ func TestNodeOrderPastHundredNodesIgnoresJoinHistory(t *testing.T) {
 		return c
 	}
 	c := newCluster(130)
-	want := slices.Clone(c.NodeIDs())
+	want := ids(c)
 	if err := c.RemoveNode("node-120"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddNode("node-120", M3Large()); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.NodeIDs(); !slices.Equal(got, want) {
+	if got := ids(c); !slices.Equal(got, want) {
 		t.Fatalf("after node-120 rejoins: index %d, want 120", slices.Index(got, "node-120"))
 	}
 	n, err := c.AddNode("", M3Large())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := newCluster(131).NodeIDs(); !slices.Equal(c.NodeIDs(), want) {
-		t.Fatalf("auto-named %s at index %d of %d, want the last", n.ID, slices.Index(c.NodeIDs(), n.ID), len(want))
+	if want := ids(newCluster(131)); !slices.Equal(ids(c), want) {
+		t.Fatalf("auto-named %s at index %d of %d, want the last", n.ID, slices.Index(ids(c), n.ID), len(want))
 	}
-	if !slices.IsSortedFunc(c.NodeIDs(), CompareIDs) {
-		t.Fatal("NodeIDs not in CompareIDs order")
+	if !slices.IsSortedFunc(ids(c), CompareIDs) {
+		t.Fatal("Nodes not in CompareIDs order")
+	}
+	// The two order views over slots: Index is the position in Nodes,
+	// ByteRank the position in bytewise ID order, where "node-100"
+	// precedes "node-99".
+	byBytes := ids(c)
+	slices.Sort(byBytes)
+	for i, nd := range c.Nodes() {
+		if c.Slots()[i] != nd.Slot || c.Index(nd.Slot) != int32(i) || byBytes[c.ByteRank(nd.Slot)] != nd.ID {
+			t.Fatalf("%s (slot %d): Slots[%d] %d, Index %d, ByteRank %d", nd.ID, nd.Slot, i, c.Slots()[i], c.Index(nd.Slot), c.ByteRank(nd.Slot))
+		}
 	}
 }
 
@@ -110,11 +142,11 @@ func TestNodeIDsAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := c.NodeIDs()
+	got := ids(c)
 	want := []string{"node-00", "node-01", "node-02"}
 	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ids = %v", ids)
+		if got[i] != want[i] {
+			t.Fatalf("ids = %v", got)
 		}
 	}
 	if c.Node("node-01") == nil || c.Node("nope") != nil {

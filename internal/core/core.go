@@ -843,7 +843,7 @@ func (am *AM) launchAttempt(ts *taskState, c *yarn.Container, speculative bool) 
 		return
 	}
 	t := ts.t
-	node := am.env.Cluster.Node(c.NodeID)
+	node := am.env.Cluster.NodeAt(c.Slot)
 	if node == nil {
 		am.finish(fmt.Errorf("core: container on unknown node %s", c.NodeID))
 		return
@@ -888,7 +888,7 @@ func (am *AM) launchAttempt(ts *taskState, c *yarn.Container, speculative bool) 
 
 	stageInStart := eng.Now()
 	siSpan := am.tr.Begin("phase", "stage-in", c.NodeID, a.span)
-	am.env.FS.Read(c.NodeID, t.Inputs, func(err error) {
+	am.env.FS.Read(node, t.Inputs, func(err error) {
 		am.tr.End(siSpan)
 		if a.dead(am) {
 			am.app.Release(c)
@@ -953,7 +953,7 @@ func (am *AM) launchAttempt(ts *taskState, c *yarn.Container, speculative bool) 
 			soSpan := am.tr.Begin("phase", "stage-out", c.NodeID, a.span)
 			var writeErr error
 			for _, fi := range files {
-				am.env.FS.Write(c.NodeID, fi.Path, fi.SizeMB, func(err error) {
+				am.env.FS.Write(node, fi.Path, fi.SizeMB, func(err error) {
 					if err != nil && writeErr == nil {
 						writeErr = err
 					}

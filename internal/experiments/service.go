@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -124,7 +125,9 @@ type ServiceRun struct {
 }
 
 // ServiceLoad materializes a cluster for the tenant mix, runs one sustained
-// open-loop load until the service drains, and measures it.
+// open-loop load until the service drains, and measures it. When a workflow
+// stalls, the run still drains and is measured: ServiceLoad returns it with
+// an error that names each stall.
 func ServiceLoad(cfg ServiceLoadConfig) (*ServiceRun, error) {
 	return serviceLoad(cfg, loadVariant{name: "service-load"})
 }
@@ -204,7 +207,17 @@ func serviceLoad(cfg ServiceLoadConfig, v loadVariant) (*ServiceRun, error) {
 	}
 	start := time.Now()
 	l.svc.Start()
-	e.eng.Run()
+	// A workflow the engine quiesced on stalled: end it, and run what its
+	// freed slot admits.
+	var stalls []error
+	for {
+		e.eng.Run()
+		err := l.svc.EndStalled()
+		if err == nil {
+			break
+		}
+		stalls = append(stalls, err)
+	}
 	wall := time.Since(start).Seconds()
 	if d, n := l.svc.QueueDepth(), l.svc.Running(); d != 0 || n != 0 {
 		return nil, fmt.Errorf("%s: engine quiesced with %d queued, %d running", v.name, d, n)
@@ -244,7 +257,11 @@ func serviceLoad(cfg ServiceLoadConfig, v loadVariant) (*ServiceRun, error) {
 		}
 		pt.MemoCPUSavedSec = st.MemoCPUSavedSec
 	}
-	return &ServiceRun{Point: pt, Stats: st, Accounts: l.svc.Accounts(), Obs: l.obs}, nil
+	run := &ServiceRun{Point: pt, Stats: st, Accounts: l.svc.Accounts(), Obs: l.obs}
+	if len(stalls) > 0 {
+		return run, fmt.Errorf("%s: %w", v.name, errors.Join(stalls...))
+	}
+	return run, nil
 }
 
 // Render formats one run's summary, per-tenant breakdown, and per-workflow

@@ -12,7 +12,7 @@ import (
 func BenchmarkPutExcluded(b *testing.B) {
 	_, c := newTestCluster(b, 34)
 	fs := New(c, Config{BlockSizeMB: 64, Replication: 3, ExcludeNodes: []string{"node-00", "node-01"}}, 1)
-	nodes := c.NodeIDs()
+	nodes := nodeIDs(c)
 	paths := make([]string, 64)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/out/part-%02d", i)
@@ -33,7 +33,7 @@ func BenchmarkPutExcluded(b *testing.B) {
 func BenchmarkPutWide(b *testing.B) {
 	_, c := newTestCluster(b, 256)
 	fs := New(c, Config{BlockSizeMB: 64, Replication: 3}, 1)
-	nodes := c.NodeIDs()
+	nodes := nodeIDs(c)
 	paths := make([]string, 1024)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/out/part-%04d", i)

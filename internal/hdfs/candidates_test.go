@@ -12,7 +12,7 @@ import (
 // driven against.
 func candidateNodesRef(fs *FS, paths []string) []string {
 	var out []string
-	seen := make(map[string]bool)
+	seen := make(map[int32]bool)
 	for _, p := range paths {
 		f, ok := fs.files[p]
 		if !ok || f.External {
@@ -20,9 +20,9 @@ func candidateNodesRef(fs *FS, paths []string) []string {
 		}
 		for _, b := range f.Blocks {
 			for _, r := range b.Replicas {
-				if !seen[r] && !fs.dead[r] {
+				if !seen[r] && !fs.has(r, dead) {
 					seen[r] = true
-					out = append(out, r)
+					out = append(out, fs.cluster.NodeAt(r).ID)
 				}
 			}
 		}
@@ -40,7 +40,7 @@ func TestCandidateNodesMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(10)
 		_, c := newTestCluster(t, n)
-		nodes := c.NodeIDs()
+		nodes := nodeIDs(c)
 		fs := New(c, Config{BlockSizeMB: float64(8 + rng.Intn(56)), Replication: 1 + rng.Intn(3)}, seed)
 		var paths []string
 		for i := 0; i < 30; i++ {

@@ -30,7 +30,7 @@ func (fs *FS) UnderReplicated() int {
 		for _, b := range f.Blocks {
 			live := 0
 			for _, r := range b.Replicas {
-				if !fs.dead[r] {
+				if !fs.has(r, dead) {
 					live++
 				}
 			}
@@ -54,6 +54,11 @@ type ReadPlan struct {
 // Plan computes the read plan for paths from nodeID.
 func (fs *FS) Plan(paths []string, nodeID string) ReadPlan {
 	var plan ReadPlan
+	n := fs.cluster.Node(nodeID)
+	slot := int32(-1)
+	if n != nil {
+		slot = n.Slot
+	}
 	for _, p := range paths {
 		f, ok := fs.files[p]
 		if !ok {
@@ -65,11 +70,10 @@ func (fs *FS) Plan(paths []string, nodeID string) ReadPlan {
 			continue
 		}
 		for _, b := range f.Blocks {
-			src := fs.liveReplica(b, nodeID)
-			switch src {
-			case "":
+			switch src := fs.liveReplica(b, slot); {
+			case src == nil:
 				plan.Broken = append(plan.Broken, p)
-			case nodeID:
+			case src == n:
 				plan.LocalMB += b.SizeMB
 			default:
 				plan.RemoteMB += b.SizeMB

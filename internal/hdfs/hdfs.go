@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -16,7 +17,8 @@ type Config struct {
 	BlockSizeMB float64 // default 128, matching Hadoop 2.x
 	Replication int     // default 3
 	// ExcludeNodes never receive replicas — master nodes running only the
-	// NameNode/ResourceManager, as in the paper's EC2 experiments.
+	// NameNode/ResourceManager, as in the paper's EC2 experiments. The
+	// names are resolved once, against the members New finds.
 	ExcludeNodes []string `json:"excludeNodes,omitempty"`
 }
 
@@ -52,7 +54,7 @@ func (c *Config) setDefaults() {
 // Block is one replicated chunk of a file.
 type Block struct {
 	SizeMB   float64
-	Replicas []string // node IDs holding the block
+	Replicas []int32 // slots of the nodes holding the block (cluster.Node.Slot)
 }
 
 // File is namenode metadata for one file.
@@ -62,18 +64,28 @@ type File struct {
 	Blocks   []Block
 }
 
-// FS is the simulated namenode plus datanode I/O model.
-type FS struct {
-	cfg      Config
-	cluster  *cluster.Cluster
-	rng      *rand.Rand
-	files    map[string]*File
-	dead     map[string]bool // decommissioned/crashed nodes
-	excluded map[string]bool // non-datanode (master) nodes
-	epoch    uint64          // bumped whenever existing files' locality can change
+// Marks a node's slot can carry in FS.marks.
+const (
+	dead     uint8 = 1 << iota // crashed: replicas unreadable, no new replicas
+	excluded                   // master or decommissioning: no new replicas
+)
 
-	liveOwned   []string // liveNodes' result buffer while a node is dead or excluded
+// FS is the simulated namenode plus datanode I/O model. Below its
+// name-keyed methods (Put, LocalFraction, CandidateNodes, the membership
+// calls) a node is its cluster slot: replica lists, marks and flows hold
+// slots, and a name is looked up once per call at most.
+type FS struct {
+	cfg     Config
+	cluster *cluster.Cluster
+	rng     *rand.Rand
+	files   map[string]*File
+	marks   []uint8 // by slot: dead | excluded; a slot past the end has none
+	marked  int     // slots with a mark
+	epoch   uint64  // bumped whenever existing files' locality can change
+
+	liveOwned   []int32  // liveNodes' result buffer while a slot is marked
 	perm        []int32  // draw's permutation buffer
+	candSlots   []int32  // CandidateNodes' slots, for deduplication
 	candScratch []string // CandidateNodes' result buffer
 
 	// readFault, when set, is consulted before each Read; a non-nil error
@@ -94,17 +106,42 @@ func New(c *cluster.Cluster, cfg Config, seed int64) *FS {
 		cfg.Replication = datanodes
 	}
 	fs := &FS{
-		cfg:      cfg,
-		cluster:  c,
-		rng:      rand.New(rand.NewSource(seed)),
-		files:    make(map[string]*File),
-		dead:     make(map[string]bool),
-		excluded: make(map[string]bool),
+		cfg:     cfg,
+		cluster: c,
+		rng:     rand.New(rand.NewSource(seed)),
+		files:   make(map[string]*File),
 	}
 	for _, id := range cfg.ExcludeNodes {
-		fs.excluded[id] = true
+		if n := c.Node(id); n != nil {
+			fs.mark(n.Slot, excluded)
+		}
 	}
 	return fs
+}
+
+// has reports whether the slot carries the mark.
+func (fs *FS) has(slot int32, m uint8) bool {
+	return int(slot) < len(fs.marks) && fs.marks[slot]&m != 0
+}
+
+// mark sets a mark on the slot.
+func (fs *FS) mark(slot int32, m uint8) {
+	for int(slot) >= len(fs.marks) {
+		fs.marks = append(fs.marks, 0)
+	}
+	if fs.marks[slot] == 0 {
+		fs.marked++
+	}
+	fs.marks[slot] |= m
+}
+
+// holder returns the node in a replica's slot when it can serve reads: a
+// member not marked dead. Otherwise nil.
+func (fs *FS) holder(slot int32) *cluster.Node {
+	if fs.has(slot, dead) {
+		return nil
+	}
+	return fs.cluster.NodeAt(slot)
 }
 
 // LocalityEpoch is a counter that advances whenever the locality of an
@@ -120,10 +157,10 @@ func (fs *FS) LocalityEpoch() uint64 { return fs.epoch }
 // The data-aware scheduler uses it to bucket queued tasks by node instead
 // of scoring every queued task against every freed container. The order is
 // deterministic (path, block, replica order). The result is an FS-owned
-// buffer, valid until the next call; duplicates are found by scanning it,
-// since a task's inputs hold a handful of replicas.
+// buffer, valid until the next call; duplicates are found by scanning the
+// slots already taken, since a task's inputs hold a handful of replicas.
 func (fs *FS) CandidateNodes(paths []string) []string {
-	out := fs.candScratch[:0]
+	seen, out := fs.candSlots[:0], fs.candScratch[:0]
 	for _, p := range paths {
 		f, ok := fs.files[p]
 		if !ok || f.External {
@@ -131,13 +168,17 @@ func (fs *FS) CandidateNodes(paths []string) []string {
 		}
 		for _, b := range f.Blocks {
 			for _, r := range b.Replicas {
-				if !fs.dead[r] && !slices.Contains(out, r) {
-					out = append(out, r)
+				if slices.Contains(seen, r) {
+					continue
+				}
+				if n := fs.holder(r); n != nil {
+					seen = append(seen, r)
+					out = append(out, n.ID)
 				}
 			}
 		}
 	}
-	fs.candScratch = out
+	fs.candSlots, fs.candScratch = seen, out
 	return out
 }
 
@@ -167,7 +208,15 @@ func (fs *FS) Files() []string {
 // initial input data. If writerNode is non-empty the first replica of each
 // block lands there; remaining replicas go to distinct random live nodes.
 func (fs *FS) Put(path string, sizeMB float64, writerNode string) (*File, error) {
-	f, err := fs.buildFile(path, sizeMB, writerNode)
+	writer := int32(-1)
+	if writerNode != "" {
+		n := fs.cluster.Node(writerNode)
+		if n == nil {
+			return nil, fmt.Errorf("hdfs: unknown writer node %q", writerNode)
+		}
+		writer = n.Slot
+	}
+	f, err := fs.buildFile(path, sizeMB, writer)
 	if err != nil {
 		return nil, err
 	}
@@ -186,12 +235,10 @@ func (fs *FS) register(path string, f *File) {
 
 // buildFile lays out blocks and replica placement without registering the
 // file, so Write can simulate exactly the traffic the final metadata shows.
-func (fs *FS) buildFile(path string, sizeMB float64, writerNode string) (*File, error) {
+// writer is the writing member's slot, or -1.
+func (fs *FS) buildFile(path string, sizeMB float64, writer int32) (*File, error) {
 	if err := fs.cfg.CheckSize(sizeMB); err != nil {
 		return nil, fmt.Errorf("hdfs: %v for %q", err, path)
-	}
-	if writerNode != "" && fs.cluster.Node(writerNode) == nil {
-		return nil, fmt.Errorf("hdfs: unknown writer node %q", writerNode)
 	}
 	f := &File{SizeMB: sizeMB}
 	for off := 0.0; off < sizeMB || (sizeMB == 0 && off == 0); off += fs.cfg.BlockSizeMB {
@@ -199,7 +246,7 @@ func (fs *FS) buildFile(path string, sizeMB float64, writerNode string) (*File, 
 		if off+sz > sizeMB {
 			sz = sizeMB - off
 		}
-		f.Blocks = append(f.Blocks, Block{SizeMB: sz, Replicas: fs.placeReplicas(writerNode)})
+		f.Blocks = append(f.Blocks, Block{SizeMB: sz, Replicas: fs.placeReplicas(writer)})
 		if sizeMB == 0 {
 			break
 		}
@@ -214,19 +261,21 @@ func (fs *FS) PutExternal(path string, sizeMB float64) *File {
 	return f
 }
 
-// placeReplicas picks replica nodes: first on the writer (if live), the
-// rest on distinct random live nodes. The candidates are the live nodes
-// other than the writer, in ID order; they are never copied out: a drawn
-// candidate index at or past the writer's position in live is shifted by
-// one. draw consumes the rng exactly as a full shuffle of the candidates
-// would, so placements depend only on the seed and the membership history.
-func (fs *FS) placeReplicas(writerNode string) []string {
+// placeReplicas picks replica slots: first the writer's (a member's slot,
+// or -1) if it may hold one, the rest on distinct random live nodes. The
+// candidates are the live nodes other than the writer, in ID order; they
+// are never copied out: a drawn candidate index at or past the writer's
+// position in live is shifted by one. draw consumes the rng exactly as a
+// full shuffle of the candidates would, so placements depend only on the
+// seed and the membership history.
+func (fs *FS) placeReplicas(writer int32) []int32 {
 	live := fs.liveNodes()
-	reps := make([]string, 0, fs.cfg.Replication)
+	reps := make([]int32, 0, fs.cfg.Replication)
 	skip, n := len(live), len(live) // skip: the writer's index in live, if it is there
-	if writerNode != "" && !fs.dead[writerNode] && !fs.excluded[writerNode] {
-		reps = append(reps, writerNode)
-		if i, ok := slices.BinarySearchFunc(live, writerNode, cluster.CompareIDs); ok {
+	if writer >= 0 && !fs.has(writer, dead|excluded) {
+		reps = append(reps, writer)
+		at := fs.cluster.Index(writer)
+		if i, ok := slices.BinarySearchFunc(live, at, func(s, at int32) int { return cmp.Compare(fs.cluster.Index(s), at) }); ok {
 			skip, n = i, n-1
 		}
 	}
@@ -265,63 +314,66 @@ func (fs *FS) draw(n, k int) []int32 {
 	return perm[:k]
 }
 
-// liveNodes returns the IDs of nodes that can hold new replicas, in ID
-// order. With every node live it is the cluster's read-only NodeIDs slice;
+// liveNodes returns the slots of nodes that can hold new replicas, in ID
+// order. With no slot marked it is the cluster's read-only Slots slice;
 // otherwise it is an FS-owned buffer, valid until the next call.
-func (fs *FS) liveNodes() []string {
-	ids := fs.cluster.NodeIDs()
-	if len(fs.dead) == 0 && len(fs.excluded) == 0 {
-		return ids
+func (fs *FS) liveNodes() []int32 {
+	slots := fs.cluster.Slots()
+	if fs.marked == 0 {
+		return slots
 	}
 	out := fs.liveOwned[:0]
-	for _, id := range ids {
-		if !fs.dead[id] && !fs.excluded[id] {
-			out = append(out, id)
+	for _, s := range slots {
+		if !fs.has(s, dead|excluded) {
+			out = append(out, s)
 		}
 	}
 	fs.liveOwned = out
 	return out
 }
 
-// KillNode marks a node as crashed: its replicas become unreadable and it
-// receives no new replicas. Files survive as long as one live replica per
-// block remains — the redundancy property of §3.1.
-func (fs *FS) KillNode(nodeID string) {
-	fs.dead[nodeID] = true
+// markNode sets a mark on a member's slot; a name that is no member has
+// no slot and nothing to mark. The locality epoch advances either way.
+func (fs *FS) markNode(nodeID string, m uint8) {
+	if n := fs.cluster.Node(nodeID); n != nil {
+		fs.mark(n.Slot, m)
+	}
 	fs.epoch++
 }
+
+// KillNode marks a node as crashed: its replicas become unreadable and it
+// receives no new replicas. Files survive as long as one live replica per
+// block remains — the redundancy property of §3.1. The mark stays with the
+// node's slot: a killed node that stays a member stays dead.
+func (fs *FS) KillNode(nodeID string) { fs.markNode(nodeID, dead) }
 
 // DecommissionNode marks a node as decommissioning, mirroring HDFS graceful
 // decommission: it receives no new replicas and its existing replicas no
 // longer count toward the replication factor — so Rereplicate evacuates its
 // blocks — but it keeps serving reads until it actually departs. Call
 // Rereplicate after this to start the evacuation copies.
-func (fs *FS) DecommissionNode(nodeID string) {
-	fs.excluded[nodeID] = true
-	fs.epoch++
-}
+func (fs *FS) DecommissionNode(nodeID string) { fs.markNode(nodeID, excluded) }
 
-// ForgetNode erases a departed node from the namespace: every replica it
-// held is dropped from block metadata and its dead-marker is cleared. Use it
-// when a node leaves for good (spot reclaim, decommission complete): a node
-// re-added after ForgetNode is a blank machine, so a same-ID rejoin does not
-// resurrect data that physically went away with the old instance.
+// ForgetNode erases a departing node from the namespace: every replica it
+// held is dropped from block metadata and its marks are cleared. Use it
+// when a node leaves for good (spot reclaim, decommission complete), before
+// the cluster removes it. A node that rejoins under the same ID is a new
+// member with a new slot, so it never holds the old instance's data.
 func (fs *FS) ForgetNode(nodeID string) {
+	fs.epoch++
+	n := fs.cluster.Node(nodeID)
+	if n == nil {
+		return
+	}
 	for _, f := range fs.files {
 		for i := range f.Blocks {
-			reps := f.Blocks[i].Replicas
-			kept := reps[:0]
-			for _, r := range reps {
-				if r != nodeID {
-					kept = append(kept, r)
-				}
-			}
-			f.Blocks[i].Replicas = kept
+			f.Blocks[i].Replicas = slices.DeleteFunc(f.Blocks[i].Replicas, func(r int32) bool { return r == n.Slot })
 		}
 	}
-	delete(fs.dead, nodeID)
-	delete(fs.excluded, nodeID)
-	fs.epoch++
+	if fs.has(n.Slot, dead|excluded) {
+		fs.marks[n.Slot] = 0
+		fs.marked--
+	}
 }
 
 // Readable reports whether every block of the file has at least one live
@@ -335,50 +387,53 @@ func (fs *FS) Readable(path string) bool {
 		return true
 	}
 	for _, b := range f.Blocks {
-		if fs.liveReplica(b, "") == "" {
+		if fs.liveReplica(b, -1) == nil {
 			return false
 		}
 	}
 	return true
 }
 
-// liveReplica returns a live replica node for the block, preferring the
-// given node if it holds one; "" if none is live.
-func (fs *FS) liveReplica(b Block, prefer string) string {
-	for _, r := range b.Replicas {
-		if r == prefer && !fs.dead[r] {
-			return r
+// liveReplica returns a node that can serve the block, preferring the one
+// in slot prefer if it holds a replica; nil if none can.
+func (fs *FS) liveReplica(b Block, prefer int32) *cluster.Node {
+	if slices.Contains(b.Replicas, prefer) {
+		if n := fs.holder(prefer); n != nil {
+			return n
 		}
 	}
 	for _, r := range b.Replicas {
-		if !fs.dead[r] {
-			return r
+		if n := fs.holder(r); n != nil {
+			return n
 		}
 	}
-	return ""
+	return nil
 }
 
 // LocalFraction returns locally available MB / total MB over a set of
 // paths from the perspective of one node — the quantity Hi-WAY's
 // data-aware scheduler maximizes. A file's local MB are the sizes of its
 // blocks with a replica on the node; external files and dead nodes hold
-// none. Missing files contribute zero local bytes; an empty or zero-size
-// input set yields 0.
+// none, and so do names that are no member. Missing files contribute zero
+// local bytes; an empty or zero-size input set yields 0.
 func (fs *FS) LocalFraction(paths []string, nodeID string) float64 {
 	var local, total float64
-	dead := fs.dead[nodeID]
+	slot, none := int32(-1), true
+	if n := fs.cluster.Node(nodeID); n != nil {
+		slot, none = n.Slot, fs.has(n.Slot, dead)
+	}
 	for _, p := range paths {
 		f, ok := fs.files[p]
 		if !ok {
 			continue
 		}
 		total += f.SizeMB
-		if f.External || dead {
+		if f.External || none {
 			continue
 		}
 		var fileLocal float64 // added to local whole, which fixes the scores' rounding
 		for _, b := range f.Blocks {
-			if slices.Contains(b.Replicas, nodeID) {
+			if slices.Contains(b.Replicas, slot) {
 				fileLocal += b.SizeMB
 			}
 		}
@@ -407,8 +462,8 @@ func (fs *FS) Rereplicate(done func(copies int)) {
 	target := fs.replicationTarget()
 	type job struct {
 		b      *Block
-		src    string
-		dst    string
+		src    *cluster.Node
+		dst    int32
 		sizeMB float64
 	}
 	var jobs []job
@@ -420,26 +475,23 @@ func (fs *FS) Rereplicate(done func(copies int)) {
 		}
 		for i := range f.Blocks {
 			b := &f.Blocks[i]
-			src := fs.liveReplica(*b, "")
-			if src == "" {
+			src := fs.liveReplica(*b, -1)
+			if src == nil {
 				continue // block lost
 			}
 			// Decommissioning (excluded) holders still serve reads but no
 			// longer count toward the factor, so their blocks evacuate.
-			holders, counted := map[string]bool{}, 0
+			counted := 0
 			for _, r := range b.Replicas {
-				if !fs.dead[r] {
-					holders[r] = true
-					if !fs.excluded[r] {
-						counted++
-					}
+				if !fs.has(r, dead|excluded) {
+					counted++
 				}
 			}
 			// Candidates: live datanodes not yet holding the block.
-			var cands []string
-			for _, id := range fs.liveNodes() {
-				if !holders[id] {
-					cands = append(cands, id)
+			var cands []int32
+			for _, s := range fs.liveNodes() {
+				if !slices.Contains(b.Replicas, s) {
+					cands = append(cands, s)
 				}
 			}
 			for _, k := range fs.draw(len(cands), min(len(cands), max(target-counted, 0))) {
@@ -454,11 +506,11 @@ func (fs *FS) Rereplicate(done func(copies int)) {
 	pending := len(jobs)
 	for _, j := range jobs {
 		j := j
-		fs.cluster.Transfer(fs.cluster.Node(j.src), fs.cluster.Node(j.dst), j.sizeMB, func() {
+		fs.cluster.Transfer(j.src, fs.cluster.NodeAt(j.dst), j.sizeMB, func() {
 			// The destination may have departed (spot reclaim, decommission)
 			// while the copy was in flight; registering it as a replica
 			// holder would resurrect a machine that no longer exists.
-			if fs.cluster.Node(j.dst) != nil && !fs.dead[j.dst] {
+			if fs.holder(j.dst) != nil {
 				j.b.Replicas = append(j.b.Replicas, j.dst)
 				fs.epoch++
 			}
@@ -479,21 +531,21 @@ func (fs *FS) SetReadFault(hook func(nodeID string, paths []string) error) {
 
 // Read simulates reading the file set onto the node: local bytes via the
 // node's disk, remote bytes via the switch from replica holders, external
-// bytes via the NIC. done(err) fires once everything has arrived.
-func (fs *FS) Read(nodeID string, paths []string, done func(error)) {
+// bytes via the NIC. done(err) fires once everything has arrived. A nil
+// node (a container on a node the cluster does not hold) fails the read.
+func (fs *FS) Read(node *cluster.Node, paths []string, done func(error)) {
+	if node == nil {
+		fs.cluster.Engine.Schedule(0, func() { done(errors.New("hdfs: read onto a node that is not a member")) })
+		return
+	}
 	if fs.readFault != nil {
-		if err := fs.readFault(nodeID, paths); err != nil {
+		if err := fs.readFault(node.ID, paths); err != nil {
 			fs.cluster.Engine.Schedule(0, func() { done(err) })
 			return
 		}
 	}
-	node := fs.cluster.Node(nodeID)
-	if node == nil {
-		fs.cluster.Engine.Schedule(0, func() { done(fmt.Errorf("hdfs: unknown node %q", nodeID)) })
-		return
-	}
 	var buf [8]peerMB
-	remote, localMB, externalMB, err := fs.readFlows(buf[:0], nodeID, paths)
+	remote, localMB, externalMB, err := fs.readFlows(buf[:0], node, paths)
 	if err != nil {
 		fs.cluster.Engine.Schedule(0, func() { done(err) })
 		return
@@ -523,15 +575,15 @@ func (fs *FS) Read(nodeID string, paths []string, done func(error)) {
 		fs.cluster.FetchExternal(node, externalMB, finish)
 	}
 	for _, s := range remote {
-		fs.cluster.Transfer(fs.cluster.Node(s.node), node, s.mb, finish)
+		fs.cluster.Transfer(s.node, node, s.mb, finish)
 	}
 }
 
-// readFlows plans a Read of paths onto nodeID: the MB of blocks with a live
+// readFlows plans a Read of paths onto node: the MB of blocks with a live
 // replica on the node, the MB of external files, and one flow per remote
 // source, appended to remote with the MB of its blocks added in path and
 // block order.
-func (fs *FS) readFlows(remote []peerMB, nodeID string, paths []string) (_ []peerMB, localMB, externalMB float64, err error) {
+func (fs *FS) readFlows(remote []peerMB, node *cluster.Node, paths []string) (_ []peerMB, localMB, externalMB float64, err error) {
 	for _, p := range paths {
 		f, ok := fs.files[p]
 		if !ok {
@@ -542,13 +594,13 @@ func (fs *FS) readFlows(remote []peerMB, nodeID string, paths []string) (_ []pee
 			continue
 		}
 		for _, b := range f.Blocks {
-			switch src := fs.liveReplica(b, nodeID); src {
-			case "":
+			switch src := fs.liveReplica(b, node.Slot); src {
+			case nil:
 				err = fmt.Errorf("hdfs: no live replica for a block of %s", p)
-			case nodeID:
+			case node:
 				localMB += b.SizeMB
 			default:
-				remote = addPeerMB(remote, src, b.SizeMB)
+				remote = fs.addPeerMB(remote, src, b.SizeMB)
 			}
 		}
 		if err != nil {
@@ -558,75 +610,78 @@ func (fs *FS) readFlows(remote []peerMB, nodeID string, paths []string) (_ []pee
 	return remote, localMB, externalMB, nil
 }
 
-// writeFlows plans the replication of a file written from nodeID: one flow
-// per other replica holder, appended to peers with the MB of its blocks
-// added in block order.
-func writeFlows(peers []peerMB, f *File, nodeID string) []peerMB {
+// writeFlows plans the replication of a file just laid out for a write
+// from node: one flow per other replica holder, appended to peers with the
+// MB of its blocks added in block order.
+func (fs *FS) writeFlows(peers []peerMB, f *File, node *cluster.Node) []peerMB {
 	for _, b := range f.Blocks {
 		for _, r := range b.Replicas {
-			if r != nodeID {
-				peers = addPeerMB(peers, r, b.SizeMB)
+			if r != node.Slot {
+				peers = fs.addPeerMB(peers, fs.cluster.NodeAt(r), b.SizeMB)
 			}
 		}
 	}
 	return peers
 }
 
-// peerMB is the bytes one flow carries between a node and one peer.
+// peerMB is the bytes one flow carries between a node and one peer; rank is
+// the peer's cluster.ByteRank.
 type peerMB struct {
-	node string
+	node *cluster.Node
+	rank int32
 	mb   float64
 }
 
-// addPeerMB adds mb to node's entry of peers, which is kept in bytewise
-// node order, so Read and Write start their flows in that order. A call
-// has a handful of peers, so the entry is found by a linear scan.
-func addPeerMB(peers []peerMB, node string, mb float64) []peerMB {
+// addPeerMB adds mb to node's entry of peers, which is kept in bytewise ID
+// order (by ByteRank), so Read and Write start their flows in that order.
+// A call has a handful of peers, so the entry is found by a linear scan.
+func (fs *FS) addPeerMB(peers []peerMB, node *cluster.Node, mb float64) []peerMB {
+	rank := fs.cluster.ByteRank(node.Slot)
 	i := 0
-	for ; i < len(peers) && peers[i].node < node; i++ {
+	for ; i < len(peers) && peers[i].rank < rank; i++ {
 	}
 	if i < len(peers) && peers[i].node == node {
 		peers[i].mb += mb
 		return peers
 	}
-	return slices.Insert(peers, i, peerMB{node, mb})
+	return slices.Insert(peers, i, peerMB{node, rank, mb})
 }
 
 // Write simulates creating a file of sizeMB from the node: a local disk
 // write plus pipelined replication of (replication-1) copies through the
-// switch. Metadata is registered when the write completes.
-func (fs *FS) Write(nodeID, path string, sizeMB float64, done func(error)) {
-	node := fs.cluster.Node(nodeID)
+// switch. Metadata is registered when the write completes. A nil node fails
+// the write, as Read does.
+func (fs *FS) Write(node *cluster.Node, path string, sizeMB float64, done func(error)) {
 	if node == nil {
-		fs.cluster.Engine.Schedule(0, func() { done(fmt.Errorf("hdfs: unknown node %q", nodeID)) })
+		fs.cluster.Engine.Schedule(0, func() { done(errors.New("hdfs: write from a node that is not a member")) })
 		return
 	}
 	// Lay the file out now so the simulated replication traffic matches
 	// the metadata registered on completion.
-	f, err := fs.buildFile(path, sizeMB, nodeID)
+	f, err := fs.buildFile(path, sizeMB, node.Slot)
 	if err != nil {
 		fs.cluster.Engine.Schedule(0, func() { done(err) })
 		return
 	}
-	register := func() {
-		fs.register(path, f)
-		done(nil)
-	}
-	if sizeMB == 0 {
-		fs.cluster.Engine.Schedule(0, register)
-		return
-	}
-	var buf [8]peerMB
-	perPeer := writeFlows(buf[:0], f, nodeID)
-	pending := 1 + len(perPeer)
+	// The metadata registers once the local write and every replica flow
+	// have finished: one shared count, one closure.
+	pending := 1
 	finish := func() {
 		pending--
 		if pending == 0 {
-			register()
+			fs.register(path, f)
+			done(nil)
 		}
 	}
+	if sizeMB == 0 {
+		fs.cluster.Engine.Schedule(0, finish)
+		return
+	}
+	var buf [8]peerMB
+	perPeer := fs.writeFlows(buf[:0], f, node)
+	pending += len(perPeer)
 	fs.cluster.WriteLocal(node, sizeMB, finish)
 	for _, p := range perPeer {
-		fs.cluster.Transfer(node, fs.cluster.Node(p.node), p.mb, finish)
+		fs.cluster.Transfer(node, p.node, p.mb, finish)
 	}
 }

@@ -22,6 +22,22 @@ func localMB(fs *FS, path, nodeID string) float64 {
 	return fs.LocalFraction([]string{path}, nodeID) * f.SizeMB
 }
 
+// replicaIDs names the nodes holding a block, in replica order; a slot
+// whose node left reads "gone".
+func replicaIDs(fs *FS, b Block) []string {
+	ids := make([]string, len(b.Replicas))
+	for i, r := range b.Replicas {
+		ids[i] = "gone"
+		if n := fs.cluster.NodeAt(r); n != nil {
+			ids[i] = n.ID
+		}
+	}
+	return ids
+}
+
+// nodeIDs lists the members' IDs in ID order.
+func nodeIDs(c *cluster.Cluster) []string { return slotIDs(c, c.Slots()) }
+
 func newTestCluster(t testing.TB, n int) (*sim.Engine, *cluster.Cluster) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -44,14 +60,15 @@ func TestPutPlacesWriterLocalFirstReplica(t *testing.T) {
 		t.Fatalf("blocks = %d, want 4", len(f.Blocks))
 	}
 	for i, b := range f.Blocks {
-		if b.Replicas[0] != "node-02" {
-			t.Fatalf("block %d first replica = %s, want node-02", i, b.Replicas[0])
+		reps := replicaIDs(fs, b)
+		if reps[0] != "node-02" {
+			t.Fatalf("block %d first replica = %s, want node-02", i, reps[0])
 		}
-		if len(b.Replicas) != 3 {
-			t.Fatalf("block %d replication = %d", i, len(b.Replicas))
+		if len(reps) != 3 {
+			t.Fatalf("block %d replication = %d", i, len(reps))
 		}
 		seen := map[string]bool{}
-		for _, r := range b.Replicas {
+		for _, r := range reps {
 			if seen[r] {
 				t.Fatalf("block %d has duplicate replica %s", i, r)
 			}
@@ -69,7 +86,7 @@ func TestPutRandomPlacementWithoutWriter(t *testing.T) {
 	f, _ := fs.Put("/data/b", 320, "")
 	firsts := map[string]bool{}
 	for _, b := range f.Blocks {
-		firsts[b.Replicas[0]] = true
+		firsts[replicaIDs(fs, b)[0]] = true
 	}
 	if len(firsts) < 2 {
 		t.Fatalf("random placement always picked the same first node: %v", firsts)
@@ -132,7 +149,7 @@ func TestBlockBound(t *testing.T) {
 			t.Errorf("Put of %g MB in %g MB blocks: error %v, want ok=%v", tc.sizeMB, tc.blockMB, err, tc.ok)
 		}
 		var werr error
-		fs.Write("node-01", "/w", tc.sizeMB, func(err error) { werr = err })
+		fs.Write(c.Node("node-01"), "/w", tc.sizeMB, func(err error) { werr = err })
 		eng.Run()
 		if (werr == nil) != tc.ok || fs.Exists("/w") != tc.ok {
 			t.Errorf("Write of %g MB in %g MB blocks: error %v, want ok=%v", tc.sizeMB, tc.blockMB, werr, tc.ok)
@@ -183,7 +200,7 @@ func TestReadLocalOnlyUsesDisk(t *testing.T) {
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 1}, 1)
 	fs.Put("/a", 100, "node-00") // disk at 100 MB/s → 1s
 	var doneAt float64
-	fs.Read("node-00", []string{"/a"}, func(err error) {
+	fs.Read(c.Node("node-00"), []string{"/a"}, func(err error) {
 		if err != nil {
 			t.Errorf("read error: %v", err)
 		}
@@ -203,7 +220,7 @@ func TestReadRemoteUsesSwitch(t *testing.T) {
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 1}, 1)
 	fs.Put("/a", 200, "node-01") // NIC 100 MB/s → 2s via switch
 	var doneAt float64
-	fs.Read("node-00", []string{"/a"}, func(err error) {
+	fs.Read(c.Node("node-00"), []string{"/a"}, func(err error) {
 		if err != nil {
 			t.Errorf("read error: %v", err)
 		}
@@ -223,7 +240,7 @@ func TestReadExternalUsesNIC(t *testing.T) {
 	fs := New(c, Config{}, 1)
 	fs.PutExternal("/s3/x", 100) // 50 MB/s per flow → 2s
 	var doneAt float64
-	fs.Read("node-00", []string{"/s3/x"}, func(err error) {
+	fs.Read(c.Node("node-00"), []string{"/s3/x"}, func(err error) {
 		if err != nil {
 			t.Errorf("read error: %v", err)
 		}
@@ -242,7 +259,7 @@ func TestReadMissingFileErrors(t *testing.T) {
 	eng, c := newTestCluster(t, 2)
 	fs := New(c, Config{}, 1)
 	var gotErr error
-	fs.Read("node-00", []string{"/nope"}, func(err error) { gotErr = err })
+	fs.Read(c.Node("node-00"), []string{"/nope"}, func(err error) { gotErr = err })
 	eng.Run()
 	if gotErr == nil {
 		t.Fatal("expected error for missing file")
@@ -253,7 +270,7 @@ func TestReadUnknownNodeErrors(t *testing.T) {
 	eng, c := newTestCluster(t, 2)
 	fs := New(c, Config{}, 1)
 	var gotErr error
-	fs.Read("node-77", nil, func(err error) { gotErr = err })
+	fs.Read(c.Node("node-77"), nil, func(err error) { gotErr = err })
 	eng.Run()
 	if gotErr == nil {
 		t.Fatal("expected error for unknown node")
@@ -264,7 +281,7 @@ func TestReadEmptySetCompletes(t *testing.T) {
 	eng, c := newTestCluster(t, 2)
 	fs := New(c, Config{}, 1)
 	called := false
-	fs.Read("node-00", nil, func(err error) {
+	fs.Read(c.Node("node-00"), nil, func(err error) {
 		if err != nil {
 			t.Errorf("err = %v", err)
 		}
@@ -280,7 +297,7 @@ func TestWriteRegistersMetadataMatchingTraffic(t *testing.T) {
 	eng, c := newTestCluster(t, 4)
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 3}, 7)
 	var doneAt float64
-	fs.Write("node-00", "/out", 100, func(err error) {
+	fs.Write(c.Node("node-00"), "/out", 100, func(err error) {
 		if err != nil {
 			t.Errorf("write error: %v", err)
 		}
@@ -291,8 +308,8 @@ func TestWriteRegistersMetadataMatchingTraffic(t *testing.T) {
 	if !ok {
 		t.Fatal("file not registered")
 	}
-	if f.Blocks[0].Replicas[0] != "node-00" {
-		t.Fatalf("first replica = %s, want writer-local", f.Blocks[0].Replicas[0])
+	if reps := replicaIDs(fs, f.Blocks[0]); reps[0] != "node-00" {
+		t.Fatalf("first replica = %s, want writer-local", reps[0])
 	}
 	if len(f.Blocks[0].Replicas) != 3 {
 		t.Fatalf("replicas = %v", f.Blocks[0].Replicas)
@@ -310,7 +327,7 @@ func TestWriteRegistersMetadataMatchingTraffic(t *testing.T) {
 func TestWriteBeforeCompletionNotVisible(t *testing.T) {
 	eng, c := newTestCluster(t, 3)
 	fs := New(c, Config{}, 1)
-	fs.Write("node-00", "/slow", 100, func(error) {})
+	fs.Write(c.Node("node-00"), "/slow", 100, func(error) {})
 	if fs.Exists("/slow") {
 		t.Fatal("file visible before write completed")
 	}
@@ -324,7 +341,7 @@ func TestWriteZeroBytes(t *testing.T) {
 	eng, c := newTestCluster(t, 3)
 	fs := New(c, Config{}, 1)
 	var called bool
-	fs.Write("node-00", "/zero", 0, func(err error) {
+	fs.Write(c.Node("node-00"), "/zero", 0, func(err error) {
 		if err != nil {
 			t.Errorf("err = %v", err)
 		}
@@ -341,7 +358,7 @@ func TestKillNodeFailover(t *testing.T) {
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 2}, 1)
 	fs.Put("/a", 100, "node-00")
 	f, _ := fs.Stat("/a")
-	second := f.Blocks[0].Replicas[1]
+	second := replicaIDs(fs, f.Blocks[0])[1]
 	fs.KillNode("node-00")
 	if !fs.Readable("/a") {
 		t.Fatal("file should survive one node crash with replication 2")
@@ -355,7 +372,7 @@ func TestKillNodeFailover(t *testing.T) {
 	}
 	// Reading still works.
 	var gotErr error
-	fs.Read(second, []string{"/a"}, func(err error) { gotErr = err })
+	fs.Read(c.Node(second), []string{"/a"}, func(err error) { gotErr = err })
 	eng.Run()
 	if gotErr != nil {
 		t.Fatalf("read after crash: %v", gotErr)
@@ -372,7 +389,7 @@ func TestDeadNodeReceivesNoNewReplicas(t *testing.T) {
 	fs := New(c, Config{Replication: 3}, 1)
 	fs.KillNode("node-01")
 	f, _ := fs.Put("/a", 10, "node-00")
-	for _, r := range f.Blocks[0].Replicas {
+	for _, r := range replicaIDs(fs, f.Blocks[0]) {
 		if r == "node-01" {
 			t.Fatal("replica placed on dead node")
 		}
@@ -423,7 +440,7 @@ func TestRereplicateRestoresFactor(t *testing.T) {
 		f, _ := fs.Stat(p)
 		for _, b := range f.Blocks {
 			live := 0
-			for _, r := range b.Replicas {
+			for _, r := range replicaIDs(fs, b) {
 				if r != "node-00" {
 					live++
 				}
@@ -456,7 +473,8 @@ func TestDecommissionEvacuatesBlocks(t *testing.T) {
 	eng, c := newTestCluster(t, 4)
 	fs := New(c, Config{BlockSizeMB: 64, Replication: 2}, 9)
 	f, _ := fs.Put("/a", 64, "node-00")
-	holder := f.Blocks[0].Replicas[1]
+	holder := replicaIDs(fs, f.Blocks[0])[1]
+	slot := c.Node(holder).Slot
 	fs.DecommissionNode(holder)
 
 	// Still readable: the decommissioning replica serves until departure.
@@ -465,7 +483,7 @@ func TestDecommissionEvacuatesBlocks(t *testing.T) {
 	}
 	// No longer a placement target.
 	g, _ := fs.Put("/b", 64, "")
-	for _, r := range g.Blocks[0].Replicas {
+	for _, r := range replicaIDs(fs, g.Blocks[0]) {
 		if r == holder {
 			t.Fatalf("decommissioning node %s received a new replica", holder)
 		}
@@ -480,7 +498,7 @@ func TestDecommissionEvacuatesBlocks(t *testing.T) {
 	staying := 0
 	f, _ = fs.Stat("/a")
 	for _, r := range f.Blocks[0].Replicas {
-		if r != holder && !fs.dead[r] {
+		if r != slot && !fs.has(r, dead) {
 			staying++
 		}
 	}
@@ -492,7 +510,7 @@ func TestDecommissionEvacuatesBlocks(t *testing.T) {
 	// blank, placeable machine again.
 	fs.KillNode(holder)
 	fs.ForgetNode(holder)
-	if fs.excluded[holder] {
+	if fs.has(slot, excluded) {
 		t.Fatal("ForgetNode left the decommission mark in place")
 	}
 }
@@ -510,9 +528,10 @@ func TestRereplicateDestinationDepartsMidFlight(t *testing.T) {
 	// Kill the second replica holder; the sole rereplication candidate is
 	// the remaining third node.
 	var dst string
-	fs.KillNode(f.Blocks[0].Replicas[1])
-	for _, id := range c.NodeIDs() {
-		if id != f.Blocks[0].Replicas[0] && id != f.Blocks[0].Replicas[1] {
+	reps := replicaIDs(fs, f.Blocks[0])
+	fs.KillNode(reps[1])
+	for _, id := range nodeIDs(c) {
+		if id != reps[0] && id != reps[1] {
 			dst = id
 		}
 	}
@@ -524,8 +543,8 @@ func TestRereplicateDestinationDepartsMidFlight(t *testing.T) {
 	eng.Run()
 	for _, b := range f.Blocks {
 		for _, r := range b.Replicas {
-			if c.Node(r) == nil {
-				t.Fatalf("replica registered on departed node %s: %v", r, b.Replicas)
+			if c.NodeAt(r) == nil {
+				t.Fatalf("replica registered on departed slot %d: %v", r, replicaIDs(fs, b))
 			}
 		}
 	}
@@ -539,7 +558,7 @@ func TestRereplicateSkipsLostBlocks(t *testing.T) {
 	eng, c := newTestCluster(t, 3)
 	fs := New(c, Config{BlockSizeMB: 1000, Replication: 1}, 9)
 	f, _ := fs.Put("/a", 10, "node-00")
-	fs.KillNode(f.Blocks[0].Replicas[0])
+	fs.KillNode(replicaIDs(fs, f.Blocks[0])[0])
 	var copies int
 	fs.Rereplicate(func(n int) { copies = n })
 	eng.Run()
@@ -563,7 +582,7 @@ func TestExcludeNodesReceiveNoReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range f.Blocks {
-		for _, r := range b.Replicas {
+		for _, r := range replicaIDs(fs, b) {
 			if r == "node-00" || r == "node-01" {
 				t.Fatalf("replica placed on excluded master node %s", r)
 			}
@@ -571,7 +590,7 @@ func TestExcludeNodesReceiveNoReplicas(t *testing.T) {
 	}
 	// A writer on an excluded node gets no local first replica.
 	f2, _ := fs.Put("/b", 10, "node-00")
-	for _, r := range f2.Blocks[0].Replicas {
+	for _, r := range replicaIDs(fs, f2.Blocks[0]) {
 		if r == "node-00" {
 			t.Fatal("excluded writer received a replica")
 		}
@@ -611,7 +630,7 @@ func TestPutInvariantsProperty(t *testing.T) {
 			if len(b.Replicas) != wantRep {
 				return false
 			}
-			seen := map[string]bool{}
+			seen := map[int32]bool{}
 			for _, r := range b.Replicas {
 				if seen[r] {
 					return false
@@ -639,7 +658,7 @@ func TestLocalMBProperty(t *testing.T) {
 		size := rng.Float64() * 500
 		file, _ := fs.Put("/f", size, "")
 		var total float64
-		for _, id := range c.NodeIDs() {
+		for _, id := range nodeIDs(c) {
 			lm := localMB(fs, "/f", id)
 			if lm > size+1e-9 {
 				return false

@@ -5,11 +5,15 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"hiway/internal/cluster"
 )
 
-// liveModel tracks, independently of FS, which nodes the namespace has
+// liveModel tracks, independently of FS, which members the namespace has
 // been told are dead or excluded, and draws placements from its own copy
-// of the placement rng.
+// of the placement rng. A mark belongs to a member: a name that is no
+// member takes none, and a node that leaves the cluster takes its marks
+// with it, so a rejoin under the same ID starts unmarked.
 type liveModel struct {
 	dead, excluded map[string]bool
 	rng            *rand.Rand
@@ -49,6 +53,15 @@ func (m *liveModel) place(fs *FS, writer string) []string {
 	return reps
 }
 
+// slotIDs names the members in the slots.
+func slotIDs(c *cluster.Cluster, slots []int32) []string {
+	ids := make([]string, len(slots))
+	for i, s := range slots {
+		ids[i] = c.NodeAt(s).ID
+	}
+	return ids
+}
+
 // TestLiveNodesMatchesFromScratchFilter drives seeded sequences of AddNode,
 // RemoveNode, KillNode, DecommissionNode and ForgetNode, and after every
 // step compares liveNodes with a from-scratch filter of cluster.Nodes() and
@@ -72,7 +85,7 @@ func TestLiveNodesMatchesFromScratchFilter(t *testing.T) {
 		for _, id := range cfg.ExcludeNodes {
 			m.excluded[id] = true
 		}
-		known := slices.Clone(c.NodeIDs()) // every ID ever a member
+		known := slices.Clone(nodeIDs(c)) // every ID ever a member
 		for step := 0; step < 120; step++ {
 			id := known[rng.Intn(len(known))]
 			var op string
@@ -96,15 +109,21 @@ func TestLiveNodesMatchesFromScratchFilter(t *testing.T) {
 					if err := c.RemoveNode(id); err != nil {
 						t.Fatal(err)
 					}
+					delete(m.dead, id)
+					delete(m.excluded, id)
 				}
 			case 2:
 				op = "KillNode"
 				fs.KillNode(id)
-				m.dead[id] = true
+				if c.Node(id) != nil {
+					m.dead[id] = true
+				}
 			case 3:
 				op = "DecommissionNode"
 				fs.DecommissionNode(id)
-				m.excluded[id] = true
+				if c.Node(id) != nil {
+					m.excluded[id] = true
+				}
 			case 4:
 				op = "ForgetNode"
 				fs.ForgetNode(id)
@@ -114,16 +133,17 @@ func TestLiveNodesMatchesFromScratchFilter(t *testing.T) {
 				op = "none"
 			}
 			where := fmt.Sprintf("seed %d step %d (%s %s)", seed, step, op, id)
-			if got, want := fs.liveNodes(), m.live(fs); !slices.Equal(got, want) {
+			if got, want := slotIDs(c, fs.liveNodes()), m.live(fs); !slices.Equal(got, want) {
 				t.Fatalf("%s: liveNodes %v, from scratch %v", where, got, want)
 			}
 			for k := 0; k < 2; k++ {
-				writer := ""
+				writer, slot := "", int32(-1)
 				if rng.Intn(2) == 0 {
-					members := c.NodeIDs()
+					members := nodeIDs(c)
 					writer = members[rng.Intn(len(members))]
+					slot = c.Node(writer).Slot
 				}
-				if got, want := fs.placeReplicas(writer), m.place(fs, writer); !slices.Equal(got, want) {
+				if got, want := slotIDs(c, fs.placeReplicas(slot)), m.place(fs, writer); !slices.Equal(got, want) {
 					t.Fatalf("%s: placeReplicas(%q) %v, model %v", where, writer, got, want)
 				}
 			}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"hiway/internal/cluster"
 )
 
 // shuffled is the reference for draw: the permutation rand.Shuffle makes of
@@ -83,8 +85,8 @@ func TestDrawRejectionMatchesShuffle(t *testing.T) {
 }
 
 // referenceReadFlows is Read's flow plan as a map of per-source bytes
-// whose keys are then sorted.
-func referenceReadFlows(fs *FS, nodeID string, paths []string) []peerMB {
+// whose keys, the sources' IDs, are then sorted.
+func referenceReadFlows(fs *FS, node *cluster.Node, paths []string) []peerMB {
 	remote := make(map[string]float64)
 	for _, p := range paths {
 		f := fs.files[p]
@@ -92,38 +94,39 @@ func referenceReadFlows(fs *FS, nodeID string, paths []string) []peerMB {
 			continue
 		}
 		for _, b := range f.Blocks {
-			if src := fs.liveReplica(b, nodeID); src != nodeID {
-				remote[src] += b.SizeMB
+			if src := fs.liveReplica(b, node.Slot); src != node {
+				remote[src.ID] += b.SizeMB
 			}
 		}
 	}
-	return sortedFlows(remote)
+	return sortedFlows(fs, remote)
 }
 
 // referenceWriteFlows is Write's flow plan as a map of per-peer bytes whose
-// keys are then sorted.
-func referenceWriteFlows(f *File, nodeID string) []peerMB {
+// keys, the peers' IDs, are then sorted.
+func referenceWriteFlows(fs *FS, f *File, node *cluster.Node) []peerMB {
 	perPeer := make(map[string]float64)
 	for _, b := range f.Blocks {
 		for _, r := range b.Replicas {
-			if r != nodeID {
-				perPeer[r] += b.SizeMB
+			if r != node.Slot {
+				perPeer[fs.cluster.NodeAt(r).ID] += b.SizeMB
 			}
 		}
 	}
-	return sortedFlows(perPeer)
+	return sortedFlows(fs, perPeer)
 }
 
 // referenceLocalFraction is LocalFraction with each file's local MB summed
 // on its own before it is added, as the per-file lookup it replaced did.
 func referenceLocalFraction(fs *FS, paths []string, nodeID string) float64 {
 	var local, total float64
+	n := fs.cluster.Node(nodeID)
 	for _, p := range paths {
 		f := fs.files[p]
 		total += f.SizeMB
 		var fileLocal float64
 		for _, b := range f.Blocks {
-			if !f.External && !fs.dead[nodeID] && slices.Contains(b.Replicas, nodeID) {
+			if !f.External && n != nil && !fs.has(n.Slot, dead) && slices.Contains(b.Replicas, n.Slot) {
 				fileLocal += b.SizeMB
 			}
 		}
@@ -135,7 +138,8 @@ func referenceLocalFraction(fs *FS, paths []string, nodeID string) float64 {
 	return local / total
 }
 
-func sortedFlows(m map[string]float64) []peerMB {
+// sortedFlows lists per-ID bytes as flows in sorted ID order.
+func sortedFlows(fs *FS, m map[string]float64) []peerMB {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -143,7 +147,8 @@ func sortedFlows(m map[string]float64) []peerMB {
 	sort.Strings(keys)
 	out := make([]peerMB, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, peerMB{k, m[k]})
+		n := fs.cluster.Node(k)
+		out = append(out, peerMB{n, fs.cluster.ByteRank(n.Slot), m[k]})
 	}
 	return out
 }
@@ -160,7 +165,7 @@ func TestFlowPlansMatchMapReference(t *testing.T) {
 		nodes := 3 + rng.Intn(298)
 		_, c := newTestCluster(t, nodes)
 		fs := New(c, Config{BlockSizeMB: 16, Replication: 1 + rng.Intn(3)}, seed)
-		ids := c.NodeIDs()
+		ids := nodeIDs(c)
 		var paths []string
 		for i := 0; i < 24; i++ {
 			writer := ""
@@ -175,7 +180,7 @@ func TestFlowPlansMatchMapReference(t *testing.T) {
 			}
 			paths = append(paths, p)
 			if writer != "" {
-				if got, want := writeFlows(nil, f, writer), referenceWriteFlows(f, writer); !slices.Equal(got, want) {
+				if got, want := fs.writeFlows(nil, f, c.Node(writer)), referenceWriteFlows(fs, f, c.Node(writer)); !slices.Equal(got, want) {
 					t.Fatalf("seed %d %s from %s: write flows %v, reference %v", seed, p, writer, got, want)
 				}
 			}
@@ -192,11 +197,11 @@ func TestFlowPlansMatchMapReference(t *testing.T) {
 			if got, want := fs.LocalFraction(set, reader), referenceLocalFraction(fs, set, reader); got != want {
 				t.Fatalf("seed %d LocalFraction(%v, %s) = %v, reference %v", seed, set, reader, got, want)
 			}
-			got, _, _, err := fs.readFlows(nil, reader, set)
+			got, _, _, err := fs.readFlows(nil, c.Node(reader), set)
 			if err != nil {
 				continue // a block lost every replica; Read fails it as a whole
 			}
-			if want := referenceReadFlows(fs, reader, set); !slices.Equal(got, want) {
+			if want := referenceReadFlows(fs, c.Node(reader), set); !slices.Equal(got, want) {
 				t.Fatalf("seed %d read %v onto %s: flows %v, reference %v", seed, set, reader, got, want)
 			}
 		}

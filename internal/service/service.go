@@ -1,7 +1,9 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hiway/internal/chaos"
@@ -211,6 +213,7 @@ type pendingWF struct {
 	spec   WorkloadSpec
 	acct   *Account
 	span   obs.SpanID
+	am     *core.AM // once launched, until its AM ends
 }
 
 // Service runs the submission queue, admission control and accounting over
@@ -225,6 +228,7 @@ type Service struct {
 	gate     *fifoGate[*pendingWF]
 	pumping  bool
 	accounts []*Account
+	live     []*pendingWF // launched workflows whose AM has not ended, in launch order
 
 	tr *obs.Tracer
 
@@ -400,11 +404,33 @@ func (s *Service) admit(w *pendingWF) error {
 		MemoPrefix: fmt.Sprintf("/svc/%s/%s", w.tenant, w.name),
 		OnTerminal: func(rep *core.Report) { s.onTerminal(w, rep) },
 	}
-	if _, err := core.Launch(s.env, driver, sched, cfg); err != nil {
+	am, err := core.Launch(s.env, driver, sched, cfg)
+	if err != nil {
 		return err
+	}
+	if !am.Finished() { // a workflow with no work ends inside Launch
+		w.am = am
+		s.live = append(s.live, w)
 	}
 	s.markAdmitted(w)
 	return nil
+}
+
+// EndStalled ends, in launch order, every workflow whose AM the engine left
+// unfinished — it quiesced with the workflow's work outstanding — through
+// the AM's stall report (core.AM.Report): the run's record ends with its
+// workflow-end and its account settles as failed. It returns the stall
+// errors joined, or nil when no workflow stalled. Ending a workflow frees
+// its slot, which can admit a queued one, so the caller runs the engine
+// again until EndStalled returns nil.
+func (s *Service) EndStalled() error {
+	var errs []error
+	for _, w := range slices.Clone(s.live) {
+		if _, err := w.am.Report(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // markAdmitted records a launched AM's admission, once.
@@ -427,6 +453,10 @@ func (s *Service) markAdmitted(w *pendingWF) {
 // onTerminal settles the account when a workflow's AM reaches a terminal
 // report, then re-pumps the queue.
 func (s *Service) onTerminal(w *pendingWF, rep *core.Report) {
+	if w.am != nil {
+		w.am = nil
+		s.live = slices.DeleteFunc(s.live, func(x *pendingWF) bool { return x == w })
+	}
 	s.markAdmitted(w) // a workflow with no work terminates inside Launch
 	s.gate.Finish()
 	w.acct.Memoized = rep.Memoized

@@ -308,3 +308,33 @@ func TestNodeAllocationCountersFollowMembership(t *testing.T) {
 		t.Fatalf("node counters = %d, %d, want 1, 2", a, b)
 	}
 }
+
+// TestTiesGoToTheLowestIDAcrossMembership pins pickNode's last tie-break
+// (the lowest ID, compared as a position in the node table) through a
+// removal and a rejoin at the front of the table, and the slot a container
+// carries: its node's cluster slot, or -1 for a node the cluster lacks.
+func TestTiesGoToTheLowestIDAcrossMembership(t *testing.T) {
+	_, rm := newRM(t, 4, spec4(), Config{})
+	if err := rm.RemoveNode("node-00"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.AddNode("node-00", 4, 4096, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.AddNode("spot-00", 4, 4096, true); err != nil {
+		t.Fatal(err)
+	}
+	// Each AM takes a core, so the next one goes to the next idle node.
+	for _, want := range []struct {
+		node string
+		slot int32
+	}{{"node-00", 0}, {"node-01", 1}, {"node-02", 2}, {"node-03", 3}, {"spot-00", -1}} {
+		app, err := rm.SubmitApplication("wf", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := app.AMContainer; c.NodeID != want.node || c.Slot != want.slot {
+			t.Fatalf("AM on %s (slot %d), want %s (slot %d): ties go to the lowest ID", c.NodeID, c.Slot, want.node, want.slot)
+		}
+	}
+}

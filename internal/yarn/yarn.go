@@ -29,8 +29,11 @@ func (r Resource) String() string {
 
 // Container is an allocated bundle of resources on one node.
 type Container struct {
-	ID       int64
-	NodeID   string
+	ID     int64
+	NodeID string
+	// Slot is the hosting node's cluster slot (see cluster.Node.Slot), or
+	// -1 for a node the RM was given that the cluster does not hold.
+	Slot     int32
 	Resource Resource
 	// Tenant is the owning application's tenant ("" for untenanted apps).
 	Tenant string
@@ -105,6 +108,8 @@ func (c *Config) setDefaults() {
 
 type nodeManager struct {
 	id         string
+	slot       int32 // the node's cluster slot, -1 if the cluster lacks it
+	rank       int   // position in the RM's node table (byte order of id)
 	totalCores int
 	totalMem   int
 	freeCores  int
@@ -168,10 +173,12 @@ type AuditHook interface {
 // ResourceManager allocates containers over the simulated cluster.
 type ResourceManager struct {
 	eng *sim.Engine
+	cl  *cluster.Cluster
 	cfg Config
 
 	// nodes is the node table, sorted by ID in byte order: dead and
-	// draining nodes stay until RemoveNode.
+	// draining nodes stay until RemoveNode. Each node's rank is its
+	// position here, so comparing ranks compares IDs bytewise.
 	nodes []*nodeManager
 	// apps holds the unfinished applications in ID order; each queues its
 	// own requests.
@@ -266,6 +273,7 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, cfg Config) *Resour
 	cfg.setDefaults()
 	rm := &ResourceManager{
 		eng:        eng,
+		cl:         c,
 		cfg:        cfg,
 		tenantUse:  make(map[string]int),
 		tenantCost: make(map[string]*TenantCost),
@@ -274,6 +282,7 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, cfg Config) *Resour
 	for _, n := range c.Nodes() {
 		nm := &nodeManager{
 			id:         n.ID,
+			slot:       n.Slot,
 			totalCores: n.Spec.VCores,
 			totalMem:   n.Spec.MemMB,
 			freeCores:  n.Spec.VCores,
@@ -287,7 +296,16 @@ func NewResourceManager(eng *sim.Engine, c *cluster.Cluster, cfg Config) *Resour
 		rm.idxSync(nm)
 	}
 	slices.SortFunc(rm.nodes, func(a, b *nodeManager) int { return strings.Compare(a.id, b.id) })
+	rm.rerank(0)
 	return rm
+}
+
+// rerank renumbers the ranks of the node table from position i on, after
+// a node entered or left there.
+func (rm *ResourceManager) rerank(i int) {
+	for ; i < len(rm.nodes); i++ {
+		rm.nodes[i].rank = i
+	}
 }
 
 // find returns the node table position of a node ID and whether a node
@@ -364,8 +382,13 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 		return fmt.Errorf("yarn: node %s already registered", nodeID)
 	}
 	now := rm.eng.Now()
+	slot := int32(-1)
+	if n := rm.cl.Node(nodeID); n != nil {
+		slot = n.Slot
+	}
 	nm := &nodeManager{
 		id:         nodeID,
+		slot:       slot,
 		totalCores: vcores,
 		totalMem:   memMB,
 		freeCores:  vcores,
@@ -381,8 +404,10 @@ func (rm *ResourceManager) AddNode(nodeID string, vcores, memMB int, spot bool) 
 		// Dead incarnation: its cost was finalized at kill time; replace it.
 		rm.nodes[i].gone = true
 		rm.nodes[i] = nm
+		nm.rank = i
 	} else {
 		rm.nodes = slices.Insert(rm.nodes, i, nm)
+		rm.rerank(i)
 	}
 	rm.idxSync(nm)
 	rm.obs.T().Instant("membership", "node-joined", nodeID)
@@ -508,6 +533,7 @@ func (rm *ResourceManager) RemoveNode(nodeID string) error {
 	rm.idxRemove(nm)
 	nm.gone = true
 	rm.nodes = slices.Delete(rm.nodes, i, i+1)
+	rm.rerank(i)
 	now := rm.eng.Now()
 	rm.obs.T().Instant("membership", "node-removed", nodeID)
 	if rm.audit != nil {
@@ -925,7 +951,7 @@ func (rm *ResourceManager) pickNode(res Resource, hint *nodeManager, strict bool
 				continue
 			}
 			if best == nil || nm.freeMem > best.freeMem ||
-				(nm.freeMem == best.freeMem && nm.id < best.id) {
+				(nm.freeMem == best.freeMem && nm.rank < best.rank) {
 				best = nm
 			}
 		}
@@ -942,7 +968,7 @@ func (rm *ResourceManager) allocateOn(nm *nodeManager, app *Application, res Res
 	nm.freeMem -= res.MemMB
 	rm.idxSync(nm)
 	rm.nextContainer++
-	c := &Container{ID: rm.nextContainer, NodeID: nm.id, Resource: res, Tenant: app.Tenant, AM: am, nm: nm, allocAt: rm.eng.Now()}
+	c := &Container{ID: rm.nextContainer, NodeID: nm.id, Slot: nm.slot, Resource: res, Tenant: app.Tenant, AM: am, nm: nm, allocAt: rm.eng.Now()}
 	if !am && app.Tenant != "" {
 		rm.tenantUse[app.Tenant]++
 	}
