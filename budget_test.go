@@ -10,6 +10,7 @@ import (
 	"hiway/internal/hdfs"
 	"hiway/internal/lang/cwl"
 	"hiway/internal/lang/dax"
+	"hiway/internal/memo"
 	"hiway/internal/provenance"
 	"hiway/internal/scheduler"
 	"hiway/internal/sim"
@@ -54,10 +55,16 @@ type budget struct {
 
 // staticRuns readies n runs of layered(8, 128) through the AM, FCFS, each on
 // a fresh 16-node substrate and, with prov, recording into a Manager over a
-// fresh MemStore.
-func staticRuns(prov bool) func(t *testing.T, n int) func() {
+// fresh MemStore. With memoWarm the runs share a memo table that a cold run
+// filled before them, so every task of a measured run is spliced from it.
+func staticRuns(prov, memoWarm bool) func(t *testing.T, n int) func() {
 	return func(t *testing.T, n int) func() {
 		tasks := layered(8, 128)
+		var cfg core.Config
+		if memoWarm {
+			cfg.Memo = memo.New(0)
+			n++ // the cold run
+		}
 		envs := make([]core.Env, n)
 		for i := range envs {
 			eng := sim.NewEngine()
@@ -76,16 +83,23 @@ func staticRuns(prov bool) func(t *testing.T, n int) func() {
 			}
 		}
 		next := 0
-		return func() {
+		run := func() {
 			sb := &wf.StaticBase{WFName: "layered", Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
 				return tasks, []string{"seed"}, nil, nil
 			}}
-			rep, err := core.Run(envs[next], sb, scheduler.NewFCFS(), core.Config{})
+			rep, err := core.Run(envs[next], sb, scheduler.NewFCFS(), cfg)
 			next++
 			if err != nil || len(rep.Results) != len(tasks) {
 				t.Fatalf("run %d: %v", next, err)
 			}
+			if memoWarm && next > 1 && rep.Memoized != len(tasks) {
+				t.Fatalf("warm run %d: %d of %d tasks spliced", next, rep.Memoized, len(tasks))
+			}
 		}
+		if memoWarm {
+			run()
+		}
+		return run
 	}
 }
 
@@ -140,13 +154,21 @@ func TestAllocationBudgets(t *testing.T) {
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
 			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 28.99, bytes: 1819,
-			prepare: staticRuns(false),
+			prepare: staticRuns(false, false),
 		},
 		{
 			// The same, recording into a provenance Manager over a fresh
 			// MemStore: what a task's start and end events cost the AM.
 			layer: "core: Run, static, fcfs, provenance", unit: "task", units: 1024, allocs: 31.24, bytes: 2702,
-			prepare: staticRuns(true),
+			prepare: staticRuns(true, false),
+		},
+		{
+			// The same over a warm memo table: each task derives its key
+			// from the digest of the producer of its input (the seed for
+			// the first layer), hits and is spliced; the cold run that
+			// filled the table is not measured.
+			layer: "memo: key + lookup per task", unit: "task", units: 1024, allocs: 10.30, bytes: 1089,
+			prepare: staticRuns(false, true),
 		},
 		{
 			// A Manager records a start and an end event per task into a

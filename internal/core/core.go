@@ -237,6 +237,7 @@ type AM struct {
 
 	// memoization state (see memo.go)
 	memoIDs        map[string]string // produced path → canonical identity
+	memoScratch    memo.Key          // memoKey's sets, reused from task to task
 	memoized       int               // tasks spliced from the memo table
 	pendingSplices int               // hits scheduled but not yet spliced
 

@@ -51,9 +51,13 @@ func (am *AM) inputIdentity(path string) (string, bool) {
 // when any input cannot be identified; such tasks execute normally.
 func (am *AM) memoKey(t *wf.Task) (string, bool) {
 	res := am.containerResource()
+	// The key's sets reuse the AM's scratch: Encode copies what it keeps,
+	// and sorting them here spares Encode copying them to sort.
 	k := memo.Key{
 		Sig:     t.Name,
 		Profile: memo.Profile{VCores: res.VCores, MemMB: res.MemMB},
+		Inputs:  am.memoScratch.Inputs[:0],
+		Outputs: am.memoScratch.Outputs[:0],
 	}
 	for _, in := range t.Inputs {
 		id, ok := am.inputIdentity(in)
@@ -62,9 +66,13 @@ func (am *AM) memoKey(t *wf.Task) (string, bool) {
 		}
 		k.Inputs = append(k.Inputs, id)
 	}
-	for _, fi := range t.DeclaredOutputs() {
-		k.Outputs = append(k.Outputs, memo.OutputID{Path: am.memoCanon(fi.Path), SizeMB: fi.SizeMB})
+	for _, param := range t.OutputParams {
+		for _, fi := range t.Declared[param] {
+			k.Outputs = append(k.Outputs, memo.OutputID{Path: am.memoCanon(fi.Path), SizeMB: fi.SizeMB})
+		}
 	}
+	k.Normalize()
+	am.memoScratch = k
 	return k.Encode(), true
 }
 
@@ -92,12 +100,14 @@ func (am *AM) tryMemoHit(ts *taskState) bool {
 }
 
 // registerProducedIdentities binds each produced file to its
-// producer-derived identity, so downstream tasks key on "output #i of task
-// <key>" — equal across runs and tenants — rather than on raw paths.
+// producer-derived identity, so downstream tasks key on "output #i of the
+// task whose key digests to <d>" — equal across runs and tenants — rather
+// than on raw paths. The key is digested once for all of the task's outputs.
 func (am *AM) registerProducedIdentities(key string, t *wf.Task, outputs map[string][]wf.FileInfo) {
+	p := memo.ProducerOf(key)
 	for _, param := range t.OutputParams {
 		for idx, fi := range outputs[param] {
-			am.memoIDs[fi.Path] = memo.ProducedIdentity(key, param, idx)
+			am.memoIDs[fi.Path] = memo.ProducedIdentity(p, param, idx)
 		}
 	}
 }

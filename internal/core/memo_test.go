@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"hiway/internal/memo"
@@ -187,5 +189,79 @@ func TestMemoPrefixCanonicalizesAcrossRoots(t *testing.T) {
 	}
 	if !envB.FS.Readable("/svc/bob/w007/tmp/part") {
 		t.Fatal("spliced output missing under tenant B's root")
+	}
+}
+
+// twoInputChain returns a static driver of depth steps, each reading both
+// outputs of the step before (the first reads two staged seeds): the shape
+// in which a key that carried its producers' keys doubled at every step.
+func twoInputChain(depth int) wf.StaticDriver {
+	var ids wf.IDSeq
+	var tasks []*wf.Task
+	prev := []string{"/in/seed0", "/in/seed1"}
+	for d := 0; d < depth; d++ {
+		outs := []wf.FileInfo{{Path: fmt.Sprintf("/chain/d%02d.a", d), SizeMB: 4}, {Path: fmt.Sprintf("/chain/d%02d.b", d), SizeMB: 4}}
+		st := newTask(&ids, "step", prev, outs)
+		st.CPUSeconds = 3
+		tasks = append(tasks, st)
+		prev = []string{outs[0].Path, outs[1].Path}
+	}
+	sb := &wf.StaticBase{WFName: "two-input-chain"}
+	sb.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
+		return tasks, []string{"/in/seed0", "/in/seed1"}, nil, nil
+	}
+	return sb
+}
+
+// TestKeySizeIndependentOfDepth pins that a memo key names its producers by
+// digest: down a two-input chain 24 steps deep, cold and then warm, every
+// key stays within a bound linear in the task's own inputs and outputs.
+// A key that embedded its producers' keys passed 100 KB by step 8; the
+// check runs after every engine step, so such a key fails here while small.
+func TestKeySizeIndependentOfDepth(t *testing.T) {
+	const depth = 24
+	// Per input: an escaped "p:" identity (2 + 2 + 32 hex + "#out#i") plus
+	// a comma; per output: its escaped path, a colon and a size; plus the
+	// version, signature and profile.
+	bound := func(task *wf.Task) int {
+		n := 64 + 3*len(task.Name)
+		for range task.Inputs {
+			n += 64
+		}
+		for _, fi := range task.DeclaredOutputs() {
+			n += 3*len(fi.Path) + 32
+		}
+		return n
+	}
+	tab := memo.New(0)
+	var cold []string
+	for run, id := range []string{"cold", "warm"} {
+		env := newEnv(t, 3, spec(), 1000)
+		env.FS.Put("/in/seed0", 8, "")
+		env.FS.Put("/in/seed1", 8, "")
+		am, err := Launch(env.Env, twoInputChain(depth), scheduler.NewFCFS(), Config{WorkflowID: id, Memo: tab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for env.eng.Step() {
+			for _, ts := range am.tasks {
+				if ts != nil && len(ts.memoKey) > bound(ts.t) {
+					t.Fatalf("%s run, step %d: key of %d B, over the bound of %d B", id, ts.t.ID-1, len(ts.memoKey), bound(ts.t))
+				}
+			}
+		}
+		rep, err := am.Report()
+		if err != nil || !rep.Succeeded {
+			t.Fatalf("%s run: %v", id, err)
+		}
+		var keys []string
+		for _, ts := range am.tasks {
+			keys = append(keys, ts.memoKey)
+		}
+		if run == 0 {
+			cold = keys
+		} else if rep.Memoized != depth || !slices.Equal(keys, cold) {
+			t.Fatalf("warm run memoized %d of %d steps; keys equal to the cold run's: %v", rep.Memoized, depth, slices.Equal(keys, cold))
+		}
 	}
 }

@@ -11,10 +11,11 @@
 // (the service tier rebases every run under /svc/<tenant>/<name>, so two
 // tenants running the same reference pipeline produce identical canonical
 // keys), input files are identified by lineage (a produced file's identity
-// is derived from its producer's memo key, a staged file's from its
-// canonical path and size), and declared outputs carry their sizes — which
-// is what separates two same-signature tasks with different output arities
-// or shapes, the b468fe5 class of collision.
+// is a digest of its producer's memo key, so a key's size depends on the
+// task's own inputs and outputs, not on their ancestry; a staged file's is
+// its canonical path and size), and declared outputs carry their sizes —
+// which is what separates two same-signature tasks with different output
+// arities or shapes, the b468fe5 class of collision.
 //
 // The table itself is a bounded in-memory LRU map: lookups and commits are
 // O(1), and once it holds its capacity (4,096 entries by default) a commit
@@ -25,7 +26,10 @@
 package memo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,8 +66,9 @@ type Key struct {
 	// Profile is the container resource profile.
 	Profile Profile
 	// Inputs are the canonical input identities, sorted. A produced input
-	// is identified by its producer's key ("p:" identities), a staged one
-	// by canonical path and size ("s:" identities).
+	// is identified by a digest of its producer's key ("p:" identities,
+	// ProducedIdentity), a staged one by canonical path and size ("s:"
+	// identities, StagedIdentity).
 	Inputs []string
 	// Outputs are the canonical declared outputs, sorted by path then size.
 	Outputs []OutputID
@@ -71,22 +76,29 @@ type Key struct {
 
 // Normalize sorts the key's input and output sets into canonical order.
 func (k *Key) Normalize() {
-	sort.Strings(k.Inputs)
-	sort.Slice(k.Outputs, func(i, j int) bool {
-		if k.Outputs[i].Path != k.Outputs[j].Path {
-			return k.Outputs[i].Path < k.Outputs[j].Path
-		}
-		return k.Outputs[i].SizeMB < k.Outputs[j].SizeMB
-	})
+	slices.Sort(k.Inputs)
+	if !outputsSorted(k.Outputs) {
+		sort.Slice(k.Outputs, func(i, j int) bool { return outputLess(k.Outputs[i], k.Outputs[j]) })
+	}
 }
 
-// keyEscaper protects the encoding's structural bytes inside path and
-// signature strings; percent comes first so unescaping is unambiguous.
-var keyEscaper = strings.NewReplacer(
-	"%", "%25", "|", "%7C", ",", "%2C", ":", "%3A", "\n", "%0A",
-)
+// outputLess orders declared outputs by path, then size.
+func outputLess(a, b OutputID) bool {
+	if a.Path != b.Path {
+		return a.Path < b.Path
+	}
+	return a.SizeMB < b.SizeMB
+}
 
-func escapeField(s string) string { return keyEscaper.Replace(s) }
+// outputsSorted reports whether outs is in the order Normalize leaves it.
+func outputsSorted(outs []OutputID) bool {
+	for i := 1; i < len(outs); i++ {
+		if outputLess(outs[i], outs[i-1]) {
+			return false
+		}
+	}
+	return true
+}
 
 func unescapeField(s string) (string, error) {
 	if !strings.Contains(s, "%") {
@@ -111,46 +123,99 @@ func unescapeField(s string) (string, error) {
 	return b.String(), nil
 }
 
-// fmtSize renders a size so it round-trips exactly through ParseFloat.
-func fmtSize(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // keyVersion tags the encoding so a future format change cannot silently
 // alias old entries.
 const keyVersion = "m1"
 
 // Encode renders the key in its canonical serialized form — the string the
 // table indexes on. Encoding normalizes the key first, so two keys built
-// from the same sets in different orders encode identically.
+// from the same sets in different orders encode identically; a key whose
+// sets are already in order (Normalize) is encoded without copying them.
+//
+// The form is "m1|sig|<vcores>x<memMB>|in,in,...|path:size,...", with '%',
+// '|', ',', ':' and newline inside the signature, inputs and output paths
+// written as %XX. It is written in one pass into a buffer on the stack
+// (grown on the heap only past 256 bytes) and copied once into the key.
 func (k Key) Encode() string {
-	k.Inputs = append([]string(nil), k.Inputs...)
-	k.Outputs = append([]OutputID(nil), k.Outputs...)
-	k.Normalize()
-	ins := make([]string, len(k.Inputs))
+	if !slices.IsSorted(k.Inputs) || !outputsSorted(k.Outputs) {
+		k.Inputs, k.Outputs = slices.Clone(k.Inputs), slices.Clone(k.Outputs)
+		k.Normalize()
+	}
+	var buf [256]byte
+	b := append(buf[:0], keyVersion...)
+	b = append(b, '|')
+	b = appendEscaped(b, k.Sig)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(k.Profile.VCores), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(k.Profile.MemMB), 10)
+	b = append(b, '|')
 	for i, in := range k.Inputs {
-		ins[i] = escapeField(in)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendEscaped(b, in)
 	}
-	outs := make([]string, len(k.Outputs))
+	b = append(b, '|')
 	for i, o := range k.Outputs {
-		outs[i] = escapeField(o.Path) + ":" + fmtSize(o.SizeMB)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendEscaped(b, o.Path)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, o.SizeMB, 'g', -1, 64)
 	}
-	return keyVersion + "|" + escapeField(k.Sig) +
-		"|" + strconv.Itoa(k.Profile.VCores) + "x" + strconv.Itoa(k.Profile.MemMB) +
-		"|" + strings.Join(ins, ",") +
-		"|" + strings.Join(outs, ",")
+	return string(b)
+}
+
+// escaped marks the bytes Encode writes as %XX: the encoding's structural
+// bytes, and percent itself so that unescaping is unambiguous.
+var escaped = [256]bool{'%': true, '|': true, ',': true, ':': true, '\n': true}
+
+// appendEscaped appends s with each structural byte as %XX (upper-case hex).
+func appendEscaped(b []byte, s string) []byte {
+	const hexDigits = "0123456789ABCDEF"
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; escaped[c] {
+			b = append(b, s[start:i]...)
+			b = append(b, '%', hexDigits[c>>4], hexDigits[c&0xF])
+			start = i + 1
+		}
+	}
+	return append(b, s[start:]...)
 }
 
 // StagedIdentity is the canonical identity of an input file no completed
-// task produced: its canonical path plus its size.
+// task produced: "s:" + its canonical path + ":" + its size.
 func StagedIdentity(canonPath string, sizeMB float64) string {
-	return "s:" + canonPath + ":" + fmtSize(sizeMB)
+	var num [32]byte
+	return "s:" + canonPath + ":" + string(strconv.AppendFloat(num[:0], sizeMB, 'g', -1, 64))
+}
+
+// Producer names a memoized task by a digest of its serialized key: the
+// first 128 bits of the key's SHA-256. Two producers are equal exactly when
+// their keys are (up to a SHA-256 collision), and a producer is 16 bytes
+// however deep the key's own ancestry runs.
+type Producer [16]byte
+
+// ProducerOf digests a serialized key. A key of up to 256 bytes is copied
+// for the hash onto the stack, not the heap.
+func ProducerOf(key string) Producer {
+	var buf [256]byte
+	sum := sha256.Sum256(append(buf[:0], key...))
+	return Producer(sum[:16])
 }
 
 // ProducedIdentity is the canonical identity of a file a memoized task
-// produced: derived from the producer's serialized key plus the output
-// parameter and index, so consumers of equal files build equal keys across
-// runs and tenants without comparing bytes.
-func ProducedIdentity(producerKey, param string, index int) string {
-	return "p:" + producerKey + "#" + param + "#" + strconv.Itoa(index)
+// produced: "p:" + the producer's digest in hex + "#" + the output
+// parameter + "#" + the output's index, so consumers of equal files build
+// equal keys across runs and tenants without comparing bytes, and a
+// consumer's key grows with its own inputs, not with their ancestry.
+func ProducedIdentity(p Producer, param string, index int) string {
+	var digest [2 * len(p)]byte
+	hex.Encode(digest[:], p[:])
+	return "p:" + string(digest[:]) + "#" + param + "#" + strconv.Itoa(index)
 }
 
 // Entry is what a committed execution leaves in the table: enough to

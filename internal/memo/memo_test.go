@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,10 +75,38 @@ func TestIdentityHelpers(t *testing.T) {
 	if got := StagedIdentity("/data/in.dat", 64); got != "s:/data/in.dat:64" {
 		t.Fatalf("StagedIdentity = %q", got)
 	}
-	a := ProducedIdentity("m1|sig|1x2||", "out", 0)
-	b := ProducedIdentity("m1|sig|1x2||", "out", 1)
-	if a == b {
-		t.Fatal("ProducedIdentity must separate output indices")
+	key := sampleKey().Encode()
+	same := sampleKey()
+	same.Inputs[0], same.Inputs[1] = same.Inputs[1], same.Inputs[0]
+	other := sampleKey()
+	other.Profile.VCores++
+	a := ProducedIdentity(ProducerOf(key), "out", 0)
+	if !regexp.MustCompile(`^p:[0-9a-f]{32}#out#0$`).MatchString(a) {
+		t.Fatalf("ProducedIdentity = %q, want p:<32 hex digits>#out#0", a)
+	}
+	// Equal keys give equal identities, different keys different ones.
+	if b := ProducedIdentity(ProducerOf(same.Encode()), "out", 0); b != a {
+		t.Fatalf("equal keys, different identities: %q vs %q", a, b)
+	}
+	for _, b := range []string{
+		ProducedIdentity(ProducerOf(other.Encode()), "out", 0),
+		ProducedIdentity(ProducerOf(key+" "), "out", 0),
+		ProducedIdentity(ProducerOf(key), "out", 1),
+		ProducedIdentity(ProducerOf(key), "log", 0),
+	} {
+		if b == a {
+			t.Fatalf("different producers or outputs share the identity %q", a)
+		}
+	}
+	// The identity names the producer by digest alone: none of the key's
+	// bytes, and no more bytes for a long key than for a short one.
+	long := strings.Repeat("QRSTUVWXYZ|%,\n;", 400)
+	id := ProducedIdentity(ProducerOf(long), "out", 0)
+	if i := strings.IndexAny(id, long); i >= 0 {
+		t.Fatalf("identity %q holds byte %q of the producer key", id, id[i])
+	}
+	if len(id) != len(a) {
+		t.Fatalf("identity of a %d-byte key is %d bytes, of a %d-byte key %d", len(long), len(id), len(key), len(a))
 	}
 }
 

@@ -1,6 +1,9 @@
 package provenance
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -225,6 +228,60 @@ func FuzzProvQuery(f *testing.F) {
 		}
 		if err != nil || got != want {
 			t.Fatalf("%q: got %q (%v), reference %q", q, got, err, want)
+		}
+	})
+}
+
+// TestRenderMemoHitsMatchesReference holds RenderMemoHits to the fmt-based
+// reference over seeded rows and hostile ones: values wider than their
+// column, multi-byte and invalid UTF-8, extreme task IDs and non-finite,
+// negative and huge CPU-seconds.
+func TestRenderMemoHitsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var seeded []MemoAttribution
+	for i := 0; i < 200; i++ {
+		seeded = append(seeded, MemoAttribution{
+			WorkflowID:  fmt.Sprintf("tenant-w%03d", rng.Intn(1000)),
+			TaskID:      int64(rng.Intn(5000)),
+			Signature:   []string{"align", "sort", "call", "annotate", "mProjectPP"}[rng.Intn(5)],
+			MemoSource:  []string{"", "alpha-w001", "beta-w017"}[rng.Intn(3)],
+			CPUSavedSec: rng.Float64() * 1000,
+		})
+	}
+	hostile := []MemoAttribution{
+		{WorkflowID: strings.Repeat("w", 40), TaskID: math.MaxInt64, Signature: strings.Repeat("s", 30), MemoSource: strings.Repeat("m", 20), CPUSavedSec: math.MaxFloat64},
+		{WorkflowID: "ワークフロー名前", TaskID: math.MinInt64, Signature: "größe-ß-ünïcode", MemoSource: "源泉", CPUSavedSec: math.NaN()},
+		{WorkflowID: "\xff\xfe bad utf8", TaskID: -1, Signature: "\x80", MemoSource: "é\xc3", CPUSavedSec: math.Inf(1)},
+		{WorkflowID: "", TaskID: 0, Signature: "", MemoSource: "", CPUSavedSec: math.Inf(-1)},
+		{WorkflowID: "neg", TaskID: 123456789, Signature: "sig", CPUSavedSec: -42.125},
+		{WorkflowID: "zero", TaskID: 7, Signature: "sig", CPUSavedSec: math.Copysign(0, -1)},
+		{WorkflowID: "tiny", TaskID: 8, Signature: "sig", CPUSavedSec: 5e-324},
+		{WorkflowID: "half", TaskID: 9, Signature: "sig", CPUSavedSec: 0.005},
+		{WorkflowID: "huge", TaskID: 10, Signature: "sig", CPUSavedSec: 1e300},
+		{WorkflowID: "emoji😀😀😀😀😀😀😀😀", TaskID: 11, Signature: "🧬", MemoSource: "\u00e9", CPUSavedSec: 1},
+	}
+	for name, rows := range map[string][]MemoAttribution{
+		"empty": nil, "seeded": seeded, "hostile": hostile,
+		"hostile+seeded": append(append([]MemoAttribution(nil), hostile...), seeded...),
+	} {
+		if got, want := RenderMemoHits(rows), refRenderMemoHits(rows); got != want {
+			t.Errorf("%s: RenderMemoHits differs from the reference:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+// FuzzRenderMemoHits holds RenderMemoHits to the fmt-based reference on
+// arbitrary rows.
+func FuzzRenderMemoHits(f *testing.F) {
+	f.Add("alpha-w001", int64(3), "align", "beta-w002", 20.0, "ワーク", int64(-5), "\xff", "", math.NaN())
+	f.Add(strings.Repeat("x", 20), int64(math.MaxInt64), "s", "-", math.Inf(-1), "", int64(0), "", "é", 1e300)
+	f.Fuzz(func(t *testing.T, run1 string, task1 int64, sig1, src1 string, cpu1 float64, run2 string, task2 int64, sig2, src2 string, cpu2 float64) {
+		rows := []MemoAttribution{
+			{WorkflowID: run1, TaskID: task1, Signature: sig1, MemoSource: src1, CPUSavedSec: cpu1},
+			{WorkflowID: run2, TaskID: task2, Signature: sig2, MemoSource: src2, CPUSavedSec: cpu2},
+		}
+		if got, want := RenderMemoHits(rows), refRenderMemoHits(rows); got != want {
+			t.Fatalf("RenderMemoHits differs from the reference:\n got %q\nwant %q", got, want)
 		}
 	})
 }

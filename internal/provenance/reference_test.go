@@ -192,3 +192,24 @@ func refTaskEventID(wfID string, task int64, suffix string, attempt int) string 
 	}
 	return string(b)
 }
+
+// refRenderMemoHits is the fmt-based RenderMemoHits the strconv one
+// replaced; TestRenderMemoHitsMatchesReference and FuzzRenderMemoHits hold
+// the new one to its bytes.
+func refRenderMemoHits(hits []MemoAttribution) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-14s %6s %-16s %-14s %10s\n",
+		"run", "task", "signature", "source", "cpu-saved")
+	var saved float64
+	for _, h := range hits {
+		src := h.MemoSource
+		if src == "" {
+			src = "-"
+		}
+		fmt.Fprintf(&sb, "%-14s %6d %-16s %-14s %10.2f\n",
+			h.WorkflowID, h.TaskID, h.Signature, src, h.CPUSavedSec)
+		saved += h.CPUSavedSec
+	}
+	fmt.Fprintf(&sb, "%d memo hits, %.2f cpu-seconds saved\n", len(hits), saved)
+	return sb.String()
+}

@@ -601,8 +601,8 @@ func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
 	return am.Report()
 }
 
-// finishRun settles a run's terminal state, publishes the finished event,
-// releases its admission slot, and dispatches the next queued runs.
+// finishRun settles a run's terminal state, releases its admission slot,
+// dispatches the next queued runs, and publishes the finished event.
 func (s *Server) finishRun(r *Run, rep *core.Report, runErr error) {
 	now := s.now()
 	succeeded := runErr == nil && rep != nil && rep.Succeeded
@@ -642,13 +642,16 @@ func (s *Server) finishRun(r *Run, rep *core.Report, runErr error) {
 		s.failedC.Inc()
 	}
 	s.e2eH.Observe(e2e)
-	r.publish(RunEvent{Type: EventFinished, At: now, State: state})
-	close(r.done)
 
+	// The slot is free before anyone can see the run finish: a client that
+	// waits on Done and resubmits at once is admitted, not refused 429. The
+	// run is done before the server can read drained.
 	s.mu.Lock()
 	s.gate.Finish()
 	s.inflight[r.Tenant]--
 	admitted := s.dispatchLocked()
+	r.publish(RunEvent{Type: EventFinished, At: now, State: state})
+	close(r.done)
 	s.checkDrainedLocked()
 	s.mu.Unlock()
 

@@ -408,6 +408,30 @@ func TestServerRejectionHistoryMergesIntoRun(t *testing.T) {
 	waitDrained(t, s)
 }
 
+// A tenant at its in-flight limit gets its slot back before a client can see
+// its run finish: resubmitting the moment Done closes is always admitted.
+func TestServerResubmitOnDoneIsAdmitted(t *testing.T) {
+	const rounds = 200
+	profiles := serveProfiles()
+	profiles[0].MaxInFlight = 1
+	s, err := NewServer(ServerConfig{Nodes: 2, MaxConcurrent: 1, MaxQueue: 1}, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		req := workloadSubmission("alpha", fmt.Sprintf("r%03d", i))
+		if code, body := s.submit(&req); code != http.StatusAccepted {
+			t.Fatalf("round %d: got %d (%+v)", i, code, body)
+		}
+		select {
+		case <-s.Lookup(req.Tenant + "-" + req.Name).Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: run did not finish", i)
+		}
+	}
+	waitDrained(t, s)
+}
+
 // A client that gives up on a rejected name never has it accepted, so nothing
 // ever deletes its rejection record: the history must be bounded, and beyond
 // the bound a rejection is still counted and answered 429, just not kept.
