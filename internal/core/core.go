@@ -236,7 +236,7 @@ type AM struct {
 	speculative int
 
 	// memoization state (see memo.go)
-	memoIDs        map[string]string // produced path → canonical identity
+	memoIDs        map[string]string // produced path → canonical identity; nil with memo off
 	memoScratch    memo.Key          // memoKey's sets, reused from task to task
 	memoized       int               // tasks spliced from the memo table
 	pendingSplices int               // hits scheduled but not yet spliced
@@ -245,10 +245,10 @@ type AM struct {
 	finished bool
 	killed   bool
 	report   *Report
-	// static: the driver's tasks are the nodes of a DAG, which validated
-	// each of them when it was built; submit validates only the tasks of
-	// an iterative driver, made as the run goes.
-	static bool
+	// dag is the static driver's graph, which validated each of its tasks
+	// when it was built; nil for an iterative driver, whose tasks are made
+	// as the run goes and validated at submit.
+	dag *wf.DAG
 
 	// observability (all handles nil when Env.Obs is unset — every call
 	// below degrades to a nil-receiver no-op)
@@ -270,11 +270,10 @@ type AM struct {
 // returns the initially ready tasks.
 func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*AM, []*wf.Task, error) {
 	am := &AM{
-		env:     env,
-		cfg:     cfg,
-		driver:  driver,
-		sched:   sched,
-		memoIDs: make(map[string]string),
+		env:    env,
+		cfg:    cfg,
+		driver: driver,
+		sched:  sched,
 	}
 	am.tr = env.Obs.T()
 	m := env.Obs.M()
@@ -314,15 +313,17 @@ func newAM(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*A
 		return nil, nil, err
 	}
 	if static, ok := driver.(wf.StaticDriver); ok {
-		am.static = static.Graph() != nil
+		am.dag = static.Graph()
+	}
+	if am.memoEnabled() {
+		am.memoIDs = make(map[string]string, am.declaredOutputs())
 	}
 	if planner, ok := sched.(scheduler.StaticPlanner); ok {
-		static, ok := driver.(wf.StaticDriver)
-		if !ok {
+		if am.dag == nil {
 			app.Finish()
 			return nil, nil, fmt.Errorf("core: static policy %q cannot run iterative %s workflows (§3.4)", sched.Name(), driver.Name())
 		}
-		if err := planner.Plan(static.Graph(), am.plannableNodes()); err != nil {
+		if err := planner.Plan(am.dag, am.plannableNodes()); err != nil {
 			app.Finish()
 			return nil, nil, fmt.Errorf("core: planning: %w", err)
 		}
@@ -338,6 +339,10 @@ func Launch(env Env, driver wf.Driver, sched scheduler.Scheduler, cfg Config) (*
 	am, ready, err := newAM(env, driver, sched, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if am.dag != nil && env.Prov != nil {
+		// A start and an end event per task, and the workflow's own two.
+		env.Prov.Reserve(2*len(am.dag.All()) + 2)
 	}
 	am.provWorkflowStart()
 	if len(ready) == 0 && driver.Done() {
@@ -597,7 +602,7 @@ func (am *AM) submit(t *wf.Task) {
 	if am.finished {
 		return
 	}
-	if !am.static {
+	if am.dag == nil {
 		if err := t.Validate(); err != nil {
 			am.finish(err)
 			return

@@ -21,6 +21,22 @@ func (am *AM) memoEnabled() bool {
 	return am.cfg.Memo != nil && !am.cfg.Memo.OptedOut(am.cfg.Tenant)
 }
 
+// declaredOutputs counts the files a static graph's tasks declare: how many
+// produced identities a run registers when every task succeeds as declared.
+// It is 0 for an iterative driver, whose tasks are not known in advance.
+func (am *AM) declaredOutputs() int {
+	if am.dag == nil {
+		return 0
+	}
+	n := 0
+	for _, t := range am.dag.All() {
+		for _, param := range t.OutputParams {
+			n += len(t.Declared[param])
+		}
+	}
+	return n
+}
+
 // memoCanon strips the run-scoped staging prefix from a path, so the same
 // pipeline submitted under /svc/tenantA/w003 and /svc/tenantB/w017 derives
 // identical keys.

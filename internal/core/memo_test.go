@@ -103,6 +103,40 @@ func TestMemoTenantOptOut(t *testing.T) {
 	}
 }
 
+// The produced-identity map is made once, at the size the graph declares: a
+// cold run whose tasks succeed as declared registers exactly the declared
+// outputs. Without the memo, or for an opted-out tenant, there is no map.
+func TestMemoIdentitiesSizedFromTheGraph(t *testing.T) {
+	tab := memo.New(0)
+	tab.SetOptOut("paranoid")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"memo", Config{Memo: tab}, true},
+		{"no memo", Config{}, false},
+		{"opted out", Config{Memo: tab, Tenant: "paranoid"}, false},
+	} {
+		env := newEnv(t, 3, spec(), 1000)
+		env.FS.Put("/in/seed", 20, "")
+		am, err := Launch(env.Env, chainDriver(t, 3), scheduler.NewFCFS(), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Cluster.Engine.Run()
+		if rep, err := am.Report(); err != nil || !rep.Succeeded {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := am.memoIDs != nil; got != c.want {
+			t.Fatalf("%s: a map of produced identities: %v, want %v", c.name, got, c.want)
+		}
+		if c.want && (am.declaredOutputs() != 5 || len(am.memoIDs) != 5) {
+			t.Fatalf("%s: %d outputs declared, %d identities registered; want 5 and 5", c.name, am.declaredOutputs(), len(am.memoIDs))
+		}
+	}
+}
+
 // TestMemoSkipsDynamicOutcomes pins the commit precondition: a task whose
 // produced outputs differ from its declaration must never be memoized,
 // since a splice replays the declaration.

@@ -235,7 +235,17 @@ func (ix *Index) MemoHits(run string) []MemoAttribution {
 		slices.SortFunc(ix.hits, func(a, b memoHit) int { return a.at.Compare(b.at) })
 		ix.hitsSorted = len(ix.hits)
 	}
-	var out []MemoAttribution
+	// Count, then fill: the answer is allocated once, at its size.
+	n := 0
+	for i := range ix.hits {
+		if run == "" || ix.hits[i].WorkflowID == run {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]MemoAttribution, 0, n)
 	for i := range ix.hits {
 		if h := &ix.hits[i]; run == "" || h.WorkflowID == run {
 			out = append(out, h.MemoAttribution)

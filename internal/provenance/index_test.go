@@ -291,3 +291,37 @@ func TestMemStoreScanIsStable(t *testing.T) {
 		t.Fatalf("resumed scan saw %v and returned %d; want [b c] and 3", seen, end)
 	}
 }
+
+// A run-filtered memo-hit query over many runs' hits allocates its answer
+// once, at its size: in proportion to the run's own matches, however many
+// hits the other runs hold. (The scan still visits every hit.)
+func TestMemoHitsAllocatesItsAnswerOnce(t *testing.T) {
+	const runs, perRun = 200, 20
+	ix := NewIndex()
+	for r := 0; r < runs; r++ {
+		evs := make([]Event, perRun)
+		for i := range evs {
+			evs[i] = Event{Type: TaskEnd, Timestamp: float64(i), WorkflowID: fmt.Sprintf("run-%d", r),
+				TaskID: int64(i + 1), Signature: "align", MemoHit: true, MemoSource: "run-0", CPUSeconds: 10}
+		}
+		ix.Fold(r, 0, evs)
+	}
+	_ = ix.MemoHits("") // sorts once
+	var got []MemoAttribution
+	allocs := testing.AllocsPerRun(10, func() { got = ix.MemoHits("run-7") })
+	if len(got) != perRun || cap(got) != perRun || allocs != 1 {
+		t.Fatalf("run-7's %d hits: %d answers in an array of %d, %.0f allocations; want %d, %d and 1",
+			perRun, len(got), cap(got), allocs, perRun, perRun)
+	}
+	for i := range got {
+		if got[i].WorkflowID != "run-7" || got[i].TaskID != int64(i+1) {
+			t.Fatalf("answer %d is %+v", i, got[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { got = ix.MemoHits("no-such-run") }); got != nil || allocs != 0 {
+		t.Fatalf("a run with no hits: %d answers, %.0f allocations; want nil and none", len(got), allocs)
+	}
+	if got = ix.MemoHits(""); len(got) != runs*perRun || cap(got) != runs*perRun {
+		t.Fatalf("all hits: %d answers in an array of %d, want %d", len(got), cap(got), runs*perRun)
+	}
+}

@@ -28,6 +28,10 @@ type Manager struct {
 	mu    sync.Mutex
 	store Store
 	buf   []Event // recorded but not yet handed to the store
+	// reserved counts the events callers announced (Reserve) and have not
+	// recorded yet; a buffer started while it is positive is made at its
+	// final size.
+	reserved int
 
 	hist history // signature → what has been observed of it
 
@@ -68,6 +72,18 @@ func (m *Manager) Store() Store {
 	return m.store
 }
 
+// Reserve announces n events that are about to be recorded — a static
+// workflow's start and end per task, say. Reservations add up, as several
+// workflows may record into one Manager. A buffer started while events are
+// reserved is made at min(reserved, flushEvery) events, so a batch that
+// fills it is recorded into one array that is never regrown, and a MemStore
+// keeps that array as its chunk instead of copying it.
+func (m *Manager) Reserve(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.reserved += n
+}
+
 // Record updates the indexes immediately (so scheduling estimates never lag)
 // and buffers the event for the store; the buffer is handed over in batches
 // of flushEvery, or at an explicit Flush. Persistence errors surface at the
@@ -77,6 +93,10 @@ func (m *Manager) Record(ev Event) error {
 	defer m.mu.Unlock()
 	m.index(&ev)
 	m.eventsC.Inc()
+	if m.buf == nil && m.reserved > 0 {
+		m.buf = make([]Event, 0, min(m.reserved, flushEvery))
+	}
+	m.reserved = max(m.reserved-1, 0)
 	m.buf = append(m.buf, ev)
 	if len(m.buf) >= flushEvery {
 		return m.flushLocked()
@@ -99,6 +119,14 @@ func (m *Manager) flushLocked() error {
 	}
 	m.flushesC.Inc()
 	buf := m.buf
+	// A full buffer is exactly its batch: a MemStore keeps it as a chunk,
+	// and the next Record starts another. Any other batch is copied, and
+	// the buffer refilled.
+	if ms, ok := m.store.(*MemStore); ok && len(buf) == cap(buf) {
+		m.buf = nil
+		ms.adopt(buf)
+		return nil
+	}
 	m.buf = m.buf[:0]
 	if ba, ok := m.store.(BatchAppender); ok {
 		return ba.AppendBatch(buf)

@@ -31,9 +31,10 @@ type BatchAppender interface {
 
 // MemStore keeps events in memory as a list of immutable chunks. Each
 // AppendBatch copies its batch once, into a new chunk of exactly the batch's
-// length, and no chunk is ever copied or written again: a growing log costs
-// its events and nothing more, and a reader needs no copy to see them. The
-// zero value is ready to use.
+// length; a Manager whose buffer its batch fills exactly hands the buffer
+// over as the chunk instead. No chunk is ever copied or written again: a
+// growing log costs its events and nothing more, and a reader needs no copy
+// to see them. The zero value is ready to use.
 type MemStore struct {
 	mu     sync.Mutex
 	chunks [][]Event
@@ -56,11 +57,18 @@ func (s *MemStore) AppendBatch(evs []Event) error {
 	}
 	chunk := make([]Event, len(evs))
 	copy(chunk, evs)
+	s.adopt(chunk)
+	return nil
+}
+
+// adopt appends chunk as it is. The caller gives it up: nothing may write
+// to its array again, and its length must be its capacity, so the store
+// holds its events and nothing more.
+func (s *MemStore) adopt(chunk []Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.chunks = append(s.chunks, chunk)
 	s.n += len(chunk)
-	return nil
 }
 
 // snapshot returns the chunks stored so far and how many events they hold.

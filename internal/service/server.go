@@ -597,6 +597,13 @@ func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if static, ok := j.driver.(wf.StaticDriver); ok && static.Graph() != nil {
+		// The log is to hold a progress event per task and the finished
+		// event: grow it once, now that the graph is built.
+		r.mu.Lock()
+		r.events = slices.Grow(r.events, len(static.Graph().All())+1)
+		r.mu.Unlock()
+	}
 	eng.Run()
 	return am.Report()
 }
