@@ -185,15 +185,31 @@ func TestAllocationBudgets(t *testing.T) {
 	const runs = 3
 	for _, b := range []budget{
 		{
-			// NewDAG, then every task completed as it becomes ready.
-			layer: "wf: DAG build + complete-all", unit: "task", units: 1000, allocs: 2.78, bytes: 196,
+			// NewDAG over a fresh task list: the template (producers,
+			// dependency rows, topological order) and a first run of it.
+			layer: "wf: template build", unit: "task", units: 1000, allocs: 0.03, bytes: 110,
 			prepare: func(t *testing.T, n int) func() {
 				tasks := layered(10, 100)
 				return func() {
-					d, err := wf.NewDAG(tasks, []string{"seed"}, nil)
-					if err != nil {
+					if _, err := wf.NewDAG(tasks, []string{"seed"}, nil); err != nil {
 						t.Fatal(err)
 					}
+				}
+			},
+		},
+		{
+			// A run of a built template, as a served run of a compiled spec
+			// is: Instance over the tasks, then every task completed as it
+			// becomes ready.
+			layer: "wf: instance + complete-all", unit: "task", units: 1000, allocs: 0.94, bytes: 32,
+			prepare: func(t *testing.T, n int) func() {
+				tasks, inputs := layered(10, 100), []string{"seed"}
+				d, err := wf.NewDAG(tasks, inputs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return func() {
+					d := d.Template().Instance(tasks, inputs)
 					for queue := d.Ready(); len(queue) > 0; queue = queue[1:] {
 						queue = append(queue, d.Complete(queue[0])...)
 					}
@@ -206,13 +222,13 @@ func TestAllocationBudgets(t *testing.T) {
 		{
 			// One static workflow through the AM on a fresh 16-node substrate,
 			// FCFS, no provenance; building the substrate is not measured.
-			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 28.99, bytes: 1819,
+			layer: "core: Run, static, fcfs", unit: "task", units: 1024, allocs: 26.19, bytes: 1708,
 			prepare: staticRuns(false, false),
 		},
 		{
 			// The same, recording into a provenance Manager over a fresh
 			// MemStore: what a task's start and end events cost the AM.
-			layer: "core: Run, static, fcfs, provenance", unit: "task", units: 1024, allocs: 30.15, bytes: 2574,
+			layer: "core: Run, static, fcfs, provenance", unit: "task", units: 1024, allocs: 28.37, bytes: 2514,
 			prepare: staticRuns(true, false),
 		},
 		{
@@ -220,7 +236,7 @@ func TestAllocationBudgets(t *testing.T) {
 			// from the digest of the producer of its input (the seed for
 			// the first layer), hits and is spliced; the cold run that
 			// filled the table is not measured.
-			layer: "memo: key + lookup per task", unit: "task", units: 1024, allocs: 10.29, bytes: 1009,
+			layer: "memo: key + lookup per task", unit: "task", units: 1024, allocs: 8.51, bytes: 948,
 			prepare: staticRuns(false, true),
 		},
 		{
@@ -230,7 +246,7 @@ func TestAllocationBudgets(t *testing.T) {
 			// Done. A small SNV spec (4 samples × 8 read files, 44 tasks,
 			// about a serve-open run) on a 4-node server that has already
 			// run it once, so lazy one-time state is not measured.
-			layer: "service: submit → terminal per run", unit: "task", units: 44, allocs: 56.24, bytes: 5028,
+			layer: "service: submit → terminal per run", unit: "task", units: 44, allocs: 41.39, bytes: 4417,
 			prepare: servedRuns, pooled: true,
 		},
 		{

@@ -46,7 +46,8 @@ const (
 	maxThreads  = 64
 	maxMemMB    = 1 << 20
 	maxOutCount = 4096
-	maxTasks    = 100_000
+	// MaxTasks caps the tasks one document expands to.
+	MaxTasks = 100_000
 )
 
 // Options configures parsing.
@@ -70,6 +71,30 @@ func NewDriver(name, src string, opts Options) *Driver {
 	d.WFName = name
 	d.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
 		return build(name, src, opts)
+	}
+	return d
+}
+
+// Document is a decoded CWL document. It is immutable: Driver compiles it
+// under any number of run names, on any goroutines.
+type Document struct{ d *document }
+
+// Decode decodes the document src, naming it name in its errors.
+func Decode(name, src string) (*Document, error) {
+	d, err := decode(name, src)
+	if err != nil {
+		return nil, err
+	}
+	return &Document{d}, nil
+}
+
+// Driver returns a static driver that compiles the document under the run
+// name.
+func (doc *Document) Driver(name string, opts Options) *Driver {
+	d := &Driver{}
+	d.WFName = name
+	d.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
+		return compile(name, doc.d, opts)
 	}
 	return d
 }
@@ -666,17 +691,21 @@ func compile(name string, d *document, opts Options) ([]*wf.Task, []string, []wf
 	}
 
 	// Resolve each step's tool and validate ports and sources upfront, so
-	// the wave loop below can attribute any stall to a genuine cycle.
+	// the wave loop below can attribute any stall to a genuine cycle. The
+	// steps resolved are copies: the document stays as decoded.
 	if len(w.steps) == 0 {
 		return fail("cwl: workflow %s declares no steps", name)
 	}
 	byID := make(map[string]*step, len(w.steps))
 	stepOut := map[string]bool{} // "step/out" declared
-	for _, st := range w.steps {
+	steps := make([]*step, len(w.steps))
+	for i, decoded := range w.steps {
+		st := *decoded
+		steps[i] = &st
 		if byID[st.id] != nil {
 			return fail("cwl: duplicate step id %q", st.id)
 		}
-		if byID[st.id] = st; st.tool == nil {
+		if byID[st.id] = &st; st.tool == nil {
 			if st.tool = tools[st.runRef]; st.tool == nil {
 				return fail("cwl: step %q runs unknown tool %q", st.id, st.runRef)
 			}
@@ -706,7 +735,7 @@ func compile(name string, d *document, opts Options) ([]*wf.Task, []string, []wf
 			}
 		}
 	}
-	for _, st := range w.steps {
+	for _, st := range steps {
 		for _, b := range st.ins {
 			for _, src := range b.sources {
 				if _, ok := wfIns[src]; ok {
@@ -727,7 +756,7 @@ func compile(name string, d *document, opts Options) ([]*wf.Task, []string, []wf
 	produced := map[string][]string{} // "step/out" → gathered paths, instance order
 	var ids wf.IDSeq
 	var tasks []*wf.Task
-	for pending := w.steps; len(pending) > 0; {
+	for pending := steps; len(pending) > 0; {
 		var waiting []*step
 		for _, st := range pending {
 			ready := true
@@ -746,8 +775,8 @@ func compile(name string, d *document, opts Options) ([]*wf.Task, []string, []wf
 			if err != nil {
 				return fail("%v", err)
 			}
-			if tasks = append(tasks, ts...); len(tasks) > maxTasks {
-				return fail("cwl: workflow %s expands to more than %d tasks", name, maxTasks)
+			if tasks = append(tasks, ts...); len(tasks) > MaxTasks {
+				return fail("cwl: workflow %s expands to more than %d tasks", name, MaxTasks)
 			}
 		}
 		if len(waiting) == len(pending) {

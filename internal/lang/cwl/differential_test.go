@@ -75,7 +75,7 @@ func BenchmarkParseSNV(b *testing.B) {
 		name string
 		run  func(name, src string) error
 	}{
-		{"new", cwl.Decode},
+		{"new", cwl.DecodeErr},
 		{"reference", cwl.ReferenceDecode},
 		{"build", func(name, src string) error { _, _, _, err := cwl.Build(name, src, cwl.Options{}); return err }},
 	} {

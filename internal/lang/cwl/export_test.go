@@ -7,9 +7,9 @@ import "cmp"
 // portability renderings.
 var (
 	Build = build
-	// Decode and ReferenceDecode run the decoder and its reference up to
+	// DecodeErr and ReferenceDecode run the decoder and its reference up to
 	// the document.
-	Decode          = func(name, src string) error { _, err := decode(name, src); return err }
+	DecodeErr       = func(name, src string) error { _, err := decode(name, src); return err }
 	ReferenceDecode = func(name, src string) error { _, err := referenceDecode(name, src); return err }
 )
 

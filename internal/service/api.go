@@ -1,16 +1,15 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 
 	"hiway/internal/lang"
-	"hiway/internal/wf"
-	"hiway/internal/workloads"
 )
 
 // Run states reported by the status API.
@@ -162,9 +161,7 @@ func (r *SubmitRequest) validate(tenants map[string]*TenantProfile) *apiError {
 		return errf(http.StatusBadRequest, "unknown lang %q (want %s)", r.Lang, strings.Join(lang.Known(), ", "))
 	}
 	if hasWorkload {
-		spec := *r.Workload
-		spec.setDefaults()
-		if err := spec.validate(); err != nil {
+		if err := r.Workload.validate(); err != nil {
 			return errf(http.StatusBadRequest, "%v", err)
 		}
 	}
@@ -177,36 +174,6 @@ func (r *SubmitRequest) validate(tenants map[string]*TenantProfile) *apiError {
 		}
 	}
 	return nil
-}
-
-// buildDriver materializes the request's workflow: the generator-backed
-// path for Workload submissions (rebased under /svc/<tenant>/<name>), or a
-// frontend parse of Source. The returned inputs include generator inputs
-// plus the request's explicit InputSpecs.
-func (r *SubmitRequest) buildDriver() (wf.Driver, []workloads.Input, error) {
-	var driver wf.Driver
-	var inputs []workloads.Input
-	if r.Workload != nil {
-		d, ins, err := buildSpecWorkflow(r.Tenant, r.Name, *r.Workload)
-		if err != nil {
-			return nil, nil, err
-		}
-		driver, inputs = d, ins
-	} else {
-		language := r.Lang
-		if language == "" {
-			language = lang.Detect("", r.Source)
-		}
-		d, err := lang.NewDriver(language, r.Name, r.Source, r.Binds)
-		if err != nil {
-			return nil, nil, fmt.Errorf("service: %v", err)
-		}
-		driver = d
-	}
-	for _, in := range r.Inputs {
-		inputs = append(inputs, workloads.Input{Path: in.Path, SizeMB: in.SizeMB})
-	}
-	return driver, inputs, nil
 }
 
 // TimedSubmission is one seeded arrival: the request and the virtual time
@@ -246,11 +213,8 @@ func SeededSubmissions(seed int64, profiles []TenantProfile, durationSec float64
 			arrivals = append(arrivals, arrival{at: t, profile: i})
 		}
 	}
-	sort.SliceStable(arrivals, func(a, b int) bool {
-		if arrivals[a].at != arrivals[b].at {
-			return arrivals[a].at < arrivals[b].at
-		}
-		return arrivals[a].profile < arrivals[b].profile
+	slices.SortStableFunc(arrivals, func(a, b arrival) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.profile, b.profile))
 	})
 	seq := make([]int, len(profiles))
 	var out []TimedSubmission

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -21,7 +22,6 @@ import (
 	"hiway/internal/shard"
 	"hiway/internal/sim"
 	"hiway/internal/wf"
-	"hiway/internal/workloads"
 	"hiway/internal/yarn"
 )
 
@@ -75,21 +75,12 @@ type ServerConfig struct {
 }
 
 func (c *ServerConfig) setDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.Policy == "" {
-		c.Policy = scheduler.PolicyFCFS
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 8
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 64
-	}
-	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = 5
-	}
+	orDefault(&c.Nodes, 8)
+	orDefault(&c.Policy, scheduler.PolicyFCFS)
+	orDefault(&c.MaxConcurrent, 8)
+	orDefault(&c.MaxQueue, 64)
+	orDefault(&c.RetryAfterSec, 5)
+	c.Hook = cmp.Or(c.Hook, Hook(nopHook{}))
 }
 
 // Run is one submitted workflow's server-side record, kept for the server's
@@ -192,19 +183,13 @@ func (r *Run) subscribe() (ch chan RunEvent, replay []RunEvent, cancel func()) {
 }
 
 // runJob is what executing an accepted run needs and the API never serves:
-// the parsed workflow, the inputs to stage, and the settings resolved from the
-// request. It travels through the admission gate to whatever executes the run
-// and is unreachable once runWorkflow returns, so a terminal run retains
-// neither its payload nor its task graph.
+// the request, whose workflow is instantiated only when the run launches. It
+// travels through the admission gate to whatever executes the run and is
+// unreachable once runWorkflow returns, so a terminal run retains neither
+// its payload nor its task graph.
 type runJob struct {
-	run    *Run
-	driver wf.Driver
-	inputs []workloads.Input
-	policy string
-	// memoPrefix is the run-private path root stripped from memo keys, so
-	// identical workload specs hit across runs and tenants; empty for source
-	// submissions, which keep their payload-chosen paths verbatim.
-	memoPrefix string
+	run *Run
+	req SubmitRequest
 }
 
 // rejectRecord accumulates 429s for a run ID that has not been accepted yet,
@@ -236,9 +221,10 @@ type Server struct {
 	tenants  map[string]*TenantProfile
 	policies map[string]yarn.TenantPolicy
 
-	obs   *obs.Obs
-	memo  *memo.Table // nil unless cfg.Memo
-	start time.Time
+	obs      *obs.Obs
+	memo     *memo.Table // nil unless cfg.Memo
+	compiled compileTable
+	start    time.Time
 	// vclock is the deterministic replay's virtual clock and event queue (nil
 	// in live mode).
 	vclock *sim.Engine
@@ -385,17 +371,6 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 	if req.Policy != "" && !slices.Contains(scheduler.Policies, req.Policy) {
 		return http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown policy %q", req.Policy)}
 	}
-	driver, inputs, err := req.buildDriver()
-	if err != nil {
-		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
-	}
-	j := &runJob{driver: driver, inputs: inputs, policy: req.Policy}
-	if j.policy == "" {
-		j.policy = s.cfg.Policy
-	}
-	if req.Workload != nil {
-		j.memoPrefix = fmt.Sprintf("/svc/%s/%s", req.Tenant, req.Name)
-	}
 	id := req.Tenant + "-" + req.Name
 	now := s.now()
 	prof := s.tenants[req.Tenant]
@@ -422,9 +397,7 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 		s.rejectedC.Inc()
 		retry := s.cfg.RetryAfterSec
 		s.mu.Unlock()
-		if s.cfg.Hook != nil {
-			s.cfg.Hook.OnRejected(now, req.Tenant, id, retry)
-		}
+		s.cfg.Hook.OnRejected(now, req.Tenant, id, retry)
 		msg := fmt.Sprintf("queue full (%d waiting)", s.cfg.MaxQueue)
 		if overQuota {
 			msg = fmt.Sprintf("tenant %q at max in-flight (%d)", req.Tenant, prof.MaxInFlight)
@@ -445,7 +418,7 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 		r.submitAt = rej.firstAt
 		delete(s.rejects, id)
 	}
-	j.run = r
+	j := &runJob{run: r, req: *req}
 	s.runs.Store(id, r)
 	s.inflight[req.Tenant]++
 	s.gate.Enqueue(j)
@@ -453,9 +426,7 @@ func (s *Server) submit(req *SubmitRequest) (int, any) {
 	admitted := s.dispatchLocked()
 	s.mu.Unlock()
 
-	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnQueued(now, req.Tenant, id)
-	}
+	s.cfg.Hook.OnQueued(now, req.Tenant, id)
 	r.publish(RunEvent{Type: EventQueued, At: now})
 	s.launch(admitted)
 	return http.StatusAccepted, SubmitResponse{ID: id, State: StateQueued}
@@ -500,9 +471,7 @@ func (s *Server) launch(admitted []*runJob) {
 		r.mu.Unlock()
 		r.publish(RunEvent{Type: EventAdmitted, At: at})
 		if s.cfg.Deterministic {
-			if s.cfg.Hook != nil {
-				s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
-			}
+			s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
 			s.detReady = append(s.detReady, j)
 			continue
 		}
@@ -510,9 +479,7 @@ func (s *Server) launch(admitted []*runJob) {
 		go func(j *runJob, at float64) {
 			defer s.wg.Done()
 			r := j.run
-			if s.cfg.Hook != nil {
-				s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
-			}
+			s.cfg.Hook.OnAdmitted(at, r.Tenant, r.ID)
 			rep, err := s.runWorkflow(j)
 			s.finishRun(r, rep, err)
 		}(j, at)
@@ -534,18 +501,16 @@ type runAudit struct {
 }
 
 // OnTaskSubmitted is an uninteresting part of the AuditSink contract.
-func (a *runAudit) OnTaskSubmitted(now float64, t *wf.Task) {}
+func (a *runAudit) OnTaskSubmitted(float64, *wf.Task) {}
 
 // OnAttemptStart is an uninteresting part of the AuditSink contract.
-func (a *runAudit) OnAttemptStart(now float64, t *wf.Task, node string, att int) {}
+func (a *runAudit) OnAttemptStart(float64, *wf.Task, string, int) {}
 
 // OnAttemptEnd is an uninteresting part of the AuditSink contract.
-func (a *runAudit) OnAttemptEnd(now float64, t *wf.Task, node string, att, exit int, accepted bool) {
-}
+func (a *runAudit) OnAttemptEnd(float64, *wf.Task, string, int, int, bool) {}
 
-// OnWorkflowEnd is an uninteresting part of the AuditSink contract; the
-// terminal state is published by finishRun from the AM report instead.
-func (a *runAudit) OnWorkflowEnd(now float64, succeeded bool) {}
+// OnWorkflowEnd is uninteresting too: finishRun publishes the terminal state.
+func (a *runAudit) OnWorkflowEnd(float64, bool) {}
 
 // OnTaskCompleted publishes a progress event on the run's stream.
 func (a *runAudit) OnTaskCompleted(now float64, t *wf.Task, node string) {
@@ -564,7 +529,16 @@ func (a *runAudit) OnTaskCompleted(now float64, t *wf.Task, node string) {
 // result is a pure function of (run ID, payload, policy, Nodes): real and
 // deterministic mode produce byte-identical completed-task sets per run.
 func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
-	r := j.run
+	// A spec binds its paths under the run's root, which memo keys strip; a
+	// source keeps the paths its payload chose.
+	r, prefix := j.run, ""
+	if j.req.Workload != nil {
+		prefix = fmt.Sprintf("/svc/%s/%s", r.Tenant, r.Name)
+	}
+	driver, inputs, err := s.compiled.instantiate(&j.req, prefix)
+	if err != nil {
+		return nil, err
+	}
 	eng, env, err := TierRecipe(r.ID, s.cfg.Nodes, s.cfg.Nodes, s.policies, seedFor(r.ID)).Materialize()
 	if err != nil {
 		return nil, err
@@ -576,28 +550,17 @@ func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
 		return nil, err
 	}
 	env.Prov = prov
-	if err := workloads.Stage(env.FS, j.inputs); err != nil {
-		return nil, err
-	}
-	deps := scheduler.Deps{Locality: env.FS, Estimator: env.Prov}
-	if s.memo != nil {
-		deps.Predictor = s.memo
-	}
-	sched, err := scheduler.New(j.policy, deps)
-	if err != nil {
-		return nil, err
-	}
-	am, err := core.Launch(env, j.driver, sched, core.Config{
+	am, err := startAM(env, driver, inputs, cmp.Or(j.req.Policy, s.cfg.Policy), core.Config{
 		WorkflowID: r.ID,
 		Tenant:     r.Tenant,
 		Memo:       s.memo,
-		MemoPrefix: j.memoPrefix,
+		MemoPrefix: prefix,
 		Audit:      &runAudit{s: s, r: r},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if static, ok := j.driver.(wf.StaticDriver); ok && static.Graph() != nil {
+	if static, ok := driver.(wf.StaticDriver); ok && static.Graph() != nil {
 		// The log is to hold a progress event per task and the finished
 		// event: grow it once, now that the graph is built.
 		r.mu.Lock()
@@ -613,9 +576,8 @@ func (s *Server) runWorkflow(j *runJob) (*core.Report, error) {
 func (s *Server) finishRun(r *Run, rep *core.Report, runErr error) {
 	now := s.now()
 	succeeded := runErr == nil && rep != nil && rep.Succeeded
-	var completed []string
-	var outputs []string
-	makespan := 0.0
+	var completed, outputs []string
+	var makespan float64
 	if rep != nil {
 		for _, res := range rep.Results {
 			if res.Succeeded() {
@@ -662,9 +624,7 @@ func (s *Server) finishRun(r *Run, rep *core.Report, runErr error) {
 	s.checkDrainedLocked()
 	s.mu.Unlock()
 
-	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnFinished(now, r.Tenant, r.ID, succeeded)
-	}
+	s.cfg.Hook.OnFinished(now, r.Tenant, r.ID, succeeded)
 	s.launch(admitted)
 }
 

@@ -913,7 +913,7 @@ func TestTerminalRunRetainsNoGraph(t *testing.T) {
 	before := liveHeap()
 	graphs := make([]any, 0, 2*runs)
 	for i := 0; i < runs; i++ {
-		d, inputs, err := buildSpecWorkflow("alpha", fmt.Sprintf("g%02d", i), spec)
+		d, inputs, err := buildSpecWorkflow("alpha", fmt.Sprintf("g%02d", i), spec) // the reference build
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -942,10 +942,18 @@ func TestTerminalRunRetainsNoGraph(t *testing.T) {
 		r.prov, r.events = nil, nil
 	}
 	perRun := (liveHeap() - before) / runs
+	// What the runs share: the spec compiled once, which the compile table
+	// keeps for the next run of it.
+	kept := len(s.compiled.entries)
+	s.compiled.entries = nil
+	table := before + perRun*runs - liveHeap()
 	runtime.KeepAlive(s)
-	t.Logf("graph %d bytes, retained besides the buffers %d bytes", graph, perRun)
+	t.Logf("graph %d bytes, retained besides the buffers %d bytes, the compile table %d bytes", graph, perRun, table)
 	if perRun > graph/4 {
 		t.Fatalf("besides its buffers a terminal run retains %d bytes; its task graph occupies %d", perRun, graph)
+	}
+	if kept != 1 || table > graph {
+		t.Fatalf("the compile table keeps %d entries in %d bytes; want the one spec, in less than one run's graph (%d)", kept, table, graph)
 	}
 }
 

@@ -1,10 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"hiway/internal/chaos"
 	"hiway/internal/cluster"
@@ -15,6 +15,7 @@ import (
 	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/sim"
+	"hiway/internal/wf"
 	"hiway/internal/workloads"
 	"hiway/internal/yarn"
 )
@@ -70,9 +71,7 @@ func validateProfiles(profiles []TenantProfile, needRates bool) error {
 		if needRates && p.RatePerSec <= 0 {
 			return fmt.Errorf("service: tenant %q needs a positive arrival rate", p.Name)
 		}
-		if p.Burst <= 0 {
-			p.Burst = 1
-		}
+		orDefault(&p.Burst, 1)
 		p.Workload.setDefaults()
 		if err := p.Workload.validate(); err != nil {
 			return fmt.Errorf("service: tenant %q: %w", p.Name, err)
@@ -153,21 +152,12 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.DurationSec <= 0 {
-		c.DurationSec = 3600
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 16
-	}
-	if c.RetryAfterSec <= 0 {
-		c.RetryAfterSec = 30
-	}
-	if c.Policy == "" {
-		c.Policy = scheduler.PolicyFCFS
-	}
+	orDefault(&c.DurationSec, 3600)
+	orDefault(&c.MaxConcurrent, 4)
+	orDefault(&c.MaxQueue, 16)
+	orDefault(&c.RetryAfterSec, 30)
+	orDefault(&c.Policy, scheduler.PolicyFCFS)
+	c.Hook = cmp.Or(c.Hook, Hook(nopHook{}))
 }
 
 // Hook observes service lifecycle transitions. Hooks run synchronously
@@ -182,6 +172,21 @@ type Hook interface {
 	// OnFinished fires when an admitted workflow terminates.
 	OnFinished(now float64, tenant, id string, succeeded bool)
 }
+
+// nopHook is the Hook of a service or server configured without one.
+type nopHook struct{}
+
+// OnQueued does nothing.
+func (nopHook) OnQueued(float64, string, string) {}
+
+// OnRejected does nothing.
+func (nopHook) OnRejected(float64, string, string, float64) {}
+
+// OnAdmitted does nothing.
+func (nopHook) OnAdmitted(float64, string, string) {}
+
+// OnFinished does nothing.
+func (nopHook) OnFinished(float64, string, string, bool) {}
 
 // Account is one workflow's service-level record.
 type Account struct {
@@ -230,7 +235,8 @@ type Service struct {
 	accounts []*Account
 	live     []*pendingWF // launched workflows whose AM has not ended, in launch order
 
-	tr *obs.Tracer
+	tr       *obs.Tracer
+	compiled compileTable
 
 	submittedC map[string]*obs.Counter // per tenant
 	rejectedC  map[string]*obs.Counter
@@ -318,9 +324,7 @@ func (s *Service) submitAttempt(w *pendingWF, attempt int) {
 		w.acct.Rejections++
 		s.rejectedC[w.tenant].Inc()
 		s.tr.Instant("svc", "rejected", "service")
-		if s.cfg.Hook != nil {
-			s.cfg.Hook.OnRejected(now, w.tenant, w.id, s.cfg.RetryAfterSec)
-		}
+		s.cfg.Hook.OnRejected(now, w.tenant, w.id, s.cfg.RetryAfterSec)
 		if attempt < s.cfg.RetryLimit {
 			s.eng.Schedule(s.cfg.RetryAfterSec, func() { s.submitAttempt(w, attempt+1) })
 			return
@@ -334,9 +338,7 @@ func (s *Service) submitAttempt(w *pendingWF, attempt int) {
 	w.span = s.tr.BeginAsync("svc", w.id, "service", 0)
 	s.tr.Arg(w.span, "tenant", w.tenant)
 	s.gate.Enqueue(w)
-	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnQueued(now, w.tenant, w.id)
-	}
+	s.cfg.Hook.OnQueued(now, w.tenant, w.id)
 	s.pump()
 }
 
@@ -378,33 +380,21 @@ func (s *Service) pump() {
 // only once its AM has launched: a head that fails to launch is requeued or
 // failed by the pump, and admitted at most once.
 func (s *Service) admit(w *pendingWF) error {
-	driver, inputs, err := buildSpecWorkflow(w.tenant, w.name, w.spec)
+	prefix := fmt.Sprintf("/svc/%s/%s", w.tenant, w.name)
+	driver, inputs, err := s.compiled.specRun(prefix, w.spec)
 	if err != nil {
 		return err
 	}
-	if err := workloads.Stage(s.env.FS, inputs); err != nil {
-		return err
-	}
-	deps := scheduler.Deps{Locality: s.env.FS, Estimator: s.env.Prov}
-	if s.cfg.Memo != nil {
-		deps.Predictor = s.cfg.Memo
-	}
-	sched, err := scheduler.New(s.cfg.Policy, deps)
-	if err != nil {
-		return err
-	}
-	tasks, _, _, _ := driver.Build() // the generator's list, which cannot fail; Launch builds the DAG
-	w.acct.Tasks = len(tasks)
-	cfg := core.Config{
+	w.acct.Tasks = len(driver.Graph().All())
+	am, err := startAM(s.env, driver, inputs, s.cfg.Policy, core.Config{
 		WorkflowID: w.id,
 		Tenant:     w.tenant,
 		AMNode:     s.cfg.AMNode,
 		Chaos:      s.cfg.Chaos,
 		Memo:       s.cfg.Memo,
-		MemoPrefix: fmt.Sprintf("/svc/%s/%s", w.tenant, w.name),
+		MemoPrefix: prefix,
 		OnTerminal: func(rep *core.Report) { s.onTerminal(w, rep) },
-	}
-	am, err := core.Launch(s.env, driver, sched, cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -414,6 +404,23 @@ func (s *Service) admit(w *pendingWF) error {
 	}
 	s.markAdmitted(w)
 	return nil
+}
+
+// startAM stages the inputs and launches the driver's AM under the policy,
+// predicting from cfg.Memo if set: every Service and Server run starts here.
+func startAM(env core.Env, driver wf.Driver, inputs []workloads.Input, policy string, cfg core.Config) (*core.AM, error) {
+	if err := workloads.Stage(env.FS, inputs); err != nil {
+		return nil, err
+	}
+	deps := scheduler.Deps{Locality: env.FS, Estimator: env.Prov}
+	if cfg.Memo != nil {
+		deps.Predictor = cfg.Memo
+	}
+	sched, err := scheduler.New(policy, deps)
+	if err != nil {
+		return nil, err
+	}
+	return core.Launch(env, driver, sched, cfg)
 }
 
 // EndStalled ends, in launch order, every workflow whose AM the engine left
@@ -445,9 +452,7 @@ func (s *Service) markAdmitted(w *pendingWF) {
 	s.admittedC[w.tenant].Inc()
 	s.queueWaitH.Observe(w.acct.QueueWaitSec)
 	s.tr.Arg(w.span, "admitted", "true")
-	if s.cfg.Hook != nil {
-		s.cfg.Hook.OnAdmitted(now, w.tenant, w.id)
-	}
+	s.cfg.Hook.OnAdmitted(now, w.tenant, w.id)
 }
 
 // onTerminal settles the account when a workflow's AM reaches a terminal
@@ -481,7 +486,7 @@ func (s *Service) terminate(w *pendingWF, succeeded bool) {
 	}
 	s.tr.Arg(w.span, "succeeded", fmt.Sprintf("%v", succeeded))
 	s.tr.End(w.span)
-	if s.cfg.Hook != nil && w.acct.Admitted {
+	if w.acct.Admitted {
 		s.cfg.Hook.OnFinished(now, w.tenant, w.id, succeeded)
 	}
 	s.depthG.Set(float64(s.gate.Depth()))
@@ -497,11 +502,8 @@ func (s *Service) Running() int { return s.gate.Running() }
 // Accounts returns every workflow's record in submission order.
 func (s *Service) Accounts() []*Account {
 	out := append([]*Account(nil), s.accounts...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].SubmitAt != out[j].SubmitAt {
-			return out[i].SubmitAt < out[j].SubmitAt
-		}
-		return out[i].ID < out[j].ID
+	slices.SortStableFunc(out, func(a, b *Account) int {
+		return cmp.Or(cmp.Compare(a.SubmitAt, b.SubmitAt), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }

@@ -91,9 +91,7 @@ func (s *Service) Stats() *Stats {
 		ts.Submitted++
 		st.Rejections += a.Rejections
 		ts.Rejections += a.Rejections
-		if a.EndAt > window {
-			window = a.EndAt
-		}
+		window = max(window, a.EndAt)
 		if a.Dropped {
 			st.Dropped++
 			ts.Dropped++
@@ -158,12 +156,5 @@ func quantile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	rank := int(math.Ceil(q*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
+	return s[min(max(int(math.Ceil(q*float64(len(s))))-1, 0), len(s)-1)]
 }

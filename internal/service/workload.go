@@ -2,7 +2,10 @@ package service
 
 import (
 	"fmt"
+	"sync"
 
+	"hiway/internal/lang"
+	"hiway/internal/lang/cwl"
 	"hiway/internal/wf"
 	"hiway/internal/workloads"
 )
@@ -32,28 +35,32 @@ type WorkloadSpec struct {
 }
 
 func (w *WorkloadSpec) setDefaults() {
-	if w.Kind == "" {
-		w.Kind = WorkloadSNV
-	}
-	if w.Samples <= 0 {
-		w.Samples = 1
-	}
-	if w.FilesPerSample <= 0 {
-		w.FilesPerSample = 2
-	}
-	if w.FileSizeMB <= 0 {
-		w.FileSizeMB = 64
-	}
-	if w.CPUSeconds <= 0 {
-		w.CPUSeconds = 40
+	orDefault(&w.Kind, WorkloadSNV)
+	orDefault(&w.Samples, 1)
+	orDefault(&w.FilesPerSample, 2)
+	orDefault(&w.FileSizeMB, 64)
+	orDefault(&w.CPUSeconds, 40)
+}
+
+// orDefault sets *v to def unless it is positive (for a string, set).
+func orDefault[T int | float64 | string](v *T, def T) {
+	var zero T
+	if *v <= zero {
+		*v = def
 	}
 }
 
-func (w *WorkloadSpec) validate() error {
+// validate checks the spec with its defaults applied.
+func (w WorkloadSpec) validate() error {
+	w.setDefaults()
 	switch w.Kind {
 	case WorkloadSNV, WorkloadTRAPLINE:
 	default:
 		return fmt.Errorf("unknown workload kind %q", w.Kind)
+	}
+	// An SNV graph has samples × (filesPerSample + 3) tasks, TRAPLINE six.
+	if w.Kind == WorkloadSNV && (w.FilesPerSample > cwl.MaxTasks || w.Samples > cwl.MaxTasks/(w.FilesPerSample+3)) {
+		return fmt.Errorf("samples %d × (filesPerSample %d + 3) is over %d tasks", w.Samples, w.FilesPerSample, cwl.MaxTasks)
 	}
 	if err := tierHDFS.CheckSize(w.FileSizeMB); err != nil {
 		return fmt.Errorf("fileSizeMB: %v", err)
@@ -61,61 +68,113 @@ func (w *WorkloadSpec) validate() error {
 	return nil
 }
 
-// buildSpecWorkflow instantiates one generator-backed workflow for a named
-// submission, rebased under /svc/<tenant>/<name> so concurrent instances
-// never collide in HDFS. Both the seeded-arrival Service and the network
-// Server build their workloads here, which is what makes a deterministic
-// replay and a live HTTP run produce identical DAGs for the same
-// (tenant, name, spec) triple.
-func buildSpecWorkflow(tenant, name string, spec WorkloadSpec) (*wf.StaticBase, []workloads.Input, error) {
-	spec.setDefaults()
-	var driver *wf.StaticBase
-	var inputs []workloads.Input
-	switch spec.Kind {
-	case WorkloadSNV:
-		driver, inputs = workloads.SNV(workloads.SNVConfig{
-			Samples:            spec.Samples,
-			FilesPerSample:     spec.FilesPerSample,
-			FileSizeMB:         spec.FileSizeMB,
-			RefLocal:           true,
-			AlignCPUSeconds:    spec.CPUSeconds,
-			SortCPUSeconds:     spec.CPUSeconds,
-			CallCPUSeconds:     spec.CPUSeconds,
-			AnnotateCPUSeconds: spec.CPUSeconds,
-		})
-	case WorkloadTRAPLINE:
-		driver, inputs = workloads.TRAPLINE(workloads.TRAPLINEConfig{
-			LanesPerGroup:       1,
-			ReadsSizeMB:         spec.FileSizeMB,
-			TophatCPUSeconds:    spec.CPUSeconds,
-			CufflinksCPUSeconds: spec.CPUSeconds,
-			MergeCPUSeconds:     spec.CPUSeconds,
-			DiffCPUSeconds:      spec.CPUSeconds,
-		})
-	default:
-		return nil, nil, fmt.Errorf("service: unknown workload kind %q", spec.Kind)
-	}
-	// A generator's Build hands back the task list it made and cannot fail;
-	// rebasing that list leaves the AM's Parse to build the one DAG.
-	tasks, _, _, _ := driver.Build()
-	rebase(tasks, inputs, fmt.Sprintf("/svc/%s/%s", tenant, name))
-	return driver, inputs, nil
+// compiled is a workflow kept per Server or Service and instantiated per
+// run: a spec's graph with its DAG template, or a decoded CWL document,
+// compiled per run since the run's name is in its output paths.
+type compiled struct {
+	graph *workloads.Graph
+	tmpl  *wf.Template
+	doc   *cwl.Document
 }
 
-// rebase prefixes every task input, declared output, and staged input path
-// with the per-instance prefix.
-func rebase(tasks []*wf.Task, inputs []workloads.Input, prefix string) {
-	for _, t := range tasks {
-		for i, in := range t.Inputs {
-			t.Inputs[i] = prefix + in
-		}
-		for _, fis := range t.Declared {
-			for i := range fis {
-				fis[i].Path = prefix + fis[i].Path
-			}
-		}
+// A table holds at most maxCompiled entries of maxCompiledTasks tasks in
+// all, a CWL document counting a task per 256 bytes of its source; an entry
+// that would pass either bound starts the table over.
+const (
+	maxCompiled      = 256
+	maxCompiledTasks = 1 << 17
+)
+
+// compileTable is one Server's or Service's table of compiled workflows,
+// keyed by what they were compiled from: a defaulted WorkloadSpec, or a CWL
+// document's source string.
+type compileTable struct {
+	mu      sync.Mutex
+	entries map[any]*compiled
+	tasks   int
+}
+
+func (c *compileTable) put(k any, e *compiled, tasks int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.entries) == maxCompiled || c.tasks+tasks > maxCompiledTasks || c.entries == nil {
+		c.entries, c.tasks = make(map[any]*compiled), 0
 	}
-	for i := range inputs {
-		inputs[i].Path = prefix + inputs[i].Path
+	if c.entries[k] == nil {
+		c.entries[k], c.tasks = e, c.tasks+tasks
 	}
+}
+
+// specRun instantiates the spec's workflow for one run under prefix, its
+// /svc/<tenant>/<name>, so runs never collide in HDFS: its driver and the
+// inputs to stage. The Service and the Server both instantiate here, so a
+// replay and a live run build the same DAG for a (tenant, name, spec).
+// Whether the table kept the spec changes nothing a run instantiates.
+func (c *compileTable) specRun(prefix string, spec WorkloadSpec) (*wf.StaticBase, []workloads.Input, error) {
+	spec.setDefaults()
+	c.mu.Lock()
+	e := c.entries[spec]
+	c.mu.Unlock()
+	if e == nil && spec.Kind == WorkloadTRAPLINE {
+		e = &compiled{graph: workloads.TRAPLINEGraph(workloads.TRAPLINEConfig{
+			LanesPerGroup: 1, ReadsSizeMB: spec.FileSizeMB, TophatCPUSeconds: spec.CPUSeconds,
+			CufflinksCPUSeconds: spec.CPUSeconds, MergeCPUSeconds: spec.CPUSeconds, DiffCPUSeconds: spec.CPUSeconds,
+		})}
+	} else if e == nil {
+		e = &compiled{graph: workloads.SNVGraph(workloads.SNVConfig{
+			Samples: spec.Samples, FilesPerSample: spec.FilesPerSample, FileSizeMB: spec.FileSizeMB, RefLocal: true,
+			AlignCPUSeconds: spec.CPUSeconds, SortCPUSeconds: spec.CPUSeconds, CallCPUSeconds: spec.CPUSeconds, AnnotateCPUSeconds: spec.CPUSeconds,
+		})}
+	}
+	tasks, inputs := e.graph.Bind(prefix)
+	if e.tmpl != nil {
+		return wf.Bound(e.graph.Name, e.tmpl.Instance(tasks, workloads.Paths(inputs))), inputs, nil
+	}
+	// The template is the first run's: a prefix renames every path one to
+	// one, so every run's dependencies are the same.
+	d, err := wf.NewDAG(tasks, workloads.Paths(inputs), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.tmpl = d.Template()
+	c.put(spec, e, len(tasks))
+	return wf.Bound(e.graph.Name, d), inputs, nil
+}
+
+// cwlRun returns a driver compiling the CWL document src under the run name,
+// decoded once per table: a source that fails to decode is not kept.
+func (c *compileTable) cwlRun(name, src string, binds map[string]string) (wf.Driver, error) {
+	c.mu.Lock()
+	e := c.entries[src]
+	c.mu.Unlock()
+	if e == nil {
+		doc, err := cwl.Decode(name, src)
+		if err != nil {
+			return nil, err
+		}
+		e = &compiled{doc: doc}
+		c.put(src, e, 1+len(src)/256)
+	}
+	return e.doc.Driver(name, cwl.Options{Inputs: binds}), nil
+}
+
+// instantiate builds a launching run's driver and inputs, a spec's under
+// prefix, and appends the request's explicit InputSpecs to the inputs.
+func (c *compileTable) instantiate(r *SubmitRequest, prefix string) (driver wf.Driver, inputs []workloads.Input, err error) {
+	language := r.Lang
+	if language == "" && r.Workload == nil {
+		language = lang.Detect("", r.Source)
+	}
+	switch {
+	case r.Workload != nil:
+		driver, inputs, err = c.specRun(prefix, *r.Workload)
+	case language == lang.CWL:
+		driver, err = c.cwlRun(r.Name, r.Source, r.Binds)
+	default:
+		driver, err = lang.NewDriver(language, r.Name, r.Source, r.Binds)
+	}
+	for _, in := range r.Inputs {
+		inputs = append(inputs, workloads.Input{Path: in.Path, SizeMB: in.SizeMB})
+	}
+	return driver, inputs, err
 }

@@ -2,7 +2,7 @@ package wf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -35,34 +35,21 @@ type Analysis struct {
 
 // Analyze computes structural statistics for a DAG.
 func Analyze(d *DAG) Analysis {
-	a := Analysis{
-		Tasks:      len(d.tasks),
-		Signatures: make(map[string]int),
-	}
-	a.InitialInputs = len(d.InitialInputs())
-
+	a := Analysis{Tasks: len(d.tasks), Signatures: make(map[string]int), InitialInputs: len(d.tmpl.initial)}
 	// level and cpChain are indexed by ID−1.
-	level := make([]int, len(d.tasks))
-	cpChain := make([]float64, len(d.tasks))
-	for _, t := range d.TopoOrder() {
-		i := t.ID - 1
-		preds := d.nodes[i].preds
+	level, cpChain := make([]int, len(d.tasks)), make([]float64, len(d.tasks))
+	for _, i := range d.tmpl.topo {
+		t, preds := d.tasks[i], d.tmpl.preds.row(i)
 		a.Edges += len(preds)
 		a.Signatures[t.Name]++
 		a.TotalCPUSeconds += t.CPUSeconds
 		for _, fi := range t.DeclaredOutputs() {
 			a.TotalOutputMB += fi.SizeMB
 		}
-		if t.MemMB > a.MaxMemMB {
-			a.MaxMemMB = t.MemMB
-		}
-		lvl := 0
-		chain := 0.0
-		for _, p := range preds {
-			j := p.ID - 1
-			if level[j]+1 > lvl {
-				lvl = level[j] + 1
-			}
+		a.MaxMemMB = max(a.MaxMemMB, t.MemMB)
+		lvl, chain := 0, 0.0
+		for _, j := range preds {
+			lvl = max(lvl, level[j]+1)
 			if cpChain[j] > chain {
 				chain = cpChain[j]
 			}
@@ -74,22 +61,12 @@ func Analyze(d *DAG) Analysis {
 		}
 	}
 	if a.Tasks > 0 {
-		maxLvl := 0
-		for _, l := range level {
-			if l > maxLvl {
-				maxLvl = l
-			}
-		}
-		a.Depth = maxLvl + 1
+		a.Depth = slices.Max(level) + 1
 		a.LevelWidths = make([]int, a.Depth)
 		for _, l := range level {
 			a.LevelWidths[l]++
 		}
-		for _, w := range a.LevelWidths {
-			if w > a.MaxParallelism {
-				a.MaxParallelism = w
-			}
-		}
+		a.MaxParallelism = slices.Max(a.LevelWidths)
 	}
 	return a
 }
@@ -111,7 +88,7 @@ func (a Analysis) Render() string {
 	for s := range a.Signatures {
 		sigs = append(sigs, s)
 	}
-	sort.Strings(sigs)
+	slices.Sort(sigs)
 	for _, s := range sigs {
 		fmt.Fprintf(&sb, "  %-20s × %d\n", s, a.Signatures[s])
 	}

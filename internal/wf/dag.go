@@ -5,26 +5,42 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
-// DAG tracks readiness for a static task graph: a task becomes ready when
-// every input file exists (initially staged or produced by a predecessor)
-// and every explicit control dependency has completed. It also exposes the
-// dependency structure that static schedulers (HEFT, round-robin) consume.
-// A graph of n tasks holds IDs 1…n, and task k sits at position k−1, so
-// every per-task table is a slice indexed by ID−1.
-type DAG struct {
-	tasks   []*Task
-	nodes   []node   // nodes[i] is the state of tasks[i]
-	initial []string // sorted initial inputs no task produces
-	done    int      // completed tasks
+// Template is what no run of a static task graph changes — who depends on
+// whom, which inputs are initial, a topological order — as task positions
+// (task k sits at k−1). It holds no task and no path, so any number of runs,
+// on any goroutines, share one: Instance binds it to a run's own tasks.
+type Template struct {
+	preds, succs rows    // deduplicated, in insertion order
+	initial      []int32 // the files no task produces, as positions in the build's initial inputs, deduplicated, by path
+	topo         []int32 // Kahn's order, taking the smallest ready position first
 }
 
-// node is one task's place in the graph and its progress through it.
+// rows is an adjacency list in compressed rows: row i is at[off[i]:off[i+1]].
+type rows struct{ off, at []int32 }
+
+func (r *rows) row(i int32) []int32 { return r.at[r.off[i]:r.off[i+1]] }
+
+// DAG is one run of a Template: its tasks by position, and their progress.
+// A task becomes ready when every input file exists (initially staged or
+// produced by a predecessor) and every explicit control dependency has
+// completed. Static schedulers (HEFT, round-robin) read its structure.
+type DAG struct {
+	tmpl   *Template
+	tasks  []*Task
+	inputs []string // the initial inputs as given; tmpl.initial indexes them
+	nodes  []node   // nodes[i] is the progress of tasks[i]
+	done   int      // completed tasks
+
+	preds, succs []*Task // Predecessors' and Successors' rows as tasks, made on first use
+}
+
+// node is one task's progress through a run.
 type node struct {
-	preds, succs []*Task // deduplicated, in insertion order
-	waiting      int     // unmet dependencies
-	state        nodeState
+	waiting int32 // unmet dependencies
+	state   nodeState
 }
 
 type nodeState uint8
@@ -40,105 +56,159 @@ type Edge struct {
 	Parent, Child int64
 }
 
-// NewDAG builds a DAG over the tasks. initialInputs are files that exist
-// before execution starts. Explicit edges supplement the data dependencies
-// inferred from matching output→input paths. Construction fails on task IDs
-// outside 1…len(tasks) or repeated, duplicate producers, unknown edge
-// endpoints, inputs nobody provides, or cycles.
+// NewDAG builds a template over the tasks and starts a run of it over the
+// same tasks. initialInputs are files that exist before execution starts.
+// Explicit edges supplement the data dependencies inferred from matching
+// output→input paths. Construction fails on task IDs outside 1…len(tasks)
+// or repeated, duplicate producers, unknown edge endpoints, inputs nobody
+// provides, or cycles.
 func NewDAG(tasks []*Task, initialInputs []string, edges []Edge) (*DAG, error) {
-	d := &DAG{
-		tasks: make([]*Task, len(tasks)),
-		nodes: make([]node, len(tasks)),
-	}
-	producer := make(map[string]int32, len(tasks))
+	n := int32(len(tasks))
+	byPos := make([]*Task, n)
+	pos := func(id int64) (int32, bool) { return int32(id - 1), id >= 1 && id <= int64(n) }
+	producer := make(map[string]int32, int(n)+len(initialInputs)) // −1: available from the start
+	m := len(edges)
 	for _, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		i, ok := d.pos(t.ID)
+		i, ok := pos(t.ID)
 		if !ok {
-			return nil, fmt.Errorf("wf: task ID %d outside 1..%d", t.ID, len(tasks))
+			return nil, fmt.Errorf("wf: task ID %d outside 1..%d", t.ID, n)
 		}
-		if d.tasks[i] != nil {
+		if byPos[i] != nil {
 			return nil, fmt.Errorf("wf: duplicate task ID %d", t.ID)
 		}
-		d.tasks[i] = t
+		byPos[i] = t
+		m += len(t.Inputs)
 		for _, p := range t.OutputParams {
 			for _, fi := range t.Declared[p] {
 				if prev, dup := producer[fi.Path]; dup {
-					return nil, fmt.Errorf("wf: %s produced by both %s and %s", fi.Path, d.tasks[prev], t)
+					return nil, fmt.Errorf("wf: %s produced by both %s and %s", fi.Path, byPos[prev], t)
 				}
 				producer[fi.Path] = i
 			}
 		}
 	}
-	available := make(map[string]bool, len(initialInputs))
-	for _, p := range initialInputs {
-		if _, produced := producer[p]; !produced && !available[p] {
-			d.initial = append(d.initial, p)
+	tm := &Template{}
+	for k, p := range initialInputs {
+		if _, seen := producer[p]; !seen {
+			tm.initial = append(tm.initial, int32(k))
 		}
-		available[p] = true
+		producer[p] = -1
 	}
-	sort.Strings(d.initial)
+	slices.SortFunc(tm.initial, func(a, b int32) int { return strings.Compare(initialInputs[a], initialInputs[b]) })
 
-	// Infer data edges, in the order the tasks were given, and validate
-	// that every input has a source. An edge is added once: stamp[p] == mark
-	// says p is already a predecessor of the child being wired, and the mark
-	// moves on whenever the child changes.
-	stamp := make([]int32, len(tasks))
-	mark, child := int32(0), int32(-1)
-	addDep := func(c, p int32) {
-		if c != child {
-			mark, child = mark+1, c
-			for _, q := range d.nodes[c].preds {
-				stamp[q.ID-1] = mark
-			}
-		}
-		if stamp[p] == mark {
-			return
-		}
-		stamp[p] = mark
-		d.nodes[c].preds = append(d.nodes[c].preds, d.tasks[p])
-		d.nodes[p].succs = append(d.nodes[p].succs, d.tasks[c])
-	}
+	// Infer data edges, in the order the tasks were given, and validate that
+	// every input has a source; then the explicit edges.
+	type edge struct{ c, p int32 }
+	raw := make([]edge, 0, m)
 	for _, t := range tasks {
 		c := int32(t.ID - 1)
 		for _, in := range t.Inputs {
-			if available[in] {
-				continue
-			}
 			p, ok := producer[in]
 			if !ok {
 				return nil, fmt.Errorf("wf: %s consumes %s, which no task produces and is not an initial input", t, in)
 			}
+			if p < 0 {
+				continue
+			}
 			if p == c {
 				return nil, fmt.Errorf("wf: %s consumes its own output %s", t, in)
 			}
-			addDep(c, p)
+			raw = append(raw, edge{c, p})
 		}
 	}
 	for _, e := range edges {
-		p, ok := d.pos(e.Parent)
+		p, ok := pos(e.Parent)
 		if !ok {
 			return nil, fmt.Errorf("wf: edge references unknown parent %d", e.Parent)
 		}
-		c, ok := d.pos(e.Child)
+		c, ok := pos(e.Child)
 		if !ok {
 			return nil, fmt.Errorf("wf: edge references unknown child %d", e.Child)
 		}
 		if p == c {
 			return nil, fmt.Errorf("wf: self edge on task %d", e.Parent)
 		}
-		addDep(c, p)
+		raw = append(raw, edge{c, p})
 	}
-	for i := range d.nodes {
-		d.nodes[i].waiting = len(d.nodes[i].preds)
+
+	// An edge counts once: bucket the edges by child, in order, and drop a
+	// parent the child already has; then bucket what is left by parent.
+	bucket := func(key func(edge) int32) rows {
+		r := rows{off: make([]int32, n+1), at: make([]int32, len(raw))}
+		for _, e := range raw {
+			r.off[key(e)+1]++
+		}
+		for i := int32(1); i <= n; i++ {
+			r.off[i] += r.off[i-1]
+		}
+		for k, e := range raw {
+			r.at[r.off[key(e)]] = int32(k)
+			r.off[key(e)]++
+		}
+		copy(r.off[1:], r.off[:n])
+		r.off[0] = 0
+		return r
 	}
-	if n := len(d.TopoOrder()); n != len(tasks) {
-		return nil, fmt.Errorf("wf: workflow graph contains a cycle (%d of %d tasks reachable)", n, len(tasks))
+	tm.preds = bucket(func(e edge) int32 { return e.c })
+	seen, w := make([]int32, n), int32(0)
+	for c := int32(0); c < n; c++ {
+		lo, hi := tm.preds.off[c], tm.preds.off[c+1]
+		tm.preds.off[c] = w
+		for _, k := range tm.preds.at[lo:hi] {
+			if p := raw[k].p; seen[p] == c+1 {
+				raw[k].p = -1
+			} else {
+				seen[p], tm.preds.at[w] = c+1, p
+				w++
+			}
+		}
 	}
-	return d, nil
+	tm.preds.off[n], tm.preds.at = w, tm.preds.at[:w]
+	raw = slices.DeleteFunc(raw, func(e edge) bool { return e.p < 0 })
+	tm.succs = bucket(func(e edge) int32 { return e.p })
+	for k, e := range tm.succs.at {
+		tm.succs.at[k] = raw[e].c
+	}
+
+	// Kahn's algorithm: a task on or behind a cycle is never reached.
+	indeg, h := seen, posHeap{}
+	tm.topo = make([]int32, 0, n)
+	for i := int32(0); i < n; i++ {
+		if indeg[i] = tm.preds.off[i+1] - tm.preds.off[i]; indeg[i] == 0 {
+			h.push(i)
+		}
+	}
+	for len(h) > 0 {
+		i := h.pop()
+		tm.topo = append(tm.topo, i)
+		for _, s := range tm.succs.row(i) {
+			if indeg[s]--; indeg[s] == 0 {
+				h.push(s)
+			}
+		}
+	}
+	if len(tm.topo) != int(n) {
+		return nil, fmt.Errorf("wf: workflow graph contains a cycle (%d of %d tasks reachable)", len(tm.topo), n)
+	}
+	return tm.Instance(byPos, initialInputs), nil
 }
+
+// Instance starts a run of the template over its own tasks, tasks[i] the one
+// with ID i+1, and the build's initial inputs: the build's own, or copies in
+// which every path is renamed one to one, so the dependencies stand.
+func (t *Template) Instance(tasks []*Task, initialInputs []string) *DAG {
+	d := &DAG{tmpl: t, tasks: tasks, inputs: initialInputs, nodes: make([]node, len(tasks))}
+	for i := range d.nodes {
+		d.nodes[i].waiting = t.preds.off[i+1] - t.preds.off[i]
+	}
+	return d
+}
+
+// Template returns the template the run is of.
+func (d *DAG) Template() *Template { return d.tmpl }
 
 // pos returns the position of the task with the given ID, and false for an
 // ID outside 1…n.
@@ -148,17 +218,31 @@ func (d *DAG) pos(id int64) (int32, bool) { return int32(id - 1), id >= 1 && id 
 func (d *DAG) All() []*Task { return d.tasks }
 
 // Predecessors returns the tasks that must complete before t.
-func (d *DAG) Predecessors(t *Task) []*Task { return d.node(t).preds }
+func (d *DAG) Predecessors(t *Task) []*Task { return d.linked(t, &d.tmpl.preds, &d.preds) }
 
 // Successors returns the tasks that depend on t.
-func (d *DAG) Successors(t *Task) []*Task { return d.node(t).succs }
+func (d *DAG) Successors(t *Task) []*Task { return d.linked(t, &d.tmpl.succs, &d.succs) }
 
-// node returns t's node; an empty one for a task not in the graph.
-func (d *DAG) node(t *Task) *node {
-	if i, ok := d.pos(t.ID); ok {
-		return &d.nodes[i]
+// linked returns t's row of r as tasks, from *links, every row of r once
+// made. A task not in the graph has none.
+func (d *DAG) linked(t *Task, r *rows, links *[]*Task) []*Task {
+	i, ok := d.pos(t.ID)
+	if !ok {
+		return nil
 	}
-	return &node{}
+	if *links == nil {
+		*links = pick(d.tasks, r.at)
+	}
+	return (*links)[r.off[i]:r.off[i+1]:r.off[i+1]]
+}
+
+// pick returns the elements of xs at the positions.
+func pick[T any](xs []T, positions []int32) []T {
+	out := make([]T, len(positions))
+	for k, i := range positions {
+		out[k] = xs[i]
+	}
+	return out
 }
 
 // Ready returns tasks whose dependencies are met and that have not been
@@ -185,12 +269,12 @@ func (d *DAG) Complete(t *Task) []*Task {
 	d.nodes[i].state = complete
 	d.done++
 	var ready []*Task
-	for _, s := range d.nodes[i].succs {
-		n := &d.nodes[s.ID-1]
+	for _, s := range d.tmpl.succs.row(i) {
+		n := &d.nodes[s]
 		n.waiting--
 		if n.waiting == 0 && n.state == pending {
 			n.state = released
-			ready = append(ready, s)
+			ready = append(ready, d.tasks[s])
 		}
 	}
 	slices.SortFunc(ready, func(a, b *Task) int { return cmp.Compare(a.ID, b.ID) })
@@ -205,7 +289,7 @@ func (d *DAG) Done() bool { return d.done == len(d.tasks) }
 func (d *DAG) Sinks() []string {
 	var out []string
 	for i, t := range d.tasks {
-		if len(d.nodes[i].succs) == 0 {
+		if len(d.tmpl.succs.row(int32(i))) == 0 {
 			out = append(out, t.DeclaredPaths()...)
 		}
 	}
@@ -214,56 +298,24 @@ func (d *DAG) Sinks() []string {
 }
 
 // TopoOrder returns the tasks in a deterministic topological order: Kahn's
-// algorithm, always taking the ready task with the smallest ID. Tasks on or
-// behind a cycle are left out, which is how NewDAG detects one.
-func (d *DAG) TopoOrder() []*Task {
-	indeg := make([]int, len(d.nodes))
-	var h posHeap
-	for i := range d.nodes {
-		if indeg[i] = len(d.nodes[i].preds); indeg[i] == 0 {
-			h.push(int32(i))
-		}
-	}
-	order := make([]*Task, 0, len(d.tasks))
-	for len(h) > 0 {
-		i := h.pop()
-		order = append(order, d.tasks[i])
-		for _, s := range d.nodes[i].succs {
-			j := s.ID - 1
-			if indeg[j]--; indeg[j] == 0 {
-				h.push(int32(j))
-			}
-		}
-	}
-	return order
-}
+// algorithm, always taking the ready task with the smallest ID.
+func (d *DAG) TopoOrder() []*Task { return pick(d.tasks, d.tmpl.topo) }
 
 // posHeap is a binary min-heap of task positions, and so of task IDs.
 type posHeap []int32
 
 func (h *posHeap) push(p int32) {
 	*h = append(*h, p)
-	q := *h
-	for c := len(q) - 1; c > 0; {
-		up := (c - 1) / 2
-		if q[c] >= q[up] {
-			break
-		}
-		q[c], q[up] = q[up], q[c]
-		c = up
+	for q, c := *h, len(*h)-1; c > 0 && q[c] < q[(c-1)/2]; c = (c - 1) / 2 {
+		q[c], q[(c-1)/2] = q[(c-1)/2], q[c]
 	}
 }
 
 func (h *posHeap) pop() int32 {
 	q := *h
 	top, last := q[0], len(q)-1
-	q[0] = q[last]
-	*h = q[:last]
-	for p := 0; ; {
-		c := 2*p + 1
-		if c >= last {
-			break
-		}
+	q[0], *h = q[last], q[:last]
+	for p, c := 0, 1; c < last; p, c = c, 2*c+1 {
 		if c+1 < last && q[c+1] < q[c] {
 			c++
 		}
@@ -271,10 +323,10 @@ func (h *posHeap) pop() int32 {
 			break
 		}
 		q[c], q[p] = q[p], q[c]
-		p = c
 	}
 	return top
 }
 
-// InitialInputs returns the initially available files, sorted.
-func (d *DAG) InitialInputs() []string { return d.initial }
+// InitialInputs returns the initially available files no task produces,
+// sorted.
+func (d *DAG) InitialInputs() []string { return pick(d.inputs, d.tmpl.initial) }

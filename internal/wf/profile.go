@@ -1,5 +1,7 @@
 package wf
 
+import "cmp"
+
 // Profile supplies a resource profile for tasks parsed from workflow
 // languages that do not annotate resource demands themselves (DAX without
 // runtime attributes, Galaxy). The simulated substrate needs CPU seconds
@@ -15,26 +17,14 @@ type Profile struct {
 // ApplyTo fills zero-valued resource fields of the task from the profile.
 // Explicit annotations from the workflow text win over the profile.
 func (p Profile) ApplyTo(t *Task) {
-	if t.CPUSeconds == 0 {
-		t.CPUSeconds = p.CPUSeconds
-	}
-	if t.Threads == 0 {
-		t.Threads = p.Threads
-	}
-	if t.MemMB == 0 {
-		t.MemMB = p.MemMB
-	}
-	if p.OutputSizeMB > 0 {
-		for param, fis := range t.Declared {
-			for i := range fis {
-				if fis[i].SizeMB == 0 {
-					fis[i].SizeMB = p.OutputSizeMB
-				}
+	t.CPUSeconds = cmp.Or(t.CPUSeconds, p.CPUSeconds)
+	t.Threads = cmp.Or(t.Threads, p.Threads, 1)
+	t.MemMB = cmp.Or(t.MemMB, p.MemMB)
+	for _, fis := range t.Declared {
+		for i := range fis {
+			if p.OutputSizeMB > 0 {
+				fis[i].SizeMB = cmp.Or(fis[i].SizeMB, p.OutputSizeMB)
 			}
-			t.Declared[param] = fis
 		}
-	}
-	if t.Threads == 0 {
-		t.Threads = 1
 	}
 }

@@ -14,25 +14,28 @@ type StaticBase struct {
 	dag *DAG
 }
 
+// Bound returns a driver over a run already bound to its tasks, such as a
+// Template's Instance: Parse builds nothing.
+func Bound(name string, d *DAG) *StaticBase { return &StaticBase{WFName: name, dag: d} }
+
 // Name implements Driver.
 func (s *StaticBase) Name() string { return s.WFName }
 
-// Parse implements Driver by building the full DAG and returning the tasks
-// with no unmet dependencies.
+// Parse implements Driver by building the full DAG, unless the driver is
+// Bound, and returning the tasks with no unmet dependencies.
 func (s *StaticBase) Parse() ([]*Task, error) {
-	if s.Build == nil {
+	if s.Build != nil {
+		tasks, inputs, edges, err := s.Build()
+		if err == nil {
+			s.dag, err = NewDAG(tasks, inputs, edges)
+		}
+		if err != nil {
+			return nil, err
+		}
+	} else if s.dag == nil {
 		return nil, fmt.Errorf("wf: static driver %q has no Build function", s.WFName)
 	}
-	tasks, inputs, edges, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	dag, err := NewDAG(tasks, inputs, edges)
-	if err != nil {
-		return nil, err
-	}
-	s.dag = dag
-	return dag.Ready(), nil
+	return s.dag.Ready(), nil
 }
 
 // OnTaskComplete implements Driver.

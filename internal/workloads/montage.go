@@ -20,27 +20,16 @@ type MontageConfig struct {
 	RuntimeScale float64
 }
 
-func (c MontageConfig) scale() float64 {
-	if c.RuntimeScale <= 0 {
-		return 1
-	}
-	return c.RuntimeScale
-}
+func (c MontageConfig) scale() float64 { orDefault(&c.RuntimeScale, 1); return c.RuntimeScale }
 
 // montageTiles maps the degree to the number of input tiles (and thus the
 // workflow's degree of parallelism).
 func (c MontageConfig) tiles() int {
+	orDefault(&c.Degree, 0.25)
 	d := c.Degree
-	if d <= 0 {
-		d = 0.25
-	}
 	// Montage fetches roughly (d·8+9)² /9 … for our purposes: 0.25° → 11
 	// tiles, growing quadratically with the degree.
-	n := int(44*d*d + 28*d + 1.25)
-	if n < 2 {
-		n = 2
-	}
-	return n
+	return max(int(44*d*d+28*d+1.25), 2)
 }
 
 // MontageDAX emits the workflow as a Pegasus DAX document — the format the

@@ -20,11 +20,7 @@ import (
 // SNVCuneiform renders the workflow source for the given configuration.
 // CPU attributes may be pre-scaled by the caller for run-to-run jitter.
 func SNVCuneiform(cfg SNVConfig) (string, []Input) {
-	cfg.setDefaults()
-	alignedSize := cfg.FileSizeMB * 1.2
-	if cfg.CRAM {
-		alignedSize = cfg.FileSizeMB * 0.4 // referential compression
-	}
+	cfg.ApplyDefaults()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `%%%% SNV calling (Bowtie 2 → SAMtools → VarScan → ANNOVAR), paper §4.1.
 deftask align( bam : reads ) @cpu %.0f @threads 8 @mem 6500 @size bam %.0f in bash *{
@@ -40,7 +36,7 @@ deftask annotate( out : <vcfs> ) @cpu %.0f @threads 2 @mem 3000 @size out 90 in 
   annovar $vcfs > $out
 }*
 `,
-		cfg.AlignCPUSeconds, alignedSize,
+		cfg.AlignCPUSeconds, cfg.alignedMB(),
 		cfg.SortCPUSeconds,
 		cfg.CallCPUSeconds, 80/float64(cfg.CallSplitRegions),
 		cfg.AnnotateCPUSeconds)
@@ -69,14 +65,9 @@ deftask annotate( out : <vcfs> ) @cpu %.0f @threads 2 @mem 3000 @size out 90 in 
 // in for the real tools: the sortscatter task's aggregate output resolves
 // to nregions region files sized from the sample's alignment volume.
 func SNVCuneiformDriver(name string, cfg SNVConfig) (*cuneiform.Driver, []Input, wf.Behavior) {
-	cfg.setDefaults()
+	cfg.ApplyDefaults()
 	src, inputs := SNVCuneiform(cfg)
 	driver := cuneiform.NewDriver(name, src)
-	alignedSize := cfg.FileSizeMB * 1.2
-	if cfg.CRAM {
-		alignedSize = cfg.FileSizeMB * 0.4
-	}
-	regionSizeMB := alignedSize * float64(cfg.FilesPerSample) * 0.9 / float64(cfg.CallSplitRegions)
 	behavior := func(t *wf.Task) wf.Outcome {
 		out := wf.DefaultOutcome(t)
 		if t.Name == "sortscatter" {
@@ -84,7 +75,7 @@ func SNVCuneiformDriver(name string, cfg SNVConfig) (*cuneiform.Driver, []Input,
 			for r := range files {
 				files[r] = wf.FileInfo{
 					Path:   fmt.Sprintf("work/sortscatter_%d/region%02d.bam", t.ID, r),
-					SizeMB: regionSizeMB,
+					SizeMB: cfg.regionMB(),
 				}
 			}
 			out.Outputs = maps.Clone(out.Outputs) // DefaultOutcome's map is the declaration

@@ -18,12 +18,7 @@ import (
 // the inputs to stage, mirroring SNVCuneiform exactly: same tool names,
 // same resource profile, same data volumes, same input list.
 func SNVCWL(cfg SNVConfig) (string, []Input) {
-	cfg.setDefaults()
-	alignedSize := cfg.FileSizeMB * 1.2
-	if cfg.CRAM {
-		alignedSize = cfg.FileSizeMB * 0.4 // referential compression
-	}
-	regionSizeMB := alignedSize * float64(cfg.FilesPerSample) * 0.9 / float64(cfg.CallSplitRegions)
+	cfg.ApplyDefaults()
 
 	tool := func(id string, cmd []any, cpu float64, cores, ram int, ins, outs []any, profile map[string]any) map[string]any {
 		profile["class"] = "hiway:Profile"
@@ -46,7 +41,7 @@ func SNVCWL(cfg SNVConfig) (string, []Input) {
 			cfg.AlignCPUSeconds, 8, 6500,
 			[]any{map[string]any{"id": "reads", "type": "File"}},
 			[]any{map[string]any{"id": "bam", "type": "File"}},
-			map[string]any{"outSizeMB": map[string]any{"bam": alignedSize}}),
+			map[string]any{"outSizeMB": map[string]any{"bam": cfg.alignedMB()}}),
 		tool("sortscatter",
 			[]any{"samtools", "sort", "$bams", "|", "split-regions", "--n", "$nregions", "--out-dir", "$regions"},
 			cfg.SortCPUSeconds, 4, 4000,
@@ -56,7 +51,7 @@ func SNVCWL(cfg SNVConfig) (string, []Input) {
 			},
 			[]any{map[string]any{"id": "regions", "type": "File[]"}},
 			map[string]any{
-				"outSizeMB": map[string]any{"regions": regionSizeMB},
+				"outSizeMB": map[string]any{"regions": cfg.regionMB()},
 				"outCount":  map[string]any{"regions": cfg.CallSplitRegions},
 			}),
 		tool("call",

@@ -50,14 +50,8 @@ func TRAPLINEGalaxyJSON(lanesPerGroup int) string {
 	genome := add(gaStep{Type: "data_input", Label: "genome"})
 	var laneInputs []int
 	for l := 0; l < lanes; l++ {
-		group := "young"
-		if l >= lanesPerGroup {
-			group = "aged"
-		}
-		laneInputs = append(laneInputs, add(gaStep{
-			Type:  "data_input",
-			Label: fmt.Sprintf("%s_rep%d", group, l%lanesPerGroup),
-		}))
+		group, rep := lane(l, lanesPerGroup)
+		laneInputs = append(laneInputs, add(gaStep{Type: "data_input", Label: fmt.Sprintf("%s_rep%d", group, rep)}))
 	}
 	var cuffOut []int
 	for l := 0; l < lanes; l++ {
@@ -120,18 +114,11 @@ func TRAPLINEGalaxyJSON(lanesPerGroup int) string {
 // the same resource calibration as TRAPLINE, plus the matching inputs.
 func TRAPLINEFromGalaxy(cfg TRAPLINEConfig) (wf.StaticDriver, []Input, error) {
 	cfg.setDefaults()
-	lanes := cfg.LanesPerGroup * 2
-	genome := Input{Path: "/ref/mm10.fa", SizeMB: 2800}
-	inputs := []Input{genome}
-	binds := map[string]string{"genome": genome.Path}
-	for l := 0; l < lanes; l++ {
-		group := "young"
-		if l >= cfg.LanesPerGroup {
-			group = "aged"
-		}
-		in := Input{Path: fmt.Sprintf("/reads/%s/rep%d.fastq", group, l%cfg.LanesPerGroup), SizeMB: cfg.ReadsSizeMB}
-		inputs = append(inputs, in)
-		binds[fmt.Sprintf("%s_rep%d", group, l%cfg.LanesPerGroup)] = in.Path
+	_, inputs := TRAPLINEGraph(cfg).Bind("") // the genome, then a read file per lane
+	binds := map[string]string{"genome": inputs[0].Path}
+	for l, in := range inputs[1:] {
+		group, rep := lane(l, cfg.LanesPerGroup)
+		binds[fmt.Sprintf("%s_rep%d", group, rep)] = in.Path
 	}
 	driver := galaxy.NewDriver("trapline-galaxy", TRAPLINEGalaxyJSON(cfg.LanesPerGroup), galaxy.Options{
 		Inputs: binds,

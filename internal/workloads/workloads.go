@@ -17,6 +17,8 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"hiway/internal/hdfs"
@@ -45,6 +47,14 @@ func Stage(fs *hdfs.FS, inputs []Input) error {
 	return nil
 }
 
+// orDefault sets *v to def unless it is positive (for a string, set).
+func orDefault[T int | float64 | string](v *T, def T) {
+	var zero T
+	if *v <= zero {
+		*v = def
+	}
+}
+
 // Paths returns the input paths.
 func Paths(inputs []Input) []string {
 	out := make([]string, len(inputs))
@@ -52,6 +62,147 @@ func Paths(inputs []Input) []string {
 		out[i] = in.Path
 	}
 	return out
+}
+
+// Graph is a generated workflow before it is placed in HDFS: its tasks
+// without their paths, and every path once, unprefixed, named by its
+// position. It is immutable once generated, so any number of runs bind one
+// at once. Every generated task declares the one output parameter out.
+type Graph struct {
+	Name   string
+	text   []byte  // every path, one after another
+	ends   []int32 // path i is text[ends[i]:ends[i+1]]
+	tasks  []graphTask
+	in     []pathID      // the tasks' input paths, task after task
+	out    []graphOutput // the tasks' declared outputs, task after task
+	staged []Input       // the inputs to stage, their Paths empty
+	stage  []pathID      // the paths they stage
+	params []string      // every task's OutputParams
+}
+
+// pathID is a path's position in its Graph.
+type pathID int32
+
+// graphTask is a generated task without its paths, and where its inputs and
+// outputs end in Graph.in and Graph.out.
+type graphTask struct {
+	wf.Task
+	in, out int32
+}
+
+type graphOutput struct {
+	path   pathID
+	sizeMB float64
+}
+
+// newGraph starts a graph of so many tasks, paths and staged inputs.
+func newGraph(name string, tasks, paths, staged int) *Graph {
+	return &Graph{Name: name, text: make([]byte, 0, 32*paths), ends: append(make([]int32, 0, paths+1), 0),
+		tasks: make([]graphTask, 0, tasks), in: make([]pathID, 0, 2*tasks), out: make([]graphOutput, 0, tasks),
+		staged: make([]Input, 0, staged), stage: make([]pathID, 0, staged), params: []string{"out"}}
+}
+
+// path adds a path and returns its position.
+func (g *Graph) path(format string, args ...any) pathID {
+	g.text = fmt.Appendf(g.text, format, args...)
+	g.ends = append(g.ends, int32(len(g.text)))
+	return pathID(len(g.ends) - 2)
+}
+
+// at returns the path at position i.
+func (g *Graph) at(i pathID) []byte { return g.text[g.ends[i]:g.ends[i+1]] }
+
+// cmd writes a command line from strings, paths and space-separated lists
+// of paths.
+func (g *Graph) cmd(words ...any) string {
+	b := make([]byte, 0, 256)
+	for _, w := range words {
+		switch w := w.(type) {
+		case string:
+			b = append(b, w...)
+		case pathID:
+			b = append(b, g.at(w)...)
+		case []pathID:
+			for k, i := range w {
+				if k > 0 {
+					b = append(b, ' ')
+				}
+				b = append(b, g.at(i)...)
+			}
+		}
+	}
+	return string(b)
+}
+
+// input adds a path and an input that stages it.
+func (g *Graph) input(in Input, format string, args ...any) pathID {
+	i := g.path(format, args...)
+	g.staged, g.stage = append(g.staged, in), append(g.stage, i)
+	return i
+}
+
+// task adds t, reading the paths at the given positions (a negative one is
+// no input) and declaring the outputs.
+func (g *Graph) task(t wf.Task, inputs []pathID, outputs ...graphOutput) {
+	for _, i := range inputs {
+		if i >= 0 {
+			g.in = append(g.in, i)
+		}
+	}
+	g.out = append(g.out, outputs...)
+	t.OutputParams = g.params
+	g.tasks = append(g.tasks, graphTask{t, int32(len(g.in)), int32(len(g.out))})
+}
+
+// Bind places the graph under prefix for one run: its tasks, numbered as
+// generated, and the inputs to stage. Each prefixed path is a slice of one
+// string, shared by its producer, its readers and the input that stages it;
+// Name, Command and OutputParams are the graph's own.
+func (g *Graph) Bind(prefix string) ([]*wf.Task, []Input) { return g.bind(prefix, false) }
+
+// bind is Bind, into the graph's own tasks if spend is set.
+func (g *Graph) bind(prefix string, spend bool) ([]*wf.Task, []Input) {
+	var b strings.Builder
+	b.Grow(len(g.ends)*len(prefix) + len(g.text))
+	for i := range len(g.ends) - 1 {
+		b.WriteString(prefix)
+		b.Write(g.at(pathID(i)))
+	}
+	all, n := b.String(), int32(len(prefix))
+	path := func(i pathID) string { return all[int32(i)*n+g.ends[i] : int32(i+1)*n+g.ends[i+1]] }
+	ins, outs := make([]string, len(g.in)), make([]wf.FileInfo, len(g.out))
+	for k, i := range g.in {
+		ins[k] = path(i)
+	}
+	for k, o := range g.out {
+		outs[k] = wf.FileInfo{Path: path(o.path), SizeMB: o.sizeMB}
+	}
+	tasks := g.tasks
+	if !spend {
+		tasks = slices.Clone(g.tasks)
+	}
+	ptrs := make([]*wf.Task, len(tasks))
+	var in0, out0 int32
+	for i := range tasks {
+		t := &tasks[i]
+		t.Inputs = ins[in0:t.in:t.in]
+		t.Declared = map[string][]wf.FileInfo{"out": outs[out0:t.out:t.out]}
+		ptrs[i], in0, out0 = &t.Task, t.in, t.out
+	}
+	inputs := slices.Clone(g.staged)
+	for k, i := range g.stage {
+		inputs[k].Path = path(i)
+	}
+	return ptrs, inputs
+}
+
+// Driver binds the graph under no prefix into its own tasks, which spends
+// it, as a static driver whose Build hands back the bound tasks themselves.
+func (g *Graph) Driver() (*wf.StaticBase, []Input) {
+	tasks, inputs := g.bind("", true)
+	return &wf.StaticBase{WFName: g.Name, Build: func() ([]*wf.Task, []string, []wf.Edge, error) {
+		return tasks, Paths(inputs), nil, nil
+	}}, inputs
 }
 
 // ---------------------------------------------------------------------------
@@ -89,147 +240,82 @@ type SNVConfig struct {
 
 // ApplyDefaults fills zero fields with the calibrated defaults — exported
 // so experiment harnesses can perturb the effective values.
-func (c *SNVConfig) ApplyDefaults() { c.setDefaults() }
-
-func (c *SNVConfig) setDefaults() {
-	if c.Samples <= 0 {
-		c.Samples = 1
-	}
-	if c.FilesPerSample <= 0 {
-		c.FilesPerSample = 8
-	}
-	if c.FileSizeMB <= 0 {
-		c.FileSizeMB = 1024
-	}
-	if c.CallSplitRegions <= 0 {
-		c.CallSplitRegions = 1
-	}
+func (c *SNVConfig) ApplyDefaults() {
+	orDefault(&c.Samples, 1)
+	orDefault(&c.FilesPerSample, 8)
+	orDefault(&c.FileSizeMB, 1024)
+	orDefault(&c.CallSplitRegions, 1)
 	// Calibration: one sample ⇒ 8 alignments ×3000 + sort 2400 + call
 	// 12000 + annotate 1600 = 40000 core-seconds ≈ 333 min on 2 cores,
 	// plus I/O ⇒ ~340 min, matching Table 2's single-worker row.
-	if c.AlignCPUSeconds <= 0 {
-		c.AlignCPUSeconds = 3000
-	}
-	if c.SortCPUSeconds <= 0 {
-		c.SortCPUSeconds = 2400
-	}
-	if c.CallCPUSeconds <= 0 {
-		c.CallCPUSeconds = 12000
-	}
-	if c.AnnotateCPUSeconds <= 0 {
-		c.AnnotateCPUSeconds = 1600
-	}
+	orDefault(&c.AlignCPUSeconds, 3000)
+	orDefault(&c.SortCPUSeconds, 2400)
+	orDefault(&c.CallCPUSeconds, 12000)
+	orDefault(&c.AnnotateCPUSeconds, 1600)
 }
 
-// SNV builds the variant-calling workflow: per read file, a Bowtie 2
-// alignment against the reference; per sample, a SAMtools sort/merge, a
-// VarScan variant call, and an ANNOVAR annotation. The driver's Build hands
-// back the task list it was built from, not a copy.
-func SNV(cfg SNVConfig) (*wf.StaticBase, []Input) {
-	cfg.setDefaults()
-	ref := Input{Path: "/ref/hg38.idx", SizeMB: 3500}
-	var inputs []Input
-	refInputs := []string{ref.Path}
-	if cfg.RefLocal {
-		refInputs = nil
-	} else {
-		inputs = append(inputs, ref)
+// alignedMB is the size of one read file's alignment: SAM/BAM slightly
+// larger than the reads, or a third of that under referential compression.
+func (c *SNVConfig) alignedMB() float64 {
+	if c.CRAM {
+		return c.FileSizeMB * 0.4
 	}
+	return c.FileSizeMB * 1.2
+}
 
-	alignedSize := cfg.FileSizeMB * 1.2 // SAM/BAM slightly larger than reads
-	if cfg.CRAM {
-		alignedSize = cfg.FileSizeMB * 0.4 // referential compression
+// regionMB is one calling region's slice of a sample's sorted alignment.
+func (c *SNVConfig) regionMB() float64 {
+	return c.alignedMB() * float64(c.FilesPerSample) * 0.9 / float64(c.CallSplitRegions)
+}
+
+// SNV builds the variant-calling workflow (SNVGraph), bound under no prefix.
+func SNV(cfg SNVConfig) (*wf.StaticBase, []Input) { return SNVGraph(cfg).Driver() }
+
+// SNVGraph generates the variant-calling workflow: per read file, a Bowtie
+// 2 alignment against the reference; per sample, a SAMtools sort/merge, a
+// VarScan variant call, and an ANNOVAR annotation.
+func SNVGraph(cfg SNVConfig) *Graph {
+	cfg.ApplyDefaults()
+	files, regs := cfg.FilesPerSample, cfg.CallSplitRegions
+	g := newGraph(fmt.Sprintf("snv-calling-%dx%d", cfg.Samples, files),
+		cfg.Samples*(files+regs+2), cfg.Samples*(2*files+2*regs+1)+1, cfg.Samples*files+1)
+	ref := pathID(-1) // no input
+	if !cfg.RefLocal {
+		ref = g.input(Input{SizeMB: 3500}, "/ref/hg38.idx")
 	}
 
 	var ids wf.IDSeq
-	var tasks []*wf.Task
+	bams, regions, vcfs := make([]pathID, files), make([]graphOutput, regs), make([]pathID, regs)
 	for s := 0; s < cfg.Samples; s++ {
-		var bams []string
-		for f := 0; f < cfg.FilesPerSample; f++ {
-			reads := Input{
-				Path:     fmt.Sprintf("/reads/sample%03d/part%02d.fq", s, f),
-				SizeMB:   cfg.FileSizeMB,
-				External: cfg.External,
-			}
-			inputs = append(inputs, reads)
-			bam := fmt.Sprintf("/work/sample%03d/part%02d.bam", s, f)
-			align := &wf.Task{
-				ID:           ids.Next(),
-				Name:         "bowtie2",
-				Command:      fmt.Sprintf("bowtie2 -x /ref/hg38.idx -U %s -S %s", reads.Path, bam),
-				Inputs:       append([]string{reads.Path}, refInputs...),
-				OutputParams: []string{"out"},
-				Declared:     map[string][]wf.FileInfo{"out": {{Path: bam, SizeMB: alignedSize}}},
-				CPUSeconds:   cfg.AlignCPUSeconds,
-				Threads:      8,
-				MemMB:        6500,
-			}
-			tasks = append(tasks, align)
-			bams = append(bams, bam)
+		for f := range bams {
+			reads := g.input(Input{SizeMB: cfg.FileSizeMB, External: cfg.External}, "/reads/sample%03d/part%02d.fq", s, f)
+			bams[f] = g.path("/work/sample%03d/part%02d.bam", s, f)
+			g.task(wf.Task{ID: ids.Next(), Name: "bowtie2",
+				Command:    g.cmd("bowtie2 -x /ref/hg38.idx -U ", reads, " -S ", bams[f]),
+				CPUSeconds: cfg.AlignCPUSeconds, Threads: 8, MemMB: 6500,
+			}, []pathID{reads, ref}, graphOutput{bams[f], cfg.alignedMB()})
 		}
 		// Sorting scatters the merged alignment into one file per calling
 		// region (a single file when CallSplitRegions is 1), so each
 		// variant caller reads only its slice.
-		sortedSizeMB := alignedSize * float64(cfg.FilesPerSample) * 0.9
-		var regionFiles []wf.FileInfo
-		for r := 0; r < cfg.CallSplitRegions; r++ {
-			regionFiles = append(regionFiles, wf.FileInfo{
-				Path:   fmt.Sprintf("/work/sample%03d/sorted_r%02d.bam", s, r),
-				SizeMB: sortedSizeMB / float64(cfg.CallSplitRegions),
-			})
+		for r := range regions {
+			regions[r] = graphOutput{g.path("/work/sample%03d/sorted_r%02d.bam", s, r), cfg.regionMB()}
 		}
-		sort := &wf.Task{
-			ID:           ids.Next(),
-			Name:         "samtools-sort",
-			Command:      "samtools sort " + strings.Join(bams, " "),
-			Inputs:       bams,
-			OutputParams: []string{"out"},
-			Declared:     map[string][]wf.FileInfo{"out": regionFiles},
-			CPUSeconds:   cfg.SortCPUSeconds,
-			Threads:      4,
-			MemMB:        4000,
+		g.task(wf.Task{ID: ids.Next(), Name: "samtools-sort", Command: g.cmd("samtools sort ", bams),
+			CPUSeconds: cfg.SortCPUSeconds, Threads: 4, MemMB: 4000}, bams, regions...)
+		for r, region := range regions {
+			vcfs[r] = g.path("/work/sample%03d/variants_r%02d.vcf", s, r)
+			g.task(wf.Task{ID: ids.Next(), Name: "varscan",
+				Command:    g.cmd("varscan mpileup2snp ", region.path, " > ", vcfs[r]),
+				CPUSeconds: cfg.CallCPUSeconds, Threads: 8, MemMB: 6500,
+			}, []pathID{region.path}, graphOutput{vcfs[r], 80 / float64(cfg.CallSplitRegions)})
 		}
-		var vcfs []string
-		var calls []*wf.Task
-		for r := 0; r < cfg.CallSplitRegions; r++ {
-			region := regionFiles[r].Path
-			vcf := fmt.Sprintf("/work/sample%03d/variants_r%02d.vcf", s, r)
-			call := &wf.Task{
-				ID:           ids.Next(),
-				Name:         "varscan",
-				Command:      fmt.Sprintf("varscan mpileup2snp %s > %s", region, vcf),
-				Inputs:       []string{region},
-				OutputParams: []string{"out"},
-				Declared:     map[string][]wf.FileInfo{"out": {{Path: vcf, SizeMB: 80 / float64(cfg.CallSplitRegions)}}},
-				CPUSeconds:   cfg.CallCPUSeconds,
-				Threads:      8,
-				MemMB:        6500,
-			}
-			vcfs = append(vcfs, vcf)
-			calls = append(calls, call)
-		}
-		annotated := fmt.Sprintf("/out/sample%03d/annotated.vcf", s)
-		annotate := &wf.Task{
-			ID:           ids.Next(),
-			Name:         "annovar",
-			Command:      fmt.Sprintf("annovar %s > %s", strings.Join(vcfs, " "), annotated),
-			Inputs:       vcfs,
-			OutputParams: []string{"out"},
-			Declared:     map[string][]wf.FileInfo{"out": {{Path: annotated, SizeMB: 90}}},
-			CPUSeconds:   cfg.AnnotateCPUSeconds,
-			Threads:      2,
-			MemMB:        3000,
-		}
-		tasks = append(tasks, sort)
-		tasks = append(tasks, calls...)
-		tasks = append(tasks, annotate)
+		annotated := g.path("/out/sample%03d/annotated.vcf", s)
+		g.task(wf.Task{ID: ids.Next(), Name: "annovar",
+			Command:    g.cmd("annovar ", vcfs, " > ", annotated),
+			CPUSeconds: cfg.AnnotateCPUSeconds, Threads: 2, MemMB: 3000}, vcfs, graphOutput{annotated, 90})
 	}
-
-	sb := &wf.StaticBase{WFName: fmt.Sprintf("snv-calling-%dx%d", cfg.Samples, cfg.FilesPerSample)}
-	sb.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
-		return tasks, Paths(inputs), nil, nil
-	}
-	return sb, inputs
+	return g
 }
 
 // TotalInputMB sums the data volume of the inputs excluding shared
@@ -260,108 +346,62 @@ type TRAPLINEConfig struct {
 }
 
 func (c *TRAPLINEConfig) setDefaults() {
-	if c.LanesPerGroup <= 0 {
-		c.LanesPerGroup = 3
-	}
-	if c.ReadsSizeMB <= 0 {
-		c.ReadsSizeMB = 1800
-	}
+	orDefault(&c.LanesPerGroup, 3)
+	orDefault(&c.ReadsSizeMB, 1800)
 	// Calibration for c3.2xlarge (8 cores, factor 1.15): per-lane chain
 	// ≈ (11000 + 5500)/(8·1.15) ≈ 30 min of compute plus I/O ⇒ ~33 min;
 	// shared tail ≈ (2500 + 8500)/(8·1.15) ≈ 20 min. One node ⇒ ~220
 	// min, six nodes ⇒ ~55 min — Fig. 8's Hi-WAY endpoints.
-	if c.TophatCPUSeconds <= 0 {
-		c.TophatCPUSeconds = 11000
-	}
-	if c.CufflinksCPUSeconds <= 0 {
-		c.CufflinksCPUSeconds = 5500
-	}
-	if c.MergeCPUSeconds <= 0 {
-		c.MergeCPUSeconds = 2500
-	}
-	if c.DiffCPUSeconds <= 0 {
-		c.DiffCPUSeconds = 8500
-	}
+	orDefault(&c.TophatCPUSeconds, 11000)
+	orDefault(&c.CufflinksCPUSeconds, 5500)
+	orDefault(&c.MergeCPUSeconds, 2500)
+	orDefault(&c.DiffCPUSeconds, 8500)
 }
 
-// TRAPLINE builds the RNA-seq comparison workflow: per lane TopHat 2 and
-// Cufflinks, then one Cuffmerge join and one Cuffdiff comparing the two
+// TRAPLINE builds the RNA-seq comparison workflow (TRAPLINEGraph), bound
+// under no prefix.
+func TRAPLINE(cfg TRAPLINEConfig) (*wf.StaticBase, []Input) { return TRAPLINEGraph(cfg).Driver() }
+
+// TRAPLINEGraph generates the RNA-seq comparison workflow: per lane TopHat 2
+// and Cufflinks, then one Cuffmerge join and one Cuffdiff comparing the two
 // groups. TopHat 2 is the multithreaded, intermediate-heavy step the paper
-// singles out. As with SNV, Build hands back the task list itself.
-func TRAPLINE(cfg TRAPLINEConfig) (*wf.StaticBase, []Input) {
+// singles out.
+func TRAPLINEGraph(cfg TRAPLINEConfig) *Graph {
 	cfg.setDefaults()
-	genome := Input{Path: "/ref/mm10.fa", SizeMB: 2800}
-	inputs := []Input{genome}
 	lanes := cfg.LanesPerGroup * 2
+	g := newGraph("trapline-rnaseq", 2*lanes+2, 3*lanes+3, lanes+1)
+	genome := g.input(Input{SizeMB: 2800}, "/ref/mm10.fa")
 
 	var ids wf.IDSeq
-	var tasks []*wf.Task
-	var quantified []string
-	for l := 0; l < lanes; l++ {
-		group := "young"
-		if l >= cfg.LanesPerGroup {
-			group = "aged"
-		}
-		reads := Input{Path: fmt.Sprintf("/reads/%s/rep%d.fastq", group, l%cfg.LanesPerGroup), SizeMB: cfg.ReadsSizeMB}
-		inputs = append(inputs, reads)
-		hits := fmt.Sprintf("/work/lane%d/accepted_hits.bam", l)
-		tophat := &wf.Task{
-			ID:           ids.Next(),
-			Name:         "tophat2",
-			Command:      fmt.Sprintf("tophat2 -o /work/lane%d /ref/mm10 %s", l, reads.Path),
-			Inputs:       []string{reads.Path, genome.Path},
-			OutputParams: []string{"out"},
-			// TopHat generates large intermediate files (§4.2).
-			Declared:   map[string][]wf.FileInfo{"out": {{Path: hits, SizeMB: cfg.ReadsSizeMB * 1.6}}},
-			CPUSeconds: cfg.TophatCPUSeconds,
-			Threads:    8,
-			MemMB:      12000,
-		}
-		gtf := fmt.Sprintf("/work/lane%d/transcripts.gtf", l)
-		cufflinks := &wf.Task{
-			ID:           ids.Next(),
-			Name:         "cufflinks",
-			Command:      fmt.Sprintf("cufflinks -o /work/lane%d %s", l, hits),
-			Inputs:       []string{hits},
-			OutputParams: []string{"out"},
-			Declared:     map[string][]wf.FileInfo{"out": {{Path: gtf, SizeMB: 120}}},
-			CPUSeconds:   cfg.CufflinksCPUSeconds,
-			Threads:      8,
-			MemMB:        10000,
-		}
-		tasks = append(tasks, tophat, cufflinks)
-		quantified = append(quantified, gtf)
+	quantified := make([]pathID, lanes, lanes+1)
+	for l := range quantified {
+		group, rep := lane(l, cfg.LanesPerGroup)
+		reads := g.input(Input{SizeMB: cfg.ReadsSizeMB}, "/reads/%s/rep%d.fastq", group, rep)
+		hits := g.path("/work/lane%d/accepted_hits.bam", l)
+		// TopHat generates large intermediate files (§4.2).
+		g.task(wf.Task{ID: ids.Next(), Name: "tophat2",
+			Command:    g.cmd("tophat2 -o /work/lane", strconv.Itoa(l), " /ref/mm10 ", reads),
+			CPUSeconds: cfg.TophatCPUSeconds, Threads: 8, MemMB: 12000,
+		}, []pathID{reads, genome}, graphOutput{hits, cfg.ReadsSizeMB * 1.6})
+		quantified[l] = g.path("/work/lane%d/transcripts.gtf", l)
+		g.task(wf.Task{ID: ids.Next(), Name: "cufflinks",
+			Command:    g.cmd("cufflinks -o /work/lane", strconv.Itoa(l), " ", hits),
+			CPUSeconds: cfg.CufflinksCPUSeconds, Threads: 8, MemMB: 10000}, []pathID{hits}, graphOutput{quantified[l], 120})
 	}
-	merged := "/work/merged.gtf"
-	merge := &wf.Task{
-		ID:           ids.Next(),
-		Name:         "cuffmerge",
-		Command:      "cuffmerge " + strings.Join(quantified, " "),
-		Inputs:       append(append([]string{}, quantified...), genome.Path),
-		OutputParams: []string{"out"},
-		Declared:     map[string][]wf.FileInfo{"out": {{Path: merged, SizeMB: 200}}},
-		CPUSeconds:   cfg.MergeCPUSeconds,
-		Threads:      8,
-		MemMB:        8000,
-	}
-	diff := &wf.Task{
-		ID:           ids.Next(),
-		Name:         "cuffdiff",
-		Command:      "cuffdiff " + merged,
-		Inputs:       []string{merged},
-		OutputParams: []string{"out"},
-		Declared:     map[string][]wf.FileInfo{"out": {{Path: "/out/diff_results.txt", SizeMB: 40}}},
-		CPUSeconds:   cfg.DiffCPUSeconds,
-		Threads:      8,
-		MemMB:        12000,
-	}
-	tasks = append(tasks, merge, diff)
+	merged := g.path("/work/merged.gtf")
+	g.task(wf.Task{ID: ids.Next(), Name: "cuffmerge", Command: g.cmd("cuffmerge ", quantified),
+		CPUSeconds: cfg.MergeCPUSeconds, Threads: 8, MemMB: 8000}, append(quantified, genome), graphOutput{merged, 200})
+	g.task(wf.Task{ID: ids.Next(), Name: "cuffdiff", Command: g.cmd("cuffdiff ", merged),
+		CPUSeconds: cfg.DiffCPUSeconds, Threads: 8, MemMB: 12000}, []pathID{merged}, graphOutput{g.path("/out/diff_results.txt"), 40})
+	return g
+}
 
-	sb := &wf.StaticBase{WFName: "trapline-rnaseq"}
-	sb.Build = func() ([]*wf.Task, []string, []wf.Edge, error) {
-		return tasks, Paths(inputs), nil, nil
+// lane returns the group and replicate of lane l, lanesPerGroup per group.
+func lane(l, lanesPerGroup int) (group string, rep int) {
+	if l >= lanesPerGroup {
+		return "aged", l - lanesPerGroup
 	}
-	return sb, inputs
+	return "young", l
 }
 
 // InputSizes maps input paths to sizes (for engines without HDFS metadata,
