@@ -12,6 +12,7 @@ import (
 	"hiway/internal/cluster"
 	"hiway/internal/core"
 	"hiway/internal/hdfs"
+	"hiway/internal/lang/cuneiform"
 	"hiway/internal/lang/cwl"
 	"hiway/internal/lang/dax"
 	"hiway/internal/memo"
@@ -504,6 +505,20 @@ func TestAllocationBudgets(t *testing.T) {
 				d := dax.NewDriver("montage", workloads.MontageDAX(workloads.MontageConfig{Degree: 3.0}))
 				return func() {
 					if tasks, _, _, err := d.Build(); err != nil || len(tasks) != 1449 {
+						t.Fatalf("%d tasks, error %v", len(tasks), err)
+					}
+				}
+			},
+		},
+		{
+			// The first pass of sim-paper's SNV Cuneiform document, 32
+			// samples (one per Table 2 worker): parsing it and evaluating
+			// every statement once, per task that pass discovers.
+			layer: "lang/cuneiform: first pass of sim-paper's SNV Cuneiform document", unit: "task", units: 256, allocs: 32.02, bytes: 2900,
+			prepare: func(t *testing.T, n int) func() {
+				src, _ := workloads.SNVCuneiform(workloads.SNVConfig{Samples: 32, External: true, CRAM: true, RefLocal: true})
+				return func() {
+					if tasks, err := cuneiform.NewDriver("snv-cuneiform", src).Parse(); err != nil || len(tasks) != 256 {
 						t.Fatalf("%d tasks, error %v", len(tasks), err)
 					}
 				}

@@ -1009,7 +1009,6 @@ func runProv(fs *flagSet) action {
 	query := fs.String("query", "", "run one query instead of the summaries: 'lineage PATH', 'diff RUN-A RUN-B', or 'memo-hits [RUN]'")
 	return func(stdout, _ io.Writer) error {
 		var store provenance.Store
-		var events []provenance.Event
 		switch {
 		case *tracePath != "" && *dbPath != "":
 			return fmt.Errorf("choose one of -trace or -db")
@@ -1018,9 +1017,15 @@ func runProv(fs *flagSet) action {
 			if err != nil {
 				return err
 			}
-			if events, err = provenance.ParseTrace(string(data)); err != nil {
+			events, err := provenance.ParseTrace(string(data))
+			if err != nil {
 				return err
 			}
+			mem := provenance.NewMemStore()
+			if err := mem.AppendBatch(events); err != nil {
+				return err
+			}
+			store = mem
 		case *dbPath != "":
 			// Open would create the log: a mistyped path must not.
 			if _, err := os.Stat(*dbPath); err != nil {
@@ -1032,63 +1037,27 @@ func runProv(fs *flagSet) action {
 			}
 			defer db.Close()
 			store = provenance.NewDBStore(db)
-			// A query streams the log. Each summary scans the store, so the
-			// summaries read the log decoded once.
-			if *query == "" {
-				if events, err = store.Events(); err != nil {
-					return err
-				}
-			}
 		default:
 			return fmt.Errorf("missing -trace or -db")
 		}
-		if store == nil || *query == "" {
-			mem := provenance.NewMemStore()
-			if err := mem.AppendBatch(events); err != nil {
-				return err
-			}
-			store = mem
-		}
 
-		if *query != "" {
-			q, err := provenance.ParseQuery(*query)
+		if *query == "" {
+			sum, err := provenance.Summarize(store)
 			if err != nil {
 				return err
 			}
-			out, err := provenance.RunQuery(store, q)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, out)
+			fmt.Fprint(stdout, sum.Render())
 			return nil
 		}
-
-		wfs, err := provenance.SummarizeWorkflows(store)
+		q, err := provenance.ParseQuery(*query)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "workflow runs (%d):\n", len(wfs))
-		for _, w := range wfs {
-			status := "ok"
-			if !w.Succeeded {
-				status = "FAILED"
-			}
-			fmt.Fprintf(stdout, "  %-40s %-16s %4d tasks  %8.1fs  %s\n", w.WorkflowID, w.WorkflowName, w.Tasks, w.MakespanSec, status)
-		}
-		tasks, err := provenance.SummarizeTasks(store)
+		out, err := provenance.RunQuery(store, q)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\ntask signatures:\n%s", provenance.RenderTaskSummaries(tasks))
-		nodes, err := provenance.SummarizeNodes(store)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nnode usage:\n")
-		for _, n := range nodes {
-			fmt.Fprintf(stdout, "  %-12s %4d tasks  busy %9.1fs  mean %7.1fs  failures %d\n",
-				n.Node, n.Tasks, n.BusySec, n.MeanSec, n.Failures)
-		}
+		fmt.Fprint(stdout, out)
 		return nil
 	}
 }

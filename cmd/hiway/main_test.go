@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"maps"
@@ -25,6 +26,7 @@ import (
 	"hiway/internal/recipes"
 	"hiway/internal/scheduler"
 	"hiway/internal/service"
+	"hiway/internal/verify"
 )
 
 // hiway runs the CLI in-process on args and returns its exit code, stdout
@@ -777,36 +779,39 @@ hello( name: "world" );`
 	mustFail(t, "local")
 }
 
+// TestRunProv drives `hiway prov`: -db over a provdb log prints what -trace
+// prints over a JSONL trace of the same events, summaries and queries alike.
 func TestRunProv(t *testing.T) {
 	dir := t.TempDir()
-	wfPath := filepath.Join(dir, "demo.cf")
-	src := `deftask t( out : ~x ) @cpu 1 in bash *{ y }*
-t( x: "1" );`
-	if err := os.WriteFile(wfPath, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	tracePath := filepath.Join(dir, "run.jsonl")
-	mustRun(t, "sim", "-w", wfPath, "-prov", tracePath)
-	mustRun(t, "prov", "-trace", tracePath)
+	mustRun(t, "sim", "-w", demo, "-input", "seed.txt=64", "-chaos", "crashrate=0.5", "-chaos-seed", "3", "-prov", tracePath)
 	// Error paths.
 	mustFail(t, "prov")
 	mustFail(t, "prov", "-trace", tracePath, "-db", "x")
 	mustFail(t, "prov", "-trace", filepath.Join(dir, "ghost.jsonl"))
 	// provdb-backed path.
+	trace, _ := os.ReadFile(tracePath)
+	events, err := provenance.ParseTrace(string(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dbPath := filepath.Join(dir, "prov.db")
 	db, err := provdb.Open(dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := provenance.NewDBStore(db)
-	store.Append(provenance.Event{Type: provenance.WorkflowStart, WorkflowID: "w", WorkflowName: "n"})
-	store.Append(provenance.Event{Type: provenance.TaskEnd, WorkflowID: "w", Signature: "s", Node: "n1", DurationSec: 3})
-	store.Append(provenance.Event{Type: provenance.WorkflowEnd, WorkflowID: "w", DurationSec: 4, Succeeded: true})
-	store.Close()
-	mustRun(t, "prov", "-db", dbPath)
+	if err := errors.Join(provenance.NewDBStore(db).AppendBatch(events), db.Close()); err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []string{"", "lineage demo/join_3/out", "memo-hits"} {
+		args := []string{"prov", "-query", query}
+		fromDB, fromTrace := mustRun(t, append(args, "-db", dbPath)...), mustRun(t, append(args, "-trace", tracePath)...)
+		if fromDB != fromTrace || fromTrace == "" {
+			t.Errorf("prov -query %q: -db prints\n%s\n-trace prints\n%s", query, fromDB, fromTrace)
+		}
+	}
 	// -db reads: a file that is not a provdb log is refused and left as it
 	// was, and a path that is not there stays not there.
-	trace, _ := os.ReadFile(tracePath)
 	if stderr := mustFail(t, "prov", "-db", tracePath); !strings.Contains(stderr, "is not a provdb log") {
 		t.Fatalf("-db on a JSONL trace: %s, want it refused as not a provdb log", stderr)
 	}
@@ -820,10 +825,11 @@ t( x: "1" );`
 	}
 }
 
-// TestSimShardDeterminism pins the parallel-shard contract end to end: for
-// every scheduling policy, a multi-workflow `hiway sim` must produce
-// byte-identical stdout, merged provenance trace, and metrics snapshot
-// whether the shards run serially (-shard-workers 1) or on parallel workers.
+// TestSimShardDeterminism pins the parallel-shard contract end to end: a
+// multi-workflow `hiway sim` must produce byte-identical stdout, merged
+// provenance trace, and metrics snapshot whether the shards run serially
+// (-shard-workers 1) or on parallel workers, in every one of five parallel
+// runs. The identity corpus holds both worker counts under every policy.
 // Each run goes through run in-process; output paths are normalized before
 // comparison since the runs write to different directories.
 func TestSimShardDeterminism(t *testing.T) {
@@ -884,45 +890,60 @@ func TestSimShardDeterminism(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		same(fmt.Sprintf("cuneiform run %d", rep), serial, sim(fmt.Sprintf("cf-w4-%d", rep), cfArgs("4")...))
 	}
+}
 
-	wfA := write("alpha.dax", `<adag name="alpha">
-  <job id="A" name="prep" runtime="2"><uses file="a1" link="output" size="8"/></job>
-  <job id="B" name="crunch" runtime="5"><uses file="a1" link="input"/><uses file="a2" link="output" size="4"/></job>
-  <child ref="B"><parent ref="A"/></child>
-</adag>`)
-	wfB := write("beta.dax", `<adag name="beta">
-  <job id="X" name="scan" runtime="3"><uses file="b1" link="output" size="6"/></job>
-  <job id="Y" name="merge" runtime="4"><uses file="b1" link="input"/><uses file="b2" link="output" size="2"/></job>
-  <child ref="Y"><parent ref="X"/></child>
-</adag>`)
-	policies := []string{
-		scheduler.PolicyFCFS, scheduler.PolicyDataAware, scheduler.PolicyRoundRobin,
-		scheduler.PolicyHEFT, scheduler.PolicyAdaptiveGreedy,
-	}
-	for _, pol := range policies {
-		var runs []result
-		for _, workers := range []string{"1", "4"} {
-			runs = append(runs, sim(pol+"-w"+workers,
-				"-w", wfA, "-w", wfB, "-shard-workers", workers, "-nodes", "4", "-policy", pol))
+// TestCrossLanguageByteIdenticalCLI is the strongest portability claim the
+// CLI makes: one logical workflow, rendered in Cuneiform and in CWL, prints
+// the same `hiway sim` stdout and writes the same provenance trace, byte for
+// byte. It takes the first fault-free chain scenario the verifier generates,
+// since a chain is where Cuneiform's lazy task materialization allocates the
+// task IDs, and so the output paths, of CWL's upfront one. Both files are
+// named wf, so workflow IDs agree.
+func TestCrossLanguageByteIdenticalCLI(t *testing.T) {
+	var sc *verify.Scenario
+	for seed := int64(1); sc == nil && seed <= 300; seed++ {
+		c := verify.Generate(seed)
+		if c.Shape != "chain" || c.Chaos != "" || c.Service != nil || c.Elastic != nil || len(c.IterTasks) > 0 {
+			continue
 		}
-		same("policy "+pol, runs[0], runs[1])
-		// Sanity: the merged trace holds both workflows, timestamp-ordered.
-		evs, err := provenance.ParseTrace(string(runs[0].prov))
+		if _, err := verify.RenderCuneiform(c); err == nil {
+			sc = c
+		}
+	}
+	if sc == nil {
+		t.Fatal("no fault-free chain scenario in seeds 1–300")
+	}
+	dir := t.TempDir()
+	prov := filepath.Join(dir, "prov.jsonl")
+	args := []string{"-nodes", fmt.Sprint(sc.Nodes), "-prov", prov}
+	for _, in := range sc.Inputs {
+		args = append(args, "-input", in.Path+"="+strconv.FormatFloat(in.SizeMB, 'g', -1, 64))
+	}
+	var stdout, traces [2]string
+	for i, r := range []struct {
+		file   string
+		render func(*verify.Scenario) (string, error)
+	}{{"wf.cf", verify.RenderCuneiform}, {"wf.cwl", verify.RenderCWL}} {
+		src, err := r.render(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wfs := map[string]bool{}
-		last := -1.0
-		for _, ev := range evs {
-			wfs[ev.WorkflowName] = true
-			if ev.Timestamp < last {
-				t.Fatalf("policy %s: merged trace out of order (%f after %f)", pol, ev.Timestamp, last)
-			}
-			last = ev.Timestamp
+		path := filepath.Join(dir, r.file)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !wfs["alpha"] || !wfs["beta"] {
-			t.Fatalf("policy %s: merged trace missing a workflow: %v", pol, wfs)
+		stdout[i] = mustRun(t, append([]string{"sim", "-w", path}, args...)...)
+		trace, err := os.ReadFile(prov)
+		if err != nil {
+			t.Fatal(err)
 		}
+		traces[i] = string(trace)
+	}
+	if stdout[0] != stdout[1] {
+		t.Errorf("seed %d: stdout differs between languages:\n--- cuneiform\n%s--- cwl\n%s", sc.Seed, stdout[0], stdout[1])
+	}
+	if traces[0] != traces[1] || traces[0] == "" {
+		t.Errorf("seed %d: provenance traces of %d and %d bytes; want equal and not empty", sc.Seed, len(traces[0]), len(traces[1]))
 	}
 }
 

@@ -255,49 +255,3 @@ func TestChaosHangSpeculation(t *testing.T) {
 		t.Fatal("hung loser attempt left no provenance record")
 	}
 }
-
-// TestChaosDeterminism runs the same workflow twice under the same chaos
-// plan and seed; the provenance event sequences must be identical, event
-// and task IDs included.
-func TestChaosDeterminism(t *testing.T) {
-	run := func() []string {
-		driver, inputs := snvWorkload()
-		plan, err := chaos.Parse("crashrate=0.2;readerr=0.05;slow=node-02@20:2", 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, env := newEnv(t, 4, provenance.NewMemStore(), inputs)
-		plan.Arm(eng, env.RM, env.FS, env.Cluster)
-		am, err := core.Launch(env, driver, scheduler.NewFCFS(), core.Config{
-			ContainerVCores: 2, ContainerMemMB: 4096,
-			Chaos: plan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
-		if !am.Finished() {
-			t.Fatal("workflow did not terminate under chaos")
-		}
-		events, _ := env.Prov.Store().Events()
-		var seq []string
-		for _, ev := range events {
-			seq = append(seq, fmt.Sprintf("%s|%s|%d|%s|%s|a%d|%d|%s|%.6f|%.6f",
-				ev.ID(), ev.Type, ev.TaskID, ev.Signature, ev.Node, ev.Attempt, ev.ExitCode, ev.Error, ev.Timestamp, ev.DurationSec))
-		}
-		return seq
-	}
-	first := run()
-	second := run()
-	if len(first) != len(second) {
-		t.Fatalf("event counts differ: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("event %d differs:\n  run1: %s\n  run2: %s", i, first[i], second[i])
-		}
-	}
-	if len(first) < 4 {
-		t.Fatalf("suspiciously few events: %d", len(first))
-	}
-}

@@ -544,10 +544,8 @@ func TestDBStoreAndTraceAnswerAlike(t *testing.T) {
 
 	answers := func(st Store) string {
 		var sb strings.Builder
-		wfs, err1 := SummarizeWorkflows(st)
-		tasks, err2 := SummarizeTasks(st)
-		nodes, err3 := SummarizeNodes(st)
-		fmt.Fprintf(&sb, "%+v\n%+v\n%+v\n%v %v %v\n", wfs, tasks, nodes, err1, err2, err3)
+		sum, err := Summarize(st)
+		fmt.Fprintf(&sb, "%+v\n%v\n", sum, err)
 		for _, q := range []Query{{Op: OpLineage, Path: "/wf/r.vcf"}, {Op: OpMemoHits}} {
 			out, err := RunQuery(st, q)
 			fmt.Fprintf(&sb, "%s: %s %v\n", q, out, err)

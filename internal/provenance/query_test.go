@@ -27,11 +27,18 @@ func queryFixture(t *testing.T) Store {
 	return store
 }
 
-func TestSummarizeTasks(t *testing.T) {
-	sums, err := SummarizeTasks(queryFixture(t))
+func summarize(t *testing.T, store Store) *Summary {
+	t.Helper()
+	sum, err := Summarize(store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sum
+}
+
+func TestSummarizeTasks(t *testing.T) {
+	sum := summarize(t, queryFixture(t))
+	sums := sum.Tasks
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %d", len(sums))
 	}
@@ -47,17 +54,14 @@ func TestSummarizeTasks(t *testing.T) {
 	if call.Count != 2 || call.FailedCount != 1 {
 		t.Fatalf("call = %+v", call)
 	}
-	out := RenderTaskSummaries(sums)
+	out := sum.Render()
 	if !strings.Contains(out, "align") || !strings.Contains(out, "510.00") {
 		t.Fatalf("render = %q", out)
 	}
 }
 
 func TestSummarizeWorkflows(t *testing.T) {
-	sums, err := SummarizeWorkflows(queryFixture(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sums := summarize(t, queryFixture(t)).Workflows
 	if len(sums) != 2 {
 		t.Fatalf("workflows = %d", len(sums))
 	}
@@ -71,10 +75,7 @@ func TestSummarizeWorkflows(t *testing.T) {
 }
 
 func TestSummarizeNodes(t *testing.T) {
-	sums, err := SummarizeNodes(queryFixture(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sums := summarize(t, queryFixture(t)).Nodes
 	if len(sums) != 2 {
 		t.Fatalf("nodes = %d", len(sums))
 	}
@@ -89,13 +90,7 @@ func TestSummarizeNodes(t *testing.T) {
 
 func TestQueriesOnEmptyStore(t *testing.T) {
 	store := NewMemStore()
-	if sums, err := SummarizeTasks(store); err != nil || len(sums) != 0 {
-		t.Fatalf("tasks: %v %v", sums, err)
-	}
-	if sums, err := SummarizeWorkflows(store); err != nil || len(sums) != 0 {
-		t.Fatalf("workflows: %v %v", sums, err)
-	}
-	if sums, err := SummarizeNodes(store); err != nil || len(sums) != 0 {
-		t.Fatalf("nodes: %v %v", sums, err)
+	if sum := summarize(t, store); len(sum.Tasks)+len(sum.Workflows)+len(sum.Nodes) != 0 {
+		t.Fatalf("summary of an empty store: %+v", sum)
 	}
 }
