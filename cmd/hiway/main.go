@@ -365,6 +365,8 @@ type simShard struct {
 	o      *obs.Obs
 	store  *provenance.MemStore // the shard's provenance, for -prov
 	gantt  bool
+	// sampleEvery is -trace-sample: the trace keeps every Nth tick; 0 keeps all.
+	sampleEvery int
 
 	out bytes.Buffer
 	rep *core.Report // the report once the AM launched and the run ended: succeeded, failed or stalled
@@ -379,16 +381,21 @@ func (s *simShard) launch() (*core.AM, error) {
 	}
 	// The tick re-arms only while the workflow runs and another event is
 	// pending. A tick that is the engine's only event would keep a stalled
-	// run alive forever, and the stall would never be reported.
+	// run alive forever, and the stall would never be reported. Of the ticks
+	// that sample, the first and then every sampleEvery-th one records.
 	tr := s.o.T()
+	every, ticks := max(s.sampleEvery, 1), 0
 	var tick func()
 	tick = func() {
 		if am.Finished() || s.eng.Pending() == 0 {
 			return
 		}
-		tr.Sample("sim", "event_queue_depth", float64(s.eng.Pending()))
-		tr.Sample("yarn", "running_containers", float64(s.env.RM.RunningContainers()))
-		tr.Sample("sched", "queued_tasks", float64(s.sched.Queued()))
+		if ticks%every == 0 {
+			tr.Sample("sim", "event_queue_depth", float64(s.eng.Pending()))
+			tr.Sample("yarn", "running_containers", float64(s.env.RM.RunningContainers()))
+			tr.Sample("sched", "queued_tasks", float64(s.sched.Queued()))
+		}
+		ticks++
 		s.eng.Schedule(1, tick)
 	}
 	s.eng.Schedule(1, tick)
@@ -486,7 +493,7 @@ func runSim(fs *flagSet) action {
 			if err != nil {
 				return err
 			}
-			s := &simShard{driver: driver, eng: eng, env: env, store: provenance.NewMemStore(), gantt: *gantt}
+			s := &simShard{driver: driver, eng: eng, env: env, store: provenance.NewMemStore(), gantt: *gantt, sampleEvery: *traceSample}
 			if s.env.Prov, err = provenance.NewManager(s.store); err != nil {
 				return err
 			}
@@ -494,7 +501,6 @@ func runSim(fs *flagSet) action {
 			// default run keeps the nil-handle fast path everywhere.
 			if *tracePath != "" || *metricsPath != "" || *decisionsPath != "" {
 				s.o = obs.New(eng.Now)
-				s.o.T().SetSampleEvery(*traceSample)
 				s.env.Obs = s.o
 				s.env.RM.SetObs(s.o)
 				s.env.Prov.SetObs(s.o)
@@ -1097,7 +1103,6 @@ func runPaper(fs *flagSet) action {
 			opt := experiments.Table2Options{}
 			if *quick {
 				opt.Runs = 1
-				opt.Workers = []int{1, 2, 4, 8, 16, 32, 64, 128}
 			}
 			res, err := experiments.Table2(opt)
 			if err != nil {

@@ -717,6 +717,53 @@ upper( inp: "words.txt" );`
 	}
 }
 
+// TestTraceSampleKeepsEveryNthTick pins -trace-sample: each counter series
+// of a -trace-sample 3 trace is the full trace's series at ticks 0, 3, 6, 9, …
+func TestTraceSampleKeepsEveryNthTick(t *testing.T) {
+	dir := t.TempDir()
+	series := func(every string) map[string][]float64 {
+		path := filepath.Join(dir, "every"+every+".json")
+		mustRun(t, "sim", "-w", demo, "-input", "seed.txt=64", "-trace", path, "-trace-sample", every)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string  `json:"name"`
+				Ph   string  `json:"ph"`
+				Ts   float64 `json:"ts"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string][]float64{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "C" {
+				got[ev.Name] = append(got[ev.Name], ev.Ts)
+			}
+		}
+		return got
+	}
+	all, kept := series("1"), series("3")
+	if len(all) != 3 {
+		t.Fatalf("full trace has %d counter series, want 3: %v", len(all), all)
+	}
+	for name, ts := range all {
+		if len(ts) < 10 {
+			t.Fatalf("series %s has %d ticks, want at least 10", name, len(ts))
+		}
+		var want []float64
+		for i := 0; i < len(ts); i += 3 {
+			want = append(want, ts[i])
+		}
+		if !reflect.DeepEqual(kept[name], want) {
+			t.Errorf("series %s at -trace-sample 3 = %v, want %v", name, kept[name], want)
+		}
+	}
+}
+
 func TestRunInspect(t *testing.T) {
 	dir := t.TempDir()
 	daxPath := filepath.Join(dir, "wf.dax")

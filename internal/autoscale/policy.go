@@ -90,10 +90,10 @@ func (p *Predictive) Desired(now float64, s Signals, current int) int {
 		p.ewma = demand
 	} else {
 		prev := p.ewma
-		p.ewma = alpha*demand + (1-alpha)*p.ewma
-		p.trend = alpha*(p.ewma-prev) + (1-alpha)*p.trend
+		p.ewma = float64(alpha*demand) + float64((1-alpha)*p.ewma)
+		p.trend = float64(alpha*(p.ewma-prev)) + float64((1-alpha)*p.trend)
 	}
-	forecast := p.ewma + leadEvals*p.trend
+	forecast := p.ewma + float64(leadEvals*p.trend)
 	if forecast < 0 {
 		forecast = 0
 	}

@@ -50,12 +50,12 @@ func schedulerAblation(reps, priorRuns int, seed int64) ([]schedulerAblationRow,
 			if policy == scheduler.PolicyHEFT || policy == scheduler.PolicyAdaptiveGreedy {
 				// Warm the provenance with prior HEFT executions.
 				for i := 0; i < priorRuns; i++ {
-					if _, err := fig9Run(scheduler.PolicyHEFT, store, base+int64(i), 0.09, 0.12); err != nil {
+					if _, err := fig9Run(scheduler.PolicyHEFT, store, base+int64(i)); err != nil {
 						return nil, err
 					}
 				}
 			}
-			t, err := ablationFig9Run(policy, store, base+50, 0.09, 0.12)
+			t, err := ablationFig9Run(policy, store, base+50)
 			if err != nil {
 				return nil, err
 			}
@@ -69,8 +69,8 @@ func schedulerAblation(reps, priorRuns int, seed int64) ([]schedulerAblationRow,
 }
 
 // ablationFig9Run is fig9Run generalized over all policies.
-func ablationFig9Run(policy string, store provenance.Store, seed int64, scale, jitter float64) (float64, error) {
-	driver, inputs := workloads.Montage(workloads.MontageConfig{Degree: 0.25, RuntimeScale: scale})
+func ablationFig9Run(policy string, store provenance.Store, seed int64) (float64, error) {
+	driver, inputs := workloads.Montage(workloads.MontageConfig{Degree: 0.25, RuntimeScale: fig9RuntimeScale})
 	r := &recipes.Recipe{
 		Name:       "ablation-sched",
 		Groups:     fig9Workers(),
@@ -87,7 +87,7 @@ func ablationFig9Run(policy string, store provenance.Store, seed int64, scale, j
 	if _, err := driver.Parse(); err != nil {
 		return 0, err
 	}
-	jitterTasks(driver, rand.New(rand.NewSource(seed)), jitter)
+	jitterTasks(driver, rand.New(rand.NewSource(seed)), fig9Jitter)
 	sched, err := scheduler.New(policy, scheduler.Deps{Locality: e.FS, Estimator: e.Prov})
 	if err != nil {
 		return 0, err
@@ -117,12 +117,10 @@ type replicationAblationRow struct {
 // scheduling with varying replication.
 func replicationAblation(seed int64) ([]replicationAblationRow, error) {
 	var rows []replicationAblationRow
+	const samples, nodes, perNode = 8, 12, 12
 	for _, repl := range []int{1, 2, 3} {
-		opt := Fig4Options{Samples: 8, Nodes: 12}
-		opt.setDefaults()
-		perNode := 12
 		driver, inputs := workloads.SNV(workloads.SNVConfig{
-			Samples: opt.Samples, FilesPerSample: 12, FileSizeMB: 340,
+			Samples: samples, FilesPerSample: 12, FileSizeMB: 340,
 			CallSplitRegions: 8, AlignCPUSeconds: 600, SortCPUSeconds: 400,
 			CallCPUSeconds: 800, AnnotateCPUSeconds: 600, RefLocal: true,
 		})
@@ -131,7 +129,7 @@ func replicationAblation(seed int64) ([]replicationAblationRow, error) {
 		spec.MemMB = perNode*1024 + 1024
 		r := &recipes.Recipe{
 			Name:       fmt.Sprintf("ablation-repl-%d", repl),
-			Groups:     []recipes.NodeGroup{{Count: opt.Nodes, Spec: spec}},
+			Groups:     []recipes.NodeGroup{{Count: nodes, Spec: spec}},
 			SwitchMBps: 400,
 			HDFS:       hdfs.Config{BlockSizeMB: 1024, Replication: repl},
 			YARN:       amConfig(),

@@ -55,13 +55,17 @@ func buildEnv(r *recipes.Recipe, store provenance.Store) (*env, error) {
 // 1.0 — the stand-in for run-to-run variance on real hardware (the paper
 // reports standard deviations across repeated runs).
 func jitterTasks(d wf.StaticDriver, rng *rand.Rand, spread float64) {
-	if spread <= 0 {
-		return
-	}
 	for _, t := range d.Graph().All() {
-		f := 1 + (rng.Float64()*2-1)*spread
-		t.CPUSeconds *= f
+		t.CPUSeconds *= jitterFactor(rng, spread)
 	}
+}
+
+// jitterFactor draws a factor uniformly from [1-spread, 1+spread). The draw
+// is itself a product inside math/rand, and the compiler turns u*2 into u+u,
+// so u is rounded before it is doubled, or arm64 fuses the two.
+func jitterFactor(rng *rand.Rand, spread float64) float64 {
+	u := float64(rng.Float64())
+	return 1 + float64((float64(u*2)-1)*spread)
 }
 
 // stats computes mean and standard deviation.
@@ -74,7 +78,7 @@ func stats(xs []float64) (mean, std float64) {
 	}
 	mean /= float64(len(xs))
 	for _, x := range xs {
-		std += (x - mean) * (x - mean)
+		std += float64((x - mean) * (x - mean))
 	}
 	std = math.Sqrt(std / float64(len(xs)))
 	return mean, std

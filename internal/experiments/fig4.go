@@ -19,14 +19,18 @@ import (
 // node, one shared gigabit switch), Hi-WAY with data-aware scheduling vs a
 // Tez-like DAG engine, with 72–576 one-core containers.
 type Fig4Options struct {
-	Containers []int   // default {72, 144, 288, 576}
-	Runs       int     // repetitions per point; default 3
-	Samples    int     // genomic samples; default 18
-	Nodes      int     // cluster size; default 24
-	SwitchMBps float64 // default 400 (oversubscribed 1 GbE switch)
-	Jitter     float64 // CPU-time spread per run; default 0.04
-	Seed       int64
+	Containers []int // default {72, 144, 288, 576}
+	Runs       int   // repetitions per point; default 3
 }
+
+// The fixed setup of Fig. 4.
+const (
+	fig4Samples    = 24   // genomic samples
+	fig4Nodes      = 24   // cluster size
+	fig4SwitchMBps = 400  // the oversubscribed 1 GbE switch
+	fig4Jitter     = 0.04 // CPU-time spread per run
+	fig4Seed       = 41
+)
 
 func (o *Fig4Options) setDefaults() {
 	if len(o.Containers) == 0 {
@@ -34,21 +38,6 @@ func (o *Fig4Options) setDefaults() {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 3
-	}
-	if o.Samples <= 0 {
-		o.Samples = 24
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 24
-	}
-	if o.SwitchMBps <= 0 {
-		o.SwitchMBps = 400
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.04
-	}
-	if o.Seed == 0 {
-		o.Seed = 41
 	}
 }
 
@@ -70,22 +59,22 @@ func Fig4(opt Fig4Options) (*Fig4Result, error) {
 	opt.setDefaults()
 	res := &Fig4Result{}
 	for _, containers := range opt.Containers {
-		perNode := containers / opt.Nodes
+		perNode := containers / fig4Nodes
 		if perNode < 1 {
 			perNode = 1
 		}
 		var hiwayT, tezT, localFracs []float64
 		for run := 0; run < opt.Runs; run++ {
-			seed := opt.Seed + int64(containers*100+run)
+			seed := fig4Seed + int64(containers*100+run)
 
 			// Hi-WAY executes the workflow from Cuneiform source, as the
 			// paper did ("we implemented this workflow in both Cuneiform
 			// and Tez"): the per-region calls are discovered dynamically
 			// when each sample's sort/scatter resolves.
-			cfg := fig4WorkloadConfig(opt)
-			jitterSNVConfig(&cfg, rand.New(rand.NewSource(seed)), opt.Jitter)
+			cfg := fig4WorkloadConfig()
+			jitterSNVConfig(&cfg, rand.New(rand.NewSource(seed)), fig4Jitter)
 			driver, inputs, behavior := workloads.SNVCuneiformDriver("snv-fig4", cfg)
-			r := fig4Recipe(opt, perNode, seed)
+			r := fig4Recipe(perNode, seed)
 			r.Inputs = inputs
 			e, err := buildEnv(r, nil)
 			if err != nil {
@@ -101,7 +90,7 @@ func Fig4(opt Fig4Options) (*Fig4Result, error) {
 			hiwayT = append(hiwayT, rep.MakespanSec/60)
 			localFracs = append(localFracs, localReadFraction(rep, e.FS))
 
-			e2, driver2, err := fig4Setup(opt, perNode, seed)
+			e2, driver2, err := fig4Setup(perNode, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -128,9 +117,9 @@ func Fig4(opt Fig4Options) (*Fig4Result, error) {
 // weak-scaling experiment — 24 read files per sample and chromosome-split
 // variant calling — so the critical path stays short enough for 576-way
 // parallelism.
-func fig4WorkloadConfig(opt Fig4Options) workloads.SNVConfig {
+func fig4WorkloadConfig() workloads.SNVConfig {
 	return workloads.SNVConfig{
-		Samples:            opt.Samples,
+		Samples:            fig4Samples,
 		FilesPerSample:     24,
 		FileSizeMB:         340,
 		CallSplitRegions:   16,
@@ -147,10 +136,7 @@ func fig4WorkloadConfig(opt Fig4Options) workloads.SNVConfig {
 // source text.
 func jitterSNVConfig(cfg *workloads.SNVConfig, rng *rand.Rand, spread float64) {
 	cfg.ApplyDefaults() // jitter the effective values, not the zero ones
-	if spread <= 0 {
-		return
-	}
-	j := func(v float64) float64 { return v * (1 + (rng.Float64()*2-1)*spread) }
+	j := func(v float64) float64 { return v * jitterFactor(rng, spread) }
 	cfg.AlignCPUSeconds = j(cfg.AlignCPUSeconds)
 	cfg.SortCPUSeconds = j(cfg.SortCPUSeconds)
 	cfg.CallCPUSeconds = j(cfg.CallCPUSeconds)
@@ -160,9 +146,9 @@ func jitterSNVConfig(cfg *workloads.SNVConfig, rng *rand.Rand, spread float64) {
 // fig4Setup materializes the cluster, stages the SNV inputs into HDFS, and
 // generates a fresh jittered static workflow (the Tez arm's native
 // implementation).
-func fig4Setup(opt Fig4Options, perNode int, seed int64) (*env, wf.StaticDriver, error) {
-	driver, inputs := workloads.SNV(fig4WorkloadConfig(opt))
-	r := fig4Recipe(opt, perNode, seed)
+func fig4Setup(perNode int, seed int64) (*env, wf.StaticDriver, error) {
+	driver, inputs := workloads.SNV(fig4WorkloadConfig())
+	r := fig4Recipe(perNode, seed)
 	r.Inputs = inputs
 	e, err := buildEnv(r, nil)
 	if err != nil {
@@ -171,7 +157,7 @@ func fig4Setup(opt Fig4Options, perNode int, seed int64) (*env, wf.StaticDriver,
 	if _, err := driver.Parse(); err != nil {
 		return nil, nil, err
 	}
-	jitterTasks(driver, rand.New(rand.NewSource(seed)), opt.Jitter)
+	jitterTasks(driver, rand.New(rand.NewSource(seed)), fig4Jitter)
 	// Re-wrap: core.Run parses again, so hand it a pre-built base with the
 	// same (jittered) graph.
 	return e, reparse(driver), nil
@@ -218,14 +204,14 @@ func localReadFraction(rep *core.Report, fs *hdfs.FS) float64 {
 // fig4Recipe describes the experiment's infrastructure: YARN capacity is
 // sized to expose exactly perNode one-core containers per node (the
 // physical CPU capacity follows, since every container is single-threaded).
-func fig4Recipe(opt Fig4Options, perNode int, seed int64) *recipes.Recipe {
+func fig4Recipe(perNode int, seed int64) *recipes.Recipe {
 	spec := cluster.XeonE52620()
 	spec.VCores = perNode
 	spec.MemMB = perNode*1024 + 1024 // headroom for the AM container
 	return &recipes.Recipe{
-		Name:       fmt.Sprintf("fig4-%dx%d", opt.Nodes, perNode),
-		Groups:     []recipes.NodeGroup{{Count: opt.Nodes, Spec: spec}},
-		SwitchMBps: opt.SwitchMBps,
+		Name:       fmt.Sprintf("fig4-%dx%d", fig4Nodes, perNode),
+		Groups:     []recipes.NodeGroup{{Count: fig4Nodes, Spec: spec}},
+		SwitchMBps: fig4SwitchMBps,
 		// One block per read file: the data-aware scheduler reasons about
 		// whole-file locality, as Hi-WAY does.
 		HDFS: hdfs.Config{BlockSizeMB: 1024, Replication: 2},

@@ -19,12 +19,19 @@ import (
 // one to six nodes, Hi-WAY (HDFS on transient local SSDs) vs Galaxy
 // CloudMan (Slurm + a shared EBS volume), one task per node, five runs.
 type Fig8Options struct {
-	Sizes      []int   // default {1,2,3,4,6}, the paper's cluster sizes
-	Runs       int     // default 5
-	VolumeMBps float64 // CloudMan's shared EBS volume; default 22
-	Jitter     float64 // default 0.04
-	Seed       int64
+	Sizes []int // default {1,2,3,4,6}, the paper's cluster sizes
+	Runs  int   // default 5
 }
+
+// The fixed setup of Fig. 8.
+const (
+	// fig8VolumeMBps is CloudMan's shared EBS volume: a standard magnetic
+	// volume of the m3/c3 era sustained a few tens of MB/s — the storage
+	// bottleneck the paper identifies.
+	fig8VolumeMBps = 18
+	fig8Jitter     = 0.04
+	fig8Seed       = 63
+)
 
 func (o *Fig8Options) setDefaults() {
 	if len(o.Sizes) == 0 {
@@ -32,17 +39,6 @@ func (o *Fig8Options) setDefaults() {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 5
-	}
-	if o.VolumeMBps <= 0 {
-		// A standard EBS magnetic volume of the m3/c3 era sustained a few
-		// tens of MB/s — the storage bottleneck the paper identifies.
-		o.VolumeMBps = 18
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.04
-	}
-	if o.Seed == 0 {
-		o.Seed = 63
 	}
 }
 
@@ -66,15 +62,15 @@ func Fig8(opt Fig8Options) (*Fig8Result, error) {
 	for _, nodes := range opt.Sizes {
 		var hw, cm []float64
 		for run := 0; run < opt.Runs; run++ {
-			seed := opt.Seed + int64(nodes*100+run)
+			seed := fig8Seed + int64(nodes*100+run)
 
-			h, err := fig8HiWay(nodes, seed, opt.Jitter)
+			h, err := fig8HiWay(nodes, seed)
 			if err != nil {
 				return nil, fmt.Errorf("fig8: hiway @%d nodes: %w", nodes, err)
 			}
 			hw = append(hw, h)
 
-			c, err := fig8CloudMan(nodes, seed, opt.Jitter, opt.VolumeMBps)
+			c, err := fig8CloudMan(nodes, seed)
 			if err != nil {
 				return nil, fmt.Errorf("fig8: cloudman @%d nodes: %w", nodes, err)
 			}
@@ -96,7 +92,7 @@ func Fig8(opt Fig8Options) (*Fig8Result, error) {
 // export (as in the paper, which executed Wolfien et al.'s published
 // Galaxy workflow), with HDFS over local SSDs, data-aware scheduling, and
 // one big container per node.
-func fig8HiWay(nodes int, seed int64, jitter float64) (float64, error) {
+func fig8HiWay(nodes int, seed int64) (float64, error) {
 	driver, inputs, err := workloads.TRAPLINEFromGalaxy(workloads.TRAPLINEConfig{})
 	if err != nil {
 		return 0, err
@@ -120,7 +116,7 @@ func fig8HiWay(nodes int, seed int64, jitter float64) (float64, error) {
 	if _, err := driver.Parse(); err != nil {
 		return 0, err
 	}
-	jitterTasks(driver, rand.New(rand.NewSource(seed)), jitter)
+	jitterTasks(driver, rand.New(rand.NewSource(seed)), fig8Jitter)
 	rep, err := core.Run(e.Env, reparse(driver), scheduler.NewDataAware(e.FS), core.Config{
 		ContainerVCores: 8, ContainerMemMB: 14000,
 	})
@@ -132,7 +128,7 @@ func fig8HiWay(nodes int, seed int64, jitter float64) (float64, error) {
 
 // fig8CloudMan runs the same workflow on the CloudMan baseline: full-node
 // tools, Slurm-style FCFS, everything stored on the shared volume.
-func fig8CloudMan(nodes int, seed int64, jitter float64, volumeMBps float64) (float64, error) {
+func fig8CloudMan(nodes int, seed int64) (float64, error) {
 	driver, inputs := workloads.TRAPLINE(workloads.TRAPLINEConfig{})
 	r := &recipes.Recipe{
 		Name:       fmt.Sprintf("fig8-cloudman-%d", nodes),
@@ -147,9 +143,9 @@ func fig8CloudMan(nodes int, seed int64, jitter float64, volumeMBps float64) (fl
 	if _, err := driver.Parse(); err != nil {
 		return 0, err
 	}
-	jitterTasks(driver, rand.New(rand.NewSource(seed)), jitter)
+	jitterTasks(driver, rand.New(rand.NewSource(seed)), fig8Jitter)
 	rep, err := cloudman.Run(e.Cluster, reparse(driver), cloudman.Config{
-		VolumeMBps:   volumeMBps,
+		VolumeMBps:   fig8VolumeMBps,
 		InputSizesMB: workloads.InputSizes(inputs),
 	})
 	if err != nil {

@@ -23,12 +23,16 @@ import (
 // under HEFT with provenance accumulating across runs; provenance is wiped
 // between repetitions.
 type Fig9Options struct {
-	Reps            int     // repetitions; default 80 as in the paper
-	ConsecutiveRuns int     // HEFT runs per repetition; default 20
-	RuntimeScale    float64 // Montage task scale; default 0.09 (short tasks)
-	Jitter          float64 // default 0.12
-	Seed            int64
+	Reps            int // repetitions; default 80 as in the paper
+	ConsecutiveRuns int // HEFT runs per repetition; default 20
 }
+
+// The fixed setup of Fig. 9.
+const (
+	fig9RuntimeScale = 0.09 // Montage task scale: short tasks
+	fig9Jitter       = 0.12
+	fig9Seed         = 74
+)
 
 func (o *Fig9Options) setDefaults() {
 	if o.Reps <= 0 {
@@ -36,15 +40,6 @@ func (o *Fig9Options) setDefaults() {
 	}
 	if o.ConsecutiveRuns <= 0 {
 		o.ConsecutiveRuns = 20
-	}
-	if o.RuntimeScale == 0 {
-		o.RuntimeScale = 0.09
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.12
-	}
-	if o.Seed == 0 {
-		o.Seed = 74
 	}
 }
 
@@ -86,8 +81,8 @@ func fig9Workers() []recipes.NodeGroup {
 
 // fig9Run executes the Montage workflow once with the given policy and a
 // provenance store (which may carry earlier runs' events).
-func fig9Run(policy string, store provenance.Store, seed int64, scale, jitter float64) (float64, error) {
-	driver, inputs := workloads.Montage(workloads.MontageConfig{Degree: 0.25, RuntimeScale: scale})
+func fig9Run(policy string, store provenance.Store, seed int64) (float64, error) {
+	driver, inputs := workloads.Montage(workloads.MontageConfig{Degree: 0.25, RuntimeScale: fig9RuntimeScale})
 	r := &recipes.Recipe{
 		Name:       "fig9",
 		Groups:     fig9Workers(),
@@ -108,7 +103,7 @@ func fig9Run(policy string, store provenance.Store, seed int64, scale, jitter fl
 	if _, err := driver.Parse(); err != nil {
 		return 0, err
 	}
-	jitterTasks(driver, rand.New(rand.NewSource(seed)), jitter)
+	jitterTasks(driver, rand.New(rand.NewSource(seed)), fig9Jitter)
 
 	var sched scheduler.Scheduler
 	switch policy {
@@ -138,10 +133,10 @@ func Fig9(opt Fig9Options) (*Fig9Result, error) {
 	var fcfs []float64
 	heft := make([][]float64, opt.ConsecutiveRuns)
 	for rep := 0; rep < opt.Reps; rep++ {
-		base := opt.Seed + int64(rep)*1000
+		base := fig9Seed + int64(rep)*1000
 
 		// Baseline: one FCFS execution (its own provenance, discarded).
-		t, err := fig9Run(scheduler.PolicyFCFS, provenance.NewMemStore(), base, opt.RuntimeScale, opt.Jitter)
+		t, err := fig9Run(scheduler.PolicyFCFS, provenance.NewMemStore(), base)
 		if err != nil {
 			return nil, fmt.Errorf("fig9: fcfs rep %d: %w", rep, err)
 		}
@@ -151,7 +146,7 @@ func Fig9(opt Fig9Options) (*Fig9Result, error) {
 		// store: run i is planned with i prior runs' estimates.
 		store := provenance.NewMemStore()
 		for i := 0; i < opt.ConsecutiveRuns; i++ {
-			t, err := fig9Run(scheduler.PolicyHEFT, store, base+int64(i)+1, opt.RuntimeScale, opt.Jitter)
+			t, err := fig9Run(scheduler.PolicyHEFT, store, base+int64(i)+1)
 			if err != nil {
 				return nil, fmt.Errorf("fig9: heft rep %d run %d: %w", rep, i, err)
 			}

@@ -33,24 +33,24 @@ type ScaleConfig struct {
 	// Shards > 1 splits the point into that many independent workflows,
 	// each with Tasks/Shards tasks, Width/Shards lanes and Nodes/Shards
 	// nodes on its own simulation substrate, executed by the shard runner
-	// (ShardWorkers goroutines; default GOMAXPROCS). This is how the top
-	// rungs keep per-event cost in the flat small-cluster regime: the
-	// switch model's reshare cost grows with concurrent flows per engine,
-	// so one 1024-node engine is slower per event than sixteen 64-node
-	// engines simulating the same aggregate work.
-	Shards       int
-	ShardWorkers int
-
-	TaskCPUSeconds float64 // per-task compute; default 20
-	FileMB         float64 // per-task output size; default 8
+	// on GOMAXPROCS goroutines. This is how the top rungs keep per-event
+	// cost in the flat small-cluster regime: the switch model's reshare
+	// cost grows with concurrent flows per engine, so one 1024-node engine
+	// is slower per event than sixteen 64-node engines simulating the same
+	// aggregate work.
+	Shards int
 }
+
+// Every task of the synthetic workflow computes scaleTaskCPUSeconds and
+// writes one scaleFileMB output.
+const (
+	scaleTaskCPUSeconds = 20
+	scaleFileMB         = 8
+)
 
 func (c *ScaleConfig) setDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.ShardWorkers <= 0 {
-		c.ShardWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.Width <= 0 {
 		c.Width = 64
@@ -63,12 +63,6 @@ func (c *ScaleConfig) setDefaults() {
 	}
 	if c.Policy == "" {
 		c.Policy = scheduler.PolicyDataAware
-	}
-	if c.TaskCPUSeconds <= 0 {
-		c.TaskCPUSeconds = 20
-	}
-	if c.FileMB <= 0 {
-		c.FileMB = 8
 	}
 }
 
@@ -106,7 +100,7 @@ func syntheticWorkflow(cfg ScaleConfig) (wf.Driver, []workloads.Input) {
 	initial := make([]string, cfg.Width)
 	for w := 0; w < cfg.Width; w++ {
 		p := fmt.Sprintf("/scale/in/part-%04d", w)
-		inputs[w] = workloads.Input{Path: p, SizeMB: cfg.FileMB}
+		inputs[w] = workloads.Input{Path: p, SizeMB: scaleFileMB}
 		initial[w] = p
 	}
 	build := func() ([]*wf.Task, []string, []wf.Edge, error) {
@@ -128,8 +122,8 @@ func syntheticWorkflow(cfg ScaleConfig) (wf.Driver, []workloads.Input) {
 					Command:      fmt.Sprintf("synth stage %d lane %d", l, w),
 					Inputs:       ins,
 					OutputParams: []string{"out"},
-					Declared:     map[string][]wf.FileInfo{"out": {{Path: p, SizeMB: cfg.FileMB}}},
-					CPUSeconds:   cfg.TaskCPUSeconds,
+					Declared:     map[string][]wf.FileInfo{"out": {{Path: p, SizeMB: scaleFileMB}}},
+					CPUSeconds:   scaleTaskCPUSeconds,
 					Threads:      1,
 					MemMB:        512,
 				})
@@ -214,7 +208,7 @@ func Scale(cfg ScaleConfig) (ScalePoint, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	err := shard.Run(len(shards), cfg.ShardWorkers, func(i int) error { return shards[i].run() })
+	err := shard.Run(len(shards), runtime.GOMAXPROCS(0), func(i int) error { return shards[i].run() })
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {

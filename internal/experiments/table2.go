@@ -24,9 +24,13 @@ const pricePerVMHour = 0.146
 type Table2Options struct {
 	Workers []int // default {1,2,4,8,16,32,64,128}
 	Runs    int   // default 3
-	Jitter  float64
-	Seed    int64
 }
+
+// The fixed setup of Table 2.
+const (
+	table2Jitter = 0.03
+	table2Seed   = 52
+)
 
 func (o *Table2Options) setDefaults() {
 	if len(o.Workers) == 0 {
@@ -34,12 +38,6 @@ func (o *Table2Options) setDefaults() {
 	}
 	if o.Runs <= 0 {
 		o.Runs = 3
-	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.03
-	}
-	if o.Seed == 0 {
-		o.Seed = 52
 	}
 }
 
@@ -77,8 +75,8 @@ func Table2(opt Table2Options) (*Table2Result, error) {
 		var dataGB float64
 		var util Fig6Sample
 		for run := 0; run < opt.Runs; run++ {
-			seed := opt.Seed + int64(workers*10+run)
-			row, err := table2Run(workers, seed, opt.Jitter)
+			seed := table2Seed + int64(workers*10+run)
+			row, err := table2Run(workers, seed)
 			if err != nil {
 				return nil, fmt.Errorf("table2 @%d workers: %w", workers, err)
 			}
@@ -112,14 +110,14 @@ type table2RunResult struct {
 
 // table2Run executes one weak-scaling run: workers samples on workers
 // nodes. As in the paper (Table 1), the workflow is specified in Cuneiform.
-func table2Run(workers int, seed int64, jitter float64) (*table2RunResult, error) {
+func table2Run(workers int, seed int64) (*table2RunResult, error) {
 	cfg := workloads.SNVConfig{
 		Samples:  workers,
 		External: true, // reads fetched from the 1000-Genomes S3 bucket
 		CRAM:     true, // referential compression of intermediates
 		RefLocal: true,
 	}
-	jitterSNVConfig(&cfg, rand.New(rand.NewSource(seed)), jitter)
+	jitterSNVConfig(&cfg, rand.New(rand.NewSource(seed)), table2Jitter)
 	driver, inputs, behavior := workloads.SNVCuneiformDriver("snv-scaling", cfg)
 	const (
 		amNode     = "node-00" // Hi-WAY AM, isolated per §4.1
@@ -191,14 +189,19 @@ func pumpMasterLoad(e *env, am *core.AM, hadoopID, amID string, workers int) {
 		delta := float64(done - lastTasks)
 		lastTasks = done
 		w := float64(workers)
+		// work is perWorker per worker-second of the interval plus perTask
+		// per task completed in it.
+		work := func(perWorker, perTask float64) float64 {
+			return float64(w*perWorker*interval) + float64(delta*perTask)
+		}
 		// NameNode + ResourceManager: heartbeats and block reports.
-		hadoop.CPU.Submit(w*0.0006*interval+delta*0.05, 1, nil)
-		hadoop.Disk.Submit(w*0.01*interval+delta*0.3, 0, nil)
-		hadoop.NIC.Submit(w*0.02*interval+delta*0.2, 0, nil)
+		hadoop.CPU.Submit(work(0.0006, 0.05), 1, nil)
+		hadoop.Disk.Submit(work(0.01, 0.3), 0, nil)
+		hadoop.NIC.Submit(work(0.02, 0.2), 0, nil)
 		// Hi-WAY AM: container requests, task selection, provenance.
-		amn.CPU.Submit(delta*0.5+w*0.0002*interval, 1, nil)
+		amn.CPU.Submit(work(0.0002, 0.5), 1, nil)
 		amn.Disk.Submit(delta*0.2, 0, nil)
-		amn.NIC.Submit(delta*0.5+w*0.005*interval, 0, nil)
+		amn.NIC.Submit(work(0.005, 0.5), 0, nil)
 		e.eng.Schedule(interval, tick)
 	}
 	e.eng.Schedule(interval, tick)

@@ -119,7 +119,7 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		in := &t.instants[i]
 		events = append(events, chromeEvent{
 			Name: in.Name, Cat: in.Cat, Ph: "i", Ts: micros(in.At),
-			Pid: 1, Tid: tids[in.Track], Scope: "t", Args: argMap(in.Args),
+			Pid: 1, Tid: tids[in.Track], Scope: "t",
 		})
 	}
 	for i := range t.samples {

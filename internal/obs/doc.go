@@ -35,6 +35,6 @@
 // execution with observability off (the default) pays only a nil check per
 // event. TestTracerOffZeroAlloc pins this down.
 //
-// High-frequency time series recorded with Tracer.Sample can additionally
-// be decimated with SetSampleEvery to bound trace size on long runs.
+// Tracer.Sample keeps every point; `hiway sim -trace-sample N` bounds a long
+// run's trace by recording only every Nth tick of its counter sampler.
 package obs

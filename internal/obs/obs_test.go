@@ -171,18 +171,6 @@ func TestTracerOffZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	tr := NewTracer(fixedClock(1))
-	tr.SetSampleEvery(3)
-	for i := 0; i < 10; i++ {
-		tr.Sample("sim", "depth", float64(i))
-	}
-	_, _, samples := tr.Counts()
-	if samples != 4 { // indices 0, 3, 6, 9
-		t.Fatalf("samples = %d, want 4", samples)
-	}
-}
-
 func TestOpenSpansExport(t *testing.T) {
 	tr := NewTracer(fixedClock(1))
 	id := tr.Begin("workflow", "crashed", "workflow", 0)

@@ -34,7 +34,6 @@ func (s *Span) Open() bool { return s.End < s.Start }
 type instant struct {
 	Cat, Name, Track string
 	At               float64
-	Args             []Arg
 }
 
 // sample is one point of a named counter time series.
@@ -53,32 +52,16 @@ type Tracer struct {
 	spans    []Span
 	instants []instant
 	samples  []sample
-	every    int            // keep every Nth sample per series; <=1 keeps all
-	strides  map[string]int // series key → samples seen
 }
 
 // NewTracer returns an enabled tracer reading time from clock.
 func NewTracer(clock func() float64) *Tracer {
-	return &Tracer{clock: clock, every: 1, strides: make(map[string]int)}
+	return &Tracer{clock: clock}
 }
 
 // Enabled reports whether the tracer records anything. Call sites use it to
 // guard work that only feeds the tracer (e.g. formatting a span name).
 func (t *Tracer) Enabled() bool { return t != nil }
-
-// SetSampleEvery keeps only every nth Sample call per (track, name) series;
-// n <= 1 keeps all samples. Spans and instants are never sampled away.
-func (t *Tracer) SetSampleEvery(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	t.every = n
-}
 
 // Begin opens a span and returns its ID. parent may be 0 for a root span.
 func (t *Tracer) Begin(cat, name, track string, parent SpanID) SpanID {
@@ -158,21 +141,13 @@ func (t *Tracer) Instant(cat, name, track string) {
 }
 
 // Sample appends one point to a named counter time series (event-queue
-// depth, running containers). Series are decimated by SetSampleEvery.
+// depth, running containers); every call is kept.
 func (t *Tracer) Sample(track, name string, value float64) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.every > 1 {
-		key := track + "\x00" + name
-		seen := t.strides[key]
-		t.strides[key] = seen + 1
-		if seen%t.every != 0 {
-			return
-		}
-	}
 	t.samples = append(t.samples, sample{Track: track, Name: name, At: t.clock(), Value: value})
 }
 

@@ -75,7 +75,7 @@ func (h history) quantile(sig string, q float64) (float64, bool) {
 		sort.Float64s(r.sorted)
 		r.dirty = false
 	}
-	idx := int(float64(r.n)*q+0.5) - 1
+	idx := int(float64(float64(r.n)*q)+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}

@@ -118,6 +118,19 @@ func TestDiffRunsSeparatesAndDeltas(t *testing.T) {
 	if !strings.Contains(RenderRunDiff(d), "only in wf-b: annotate") {
 		t.Fatal("rendered diff missing only-in row")
 	}
+	// A run diffed against itself: both sides are the run, every delta zero.
+	self, err := DiffRuns("wf-a", "wf-a", traceFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if self.MakespanA != 15 || self.MakespanB != 15 || len(self.OnlyA) != 0 || len(self.OnlyB) != 0 || len(self.Common) != 2 {
+		t.Fatalf("self diff: %+v", self)
+	}
+	for _, c := range self.Common {
+		if c.CountA != c.CountB || c.TotalSecA != c.TotalSecB || c.MemoHitsA != c.MemoHitsB {
+			t.Fatalf("self diff delta: %+v", c)
+		}
+	}
 }
 
 func TestMemoHitsAttribution(t *testing.T) {

@@ -165,6 +165,13 @@ func TestProvenanceIndexFoldsEachEventOnce(t *testing.T) {
 	queries := []string{"lineage /svc/alpha/live/f40", "lineage /svc/alpha/live/f20", "lineage /svc/alpha/w001/out/sample000/annotated.vcf",
 		"memo-hits", "memo-hits alpha-live", "diff alpha-live alpha-syn00004", "diff alpha-live alpha-live", "diff alpha-live nope"}
 	requireAgreesWithFlush(t, s, queries)
+	self, err := provenance.ParseQuery("diff alpha-live alpha-live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.queryProvenance(self); err != nil { // the fresh index agreed, so it succeeded too
+		t.Fatalf("a run diffed against itself: %v", err)
+	}
 	_ = live.prov.AppendBatch(evs[half:])
 	close(live.done)
 	requireFolded("the other half", int64(len(evs)-half))

@@ -206,8 +206,8 @@ func (r *SharedResource) advance() {
 		r.last = now
 		return
 	}
-	r.rateIntegral += r.totalRate * dt
-	r.demandInt += r.capSum * dt
+	r.rateIntegral += float64(r.totalRate * dt)
+	r.demandInt += float64(r.capSum * dt)
 	if len(r.jobs) > 0 {
 		r.busyInt += dt
 	}
@@ -218,7 +218,7 @@ func (r *SharedResource) advance() {
 // change without losing work done at the old rate.
 func (r *SharedResource) sync(j *Job, now float64) {
 	if !j.infinite {
-		j.remaining -= j.rate * (now - j.syncT)
+		j.remaining -= float64(j.rate * (now - j.syncT))
 		if j.remaining < 0 {
 			j.remaining = 0
 		}
@@ -241,7 +241,7 @@ func (r *SharedResource) reshare() {
 	r.finished = nil
 	kept := 0
 	for i, j := range r.jobs {
-		if !j.infinite && j.remaining-j.rate*(now-j.syncT) <= workEps {
+		if !j.infinite && j.remaining-float64(j.rate*(now-j.syncT)) <= workEps {
 			finished = append(finished, j)
 			continue
 		}

@@ -61,7 +61,7 @@ func (s *Scenario) genService(r *rand.Rand) {
 			Name:          fmt.Sprintf("tenant-%d", i),
 			Weight:        r.Intn(3), // 0 = background tenant
 			MaxContainers: 2 + r.Intn(6),
-			RatePerSec:    0.01 + float64(r.Intn(4))*0.005,
+			RatePerSec:    0.01 + float64(float64(r.Intn(4))*0.005),
 			Burst:         1 + r.Intn(2),
 		})
 	}

@@ -29,7 +29,7 @@ func (c MontageConfig) tiles() int {
 	d := c.Degree
 	// Montage fetches roughly (d·8+9)² /9 … for our purposes: 0.25° → 11
 	// tiles, growing quadratically with the degree.
-	return max(int(44*d*d+28*d+1.25), 2)
+	return max(int(float64(44*d*d)+float64(28*d)+1.25), 2)
 }
 
 // MontageDAX emits the workflow as a Pegasus DAX document — the format the

@@ -327,7 +327,7 @@ func (rm *ResourceManager) node(id string) *nodeManager {
 func (rm *ResourceManager) accrueBusy(nm *nodeManager) {
 	now := rm.eng.Now()
 	if !nm.dead {
-		nm.busyCoreSec += float64(nm.totalCores-nm.freeCores) * (now - nm.busyMark)
+		nm.busyCoreSec += float64(float64(nm.totalCores-nm.freeCores) * (now - nm.busyMark))
 	}
 	nm.busyMark = now
 }
@@ -336,7 +336,7 @@ func (rm *ResourceManager) accrueBusy(nm *nodeManager) {
 // usage to its tenant, split by the hosting node's class. Containers with
 // zero vcores (thin AMs) cost nothing, matching the busy-core integral.
 func (rm *ResourceManager) chargeTenant(c *Container, spot bool) {
-	coreSec := float64(c.Resource.VCores) * (rm.eng.Now() - c.allocAt)
+	coreSec := float64(float64(c.Resource.VCores) * (rm.eng.Now() - c.allocAt))
 	if coreSec == 0 {
 		return
 	}
@@ -699,7 +699,7 @@ func (rm *ResourceManager) allocate() {
 		c := rm.allocateOn(nm, p.app, p.req.Resource, false)
 		lat := rm.eng.Now() - p.at
 		rm.allocLatH.Observe(lat)
-		rm.allocLatEWMA = 0.8*rm.allocLatEWMA + 0.2*lat
+		rm.allocLatEWMA = float64(0.8*rm.allocLatEWMA) + float64(0.2*lat)
 		p.app = nil
 		done = append(done, p)
 		containers = append(containers, c)
@@ -1130,7 +1130,7 @@ const spotPrice = 0.3
 // CostUnits converts the bill to abstract cost units: one unit per
 // on-demand node-second, spotPrice (0.3) units per spot node-second.
 func (r CostReport) CostUnits() float64 {
-	return r.OnDemandNodeSec + spotPrice*r.SpotNodeSec
+	return r.OnDemandNodeSec + float64(spotPrice*r.SpotNodeSec)
 }
 
 // CostReport returns the cost accounting as of now. The snapshot is pure:
@@ -1153,7 +1153,7 @@ func (rm *ResourceManager) CostReport() CostReport {
 			continue // finalized at kill time
 		}
 		alive := now - nm.joinedAt
-		busy := nm.busyCoreSec + float64(nm.totalCores-nm.freeCores)*(now-nm.busyMark)
+		busy := nm.busyCoreSec + float64(float64(nm.totalCores-nm.freeCores)*(now-nm.busyMark))
 		if nm.spot {
 			rep.SpotNodeSec += alive
 			rep.SpotBusySec += busy
@@ -1170,7 +1170,7 @@ func (rm *ResourceManager) CostReport() CostReport {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, cid := range ids {
 			c := nm.running[cid]
-			coreSec := float64(c.Resource.VCores) * (now - c.allocAt)
+			coreSec := float64(float64(c.Resource.VCores) * (now - c.allocAt))
 			if coreSec == 0 {
 				continue
 			}

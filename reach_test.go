@@ -99,7 +99,7 @@ func modulePath(t *testing.T) string {
 }
 
 func newInfo() *types.Info {
-	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 }
 
 // checkModule type-checks every production package exactly once, in import
@@ -637,7 +637,9 @@ func checkFields(t *testing.T, fset *token.FileSet, pkgs map[string]*goPackage, 
 // in reach_allowlist.txt, which may only shrink. The same holds for struct
 // fields declared under internal/ and cmd/: each must be read by some
 // production file (checkFields), and the test that reads an allowlisted one
-// may be in its own package.
+// may be in its own package. The same pass flags every float product under
+// internal/ and cmd/ that an architecture with fused multiply-add may fuse
+// (fusableProducts).
 func TestReach(t *testing.T) {
 	fset := token.NewFileSet()
 	std := importer.Default()
@@ -647,6 +649,9 @@ func TestReach(t *testing.T) {
 	reached, err := reachedExports(pkgs, decls, std)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, pos := range fusableProducts(fset, pkgs) {
+		t.Errorf("%s: a float product feeds an add or subtract and may be fused; wrap it in float64(…)", pos)
 	}
 	allow := readAllowlist(t)
 
